@@ -212,7 +212,10 @@ fn main() {
         let mut identical = true;
         let half = queries.len() / 2;
         for (q, want) in queries[..half].iter().zip(&reference) {
-            let got = set.query_batch(std::slice::from_ref(q), &[k]).remove(0);
+            let got = set
+                .query_batch(std::slice::from_ref(q), &[k], simpim_obs::TraceCtx::NONE, 0)
+                .0
+                .remove(0);
             let got: Vec<usize> = got
                 .expect("pre-kill query")
                 .iter()
@@ -228,7 +231,10 @@ fn main() {
         // after each kill detects it and fails over. Repair interleaves,
         // one replica per query, the way the engine's repair tick does.
         for (q, want) in queries[half..].iter().zip(&reference[half..]) {
-            let got = set.query_batch(std::slice::from_ref(q), &[k]).remove(0);
+            let got = set
+                .query_batch(std::slice::from_ref(q), &[k], simpim_obs::TraceCtx::NONE, 0)
+                .0
+                .remove(0);
             let got: Vec<usize> = got
                 .expect("post-kill query")
                 .iter()

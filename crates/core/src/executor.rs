@@ -206,30 +206,13 @@ impl PimExecutor {
     /// Prepares `LB_PIM-ED` / `LB_PIM-FNN` for a normalized dataset: the
     /// paper's default path for ED workloads. Theorem 4 picks `s`; when the
     /// whole dataset fits uncompressed the tighter `LB_PIM-ED` is used,
-    /// otherwise `LB_PIM-FNN^s`.
+    /// otherwise `LB_PIM-FNN^s`, otherwise the single-region `LB_PIM-SM^s`
+    /// (shared dispatch in `memory::resident_plan`).
     pub fn prepare_euclidean(
         cfg: ExecutorConfig,
         data: &NormalizedDataset,
     ) -> Result<Self, CoreError> {
-        let ds = data.dataset();
-        let buffer_factor = if cfg.double_buffer { 2 } else { 1 };
-        // Uncompressed when it fits; else the two-region µ/σ pair; else
-        // the single-region mean-only bound (shared dispatch in
-        // `memory::resident_plan`).
-        let (plan, shape) = resident_plan(
-            ds.len(),
-            ds.dim(),
-            buffer_factor,
-            cfg.operand_bits,
-            &cfg.pim,
-        )?;
-        match shape {
-            ResidentShapeChoice::Uncompressed => {
-                Self::prepare_ed_uncompressed(cfg, data, plan, ds.len())
-            }
-            ResidentShapeChoice::MuSigma => Self::prepare_fnn_at(cfg, data, plan, ds.len()),
-            ResidentShapeChoice::MeanOnly => Self::prepare_sm_at(cfg, data, plan, ds.len()),
-        }
+        Self::prepare_euclidean_resident(cfg, data, 0)
     }
 
     /// Like [`PimExecutor::prepare_euclidean`], but sizes every region for
@@ -243,32 +226,18 @@ impl PimExecutor {
         spare: usize,
     ) -> Result<Self, CoreError> {
         let ds = data.dataset();
-        let capacity = ds.len() + spare;
-        let buffer_factor = if cfg.double_buffer { 2 } else { 1 };
-        let (plan, shape) = resident_plan(
-            capacity,
-            ds.dim(),
-            buffer_factor,
-            cfg.operand_bits,
-            &cfg.pim,
-        )?;
-        match shape {
-            ResidentShapeChoice::Uncompressed => {
-                Self::prepare_ed_uncompressed(cfg, data, plan, capacity)
-            }
-            ResidentShapeChoice::MuSigma => Self::prepare_fnn_at(cfg, data, plan, capacity),
-            ResidentShapeChoice::MeanOnly => Self::prepare_sm_at(cfg, data, plan, capacity),
-        }
+        let mut builder = Self::begin_euclidean_resident(cfg, ds.len(), ds.dim(), spare)?;
+        builder.push_rows(ds.as_flat())?;
+        builder.finish()
     }
 
-    /// Opens a [`ResidentBuilder`]: the streamed twin of
-    /// [`PimExecutor::prepare_euclidean_resident`]. Theorem 4 plans from
-    /// the declared shape (`n_total + spare` objects × `d` dims) up
-    /// front, regions are allocated empty, and the dataset arrives
-    /// block-by-block through [`ResidentBuilder::push_rows`] — the host
-    /// never needs the full `N × d` matrix resident. The finished
-    /// executor is bit-identical in stored matrix, Φ table, wear, and
-    /// crossbar layout to one-shot preparation of the same rows.
+    /// Opens a [`ResidentBuilder`]: Theorem 4 plans from the declared
+    /// shape (`n_total + spare` objects × `d` dims) up front, regions are
+    /// allocated empty, and the dataset arrives block-by-block through
+    /// [`ResidentBuilder::push_rows`] — the host never needs the full
+    /// `N × d` matrix resident. Any block partitioning yields the same
+    /// stored matrix, Φ table, wear, and crossbar layout;
+    /// [`PimExecutor::prepare_euclidean_resident`] is the one-block case.
     pub fn begin_euclidean_resident(
         cfg: ExecutorConfig,
         n_total: usize,
@@ -277,53 +246,13 @@ impl PimExecutor {
     ) -> Result<ResidentBuilder, CoreError> {
         if n_total == 0 || d == 0 {
             return Err(CoreError::Mismatch {
-                what: "streamed preparation needs a non-empty shape",
+                what: "resident preparation needs a non-empty shape",
             });
         }
         let capacity = n_total + spare;
         let buffer_factor = if cfg.double_buffer { 2 } else { 1 };
-        let (plan, shape_kind) =
-            resident_plan(capacity, d, buffer_factor, cfg.operand_bits, &cfg.pim)?;
-        let quantizer = Quantizer::identity(cfg.alpha)?;
-        let mut bank = ReRamBank::new(cfg.pim)?;
-        let mut cell_writes = 0u64;
-        let mut program_ns = 0.0f64;
-        let mut begin = |bank: &mut ReRamBank| -> Result<RegionId, CoreError> {
-            let rep = bank.begin_region_streamed(capacity, plan.s, cfg.operand_bits)?;
-            cell_writes += rep.cell_writes;
-            program_ns += rep.program_ns;
-            Ok(rep.region)
-        };
-        let shape = match shape_kind {
-            ResidentShapeChoice::Uncompressed => ResidentShape::Ed {
-                region: begin(&mut bank)?,
-            },
-            ResidentShapeChoice::MuSigma => ResidentShape::Fnn {
-                mu_region: begin(&mut bank)?,
-                sigma_region: begin(&mut bank)?,
-                segment_len: 0,
-            },
-            ResidentShapeChoice::MeanOnly => ResidentShape::Sm {
-                mu_region: begin(&mut bank)?,
-                segment_len: 0,
-            },
-        };
-        Ok(ResidentBuilder {
-            cfg,
-            bank,
-            quantizer,
-            plan,
-            shape,
-            d,
-            n_total,
-            capacity,
-            pushed: 0,
-            phis: Vec::with_capacity(n_total),
-            cell_writes,
-            program_ns,
-            floor_buf: Vec::new(),
-            sigma_buf: Vec::new(),
-        })
+        let (plan, shape) = resident_plan(capacity, d, buffer_factor, cfg.operand_bits, &cfg.pim)?;
+        ResidentBuilder::open(cfg, plan, shape, n_total, d, capacity)
     }
 
     /// Prepares `LB_PIM-SM` at an explicit segmentation `d_prime` — the
@@ -335,84 +264,7 @@ impl PimExecutor {
         data: &NormalizedDataset,
         d_prime: usize,
     ) -> Result<Self, CoreError> {
-        let ds = data.dataset();
-        if d_prime == 0 || !ds.dim().is_multiple_of(d_prime) {
-            return Err(CoreError::Mismatch {
-                what: "d_prime must divide d",
-            });
-        }
-        let buffer_factor = if cfg.double_buffer { 2 } else { 1 };
-        let auto = choose_dimensionality(
-            ds.len(),
-            ds.dim(),
-            buffer_factor,
-            cfg.operand_bits,
-            &cfg.pim,
-        )?;
-        if d_prime > auto.s {
-            return Err(CoreError::Mismatch {
-                what: "requested d_prime exceeds Theorem 4's maximum",
-            });
-        }
-        let cost = simpim_reram::gather::dataset_crossbar_cost(
-            ds.len(),
-            d_prime,
-            cfg.operand_bits,
-            &cfg.pim.crossbar,
-        )?;
-        let plan = MemoryPlan {
-            s: d_prime,
-            uncompressed: d_prime == ds.dim(),
-            cost_per_region: cost,
-            regions: buffer_factor,
-        };
-        Self::prepare_sm_at(cfg, data, plan, ds.len())
-    }
-
-    fn prepare_sm_at(
-        cfg: ExecutorConfig,
-        data: &NormalizedDataset,
-        plan: MemoryPlan,
-        capacity: usize,
-    ) -> Result<Self, CoreError> {
-        let ds = data.dataset();
-        let quantizer = Quantizer::identity(cfg.alpha)?;
-        let mut bank = ReRamBank::new(cfg.pim)?;
-        let n = ds.len();
-        let d_prime = plan.s;
-        let mut mu_floors = Vec::with_capacity(n * d_prime);
-        let mut phis = Vec::with_capacity(n);
-        let mut segment_len = 0usize;
-        for row in ds.rows() {
-            let sq = crate::pim_bounds::SmQuant::compute(row, d_prime, cfg.alpha)?;
-            segment_len = sq.segment_len;
-            mu_floors.extend_from_slice(&sq.mu_floors);
-            phis.push(sq.phi);
-        }
-        let rep =
-            bank.program_region_with_capacity(&mu_floors, n, capacity, d_prime, cfg.operand_bits)?;
-        let phi_bytes = capacity as u64 * 8;
-        bank.memory_mut().store(phi_bytes)?;
-        let report = PrepareReport {
-            plan: Some(plan),
-            cell_writes: rep.cell_writes,
-            program_ns: rep.program_ns,
-            phi_bytes,
-            crossbars_used: bank.pim().used_crossbars() * if cfg.double_buffer { 2 } else { 1 },
-            fault_counters: FaultCounters::default(),
-        };
-        Self::finish(
-            bank,
-            quantizer,
-            cfg,
-            PreparedFunction::Sm {
-                mu_region: rep.region,
-                phis,
-                d_prime,
-                segment_len,
-            },
-            report,
-        )
+        Self::prepare_segmented(cfg, data, d_prime, ResidentShapeChoice::MeanOnly)
     }
 
     /// Prepares `LB_PIM-FNN` at an explicit segmentation `d_prime`
@@ -423,136 +275,51 @@ impl PimExecutor {
         data: &NormalizedDataset,
         d_prime: usize,
     ) -> Result<Self, CoreError> {
+        Self::prepare_segmented(cfg, data, d_prime, ResidentShapeChoice::MuSigma)
+    }
+
+    /// Explicit-`d_prime` preparation of a segment bound: checks the
+    /// segmentation against Theorem 4's maximum for the shape's region
+    /// count, then builds through the same [`ResidentBuilder`] as the
+    /// planned path.
+    fn prepare_segmented(
+        cfg: ExecutorConfig,
+        data: &NormalizedDataset,
+        d_prime: usize,
+        shape: ResidentShapeChoice,
+    ) -> Result<Self, CoreError> {
         let ds = data.dataset();
         if d_prime == 0 || !ds.dim().is_multiple_of(d_prime) {
             return Err(CoreError::Mismatch {
                 what: "d_prime must divide d",
             });
         }
-        let buffer_factor = if cfg.double_buffer { 2 } else { 1 };
-        let auto = choose_dimensionality(
-            ds.len(),
-            ds.dim(),
-            2 * buffer_factor,
-            cfg.operand_bits,
-            &cfg.pim,
-        )?;
+        let pair = if shape == ResidentShapeChoice::MuSigma {
+            2
+        } else {
+            1
+        };
+        let regions = pair * if cfg.double_buffer { 2 } else { 1 };
+        let auto = choose_dimensionality(ds.len(), ds.dim(), regions, cfg.operand_bits, &cfg.pim)?;
         if d_prime > auto.s {
             return Err(CoreError::Mismatch {
                 what: "requested d_prime exceeds Theorem 4's maximum",
             });
         }
-        let cost = simpim_reram::gather::dataset_crossbar_cost(
-            ds.len(),
-            d_prime,
-            cfg.operand_bits,
-            &cfg.pim.crossbar,
-        )?;
         let plan = MemoryPlan {
             s: d_prime,
             uncompressed: d_prime == ds.dim(),
-            cost_per_region: cost,
-            regions: 2 * buffer_factor,
-        };
-        Self::prepare_fnn_at(cfg, data, plan, ds.len())
-    }
-
-    fn prepare_ed_uncompressed(
-        cfg: ExecutorConfig,
-        data: &NormalizedDataset,
-        plan: MemoryPlan,
-        capacity: usize,
-    ) -> Result<Self, CoreError> {
-        let ds = data.dataset();
-        let quantizer = Quantizer::identity(cfg.alpha)?;
-        let mut bank = ReRamBank::new(cfg.pim)?;
-        let n = ds.len();
-        let d = ds.dim();
-        let mut floors = Vec::with_capacity(n * d);
-        let mut phis = Vec::with_capacity(n);
-        for row in ds.rows() {
-            let eq = EdQuant::from_quantized(quantizer.quantize_vec(row)?);
-            floors.extend_from_slice(&eq.floors);
-            phis.push(eq.phi);
-        }
-        let rep = bank.program_region_with_capacity(&floors, n, capacity, d, cfg.operand_bits)?;
-        let phi_bytes = capacity as u64 * 8;
-        bank.memory_mut().store(phi_bytes)?;
-        let report = PrepareReport {
-            plan: Some(plan),
-            cell_writes: rep.cell_writes,
-            program_ns: rep.program_ns,
-            phi_bytes,
-            crossbars_used: bank.pim().used_crossbars() * if cfg.double_buffer { 2 } else { 1 },
-            fault_counters: FaultCounters::default(),
-        };
-        Self::finish(
-            bank,
-            quantizer,
-            cfg,
-            PreparedFunction::Ed {
-                region: rep.region,
-                phis,
-                d,
-            },
-            report,
-        )
-    }
-
-    fn prepare_fnn_at(
-        cfg: ExecutorConfig,
-        data: &NormalizedDataset,
-        plan: MemoryPlan,
-        capacity: usize,
-    ) -> Result<Self, CoreError> {
-        let ds = data.dataset();
-        let quantizer = Quantizer::identity(cfg.alpha)?;
-        let mut bank = ReRamBank::new(cfg.pim)?;
-        let n = ds.len();
-        let d_prime = plan.s;
-        let mut mu_floors = Vec::with_capacity(n * d_prime);
-        let mut sigma_floors = Vec::with_capacity(n * d_prime);
-        let mut phis = Vec::with_capacity(n);
-        let mut segment_len = 0usize;
-        for row in ds.rows() {
-            let fq = FnnQuant::compute(row, d_prime, cfg.alpha)?;
-            segment_len = fq.segment_len;
-            mu_floors.extend_from_slice(&fq.mu_floors);
-            sigma_floors.extend_from_slice(&fq.sigma_floors);
-            phis.push(fq.phi);
-        }
-        let rep_mu =
-            bank.program_region_with_capacity(&mu_floors, n, capacity, d_prime, cfg.operand_bits)?;
-        let rep_sigma = bank.program_region_with_capacity(
-            &sigma_floors,
-            n,
-            capacity,
-            d_prime,
-            cfg.operand_bits,
-        )?;
-        let phi_bytes = capacity as u64 * 8;
-        bank.memory_mut().store(phi_bytes)?;
-        let report = PrepareReport {
-            plan: Some(plan),
-            cell_writes: rep_mu.cell_writes + rep_sigma.cell_writes,
-            program_ns: rep_mu.program_ns + rep_sigma.program_ns,
-            phi_bytes,
-            crossbars_used: bank.pim().used_crossbars() * if cfg.double_buffer { 2 } else { 1 },
-            fault_counters: FaultCounters::default(),
-        };
-        Self::finish(
-            bank,
-            quantizer,
-            cfg,
-            PreparedFunction::Fnn {
-                mu_region: rep_mu.region,
-                sigma_region: rep_sigma.region,
-                phis,
+            cost_per_region: simpim_reram::gather::dataset_crossbar_cost(
+                ds.len(),
                 d_prime,
-                segment_len,
-            },
-            report,
-        )
+                cfg.operand_bits,
+                &cfg.pim.crossbar,
+            )?,
+            regions,
+        };
+        let mut builder = ResidentBuilder::open(cfg, plan, shape, ds.len(), ds.dim(), ds.len())?;
+        builder.push_rows(ds.as_flat())?;
+        builder.finish()
     }
 
     /// Prepares `UB_PIM-CS` / `UB_PIM-PCC` over full-dimensional floors.
@@ -1135,19 +902,13 @@ impl PimExecutor {
     /// entry point. The dataset stays programmed across the whole batch, so
     /// the per-query cost is a crossbar read pass only; the offline path's
     /// program cost is amortized across every query the residency serves.
+    ///
+    /// The executor's span parents on `parent` (the serving layer's batch
+    /// span) instead of this thread's stack, so the crossbar pass stays
+    /// attributable to its request even though the dispatch crossed onto a
+    /// pool worker thread; [`simpim_obs::TraceCtx::NONE`] parents on the
+    /// thread's own stack.
     pub fn lb_ed_batch_multi(
-        &mut self,
-        queries: &[Vec<f64>],
-    ) -> Result<Vec<BoundBatch>, CoreError> {
-        self.lb_ed_batch_multi_ctx(queries, simpim_obs::TraceCtx::NONE)
-    }
-
-    /// [`PimExecutor::lb_ed_batch_multi`] under an explicit trace
-    /// context: the executor's span parents on `parent` (the serving
-    /// layer's batch span) instead of this thread's stack, so the
-    /// crossbar pass stays attributable to its request even though the
-    /// dispatch crossed onto a pool worker thread.
-    pub fn lb_ed_batch_multi_ctx(
         &mut self,
         queries: &[Vec<f64>],
         parent: simpim_obs::TraceCtx,
@@ -1423,14 +1184,15 @@ enum ResidentShape {
     },
 }
 
-/// Incremental constructor for a resident euclidean executor
-/// ([`PimExecutor::begin_euclidean_resident`]).
+/// The constructor of every ED-family executor
+/// ([`PimExecutor::begin_euclidean_resident`]; the `prepare_*` fronts
+/// push the whole dataset as one block).
 ///
 /// Rows stream in through [`ResidentBuilder::push_rows`] in dataset
 /// order; each block is quantized and programmed immediately, so host
 /// memory holds one block plus the Φ table — never the full matrix.
-/// [`ResidentBuilder::finish`] seals the regions and yields an executor
-/// indistinguishable from one-shot preparation of the same rows.
+/// [`ResidentBuilder::finish`] seals the regions and yields the same
+/// executor whatever the block partitioning was.
 #[derive(Debug)]
 pub struct ResidentBuilder {
     cfg: ExecutorConfig,
@@ -1450,6 +1212,56 @@ pub struct ResidentBuilder {
 }
 
 impl ResidentBuilder {
+    /// Allocates the (empty) regions of `shape` at `plan.s` dimensions
+    /// for `capacity` objects on a fresh bank.
+    fn open(
+        cfg: ExecutorConfig,
+        plan: MemoryPlan,
+        shape: ResidentShapeChoice,
+        n_total: usize,
+        d: usize,
+        capacity: usize,
+    ) -> Result<Self, CoreError> {
+        let quantizer = Quantizer::identity(cfg.alpha)?;
+        let mut bank = ReRamBank::new(cfg.pim)?;
+        let mut cell_writes = 0u64;
+        let mut program_ns = 0.0f64;
+        let mut begin = || -> Result<RegionId, CoreError> {
+            let rep = bank.begin_region_streamed(capacity, plan.s, cfg.operand_bits)?;
+            cell_writes += rep.cell_writes;
+            program_ns += rep.program_ns;
+            Ok(rep.region)
+        };
+        let shape = match shape {
+            ResidentShapeChoice::Uncompressed => ResidentShape::Ed { region: begin()? },
+            ResidentShapeChoice::MuSigma => ResidentShape::Fnn {
+                mu_region: begin()?,
+                sigma_region: begin()?,
+                segment_len: 0,
+            },
+            ResidentShapeChoice::MeanOnly => ResidentShape::Sm {
+                mu_region: begin()?,
+                segment_len: 0,
+            },
+        };
+        Ok(Self {
+            cfg,
+            bank,
+            quantizer,
+            plan,
+            shape,
+            d,
+            n_total,
+            capacity,
+            pushed: 0,
+            phis: Vec::with_capacity(n_total),
+            cell_writes,
+            program_ns,
+            floor_buf: Vec::new(),
+            sigma_buf: Vec::new(),
+        })
+    }
+
     /// The Theorem 4 plan chosen for the declared shape.
     pub fn plan(&self) -> &MemoryPlan {
         &self.plan
@@ -1480,9 +1292,9 @@ impl ResidentBuilder {
                 what: "pushed more rows than the declared total",
             });
         }
+        self.floor_buf.clear();
         match &mut self.shape {
             ResidentShape::Ed { region } => {
-                self.floor_buf.clear();
                 for row in flat.chunks_exact(self.d) {
                     let eq = EdQuant::from_quantized(self.quantizer.quantize_vec(row)?);
                     self.floor_buf.extend_from_slice(&eq.floors);
@@ -1497,7 +1309,6 @@ impl ResidentBuilder {
                 sigma_region,
                 segment_len,
             } => {
-                self.floor_buf.clear();
                 self.sigma_buf.clear();
                 for row in flat.chunks_exact(self.d) {
                     let fq = FnnQuant::compute(row, self.plan.s, self.cfg.alpha)?;
@@ -1515,7 +1326,6 @@ impl ResidentBuilder {
                 mu_region,
                 segment_len,
             } => {
-                self.floor_buf.clear();
                 for row in flat.chunks_exact(self.d) {
                     let sq = crate::pim_bounds::SmQuant::compute(row, self.plan.s, self.cfg.alpha)?;
                     *segment_len = sq.segment_len;
@@ -1660,14 +1470,7 @@ mod tests {
         // 64 rows × 8 dims on an 8-crossbar array: the uncompressed ED
         // layout needs 16 crossbars, so Theorem 4 compresses to s = 2
         // (2 regions × 4 crossbars).
-        let rows: Vec<Vec<f64>> = (0..64)
-            .map(|i| {
-                (0..8)
-                    .map(|j| ((i * 7 + j * 13) % 97) as f64 / 96.0)
-                    .collect()
-            })
-            .collect();
-        let data = normalized(&rows);
+        let data = fnn_data();
         let mut exec = PimExecutor::prepare_euclidean(cfg(8), &data).unwrap();
         assert!(
             exec.bound_name().starts_with("LB_PIM-FNN"),
@@ -1685,12 +1488,13 @@ mod tests {
         assert_eq!(batch.host_bytes_per_object, 24);
     }
 
-    /// Streams `data` through a [`ResidentBuilder`] in blocks of
-    /// `block` rows and asserts the result is indistinguishable from
-    /// one-shot resident preparation: same bound, same plan, same Φ
-    /// table, same per-crossbar wear, same stored rows, same query
-    /// results, and appends behave identically afterwards.
-    fn assert_streamed_matches_one_shot(
+    /// Block-size invariance: streams `data` through a
+    /// [`ResidentBuilder`] in blocks of `block` rows and asserts the
+    /// result is indistinguishable from the single-block build
+    /// ([`PimExecutor::prepare_euclidean_resident`]): same bound, same
+    /// plan, same Φ table, same per-crossbar wear, same stored rows, same
+    /// query results, and appends behave identically afterwards.
+    fn assert_block_size_invariant(
         c: ExecutorConfig,
         data: &NormalizedDataset,
         spare: usize,
@@ -1722,6 +1526,16 @@ mod tests {
                 "wear differs at crossbar {xb}"
             );
         }
+        assert_eq!(streamed.regions(), one.regions());
+        for region in one.regions() {
+            for obj in 0..ds.len() {
+                assert_eq!(
+                    streamed.bank().pim().region_row(region, obj).unwrap(),
+                    one.bank().pim().region_row(region, obj).unwrap(),
+                    "block={block} region={region:?} obj={obj}"
+                );
+            }
+        }
         let q: Vec<f64> = (0..ds.dim()).map(|j| 0.1 + 0.07 * j as f64).collect();
         let a = one.lb_ed_batch(&q).unwrap();
         let b = streamed.lb_ed_batch(&q).unwrap();
@@ -1740,16 +1554,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn streamed_builder_matches_one_shot_ed() {
-        let data = sample_data();
-        for block in [1, 2, 3, 8] {
-            assert_streamed_matches_one_shot(cfg(4096), &data, 2, block);
-        }
-    }
-
-    #[test]
-    fn streamed_builder_matches_one_shot_fnn() {
+    /// 64 rows × 8 dims: compresses to `LB_PIM-FNN` on 8 crossbars.
+    fn fnn_data() -> NormalizedDataset {
         let rows: Vec<Vec<f64>> = (0..64)
             .map(|i| {
                 (0..8)
@@ -1757,17 +1563,12 @@ mod tests {
                     .collect()
             })
             .collect();
-        let data = normalized(&rows);
-        let streamed = PimExecutor::begin_euclidean_resident(cfg(8), 64, 8, 0).unwrap();
-        assert!(streamed.plan().s < 8, "shape must be compressed");
-        drop(streamed);
-        for block in [1, 7, 64] {
-            assert_streamed_matches_one_shot(cfg(8), &data, 0, block);
-        }
+        normalized(&rows)
     }
 
-    #[test]
-    fn streamed_builder_matches_one_shot_sm() {
+    /// 512 rows × 8 dims: degrades to `LB_PIM-SM` on 34 double-buffered
+    /// crossbars.
+    fn sm_data() -> NormalizedDataset {
         let rows: Vec<Vec<f64>> = (0..512)
             .map(|i| {
                 (0..8)
@@ -1775,14 +1576,114 @@ mod tests {
                     .collect()
             })
             .collect();
-        let data = normalized(&rows);
+        normalized(&rows)
+    }
+
+    /// The stored matrix and Φ table against floors computed right here,
+    /// per row, from the quantisation primitives — the oracle that does
+    /// not go through [`ResidentBuilder::push_rows`].
+    #[test]
+    fn stored_matrix_and_phi_match_per_row_quantisation() {
+        let alpha = cfg(8).alpha;
+        let row_of = |exec: &PimExecutor, region: RegionId, i: usize| {
+            exec.bank().pim().region_row(region, i).unwrap().to_vec()
+        };
+
+        let data = sample_data();
+        let exec = PimExecutor::prepare_euclidean_resident(cfg(4096), &data, 2).unwrap();
+        let PreparedFunction::Ed { region, phis, d } = exec.prepared() else {
+            panic!("expected Ed, got {}", exec.bound_name());
+        };
+        assert_eq!((*d, phis.len()), (8, 3));
+        let quantizer = Quantizer::identity(alpha).unwrap();
+        for (i, row) in data.dataset().rows().enumerate() {
+            let qv = quantizer.quantize_vec(row).unwrap();
+            assert_eq!(row_of(&exec, *region, i), qv.floors, "ed row {i}");
+            let phi = qv.stats.sum_sq_scaled - 2.0 * qv.stats.sum_floor as f64;
+            assert_eq!(phis[i], phi, "ed phi {i}");
+        }
+
+        let data = fnn_data();
+        let exec = PimExecutor::prepare_euclidean(cfg(8), &data).unwrap();
+        let PreparedFunction::Fnn {
+            mu_region,
+            sigma_region,
+            phis,
+            d_prime,
+            segment_len,
+        } = exec.prepared()
+        else {
+            panic!("expected Fnn, got {}", exec.bound_name());
+        };
+        assert_eq!(d_prime * segment_len, 8);
+        for (i, row) in data.dataset().rows().enumerate() {
+            let fq = FnnQuant::compute(row, *d_prime, alpha).unwrap();
+            assert_eq!(row_of(&exec, *mu_region, i), fq.mu_floors, "fnn mu {i}");
+            assert_eq!(
+                row_of(&exec, *sigma_region, i),
+                fq.sigma_floors,
+                "fnn sigma {i}"
+            );
+            assert_eq!(phis[i], fq.phi, "fnn phi {i}");
+        }
+        // The explicit-`d_prime` front stores the same matrix.
+        let forced = PimExecutor::prepare_fnn(cfg(8), &data, *d_prime).unwrap();
+        for region in exec.regions() {
+            for i in 0..data.dataset().len() {
+                assert_eq!(row_of(&forced, region, i), row_of(&exec, region, i));
+            }
+        }
+
+        let data = sm_data();
+        let mut c = cfg(34);
+        c.double_buffer = true;
+        let exec = PimExecutor::prepare_euclidean(c, &data).unwrap();
+        let PreparedFunction::Sm {
+            mu_region,
+            phis,
+            d_prime,
+            segment_len,
+        } = exec.prepared()
+        else {
+            panic!("expected Sm, got {}", exec.bound_name());
+        };
+        assert_eq!(d_prime * segment_len, 8);
+        for (i, row) in data.dataset().rows().enumerate() {
+            let sq = crate::pim_bounds::SmQuant::compute(row, *d_prime, alpha).unwrap();
+            assert_eq!(row_of(&exec, *mu_region, i), sq.mu_floors, "sm mu {i}");
+            assert_eq!(phis[i], sq.phi, "sm phi {i}");
+        }
+    }
+
+    #[test]
+    fn streamed_builder_matches_one_shot_ed() {
+        let data = sample_data();
+        for block in [1, 2, 3, 8] {
+            assert_block_size_invariant(cfg(4096), &data, 2, block);
+        }
+    }
+
+    #[test]
+    fn streamed_builder_matches_one_shot_fnn() {
+        let data = fnn_data();
+        let streamed = PimExecutor::begin_euclidean_resident(cfg(8), 64, 8, 0).unwrap();
+        assert!(streamed.plan().s < 8, "shape must be compressed");
+        drop(streamed);
+        for block in [1, 7, 64] {
+            assert_block_size_invariant(cfg(8), &data, 0, block);
+        }
+    }
+
+    #[test]
+    fn streamed_builder_matches_one_shot_sm() {
+        let data = sm_data();
         let mut c = cfg(34);
         c.double_buffer = true;
         let one = PimExecutor::prepare_euclidean_resident(c, &data, 0).unwrap();
         assert!(one.bound_name().starts_with("LB_PIM-SM"));
         drop(one);
         for block in [1, 7, 512] {
-            assert_streamed_matches_one_shot(c, &data, 0, block);
+            assert_block_size_invariant(c, &data, 0, block);
         }
     }
 
@@ -1824,14 +1725,7 @@ mod tests {
         // FNN's two regions (x2 double-buffer) do not fit even at s = 1:
         // prepare_euclidean must degrade to the mean-only bound instead
         // of failing.
-        let rows: Vec<Vec<f64>> = (0..512)
-            .map(|i| {
-                (0..8)
-                    .map(|j| ((i * 11 + j * 3) % 89) as f64 / 88.0)
-                    .collect()
-            })
-            .collect();
-        let data = normalized(&rows);
+        let data = sm_data();
         let mut c = cfg(34);
         c.double_buffer = true;
         let mut exec = PimExecutor::prepare_euclidean(c, &data).unwrap();
@@ -2183,7 +2077,9 @@ mod tests {
         ];
         let mut a = PimExecutor::prepare_euclidean(cfg(4096), &data).unwrap();
         let mut b = PimExecutor::prepare_euclidean(cfg(4096), &data).unwrap();
-        let multi = a.lb_ed_batch_multi(&queries).unwrap();
+        let multi = a
+            .lb_ed_batch_multi(&queries, simpim_obs::TraceCtx::NONE)
+            .unwrap();
         for (q, m) in queries.iter().zip(&multi) {
             assert_eq!(b.lb_ed_batch(q).unwrap().values, m.values);
         }

@@ -103,9 +103,9 @@ pub enum ResidentShapeChoice {
     MeanOnly,
 }
 
-/// The executor's resident-euclidean plan dispatch, shared by one-shot
-/// preparation, the streamed [`crate::executor::ResidentBuilder`], and
-/// the fleet placement planner so all three always agree on the shape a
+/// The executor's resident-euclidean plan dispatch, shared by
+/// [`crate::executor::PimExecutor::begin_euclidean_resident`] and the
+/// fleet placement planner so both always agree on the shape a
 /// given `(capacity, d, budget)` resolves to: uncompressed `LB_PIM-ED`
 /// when it fits, else the two-region `LB_PIM-FNN` pair, else mean-only
 /// `LB_PIM-SM` on the single-region plan.

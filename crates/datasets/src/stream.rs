@@ -81,6 +81,52 @@ pub trait DatasetSource {
     }
 }
 
+/// A [`DatasetSource`] over rows already in memory: blocks are slices of
+/// the borrowed [`Dataset`]'s flat buffer, so consumers written against
+/// the streaming contract serve in-memory callers without a second path.
+#[derive(Debug, Clone)]
+pub struct InMemorySource<'a> {
+    data: &'a Dataset,
+    pos: usize,
+}
+
+impl<'a> InMemorySource<'a> {
+    /// Wraps `data`, parked at row 0.
+    pub fn new(data: &'a Dataset) -> Self {
+        Self { data, pos: 0 }
+    }
+}
+
+impl DatasetSource for InMemorySource<'_> {
+    fn dim(&self) -> usize {
+        self.data.dim()
+    }
+
+    fn total(&self) -> usize {
+        self.data.len()
+    }
+
+    fn position(&self) -> usize {
+        self.pos
+    }
+
+    fn next_block(&mut self, max_rows: usize, out: &mut Vec<f64>) -> usize {
+        let take = max_rows.min(self.total() - self.pos);
+        let d = self.dim();
+        out.extend_from_slice(&self.data.as_flat()[self.pos * d..(self.pos + take) * d]);
+        self.pos += take;
+        take
+    }
+
+    fn reset(&mut self) {
+        self.pos = 0;
+    }
+
+    fn skip(&mut self, rows: usize) {
+        self.pos = (self.pos + rows).min(self.total());
+    }
+}
+
 /// Streaming view of the synthetic Gaussian-mixture generator.
 ///
 /// Holds only the RNG, the cluster centers, and the block templates —
@@ -419,6 +465,29 @@ mod tests {
         assert_eq!(tail.len(), 57 * 24);
         assert_eq!(&tail[..24], whole.row(100));
         assert_eq!(&tail[56 * 24..], whole.row(156));
+    }
+
+    #[test]
+    fn in_memory_source_streams_the_borrowed_rows() {
+        let whole = generate(&cfg());
+        for block in [1usize, 7, 157, 1000] {
+            let mut src = InMemorySource::new(&whole);
+            let mut flat = Vec::new();
+            while src.next_block(block, &mut flat) > 0 {}
+            assert_eq!(
+                Dataset::from_flat(flat, 24).unwrap(),
+                whole,
+                "block {block}"
+            );
+            assert_eq!(src.position(), 157);
+        }
+        let mut src = InMemorySource::new(&whole);
+        src.skip(100);
+        let mut tail = Vec::new();
+        assert_eq!(src.next_block(usize::MAX, &mut tail), 57);
+        assert_eq!(&tail[..24], whole.row(100));
+        src.reset();
+        assert_eq!(src.materialize(), whole);
     }
 
     #[test]

@@ -80,6 +80,20 @@ impl Region {
     }
 }
 
+/// Rejects the first value of `flat` that overflows `operand_bits`.
+fn check_operands(flat: &[u32], operand_bits: u32) -> Result<(), ReRamError> {
+    match flat
+        .iter()
+        .find(|&&v| operand_bits < 32 && u64::from(v) >= (1u64 << operand_bits))
+    {
+        Some(&v) => Err(ReRamError::OperandOverflow {
+            value: u64::from(v),
+            bits: operand_bits,
+        }),
+        None => Ok(()),
+    }
+}
+
 /// Per-region fault survey: which crossbars are corrupted, by how much
 /// each stored object deviates, and the emulated faulty read-outs. The
 /// survey doubles as the detection state behind the scrub/health API and
@@ -232,9 +246,49 @@ impl PimArray {
         s: usize,
         operand_bits: u32,
     ) -> Result<ProgramReport, ReRamError> {
-        if n == 0 || s == 0 || flat.len() != n * s || capacity < n {
+        if n == 0 || flat.len() != n * s {
             return Err(ReRamError::InvalidConfig {
                 what: "region shape does not match buffer",
+            });
+        }
+        self.alloc_region(flat, capacity, s, operand_bits, false)
+    }
+
+    /// Allocates a region sized for `capacity` objects with **no** data
+    /// rows programmed yet; the initial matrix arrives block-by-block via
+    /// [`PimArray::fill_rows`] and is sealed by
+    /// [`PimArray::finish_region`]. `begin` charges the gather-tree
+    /// programming and one wear cycle on the *whole* allocation (exactly
+    /// what one-shot programming charges up front), each fill charges only
+    /// its rows' write pulses, and because the per-row latency/energy
+    /// terms are linear in rows, a region filled in any number of blocks
+    /// ends with cell-write, wear, latency, and energy totals identical to
+    /// one-shot programming of the same matrix.
+    pub fn begin_region_streamed(
+        &mut self,
+        capacity: usize,
+        s: usize,
+        operand_bits: u32,
+    ) -> Result<ProgramReport, ReRamError> {
+        self.alloc_region(&[], capacity, s, operand_bits, true)
+    }
+
+    /// The one region allocator behind one-shot and streamed programming:
+    /// validates the shape, sizes the allocation for `capacity` objects,
+    /// charges one program cycle of wear on every crossbar of it, and
+    /// stores `flat` (whole rows, possibly none) as the initial matrix.
+    /// The report covers the all-ones gather trees plus the initial rows.
+    fn alloc_region(
+        &mut self,
+        flat: &[u32],
+        capacity: usize,
+        s: usize,
+        operand_bits: u32,
+        filling: bool,
+    ) -> Result<ProgramReport, ReRamError> {
+        if s == 0 || capacity == 0 || flat.len() / s > capacity {
+            return Err(ReRamError::InvalidConfig {
+                what: "region needs non-zero s and a capacity covering its rows",
             });
         }
         if operand_bits == 0 || operand_bits > 32 {
@@ -242,15 +296,7 @@ impl PimArray {
                 what: "operand_bits must be in 1..=32",
             });
         }
-        if let Some(&v) = flat
-            .iter()
-            .find(|&&v| operand_bits < 32 && u64::from(v) >= (1u64 << operand_bits))
-        {
-            return Err(ReRamError::OperandOverflow {
-                value: u64::from(v),
-                bits: operand_bits,
-            });
-        }
+        check_operands(flat, operand_bits)?;
         let cost = dataset_crossbar_cost(capacity, s, operand_bits, &self.cfg.crossbar)?;
         if cost.total() > self.free_crossbars() {
             return Err(ReRamError::InsufficientCapacity {
@@ -259,25 +305,9 @@ impl PimArray {
             });
         }
 
-        let w = self.cfg.crossbar.cells_per_operand(operand_bits) as u64;
-        let cell_writes =
-            (n as u64) * (s as u64) * w + cost.gather as u64 * self.cfg.crossbar.cells() as u64; // all-ones trees
-                                                                                                 // Programming granularity: one program-and-verify pulse per stored
-                                                                                                 // operand (its ⌈b/h⌉ cells share a word-line segment); all-ones
-                                                                                                 // gather crossbars program row-parallel (uniform level, no
-                                                                                                 // verify-per-value). This is what makes ReRAM pre-processing
-                                                                                                 // slower than DRAM despite writing less data (Fig. 17).
-        let rows_written =
-            (n as u64) * (s as u64) + cost.gather as u64 * self.cfg.crossbar.size as u64;
-        let program_ns = program_timing_ns(&self.cfg, rows_written);
-        let mut energy = EnergyReport::default();
-        energy.charge_writes(&self.energy_model, cell_writes, self.cfg.crossbar.cell_bits);
-        self.energy.add(&energy);
-
         let region = RegionId(self.regions.len());
         let base_crossbar = self.used_crossbars;
         self.used_crossbars += cost.total();
-        self.total_cell_writes += cell_writes;
         // One program cycle of wear on every crossbar of the allocation
         // (clear + reprogram reuses physical ids, so wear accumulates).
         if self.xb_programs.len() < self.used_crossbars {
@@ -288,100 +318,57 @@ impl PimArray {
         }
         self.regions.push(Region {
             data: flat.to_vec(),
-            n,
+            n: flat.len() / s,
             capacity,
             s,
             operand_bits,
             cost,
             base_crossbar,
             remap: HashMap::new(),
-            filling: false,
+            filling,
         });
         self.fault_info.push(None);
-        Ok(ProgramReport {
+        // The all-ones gather trees program row-parallel (uniform level,
+        // no verify-per-value) and in full at allocation.
+        let xb = self.cfg.crossbar;
+        Ok(self.charge_program(
             region,
-            cost,
-            cell_writes,
-            rows_written,
-            program_ns,
-            energy_j: energy.total_j(),
-        })
+            flat.len() as u64,
+            cost.gather as u64 * xb.cells() as u64,
+            cost.gather as u64 * xb.size as u64,
+        ))
     }
 
-    /// Allocates a region sized for `capacity` objects with **no** data
-    /// rows programmed yet; the initial matrix arrives block-by-block via
-    /// [`PimArray::fill_rows`] and is sealed by
-    /// [`PimArray::finish_region`]. This is the streamed twin of
-    /// [`PimArray::program_region_with_capacity`]: `begin` charges the
-    /// gather-tree programming and one wear cycle on the *whole*
-    /// allocation (exactly what one-shot programming charges up front),
-    /// each fill charges only its rows' write pulses, and because the
-    /// per-row latency/energy terms are linear in rows, a region filled in
-    /// any number of blocks ends with cell-write, wear, latency, and
-    /// energy totals identical to one-shot programming of the same matrix.
-    pub fn begin_region_streamed(
+    /// Charges the programming of `operands` stored operands of `region`
+    /// plus `gather_cells` / `gather_rows` of all-ones fabric to the
+    /// endurance, energy and latency models. Programming granularity: one
+    /// program-and-verify pulse per stored operand (its ⌈b/h⌉ cells share
+    /// a word-line segment). This is what makes ReRAM pre-processing
+    /// slower than DRAM despite writing less data (Fig. 17).
+    fn charge_program(
         &mut self,
-        capacity: usize,
-        s: usize,
-        operand_bits: u32,
-    ) -> Result<ProgramReport, ReRamError> {
-        if capacity == 0 || s == 0 {
-            return Err(ReRamError::InvalidConfig {
-                what: "streamed region must have non-zero capacity and s",
-            });
-        }
-        if operand_bits == 0 || operand_bits > 32 {
-            return Err(ReRamError::InvalidConfig {
-                what: "operand_bits must be in 1..=32",
-            });
-        }
-        let cost = dataset_crossbar_cost(capacity, s, operand_bits, &self.cfg.crossbar)?;
-        if cost.total() > self.free_crossbars() {
-            return Err(ReRamError::InsufficientCapacity {
-                required: cost.total(),
-                available: self.free_crossbars(),
-            });
-        }
-
-        // The all-ones gather trees are programmed in full at begin; data
-        // rows are charged as they stream in.
-        let cell_writes = cost.gather as u64 * self.cfg.crossbar.cells() as u64;
-        let rows_written = cost.gather as u64 * self.cfg.crossbar.size as u64;
-        let program_ns = program_timing_ns(&self.cfg, rows_written);
+        region: RegionId,
+        operands: u64,
+        gather_cells: u64,
+        gather_rows: u64,
+    ) -> ProgramReport {
+        let reg = &self.regions[region.0];
+        let w = self.cfg.crossbar.cells_per_operand(reg.operand_bits) as u64;
+        let cost = reg.cost;
+        let cell_writes = operands * w + gather_cells;
+        let rows_written = operands + gather_rows;
         let mut energy = EnergyReport::default();
         energy.charge_writes(&self.energy_model, cell_writes, self.cfg.crossbar.cell_bits);
         self.energy.add(&energy);
-
-        let region = RegionId(self.regions.len());
-        let base_crossbar = self.used_crossbars;
-        self.used_crossbars += cost.total();
         self.total_cell_writes += cell_writes;
-        if self.xb_programs.len() < self.used_crossbars {
-            self.xb_programs.resize(self.used_crossbars, 0);
-        }
-        for p in &mut self.xb_programs[base_crossbar..self.used_crossbars] {
-            *p += 1;
-        }
-        self.regions.push(Region {
-            data: Vec::new(),
-            n: 0,
-            capacity,
-            s,
-            operand_bits,
-            cost,
-            base_crossbar,
-            remap: HashMap::new(),
-            filling: true,
-        });
-        self.fault_info.push(None);
-        Ok(ProgramReport {
+        ProgramReport {
             region,
             cost,
             cell_writes,
             rows_written,
-            program_ns,
+            program_ns: program_timing_ns(&self.cfg, rows_written),
             energy_j: energy.total_j(),
-        })
+        }
     }
 
     /// Streams one block of the initial matrix (`flat` row-major, `k × s`)
@@ -393,59 +380,75 @@ impl PimArray {
         region: RegionId,
         flat: &[u32],
     ) -> Result<ProgramReport, ReRamError> {
+        self.push_rows(region, flat, true)
+    }
+
+    /// Extends a region by `flat` (row-major, `k × s`): the shared body of
+    /// [`PimArray::fill_rows`] (`filling`, wear already charged at begin)
+    /// and [`PimArray::append_rows`] (sealed region, wears the crossbars
+    /// the new rows land on).
+    fn push_rows(
+        &mut self,
+        region: RegionId,
+        flat: &[u32],
+        filling: bool,
+    ) -> Result<ProgramReport, ReRamError> {
         let ri = region.0;
         let reg = self.regions.get(ri).ok_or(ReRamError::NotProgrammed)?;
-        if !reg.filling {
+        if reg.filling != filling {
             return Err(ReRamError::InvalidConfig {
-                what: "fill_rows requires a region opened by begin_region_streamed",
+                what: if filling {
+                    "fill_rows requires a region opened by begin_region_streamed"
+                } else {
+                    "region is mid-fill; seal it with finish_region first"
+                },
             });
         }
         let s = reg.s;
-        let operand_bits = reg.operand_bits;
         if flat.is_empty() || !flat.len().is_multiple_of(s) {
             return Err(ReRamError::InvalidConfig {
-                what: "filled buffer must be a non-empty multiple of s",
+                what: "pushed buffer must be a non-empty multiple of s",
             });
         }
         let k = flat.len() / s;
-        if k > reg.capacity - reg.n {
+        let spare = reg.capacity - reg.n;
+        if k > spare {
             return Err(ReRamError::InsufficientCapacity {
                 required: k,
-                available: reg.capacity - reg.n,
+                available: spare,
             });
         }
-        if let Some(&v) = flat
-            .iter()
-            .find(|&&v| operand_bits < 32 && u64::from(v) >= (1u64 << operand_bits))
-        {
-            return Err(ReRamError::OperandOverflow {
-                value: u64::from(v),
-                bits: operand_bits,
-            });
-        }
+        check_operands(flat, reg.operand_bits)?;
 
-        let w = self.cfg.crossbar.cells_per_operand(operand_bits) as u64;
-        let cell_writes = (k as u64) * (s as u64) * w;
-        let rows_written = (k as u64) * (s as u64);
-        let program_ns = program_timing_ns(&self.cfg, rows_written);
-        let mut energy = EnergyReport::default();
-        energy.charge_writes(&self.energy_model, cell_writes, self.cfg.crossbar.cell_bits);
-        self.energy.add(&energy);
-        self.total_cell_writes += cell_writes;
+        if !filling {
+            // One program cycle of wear on each crossbar a new row lands
+            // on (appends never rewrite programmed cells, so wear is
+            // confined to the touched spare rows' crossbars).
+            let m = self.cfg.crossbar.size;
+            let w = self.cfg.crossbar.cells_per_operand(reg.operand_bits);
+            let mut touched: Vec<usize> = Vec::new();
+            for obj in reg.n..reg.n + k {
+                for dim in (0..s).step_by(m.max(1)) {
+                    let (local, _, _) = Self::locate(reg, m, w, obj, dim);
+                    touched.push(reg.phys(local));
+                }
+            }
+            touched.sort_unstable();
+            touched.dedup();
+            for phys in touched {
+                if self.xb_programs.len() <= phys {
+                    self.xb_programs.resize(phys + 1, 0);
+                }
+                self.xb_programs[phys] += 1;
+            }
+        }
 
         let reg = &mut self.regions[ri];
         reg.data.extend_from_slice(flat);
         reg.n += k;
-        let cost = reg.cost;
+        // The survey's per-object tables are sized by `n`; recompute lazily.
         self.fault_info[ri] = None;
-        Ok(ProgramReport {
-            region,
-            cost,
-            cell_writes,
-            rows_written,
-            program_ns,
-            energy_j: energy.total_j(),
-        })
+        Ok(self.charge_program(region, flat.len() as u64, 0, 0))
     }
 
     /// Seals a streamed region: queries, appends, and scrubs become legal.
@@ -513,84 +516,7 @@ impl PimArray {
         region: RegionId,
         flat: &[u32],
     ) -> Result<ProgramReport, ReRamError> {
-        let ri = region.0;
-        let reg = self.regions.get(ri).ok_or(ReRamError::NotProgrammed)?;
-        if reg.filling {
-            return Err(ReRamError::InvalidConfig {
-                what: "region is mid-fill; seal it with finish_region first",
-            });
-        }
-        let s = reg.s;
-        let operand_bits = reg.operand_bits;
-        if flat.is_empty() || !flat.len().is_multiple_of(s) {
-            return Err(ReRamError::InvalidConfig {
-                what: "appended buffer must be a non-empty multiple of s",
-            });
-        }
-        let k = flat.len() / s;
-        let spare = reg.capacity - reg.n;
-        if k > spare {
-            return Err(ReRamError::InsufficientCapacity {
-                required: k,
-                available: spare,
-            });
-        }
-        if let Some(&v) = flat
-            .iter()
-            .find(|&&v| operand_bits < 32 && u64::from(v) >= (1u64 << operand_bits))
-        {
-            return Err(ReRamError::OperandOverflow {
-                value: u64::from(v),
-                bits: operand_bits,
-            });
-        }
-
-        // One program cycle of wear on each crossbar a new row lands on
-        // (appends never rewrite programmed cells, so wear is confined to
-        // the touched spare rows' crossbars).
-        let m = self.cfg.crossbar.size;
-        let w = self.cfg.crossbar.cells_per_operand(operand_bits);
-        let mut touched: Vec<usize> = Vec::new();
-        {
-            let reg = &self.regions[ri];
-            for obj in reg.n..reg.n + k {
-                for dim in (0..s).step_by(m.max(1)) {
-                    let (local, _, _) = Self::locate(reg, m, w, obj, dim);
-                    touched.push(reg.phys(local));
-                }
-            }
-        }
-        touched.sort_unstable();
-        touched.dedup();
-        for phys in touched {
-            if self.xb_programs.len() <= phys {
-                self.xb_programs.resize(phys + 1, 0);
-            }
-            self.xb_programs[phys] += 1;
-        }
-
-        let cell_writes = (k as u64) * (s as u64) * w as u64;
-        let rows_written = (k as u64) * (s as u64);
-        let program_ns = program_timing_ns(&self.cfg, rows_written);
-        let mut energy = EnergyReport::default();
-        energy.charge_writes(&self.energy_model, cell_writes, self.cfg.crossbar.cell_bits);
-        self.energy.add(&energy);
-        self.total_cell_writes += cell_writes;
-
-        let reg = &mut self.regions[ri];
-        reg.data.extend_from_slice(flat);
-        reg.n += k;
-        let cost = reg.cost;
-        // The survey's per-object tables are sized by `n`; recompute lazily.
-        self.fault_info[ri] = None;
-        Ok(ProgramReport {
-            region,
-            cost,
-            cell_writes,
-            rows_written,
-            program_ns,
-            energy_j: energy.total_j(),
-        })
+        self.push_rows(region, flat, false)
     }
 
     /// Executes one dot-product batch: multiplies every programmed vector of

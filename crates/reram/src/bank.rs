@@ -165,22 +165,6 @@ impl ReRamBank {
         self.pim.program_region(flat, n, s, operand_bits)
     }
 
-    /// Programs a region sized for `capacity` objects while storing only
-    /// the first `n` (online residency). See
-    /// [`PimArray::program_region_with_capacity`].
-    pub fn program_region_with_capacity(
-        &mut self,
-        flat: &[u32],
-        n: usize,
-        capacity: usize,
-        s: usize,
-        operand_bits: u32,
-    ) -> Result<ProgramReport, ReRamError> {
-        self.ensure_alive()?;
-        self.pim
-            .program_region_with_capacity(flat, n, capacity, s, operand_bits)
-    }
-
     /// Opens a streamed region (no rows yet). See
     /// [`PimArray::begin_region_streamed`].
     pub fn begin_region_streamed(
@@ -311,9 +295,9 @@ mod tests {
     #[test]
     fn capacity_and_append_round_trip() {
         let mut bank = ReRamBank::new(cfg()).unwrap();
-        let rep = bank
-            .program_region_with_capacity(&[1, 2, 3, 4, 5, 6], 2, 4, 3, 4)
-            .unwrap();
+        let rep = bank.begin_region_streamed(4, 3, 4).unwrap();
+        bank.fill_rows(rep.region, &[1, 2, 3, 4, 5, 6]).unwrap();
+        bank.finish_region(rep.region).unwrap();
         assert_eq!(bank.region_spare(rep.region).unwrap(), 2);
         bank.append_rows(rep.region, &[7, 8, 9]).unwrap();
         assert_eq!(bank.region_spare(rep.region).unwrap(), 1);

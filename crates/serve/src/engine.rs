@@ -26,7 +26,6 @@
 //!   that arrived during the step served from the other replicas
 //!   between steps — under `R ≥ 2` a flush never blocks reads.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -226,11 +225,29 @@ enum Cmd {
         reply: mpsc::Sender<Result<(), ServeError>>,
     },
     Stats {
-        reply: mpsc::Sender<EngineStats>,
+        reply: mpsc::Sender<Result<EngineStats, ServeError>>,
     },
     FlightDump {
-        reply: mpsc::Sender<String>,
+        reply: mpsc::Sender<Result<String, ServeError>>,
     },
+}
+
+/// How [`ServeEngine::enqueue`] treats a full submission queue: the sync
+/// calls block for a slot (closed-loop clients get an answer for every
+/// command), the `*_submit` calls shed with [`ServeError::Overloaded`].
+#[derive(Clone, Copy)]
+enum Admission {
+    Block,
+    Shed,
+}
+
+/// Commands submitted without a trace context get a fresh root.
+fn root_if_none(ctx: TraceCtx) -> TraceCtx {
+    if ctx.is_none() {
+        TraceCtx::root()
+    } else {
+        ctx
+    }
 }
 
 /// An in-flight command's reply handle, returned by the non-blocking
@@ -285,92 +302,26 @@ impl ServeEngine {
     /// of `data` keeps `i` as its stable global id; inserts are assigned
     /// fresh ids counting up from `data.len()`.
     pub fn open(cfg: ServeConfig, data: &Dataset) -> Result<Self, ServeError> {
-        Self::validate_cfg(&cfg)?;
-        if data.is_empty() || data.len() < cfg.shards {
-            return Err(ServeError::InvalidArgument {
-                what: format!(
-                    "need at least one row per shard ({} rows, {} shards)",
-                    data.len(),
-                    cfg.shards
-                ),
-            });
-        }
-        if data.as_flat().iter().any(|v| !(0.0..=1.0).contains(v)) {
-            return Err(ServeError::InvalidArgument {
-                what: "dataset values must be normalized into [0, 1]".to_string(),
-            });
-        }
-        let span = simpim_obs::span!(
-            "serve.engine.open",
-            n = data.len() as u64,
-            shards = cfg.shards as u64,
-            replicas = cfg.replicas as u64
-        );
-        let mut sets = Vec::with_capacity(cfg.shards);
-        let chunk = data.len().div_ceil(cfg.shards);
-        let mut start = 0;
-        while start < data.len() {
-            let end = (start + chunk).min(data.len());
-            let mut rows = Dataset::with_dim(data.dim()).map_err(simpim_core::CoreError::from)?;
-            for i in start..end {
-                rows.append_row(data.row(i))
-                    .map_err(simpim_core::CoreError::from)?;
-            }
-            sets.push(ReplicaSet::open(
-                cfg.shard_config(),
-                cfg.replicas,
-                rows,
-                (start..end).collect(),
-            )?);
-            start = end;
-        }
-        drop(span);
-        Ok(Self::spawn(sets, cfg, data.len(), data.dim()))
+        Self::open_source(cfg, &mut simpim_datasets::InMemorySource::new(data))
     }
 
     /// Opens an engine by **streaming** rows out of `source`, without
-    /// ever materializing the whole dataset in one piece: rows flow in
-    /// [`simpim_datasets::env_block_rows`]-sized blocks into one shard
-    /// mirror at a time, and each shard's replicas program their banks
-    /// straight from that mirror — so peak host memory beyond the
-    /// resident mirrors is one block, not a second copy of the dataset.
-    /// Row `i` of the stream keeps `i` as its stable global id, and the
-    /// produced engine is bit-identical to
+    /// ever materializing the whole dataset in one piece: rows flow
+    /// straight into one shard mirror at a time, and each shard's
+    /// replicas program their banks from that mirror in
+    /// [`simpim_datasets::env_block_rows`]-sized blocks — so peak host
+    /// memory beyond the resident mirrors is one block, not a second copy
+    /// of the dataset. Row `i` of the stream keeps `i` as its stable
+    /// global id, and the produced engine is bit-identical to
     /// [`ServeEngine::open`] over `source.materialize()`.
     pub fn open_source(
         cfg: ServeConfig,
         source: &mut dyn simpim_datasets::DatasetSource,
     ) -> Result<Self, ServeError> {
         Self::validate_cfg(&cfg)?;
-        let n = source.total();
-        if n == 0 || n < cfg.shards {
-            return Err(ServeError::InvalidArgument {
-                what: format!(
-                    "need at least one row per shard ({n} rows, {} shards)",
-                    cfg.shards
-                ),
-            });
-        }
-        let chunk = n.div_ceil(cfg.shards);
-        let mut shard_rows = Vec::new();
-        let mut start = 0;
-        while start < n {
-            let end = (start + chunk).min(n);
-            shard_rows.push(end - start);
-            start = end;
-        }
+        let shard_rows = Self::uniform_split(source.total(), cfg.shards)?;
         let shard_cfgs = vec![cfg.shard_config(); shard_rows.len()];
-        let span = simpim_obs::span!(
-            "serve.engine.open",
-            n = n as u64,
-            shards = shard_rows.len() as u64,
-            replicas = cfg.replicas as u64,
-            streamed = 1u64
-        );
-        let sets = Self::stream_sets(source, &shard_rows, &shard_cfgs, cfg.replicas)?;
-        drop(span);
-        let dim = source.dim();
-        Ok(Self::spawn(sets, cfg, n, dim))
+        Self::open_shards(cfg, source, &shard_rows, &shard_cfgs)
     }
 
     /// Opens an engine from a fleet placement plan
@@ -425,17 +376,7 @@ impl ServeEngine {
             shard_rows.push(placement.rows);
             shard_cfgs.push(shard_cfg);
         }
-        let span = simpim_obs::span!(
-            "serve.engine.open",
-            n = n as u64,
-            shards = shard_rows.len() as u64,
-            replicas = cfg.replicas as u64,
-            planned = 1u64
-        );
-        let sets = Self::stream_sets(source, &shard_rows, &shard_cfgs, cfg.replicas)?;
-        drop(span);
-        let dim = source.dim();
-        Ok(Self::spawn(sets, cfg, n, dim))
+        Self::open_shards(cfg, source, &shard_rows, &shard_cfgs)
     }
 
     /// Shared up-front configuration checks. A malformed fault model is
@@ -456,12 +397,49 @@ impl ServeEngine {
         Ok(())
     }
 
-    /// The streaming materialization loop shared by
-    /// [`ServeEngine::open_source`] and [`ServeEngine::open_planned`]:
-    /// pulls `env_block_rows()`-sized blocks, validates them, fills one
-    /// shard mirror at a time, and opens each replica set as soon as its
-    /// mirror completes — at any instant only the finished mirrors plus
-    /// one in-flight block are resident.
+    /// Contiguous near-equal partition of `n` rows: `⌈n / shards⌉` rows
+    /// per shard, the last one shorter (so very small `n` may fill fewer
+    /// than `shards` shards). `shards` is non-zero (see `validate_cfg`).
+    fn uniform_split(n: usize, shards: usize) -> Result<Vec<usize>, ServeError> {
+        if n < shards {
+            return Err(ServeError::InvalidArgument {
+                what: format!("need at least one row per shard ({n} rows, {shards} shards)"),
+            });
+        }
+        let chunk = n.div_ceil(shards);
+        Ok((0..n)
+            .step_by(chunk)
+            .map(|start| chunk.min(n - start))
+            .collect())
+    }
+
+    /// The one engine-opening path: streams `shard_rows[i]` rows of
+    /// `source` into shard `i`'s mirror, programs its replicas under
+    /// `shard_cfgs[i]`, and spawns the scheduler over the result.
+    fn open_shards(
+        cfg: ServeConfig,
+        source: &mut dyn simpim_datasets::DatasetSource,
+        shard_rows: &[usize],
+        shard_cfgs: &[ShardConfig],
+    ) -> Result<Self, ServeError> {
+        let n = shard_rows.iter().sum();
+        let span = simpim_obs::span!(
+            "serve.engine.open",
+            n = n as u64,
+            shards = shard_rows.len() as u64,
+            replicas = cfg.replicas as u64
+        );
+        let sets = Self::stream_sets(source, shard_rows, shard_cfgs, cfg.replicas)?;
+        drop(span);
+        let dim = source.dim();
+        Ok(Self::spawn(sets, cfg, n, dim))
+    }
+
+    /// The materialization loop of [`ServeEngine::open_shards`]: the
+    /// source appends [`simpim_datasets::env_block_rows`]-sized blocks
+    /// straight into one shard mirror at a time (validated as it fills),
+    /// and each replica set opens as soon as its mirror completes — at
+    /// any instant only the finished mirrors are resident.
     fn stream_sets(
         source: &mut dyn simpim_datasets::DatasetSource,
         shard_rows: &[usize],
@@ -471,32 +449,31 @@ impl ServeEngine {
         let d = source.dim();
         let block = simpim_datasets::env_block_rows();
         let mut sets = Vec::with_capacity(shard_rows.len());
-        let mut buf = Vec::new();
         let mut start = 0usize;
         for (&target, shard_cfg) in shard_rows.iter().zip(shard_cfgs) {
-            let mut rows = Dataset::with_dim(d).map_err(simpim_core::CoreError::from)?;
-            while rows.len() < target {
-                buf.clear();
-                let want = block.min(target - rows.len());
-                let got = source.next_block(want, &mut buf);
-                if got == 0 {
+            // Grown geometrically, not reserved to `target`: the mirror
+            // keeps growing under online inserts, and an exact-size buffer
+            // would have to move as a whole on the first one (measured as
+            // +32 MiB peak RSS on the `serve-mixed-rw` benchmark).
+            let mut flat = Vec::new();
+            while flat.len() < target * d {
+                let have = flat.len();
+                if source.next_block(block.min(target - have / d), &mut flat) == 0 {
                     return Err(ServeError::InvalidArgument {
                         what: format!(
                             "source drained after {} rows, {} planned",
-                            start + rows.len(),
+                            start + have / d,
                             shard_rows.iter().sum::<usize>()
                         ),
                     });
                 }
-                if buf.iter().any(|v| !(0.0..=1.0).contains(v)) {
+                if flat[have..].iter().any(|v| !(0.0..=1.0).contains(v)) {
                     return Err(ServeError::InvalidArgument {
                         what: "dataset values must be normalized into [0, 1]".to_string(),
                     });
                 }
-                for row in buf.chunks_exact(d) {
-                    rows.append_row(row).map_err(simpim_core::CoreError::from)?;
-                }
             }
+            let rows = Dataset::from_flat(flat, d).map_err(simpim_core::CoreError::from)?;
             sets.push(ReplicaSet::open(
                 *shard_cfg,
                 replicas,
@@ -529,26 +506,115 @@ impl ServeEngine {
         }
     }
 
-    fn tx(&self) -> &SyncSender<Cmd> {
-        self.tx.as_ref().expect("engine open")
-    }
-
     fn validate_query(&self, query: &[f64], k: usize) -> Result<(), ServeError> {
-        if query.len() != self.dim {
-            return Err(ServeError::InvalidArgument {
-                what: format!(
-                    "query has {} dimensions, engine serves {}",
-                    query.len(),
-                    self.dim
-                ),
-            });
-        }
+        self.validate_row(query, "query")?;
         if k == 0 {
             return Err(ServeError::InvalidArgument {
                 what: "k must be at least 1".to_string(),
             });
         }
         Ok(())
+    }
+
+    fn validate_row(&self, row: &[f64], what: &str) -> Result<(), ServeError> {
+        if row.len() != self.dim {
+            return Err(ServeError::InvalidArgument {
+                what: format!(
+                    "{what} has {} dimensions, engine serves {}",
+                    row.len(),
+                    self.dim
+                ),
+            });
+        }
+        Ok(())
+    }
+
+    /// The one command path: builds the reply channel, hands the command
+    /// `make` wraps around it to the scheduler's bounded queue under
+    /// `admission`, and returns the reply handle.
+    fn enqueue<T>(
+        &self,
+        admission: Admission,
+        make: impl FnOnce(mpsc::Sender<Result<T, ServeError>>) -> Cmd,
+    ) -> Result<Pending<T>, ServeError> {
+        let (reply, rx) = mpsc::channel();
+        let tx = self.tx.as_ref().expect("engine open");
+        match admission {
+            Admission::Block => tx.send(make(reply)).map_err(|_| ServeError::Closed)?,
+            Admission::Shed => match tx.try_send(make(reply)) {
+                Ok(()) => {}
+                Err(TrySendError::Full(_)) => {
+                    self.overloaded.fetch_add(1, Ordering::Relaxed);
+                    simpim_obs::metrics::counter_add("simpim.serve.overloaded", 1);
+                    return Err(ServeError::Overloaded);
+                }
+                Err(TrySendError::Disconnected(_)) => return Err(ServeError::Closed),
+            },
+        }
+        Ok(Pending { rx })
+    }
+
+    fn enqueue_query(
+        &self,
+        admission: Admission,
+        query: &[f64],
+        k: usize,
+        timeout: Duration,
+        ctx: TraceCtx,
+    ) -> Result<Pending<Vec<Neighbor>>, ServeError> {
+        self.validate_query(query, k)?;
+        let now = Instant::now();
+        self.enqueue(admission, |reply| {
+            Cmd::Query(QueryReq {
+                query: query.to_vec(),
+                k,
+                deadline: now + timeout,
+                enqueued: now,
+                ctx: root_if_none(ctx),
+                reply,
+            })
+        })
+    }
+
+    fn enqueue_insert(
+        &self,
+        admission: Admission,
+        row: &[f64],
+        ctx: TraceCtx,
+    ) -> Result<Pending<usize>, ServeError> {
+        self.validate_row(row, "row")?;
+        self.enqueue(admission, |reply| Cmd::Insert {
+            row: row.to_vec(),
+            enqueued: Instant::now(),
+            ctx: root_if_none(ctx),
+            reply,
+        })
+    }
+
+    fn enqueue_delete(
+        &self,
+        admission: Admission,
+        id: usize,
+        ctx: TraceCtx,
+    ) -> Result<Pending<bool>, ServeError> {
+        self.enqueue(admission, |reply| Cmd::Delete {
+            id,
+            enqueued: Instant::now(),
+            ctx: root_if_none(ctx),
+            reply,
+        })
+    }
+
+    fn enqueue_flush(
+        &self,
+        admission: Admission,
+        ctx: TraceCtx,
+    ) -> Result<Pending<()>, ServeError> {
+        self.enqueue(admission, |reply| Cmd::Flush {
+            enqueued: Instant::now(),
+            ctx: root_if_none(ctx),
+            reply,
+        })
     }
 
     /// Exact kNN under squared ED with the default deadline. Subject to
@@ -567,7 +633,7 @@ impl ServeEngine {
         k: usize,
         timeout: Duration,
     ) -> Result<Vec<Neighbor>, ServeError> {
-        self.knn_submit(query, k, timeout, TraceCtx::root())?.wait()
+        self.knn_submit(query, k, timeout, TraceCtx::NONE)?.wait()
     }
 
     /// Non-blocking admission of one query under an externally minted
@@ -583,81 +649,26 @@ impl ServeEngine {
         timeout: Duration,
         ctx: TraceCtx,
     ) -> Result<Pending<Vec<Neighbor>>, ServeError> {
-        self.validate_query(query, k)?;
-        let (reply, rx) = mpsc::channel();
-        let now = Instant::now();
-        let req = Cmd::Query(QueryReq {
-            query: query.to_vec(),
-            k,
-            deadline: now + timeout,
-            enqueued: now,
-            ctx: if ctx.is_none() { TraceCtx::root() } else { ctx },
-            reply,
-        });
-        self.admit(req)?;
-        Ok(Pending { rx })
+        self.enqueue_query(Admission::Shed, query, k, timeout, ctx)
     }
 
     /// Non-blocking admission of one insert (see [`ServeEngine::knn_submit`]
     /// for the admission semantics). Unlike [`ServeEngine::insert`], a
     /// full queue sheds instead of blocking the caller.
     pub fn insert_submit(&self, row: &[f64], ctx: TraceCtx) -> Result<Pending<usize>, ServeError> {
-        if row.len() != self.dim {
-            return Err(ServeError::InvalidArgument {
-                what: format!(
-                    "row has {} dimensions, engine serves {}",
-                    row.len(),
-                    self.dim
-                ),
-            });
-        }
-        let (reply, rx) = mpsc::channel();
-        self.admit(Cmd::Insert {
-            row: row.to_vec(),
-            enqueued: Instant::now(),
-            ctx: if ctx.is_none() { TraceCtx::root() } else { ctx },
-            reply,
-        })?;
-        Ok(Pending { rx })
+        self.enqueue_insert(Admission::Shed, row, ctx)
     }
 
     /// Non-blocking admission of one delete (shedding semantics of
     /// [`ServeEngine::knn_submit`]).
     pub fn delete_submit(&self, id: usize, ctx: TraceCtx) -> Result<Pending<bool>, ServeError> {
-        let (reply, rx) = mpsc::channel();
-        self.admit(Cmd::Delete {
-            id,
-            enqueued: Instant::now(),
-            ctx: if ctx.is_none() { TraceCtx::root() } else { ctx },
-            reply,
-        })?;
-        Ok(Pending { rx })
+        self.enqueue_delete(Admission::Shed, id, ctx)
     }
 
     /// Non-blocking admission of a rolling flush (shedding semantics of
     /// [`ServeEngine::knn_submit`]).
     pub fn flush_submit(&self, ctx: TraceCtx) -> Result<Pending<()>, ServeError> {
-        let (reply, rx) = mpsc::channel();
-        self.admit(Cmd::Flush {
-            enqueued: Instant::now(),
-            ctx: if ctx.is_none() { TraceCtx::root() } else { ctx },
-            reply,
-        })?;
-        Ok(Pending { rx })
-    }
-
-    /// Admission control shared by every `*_submit`: try for a queue
-    /// slot, shed with [`ServeError::Overloaded`] when full.
-    fn admit(&self, cmd: Cmd) -> Result<(), ServeError> {
-        match self.tx().try_send(cmd) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(_)) => {
-                self.overloaded.fetch_add(1, Ordering::Relaxed);
-                simpim_obs::metrics::counter_add("simpim.serve.overloaded", 1);
-                Err(ServeError::Overloaded)
-            }
-            Err(TrySendError::Disconnected(_)) => Err(ServeError::Closed),
-        }
+        self.enqueue_flush(Admission::Shed, ctx)
     }
 
     /// Submits a whole batch of queries and waits for every answer.
@@ -669,65 +680,29 @@ impl ServeEngine {
         queries: &[Vec<f64>],
         k: usize,
     ) -> Result<Vec<Vec<Neighbor>>, ServeError> {
+        // Reject the whole batch before any of it is queued.
         for q in queries {
             self.validate_query(q, k)?;
         }
-        let mut pending = Vec::with_capacity(queries.len());
-        for q in queries {
-            let (reply, rx) = mpsc::channel();
-            let now = Instant::now();
-            let req = Cmd::Query(QueryReq {
-                query: q.clone(),
-                k,
-                deadline: now + self.default_timeout,
-                enqueued: now,
-                ctx: TraceCtx::root(),
-                reply,
-            });
-            self.tx().send(req).map_err(|_| ServeError::Closed)?;
-            pending.push(rx);
-        }
-        pending
-            .into_iter()
-            .map(|rx| rx.recv().map_err(|_| ServeError::Closed)?)
-            .collect()
+        let pending = queries
+            .iter()
+            .map(|q| {
+                self.enqueue_query(Admission::Block, q, k, self.default_timeout, TraceCtx::NONE)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        pending.into_iter().map(Pending::wait).collect()
     }
 
     /// Inserts a normalized row, returning its assigned global id.
     pub fn insert(&self, row: &[f64]) -> Result<usize, ServeError> {
-        if row.len() != self.dim {
-            return Err(ServeError::InvalidArgument {
-                what: format!(
-                    "row has {} dimensions, engine serves {}",
-                    row.len(),
-                    self.dim
-                ),
-            });
-        }
-        let (reply, rx) = mpsc::channel();
-        self.tx()
-            .send(Cmd::Insert {
-                row: row.to_vec(),
-                enqueued: Instant::now(),
-                ctx: TraceCtx::root(),
-                reply,
-            })
-            .map_err(|_| ServeError::Closed)?;
-        rx.recv().map_err(|_| ServeError::Closed)?
+        self.enqueue_insert(Admission::Block, row, TraceCtx::NONE)?
+            .wait()
     }
 
     /// Deletes a global id; returns whether it was present.
     pub fn delete(&self, id: usize) -> Result<bool, ServeError> {
-        let (reply, rx) = mpsc::channel();
-        self.tx()
-            .send(Cmd::Delete {
-                id,
-                enqueued: Instant::now(),
-                ctx: TraceCtx::root(),
-                reply,
-            })
-            .map_err(|_| ServeError::Closed)?;
-        rx.recv().map_err(|_| ServeError::Closed)?
+        self.enqueue_delete(Admission::Block, id, TraceCtx::NONE)?
+            .wait()
     }
 
     /// Forces pending compaction onto the crossbars as a *rolling
@@ -735,15 +710,7 @@ impl ServeEngine {
     /// rejoins, with queries served from the other replicas between
     /// steps — under `R ≥ 2` a flush never blocks reads.
     pub fn flush(&self) -> Result<(), ServeError> {
-        let (reply, rx) = mpsc::channel();
-        self.tx()
-            .send(Cmd::Flush {
-                enqueued: Instant::now(),
-                ctx: TraceCtx::root(),
-                reply,
-            })
-            .map_err(|_| ServeError::Closed)?;
-        rx.recv().map_err(|_| ServeError::Closed)?
+        self.enqueue_flush(Admission::Block, TraceCtx::NONE)?.wait()
     }
 
     /// Dumps the flight recorder as JSONL — one [`QueryTrace`] per line,
@@ -751,11 +718,8 @@ impl ServeEngine {
     /// requests) first, then the N slowest clean requests, slowest
     /// first. Feed it to `simpim flight` for per-stage waterfalls.
     pub fn flight_dump(&self) -> Result<String, ServeError> {
-        let (reply, rx) = mpsc::channel();
-        self.tx()
-            .send(Cmd::FlightDump { reply })
-            .map_err(|_| ServeError::Closed)?;
-        rx.recv().map_err(|_| ServeError::Closed)
+        self.enqueue(Admission::Block, |reply| Cmd::FlightDump { reply })?
+            .wait()
     }
 
     /// Fail-stops the bank under `shard`'s replica `replica` — the
@@ -763,24 +727,19 @@ impl ServeEngine {
     /// failover, and re-replication then run exactly as they would for
     /// an organic bank loss.
     pub fn kill_bank(&self, shard: usize, replica: usize) -> Result<(), ServeError> {
-        let (reply, rx) = mpsc::channel();
-        self.tx()
-            .send(Cmd::KillBank {
-                shard,
-                replica,
-                reply,
-            })
-            .map_err(|_| ServeError::Closed)?;
-        rx.recv().map_err(|_| ServeError::Closed)?
+        self.enqueue(Admission::Block, |reply| Cmd::KillBank {
+            shard,
+            replica,
+            reply,
+        })?
+        .wait()
     }
 
     /// Point-in-time statistics.
     pub fn stats(&self) -> Result<EngineStats, ServeError> {
-        let (reply, rx) = mpsc::channel();
-        self.tx()
-            .send(Cmd::Stats { reply })
-            .map_err(|_| ServeError::Closed)?;
-        let mut stats = rx.recv().map_err(|_| ServeError::Closed)?;
+        let mut stats = self
+            .enqueue(Admission::Block, |reply| Cmd::Stats { reply })?
+            .wait()?;
         // Overload shedding happens client-side (the scheduler never
         // sees rejected commands), so it merges in here.
         stats.overloaded = self.overloaded.load(Ordering::Relaxed);
@@ -855,9 +814,10 @@ struct Scheduler {
     sets: Vec<ReplicaSet>,
     cfg: ServeConfig,
     next_id: usize,
-    /// Non-query commands pulled off the channel by a mid-flush drain;
-    /// replayed (in order) before anything new is dequeued.
-    stashed: VecDeque<Cmd>,
+    /// The command pulled off the channel while coalescing but not
+    /// executed yet (the barrier that ended a batch); replayed before
+    /// anything new is dequeued.
+    stashed: Option<Cmd>,
     /// Timestamp origin for every stage span (set before spawn, shared
     /// with clients through their `enqueued` instants).
     epoch: Instant,
@@ -879,7 +839,7 @@ impl Scheduler {
             sets,
             cfg,
             next_id,
-            stashed: VecDeque::new(),
+            stashed: None,
             epoch,
             stages: StageHists::default(),
             flight,
@@ -901,52 +861,44 @@ impl Scheduler {
 
     fn run(mut self, rx: Receiver<Cmd>) {
         loop {
-            let cmd = match self.stashed.pop_front() {
+            let cmd = match self.stashed.take() {
                 Some(c) => c,
                 None => match rx.recv() {
                     Ok(c) => c,
                     Err(_) => break, // all senders dropped: shut down
                 },
             };
-            let mut deferred = None;
-            match cmd {
-                Cmd::Query(first) => {
-                    let mut batch = vec![first];
-                    // Greedy, non-blocking coalesce of consecutive
-                    // queries. The first non-query command defers until
-                    // the batch completes — arrival order is preserved.
-                    while batch.len() < self.cfg.max_batch {
-                        match rx.try_recv() {
-                            Ok(Cmd::Query(q)) => batch.push(q),
-                            Ok(other) => {
-                                deferred = Some(other);
-                                break;
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                    simpim_obs::metrics::gauge_set("simpim.serve.queue_depth", batch.len() as f64);
-                    self.process_queries(batch);
-                }
-                Cmd::Flush {
-                    enqueued,
-                    ctx,
-                    reply,
-                } => {
-                    let dequeued = Instant::now();
-                    let out = self.rolling_flush(&rx);
-                    self.record_mutation_trace("flush", ctx, enqueued, dequeued, out.is_ok(), &[]);
-                    let _ = reply.send(out);
-                }
-                other => deferred = Some(other),
-            }
-            if let Some(cmd) = deferred {
-                self.process_mutation(cmd);
-            }
+            self.dispatch(cmd, &rx);
             // Opportunistic repair between commands: re-replicate lost
             // banks while the queue is quiet instead of blocking a batch.
             self.repair_tick();
         }
+    }
+
+    /// The next command that is ready without blocking: the stash (what
+    /// was pulled off the channel but not executed yet) always drains
+    /// before the channel, so arrival order is preserved.
+    fn next_ready(&mut self, rx: &Receiver<Cmd>) -> Option<Cmd> {
+        self.stashed.take().or_else(|| rx.try_recv().ok())
+    }
+
+    /// Greedy, non-blocking coalesce of the queries that directly follow
+    /// `first`, up to `max_batch`. The first non-query command is stashed
+    /// and ends the batch — mutations are batch barriers, whatever they
+    /// are.
+    fn coalesce(&mut self, first: QueryReq, rx: &Receiver<Cmd>) -> Vec<QueryReq> {
+        let mut batch = vec![first];
+        while batch.len() < self.cfg.max_batch {
+            match self.next_ready(rx) {
+                Some(Cmd::Query(q)) => batch.push(q),
+                Some(other) => {
+                    self.stashed = Some(other);
+                    break;
+                }
+                None => break,
+            }
+        }
+        batch
     }
 
     /// The re-replicate stage of the repair loop, run between commands.
@@ -961,8 +913,8 @@ impl Scheduler {
     /// loss; [`ReplicaSet::quarantine_lost`] is that sweep.)
     fn repair_tick(&mut self) {
         for set in &mut self.sets {
-            if set.needs_repair() {
-                let _ = set.repair_one();
+            if set.needs_repair() && set.repair_one().is_err() {
+                simpim_obs::metrics::counter_add("simpim.serve.repair_failed", 1);
             }
         }
     }
@@ -981,35 +933,15 @@ impl Scheduler {
                         out = Err(e);
                     }
                 }
-                self.drain_queries(rx);
+                // Serve one batch of the queries that queued up behind
+                // this step from the replicas still in rotation.
+                match self.next_ready(rx) {
+                    Some(query @ Cmd::Query(_)) => self.dispatch(query, rx),
+                    other => self.stashed = other,
+                }
             }
         }
         out
-    }
-
-    /// Serves queries that arrived while a reprogram step held one
-    /// replica out of rotation. Only *consecutive* queries are drained;
-    /// the first non-query command is stashed and the drain stops, so
-    /// arrival order is preserved (the stash replays before the channel
-    /// is read again).
-    fn drain_queries(&mut self, rx: &Receiver<Cmd>) {
-        if !self.stashed.is_empty() {
-            return; // a stashed mutation must run before newer queries
-        }
-        let mut batch = Vec::new();
-        while batch.len() < self.cfg.max_batch {
-            match rx.try_recv() {
-                Ok(Cmd::Query(q)) => batch.push(q),
-                Ok(other) => {
-                    self.stashed.push_back(other);
-                    break;
-                }
-                Err(_) => break,
-            }
-        }
-        if !batch.is_empty() {
-            self.process_queries(batch);
-        }
     }
 
     fn process_queries(&mut self, batch: Vec<QueryReq>) {
@@ -1056,7 +988,7 @@ impl Scheduler {
             .iter_mut()
             .enumerate()
             .map(|(si, set)| {
-                Box::new(move || set.query_batch_traced(queries_ref, ks_ref, batch_ctx, si))
+                Box::new(move || set.query_batch(queries_ref, ks_ref, batch_ctx, si))
                     as simpim_par::Job<'_, _>
             })
             .collect();
@@ -1342,10 +1274,25 @@ impl Scheduler {
         });
     }
 
-    fn process_mutation(&mut self, cmd: Cmd) {
+    /// Executes one command, whatever its kind. `rx` is only read by
+    /// the arms that pull *more* work forward: a query coalesces the
+    /// queries behind it, a flush serves queries between its steps.
+    fn dispatch(&mut self, cmd: Cmd, rx: &Receiver<Cmd>) {
         match cmd {
-            Cmd::Query(_) => unreachable!("queries are batched in run()"),
-            Cmd::Flush { .. } => unreachable!("flush is rolled in run()"),
+            Cmd::Query(first) => {
+                let batch = self.coalesce(first, rx);
+                self.process_queries(batch);
+            }
+            Cmd::Flush {
+                enqueued,
+                ctx,
+                reply,
+            } => {
+                let dequeued = Instant::now();
+                let out = self.rolling_flush(rx);
+                self.record_mutation_trace("flush", ctx, enqueued, dequeued, out.is_ok(), &[]);
+                let _ = reply.send(out);
+            }
             Cmd::Insert {
                 row,
                 enqueued,
@@ -1477,10 +1424,10 @@ impl Scheduler {
                     "simpim.serve.degraded_shards",
                     stats.degraded_shards as f64,
                 );
-                let _ = reply.send(stats);
+                let _ = reply.send(Ok(stats));
             }
             Cmd::FlightDump { reply } => {
-                let _ = reply.send(self.flight.dump_jsonl());
+                let _ = reply.send(Ok(self.flight.dump_jsonl()));
             }
         }
     }
@@ -1601,6 +1548,69 @@ mod tests {
         for t in traces.iter().filter(|t| t.trace_id == remote_trace) {
             t.validate_tree().unwrap();
         }
+    }
+
+    /// The interleaving that used to kill the scheduler: a `Flush`
+    /// dequeued while queries are being coalesced. The whole arrival
+    /// sequence is queued before the scheduler runs (on this thread), so
+    /// the interleaving is forced, not raced.
+    #[test]
+    fn flush_behind_coalescing_queries_is_dispatched_in_arrival_order() {
+        let ds = data();
+        let cfg = small_cfg();
+        let sets = ServeEngine::stream_sets(
+            &mut simpim_datasets::InMemorySource::new(&ds),
+            &[6, 6],
+            &[cfg.shard_config(); 2],
+            1,
+        )
+        .unwrap();
+        let (tx, rx) = mpsc::sync_channel(8);
+        let q = vec![0.4, 0.3, 0.9, 0.1];
+        let now = Instant::now();
+        let query = || {
+            let (reply, rx) = mpsc::channel();
+            let cmd = Cmd::Query(QueryReq {
+                query: q.clone(),
+                k: 1,
+                deadline: now + Duration::from_secs(60),
+                enqueued: now,
+                ctx: TraceCtx::root(),
+                reply,
+            });
+            (cmd, Pending { rx })
+        };
+        let (q1, p1) = query();
+        let (q2, p2) = query();
+        let (q3, p3) = query();
+        let (flush_reply, flush_rx) = mpsc::channel();
+        let (insert_reply, insert_rx) = mpsc::channel();
+        let flush = Cmd::Flush {
+            enqueued: now,
+            ctx: TraceCtx::root(),
+            reply: flush_reply,
+        };
+        let insert = Cmd::Insert {
+            row: q.clone(),
+            enqueued: now,
+            ctx: TraceCtx::root(),
+            reply: insert_reply,
+        };
+        for cmd in [q1, q2, flush, insert, q3] {
+            tx.try_send(cmd).expect("queue holds the sequence");
+        }
+        drop(tx);
+        Scheduler::new(sets, cfg, ds.len(), now).run(rx);
+
+        let truth = knn_standard(&ds, &q, 1, Measure::EuclideanSq).unwrap();
+        // The two queries ahead of the insert see the original rows...
+        assert_eq!(p1.try_wait().unwrap().unwrap(), truth.neighbors);
+        assert_eq!(p2.try_wait().unwrap().unwrap(), truth.neighbors);
+        Pending { rx: flush_rx }.try_wait().unwrap().unwrap();
+        let id = Pending { rx: insert_rx }.try_wait().unwrap().unwrap();
+        assert_eq!(id, ds.len());
+        // ...and the one behind it finds the inserted copy of itself.
+        assert_eq!(p3.try_wait().unwrap().unwrap(), vec![(id, 0.0)]);
     }
 
     #[test]

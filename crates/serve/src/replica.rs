@@ -192,19 +192,6 @@ impl ReplicaSet {
             .min_by_key(|&i| (self.replicas[i].wear(), i))
     }
 
-    /// Serves one coalesced batch: route to the least-worn healthy
-    /// replica; on detected bank loss, quarantine it and fail the batch
-    /// over to the next replica; with no replica left, answer exactly
-    /// from the host mirror (degraded mode).
-    pub fn query_batch(
-        &mut self,
-        queries: &[Vec<f64>],
-        ks: &[usize],
-    ) -> Vec<Result<Vec<Neighbor>, ServeError>> {
-        self.query_batch_traced(queries, ks, simpim_obs::TraceCtx::NONE, 0)
-            .0
-    }
-
     /// Forces one batch through replica `i`, bypassing routing — the
     /// inspection hook replica-equivalence tests use to prove every
     /// replica answers bit-identically. A lost bank sheds to the host
@@ -216,7 +203,7 @@ impl ReplicaSet {
         queries: &[Vec<f64>],
         ks: &[usize],
     ) -> Vec<Result<Vec<Neighbor>, ServeError>> {
-        match self.replicas[i].try_query_batch_ctx(
+        match self.replicas[i].try_query_batch(
             &self.mirror,
             queries,
             ks,
@@ -231,13 +218,18 @@ impl ReplicaSet {
         }
     }
 
-    /// [`ReplicaSet::query_batch`] under an explicit trace context. The
-    /// crossbar pass runs under a `serve.replica.pass` span parented on
-    /// `parent` (so the pass stays attributable to its coalesced batch
-    /// across the worker-thread hop), and the returned [`RouteSample`]
-    /// reports which replica answered and what fault handling (failover,
-    /// shed, degraded host mirror) the batch absorbed on the way.
-    pub fn query_batch_traced(
+    /// Serves one coalesced batch: route to the least-worn healthy
+    /// replica; on detected bank loss, quarantine it and fail the batch
+    /// over to the next replica; with no replica left, answer exactly
+    /// from the host mirror (degraded mode).
+    ///
+    /// Unless `parent` is [`simpim_obs::TraceCtx::NONE`], the crossbar
+    /// pass runs under a `serve.replica.pass` span parented on it (so the
+    /// pass stays attributable to its coalesced batch across the
+    /// worker-thread hop). The returned [`RouteSample`] reports which
+    /// replica answered and what fault handling (failover, shed, degraded
+    /// host mirror) the batch absorbed on the way.
+    pub fn query_batch(
         &mut self,
         queries: &[Vec<f64>],
         ks: &[usize],
@@ -257,7 +249,7 @@ impl ReplicaSet {
         };
         while let Some(i) = self.route() {
             let sheds_before = self.replicas[i].sheds();
-            match self.replicas[i].try_query_batch_ctx(&self.mirror, queries, ks, ctx) {
+            match self.replicas[i].try_query_batch(&self.mirror, queries, ks, ctx) {
                 Ok(out) => {
                     self.routed[i] += 1;
                     sample.replica = Some(i);
@@ -520,6 +512,14 @@ mod tests {
         vec![0.45, 0.55, 0.4, 0.6]
     }
 
+    /// The routed answer to [`query`] at `k`, untraced.
+    fn ask(set: &mut ReplicaSet, k: usize) -> Vec<Neighbor> {
+        set.query_batch(&[query()], &[k], simpim_obs::TraceCtx::NONE, 0)
+            .0
+            .remove(0)
+            .unwrap()
+    }
+
     #[test]
     fn routing_prefers_the_least_worn_healthy_replica() {
         let mut set = ReplicaSet::open(cfg(None), 3, rows(), vec![0, 1, 2, 3]).unwrap();
@@ -530,7 +530,7 @@ mod tests {
         set.replica_mut(2).age_bank(20);
         assert_eq!(set.route(), Some(1));
         // A batch routes there and the routed counter records it.
-        let got = set.query_batch(&[query()], &[2]).remove(0).unwrap();
+        let got = ask(&mut set, 2);
         assert_eq!(got.len(), 2);
         assert_eq!(set.stats().routed, vec![0, 1, 0]);
     }
@@ -539,14 +539,14 @@ mod tests {
     fn failover_detects_quarantines_and_repairs() {
         let mut set = ReplicaSet::open(cfg(None), 2, rows(), vec![0, 1, 2, 3]).unwrap();
         let truth = knn_standard(&rows(), &query(), 2, Measure::EuclideanSq).unwrap();
-        let before = set.query_batch(&[query()], &[2]).remove(0).unwrap();
+        let before = ask(&mut set, 2);
         assert_eq!(before, truth.neighbors);
 
         // Kill the replica that routing would pick; the next batch must
         // detect the loss, fail over, and answer identically.
         let victim = set.route().unwrap();
         set.kill_replica(victim);
-        let after = set.query_batch(&[query()], &[2]).remove(0).unwrap();
+        let after = ask(&mut set, 2);
         assert_eq!(after, before, "failover must be bit-invisible");
         let stats = set.stats();
         assert_eq!(stats.failovers, 1);
@@ -566,7 +566,7 @@ mod tests {
         let survivor = (0..2).find(|&i| i != victim).unwrap();
         let routed_before = set.stats().routed[victim];
         set.kill_replica(survivor);
-        let repaired = set.query_batch(&[query()], &[2]).remove(0).unwrap();
+        let repaired = ask(&mut set, 2);
         assert_eq!(repaired, before);
         assert_eq!(
             set.stats().routed[victim],
@@ -581,7 +581,7 @@ mod tests {
         let truth = knn_standard(&rows(), &query(), 3, Measure::EuclideanSq).unwrap();
         set.kill_replica(0);
         set.kill_replica(1);
-        let got = set.query_batch(&[query()], &[3]).remove(0).unwrap();
+        let got = ask(&mut set, 3);
         assert_eq!(got, truth.neighbors, "degraded answers stay exact");
         let stats = set.stats();
         assert!(stats.degraded);
@@ -597,7 +597,7 @@ mod tests {
         let stats = set.stats();
         assert_eq!(stats.healthy, 2);
         assert!(!stats.degraded);
-        let got = set.query_batch(&[query()], &[4]).remove(0).unwrap();
+        let got = ask(&mut set, 4);
         assert!(got.iter().any(|&(id, _)| id == 4));
         assert!(got.iter().all(|&(id, _)| id != 0));
     }
@@ -606,12 +606,12 @@ mod tests {
     fn rolling_reprogram_keeps_r_minus_one_replicas_routable() {
         let mut set = ReplicaSet::open(cfg(None), 2, rows(), vec![0, 1, 2, 3]).unwrap();
         set.delete(1).unwrap(); // a tombstone for the reprogram to compact
-        let before = set.query_batch(&[query()], &[3]).remove(0).unwrap();
+        let before = ask(&mut set, 3);
 
         assert!(set.begin_reprogram(0));
         assert_eq!(set.replica_state(0), ReplicaState::Reprogramming);
         assert_eq!(set.route(), Some(1), "reads keep flowing mid-drain");
-        let mid = set.query_batch(&[query()], &[3]).remove(0).unwrap();
+        let mid = ask(&mut set, 3);
         assert_eq!(mid, before, "mid-reprogram answers are unchanged");
         set.finish_reprogram(0);
 
@@ -621,7 +621,7 @@ mod tests {
         let stats = set.stats();
         assert_eq!(stats.healthy, 2);
         assert!(stats.replicas.iter().all(|r| r.tombstones == 0));
-        let after = set.query_batch(&[query()], &[3]).remove(0).unwrap();
+        let after = ask(&mut set, 3);
         assert_eq!(after, before);
     }
 
@@ -649,7 +649,7 @@ mod tests {
             remaining.swap_remove_row(1).unwrap();
             knn_standard(&remaining, &query(), 3, Measure::EuclideanSq).unwrap()
         };
-        let got = set.query_batch(&[query()], &[3]).remove(0).unwrap();
+        let got = ask(&mut set, 3);
         assert_eq!(
             got.iter().map(|&(_, v)| v).collect::<Vec<_>>(),
             truth.neighbors.iter().map(|&(_, v)| v).collect::<Vec<_>>()
@@ -662,7 +662,7 @@ mod tests {
         let mut set = ReplicaSet::open(cfg(None), 3, rows(), vec![0, 1, 2, 3]).unwrap();
         set.insert(4, &[0.2, 0.3, 0.4, 0.5]).unwrap();
         set.delete(2).unwrap();
-        let truth = set.query_batch(&[query()], &[3]).remove(0).unwrap();
+        let truth = ask(&mut set, 3);
         for i in 0..3 {
             let got = set
                 .query_replica(i, std::slice::from_ref(&query()), &[3])
@@ -695,10 +695,10 @@ mod tests {
         // quarantine keep bounds valid), so failover stays invisible.
         let mut set = ReplicaSet::open(base, 2, rows(), vec![0, 1, 2, 3]).unwrap();
         let truth = knn_standard(&rows(), &query(), 2, Measure::EuclideanSq).unwrap();
-        let first = set.query_batch(&[query()], &[2]).remove(0).unwrap();
+        let first = ask(&mut set, 2);
         assert_eq!(first, truth.neighbors);
         set.kill_replica(set.route().unwrap());
-        let second = set.query_batch(&[query()], &[2]).remove(0).unwrap();
+        let second = ask(&mut set, 2);
         assert_eq!(second, first);
     }
 }

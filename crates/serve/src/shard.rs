@@ -36,9 +36,9 @@
 //!
 //! Programming is **streamed**: rows flow from the mirror into the bank
 //! in [`simpim_datasets::env_block_rows`]-sized blocks through
-//! [`simpim_core::ResidentBuilder`], which is bit-identical to one-shot
-//! preparation (matrix, Φ, wear, timing) but never materializes a
-//! second copy of the shard — open, repair, and reprogram all share it.
+//! [`simpim_core::ResidentBuilder`], whose result (matrix, Φ, wear) does
+//! not depend on the block size, so no second copy of the shard is ever
+//! materialized — open, repair, and reprogram all share it.
 
 use simpim_core::executor::{ExecutorConfig, PimExecutor};
 use simpim_core::{CoreError, ResidentBuilder};
@@ -347,7 +347,7 @@ impl Residency {
     /// Whole-bank loss surfaces as the outer `Err` for failover; every
     /// *recoverable* PIM failure sheds the batch to the exact host scan
     /// internally.
-    pub fn try_query_batch_ctx(
+    pub fn try_query_batch(
         &mut self,
         mirror: &ShardMirror,
         queries: &[Vec<f64>],
@@ -355,7 +355,7 @@ impl Residency {
         parent: simpim_obs::TraceCtx,
     ) -> Result<Vec<Result<Vec<Neighbor>, ServeError>>, ServeError> {
         assert_eq!(queries.len(), ks.len(), "ks must parallel queries");
-        match self.exec.lb_ed_batch_multi_ctx(queries, parent) {
+        match self.exec.lb_ed_batch_multi(queries, parent) {
             Ok(batches) => {
                 let mut pass_ns = 0.0;
                 let mut scattered = vec![0.0; mirror.len()];
@@ -605,7 +605,10 @@ impl Shard {
         queries: &[Vec<f64>],
         ks: &[usize],
     ) -> Vec<Result<Vec<Neighbor>, ServeError>> {
-        match self.try_query_batch(queries, ks) {
+        match self
+            .res
+            .try_query_batch(&self.mirror, queries, ks, simpim_obs::TraceCtx::NONE)
+        {
             Ok(out) => out,
             // A standalone shard has no replica to fail over to; a lost
             // bank degrades it to the (still exact) host path.
@@ -615,19 +618,6 @@ impl Shard {
                 .map(|(q, &k)| self.mirror.host_query(q, k))
                 .collect(),
         }
-    }
-
-    /// Like [`Shard::query_batch`], but surfaces whole-bank loss as the
-    /// outer `Err` instead of silently degrading to the host path — the
-    /// replication layer's entry point, so it can fail the batch over to
-    /// another replica.
-    pub fn try_query_batch(
-        &mut self,
-        queries: &[Vec<f64>],
-        ks: &[usize],
-    ) -> Result<Vec<Result<Vec<Neighbor>, ServeError>>, ServeError> {
-        self.res
-            .try_query_batch_ctx(&self.mirror, queries, ks, simpim_obs::TraceCtx::NONE)
     }
 
     /// Exact host-side answer, ignoring the crossbars entirely.
@@ -819,9 +809,15 @@ mod tests {
         shard.kill_bank();
         assert!(shard.bank_lost());
         assert!(shard.stats().lost);
-        // try_query_batch surfaces the loss for failover...
+        // The residency surfaces the loss for failover...
         let err = shard
-            .try_query_batch(std::slice::from_ref(&q), &[2])
+            .res
+            .try_query_batch(
+                &shard.mirror,
+                std::slice::from_ref(&q),
+                &[2],
+                simpim_obs::TraceCtx::NONE,
+            )
             .unwrap_err();
         assert!(err.is_bank_loss());
         // ...while the plain path stays exact via the host mirror.

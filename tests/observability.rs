@@ -13,9 +13,11 @@ use simpim::mining::knn::standard::knn_standard;
 use simpim::obs::{Histogram, Json, RunArtifact, StageRecord, ToJson};
 use simpim::similarity::Measure;
 
-/// Tracing enable/disable is process-global; tests that toggle it must
-/// not interleave.
-static TRACE_GATE: Mutex<()> = Mutex::new(());
+/// Tracing enable/disable and the metrics registry are process-global:
+/// tests that toggle the one, or assert on deltas of the other while
+/// running `knn_cascade` (which bumps `simpim.bounds.*`), must not
+/// interleave.
+static OBS_GATE: Mutex<()> = Mutex::new(());
 
 #[test]
 fn histogram_bucket_boundaries_are_log_linear() {
@@ -68,7 +70,7 @@ fn histogram_merge_is_count_preserving() {
 
 #[test]
 fn spans_nest_and_order_under_real_mining() {
-    let _gate = TRACE_GATE.lock().unwrap();
+    let _gate = OBS_GATE.lock().unwrap();
     let ds = generate(&SyntheticConfig {
         n: 200,
         d: 32,
@@ -117,6 +119,7 @@ fn spans_nest_and_order_under_real_mining() {
 
 #[test]
 fn counter_deltas_match_work_done() {
+    let _gate = OBS_GATE.lock().unwrap();
     let ds = generate(&SyntheticConfig {
         n: 150,
         d: 16,
@@ -186,7 +189,7 @@ proptest! {
     // come back with tracing enabled and disabled.
     #[test]
     fn tracing_never_changes_mining_results(seed in 0u64..1_000, k in 1usize..8) {
-        let _gate = TRACE_GATE.lock().unwrap();
+        let _gate = OBS_GATE.lock().unwrap();
         let ds = generate(&SyntheticConfig {
             n: 120,
             d: 24,

@@ -349,3 +349,126 @@ fn concurrent_mixed_workload_is_linearizable() {
     assert_eq!(stats.inserts, 16);
     assert_eq!(stats.queries, 80);
 }
+
+// The interleaving that used to kill the scheduler thread: a flush
+// submitted right behind a run of queries is dequeued *while they are
+// being coalesced*. Everything is submitted without waiting, so all but
+// the first rounds are fully queued when the scheduler reaches them.
+#[test]
+fn flush_submitted_behind_queries_never_kills_the_scheduler() {
+    use simpim::obs::TraceCtx;
+    use std::time::Duration;
+
+    let rows: Vec<Vec<f64>> = (0..24)
+        .map(|i| {
+            (0..4)
+                .map(|j| ((i * 11 + j * 17) % 89) as f64 / 88.0)
+                .collect()
+        })
+        .collect();
+    let data = Dataset::from_rows(&rows).unwrap();
+    let mut cfg = serve_cfg(2, None);
+    cfg.max_batch = 16; // a round's 8 queries never fill a batch
+    cfg.queue_depth = 512; // holds all 50 × 9 commands: nothing is shed
+    let engine = ServeEngine::open(cfg, &data).unwrap();
+    let q = vec![0.4, 0.3, 0.9, 0.1];
+    let truth = knn_standard(&data, &q, 3, Measure::EuclideanSq)
+        .unwrap()
+        .neighbors;
+
+    let mut answers = Vec::new();
+    let mut flushes = Vec::new();
+    for _ in 0..50 {
+        for _ in 0..8 {
+            answers.push(
+                engine
+                    .knn_submit(&q, 3, Duration::from_secs(60), TraceCtx::NONE)
+                    .unwrap(),
+            );
+        }
+        flushes.push(engine.flush_submit(TraceCtx::NONE).unwrap());
+    }
+    for pending in answers {
+        assert_eq!(pending.wait().unwrap(), truth);
+    }
+    for pending in flushes {
+        pending.wait().unwrap();
+    }
+    assert_eq!(engine.knn(&q, 3).unwrap(), truth);
+    assert_eq!(engine.stats().unwrap().queries, 401);
+}
+
+// The three public ways to open an engine are fronts over one build
+// path: over the same 9 000 rows (two default-size programming blocks in
+// one shard) they must produce the same shard and the same answers.
+#[test]
+fn open_open_source_and_open_planned_build_the_same_engine() {
+    use simpim::core::{BankProfile, CandidateBound, FleetPlanner};
+    use simpim::datasets::{DatasetSource, SynthSource, SyntheticConfig};
+
+    let source = || {
+        SynthSource::new(SyntheticConfig {
+            n: 9_000,
+            d: 8,
+            clusters: 4,
+            cluster_std: 0.08,
+            stat_uniformity: 0.5,
+            seed: 23,
+        })
+    };
+    let data = source().materialize();
+    let cfg = ServeConfig {
+        shards: 1,
+        replicas: 1,
+        executor: ExecutorConfig {
+            double_buffer: false,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let banks = [BankProfile {
+        crossbars: cfg.executor.pim.num_crossbars,
+        wear: 0,
+        healthy: true,
+    }];
+    let plan = FleetPlanner {
+        d: 8,
+        operand_bits: cfg.executor.operand_bits,
+        buffer_factor: 1,
+        base_pim: cfg.executor.pim,
+        refine_bytes_per_object: 64,
+        candidates: vec![CandidateBound {
+            name: "LB_PIM-ED".to_string(),
+            transfer_bytes: 16,
+            pruning_ratio: 0.9,
+            is_pim: true,
+        }],
+        pim_reference_s: 8,
+        spare_rows: cfg.spare_rows,
+        merge_bytes_per_shard: 1.0,
+    }
+    .plan(data.len(), &banks)
+    .unwrap();
+    assert_eq!(plan.shards.len(), 1, "one bank, one shard");
+
+    let engines = [
+        ServeEngine::open(cfg.clone(), &data).unwrap(),
+        ServeEngine::open_source(cfg.clone(), &mut source()).unwrap(),
+        ServeEngine::open_planned(cfg, &mut source(), &plan, &banks).unwrap(),
+    ];
+    let queries: Vec<Vec<f64>> = (0..16).map(|i| data.row(i * 500).to_vec()).collect();
+    let truth: Vec<_> = queries
+        .iter()
+        .map(|q| {
+            knn_standard(&data, q, 5, Measure::EuclideanSq)
+                .unwrap()
+                .neighbors
+        })
+        .collect();
+    let shard_stats = |e: &ServeEngine| e.stats().unwrap().shards[0].replicas[0];
+    for engine in &engines {
+        assert_eq!(engine.knn_batch(&queries, 5).unwrap(), truth);
+        assert_eq!(shard_stats(engine), shard_stats(&engines[0]));
+    }
+    assert_eq!(shard_stats(&engines[0]).live, 9_000);
+}
