@@ -5,11 +5,12 @@
 //! `sse2`/`avx2` on x86_64, `neon` on aarch64), pinned via
 //! `simpim_kern::with_backend`, the sweep measures:
 //!
-//! * **per-kernel ns/element** for the six dispatched kernels (f64
+//! * **per-kernel ns/element** for the seven dispatched kernels (f64
 //!   dot / norm_sq / fused dot+norm / squared Euclidean over the MSD
-//!   workload's rows, u64 XOR- and AND-popcount MACs over packed words),
-//!   best-of-several passes so a preempted pass doesn't pollute the
-//!   trajectory;
+//!   workload's rows, u64 XOR- and AND-popcount MACs over packed words,
+//!   and the exact u32 MAC of the array-level crossbar pass over a
+//!   20-bit operand matrix of the workload's shape), best-of-several
+//!   passes so a preempted pass doesn't pollute the trajectory;
 //! * **end-to-end kNN throughput**: Standard-PIM kNN (`knn_pim_ed`)
 //!   over the workload's queries — the path that exercises both the f64
 //!   refinement kernels and the crossbar's AND-popcount MAC;
@@ -17,6 +18,9 @@
 //!   every neighbor (index, distance bits). The binary aborts unless all
 //!   backends produce the *same* hash (the bit-identity contract), and
 //!   unless the hash is invariant across 1 and 4 `simpim-par` workers.
+//!   `dot_u32`'s outputs are hashed into a field of their own
+//!   (`dot_u32_hash`, held to the same all-backends-equal rule), so
+//!   `result_hash` stays comparable with artifacts that predate it.
 //!
 //! The artifact (`BENCH_kernels.json`) stamps each backend's numbers and
 //! its speedup over forced-scalar, seeding the per-PR BENCH trajectory
@@ -90,9 +94,11 @@ struct Row {
     euclid_ns: f64,
     xorpop_ns: f64,
     andpop_ns: f64,
+    dot_u32_ns: f64,
     knn_wall_ms: f64,
     knn_qps: f64,
     hash: u64,
+    dot_u32_hash: u64,
 }
 
 /// One timed kNN pass over the workload; returns (hash, wall ns).
@@ -110,7 +116,13 @@ fn knn_pass(exec: &mut PimExecutor, w: &Workload) -> (u64, u64) {
     (h, t0.elapsed().as_nanos() as u64)
 }
 
-fn sweep_backend(b: Backend, exec: &mut PimExecutor, w: &Workload, wa: &[u64], wb: &[u64]) -> Row {
+fn sweep_backend(
+    b: Backend,
+    exec: &mut PimExecutor,
+    w: &Workload,
+    (wa, wb): (&[u64], &[u64]),
+    (operands, operand_query): (&[u32], &[u32]),
+) -> Row {
     kern::with_backend(b, || {
         let n = w.data.len();
         let d = w.data.dim();
@@ -138,6 +150,13 @@ fn sweep_backend(b: Backend, exec: &mut PimExecutor, w: &Workload, wa: &[u64], w
         });
         let (xorpop_ns, h_xor) = measure(POPCOUNT_WORDS, || kern::xor_popcount(wa, wb));
         let (andpop_ns, h_and) = measure(POPCOUNT_WORDS, || kern::and_popcount(wa, wb));
+        let (dot_u32_ns, dot_u32_hash) = measure(operands.len(), || {
+            operands
+                .chunks_exact(d)
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, row| {
+                    fnv1a(h, &kern::dot_u32(row, operand_query).to_le_bytes())
+                })
+        });
 
         // End-to-end Standard-PIM kNN: timed at ambient workers, then
         // re-run pinned to 1 and 4 workers — all three hashes must match
@@ -165,9 +184,11 @@ fn sweep_backend(b: Backend, exec: &mut PimExecutor, w: &Workload, wa: &[u64], w
             euclid_ns,
             xorpop_ns,
             andpop_ns,
+            dot_u32_ns,
             knn_wall_ms: knn_ns as f64 / 1e6,
             knn_qps: w.queries.len() as f64 / knn_s.max(1e-12),
             hash,
+            dot_u32_hash,
         }
     })
 }
@@ -183,6 +204,11 @@ fn main() {
     let active = kern::backend();
     let wa = words(POPCOUNT_WORDS, 0x9e37_79b9_7f4a_7c15);
     let wb = words(POPCOUNT_WORDS, 0xd1b5_4a32_d192_ed03);
+    // A stored-operand matrix of the workload's shape plus one query, at
+    // the 20 bits α = 1e6 quantises to: what `PimArray::dot_batch` reads.
+    let narrow = |ws: Vec<u64>| -> Vec<u32> { ws.into_iter().map(|x| (x >> 44) as u32).collect() };
+    let operands = narrow(words(w.data.len() * w.data.dim(), 0xa076_1d64_78bd_642f));
+    let operand_query = narrow(words(w.data.dim(), 0xe703_7ed1_a0b4_28db));
 
     // One dataset, one programmed executor, shared by every
     // (backend, workers) measurement cell.
@@ -194,7 +220,7 @@ fn main() {
         .collect();
     let rows: Vec<Row> = tiers
         .iter()
-        .map(|&b| sweep_backend(b, &mut exec, &w, &wa, &wb))
+        .map(|&b| sweep_backend(b, &mut exec, &w, (&wa, &wb), (&operands, &operand_query)))
         .collect();
 
     let scalar = &rows[0];
@@ -203,6 +229,11 @@ fn main() {
         assert_eq!(
             r.hash, scalar.hash,
             "backend '{}' is not bit-identical to scalar",
+            r.name
+        );
+        assert_eq!(
+            r.dot_u32_hash, scalar.dot_u32_hash,
+            "backend '{}': dot_u32 differs from scalar",
             r.name
         );
     }
@@ -218,7 +249,8 @@ fn main() {
             active.name()
         ),
         &[
-            "backend", "dot", "norm", "fused", "euclid", "xorpop", "andpop", "knn qps", "vs scalar",
+            "backend", "dot", "norm", "fused", "euclid", "xorpop", "andpop", "dot_u32", "knn qps",
+            "vs scalar",
         ],
         &rows
             .iter()
@@ -231,6 +263,7 @@ fn main() {
                     format!("{:.3}", r.euclid_ns),
                     format!("{:.3}", r.xorpop_ns),
                     format!("{:.3}", r.andpop_ns),
+                    format!("{:.3}", r.dot_u32_ns),
                     format!("{:.0}", r.knn_qps),
                     fmt_x(scalar.dot_ns / r.dot_ns.max(1e-12)),
                 ]
@@ -254,6 +287,7 @@ fn main() {
                 ("euclidean_sq_ns_per_elem", Json::Num(r.euclid_ns)),
                 ("xor_popcount_ns_per_word", Json::Num(r.xorpop_ns)),
                 ("and_popcount_ns_per_word", Json::Num(r.andpop_ns)),
+                ("dot_u32_ns_per_elem", Json::Num(r.dot_u32_ns)),
                 ("knn_wall_ms", Json::Num(r.knn_wall_ms)),
                 ("knn_qps", Json::Num(r.knn_qps)),
                 (
@@ -267,6 +301,10 @@ fn main() {
                 (
                     "speedup_xor_popcount",
                     Json::Num(scalar.xorpop_ns / r.xorpop_ns.max(1e-12)),
+                ),
+                (
+                    "speedup_dot_u32",
+                    Json::Num(scalar.dot_u32_ns / r.dot_u32_ns.max(1e-12)),
                 ),
                 (
                     "speedup_knn",
@@ -288,6 +326,10 @@ fn main() {
             ("detected", Json::Str(detected.name().into())),
             ("active", Json::Str(active.name().into())),
             ("result_hash", Json::Str(format!("{hash:016x}"))),
+            (
+                "dot_u32_hash",
+                Json::Str(format!("{:016x}", scalar.dot_u32_hash)),
+            ),
             ("threads_invariant", Json::Bool(true)),
             ("knn_qps", Json::Num(active_row.knn_qps)),
             (

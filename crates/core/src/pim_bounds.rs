@@ -357,16 +357,14 @@ pub fn quantize_for_dot(
     ))
 }
 
-/// Integer dot product of two floor vectors — the operation PIM executes.
-/// Used host-side by the planner's offline pruning-ratio measurement
-/// ("it is practical to conduct on traditional architectures at offline
-/// stage", Section V-D).
+/// Integer dot product of two floor vectors — the operation PIM executes,
+/// on the kernel the simulated array itself uses, keeping the low 64 bits
+/// like the array's `U64` accumulator. Used host-side by the planner's
+/// offline pruning-ratio measurement ("it is practical to conduct on
+/// traditional architectures at offline stage", Section V-D) and by the
+/// exact fallback for quarantined objects.
 pub fn host_floor_dot(p: &[u32], q: &[u32]) -> u64 {
-    debug_assert_eq!(p.len(), q.len());
-    p.iter()
-        .zip(q)
-        .map(|(&a, &b)| u64::from(a) * u64::from(b))
-        .sum()
+    simpim_reram::dot_u32(p, q)
 }
 
 #[cfg(test)]

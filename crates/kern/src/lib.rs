@@ -3,9 +3,11 @@
 //! The paper's speedups come from wide in-situ MACs; a credible host
 //! baseline has to be vectorized too, or every reported PIM speedup is
 //! inflated. This crate owns the workspace's distance inner loops — f64
-//! `dot` / `norm_sq` / fused dot+norm / squared Euclidean, and the packed
+//! `dot` / `norm_sq` / fused dot+norm / squared Euclidean, the packed
 //! u64 popcount MACs behind Hamming distance and the bit-sliced crossbar
-//! model — as a [`KernelBackend`] vtable selected **once** at startup:
+//! model, and the exact u32 integer MAC ([`dot_u32`]) the array-level
+//! crossbar pass runs on — as a [`KernelBackend`] vtable selected
+//! **once** at startup:
 //!
 //! * `x86_64`: AVX2 (4×f64 per register, Mula `pshufb` popcount) when
 //!   `is_x86_feature_detected!("avx2")`, else SSE2 (baseline, two 2-wide
@@ -21,8 +23,10 @@
 //! payloads, signed zeros and subnormals included — so a dispatched
 //! result is the same *bits* as the scalar result, which in turn keeps
 //! results invariant across machines, thread counts (`simpim-par` chunks
-//! never change), and `SIMPIM_KERNEL` settings. The proptest suite in
-//! `tests/kernels.rs` enforces this.
+//! never change), and `SIMPIM_KERNEL` settings. The integer kernels are
+//! identical by construction instead: they sum exact integers modulo
+//! 2⁶⁴, which is associative, so lane layout and fold order are free. The
+//! proptest suite in `tests/kernels.rs` enforces both.
 //!
 //! Selection order: [`set_backend_override`] / [`with_backend`] (tests,
 //! benches) > the `SIMPIM_KERNEL` environment variable
@@ -141,6 +145,8 @@ pub struct KernelBackend {
     pub xor_popcount: fn(&[u64], &[u64]) -> u64,
     /// Bit-serial MAC `Σ popcount(aᵢ AND bᵢ)` over packed u64 words.
     pub and_popcount: fn(&[u64], &[u64]) -> u64,
+    /// Exact integer MAC `Σ aᵢ·bᵢ` of u32 operands, modulo 2⁶⁴.
+    pub dot_u32: fn(&[u32], &[u32]) -> u64,
 }
 
 impl std::fmt::Debug for KernelBackend {
@@ -159,6 +165,7 @@ const SCALAR_TABLE: KernelBackend = KernelBackend {
     euclidean_sq: scalar::euclidean_sq,
     xor_popcount: scalar::xor_popcount,
     and_popcount: scalar::and_popcount,
+    dot_u32: scalar::dot_u32,
 };
 
 // Safe trampolines: each is installed in a table only after the matching
@@ -183,6 +190,7 @@ mod x86_dispatch {
     trampoline!(euclidean_sq_avx2, x86::avx2::euclidean_sq, (p: &[f64], q: &[f64]) -> f64);
     trampoline!(xor_popcount_avx2, x86::avx2::xor_popcount, (a: &[u64], b: &[u64]) -> u64);
     trampoline!(and_popcount_avx2, x86::avx2::and_popcount, (a: &[u64], b: &[u64]) -> u64);
+    trampoline!(dot_u32_avx2, x86::avx2::dot_u32, (a: &[u32], b: &[u32]) -> u64);
 
     trampoline!(dot_sse2, x86::sse2::dot, (a: &[f64], b: &[f64]) -> f64);
     trampoline!(norm_sq_sse2, x86::sse2::norm_sq, (xs: &[f64]) -> f64);
@@ -190,6 +198,7 @@ mod x86_dispatch {
     trampoline!(euclidean_sq_sse2, x86::sse2::euclidean_sq, (p: &[f64], q: &[f64]) -> f64);
     trampoline!(xor_popcount_popcnt, x86::xor_popcount_popcnt, (a: &[u64], b: &[u64]) -> u64);
     trampoline!(and_popcount_popcnt, x86::and_popcount_popcnt, (a: &[u64], b: &[u64]) -> u64);
+    trampoline!(dot_u32_sse2, x86::sse2::dot_u32, (a: &[u32], b: &[u32]) -> u64);
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -211,6 +220,7 @@ mod neon_dispatch {
     trampoline!(euclidean_sq, neon::euclidean_sq, (p: &[f64], q: &[f64]) -> f64);
     trampoline!(xor_popcount, neon::xor_popcount, (a: &[u64], b: &[u64]) -> u64);
     trampoline!(and_popcount, neon::and_popcount, (a: &[u64], b: &[u64]) -> u64);
+    trampoline!(dot_u32, neon::dot_u32, (a: &[u32], b: &[u32]) -> u64);
 }
 
 /// Builds the vtable for a tier the running CPU supports.
@@ -238,6 +248,7 @@ fn table(b: Backend) -> KernelBackend {
                 } else {
                     scalar::and_popcount
                 },
+                dot_u32: x86_dispatch::dot_u32_sse2,
             }
         }
         #[cfg(target_arch = "x86_64")]
@@ -249,6 +260,7 @@ fn table(b: Backend) -> KernelBackend {
             euclidean_sq: x86_dispatch::euclidean_sq_avx2,
             xor_popcount: x86_dispatch::xor_popcount_avx2,
             and_popcount: x86_dispatch::and_popcount_avx2,
+            dot_u32: x86_dispatch::dot_u32_avx2,
         },
         #[cfg(target_arch = "aarch64")]
         Backend::Neon => KernelBackend {
@@ -259,6 +271,7 @@ fn table(b: Backend) -> KernelBackend {
             euclidean_sq: neon_dispatch::euclidean_sq,
             xor_popcount: neon_dispatch::xor_popcount,
             and_popcount: neon_dispatch::and_popcount,
+            dot_u32: neon_dispatch::dot_u32,
         },
         #[allow(unreachable_patterns)]
         _ => SCALAR_TABLE,
@@ -445,6 +458,16 @@ pub fn and_popcount(a: &[u64], b: &[u64]) -> u64 {
     (kernels().and_popcount)(a, b)
 }
 
+/// Dispatched exact integer MAC `Σ aᵢ·bᵢ` of u32 operands, summed
+/// modulo 2⁶⁴ — identical to [`scalar::dot_u32`] on every backend.
+///
+/// # Panics
+/// Panics in debug builds when the lengths differ.
+#[inline]
+pub fn dot_u32(a: &[u32], b: &[u32]) -> u64 {
+    (kernels().dot_u32)(a, b)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,6 +522,13 @@ mod tests {
                     );
                     assert_eq!(xor_popcount(&w, &v), scalar::xor_popcount(&w, &v));
                     assert_eq!(and_popcount(&w, &v), scalar::and_popcount(&w, &v));
+                    // The words' low halves: full-range u32 operands.
+                    let (p, q): (Vec<u32>, Vec<u32>) = w
+                        .iter()
+                        .zip(&v)
+                        .map(|(&x, &y)| (x as u32, y as u32))
+                        .unzip();
+                    assert_eq!(dot_u32(&p, &q), scalar::dot_u32(&p, &q));
                 }
             });
         }

@@ -8,7 +8,9 @@
 //! `(l0 + l1) + (l2 + l3)` fold, and the shared [`scalar::fold_tail`]
 //! tail. AArch64's default FPCR has flush-to-zero disabled, matching
 //! scalar Rust semantics. The popcount MAC uses `cnt` (per-byte
-//! popcount) + `addlv` horizontal sums — exact integer counting.
+//! popcount) + `addlv` horizontal sums — exact integer counting — and
+//! `dot_u32` uses the widening `umlal` multiply-accumulate, whose `u64`
+//! lanes wrap exactly like the scalar sum.
 //!
 //! # Safety
 //! All functions are `#[target_feature(enable = "neon")]`-gated and
@@ -121,6 +123,33 @@ pub unsafe fn dot_norm_sq(a: &[f64], b: &[f64]) -> (f64, f64) {
         fold2x2(d01, d23, ta, tb, |x, y| x * y),
         fold2x2(n01, n23, ta, ta, |x, y| x * y),
     )
+}
+
+/// Exact `u32` MAC `Σ aᵢ·bᵢ` modulo 2⁶⁴: `umlal`/`umlal2` widen each
+/// `u32` pair to a full `u64` product and accumulate it in place.
+///
+/// # Safety
+/// Requires NEON (detected at dispatch time).
+#[target_feature(enable = "neon")]
+pub unsafe fn dot_u32(a: &[u32], b: &[u32]) -> u64 {
+    debug_assert_eq!(a.len(), b.len());
+    let len = a.len().min(b.len());
+    let blocks = len / 4;
+    let (pa, pb) = (a.as_ptr(), b.as_ptr());
+    let mut lo = vdupq_n_u64(0);
+    let mut hi = vdupq_n_u64(0);
+    for i in 0..blocks {
+        // SAFETY: `4 * i + 3 < len`, so the 4-element load of either
+        // slice stays in bounds.
+        let va = vld1q_u32(pa.add(4 * i));
+        let vb = vld1q_u32(pb.add(4 * i));
+        lo = vmlal_u32(lo, vget_low_u32(va), vget_low_u32(vb));
+        hi = vmlal_high_u32(hi, va, vb);
+    }
+    let acc = vaddq_u64(lo, hi);
+    scalar::dot_u32(&a[4 * blocks..len], &b[4 * blocks..len])
+        .wrapping_add(vgetq_lane_u64::<0>(acc))
+        .wrapping_add(vgetq_lane_u64::<1>(acc))
 }
 
 #[inline(always)]

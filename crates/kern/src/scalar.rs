@@ -11,7 +11,9 @@
 //! its results are bit-identical — not merely ULP-close. (Sole caveat:
 //! NaN *payloads* are outside the contract — Rust documents NaN bit
 //! patterns as non-deterministic, so a reduction over several distinct
-//! NaNs guarantees NaN ⇔ NaN, not which payload wins.)
+//! NaNs guarantees NaN ⇔ NaN, not which payload wins.) The integer
+//! kernels — the popcount MACs and [`dot_u32`] — need no such layout:
+//! wrapping integer sums are the same in any order.
 
 /// Independent accumulator lanes of the chunked kernels. Four lanes break
 /// the loop-carried add dependency and map one-to-one onto a 4×f64 AVX2
@@ -141,9 +143,40 @@ pub fn and_popcount(a: &[u64], b: &[u64]) -> u64 {
         .sum()
 }
 
+/// Exact integer MAC `Σ aᵢ·bᵢ` of `u32` operands, summed modulo 2⁶⁴ —
+/// the crossbar pass's multiply-accumulate. Each product fits a `u64`
+/// and wrapping addition is associative, so every backend returns the
+/// same integer whatever its lane layout. The sum is the true dot
+/// product whenever that is below 2⁶⁴; callers that need it exact keep
+/// `len · max(a) · max(b)` under that (see `simpim-reram`'s
+/// `PimArray::dot_batch`).
+///
+/// # Panics
+/// Panics in debug builds when the lengths differ.
+#[inline]
+pub fn dot_u32(a: &[u32], b: &[u32]) -> u64 {
+    debug_assert_eq!(a.len(), b.len());
+    a.iter().zip(b).fold(0u64, |acc, (&x, &y)| {
+        acc.wrapping_add(u64::from(x) * u64::from(y))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn dot_u32_is_the_wrapping_sum_of_products() {
+        assert_eq!(dot_u32(&[], &[]), 0);
+        assert_eq!(dot_u32(&[1, 2, 3], &[4, 5, 6]), 32);
+        let max = u64::from(u32::MAX) * u64::from(u32::MAX);
+        assert_eq!(dot_u32(&[u32::MAX], &[u32::MAX]), max);
+        // Two maximal products overflow a u64 by exactly one carry.
+        assert_eq!(
+            dot_u32(&[u32::MAX; 2], &[u32::MAX; 2]),
+            max.wrapping_add(max)
+        );
+    }
 
     #[test]
     fn dot_and_norms_small() {

@@ -9,7 +9,9 @@
 //! the shared [`scalar::fold_tail`] helper. Packed `mulpd`/`addpd`/
 //! `subpd` have exactly the scalar instructions' per-lane semantics;
 //! Rust never enables FTZ/DAZ, so subnormals round identically too. The
-//! popcount MACs are exact integer counting and trivially identical.
+//! popcount MACs are exact integer counting and trivially identical, and
+//! so is `dot_u32`: full `u64` products (`pmuludq`) summed modulo 2⁶⁴,
+//! which no lane layout or fold order can change.
 //!
 //! One deliberate carve-out: when several distinct NaNs collide in one
 //! reduction, *which* payload survives depends on operand order, and
@@ -113,6 +115,51 @@ pub mod avx2 {
         let mut lanes = [0.0f64; 4];
         _mm256_storeu_pd(lanes.as_mut_ptr(), acc);
         fold_tail((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]), ta, tb, f)
+    }
+
+    /// Exact `u32` MAC `Σ aᵢ·bᵢ` modulo 2⁶⁴: `vpmuludq` multiplies the
+    /// even `u32` of every 64-bit lane into a full `u64` product, a
+    /// 32-bit right shift exposes the odd ones, so eight operands cost
+    /// two multiplies; two accumulators per parity keep the adds off one
+    /// dependency chain.
+    ///
+    /// # Safety
+    /// Requires AVX2 (detected at dispatch time).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn dot_u32(a: &[u32], b: &[u32]) -> u64 {
+        debug_assert_eq!(a.len(), b.len());
+        let len = a.len().min(b.len());
+        let blocks = len / 16;
+        let (pa, pb) = (a.as_ptr(), b.as_ptr());
+        let mut even0 = _mm256_setzero_si256();
+        let mut odd0 = _mm256_setzero_si256();
+        let mut even1 = _mm256_setzero_si256();
+        let mut odd1 = _mm256_setzero_si256();
+        for i in 0..blocks {
+            // SAFETY: `16 * i + 15 < len`, so both 8-element loads of
+            // either slice stay in bounds; `loadu` has no alignment need.
+            let va0 = _mm256_loadu_si256(pa.add(16 * i).cast());
+            let vb0 = _mm256_loadu_si256(pb.add(16 * i).cast());
+            let va1 = _mm256_loadu_si256(pa.add(16 * i + 8).cast());
+            let vb1 = _mm256_loadu_si256(pb.add(16 * i + 8).cast());
+            even0 = _mm256_add_epi64(even0, _mm256_mul_epu32(va0, vb0));
+            odd0 = _mm256_add_epi64(
+                odd0,
+                _mm256_mul_epu32(_mm256_srli_epi64::<32>(va0), _mm256_srli_epi64::<32>(vb0)),
+            );
+            even1 = _mm256_add_epi64(even1, _mm256_mul_epu32(va1, vb1));
+            odd1 = _mm256_add_epi64(
+                odd1,
+                _mm256_mul_epu32(_mm256_srli_epi64::<32>(va1), _mm256_srli_epi64::<32>(vb1)),
+            );
+        }
+        let acc = _mm256_add_epi64(_mm256_add_epi64(even0, odd0), _mm256_add_epi64(even1, odd1));
+        let mut lanes = [0u64; 4];
+        _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc);
+        lanes.iter().fold(
+            scalar::dot_u32(&a[16 * blocks..len], &b[16 * blocks..len]),
+            |t, &l| t.wrapping_add(l),
+        )
     }
 
     /// Per-64-bit-element popcount of a ymm register via the Mula nibble
@@ -277,6 +324,37 @@ pub mod sse2 {
             fold2x2(d01, d23, ta, tb, |x, y| x * y),
             fold2x2(n01, n23, ta, ta, |x, y| x * y),
         )
+    }
+
+    /// Exact `u32` MAC `Σ aᵢ·bᵢ` modulo 2⁶⁴ with `pmuludq`: the even
+    /// operands of each xmm directly, the odd ones after a 32-bit shift.
+    ///
+    /// # Safety
+    /// Requires SSE2 (always present on x86_64).
+    #[target_feature(enable = "sse2")]
+    pub unsafe fn dot_u32(a: &[u32], b: &[u32]) -> u64 {
+        debug_assert_eq!(a.len(), b.len());
+        let len = a.len().min(b.len());
+        let blocks = len / 4;
+        let (pa, pb) = (a.as_ptr(), b.as_ptr());
+        let mut even = _mm_setzero_si128();
+        let mut odd = _mm_setzero_si128();
+        for i in 0..blocks {
+            // SAFETY: `4 * i + 3 < len`, so the 4-element load of either
+            // slice stays in bounds; `loadu` has no alignment need.
+            let va = _mm_loadu_si128(pa.add(4 * i).cast());
+            let vb = _mm_loadu_si128(pb.add(4 * i).cast());
+            even = _mm_add_epi64(even, _mm_mul_epu32(va, vb));
+            odd = _mm_add_epi64(
+                odd,
+                _mm_mul_epu32(_mm_srli_epi64::<32>(va), _mm_srli_epi64::<32>(vb)),
+            );
+        }
+        let mut lanes = [0u64; 2];
+        _mm_storeu_si128(lanes.as_mut_ptr().cast(), _mm_add_epi64(even, odd));
+        scalar::dot_u32(&a[4 * blocks..len], &b[4 * blocks..len])
+            .wrapping_add(lanes[0])
+            .wrapping_add(lanes[1])
     }
 
     /// Spills lane pairs `{0,1}` / `{2,3}` and finishes with the

@@ -17,7 +17,7 @@ use simpim_similarity::{Dataset, Measure};
 use simpim_simkit::OpCounters;
 
 use crate::error::MiningError;
-use crate::knn::{exact_eval, KnnResult, TopK};
+use crate::knn::{exact_eval, KnnResult, LazyOrder, TopK};
 use crate::report::{Architecture, RunReport};
 
 /// Converts a bound stage's per-object [`simpim_bounds::EvalCost`] into
@@ -92,17 +92,13 @@ pub fn knn_cascade(
     let filter_span = simpim_obs::span!("mining.knn.filter", stage = 0u64);
     let mut first_counters = OpCounters::new();
     charge_stage(&stages[0].eval_cost(), n as u64, &mut first_counters);
-    let mut order: Vec<(f64, usize)> = (0..n).map(|i| (prepared[0].bound(i), i)).collect();
+    let mut order = LazyOrder::new(
+        (0..n).map(|i| (prepared[0].bound(i), i)).collect(),
+        measure.smaller_is_closer(),
+        |i| i,
+        &mut other,
+    );
     report.profile.record(&stages[0].name(), first_counters);
-    simpim_par::sort_by(&mut order, |a, b| {
-        let ord = a.0.total_cmp(&b.0);
-        if measure.smaller_is_closer() {
-            ord.then(a.1.cmp(&b.1))
-        } else {
-            ord.reverse().then(a.1.cmp(&b.1))
-        }
-    });
-    other.cmp += (n as f64 * (n as f64).log2().max(1.0)) as u64;
     drop(filter_span);
 
     // Parallel chunked refinement (see DESIGN.md §10). Chunk boundaries
@@ -118,14 +114,15 @@ pub fn knn_cascade(
     let mut refined = 0u64;
     'walk: for chunk in crate::knn::refine_chunk_schedule(n, k) {
         other.prune_test();
-        if top.prunable(order[chunk.start].0) {
+        let start = chunk.start;
+        let cands = order.chunk(chunk);
+        if top.prunable(cands[0].0) {
             // Sorted first-stage bound: this chunk and everything after
             // is prunable too.
-            stage_pruned[0] += (n - chunk.start) as u64;
+            stage_pruned[0] += (n - start) as u64;
             break 'walk;
         }
         let snap = &top.clone();
-        let cands = &order[chunk];
         let prepared = &prepared;
         let chunks = simpim_par::map_chunks(cands.len(), crate::knn::REFINE_TASK, |r| {
             let mut refined = Vec::new();

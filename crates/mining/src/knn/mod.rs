@@ -45,6 +45,83 @@ pub(crate) fn refine_chunk_schedule(n: usize, k: usize) -> Vec<Range<usize>> {
     chunks
 }
 
+/// The best-bound-first candidate order of a refinement walk, put in
+/// order only as far as the walk gets. The walks stop at the first chunk
+/// whose best bound is prunable — a few dozen candidates in when the PIM
+/// bounds are tight — so sorting all `n` up front is mostly wasted.
+///
+/// The order is total: better bound first (`f64::total_cmp`, reversed
+/// for similarities), ties by a key that is unique per candidate (row
+/// index or global id). A total order has exactly one sorted sequence, so
+/// the prefix produced here by selection plus an unstable sort is
+/// element-for-element the prefix of the full stable sort it replaces,
+/// and every walk visits the same candidates in the same order.
+pub(crate) struct LazyOrder<K> {
+    /// `(bound, row)` pairs; `items[..sorted]` is in final order and
+    /// every later item ranks after all of them.
+    items: Vec<(f64, usize)>,
+    sorted: usize,
+    smaller_is_closer: bool,
+    tie_key: K,
+}
+
+impl<K: Fn(usize) -> usize> LazyOrder<K> {
+    /// Wraps unordered `(bound, row)` candidates; `tie_key(row)` must be
+    /// unique per candidate. Charges `counters.cmp` the `n·log₂n`
+    /// comparisons of a full sort: the modeled filter is the paper's —
+    /// sort the bounds, then walk — however little of the order the host
+    /// simulation ends up materializing.
+    pub(crate) fn new(
+        items: Vec<(f64, usize)>,
+        smaller_is_closer: bool,
+        tie_key: K,
+        counters: &mut OpCounters,
+    ) -> Self {
+        let n = items.len() as f64;
+        counters.cmp += (n * n.log2().max(1.0)) as u64;
+        Self {
+            items,
+            sorted: 0,
+            smaller_is_closer,
+            tie_key,
+        }
+    }
+
+    /// Number of candidates.
+    pub(crate) fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// The candidates at positions `chunk` of the full order. Chunks must
+    /// be requested front to back, as [`refine_chunk_schedule`] yields
+    /// them.
+    pub(crate) fn chunk(&mut self, chunk: Range<usize>) -> &[(f64, usize)] {
+        if chunk.end > self.sorted {
+            // Grow the ordered prefix at least geometrically, so a walk
+            // that never prunes still pays O(n log n) in total.
+            let end = chunk.end.max(2 * self.sorted).min(self.items.len());
+            let (smaller_is_closer, tie_key) = (self.smaller_is_closer, &self.tie_key);
+            let cmp = |a: &(f64, usize), b: &(f64, usize)| {
+                let by_bound = a.0.total_cmp(&b.0);
+                let by_bound = if smaller_is_closer {
+                    by_bound
+                } else {
+                    by_bound.reverse()
+                };
+                by_bound.then_with(|| tie_key(a.1).cmp(&tie_key(b.1)))
+            };
+            let tail = &mut self.items[self.sorted..];
+            let need = end - self.sorted;
+            if need < tail.len() {
+                tail.select_nth_unstable_by(need - 1, cmp);
+            }
+            tail[..need].sort_unstable_by(cmp);
+            self.sorted = end;
+        }
+        &self.items[chunk]
+    }
+}
+
 /// The result of one kNN query: the exact k nearest objects (best first,
 /// ties broken by index) and the run's instrumentation.
 #[derive(Debug, Clone)]
@@ -260,6 +337,35 @@ mod tests {
             assert_eq!(expect, n, "n={n} k={k}");
             if n > k {
                 assert_eq!(chunks[0], 0..k, "warm-up chunk seeds the pool");
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_order_yields_the_full_sort_chunk_by_chunk() {
+        // 20 000 candidates over 512 distinct bounds: long enough that
+        // the ordered prefix grows by doubling, not only chunk by chunk.
+        let items: Vec<(f64, usize)> = (0..20_000usize)
+            .map(|i| ((i.wrapping_mul(2_654_435_761) >> 9) % 512, i))
+            .map(|(b, i)| (b as f64 * 0.25, i))
+            .collect();
+        for smaller_is_closer in [true, false] {
+            let mut sorted = items.clone();
+            sorted.sort_by(|a, b| {
+                let by_bound = a.0.total_cmp(&b.0);
+                let by_bound = if smaller_is_closer {
+                    by_bound
+                } else {
+                    by_bound.reverse()
+                };
+                by_bound.then(a.1.cmp(&b.1))
+            });
+            let mut c = OpCounters::new();
+            let mut lazy = LazyOrder::new(items.clone(), smaller_is_closer, |i| i, &mut c);
+            assert_eq!(c.cmp, (20_000f64 * 20_000f64.log2()) as u64);
+            assert_eq!(lazy.len(), sorted.len());
+            for chunk in refine_chunk_schedule(sorted.len(), 10) {
+                assert_eq!(lazy.chunk(chunk.clone()), &sorted[chunk]);
             }
         }
     }

@@ -22,7 +22,7 @@ use simpim_simkit::OpCounters;
 
 use crate::error::MiningError;
 use crate::knn::cascade::charge_stage;
-use crate::knn::{exact_eval, KnnResult, TopK};
+use crate::knn::{exact_eval, KnnResult, LazyOrder, TopK};
 use crate::report::{Architecture, RunReport};
 
 /// Charges the host-side cost of combining one PIM batch: per object, the
@@ -70,15 +70,12 @@ pub fn knn_pim_ed(
         .record(&format!("G({})", executor.bound_name()), g_counters);
 
     // Best-bound-first refinement (see `knn::cascade` for the rationale).
-    let mut order: Vec<(f64, usize)> = batch
-        .values
-        .iter()
-        .copied()
-        .enumerate()
-        .map(|(i, v)| (v, i))
-        .collect();
-    simpim_par::sort_by(&mut order, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    other.cmp += (n as f64 * (n as f64).log2().max(1.0)) as u64;
+    let mut order = LazyOrder::new(
+        batch.values.iter().copied().zip(0..).collect(),
+        true,
+        |i| i,
+        &mut other,
+    );
 
     let prepared: Vec<_> = retained.stages().map(|s| s.prepare(query)).collect();
     let stage_list: Vec<&dyn simpim_bounds::BoundStage> = retained.stages().collect();
@@ -92,13 +89,14 @@ pub fn knn_pim_ed(
     // `knn::cascade` and DESIGN.md §10).
     'walk: for chunk in crate::knn::refine_chunk_schedule(n, k) {
         other.prune_test();
-        if top.prunable(order[chunk.start].0) {
+        let start = chunk.start;
+        let cands = order.chunk(chunk);
+        if top.prunable(cands[0].0) {
             // Sorted PIM bounds: this chunk and the rest are pruned too.
-            pim_pruned += (n - chunk.start) as u64;
+            pim_pruned += (n - start) as u64;
             break 'walk;
         }
         let snap = &top.clone();
-        let cands = &order[chunk];
         let prepared = &prepared;
         let chunks = simpim_par::map_chunks(cands.len(), crate::knn::REFINE_TASK, |r| {
             let mut hits = Vec::new();
@@ -214,28 +212,26 @@ pub fn knn_pim_sim(
 
     // Highest upper bound first: the similarity mirror of best-first
     // refinement.
-    let mut order: Vec<(f64, usize)> = batch
-        .values
-        .iter()
-        .copied()
-        .enumerate()
-        .map(|(i, v)| (v, i))
-        .collect();
-    simpim_par::sort_by(&mut order, |a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-    other.cmp += (n as f64 * (n as f64).log2().max(1.0)) as u64;
+    let mut order = LazyOrder::new(
+        batch.values.iter().copied().zip(0..).collect(),
+        false,
+        |i| i,
+        &mut other,
+    );
 
     // Same chunked parallel walk as the ED path, minus retained stages.
     let mut pruned = 0u64;
     let mut refined = 0u64;
     'walk: for chunk in crate::knn::refine_chunk_schedule(n, k) {
         other.prune_test();
-        if top.prunable(order[chunk.start].0) {
+        let start = chunk.start;
+        let cands = order.chunk(chunk);
+        if top.prunable(cands[0].0) {
             // Sorted descending: this chunk and the rest cannot qualify.
-            pruned += (n - chunk.start) as u64;
+            pruned += (n - start) as u64;
             break 'walk;
         }
         let snap = &top.clone();
-        let cands = &order[chunk];
         let chunks = simpim_par::map_chunks(cands.len(), crate::knn::REFINE_TASK, |r| {
             let mut hits = Vec::new();
             let mut exact = OpCounters::new();

@@ -202,62 +202,6 @@ where
     )
 }
 
-/// Chunk size for [`sort_by`]: fixed, so the chunk decomposition (and
-/// therefore the merge order and the final permutation) never depends on
-/// the worker count.
-pub const SORT_CHUNK: usize = 4096;
-
-/// Stable sort with the chunk sorts parallelized: `v` is split into
-/// fixed [`SORT_CHUNK`]-sized chunks, each chunk is stably sorted on the
-/// pool (disjoint `&mut` borrows), and a serial k-way merge that prefers
-/// the earliest chunk on ties reassembles them. Per-chunk stable sort +
-/// lowest-chunk-wins merge *is* a stable merge sort, so the output is
-/// element-for-element identical to `v.sort_by(cmp)` at any thread
-/// count.
-///
-/// The merge is `O(n·⌈n/SORT_CHUNK⌉)` comparisons — meant for the
-/// candidate-ordering sizes of the mining walks (thousands to tens of
-/// thousands), where the parallel chunk sorts dominate.
-pub fn sort_by<T, F>(v: &mut [T], cmp: F)
-where
-    T: Clone + Send,
-    F: Fn(&T, &T) -> std::cmp::Ordering + Sync,
-{
-    if v.len() <= SORT_CHUNK {
-        v.sort_by(cmp);
-        return;
-    }
-    {
-        let cmp = &cmp;
-        let jobs: Vec<Job<'_, ()>> = v
-            .chunks_mut(SORT_CHUNK)
-            .map(|c| Box::new(move || c.sort_by(cmp)) as Job<'_, ()>)
-            .collect();
-        join_all(jobs);
-    }
-    let mut out = Vec::with_capacity(v.len());
-    {
-        let chunks: Vec<&[T]> = v.chunks(SORT_CHUNK).collect();
-        let mut heads = vec![0usize; chunks.len()];
-        loop {
-            let mut best: Option<usize> = None;
-            for (ci, c) in chunks.iter().enumerate() {
-                if heads[ci] < c.len()
-                    && best.is_none_or(|b| {
-                        cmp(&c[heads[ci]], &chunks[b][heads[b]]) == std::cmp::Ordering::Less
-                    })
-                {
-                    best = Some(ci);
-                }
-            }
-            let Some(b) = best else { break };
-            out.push(chunks[b][heads[b]].clone());
-            heads[b] += 1;
-        }
-    }
-    v.clone_from_slice(&out);
-}
-
 /// Schedule capture + replay: measure what the chunking *admits* on `w`
 /// workers, independent of how many cores the measuring host has.
 ///
@@ -496,22 +440,6 @@ mod tests {
         let inside = with_threads(3, thread_count);
         assert_eq!(inside, 3);
         assert_eq!(thread_count(), before);
-    }
-
-    #[test]
-    fn parallel_sort_matches_serial_stable_sort() {
-        let _g = test_lock();
-        // Duplicate keys on purpose: stability must match `sort_by`.
-        let data: Vec<(u64, usize)> = (0..20_000)
-            .map(|i| (((i as u64).wrapping_mul(2654435761) >> 9) % 512, i))
-            .collect();
-        let mut serial = data.clone();
-        serial.sort_by_key(|a| a.0);
-        for threads in [1usize, 2, 8] {
-            let mut par = data.clone();
-            with_threads(threads, || sort_by(&mut par, |a, b| a.0.cmp(&b.0)));
-            assert_eq!(par, serial, "threads={threads}");
-        }
     }
 
     #[test]

@@ -94,6 +94,48 @@ fn check_operands(flat: &[u32], operand_bits: u32) -> Result<(), ReRamError> {
     }
 }
 
+/// Longest run of operands whose products are guaranteed to sum below
+/// 2⁶⁴: each product of a `stored_bits`-bit and an `input_bits`-bit
+/// value is below `2^(stored_bits + input_bits)`, so
+/// `2^(64 − stored_bits − input_bits)` of them cannot carry out of a
+/// `u64`. One operand at 32 + 32 bits; 4096 — sixteen crossbar chunks
+/// of the default `m = 256` — for the executor's default 32-bit operand
+/// slots against α = 10⁶ (20-bit) queries.
+fn exact_block_len(stored_bits: u32, input_bits: u32) -> usize {
+    1usize
+        << 64u32
+            .saturating_sub(stored_bits + input_bits)
+            .min(usize::BITS - 1)
+}
+
+/// One stored row against the query as the array computes it: one partial
+/// sum per crossbar chunk of `m` operands, the partials added by the
+/// gather tree. Returns the exact total and the largest partial (clamped
+/// to `u64`), which sizes the gather pass in [`PimTiming`]. `mac` is the
+/// `simpim-kern` integer kernel, exact modulo 2⁶⁴; it runs on blocks of
+/// at most `block` operands ([`exact_block_len`]) so that no block wraps,
+/// and the blocks are added in `u128`.
+fn row_dot(
+    mac: fn(&[u32], &[u32]) -> u64,
+    query: &[u32],
+    row: &[u32],
+    m: usize,
+    block: usize,
+) -> (u128, u64) {
+    let mut total: u128 = 0;
+    let mut max_partial: u64 = 0;
+    for (chunk_q, chunk_v) in query.chunks(m).zip(row.chunks(m)) {
+        let partial: u128 = chunk_q
+            .chunks(block)
+            .zip(chunk_v.chunks(block))
+            .map(|(q, v)| u128::from(mac(q, v)))
+            .sum();
+        max_partial = max_partial.max(partial.min(u128::from(u64::MAX)) as u64);
+        total += partial;
+    }
+    (total, max_partial)
+}
+
 /// Per-region fault survey: which crossbars are corrupted, by how much
 /// each stored object deviates, and the emulated faulty read-outs. The
 /// survey doubles as the detection state behind the scrub/health API and
@@ -557,42 +599,42 @@ impl PimArray {
 
         // Functional result: exact integer dot product wrapped at the
         // accumulator width — bit-identical to the streamed bit-sliced
-        // pipeline (wrapping commutes with shift-and-add; proven against
-        // `Crossbar::dot_products` in tests).
+        // pipeline, whose shift-and-add reassembles these same integers
+        // (proven against `Crossbar::dot_products` and `dot_batch_strict`
+        // in tests). Every stored row, clean or faulty, goes through
+        // `row_dot`.
         //
         // Objects are independent, so the batch fans out across the pool
         // in fixed `DOT_BATCH_CHUNK`-object chunks — the per-crossbar
-        // concurrency the physical array has by construction. Chunk
-        // results are stitched back in object order and `max_partial` is
-        // an order-independent max, so the output is bit-identical to the
-        // serial loop at any thread count.
-        let m = self.cfg.crossbar.size;
+        // concurrency the physical array has by construction. Each task
+        // writes its own slice of the one output buffer and `max_partial`
+        // is an order-independent max, so the output is bit-identical to
+        // the serial loop at any thread count.
+        let xb = &self.cfg.crossbar;
+        let m = xb.size;
         let s = reg.s;
-        let data = &reg.data;
-        let per_chunk = simpim_par::map_chunks(reg.n, DOT_BATCH_CHUNK, |objs| {
-            let mut vals = Vec::with_capacity(objs.len());
-            let mut chunk_max: u64 = 0;
-            for row in data[objs.start * s..objs.end * s].chunks_exact(s) {
-                let mut total: u128 = 0;
-                for (chunk_q, chunk_v) in query.chunks(m).zip(row.chunks(m)) {
-                    let partial: u128 = chunk_q
-                        .iter()
-                        .zip(chunk_v)
-                        .map(|(&a, &b)| u128::from(a) * u128::from(b))
-                        .sum();
-                    chunk_max = chunk_max.max(partial.min(u128::from(u64::MAX)) as u64);
-                    total = total.wrapping_add(partial);
-                }
-                vals.push(acc.wrap(total));
-            }
-            (vals, chunk_max)
-        });
-        let mut values = Vec::with_capacity(reg.n);
-        let mut max_partial: u64 = 0;
-        for (vals, chunk_max) in per_chunk {
-            values.extend(vals);
-            max_partial = max_partial.max(chunk_max);
-        }
+        let mac = simpim_kern::kernels().dot_u32;
+        // A stuck-high cell can raise a stored operand up to the full
+        // width of its ⌈b/h⌉ cells, so that width sizes the blocks.
+        let stored_bits = (xb.cells_per_operand(reg.operand_bits) as u32 * xb.cell_bits).min(32);
+        let block = exact_block_len(stored_bits, input_bits);
+        let mut values = vec![0u64; reg.n];
+        let jobs = values
+            .chunks_mut(DOT_BATCH_CHUNK)
+            .zip(reg.data[..reg.n * s].chunks(DOT_BATCH_CHUNK * s))
+            .map(|(out, rows)| {
+                Box::new(move || {
+                    let mut chunk_max: u64 = 0;
+                    for (v, row) in out.iter_mut().zip(rows.chunks_exact(s)) {
+                        let (total, row_max) = row_dot(mac, query, row, m, block);
+                        chunk_max = chunk_max.max(row_max);
+                        *v = acc.wrap(total);
+                    }
+                    chunk_max
+                }) as simpim_par::Job<'_, u64>
+            })
+            .collect();
+        let max_partial = simpim_par::join_all(jobs).into_iter().max().unwrap_or(0);
 
         // Read through the injected faults: corrupted objects return the
         // dot product of their *faulty* stored row (objects behind a
@@ -603,16 +645,7 @@ impl PimArray {
                 .expect("survey ensured above");
             for (obj, v) in values.iter_mut().enumerate() {
                 if let Some(frow) = info.faulty_rows.get(&obj) {
-                    let mut total: u128 = 0;
-                    for (chunk_q, chunk_v) in query.chunks(m).zip(frow.chunks(m)) {
-                        let partial: u128 = chunk_q
-                            .iter()
-                            .zip(chunk_v)
-                            .map(|(&a, &b)| u128::from(a) * u128::from(b))
-                            .sum();
-                        total = total.wrapping_add(partial);
-                    }
-                    *v = acc.wrap(total);
+                    *v = acc.wrap(row_dot(mac, query, frow, m, block).0);
                 } else if info.dead_objects[obj] {
                     *v = 0;
                 }
@@ -1997,6 +2030,155 @@ mod tests {
         let (slow, _) = xb.dot_products_faulty(0, &q64, 6, b, &faults, 0).unwrap();
         for i in 0..n {
             assert_eq!(fast[i], AccWidth::U64.wrap(slow[i]), "object {i}");
+        }
+    }
+
+    /// The arithmetic `dot_batch` replaced, kept as the reference: a
+    /// `u128` multiply-accumulate per crossbar chunk over explicit rows.
+    /// Returns the wrapped values and the largest partial (clamped).
+    fn u128_reference<'a>(
+        rows: impl Iterator<Item = &'a [u32]>,
+        query: &[u32],
+        m: usize,
+        acc: AccWidth,
+    ) -> (Vec<u64>, u64) {
+        let mut max_partial = 0u64;
+        let values = rows
+            .map(|row| {
+                let mut total: u128 = 0;
+                for (cq, cv) in query.chunks(m).zip(row.chunks(m)) {
+                    let partial: u128 = cq
+                        .iter()
+                        .zip(cv)
+                        .map(|(&a, &b)| u128::from(a) * u128::from(b))
+                        .sum();
+                    max_partial = max_partial.max(partial.min(u128::from(u64::MAX)) as u64);
+                    total += partial;
+                }
+                acc.wrap(total)
+            })
+            .collect();
+        (values, max_partial)
+    }
+
+    #[test]
+    fn row_dot_blocks_never_wrap_at_any_width_pair() {
+        // All-maximal operands fill every block to its bound; a block one
+        // operand too long, or sized for too few bits, would wrap the
+        // kernel's u64 and lose `max_partial` (the values alone would not
+        // show it: they are wrapped to the accumulator anyway).
+        let (m, s) = (16usize, 40usize);
+        for stored_bits in 1..=32u32 {
+            for input_bits in 1..=32u32 {
+                let row = vec![u32::MAX >> (32 - stored_bits); s];
+                let query = vec![u32::MAX >> (32 - input_bits); s];
+                let block = exact_block_len(stored_bits, input_bits);
+                let (total, max_partial) = row_dot(simpim_kern::dot_u32, &query, &row, m, block);
+                let exact = u128::from(row[0]) * u128::from(query[0]);
+                assert_eq!(total, exact * s as u128, "{stored_bits}+{input_bits} bits");
+                assert_eq!(
+                    u128::from(max_partial),
+                    (exact * m as u128).min(u128::from(u64::MAX)),
+                    "{stored_bits}+{input_bits} bits"
+                );
+            }
+        }
+        assert_eq!(exact_block_len(32, 32), 1);
+        assert_eq!(exact_block_len(32, 20), 4096);
+        assert_eq!(exact_block_len(1, 1), 1 << 62);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// `dot_batch` ≡ the `u128` reference ≡ `dot_batch_strict` on
+        /// every kernel tier, for every operand width against every
+        /// query width (32 + 32 bits is the block-of-one case; half the
+        /// operands sit at the maximum so blocks are as full as they
+        /// get), both accumulator widths, slot-stacked and gather-tree
+        /// layouts — and, read through a fault model, ≡ the reference
+        /// over the survey's faulty rows. `PimTiming` must be the one the
+        /// reference's `max_partial` derives.
+        #[test]
+        fn dot_batch_matches_u128_reference_and_strict(
+            // Half the cases near 32 + 32 bits, where blocks are short.
+            operand_bits in proptest::prop_oneof![1u32..=32, 28u32..=32],
+            query_bits in proptest::prop_oneof![1u32..=32, 28u32..=32],
+            n in 1usize..=5,
+            s in 1usize..=40,
+            acc in proptest::prop::sample::select(vec![AccWidth::U32, AccWidth::U64]),
+            seed in proptest::any::<u64>(),
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut draw = |bits: u32, len: usize| -> Vec<u32> {
+                let max = u32::MAX >> (32 - bits);
+                (0..len)
+                    .map(|_| if rng.gen_range(0..2) == 0 { max } else { rng.gen_range(0..=max) })
+                    .collect()
+            };
+            let data = draw(operand_bits, n * s);
+            let query = draw(query_bits, s);
+            let cfg = PimConfig {
+                crossbar: CrossbarConfig { size: 16, ..Default::default() },
+                num_crossbars: 4096,
+                ..Default::default()
+            };
+            let m = cfg.crossbar.size;
+            let mut pim = PimArray::new(cfg).unwrap();
+            let rep = pim.program_region(&data, n, s, operand_bits).unwrap();
+            let timing_for = |max_partial: u64| {
+                dot_batch_timing(
+                    &cfg,
+                    &rep.cost,
+                    bits_needed_slice(&query),
+                    bits_needed(max_partial).min(acc.bits()),
+                    n,
+                    acc,
+                )
+            };
+            let tiers = simpim_kern::Backend::ALL.into_iter().filter(|b| b.is_supported());
+
+            let (want, max_partial) = u128_reference(data.chunks_exact(s), &query, m, acc);
+            let strict = pim.dot_batch_strict(rep.region, &query, acc).unwrap();
+            proptest::prop_assert_eq!(&strict, &want, "strict vs reference");
+            for tier in tiers.clone() {
+                let (got, timing) = simpim_kern::with_backend(tier, || {
+                    pim.dot_batch(rep.region, &query, acc).unwrap()
+                });
+                proptest::prop_assert_eq!(&got, &want, "clean, {}", tier.name());
+                proptest::prop_assert_eq!(timing, timing_for(max_partial), "clean timing");
+            }
+
+            // No ADC glitches, so the fault model adds no retry time and
+            // the timing stays the clean rows' (as `dot_batch` defines it).
+            pim.enable_faults(crate::faults::FaultConfig {
+                stuck_low_rate: 0.1,
+                stuck_high_rate: 0.1,
+                dead_bitline_rate: 0.03,
+                dead_wordline_rate: 0.03,
+                seed,
+                ..Default::default()
+            })
+            .unwrap();
+            pim.scrub_region(rep.region).unwrap();
+            let info = pim.fault_info[rep.region.0].clone().unwrap();
+            let read_through = data.chunks_exact(s).enumerate().map(|(obj, row)| {
+                info.faulty_rows.get(&obj).map_or(row, |f| f.as_slice())
+            });
+            let (mut want, _) = u128_reference(read_through, &query, m, acc);
+            for (obj, v) in want.iter_mut().enumerate() {
+                if info.dead_objects[obj] && !info.faulty_rows.contains_key(&obj) {
+                    *v = 0;
+                }
+            }
+            for tier in tiers {
+                let (got, timing) = simpim_kern::with_backend(tier, || {
+                    pim.dot_batch(rep.region, &query, acc).unwrap()
+                });
+                proptest::prop_assert_eq!(&got, &want, "faulty, {}", tier.name());
+                proptest::prop_assert_eq!(timing, timing_for(max_partial), "faulty timing");
+            }
         }
     }
 

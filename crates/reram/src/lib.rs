@@ -61,6 +61,12 @@ pub mod gather;
 pub mod timing;
 pub mod variation;
 
+/// The array-level model's one multiply-accumulate (`Σ aᵢ·bᵢ` of `u32`
+/// operands modulo 2⁶⁴, SIMD-dispatched by `simpim-kern`), re-exported
+/// so host-side exact fallbacks compute with the kernel the simulated
+/// pass itself runs on.
+pub use simpim_kern::dot_u32;
+
 pub use array::{BufferArray, MemoryArray, PimArray, ProgramReport, RemapReport, ScrubReport};
 pub use bank::{DotBatchResult, ReRamBank};
 pub use config::{AccWidth, CrossbarConfig, PimConfig};

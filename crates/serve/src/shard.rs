@@ -344,9 +344,10 @@ impl Residency {
     /// Serves a coalesced batch through this bank: one PIM bound pass,
     /// bounds scattered into mirror order (rows without one — the delta
     /// — get `0.0` and are refined exactly), then exact host refinement.
-    /// Whole-bank loss surfaces as the outer `Err` for failover; every
-    /// *recoverable* PIM failure sheds the batch to the exact host scan
-    /// internally.
+    /// Whole-bank loss surfaces as the outer `Err` for failover, a `ks`
+    /// that does not parallel `queries` as an outer
+    /// [`ServeError::InvalidArgument`]; every *recoverable* PIM failure
+    /// sheds the batch to the exact host scan internally.
     pub fn try_query_batch(
         &mut self,
         mirror: &ShardMirror,
@@ -354,10 +355,23 @@ impl Residency {
         ks: &[usize],
         parent: simpim_obs::TraceCtx,
     ) -> Result<Vec<Result<Vec<Neighbor>, ServeError>>, ServeError> {
-        assert_eq!(queries.len(), ks.len(), "ks must parallel queries");
+        if queries.len() != ks.len() {
+            // Runs on a pool worker: fail this batch, never the thread.
+            return Err(ServeError::InvalidArgument {
+                what: format!(
+                    "ks must parallel queries: {} ks for {} queries",
+                    ks.len(),
+                    queries.len()
+                ),
+            });
+        }
         match self.exec.lb_ed_batch_multi(queries, parent) {
             Ok(batches) => {
                 let mut pass_ns = 0.0;
+                // Zero-filled once for the whole batch: every query's
+                // scatter overwrites exactly the `order` slots, and the
+                // rest — the delta rows — must read `0.0` (refine
+                // exactly) and are never written.
                 let mut scattered = vec![0.0; mirror.len()];
                 let out = queries
                     .iter()
@@ -366,7 +380,6 @@ impl Residency {
                     .map(|((q, &k), batch)| {
                         pass_ns += batch.timing.total_ns();
                         debug_assert_eq!(batch.values.len(), self.order.len());
-                        scattered.iter_mut().for_each(|v| *v = 0.0);
                         for (j, &idx) in self.order.iter().enumerate() {
                             scattered[idx] = batch.values[j];
                         }
@@ -798,6 +811,44 @@ mod tests {
             shard.insert(9, &[0.5, 0.5, 0.5, 1.5]),
             Err(ServeError::InvalidArgument { .. })
         ));
+    }
+
+    #[test]
+    fn mismatched_ks_fail_the_batch_with_a_typed_error() {
+        let mut shard = Shard::open(cfg(), rows(), vec![0, 1, 2, 3]).unwrap();
+        let q = vec![0.45, 0.55, 0.4, 0.6];
+        let err = shard
+            .res
+            .try_query_batch(
+                &shard.mirror,
+                &[q.clone(), q],
+                &[2],
+                simpim_obs::TraceCtx::NONE,
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, ServeError::InvalidArgument { what } if what.contains("1 ks for 2 queries")),
+            "{err:?}"
+        );
+        assert!(!err.is_bank_loss(), "must not trigger a failover");
+    }
+
+    #[test]
+    fn a_batch_scatters_each_querys_bounds_over_the_delta() {
+        // Two different queries in one batch with a delta row present:
+        // the bound buffer is shared across the batch, so each answer
+        // must still equal the same query served alone.
+        let mut shard = Shard::open(cfg(), rows(), vec![0, 1, 2, 3]).unwrap();
+        shard.insert(4, &[0.2, 0.3, 0.4, 0.5]).unwrap();
+        shard.insert(5, &[0.6, 0.7, 0.8, 0.9]).unwrap();
+        shard.insert(6, &[0.15, 0.25, 0.35, 0.45]).unwrap(); // past the spare rows
+        assert_eq!(shard.stats().delta, 1);
+        let qs = vec![vec![0.45, 0.55, 0.4, 0.6], vec![0.2, 0.3, 0.4, 0.5]];
+        let together = shard.query_batch(&qs, &[3, 3]);
+        for (q, got) in qs.iter().zip(together) {
+            let alone = shard.query_batch(std::slice::from_ref(q), &[3]).remove(0);
+            assert_eq!(got.unwrap(), alone.unwrap());
+        }
     }
 
     #[test]

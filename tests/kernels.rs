@@ -1,7 +1,8 @@
 //! Bit-identity tests for the `simpim-kern` runtime-dispatched SIMD
 //! backends (DESIGN.md §14): every supported tier (SSE2/AVX2/NEON) must
 //! reproduce the portable scalar reference down to the float bit
-//! pattern — across every remainder length `0..=4*LANES`, through
+//! pattern (and, for the integer MACs, the exact integer) — across
+//! every remainder length `0..=4*LANES`, through
 //! signed zeros, subnormals and infinities, with NaN results matched
 //! NaN-for-NaN (payloads are non-deterministic in Rust; see
 //! `crates/kern/src/scalar.rs`) — and an end-to-end
@@ -191,6 +192,38 @@ proptest! {
             kern::with_backend(backend, || {
                 prop_assert_eq!(kern::xor_popcount(&a, &b), want_xor, "xor/{}", backend.name());
                 prop_assert_eq!(kern::and_popcount(&a, &b), want_and, "and/{}", backend.name());
+            });
+        }
+    }
+
+    /// `dot_u32` returns the scalar wrapping sum on every backend:
+    /// lengths through two 16-operand AVX2 blocks plus every tail,
+    /// operands weighted towards `u32::MAX` so the u64 sum wraps, and
+    /// sub-slices starting 0–3 operands into the buffers so the packed
+    /// loads see every 4-byte alignment.
+    #[test]
+    fn dot_u32_bit_identical_across_backends(
+        pairs in prop::collection::vec(
+            (
+                prop_oneof![any::<u32>(), Just(u32::MAX), 0u32..4],
+                prop_oneof![any::<u32>(), Just(u32::MAX), 0u32..4],
+            ),
+            0..=8 * scalar::LANES + 3 + 3,
+        ),
+        skip in 0usize..4,
+    ) {
+        let _g = lock();
+        let (a, b): (Vec<u32>, Vec<u32>) = pairs.into_iter().unzip();
+        let skip = skip.min(a.len());
+        let (a, b) = (&a[skip..], &b[skip..]);
+        let want = a
+            .iter()
+            .zip(b)
+            .fold(0u128, |t, (&x, &y)| t + u128::from(x) * u128::from(y)) as u64;
+        prop_assert_eq!(scalar::dot_u32(a, b), want, "scalar vs u128 reference");
+        for backend in supported_backends() {
+            kern::with_backend(backend, || {
+                prop_assert_eq!(kern::dot_u32(a, b), want, "dot_u32/{}", backend.name());
             });
         }
     }
