@@ -14,7 +14,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use simpim_bounds::BoundStage;
 use simpim_core::executor::{ExecutorConfig, PimExecutor};
 use simpim_core::planner::{CandidateBound, Planner};
-use simpim_core::stage::PimFnnStage;
+use simpim_core::stage::PimStage;
 use simpim_core::{choose_dimensionality, PruningProfile};
 use simpim_datasets::{generate, sample_queries, SyntheticConfig};
 use simpim_reram::{CrossbarConfig, PimConfig};
@@ -48,7 +48,7 @@ fn ablation_tables() {
         "alpha", "error bound", "prune ratio"
     );
     for alpha in [1e1, 1e2, 1e3, 1e4, 1e6] {
-        let stage = PimFnnStage::build(&nds, 105, alpha).unwrap();
+        let stage = PimStage::fnn(&nds, 105, alpha).unwrap();
         let r = PruningProfile::measure(&[&stage], &ds, &qs, 10, Measure::EuclideanSq).unwrap()[0];
         println!(
             "{:>10.0} {:>12.4} {:>11.1}%",
@@ -145,12 +145,12 @@ fn ablation_tables() {
     );
     for (name, ratio, bytes) in [
         {
-            let st = simpim_core::stage::PimSmStage::build(&nds, 210, 1e6).unwrap();
+            let st = PimStage::sm(&nds, 210, 1e6).unwrap();
             let r = PruningProfile::measure(&[&st], &ds, &qs, 10, Measure::EuclideanSq).unwrap()[0];
             ("LB_PIM-SM^210", r, st.transfer_bytes_per_object())
         },
         {
-            let st = PimFnnStage::build(&nds, 105, 1e6).unwrap();
+            let st = PimStage::fnn(&nds, 105, 1e6).unwrap();
             let r = PruningProfile::measure(&[&st], &ds, &qs, 10, Measure::EuclideanSq).unwrap()[0];
             ("LB_PIM-FNN^105", r, st.transfer_bytes_per_object())
         },
@@ -261,7 +261,7 @@ fn ablations(c: &mut Criterion) {
     // Keep a measurable kernel so Criterion has something to time.
     let (ds, qs) = workload();
     let nds = NormalizedDataset::assert_normalized(ds.clone());
-    let stage = PimFnnStage::build(&nds, 105, 1e6).unwrap();
+    let stage = PimStage::fnn(&nds, 105, 1e6).unwrap();
     c.bench_function("ablations/pim_fnn_host_eval_3k", |b| {
         let prep = stage.prepare(&qs[0]);
         b.iter(|| {

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use simpim_bounds::{BoundStage, FnnBound, OstBound, SmBound};
-use simpim_core::stage::PimFnnStage;
+use simpim_core::stage::PimStage;
 use simpim_datasets::{generate, SyntheticConfig};
 use simpim_similarity::{measures, NormalizedDataset};
 use std::hint::black_box;
@@ -35,7 +35,7 @@ fn bound_evaluation(c: &mut Criterion) {
     let ost = OstBound::build(&ds, 210).unwrap();
     let sm = SmBound::build(&ds, 105).unwrap();
     let fnn = FnnBound::build(&ds, 105).unwrap();
-    let pim = PimFnnStage::build(&nds, 105, 1e6).unwrap();
+    let pim = PimStage::fnn(&nds, 105, 1e6).unwrap();
     let stages: Vec<(&str, &dyn BoundStage)> = vec![
         ("LB_OST", &ost),
         ("LB_SM", &sm),

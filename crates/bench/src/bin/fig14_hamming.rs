@@ -35,7 +35,7 @@ fn main() {
         let mut pim = RunReport::new(Architecture::ReRamPim);
         for &qi in &query_idx {
             let q = codes.row(qi);
-            let b = knn_hamming(&codes, &q, 10);
+            let b = knn_hamming(&codes, &q, 10).expect("k within N");
             let g = knn_pim_hamming(&mut exec, &codes, &q, 10).expect("prepared");
             assert_eq!(b.indices(), g.indices(), "PIM HD must be exact");
             base.merge(&b.report);

@@ -11,7 +11,7 @@
 use simpim_bench::{load, print_table};
 use simpim_bounds::{BoundStage, FnnBound};
 use simpim_core::planner::PruningProfile;
-use simpim_core::stage::PimFnnStage;
+use simpim_core::stage::PimStage;
 use simpim_datasets::PaperDataset;
 use simpim_mining::knn::algorithms::fnn_levels;
 use simpim_similarity::{Measure, NormalizedDataset};
@@ -28,7 +28,7 @@ fn main() {
         .iter()
         .map(|&s| FnnBound::build(&w.data, s).expect("divisor"))
         .collect();
-    let pim = PimFnnStage::build(&nds, top, 1e6).expect("divisor");
+    let pim = PimStage::fnn(&nds, top, 1e6).expect("divisor");
 
     let mut stages: Vec<&dyn BoundStage> = classic.iter().map(|b| b as &dyn BoundStage).collect();
     stages.push(&pim);
@@ -71,7 +71,7 @@ fn main() {
     // α sweep: Theorem 3 in action (the Fig. 15 caption's α = 1e6 choice).
     let mut rows = Vec::new();
     for alpha in [1e1, 1e2, 1e3, 1e4, 1e6] {
-        let stage = PimFnnStage::build(&nds, top, alpha).expect("divisor");
+        let stage = PimStage::fnn(&nds, top, alpha).expect("divisor");
         let r = PruningProfile::measure(&[&stage], &w.data, &w.queries, 10, Measure::EuclideanSq)
             .expect("matching bound directions")[0];
         rows.push(vec![format!("{alpha:.0}"), format!("{:.1}%", r * 100.0)]);

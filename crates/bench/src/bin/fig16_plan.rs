@@ -14,7 +14,7 @@ use simpim_bench::{
 };
 use simpim_bounds::{BoundCascade, BoundStage, FnnBound};
 use simpim_core::planner::Planner;
-use simpim_core::stage::PimFnnStage;
+use simpim_core::stage::PimStage;
 use simpim_datasets::PaperDataset;
 use simpim_mining::knn::pim::knn_pim_ed;
 use simpim_mining::{Architecture, RunReport};
@@ -44,7 +44,7 @@ fn main() {
         .iter()
         .map(|&l| FnnBound::build(&w.data, l).expect("divisor"))
         .collect();
-    let pim_stage = PimFnnStage::build(&nds, s, 1e6).expect("divisor");
+    let pim_stage = PimStage::fnn(&nds, s, 1e6).expect("divisor");
     let mut stages: Vec<&dyn BoundStage> = classic.iter().map(|b| b as &dyn BoundStage).collect();
     stages.push(&pim_stage);
     let planner = Planner {

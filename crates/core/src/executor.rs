@@ -10,27 +10,31 @@
 //! host reads only the Φ scalar and the dot result(s) per object —
 //! `3·b` bits instead of `d·b` (Fig. 8).
 //!
-//! Four prepared-function shapes cover the paper's workloads:
+//! Five prepared-function shapes — rows of Table 4 — cover the paper's
+//! workloads. Each is described once, by the private methods of
+//! [`PreparedFunction`]; one pass (`PimExecutor::bound_pass`) serves them
+//! all:
 //!
 //! | shape | regions | bound produced |
 //! |---|---|---|
 //! | `Ed` | `⌊p̄⌋` | `LB_PIM-ED` (Theorem 1), when the dataset fits at `s = d` |
 //! | `Fnn` | `⌊µ(p̂)⌋`, `⌊σ(p̂)⌋` | `LB_PIM-FNN^s` (Theorem 2) |
+//! | `Sm` | `⌊µ(p̂)⌋` | `LB_PIM-SM^s`, when even the µ/σ pair does not fit |
 //! | `Dot` | `⌊p̄⌋` | `UB_PIM-CS` / `UB_PIM-PCC` |
 //! | `Hamming` | code, complement | exact HD (Table 4) |
+
+use std::ops::Range;
 
 use crate::error::CoreError;
 use crate::memory::{choose_dimensionality, resident_plan, MemoryPlan, ResidentShapeChoice};
 use crate::pim_bounds::{
-    host_floor_dot, lb_pim_ed, lb_pim_ed_guarded, lb_pim_fnn, lb_pim_fnn_guarded, lb_pim_sm,
-    lb_pim_sm_guarded, ub_pim_cs, ub_pim_pcc, DotQuant, EdQuant, FnnQuant,
+    host_floor_dot, lb_pim_ed_guarded, lb_pim_fnn_guarded, lb_pim_sm_guarded, ub_pim_cs,
+    ub_pim_pcc, DotQuant, EdQuant, FnnQuant, SmQuant,
 };
 use simpim_reram::array::RegionId;
-use simpim_reram::{
-    AccWidth, CrossbarHealth, DotBatchResult, FaultConfig, PimConfig, PimTiming, ReRamBank,
-};
+use simpim_reram::{AccWidth, CrossbarHealth, FaultConfig, PimConfig, PimTiming, ReRamBank};
 use simpim_similarity::{BinaryDataset, BinaryVecRef, NormalizedDataset, Quantizer};
-use simpim_simkit::FaultCounters;
+use simpim_simkit::{FaultCounters, OpCounters};
 
 /// Executor configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -148,7 +152,7 @@ pub enum SimTarget {
 
 /// Scalar summary of one object for the CS/PCC bounds (the floor vector
 /// itself lives on the crossbars).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DotSummary {
     /// `Σ ⌊p̄ᵢ⌋`.
     pub sum_floor: u64,
@@ -156,6 +160,285 @@ pub struct DotSummary {
     pub norm_scaled: f64,
     /// `Σ p̄ᵢ`.
     pub sum_scaled: f64,
+}
+
+impl DotSummary {
+    /// The scalars of a quantized vector, its floors dropped.
+    fn of(dq: &DotQuant) -> Self {
+        Self {
+            sum_floor: dq.sum_floor,
+            norm_scaled: dq.norm_scaled,
+            sum_scaled: dq.sum_scaled,
+        }
+    }
+
+    /// The form the `pim_bounds` functions take (they never read the
+    /// floors, and an empty `Vec` does not allocate).
+    fn as_quant(&self) -> DotQuant {
+        DotQuant {
+            floors: Vec::new(),
+            sum_floor: self.sum_floor,
+            norm_scaled: self.norm_scaled,
+            sum_scaled: self.sum_scaled,
+        }
+    }
+}
+
+/// One vector in a row's terms — what [`PreparedFunction::quantise`] makes
+/// of a query, an appended row or a row of a streamed block.
+#[derive(Debug)]
+pub(crate) struct Quantised {
+    /// Crossbar operands, one vector per region in call order (the second
+    /// stays empty for a single-region row).
+    pub(crate) floors: [Vec<u32>; 2],
+    /// `Φ` of the vector (`Ed` / `Fnn` / `Sm`).
+    pub(crate) phi: f64,
+    /// Norm and sums of the vector (`Dot`).
+    pub(crate) summary: DotSummary,
+}
+
+impl Quantised {
+    fn new(floors: [Vec<u32>; 2], phi: f64) -> Self {
+        Self {
+            floors,
+            phi,
+            summary: DotSummary::default(),
+        }
+    }
+}
+
+/// A row of Table 4, `F(p, q) = G(Φ(p), Φ(q), p·q)`, described once. The
+/// executor's pass, appends, the streamed build and the host-side
+/// [`crate::stage::PimStage`] read a shape through these methods only.
+impl PreparedFunction {
+    /// The regions read online, in call order: µ before σ, code before
+    /// complement. The ADC-glitch RNG is a stream, so under faults the
+    /// order is part of the result.
+    pub(crate) fn regions(&self) -> Vec<RegionId> {
+        match self {
+            Self::Ed { region, .. } | Self::Dot { region, .. } => vec![*region],
+            Self::Fnn {
+                mu_region,
+                sigma_region,
+                ..
+            } => vec![*mu_region, *sigma_region],
+            Self::Sm { mu_region, .. } => vec![*mu_region],
+            Self::Hamming {
+                code_region,
+                comp_region,
+                ..
+            } => vec![*code_region, *comp_region],
+        }
+    }
+
+    /// Dimensionality of the vectors (width of the codes) the row takes.
+    pub(crate) fn dim(&self) -> usize {
+        match self {
+            Self::Ed { d, .. } | Self::Dot { d, .. } | Self::Hamming { d, .. } => *d,
+            Self::Fnn {
+                d_prime,
+                segment_len,
+                ..
+            }
+            | Self::Sm {
+                d_prime,
+                segment_len,
+                ..
+            } => d_prime * segment_len,
+        }
+    }
+
+    /// The bound's name in the paper's notation.
+    pub(crate) fn name(&self) -> String {
+        match self {
+            Self::Ed { .. } => "LB_PIM-ED".to_string(),
+            Self::Fnn { d_prime, .. } => format!("LB_PIM-FNN^{d_prime}"),
+            Self::Sm { d_prime, .. } => format!("LB_PIM-SM^{d_prime}"),
+            Self::Dot { target, .. } => match target {
+                SimTarget::Cosine => "UB_PIM-CS".to_string(),
+                SimTarget::Pearson => "UB_PIM-PCC".to_string(),
+            },
+            Self::Hamming { .. } => "HD_PIM".to_string(),
+        }
+    }
+
+    /// Bytes the host reads per object to evaluate `G`: the Φ terms plus
+    /// one 8-byte dot result per region (Hamming: two 4-byte results).
+    pub(crate) fn host_bytes_per_object(&self) -> u64 {
+        match self {
+            Self::Ed { .. } | Self::Sm { .. } => 16,
+            Self::Fnn { .. } => 24,
+            Self::Dot { .. } => 32,
+            Self::Hamming { .. } => 8,
+        }
+    }
+
+    /// Accumulator width of the row's dot batches: the least-significant
+    /// 64 bits, 32 for binary codes (the paper's choice for them).
+    fn acc_width(&self) -> AccWidth {
+        match self {
+            Self::Hamming { .. } => AccWidth::U32,
+            _ => AccWidth::U64,
+        }
+    }
+
+    /// `true` when `G` yields the function itself, not a bound of it:
+    /// there is no guard-band to widen, so a drifted read is recomputed
+    /// on the host like a dead one.
+    fn is_exact(&self) -> bool {
+        matches!(self, Self::Hamming { .. })
+    }
+
+    /// The Φ table of the three ED lower-bound rows — the shapes
+    /// `lb_ed_batch` serves and rows can be appended to. The other two
+    /// keep none, which is reported as the mismatch `what`.
+    pub(crate) fn phi_table(&mut self, what: &'static str) -> Result<&mut Vec<f64>, CoreError> {
+        match self {
+            Self::Ed { phis, .. } | Self::Fnn { phis, .. } | Self::Sm { phis, .. } => Ok(phis),
+            Self::Dot { .. } | Self::Hamming { .. } => Err(CoreError::Mismatch { what }),
+        }
+    }
+
+    /// Quantises one normalized vector (values in `[0, 1]`) into the
+    /// row's crossbar operands and Φ terms. Binary codes are integers
+    /// already ([`PimExecutor::hd_batch`] passes them as they are).
+    pub(crate) fn quantise(
+        &self,
+        quantizer: &Quantizer,
+        vector: &[f64],
+    ) -> Result<Quantised, CoreError> {
+        Ok(match self {
+            Self::Ed { .. } => {
+                let eq = EdQuant::from_quantized(quantizer.quantize_vec(vector)?);
+                Quantised::new([eq.floors, Vec::new()], eq.phi)
+            }
+            Self::Fnn { d_prime, .. } => {
+                let fq = FnnQuant::compute(vector, *d_prime, quantizer.alpha())?;
+                Quantised::new([fq.mu_floors, fq.sigma_floors], fq.phi)
+            }
+            Self::Sm { d_prime, .. } => {
+                let sq = SmQuant::compute(vector, *d_prime, quantizer.alpha())?;
+                Quantised::new([sq.mu_floors, Vec::new()], sq.phi)
+            }
+            Self::Dot { .. } => {
+                let dq = DotQuant::from_quantized(quantizer.quantize_vec(vector)?);
+                let summary = DotSummary::of(&dq);
+                Quantised {
+                    summary,
+                    ..Quantised::new([dq.floors, Vec::new()], 0.0)
+                }
+            }
+            Self::Hamming { .. } => {
+                return Err(CoreError::Mismatch {
+                    what: "binary codes are not α-quantised",
+                })
+            }
+        })
+    }
+
+    /// `G` for the objects `objs`, written to `out`. `operands(obj)` gives
+    /// the per-region dot products and the fault slack: each region's
+    /// stored discrepancy `Σ|Δp̄ᵢ|` for a drifted object, zero otherwise. A
+    /// drifted read errs by at most `max⌊q̄ᵢ⌋ · Σ|Δp̄ᵢ|`; the lower bounds
+    /// decrease and the upper bounds increase in their dot terms, so
+    /// adding that envelope to the measured dot keeps every bound valid
+    /// (the lower bounds add it in `f64`, `Dot` in `u64`). `qmax` is that
+    /// largest query operand per region; a caller whose slack is always
+    /// zero need not scan for it. The shape is matched here, once per
+    /// call, and each row keeps its own floating-point expression.
+    pub(crate) fn combine(
+        &self,
+        q: &Quantised,
+        qmax: [u32; 2],
+        alpha: f64,
+        objs: Range<usize>,
+        out: &mut [f64],
+        operands: impl Fn(usize) -> ([u64; 2], [u64; 2]),
+    ) {
+        fn fill(
+            objs: Range<usize>,
+            out: &mut [f64],
+            operands: impl Fn(usize) -> ([u64; 2], [u64; 2]),
+            g: impl Fn(usize, [u64; 2], [u64; 2]) -> f64,
+        ) {
+            for (obj, value) in objs.zip(out) {
+                let (dots, slack) = operands(obj);
+                *value = g(obj, dots, slack);
+            }
+        }
+        match self {
+            Self::Ed { phis, d, .. } => {
+                let qmax = f64::from(qmax[0]);
+                fill(objs, out, operands, |obj, dots, slack| {
+                    let envelope = qmax * slack[0] as f64;
+                    lb_pim_ed_guarded(phis[obj], q.phi, dots[0], *d, alpha, envelope)
+                })
+            }
+            Self::Fnn {
+                phis,
+                d_prime,
+                segment_len,
+                ..
+            } => {
+                let (qmax_mu, qmax_sigma) = (f64::from(qmax[0]), f64::from(qmax[1]));
+                fill(objs, out, operands, |obj, dots, slack| {
+                    lb_pim_fnn_guarded(
+                        phis[obj],
+                        q.phi,
+                        dots[0],
+                        dots[1],
+                        *d_prime,
+                        *segment_len,
+                        alpha,
+                        qmax_mu * slack[0] as f64,
+                        qmax_sigma * slack[1] as f64,
+                    )
+                })
+            }
+            Self::Sm {
+                phis,
+                d_prime,
+                segment_len,
+                ..
+            } => {
+                let qmax = f64::from(qmax[0]);
+                fill(objs, out, operands, |obj, dots, slack| {
+                    let envelope = qmax * slack[0] as f64;
+                    lb_pim_sm_guarded(
+                        phis[obj],
+                        q.phi,
+                        dots[0],
+                        *d_prime,
+                        *segment_len,
+                        alpha,
+                        envelope,
+                    )
+                })
+            }
+            Self::Dot {
+                summaries,
+                d,
+                target,
+                ..
+            } => {
+                let qmax = u64::from(qmax[0]);
+                let qq = q.summary.as_quant();
+                match target {
+                    SimTarget::Cosine => fill(objs, out, operands, |obj, dots, slack| {
+                        let p = summaries[obj].as_quant();
+                        ub_pim_cs(&p, &qq, dots[0] + qmax * slack[0], *d)
+                    }),
+                    SimTarget::Pearson => fill(objs, out, operands, |obj, dots, slack| {
+                        let p = summaries[obj].as_quant();
+                        ub_pim_pcc(&p, &qq, dots[0] + qmax * slack[0], *d)
+                    }),
+                }
+            }
+            Self::Hamming { d, .. } => fill(objs, out, operands, |_, dots, _| {
+                (*d as u64 - dots[0] - dots[1]) as f64
+            }),
+        }
+    }
 }
 
 /// Offline-programming report.
@@ -188,6 +471,17 @@ pub struct BoundBatch {
     /// Cumulative fault/recovery counters up to and including this batch
     /// (all-zero when no fault model is configured).
     pub fault_counters: FaultCounters,
+}
+
+impl BoundBatch {
+    /// Charges the host-side cost of combining this batch: per object,
+    /// the Φ/dot reads plus the O(1) arithmetic of `G`.
+    pub fn charge_g(&self, counters: &mut OpCounters) {
+        let objects = self.values.len() as u64;
+        counters.stream(objects * self.host_bytes_per_object);
+        counters.arith += 4 * objects;
+        counters.mul += 2 * objects;
+    }
 }
 
 /// The PIM executor: a prepared dataset on a ReRAM bank.
@@ -354,11 +648,7 @@ impl PimExecutor {
         for row in ds.rows() {
             let dq = DotQuant::from_quantized(quantizer.quantize_vec(row)?);
             floors.extend_from_slice(&dq.floors);
-            summaries.push(DotSummary {
-                sum_floor: dq.sum_floor,
-                norm_scaled: dq.norm_scaled,
-                sum_scaled: dq.sum_scaled,
-            });
+            summaries.push(DotSummary::of(&dq));
         }
         let rep = bank.program_region(&floors, n, d, cfg.operand_bits)?;
         let phi_bytes = n as u64 * 24;
@@ -448,26 +738,6 @@ impl PimExecutor {
         Ok(exec)
     }
 
-    /// The regions the prepared function reads online.
-    fn regions(&self) -> Vec<RegionId> {
-        match &self.prepared {
-            PreparedFunction::Ed { region, .. } | PreparedFunction::Dot { region, .. } => {
-                vec![*region]
-            }
-            PreparedFunction::Fnn {
-                mu_region,
-                sigma_region,
-                ..
-            } => vec![*mu_region, *sigma_region],
-            PreparedFunction::Sm { mu_region, .. } => vec![*mu_region],
-            PreparedFunction::Hamming {
-                code_region,
-                comp_region,
-                ..
-            } => vec![*code_region, *comp_region],
-        }
-    }
-
     /// One detect-and-recover pass: scrub every region against the fault
     /// map, then remap any dead crossbars onto spare capacity. Quarantined
     /// objects (dead with no clean spare) are recovered per-batch by exact
@@ -475,7 +745,7 @@ impl PimExecutor {
     fn scrub_and_remap(&mut self) -> Result<(), CoreError> {
         let before = self.fault_counters;
         let mut span = simpim_obs::span!("core.executor.scrub");
-        for region in self.regions() {
+        for region in self.prepared.regions() {
             let scrub = self.bank.scrub_region(region)?;
             self.fault_counters.scrubs += 1;
             self.fault_counters.faults_detected += scrub.faulty_cells + scrub.dead as u64;
@@ -570,22 +840,6 @@ impl PimExecutor {
         Ok(())
     }
 
-    /// Per-object `(health, discrepancy)` for one region, in object order.
-    fn region_statuses(
-        &self,
-        region: RegionId,
-        n: usize,
-    ) -> Result<Vec<(CrossbarHealth, u64)>, CoreError> {
-        (0..n)
-            .map(|obj| {
-                Ok((
-                    self.bank.object_health(region, obj)?,
-                    self.bank.pim().object_discrepancy(region, obj)?,
-                ))
-            })
-            .collect()
-    }
-
     /// Runs one detect-and-recover pass now, outside the periodic
     /// [`ExecutorConfig::scrub_interval`] cadence: scrub every region
     /// against the fault map and remap dead crossbars onto spares. A
@@ -644,257 +898,136 @@ impl PimExecutor {
     /// Human-readable name of the bound this executor serves, matching the
     /// paper's notation.
     pub fn bound_name(&self) -> String {
-        match &self.prepared {
-            PreparedFunction::Ed { .. } => "LB_PIM-ED".to_string(),
-            PreparedFunction::Fnn { d_prime, .. } => format!("LB_PIM-FNN^{d_prime}"),
-            PreparedFunction::Sm { d_prime, .. } => format!("LB_PIM-SM^{d_prime}"),
-            PreparedFunction::Dot { target, .. } => match target {
-                SimTarget::Cosine => "UB_PIM-CS".to_string(),
-                SimTarget::Pearson => "UB_PIM-PCC".to_string(),
-            },
-            PreparedFunction::Hamming { .. } => "HD_PIM".to_string(),
-        }
+        self.prepared.name()
     }
 
     /// Lower bounds of squared ED between every prepared object and
-    /// `query` (normalized values in `[0,1]`). Valid for `Ed` and `Fnn`
-    /// shapes.
+    /// `query` (normalized values in `[0,1]`). Valid for the `Ed`, `Fnn`
+    /// and `Sm` shapes.
     pub fn lb_ed_batch(&mut self, query: &[f64]) -> Result<BoundBatch, CoreError> {
-        match &self.prepared {
-            PreparedFunction::Ed { region, d, .. } => {
-                if query.len() != *d {
-                    return Err(CoreError::Mismatch {
-                        what: "query dimensionality",
-                    });
-                }
-                let (region, d) = (*region, *d);
-                self.maybe_scrub()?;
-                let eq = EdQuant::from_quantized(self.quantizer.quantize_vec(query)?);
-                let out = self.bank.dot_batch(region, &eq.floors, AccWidth::U64)?;
-                let statuses = if self.faults_active() {
-                    Some(self.region_statuses(region, out.values.len())?)
-                } else {
-                    None
-                };
-                let qmax = eq.floors.iter().copied().max().unwrap_or(0) as f64;
-                let alpha = self.cfg.alpha;
-                let PreparedFunction::Ed { phis, .. } = &self.prepared else {
-                    unreachable!()
-                };
-                let mut guarded = 0u64;
-                let mut fallbacks = 0u64;
-                let mut values = Vec::with_capacity(out.values.len());
-                for (obj, (&phi_p, &dot)) in phis.iter().zip(&out.values).enumerate() {
-                    let v = match statuses.as_ref().map(|s| s[obj]) {
-                        None | Some((CrossbarHealth::Healthy, _)) => {
-                            lb_pim_ed(phi_p, eq.phi, dot, d, alpha)
-                        }
-                        Some((CrossbarHealth::Drifted, disc)) => {
-                            // |measured − exact| ≤ max⌊q̄ᵢ⌋ · Σ|Δp̄ᵢ|: widen
-                            // the guard-band, the bound stays valid.
-                            guarded += 1;
-                            lb_pim_ed_guarded(phi_p, eq.phi, dot, d, alpha, qmax * disc as f64)
-                        }
-                        Some((CrossbarHealth::Dead, _)) => {
-                            // Quarantined: exact host-side dot on the
-                            // retained floor row — bit-identical to the
-                            // fault-free bound.
-                            fallbacks += 1;
-                            let row = self.bank.pim().region_row(region, obj)?;
-                            lb_pim_ed(phi_p, eq.phi, host_floor_dot(row, &eq.floors), d, alpha)
-                        }
-                    };
-                    values.push(v);
-                }
-                self.fault_counters.guarded_bounds += guarded;
-                self.fault_counters.fallback_refinements += fallbacks;
-                self.record_batch_metrics(guarded, fallbacks);
-                Ok(BoundBatch {
-                    values,
-                    timing: out.timing,
-                    host_bytes_per_object: 16, // Φ(p̄) + dot result
-                    fault_counters: self.fault_counters,
-                })
-            }
-            PreparedFunction::Fnn {
-                mu_region,
-                sigma_region,
-                d_prime,
-                segment_len,
-                ..
-            } => {
-                let expected_d = d_prime * segment_len;
-                if query.len() != expected_d {
-                    return Err(CoreError::Mismatch {
-                        what: "query dimensionality",
-                    });
-                }
-                let (mu_region, sigma_region, d_prime, segment_len) =
-                    (*mu_region, *sigma_region, *d_prime, *segment_len);
-                self.maybe_scrub()?;
-                let fq = FnnQuant::compute(query, d_prime, self.cfg.alpha)?;
-                let mu_out = self
-                    .bank
-                    .dot_batch(mu_region, &fq.mu_floors, AccWidth::U64)?;
-                let sg_out = self
-                    .bank
-                    .dot_batch(sigma_region, &fq.sigma_floors, AccWidth::U64)?;
-                let mut timing = mu_out.timing;
-                if self.cfg.parallel_regions {
-                    timing.merge_parallel(&sg_out.timing);
-                } else {
-                    timing.add(&sg_out.timing);
-                }
-                let n = mu_out.values.len();
-                let statuses = if self.faults_active() {
-                    Some((
-                        self.region_statuses(mu_region, n)?,
-                        self.region_statuses(sigma_region, n)?,
-                    ))
-                } else {
-                    None
-                };
-                let qmax_mu = fq.mu_floors.iter().copied().max().unwrap_or(0) as f64;
-                let qmax_sg = fq.sigma_floors.iter().copied().max().unwrap_or(0) as f64;
-                let alpha = self.cfg.alpha;
-                let PreparedFunction::Fnn { phis, .. } = &self.prepared else {
-                    unreachable!()
-                };
-                let mut guarded = 0u64;
-                let mut fallbacks = 0u64;
-                let mut values = Vec::with_capacity(n);
-                for (obj, (&phi_p, (&dm, &ds))) in phis
-                    .iter()
-                    .zip(mu_out.values.iter().zip(&sg_out.values))
-                    .enumerate()
-                {
-                    let status = statuses.as_ref().map(|(mu, sg)| (mu[obj], sg[obj]));
-                    let dead = matches!(
-                        status,
-                        Some(((CrossbarHealth::Dead, _), _)) | Some((_, (CrossbarHealth::Dead, _)))
-                    );
-                    let v = if dead {
-                        fallbacks += 1;
-                        let mu_row = self.bank.pim().region_row(mu_region, obj)?;
-                        let dm_exact = host_floor_dot(mu_row, &fq.mu_floors);
-                        let sg_row = self.bank.pim().region_row(sigma_region, obj)?;
-                        let ds_exact = host_floor_dot(sg_row, &fq.sigma_floors);
-                        lb_pim_fnn(
-                            phi_p,
-                            fq.phi,
-                            dm_exact,
-                            ds_exact,
-                            d_prime,
-                            segment_len,
-                            alpha,
-                        )
-                    } else if let Some(((_, disc_mu), (_, disc_sg))) =
-                        status.filter(|((_, dm), (_, ds))| dm + ds > 0)
-                    {
-                        guarded += 1;
-                        lb_pim_fnn_guarded(
-                            phi_p,
-                            fq.phi,
-                            dm,
-                            ds,
-                            d_prime,
-                            segment_len,
-                            alpha,
-                            qmax_mu * disc_mu as f64,
-                            qmax_sg * disc_sg as f64,
-                        )
-                    } else {
-                        lb_pim_fnn(phi_p, fq.phi, dm, ds, d_prime, segment_len, alpha)
-                    };
-                    values.push(v);
-                }
-                self.fault_counters.guarded_bounds += guarded;
-                self.fault_counters.fallback_refinements += fallbacks;
-                self.record_batch_metrics(guarded, fallbacks);
-                Ok(BoundBatch {
-                    values,
-                    timing,
-                    host_bytes_per_object: 24, // Φ(p̂) + two dot results
-                    fault_counters: self.fault_counters,
-                })
-            }
-            PreparedFunction::Sm {
-                mu_region,
-                d_prime,
-                segment_len,
-                ..
-            } => {
-                let expected_d = d_prime * segment_len;
-                if query.len() != expected_d {
-                    return Err(CoreError::Mismatch {
-                        what: "query dimensionality",
-                    });
-                }
-                let (mu_region, d_prime, segment_len) = (*mu_region, *d_prime, *segment_len);
-                self.maybe_scrub()?;
-                let sq = crate::pim_bounds::SmQuant::compute(query, d_prime, self.cfg.alpha)?;
-                let out = self
-                    .bank
-                    .dot_batch(mu_region, &sq.mu_floors, AccWidth::U64)?;
-                let statuses = if self.faults_active() {
-                    Some(self.region_statuses(mu_region, out.values.len())?)
-                } else {
-                    None
-                };
-                let qmax = sq.mu_floors.iter().copied().max().unwrap_or(0) as f64;
-                let alpha = self.cfg.alpha;
-                let PreparedFunction::Sm { phis, .. } = &self.prepared else {
-                    unreachable!()
-                };
-                let mut guarded = 0u64;
-                let mut fallbacks = 0u64;
-                let mut values = Vec::with_capacity(out.values.len());
-                for (obj, (&phi_p, &dot)) in phis.iter().zip(&out.values).enumerate() {
-                    let v = match statuses.as_ref().map(|s| s[obj]) {
-                        None | Some((CrossbarHealth::Healthy, _)) => {
-                            lb_pim_sm(phi_p, sq.phi, dot, d_prime, segment_len, alpha)
-                        }
-                        Some((CrossbarHealth::Drifted, disc)) => {
-                            guarded += 1;
-                            lb_pim_sm_guarded(
-                                phi_p,
-                                sq.phi,
-                                dot,
-                                d_prime,
-                                segment_len,
-                                alpha,
-                                qmax * disc as f64,
-                            )
-                        }
-                        Some((CrossbarHealth::Dead, _)) => {
-                            fallbacks += 1;
-                            let row = self.bank.pim().region_row(mu_region, obj)?;
-                            lb_pim_sm(
-                                phi_p,
-                                sq.phi,
-                                host_floor_dot(row, &sq.mu_floors),
-                                d_prime,
-                                segment_len,
-                                alpha,
-                            )
-                        }
-                    };
-                    values.push(v);
-                }
-                self.fault_counters.guarded_bounds += guarded;
-                self.fault_counters.fallback_refinements += fallbacks;
-                self.record_batch_metrics(guarded, fallbacks);
-                Ok(BoundBatch {
-                    values,
-                    timing: out.timing,
-                    host_bytes_per_object: 16, // Φ(p̂) + one dot result
-                    fault_counters: self.fault_counters,
-                })
-            }
-            _ => Err(CoreError::Mismatch {
-                what: "executor not prepared for ED bounds",
-            }),
+        self.prepared
+            .phi_table("executor not prepared for ED bounds")?;
+        self.vector_pass(query)
+    }
+
+    /// Upper bounds of the prepared similarity (CS or PCC) between every
+    /// object and `query`. Valid for the `Dot` shape.
+    pub fn ub_sim_batch(&mut self, query: &[f64]) -> Result<BoundBatch, CoreError> {
+        if !matches!(self.prepared, PreparedFunction::Dot { .. }) {
+            return Err(CoreError::Mismatch {
+                what: "executor not prepared for similarity bounds",
+            });
         }
+        self.vector_pass(query)
+    }
+
+    /// Exact Hamming distances between every prepared code and `query`.
+    /// Valid for the `Hamming` shape.
+    pub fn hd_batch(&mut self, query: &BinaryVecRef<'_>) -> Result<BoundBatch, CoreError> {
+        if !matches!(self.prepared, PreparedFunction::Hamming { .. }) {
+            return Err(CoreError::Mismatch {
+                what: "executor not prepared for Hamming distance",
+            });
+        }
+        if query.bits() != self.prepared.dim() {
+            return Err(CoreError::Mismatch {
+                what: "query code width",
+            });
+        }
+        let operands = [query.to_unsigned(), query.complement_to_unsigned()];
+        self.bound_pass(|_| Ok(Quantised::new(operands, 0.0)))
+    }
+
+    /// The pass for a float query, its dimensionality checked.
+    fn vector_pass(&mut self, query: &[f64]) -> Result<BoundBatch, CoreError> {
+        if query.len() != self.prepared.dim() {
+            return Err(CoreError::Mismatch {
+                what: "query dimensionality",
+            });
+        }
+        self.bound_pass(|exec| exec.prepared.quantise(&exec.quantizer, query))
+    }
+
+    /// The one online pass under every front: scrub cadence → quantise →
+    /// one dot batch per region → per-object recovery → `G`.
+    ///
+    /// Recovery is the single health rule (DESIGN.md §7). An object dead
+    /// in any region gets the exact host-side dot over its retained rows
+    /// in every region — bit-identical to the fault-free result. An
+    /// object with a stored discrepancy keeps its measured dots and hands
+    /// the discrepancies to `G` as guard-band slack, unless the row is an
+    /// exact function, which has no band to widen and takes the exact
+    /// recompute too. A healthy object keeps its measured dots. Without
+    /// an active fault model no status is looked up at all.
+    fn bound_pass(
+        &mut self,
+        quantise: impl FnOnce(&Self) -> Result<Quantised, CoreError>,
+    ) -> Result<BoundBatch, CoreError> {
+        self.maybe_scrub()?;
+        let q = quantise(self)?;
+        let regions = self.prepared.regions();
+        let mut dots: [Vec<u64>; 2] = Default::default();
+        let mut timing = PimTiming::default();
+        for (r, (&region, floors)) in regions.iter().zip(&q.floors).enumerate() {
+            let out = self
+                .bank
+                .dot_batch(region, floors, self.prepared.acc_width())?;
+            if r == 0 {
+                timing = out.timing;
+            } else if self.cfg.parallel_regions {
+                timing.merge_parallel(&out.timing);
+            } else {
+                timing.add(&out.timing);
+            }
+            dots[r] = out.values;
+        }
+        let n = dots[0].len();
+
+        let (mut guarded, mut fallbacks) = (0u64, 0u64);
+        let mut slack: Vec<[u64; 2]> = Vec::new();
+        if self.faults_active() {
+            slack.resize(n, [0; 2]);
+            let pim = self.bank.pim();
+            for (obj, entry) in slack.iter_mut().enumerate() {
+                let (mut dead, mut discrepancy) = (false, [0u64; 2]);
+                for (r, &region) in regions.iter().enumerate() {
+                    dead |= pim.object_health(region, obj)? == CrossbarHealth::Dead;
+                    discrepancy[r] = pim.object_discrepancy(region, obj)?;
+                }
+                let drifted = discrepancy != [0; 2];
+                if dead || (drifted && self.prepared.is_exact()) {
+                    fallbacks += 1;
+                    for (r, &region) in regions.iter().enumerate() {
+                        dots[r][obj] = host_floor_dot(pim.region_row(region, obj)?, &q.floors[r]);
+                    }
+                } else if drifted {
+                    guarded += 1;
+                    *entry = discrepancy;
+                }
+            }
+        }
+
+        let mut values = vec![0.0; n];
+        let qmax = [0, 1].map(|r| q.floors[r].iter().copied().max().unwrap_or(0));
+        // Single-region rows have no second dot, fault-free passes no slack.
+        let at = |table: &[u64], obj: usize| table.get(obj).copied().unwrap_or(0);
+        let alpha = self.quantizer.alpha();
+        self.prepared
+            .combine(&q, qmax, alpha, 0..n, &mut values, |obj| {
+                (
+                    [dots[0][obj], at(&dots[1], obj)],
+                    slack.get(obj).copied().unwrap_or_default(),
+                )
+            });
+        self.fault_counters.guarded_bounds += guarded;
+        self.fault_counters.fallback_refinements += fallbacks;
+        self.record_batch_metrics(guarded, fallbacks);
+        Ok(BoundBatch {
+            values,
+            timing,
+            host_bytes_per_object: self.prepared.host_bytes_per_object(),
+            fault_counters: self.fault_counters,
+        })
     }
 
     /// Runs [`PimExecutor::lb_ed_batch`] for a coalesced batch of queries
@@ -937,70 +1070,20 @@ impl PimExecutor {
     /// `Ed`, `Fnn` and `Sm` shapes (the ones
     /// [`PimExecutor::prepare_euclidean_resident`] produces).
     pub fn append_row(&mut self, row: &[f64]) -> Result<usize, CoreError> {
-        let idx = match &self.prepared {
-            PreparedFunction::Ed { region, d, .. } => {
-                if row.len() != *d {
-                    return Err(CoreError::Mismatch {
-                        what: "row dimensionality",
-                    });
-                }
-                let region = *region;
-                let eq = EdQuant::from_quantized(self.quantizer.quantize_vec(row)?);
-                self.bank.append_rows(region, &eq.floors)?;
-                let PreparedFunction::Ed { phis, .. } = &mut self.prepared else {
-                    unreachable!()
-                };
-                phis.push(eq.phi);
-                phis.len() - 1
-            }
-            PreparedFunction::Fnn {
-                mu_region,
-                sigma_region,
-                d_prime,
-                segment_len,
-                ..
-            } => {
-                if row.len() != d_prime * segment_len {
-                    return Err(CoreError::Mismatch {
-                        what: "row dimensionality",
-                    });
-                }
-                let (mu_region, sigma_region, d_prime) = (*mu_region, *sigma_region, *d_prime);
-                let fq = FnnQuant::compute(row, d_prime, self.cfg.alpha)?;
-                self.bank.append_rows(mu_region, &fq.mu_floors)?;
-                self.bank.append_rows(sigma_region, &fq.sigma_floors)?;
-                let PreparedFunction::Fnn { phis, .. } = &mut self.prepared else {
-                    unreachable!()
-                };
-                phis.push(fq.phi);
-                phis.len() - 1
-            }
-            PreparedFunction::Sm {
-                mu_region,
-                d_prime,
-                segment_len,
-                ..
-            } => {
-                if row.len() != d_prime * segment_len {
-                    return Err(CoreError::Mismatch {
-                        what: "row dimensionality",
-                    });
-                }
-                let (mu_region, d_prime) = (*mu_region, *d_prime);
-                let sq = crate::pim_bounds::SmQuant::compute(row, d_prime, self.cfg.alpha)?;
-                self.bank.append_rows(mu_region, &sq.mu_floors)?;
-                let PreparedFunction::Sm { phis, .. } = &mut self.prepared else {
-                    unreachable!()
-                };
-                phis.push(sq.phi);
-                phis.len() - 1
-            }
-            _ => {
-                return Err(CoreError::Mismatch {
-                    what: "executor shape does not support appends",
-                })
-            }
-        };
+        const UNSUPPORTED: &str = "executor shape does not support appends";
+        self.prepared.phi_table(UNSUPPORTED)?;
+        if row.len() != self.prepared.dim() {
+            return Err(CoreError::Mismatch {
+                what: "row dimensionality",
+            });
+        }
+        let q = self.prepared.quantise(&self.quantizer, row)?;
+        for (&region, floors) in self.prepared.regions().iter().zip(&q.floors) {
+            self.bank.append_rows(region, floors)?;
+        }
+        let phis = self.prepared.phi_table(UNSUPPORTED)?;
+        phis.push(q.phi);
+        let idx = phis.len() - 1;
         // Appending invalidates the lazy fault survey; re-scrub now so the
         // next batch's per-object health lookups stay available.
         if self.cfg.faults.is_some() {
@@ -1014,7 +1097,7 @@ impl PimExecutor {
     /// over regions — an append consumes one slot in each).
     pub fn spare_capacity(&self) -> Result<usize, CoreError> {
         let mut spare = usize::MAX;
-        for region in self.regions() {
+        for region in self.prepared.regions() {
             spare = spare.min(self.bank.region_spare(region)?);
         }
         Ok(spare)
@@ -1022,166 +1105,9 @@ impl PimExecutor {
 
     /// Number of objects currently resident (initial rows + appends).
     pub fn resident_len(&self) -> Result<usize, CoreError> {
-        let (n, _, _) = self.bank.pim().region_shape(self.regions()[0])?;
+        let (n, _, _) = self.bank.pim().region_shape(self.prepared.regions()[0])?;
         Ok(n)
     }
-
-    /// Upper bounds of the prepared similarity (CS or PCC) between every
-    /// object and `query`. Valid for the `Dot` shape.
-    pub fn ub_sim_batch(&mut self, query: &[f64]) -> Result<BoundBatch, CoreError> {
-        let PreparedFunction::Dot {
-            region, d, target, ..
-        } = &self.prepared
-        else {
-            return Err(CoreError::Mismatch {
-                what: "executor not prepared for similarity bounds",
-            });
-        };
-        if query.len() != *d {
-            return Err(CoreError::Mismatch {
-                what: "query dimensionality",
-            });
-        }
-        let (region, d, target) = (*region, *d, *target);
-        self.maybe_scrub()?;
-        let qq = DotQuant::from_quantized(self.quantizer.quantize_vec(query)?);
-        let out = self.bank.dot_batch(region, &qq.floors, AccWidth::U64)?;
-        let statuses = if self.faults_active() {
-            Some(self.region_statuses(region, out.values.len())?)
-        } else {
-            None
-        };
-        let qmax = u64::from(qq.floors.iter().copied().max().unwrap_or(0));
-        let PreparedFunction::Dot { summaries, .. } = &self.prepared else {
-            unreachable!()
-        };
-        let mut guarded = 0u64;
-        let mut fallbacks = 0u64;
-        let mut values = Vec::with_capacity(out.values.len());
-        for (obj, (s, &dot)) in summaries.iter().zip(&out.values).enumerate() {
-            let p = DotQuant {
-                floors: Vec::new(),
-                sum_floor: s.sum_floor,
-                norm_scaled: s.norm_scaled,
-                sum_scaled: s.sum_scaled,
-            };
-            // The similarity UBs are increasing in the dot term, so a
-            // drifted read is guarded by *inflating* the measured value;
-            // dead objects fall back to the exact host-side dot.
-            let effective_dot = match statuses.as_ref().map(|s| s[obj]) {
-                None | Some((CrossbarHealth::Healthy, _)) => dot,
-                Some((CrossbarHealth::Drifted, disc)) => {
-                    guarded += 1;
-                    dot + qmax * disc
-                }
-                Some((CrossbarHealth::Dead, _)) => {
-                    fallbacks += 1;
-                    let row = self.bank.pim().region_row(region, obj)?;
-                    host_floor_dot(row, &qq.floors)
-                }
-            };
-            values.push(match target {
-                SimTarget::Cosine => ub_pim_cs(&p, &qq, effective_dot, d),
-                SimTarget::Pearson => ub_pim_pcc(&p, &qq, effective_dot, d),
-            });
-        }
-        self.fault_counters.guarded_bounds += guarded;
-        self.fault_counters.fallback_refinements += fallbacks;
-        self.record_batch_metrics(guarded, fallbacks);
-        Ok(BoundBatch {
-            values,
-            timing: out.timing,
-            host_bytes_per_object: 32,
-            fault_counters: self.fault_counters,
-        })
-    }
-
-    /// Exact Hamming distances between every prepared code and `query`.
-    /// Valid for the `Hamming` shape. Uses the 32-bit accumulator the
-    /// paper selects for binary data.
-    pub fn hd_batch(&mut self, query: &BinaryVecRef<'_>) -> Result<BoundBatch, CoreError> {
-        let PreparedFunction::Hamming {
-            code_region,
-            comp_region,
-            d,
-        } = &self.prepared
-        else {
-            return Err(CoreError::Mismatch {
-                what: "executor not prepared for Hamming distance",
-            });
-        };
-        if query.bits() != *d {
-            return Err(CoreError::Mismatch {
-                what: "query code width",
-            });
-        }
-        let (code_region, comp_region, d) = (*code_region, *comp_region, *d);
-        self.maybe_scrub()?;
-        let q = query.to_unsigned();
-        let qc = query.complement_to_unsigned();
-        let code_out: DotBatchResult = self.bank.dot_batch(code_region, &q, AccWidth::U32)?;
-        let comp_out: DotBatchResult = self.bank.dot_batch(comp_region, &qc, AccWidth::U32)?;
-        let mut timing = code_out.timing;
-        if self.cfg.parallel_regions {
-            timing.merge_parallel(&comp_out.timing);
-        } else {
-            timing.add(&comp_out.timing);
-        }
-        let n = code_out.values.len();
-        let statuses = if self.faults_active() {
-            Some((
-                self.region_statuses(code_region, n)?,
-                self.region_statuses(comp_region, n)?,
-            ))
-        } else {
-            None
-        };
-        let mut fallbacks = 0u64;
-        let mut values = Vec::with_capacity(n);
-        for (obj, (&dot, &dotc)) in code_out.values.iter().zip(&comp_out.values).enumerate() {
-            // HD is used as an *exact* distance (Table 4), so there is no
-            // guard-band to widen: any fault-touched object is recomputed
-            // exactly from the retained code rows.
-            let degraded = statuses.as_ref().is_some_and(|(code, comp)| {
-                code[obj] != (CrossbarHealth::Healthy, 0)
-                    || comp[obj] != (CrossbarHealth::Healthy, 0)
-            });
-            let v = if degraded {
-                fallbacks += 1;
-                let code_dot = host_floor_dot(self.bank.pim().region_row(code_region, obj)?, &q);
-                let comp_dot = host_floor_dot(self.bank.pim().region_row(comp_region, obj)?, &qc);
-                (d as u64 - code_dot - comp_dot) as f64
-            } else {
-                (d as u64 - dot - dotc) as f64
-            };
-            values.push(v);
-        }
-        self.fault_counters.fallback_refinements += fallbacks;
-        self.record_batch_metrics(0, fallbacks);
-        Ok(BoundBatch {
-            values,
-            timing,
-            host_bytes_per_object: 8,
-            fault_counters: self.fault_counters,
-        })
-    }
-}
-
-/// Region handles of the shape under construction.
-#[derive(Debug, Clone, Copy)]
-enum ResidentShape {
-    Ed {
-        region: RegionId,
-    },
-    Fnn {
-        mu_region: RegionId,
-        sigma_region: RegionId,
-        segment_len: usize,
-    },
-    Sm {
-        mu_region: RegionId,
-        segment_len: usize,
-    },
 }
 
 /// The constructor of every ED-family executor
@@ -1199,16 +1125,15 @@ pub struct ResidentBuilder {
     bank: ReRamBank,
     quantizer: Quantizer,
     plan: MemoryPlan,
-    shape: ResidentShape,
-    d: usize,
+    /// The shape being built: regions allocated, Φ table filling.
+    prepared: PreparedFunction,
     n_total: usize,
     capacity: usize,
     pushed: usize,
-    phis: Vec<f64>,
     cell_writes: u64,
     program_ns: f64,
-    floor_buf: Vec<u32>,
-    sigma_buf: Vec<u32>,
+    /// One block's floors per region, reused across blocks.
+    floor_bufs: [Vec<u32>; 2],
 }
 
 impl ResidentBuilder {
@@ -1232,16 +1157,26 @@ impl ResidentBuilder {
             program_ns += rep.program_ns;
             Ok(rep.region)
         };
-        let shape = match shape {
-            ResidentShapeChoice::Uncompressed => ResidentShape::Ed { region: begin()? },
-            ResidentShapeChoice::MuSigma => ResidentShape::Fnn {
+        let phis = Vec::with_capacity(n_total);
+        let (d_prime, segment_len) = (plan.s, d / plan.s);
+        let prepared = match shape {
+            ResidentShapeChoice::Uncompressed => PreparedFunction::Ed {
+                region: begin()?,
+                phis,
+                d,
+            },
+            ResidentShapeChoice::MuSigma => PreparedFunction::Fnn {
                 mu_region: begin()?,
                 sigma_region: begin()?,
-                segment_len: 0,
+                phis,
+                d_prime,
+                segment_len,
             },
-            ResidentShapeChoice::MeanOnly => ResidentShape::Sm {
+            ResidentShapeChoice::MeanOnly => PreparedFunction::Sm {
                 mu_region: begin()?,
-                segment_len: 0,
+                phis,
+                d_prime,
+                segment_len,
             },
         };
         Ok(Self {
@@ -1249,16 +1184,13 @@ impl ResidentBuilder {
             bank,
             quantizer,
             plan,
-            shape,
-            d,
+            prepared,
             n_total,
             capacity,
             pushed: 0,
-            phis: Vec::with_capacity(n_total),
             cell_writes,
             program_ns,
-            floor_buf: Vec::new(),
-            sigma_buf: Vec::new(),
+            floor_bufs: Default::default(),
         })
     }
 
@@ -1281,62 +1213,38 @@ impl ResidentBuilder {
     /// `k × d`, values normalized to `[0, 1]`). Blocks arrive in dataset
     /// order; any block partitioning produces the same stored matrix.
     pub fn push_rows(&mut self, flat: &[f64]) -> Result<(), CoreError> {
-        if flat.is_empty() || !flat.len().is_multiple_of(self.d) {
+        let d = self.prepared.dim();
+        if flat.is_empty() || !flat.len().is_multiple_of(d) {
             return Err(CoreError::Mismatch {
                 what: "pushed block must be a non-empty multiple of d",
             });
         }
-        let k = flat.len() / self.d;
+        let k = flat.len() / d;
         if self.pushed + k > self.n_total {
             return Err(CoreError::Mismatch {
                 what: "pushed more rows than the declared total",
             });
         }
-        self.floor_buf.clear();
-        match &mut self.shape {
-            ResidentShape::Ed { region } => {
-                for row in flat.chunks_exact(self.d) {
-                    let eq = EdQuant::from_quantized(self.quantizer.quantize_vec(row)?);
-                    self.floor_buf.extend_from_slice(&eq.floors);
-                    self.phis.push(eq.phi);
-                }
-                let rep = self.bank.fill_rows(*region, &self.floor_buf)?;
-                self.cell_writes += rep.cell_writes;
-                self.program_ns += rep.program_ns;
+        self.floor_bufs.iter_mut().for_each(Vec::clear);
+        let mut phis = Vec::with_capacity(k);
+        for row in flat.chunks_exact(d) {
+            let q = self.prepared.quantise(&self.quantizer, row)?;
+            for (buf, floors) in self.floor_bufs.iter_mut().zip(&q.floors) {
+                buf.extend_from_slice(floors);
             }
-            ResidentShape::Fnn {
-                mu_region,
-                sigma_region,
-                segment_len,
-            } => {
-                self.sigma_buf.clear();
-                for row in flat.chunks_exact(self.d) {
-                    let fq = FnnQuant::compute(row, self.plan.s, self.cfg.alpha)?;
-                    *segment_len = fq.segment_len;
-                    self.floor_buf.extend_from_slice(&fq.mu_floors);
-                    self.sigma_buf.extend_from_slice(&fq.sigma_floors);
-                    self.phis.push(fq.phi);
-                }
-                let rep_mu = self.bank.fill_rows(*mu_region, &self.floor_buf)?;
-                let rep_sigma = self.bank.fill_rows(*sigma_region, &self.sigma_buf)?;
-                self.cell_writes += rep_mu.cell_writes + rep_sigma.cell_writes;
-                self.program_ns += rep_mu.program_ns + rep_sigma.program_ns;
-            }
-            ResidentShape::Sm {
-                mu_region,
-                segment_len,
-            } => {
-                for row in flat.chunks_exact(self.d) {
-                    let sq = crate::pim_bounds::SmQuant::compute(row, self.plan.s, self.cfg.alpha)?;
-                    *segment_len = sq.segment_len;
-                    self.floor_buf.extend_from_slice(&sq.mu_floors);
-                    self.phis.push(sq.phi);
-                }
-                let rep = self.bank.fill_rows(*mu_region, &self.floor_buf)?;
-                self.cell_writes += rep.cell_writes;
-                self.program_ns += rep.program_ns;
-            }
+            phis.push(q.phi);
         }
+        let (mut cell_writes, mut program_ns) = (0u64, 0.0f64);
+        for (&region, buf) in self.prepared.regions().iter().zip(&self.floor_bufs) {
+            let rep = self.bank.fill_rows(region, buf)?;
+            cell_writes += rep.cell_writes;
+            program_ns += rep.program_ns;
+        }
+        self.cell_writes += cell_writes;
+        self.program_ns += program_ns;
+        self.prepared
+            .phi_table("resident shapes are ED lower bounds")?
+            .extend(phis);
         self.pushed += k;
         Ok(())
     }
@@ -1350,17 +1258,8 @@ impl ResidentBuilder {
                 what: "streamed preparation sealed before all declared rows arrived",
             });
         }
-        let regions: Vec<RegionId> = match &self.shape {
-            ResidentShape::Ed { region } => vec![*region],
-            ResidentShape::Fnn {
-                mu_region,
-                sigma_region,
-                ..
-            } => vec![*mu_region, *sigma_region],
-            ResidentShape::Sm { mu_region, .. } => vec![*mu_region],
-        };
-        for r in regions {
-            self.bank.finish_region(r)?;
+        for region in self.prepared.regions() {
+            self.bank.finish_region(region)?;
         }
         let phi_bytes = self.capacity as u64 * 8;
         self.bank.memory_mut().store(phi_bytes)?;
@@ -1373,34 +1272,7 @@ impl ResidentBuilder {
                 * if self.cfg.double_buffer { 2 } else { 1 },
             fault_counters: FaultCounters::default(),
         };
-        let prepared = match self.shape {
-            ResidentShape::Ed { region } => PreparedFunction::Ed {
-                region,
-                phis: self.phis,
-                d: self.d,
-            },
-            ResidentShape::Fnn {
-                mu_region,
-                sigma_region,
-                segment_len,
-            } => PreparedFunction::Fnn {
-                mu_region,
-                sigma_region,
-                phis: self.phis,
-                d_prime: self.plan.s,
-                segment_len,
-            },
-            ResidentShape::Sm {
-                mu_region,
-                segment_len,
-            } => PreparedFunction::Sm {
-                mu_region,
-                phis: self.phis,
-                d_prime: self.plan.s,
-                segment_len,
-            },
-        };
-        PimExecutor::finish(self.bank, self.quantizer, self.cfg, prepared, report)
+        PimExecutor::finish(self.bank, self.quantizer, self.cfg, self.prepared, report)
     }
 }
 
@@ -1526,8 +1398,8 @@ mod tests {
                 "wear differs at crossbar {xb}"
             );
         }
-        assert_eq!(streamed.regions(), one.regions());
-        for region in one.regions() {
+        assert_eq!(streamed.prepared.regions(), one.prepared.regions());
+        for region in one.prepared.regions() {
             for obj in 0..ds.len() {
                 assert_eq!(
                     streamed.bank().pim().region_row(region, obj).unwrap(),
@@ -1628,7 +1500,7 @@ mod tests {
         }
         // The explicit-`d_prime` front stores the same matrix.
         let forced = PimExecutor::prepare_fnn(cfg(8), &data, *d_prime).unwrap();
-        for region in exec.regions() {
+        for region in exec.prepared.regions() {
             for i in 0..data.dataset().len() {
                 assert_eq!(row_of(&forced, region, i), row_of(&exec, region, i));
             }
@@ -2124,6 +1996,403 @@ mod tests {
                 // values bit-identical to the fault-free run.
                 assert_eq!(got, want, "seed={seed} i={i}");
             }
+        }
+    }
+
+    /// What a pass is given: a float vector or a binary code.
+    #[derive(Clone, Copy)]
+    enum Operand<'a> {
+        Vector(&'a [f64]),
+        Code(BinaryVecRef<'a>),
+    }
+
+    /// The per-shape pass kept as the reference: each shape's own
+    /// quantisation, its dot batches issued region by region on `twin`'s
+    /// bank (an executor built exactly like the one under test, so its
+    /// fault map and ADC-glitch stream are in the same state), and per
+    /// object the health rule and the `pim_bounds` function of that shape,
+    /// written out arm by arm. Φ terms are recomputed from `rows`, the
+    /// test's own copy of the stored vectors.
+    fn reference_batch(
+        twin: &mut PimExecutor,
+        rows: &[Vec<f64>],
+        input: Operand<'_>,
+    ) -> BoundBatch {
+        use crate::pim_bounds::{lb_pim_ed, lb_pim_fnn, lb_pim_sm};
+        let alpha = twin.config().alpha;
+        let quantizer = Quantizer::identity(alpha).unwrap();
+        let faults = twin.config().faults.is_some_and(|f| !f.is_inert());
+        let prepared = twin.prepared().clone();
+
+        // Regions in call order, the query's operands for each, its Φ.
+        let (regions, floors, phi_q, acc, host_bytes) = match (&prepared, input) {
+            (PreparedFunction::Ed { region, .. }, Operand::Vector(v)) => {
+                let eq = EdQuant::from_quantized(quantizer.quantize_vec(v).unwrap());
+                (vec![*region], vec![eq.floors], eq.phi, AccWidth::U64, 16)
+            }
+            (
+                PreparedFunction::Fnn {
+                    mu_region,
+                    sigma_region,
+                    d_prime,
+                    ..
+                },
+                Operand::Vector(v),
+            ) => {
+                let fq = FnnQuant::compute(v, *d_prime, alpha).unwrap();
+                let regions = vec![*mu_region, *sigma_region];
+                let floors = vec![fq.mu_floors, fq.sigma_floors];
+                (regions, floors, fq.phi, AccWidth::U64, 24)
+            }
+            (
+                PreparedFunction::Sm {
+                    mu_region, d_prime, ..
+                },
+                Operand::Vector(v),
+            ) => {
+                let sq = SmQuant::compute(v, *d_prime, alpha).unwrap();
+                (
+                    vec![*mu_region],
+                    vec![sq.mu_floors],
+                    sq.phi,
+                    AccWidth::U64,
+                    16,
+                )
+            }
+            (PreparedFunction::Dot { region, .. }, Operand::Vector(v)) => {
+                let floors = quantizer.quantize_vec(v).unwrap().floors;
+                (vec![*region], vec![floors], 0.0, AccWidth::U64, 32)
+            }
+            (
+                PreparedFunction::Hamming {
+                    code_region,
+                    comp_region,
+                    ..
+                },
+                Operand::Code(c),
+            ) => {
+                let regions = vec![*code_region, *comp_region];
+                let floors = vec![c.to_unsigned(), c.complement_to_unsigned()];
+                (regions, floors, 0.0, AccWidth::U32, 8)
+            }
+            _ => panic!("operand does not fit the shape"),
+        };
+
+        let outs: Vec<_> = regions
+            .iter()
+            .zip(&floors)
+            .map(|(&r, f)| twin.bank_mut().dot_batch(r, f, acc).unwrap())
+            .collect();
+        let mut timing = outs[0].timing;
+        if let Some(second) = outs.get(1) {
+            timing.merge_parallel(&second.timing);
+        }
+
+        let mut fc = *twin.fault_counters();
+        let pim = twin.bank().pim();
+        let qmax = |r: usize| f64::from(floors[r].iter().copied().max().unwrap_or(0));
+        let values = (0..outs[0].values.len())
+            .map(|obj| {
+                let status = |r: usize| {
+                    if !faults {
+                        return (CrossbarHealth::Healthy, 0);
+                    }
+                    (
+                        pim.object_health(regions[r], obj).unwrap(),
+                        pim.object_discrepancy(regions[r], obj).unwrap(),
+                    )
+                };
+                let statuses: Vec<_> = (0..regions.len()).map(status).collect();
+                let dead = statuses.iter().any(|s| s.0 == CrossbarHealth::Dead);
+                let drifted = !dead && statuses.iter().any(|s| s.1 > 0);
+                let measured = |r: usize| outs[r].values[obj];
+                let exact =
+                    |r: usize| host_floor_dot(pim.region_row(regions[r], obj).unwrap(), &floors[r]);
+                let envelope = |r: usize| qmax(r) * statuses[r].1 as f64;
+                let row_quant = || quantizer.quantize_vec(&rows[obj]).unwrap();
+                match &prepared {
+                    PreparedFunction::Ed { d, .. } => {
+                        let phi_p = EdQuant::from_quantized(row_quant()).phi;
+                        if dead {
+                            fc.fallback_refinements += 1;
+                            lb_pim_ed(phi_p, phi_q, exact(0), *d, alpha)
+                        } else if drifted {
+                            fc.guarded_bounds += 1;
+                            lb_pim_ed_guarded(phi_p, phi_q, measured(0), *d, alpha, envelope(0))
+                        } else {
+                            lb_pim_ed(phi_p, phi_q, measured(0), *d, alpha)
+                        }
+                    }
+                    PreparedFunction::Fnn {
+                        d_prime,
+                        segment_len,
+                        ..
+                    } => {
+                        let phi_p = FnnQuant::compute(&rows[obj], *d_prime, alpha).unwrap().phi;
+                        let (dp, l) = (*d_prime, *segment_len);
+                        if dead {
+                            fc.fallback_refinements += 1;
+                            lb_pim_fnn(phi_p, phi_q, exact(0), exact(1), dp, l, alpha)
+                        } else if drifted {
+                            fc.guarded_bounds += 1;
+                            lb_pim_fnn_guarded(
+                                phi_p,
+                                phi_q,
+                                measured(0),
+                                measured(1),
+                                dp,
+                                l,
+                                alpha,
+                                envelope(0),
+                                envelope(1),
+                            )
+                        } else {
+                            lb_pim_fnn(phi_p, phi_q, measured(0), measured(1), dp, l, alpha)
+                        }
+                    }
+                    PreparedFunction::Sm {
+                        d_prime,
+                        segment_len,
+                        ..
+                    } => {
+                        let phi_p = SmQuant::compute(&rows[obj], *d_prime, alpha).unwrap().phi;
+                        let (dp, l) = (*d_prime, *segment_len);
+                        if dead {
+                            fc.fallback_refinements += 1;
+                            lb_pim_sm(phi_p, phi_q, exact(0), dp, l, alpha)
+                        } else if drifted {
+                            fc.guarded_bounds += 1;
+                            lb_pim_sm_guarded(phi_p, phi_q, measured(0), dp, l, alpha, envelope(0))
+                        } else {
+                            lb_pim_sm(phi_p, phi_q, measured(0), dp, l, alpha)
+                        }
+                    }
+                    PreparedFunction::Dot { d, target, .. } => {
+                        let Operand::Vector(v) = input else {
+                            panic!("operand does not fit the shape")
+                        };
+                        let p = DotQuant::from_quantized(row_quant());
+                        let q = DotQuant::from_quantized(quantizer.quantize_vec(v).unwrap());
+                        let dot = if dead {
+                            fc.fallback_refinements += 1;
+                            exact(0)
+                        } else if drifted {
+                            fc.guarded_bounds += 1;
+                            let qmax = u64::from(floors[0].iter().copied().max().unwrap_or(0));
+                            measured(0) + qmax * statuses[0].1
+                        } else {
+                            measured(0)
+                        };
+                        match target {
+                            SimTarget::Cosine => ub_pim_cs(&p, &q, dot, *d),
+                            SimTarget::Pearson => ub_pim_pcc(&p, &q, dot, *d),
+                        }
+                    }
+                    PreparedFunction::Hamming { d, .. } => {
+                        // Exact function: a drifted read is recomputed too.
+                        if dead || drifted {
+                            fc.fallback_refinements += 1;
+                            (*d as u64 - exact(0) - exact(1)) as f64
+                        } else {
+                            (*d as u64 - measured(0) - measured(1)) as f64
+                        }
+                    }
+                }
+            })
+            .collect();
+        BoundBatch {
+            values,
+            timing,
+            host_bytes_per_object: host_bytes,
+            fault_counters: fc,
+        }
+    }
+
+    /// One bound pass under all five shapes, checked field by field
+    /// against [`reference_batch`]: no fault model, an inert one, stuck
+    /// cells behind a glitching ADC (drift: guard-bands, or the exact
+    /// recompute for HD), and every wordline dead so that no clean spare
+    /// exists (quarantine: exact host dots). The ED-family executors are
+    /// built resident and hold appended rows.
+    #[test]
+    fn bound_pass_matches_per_shape_reference() {
+        let rows_of = |data: &NormalizedDataset| -> Vec<Vec<f64>> {
+            data.dataset().rows().map(<[f64]>::to_vec).collect()
+        };
+        let q = [0.4, 0.3, 0.9, 0.1, 0.6, 0.2, 0.55, 0.45];
+        let extra: Vec<Vec<f64>> = (0..3)
+            .map(|i| {
+                (0..8)
+                    .map(|j| ((i * 5 + j * 3) % 11) as f64 / 10.0)
+                    .collect()
+            })
+            .collect();
+        let mut codes = BinaryDataset::with_bits(16).unwrap();
+        for p in [
+            0b1010_1100_0110_1001u16,
+            0xFFFF,
+            0x0000,
+            0b0001_0010_0100_1000,
+        ] {
+            let bits: Vec<bool> = (0..16).map(|i| (p >> i) & 1 == 1).collect();
+            codes.push_bits(&bits).unwrap();
+        }
+        let code = codes.row(0);
+
+        // Builds the resident executor over all but the last `extra.len()`
+        // rows' worth of capacity and appends `extra`.
+        let resident = |c: ExecutorConfig, data: &NormalizedDataset| {
+            let mut exec = PimExecutor::prepare_euclidean_resident(c, data, extra.len()).unwrap();
+            for row in &extra {
+                exec.append_row(row).unwrap();
+            }
+            exec
+        };
+        let with_extra = |data: &NormalizedDataset| {
+            let mut rows = rows_of(data);
+            rows.extend(extra.iter().cloned());
+            rows
+        };
+        let head = |data: NormalizedDataset, n: usize| normalized(&rows_of(&data)[..n]);
+        let (ed_data, fnn_data, sm_data) =
+            (sample_data(), head(fnn_data(), 61), head(sm_data(), 509));
+        let sm_cfg = ExecutorConfig {
+            double_buffer: true,
+            ..cfg(34)
+        };
+
+        type Build<'a> = Box<dyn Fn(Option<FaultConfig>) -> PimExecutor + 'a>;
+        let with = |c: ExecutorConfig, faults| ExecutorConfig { faults, ..c };
+        let shapes: Vec<(&str, Build<'_>, Vec<Vec<f64>>, Operand<'_>)> = vec![
+            (
+                "LB_PIM-ED",
+                Box::new(|f| resident(with(cfg(4096), f), &ed_data)),
+                with_extra(&ed_data),
+                Operand::Vector(&q),
+            ),
+            (
+                "LB_PIM-FNN^2",
+                Box::new(|f| resident(with(cfg(8), f), &fnn_data)),
+                with_extra(&fnn_data),
+                Operand::Vector(&q),
+            ),
+            (
+                "LB_PIM-SM^1",
+                Box::new(|f| resident(with(sm_cfg, f), &sm_data)),
+                with_extra(&sm_data),
+                Operand::Vector(&q),
+            ),
+            (
+                "UB_PIM-CS",
+                Box::new(|f| {
+                    let c = with(cfg(4096), f);
+                    PimExecutor::prepare_similarity(c, &ed_data, SimTarget::Cosine).unwrap()
+                }),
+                rows_of(&ed_data),
+                Operand::Vector(&q),
+            ),
+            (
+                "UB_PIM-PCC",
+                Box::new(|f| {
+                    let c = with(cfg(4096), f);
+                    PimExecutor::prepare_similarity(c, &ed_data, SimTarget::Pearson).unwrap()
+                }),
+                rows_of(&ed_data),
+                Operand::Vector(&q),
+            ),
+            (
+                "HD_PIM",
+                Box::new(|f| PimExecutor::prepare_hamming(with(cfg(4096), f), &codes).unwrap()),
+                Vec::new(),
+                Operand::Code(code),
+            ),
+        ];
+
+        let drift = |seed| FaultConfig {
+            stuck_low_rate: 0.03,
+            stuck_high_rate: 0.03,
+            adc_glitch_rate: 0.05,
+            seed,
+            ..Default::default()
+        };
+        let dead = FaultConfig {
+            dead_wordline_rate: 1.0,
+            ..Default::default()
+        };
+        let models: Vec<(&str, Option<FaultConfig>)> = vec![
+            ("no fault model", None),
+            ("inert model", Some(FaultConfig::default())),
+            ("stuck cells, seed 0", Some(drift(0))),
+            ("stuck cells, seed 1", Some(drift(1))),
+            ("stuck cells, seed 2", Some(drift(2))),
+            ("all wordlines dead", Some(dead)),
+        ];
+
+        for (name, build, rows, input) in &shapes {
+            let mut clean_values = Vec::new();
+            let mut drift_recoveries = 0;
+            for (model, faults) in &models {
+                let what = format!("{name}, {model}");
+                let (mut exec, mut twin) = (build(*faults), build(*faults));
+                assert_eq!(exec.bound_name(), *name);
+                let want = reference_batch(&mut twin, rows, *input);
+                let got = match input {
+                    Operand::Vector(v) if name.starts_with("UB") => exec.ub_sim_batch(v),
+                    Operand::Vector(v) => exec.lb_ed_batch(v),
+                    Operand::Code(c) => exec.hd_batch(c),
+                }
+                .unwrap();
+                let bits =
+                    |b: &BoundBatch| b.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{what}: values");
+                assert_eq!(got.timing, want.timing, "{what}: timing");
+                assert_eq!(
+                    got.host_bytes_per_object, want.host_bytes_per_object,
+                    "{what}"
+                );
+                assert_eq!(got.fault_counters, want.fault_counters, "{what}: counters");
+                assert_eq!(exec.fault_counters(), &want.fault_counters, "{what}");
+
+                let fc = got.fault_counters;
+                let n = got.values.len() as u64;
+                match *model {
+                    "no fault model" => {
+                        assert!(fc.is_clean(), "{what}");
+                        clean_values = bits(&got);
+                    }
+                    "inert model" => {
+                        assert_eq!(
+                            (fc.guarded_bounds, fc.fallback_refinements),
+                            (0, 0),
+                            "{what}"
+                        );
+                        assert_eq!(bits(&got), clean_values, "{what}");
+                    }
+                    "all wordlines dead" => {
+                        // Quarantined everywhere: exact host dots, so the
+                        // fault-free values bit for bit.
+                        assert!(fc.quarantined_rows > 0, "{what}");
+                        assert_eq!(
+                            (fc.guarded_bounds, fc.fallback_refinements),
+                            (0, n),
+                            "{what}"
+                        );
+                        assert_eq!(bits(&got), clean_values, "{what}");
+                    }
+                    _ => {
+                        // HD has no guard-band: drift is recomputed exactly.
+                        if *name == "HD_PIM" {
+                            assert_eq!(fc.guarded_bounds, 0, "{what}");
+                            assert_eq!(bits(&got), clean_values, "{what}");
+                        }
+                        drift_recoveries += fc.guarded_bounds + fc.fallback_refinements;
+                    }
+                }
+            }
+            assert!(
+                drift_recoveries > 0,
+                "{name}: some seed must drift an object"
+            );
         }
     }
 

@@ -44,4 +44,4 @@ pub use planner::{
     BankProfile, CandidateBound, ExecutionPlan, FleetPlan, FleetPlanner, Planner, PruningProfile,
     ShardPlacement,
 };
-pub use stage::{PimEdStage, PimFnnStage, PimSmStage};
+pub use stage::PimStage;

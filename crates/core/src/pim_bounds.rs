@@ -49,8 +49,7 @@ impl EdQuant {
 /// of the floor vectors. The result is clamped at 0 (a negative lower
 /// bound of a squared distance carries no extra information).
 pub fn lb_pim_ed(phi_p: f64, phi_q: f64, dot_floors: u64, d: usize, alpha: f64) -> f64 {
-    let raw = (phi_p + phi_q - 2.0 * dot_floors as f64 - 2.0 * d as f64) / (alpha * alpha);
-    raw.max(0.0)
+    lb_pim_ed_guarded(phi_p, phi_q, dot_floors, d, alpha, 0.0)
 }
 
 /// Theorem 3: upper bound on `ED − LB_PIM-ED`, namely `4d/α + 2d/α²`.
@@ -63,7 +62,8 @@ pub fn error_bound_ed(d: usize, alpha: f64) -> f64 {
 /// exact integer value by up to `dot_error`; since `LB_PIM-ED` is
 /// decreasing in the dot term, inflating the measured value by the
 /// envelope keeps the result a valid lower bound — accuracy is preserved,
-/// only pruning power shrinks.
+/// only pruning power shrinks. The one body of the bound: [`lb_pim_ed`] is
+/// this at a zero envelope (`x as f64 + 0.0` is `x as f64` bit for bit).
 pub fn lb_pim_ed_guarded(
     phi_p: f64,
     phi_q: f64,
@@ -130,11 +130,6 @@ impl FnnQuant {
             segment_len: seg.segment_len,
         }
     }
-
-    /// Number of segments `d′`.
-    pub fn d_prime(&self) -> usize {
-        self.mu_floors.len()
-    }
 }
 
 /// Theorem 2: `LB_PIM-FNN` from the precomputed Φ's and the two PIM dot
@@ -148,9 +143,17 @@ pub fn lb_pim_fnn(
     segment_len: usize,
     alpha: f64,
 ) -> f64 {
-    let raw = (segment_len as f64 / (alpha * alpha))
-        * (phi_p + phi_q - 2.0 * dot_mu as f64 - 2.0 * dot_sigma as f64 - 4.0 * d_prime as f64);
-    raw.max(0.0)
+    lb_pim_fnn_guarded(
+        phi_p,
+        phi_q,
+        dot_mu,
+        dot_sigma,
+        d_prime,
+        segment_len,
+        alpha,
+        0.0,
+        0.0,
+    )
 }
 
 /// Upper bound on `LB_FNN − LB_PIM-FNN`: each of the `2d′` quantized
@@ -230,11 +233,6 @@ impl SmQuant {
             segment_len: seg.segment_len,
         })
     }
-
-    /// Number of segments `d′`.
-    pub fn d_prime(&self) -> usize {
-        self.mu_floors.len()
-    }
 }
 
 /// `LB_PIM-SM`: Theorem 1 applied to the segment-mean vectors, scaled by
@@ -247,9 +245,7 @@ pub fn lb_pim_sm(
     segment_len: usize,
     alpha: f64,
 ) -> f64 {
-    let raw = (segment_len as f64 / (alpha * alpha))
-        * (phi_p + phi_q - 2.0 * dot_mu as f64 - 2.0 * d_prime as f64);
-    raw.max(0.0)
+    lb_pim_sm_guarded(phi_p, phi_q, dot_mu, d_prime, segment_len, alpha, 0.0)
 }
 
 /// Upper bound on `LB_SM − LB_PIM-SM`: `4d/α + 2d/α²` (half the FNN
@@ -692,15 +688,42 @@ mod tests {
                 );
                 assert!(gs <= ed + 1e-9, "SM guarded {gs} > ED {ed} (err={err})");
             }
-            // Zero envelope reduces to the plain bounds.
-            assert_eq!(
-                lb_pim_fnn_guarded(fp.phi, fq.phi, dm, ds, d_prime, l, alpha, 0.0, 0.0),
-                lb_pim_fnn(fp.phi, fq.phi, dm, ds, d_prime, l, alpha)
-            );
-            assert_eq!(
-                lb_pim_sm_guarded(sp.phi, sq.phi, dsm, d_prime, l, alpha, 0.0),
-                lb_pim_sm(sp.phi, sq.phi, dsm, d_prime, l, alpha)
-            );
+            // Zero envelope reduces to the plain bounds — written out
+            // here as Theorems 1–2 state them, without the envelope term,
+            // and compared by bits: the plain functions are the guarded
+            // bodies at 0.0.
+            let quant = Quantizer::identity(alpha).unwrap();
+            let ep = quantize_for_ed(&quant, &p).unwrap();
+            let eq = quantize_for_ed(&quant, &q).unwrap();
+            let de = host_floor_dot(&ep.floors, &eq.floors);
+            let scale = l as f64 / (alpha * alpha);
+            let plain_ed = (ep.phi + eq.phi - 2.0 * de as f64 - 2.0 * d as f64) / (alpha * alpha);
+            let plain_fnn = scale
+                * (fp.phi + fq.phi - 2.0 * dm as f64 - 2.0 * ds as f64 - 4.0 * d_prime as f64);
+            let plain_sm = scale * (sp.phi + sq.phi - 2.0 * dsm as f64 - 2.0 * d_prime as f64);
+            for (what, plain, zero_envelope, front) in [
+                (
+                    "ED",
+                    plain_ed,
+                    lb_pim_ed_guarded(ep.phi, eq.phi, de, d, alpha, 0.0),
+                    lb_pim_ed(ep.phi, eq.phi, de, d, alpha),
+                ),
+                (
+                    "FNN",
+                    plain_fnn,
+                    lb_pim_fnn_guarded(fp.phi, fq.phi, dm, ds, d_prime, l, alpha, 0.0, 0.0),
+                    lb_pim_fnn(fp.phi, fq.phi, dm, ds, d_prime, l, alpha),
+                ),
+                (
+                    "SM",
+                    plain_sm,
+                    lb_pim_sm_guarded(sp.phi, sq.phi, dsm, d_prime, l, alpha, 0.0),
+                    lb_pim_sm(sp.phi, sq.phi, dsm, d_prime, l, alpha),
+                ),
+            ] {
+                assert_eq!(zero_envelope.to_bits(), plain.max(0.0).to_bits(), "{what}");
+                assert_eq!(front.to_bits(), plain.max(0.0).to_bits(), "{what}");
+            }
         }
     }
 

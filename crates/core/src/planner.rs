@@ -945,7 +945,7 @@ mod tests {
         // original bounds displaces them once survivor correlation is
         // measured. Data: tight cluster + far cluster; a fine-grained
         // PIM-FNN bound prunes everything the coarse classic bound prunes.
-        use crate::stage::PimFnnStage;
+        use crate::stage::PimStage;
         use simpim_bounds::SmBound;
         use simpim_similarity::NormalizedDataset;
 
@@ -966,7 +966,7 @@ mod tests {
         let ds = Dataset::from_rows(&rows).unwrap();
         let nds = NormalizedDataset::assert_normalized(ds.clone());
         let classic = SmBound::build(&ds, 1).unwrap(); // 8 B/object, mean only
-        let pim = PimFnnStage::build(&nds, 4, 1e6).unwrap(); // 24 B/object
+        let pim = PimStage::fnn(&nds, 4, 1e6).unwrap(); // 24 B/object
         let planner = Planner {
             refine_bytes_per_object: 8 * 8,
             n: ds.len(),

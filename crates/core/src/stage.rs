@@ -1,56 +1,111 @@
-//! Host-side [`BoundStage`] adapters for the PIM-aware bounds.
+//! The host-side [`BoundStage`] adapter for the PIM-aware bounds.
 //!
 //! Section V-D notes that although a PIM-aware bound executes on PIM
 //! online, "it is practical to conduct on traditional architectures at
-//! offline stage for purpose of measuring the pruning ratio". These
-//! adapters evaluate `LB_PIM-ED` / `LB_PIM-FNN` on the host with exactly
-//! the same quantized integers a crossbar would see (the executor's batch
-//! path is bit-identical), so the planner can measure ratios and compose
-//! plans mixing classic and PIM-aware bounds.
+//! offline stage for purpose of measuring the pruning ratio".
+//! [`PimStage`] evaluates `LB_PIM-ED` / `LB_PIM-FNN` / `LB_PIM-SM` on the
+//! host through the very [`PreparedFunction`] row the executor runs — the
+//! same `quantise`, the same `G`, an integer dot on the same kernel — so
+//! it is bit-identical to the executor's batch path, and the planner can
+//! measure ratios and compose plans mixing classic and PIM-aware bounds.
 //!
-//! Their `transfer_bytes_per_object` reports the **online** PIM cost — the
+//! Its `transfer_bytes_per_object` reports the **online** PIM cost — the
 //! Φ scalar plus the dot results the host reads to evaluate `G` — because
 //! that is the cost Eq. 13 must charge the bound with.
 
-use crate::pim_bounds::{host_floor_dot, lb_pim_ed, lb_pim_fnn, EdQuant, FnnQuant};
+use crate::error::CoreError;
+use crate::executor::{PreparedFunction, Quantised};
+use crate::pim_bounds::host_floor_dot;
 use simpim_bounds::{BoundDirection, BoundStage, EvalCost, PreparedBound};
-use simpim_similarity::{NormalizedDataset, Quantizer, SimilarityError};
+use simpim_reram::array::RegionId;
+use simpim_similarity::{NormalizedDataset, Quantizer};
 
-/// Host-side `LB_PIM-ED` (Theorem 1) over full-dimensional floors.
+/// A PIM-aware ED lower bound evaluated on the host: the row of Table 4
+/// plus the floor matrices its crossbar regions would hold.
 #[derive(Debug, Clone)]
-pub struct PimEdStage {
-    floors: Vec<u32>,
-    phis: Vec<f64>,
-    d: usize,
-    alpha: f64,
+pub struct PimStage {
+    /// The row; its region ids index `floors`.
+    row: PreparedFunction,
+    /// Row-major `N × s` floors per region.
+    floors: Vec<Vec<u32>>,
+    /// Operands per object and region.
+    s: usize,
     quantizer: Quantizer,
 }
 
-impl PimEdStage {
-    /// Quantizes a normalized dataset for host-side `LB_PIM-ED`.
-    pub fn build(data: &NormalizedDataset, alpha: f64) -> Result<Self, SimilarityError> {
+impl PimStage {
+    /// Host-side `LB_PIM-ED` (Theorem 1) over full-dimensional floors.
+    pub fn ed(data: &NormalizedDataset, alpha: f64) -> Result<Self, CoreError> {
+        let row = PreparedFunction::Ed {
+            region: RegionId(0),
+            phis: Vec::new(),
+            d: data.dataset().dim(),
+        };
+        Self::build(row, data, alpha)
+    }
+
+    /// Host-side `LB_PIM-FNN^s` (Theorem 2) over the quantized segment
+    /// statistics at `d_prime` segments.
+    pub fn fnn(data: &NormalizedDataset, d_prime: usize, alpha: f64) -> Result<Self, CoreError> {
+        let row = PreparedFunction::Fnn {
+            mu_region: RegionId(0),
+            sigma_region: RegionId(1),
+            phis: Vec::new(),
+            d_prime,
+            segment_len: segment_len(data, d_prime),
+        };
+        Self::build(row, data, alpha)
+    }
+
+    /// Host-side `LB_PIM-SM^s`, the mean-only sibling of
+    /// [`PimStage::fnn`] (one region online).
+    pub fn sm(data: &NormalizedDataset, d_prime: usize, alpha: f64) -> Result<Self, CoreError> {
+        let row = PreparedFunction::Sm {
+            mu_region: RegionId(0),
+            phis: Vec::new(),
+            d_prime,
+            segment_len: segment_len(data, d_prime),
+        };
+        Self::build(row, data, alpha)
+    }
+
+    /// Quantises every vector of `data` in `row`'s terms.
+    fn build(
+        mut row: PreparedFunction,
+        data: &NormalizedDataset,
+        alpha: f64,
+    ) -> Result<Self, CoreError> {
         let ds = data.dataset();
         let quantizer = Quantizer::identity(alpha)?;
-        let mut floors = Vec::with_capacity(ds.len() * ds.dim());
+        let mut floors = vec![Vec::new(); row.regions().len()];
         let mut phis = Vec::with_capacity(ds.len());
-        for row in ds.rows() {
-            let eq = EdQuant::from_quantized(quantizer.quantize_vec(row)?);
-            floors.extend_from_slice(&eq.floors);
-            phis.push(eq.phi);
+        for vector in ds.rows() {
+            let q = row.quantise(&quantizer, vector)?;
+            for (region, operands) in floors.iter_mut().zip(&q.floors) {
+                region.extend_from_slice(operands);
+            }
+            phis.push(q.phi);
         }
+        let s = floors[0].len().checked_div(ds.len()).unwrap_or(0);
+        *row.phi_table("host stages cover the ED lower bounds")? = phis;
         Ok(Self {
+            row,
             floors,
-            phis,
-            d: ds.dim(),
-            alpha,
+            s,
             quantizer,
         })
     }
 }
 
-impl BoundStage for PimEdStage {
+/// `d / d_prime`. A `d_prime` that does not divide `d` is rejected by the
+/// first `quantise`, whatever is returned here.
+fn segment_len(data: &NormalizedDataset, d_prime: usize) -> usize {
+    data.dataset().dim().checked_div(d_prime).unwrap_or(0)
+}
+
+impl BoundStage for PimStage {
     fn name(&self) -> String {
-        "LB_PIM-ED".to_string()
+        self.row.name()
     }
 
     fn direction(&self) -> BoundDirection {
@@ -58,244 +113,59 @@ impl BoundStage for PimEdStage {
     }
 
     fn d_prime(&self) -> usize {
-        self.d
+        self.s
     }
 
     fn transfer_bytes_per_object(&self) -> u64 {
-        16 // Φ(p̄) + the PIM dot result
+        self.row.host_bytes_per_object() // Φ + one PIM dot result per region
     }
 
     fn eval_cost(&self) -> EvalCost {
-        // G is O(1): a handful of adds/mults once the dot arrives.
+        // G is O(1): per dot result two adds and a multiply, plus the Φ
+        // sum and the final scale, once the dots arrive.
+        let regions = self.floors.len() as u64;
         EvalCost {
-            arith: 4,
-            mul: 2,
+            arith: 2 + 2 * regions,
+            mul: 1 + regions,
             div: 0,
             sqrt: 0,
-            bytes: 16,
+            bytes: self.row.host_bytes_per_object(),
         }
     }
 
     fn prepare(&self, query: &[f64]) -> Box<dyn PreparedBound + '_> {
-        assert_eq!(query.len(), self.d, "query dimensionality mismatch");
-        let q = EdQuant::from_quantized(
-            self.quantizer
-                .quantize_vec(query)
-                .expect("normalized query"),
-        );
-        Box::new(PimEdPrepared { stage: self, q })
-    }
-}
-
-struct PimEdPrepared<'a> {
-    stage: &'a PimEdStage,
-    q: EdQuant,
-}
-
-impl PreparedBound for PimEdPrepared<'_> {
-    fn bound(&self, i: usize) -> f64 {
-        let d = self.stage.d;
-        let row = &self.stage.floors[i * d..(i + 1) * d];
-        let dot = host_floor_dot(row, &self.q.floors);
-        lb_pim_ed(self.stage.phis[i], self.q.phi, dot, d, self.stage.alpha)
-    }
-}
-
-/// Host-side `LB_PIM-FNN^s` (Theorem 2) over quantized segment statistics.
-#[derive(Debug, Clone)]
-pub struct PimFnnStage {
-    mu_floors: Vec<u32>,
-    sigma_floors: Vec<u32>,
-    phis: Vec<f64>,
-    d_prime: usize,
-    segment_len: usize,
-    d: usize,
-    alpha: f64,
-}
-
-impl PimFnnStage {
-    /// Quantizes segment statistics of a normalized dataset at `d_prime`
-    /// segments.
-    pub fn build(
-        data: &NormalizedDataset,
-        d_prime: usize,
-        alpha: f64,
-    ) -> Result<Self, SimilarityError> {
-        let ds = data.dataset();
-        let mut mu_floors = Vec::with_capacity(ds.len() * d_prime);
-        let mut sigma_floors = Vec::with_capacity(ds.len() * d_prime);
-        let mut phis = Vec::with_capacity(ds.len());
-        let mut segment_len = 0;
-        for row in ds.rows() {
-            let fq = FnnQuant::compute(row, d_prime, alpha)?;
-            segment_len = fq.segment_len;
-            mu_floors.extend_from_slice(&fq.mu_floors);
-            sigma_floors.extend_from_slice(&fq.sigma_floors);
-            phis.push(fq.phi);
-        }
-        Ok(Self {
-            mu_floors,
-            sigma_floors,
-            phis,
-            d_prime,
-            segment_len,
-            d: ds.dim(),
-            alpha,
-        })
-    }
-}
-
-impl BoundStage for PimFnnStage {
-    fn name(&self) -> String {
-        format!("LB_PIM-FNN^{}", self.d_prime)
-    }
-
-    fn direction(&self) -> BoundDirection {
-        BoundDirection::LowerBoundsDistance
-    }
-
-    fn d_prime(&self) -> usize {
-        self.d_prime
-    }
-
-    fn transfer_bytes_per_object(&self) -> u64 {
-        24 // Φ(p̂) + two PIM dot results
-    }
-
-    fn eval_cost(&self) -> EvalCost {
-        EvalCost {
-            arith: 6,
-            mul: 3,
-            div: 0,
-            sqrt: 0,
-            bytes: 24,
-        }
-    }
-
-    fn prepare(&self, query: &[f64]) -> Box<dyn PreparedBound + '_> {
-        assert_eq!(query.len(), self.d, "query dimensionality mismatch");
-        let q = FnnQuant::compute(query, self.d_prime, self.alpha).expect("normalized query");
-        Box::new(PimFnnPrepared { stage: self, q })
-    }
-}
-
-struct PimFnnPrepared<'a> {
-    stage: &'a PimFnnStage,
-    q: FnnQuant,
-}
-
-impl PreparedBound for PimFnnPrepared<'_> {
-    fn bound(&self, i: usize) -> f64 {
-        let dp = self.stage.d_prime;
-        let mu = &self.stage.mu_floors[i * dp..(i + 1) * dp];
-        let sg = &self.stage.sigma_floors[i * dp..(i + 1) * dp];
-        let dot_mu = host_floor_dot(mu, &self.q.mu_floors);
-        let dot_sg = host_floor_dot(sg, &self.q.sigma_floors);
-        lb_pim_fnn(
-            self.stage.phis[i],
-            self.q.phi,
-            dot_mu,
-            dot_sg,
-            dp,
-            self.stage.segment_len,
-            self.stage.alpha,
-        )
-    }
-}
-
-/// Host-side `LB_PIM-SM^s`: the mean-only sibling of [`PimFnnStage`]
-/// (one region online, `2·b + b` bits of host traffic per object).
-#[derive(Debug, Clone)]
-pub struct PimSmStage {
-    mu_floors: Vec<u32>,
-    phis: Vec<f64>,
-    d_prime: usize,
-    segment_len: usize,
-    d: usize,
-    alpha: f64,
-}
-
-impl PimSmStage {
-    /// Quantizes segment means of a normalized dataset at `d_prime`
-    /// segments.
-    pub fn build(
-        data: &NormalizedDataset,
-        d_prime: usize,
-        alpha: f64,
-    ) -> Result<Self, SimilarityError> {
-        let ds = data.dataset();
-        let mut mu_floors = Vec::with_capacity(ds.len() * d_prime);
-        let mut phis = Vec::with_capacity(ds.len());
-        let mut segment_len = 0;
-        for row in ds.rows() {
-            let sq = crate::pim_bounds::SmQuant::compute(row, d_prime, alpha)?;
-            segment_len = sq.segment_len;
-            mu_floors.extend_from_slice(&sq.mu_floors);
-            phis.push(sq.phi);
-        }
-        Ok(Self {
-            mu_floors,
-            phis,
-            d_prime,
-            segment_len,
-            d: ds.dim(),
-            alpha,
-        })
-    }
-}
-
-impl BoundStage for PimSmStage {
-    fn name(&self) -> String {
-        format!("LB_PIM-SM^{}", self.d_prime)
-    }
-
-    fn direction(&self) -> BoundDirection {
-        BoundDirection::LowerBoundsDistance
-    }
-
-    fn d_prime(&self) -> usize {
-        self.d_prime
-    }
-
-    fn transfer_bytes_per_object(&self) -> u64 {
-        16 // Φ(p̂) + one PIM dot result
-    }
-
-    fn eval_cost(&self) -> EvalCost {
-        EvalCost {
-            arith: 4,
-            mul: 2,
-            div: 0,
-            sqrt: 0,
-            bytes: 16,
-        }
-    }
-
-    fn prepare(&self, query: &[f64]) -> Box<dyn PreparedBound + '_> {
-        assert_eq!(query.len(), self.d, "query dimensionality mismatch");
-        let q = crate::pim_bounds::SmQuant::compute(query, self.d_prime, self.alpha)
+        assert_eq!(query.len(), self.row.dim(), "query dimensionality mismatch");
+        let q = self
+            .row
+            .quantise(&self.quantizer, query)
             .expect("normalized query");
-        Box::new(PimSmPrepared { stage: self, q })
+        Box::new(PimPrepared { stage: self, q })
     }
 }
 
-struct PimSmPrepared<'a> {
-    stage: &'a PimSmStage,
-    q: crate::pim_bounds::SmQuant,
+struct PimPrepared<'a> {
+    stage: &'a PimStage,
+    q: Quantised,
 }
 
-impl PreparedBound for PimSmPrepared<'_> {
+impl PreparedBound for PimPrepared<'_> {
     fn bound(&self, i: usize) -> f64 {
-        let dp = self.stage.d_prime;
-        let mu = &self.stage.mu_floors[i * dp..(i + 1) * dp];
-        crate::pim_bounds::lb_pim_sm(
-            self.stage.phis[i],
-            self.q.phi,
-            host_floor_dot(mu, &self.q.mu_floors),
-            dp,
-            self.stage.segment_len,
-            self.stage.alpha,
-        )
+        let PimStage { row, floors, s, .. } = self.stage;
+        let mut dots = [0u64; 2];
+        for (dot, (region, query)) in dots.iter_mut().zip(floors.iter().zip(&self.q.floors)) {
+            *dot = host_floor_dot(&region[i * s..(i + 1) * s], query);
+        }
+        let mut value = 0.0;
+        // The host reads its own exact floors: no slack for `qmax` to scale.
+        row.combine(
+            &self.q,
+            [0; 2],
+            self.stage.quantizer.alpha(),
+            i..i + 1,
+            std::slice::from_mut(&mut value),
+            |_| (dots, [0; 2]),
+        );
+        value
     }
 }
 
@@ -319,7 +189,7 @@ mod tests {
     #[test]
     fn host_ed_stage_lower_bounds() {
         let d = data();
-        let stage = PimEdStage::build(&d, 1e4).unwrap();
+        let stage = PimStage::ed(&d, 1e4).unwrap();
         assert_eq!(stage.name(), "LB_PIM-ED");
         let q = [0.4, 0.3, 0.9, 0.1, 0.6, 0.2, 0.55, 0.45];
         let prep = stage.prepare(&q);
@@ -334,7 +204,7 @@ mod tests {
     #[test]
     fn host_fnn_stage_lower_bounds_and_matches_executor_semantics() {
         let d = data();
-        let stage = PimFnnStage::build(&d, 4, 1e4).unwrap();
+        let stage = PimStage::fnn(&d, 4, 1e4).unwrap();
         assert_eq!(stage.name(), "LB_PIM-FNN^4");
         assert_eq!(stage.transfer_bytes_per_object(), 24);
         let q = [0.4, 0.3, 0.9, 0.1, 0.6, 0.2, 0.55, 0.45];
@@ -350,7 +220,7 @@ mod tests {
         use simpim_reram::{CrossbarConfig, PimConfig};
         let d = data();
         let alpha = 1000.0;
-        let stage = PimSmStage::build(&d, 4, alpha).unwrap();
+        let stage = PimStage::sm(&d, 4, alpha).unwrap();
         assert_eq!(stage.name(), "LB_PIM-SM^4");
         assert_eq!(stage.transfer_bytes_per_object(), 16);
         let cfg = ExecutorConfig {
@@ -376,7 +246,7 @@ mod tests {
         let prep = stage.prepare(&q);
         for i in 0..3 {
             assert!(prep.bound(i) <= euclidean_sq(d.dataset().row(i), &q) + 1e-9);
-            assert!((batch.values[i] - prep.bound(i)).abs() < 1e-9);
+            assert_eq!(batch.values[i].to_bits(), prep.bound(i).to_bits());
         }
     }
 
@@ -386,7 +256,7 @@ mod tests {
         use simpim_reram::{CrossbarConfig, PimConfig};
         let d = data();
         let alpha = 1000.0;
-        let stage = PimFnnStage::build(&d, 4, alpha).unwrap();
+        let stage = PimStage::fnn(&d, 4, alpha).unwrap();
         let cfg = ExecutorConfig {
             pim: PimConfig {
                 crossbar: CrossbarConfig {
@@ -409,8 +279,9 @@ mod tests {
         let batch = exec.lb_ed_batch(&q).unwrap();
         let prep = stage.prepare(&q);
         for i in 0..3 {
-            assert!(
-                (batch.values[i] - prep.bound(i)).abs() < 1e-9,
+            assert_eq!(
+                batch.values[i].to_bits(),
+                prep.bound(i).to_bits(),
                 "host-side stage and PIM batch must agree bit-for-bit"
             );
         }

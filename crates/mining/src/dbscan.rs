@@ -79,14 +79,11 @@ fn range_query_pim(
     other: &mut OpCounters,
 ) -> Result<Vec<usize>, CoreError> {
     let d = dataset.dim() as u64;
-    let n = dataset.len();
     let row = dataset.row(center);
     let batch = executor.lb_ed_batch(row)?;
     report.pim.add(&batch.timing);
     let mut g = OpCounters::new();
-    g.stream(n as u64 * batch.host_bytes_per_object);
-    g.arith += 4 * n as u64;
-    g.mul += 2 * n as u64;
+    batch.charge_g(&mut g);
     report
         .profile
         .record(&format!("G({})", executor.bound_name()), g);

@@ -55,9 +55,7 @@ impl<'a> PimAssist<'a> {
             let batch = self.executor.lb_ed_batch(&clamped)?;
             report.pim.add(&batch.timing);
             self.n = batch.values.len();
-            g_counters.stream(batch.values.len() as u64 * batch.host_bytes_per_object);
-            g_counters.arith += 4 * batch.values.len() as u64;
-            g_counters.mul += 2 * batch.values.len() as u64;
+            batch.charge_g(&mut g_counters);
             self.lb_sq.extend_from_slice(&batch.values);
         }
         report

@@ -12,27 +12,16 @@
 //! (see [`crate::knn::algorithms`]), and with a PIM bound batch spliced in
 //! front it is the `-PIM` variant ([`crate::knn::pim`]).
 
-use simpim_bounds::{BoundCascade, BoundDirection};
+use simpim_bounds::BoundCascade;
 use simpim_similarity::{Dataset, Measure};
 use simpim_simkit::OpCounters;
 
 use crate::error::MiningError;
-use crate::knn::{exact_eval, KnnResult, LazyOrder, TopK};
+use crate::knn::{
+    charge_stage, check_args, check_direction, exact_eval, flush_bound, walk, KnnResult, LazyOrder,
+    TopK,
+};
 use crate::report::{Architecture, RunReport};
-
-/// Converts a bound stage's per-object [`simpim_bounds::EvalCost`] into
-/// counters for `objects` evaluations.
-pub(crate) fn charge_stage(
-    cost: &simpim_bounds::EvalCost,
-    objects: u64,
-    counters: &mut OpCounters,
-) {
-    counters.arith += cost.arith * objects;
-    counters.mul += cost.mul * objects;
-    counters.div += cost.div * objects;
-    counters.sqrt += cost.sqrt * objects;
-    counters.stream(cost.bytes * objects);
-}
 
 /// Runs filter-and-refinement kNN with `cascade` over `dataset`. The
 /// cascade direction must match the measure (lower bounds for distances,
@@ -41,6 +30,8 @@ pub(crate) fn charge_stage(
 /// # Errors
 /// [`MiningError::UnsupportedMeasure`] for `Measure::Hamming` — binary
 /// codes use [`crate::knn::hamming`] instead.
+/// [`MiningError::InvalidArgument`] when `k` is outside `1..=N`, the query
+/// dimensionality mismatches, or the cascade bounds the wrong way.
 pub fn knn_cascade(
     dataset: &Dataset,
     cascade: &BoundCascade,
@@ -48,26 +39,18 @@ pub fn knn_cascade(
     k: usize,
     measure: Measure,
 ) -> Result<KnnResult, MiningError> {
-    assert!(k >= 1 && k <= dataset.len(), "k must be in 1..=N");
-    assert_eq!(query.len(), dataset.dim(), "query dimensionality mismatch");
-    if let Some(dir) = cascade.direction() {
-        let expected = if measure.smaller_is_closer() {
-            BoundDirection::LowerBoundsDistance
-        } else {
-            BoundDirection::UpperBoundsSimilarity
-        };
-        assert_eq!(dir, expected, "cascade direction must match the measure");
-    }
+    let n = dataset.len();
+    check_args(k, n, query.len(), dataset.dim())?;
+    check_direction(cascade, measure)?;
 
     let mut report = RunReport::new(Architecture::ConventionalDram);
-    let mut top = TopK::new(k, measure.smaller_is_closer());
     let mut other = OpCounters::new();
-    let mut exact_counters = OpCounters::new();
-    let n = dataset.len();
     let mut query_span = simpim_obs::span!("mining.knn.cascade", k = k as u64, n = n as u64);
 
     if cascade.is_empty() {
         // Degenerate cascade: plain linear scan.
+        let mut top = TopK::new(k, measure.smaller_is_closer());
+        let mut exact_counters = OpCounters::new();
         for i in 0..n {
             let v = exact_eval(measure, dataset.row(i), query, &mut exact_counters)?;
             other.prune_test();
@@ -92,7 +75,7 @@ pub fn knn_cascade(
     let filter_span = simpim_obs::span!("mining.knn.filter", stage = 0u64);
     let mut first_counters = OpCounters::new();
     charge_stage(&stages[0].eval_cost(), n as u64, &mut first_counters);
-    let mut order = LazyOrder::new(
+    let order = LazyOrder::new(
         (0..n).map(|i| (prepared[0].bound(i), i)).collect(),
         measure.smaller_is_closer(),
         |i| i,
@@ -101,104 +84,37 @@ pub fn knn_cascade(
     report.profile.record(&stages[0].name(), first_counters);
     drop(filter_span);
 
-    // Parallel chunked refinement (see DESIGN.md §10). Chunk boundaries
-    // come from `refine_chunk_schedule(n, k)` — a pure function of the
-    // workload, never the thread count — and each chunk prunes against a
-    // τ snapshot taken at its start. A stale (weaker) τ can only let extra
-    // candidates through to exact evaluation, never drop a true neighbor,
-    // and because workers return results merged in candidate order the
-    // pool update sequence is identical at any `SIMPIM_THREADS`.
     let refine_span = simpim_obs::span!("mining.knn.refine");
-    let mut stage_evals = vec![0u64; stages.len()];
-    let mut stage_pruned = vec![0u64; stages.len()];
-    let mut refined = 0u64;
-    'walk: for chunk in crate::knn::refine_chunk_schedule(n, k) {
-        other.prune_test();
-        let start = chunk.start;
-        let cands = order.chunk(chunk);
-        if top.prunable(cands[0].0) {
-            // Sorted first-stage bound: this chunk and everything after
-            // is prunable too.
-            stage_pruned[0] += (n - start) as u64;
-            break 'walk;
-        }
-        let snap = &top.clone();
-        let prepared = &prepared;
-        let chunks = simpim_par::map_chunks(cands.len(), crate::knn::REFINE_TASK, |r| {
-            let mut refined = Vec::new();
-            let mut exact = OpCounters::new();
-            let mut other = OpCounters::new();
-            let mut evals = vec![0u64; prepared.len()];
-            let mut pruned = vec![0u64; prepared.len()];
-            'cand: for &(bound1, i) in &cands[r] {
-                other.prune_test();
-                if snap.prunable(bound1) {
-                    pruned[0] += 1;
-                    continue 'cand;
-                }
-                for (si, prep) in prepared.iter().enumerate().skip(1) {
-                    evals[si] += 1;
-                    other.prune_test();
-                    if snap.prunable(prep.bound(i)) {
-                        pruned[si] += 1;
-                        continue 'cand;
-                    }
-                }
-                exact.random_fetches += 1;
-                match exact_eval(measure, dataset.row(i), query, &mut exact) {
-                    Ok(v) => refined.push((i, v)),
-                    Err(e) => return Err(e),
-                }
-            }
-            Ok((refined, exact, other, evals, pruned))
-        });
-        for res in chunks {
-            let (hits, exact, task_other, evals, pruned) = res?;
-            exact_counters.add(&exact);
-            other.add(&task_other);
-            for (si, (e, p)) in evals.iter().zip(&pruned).enumerate() {
-                stage_evals[si] += e;
-                stage_pruned[si] += p;
-            }
-            refined += hits.len() as u64;
-            for (i, v) in hits {
-                other.prune_test();
-                top.offer(i, v);
-            }
-        }
-    }
+    let walked = walk(
+        order,
+        &prepared[1..],
+        |i| dataset.row(i),
+        |i| i,
+        query,
+        k,
+        measure,
+    )?;
     drop(refine_span);
-    for (si, stage) in stages.iter().enumerate().skip(1) {
-        let mut c = OpCounters::new();
-        charge_stage(&stage.eval_cost(), stage_evals[si], &mut c);
-        report.profile.record(&stage.name(), c);
-    }
+    other.add(&walked.other);
 
-    // Flush per-bound pruning observations (one registry touch per stage
-    // per query, not per object): these counters are what
-    // `simpim_core::Planner::candidates_from_metrics` consumes as the
-    // measured pruning ratios of Eq. 13.
-    for (si, stage) in stages.iter().enumerate() {
-        let seen = if si == 0 { n as u64 } else { stage_evals[si] };
-        let name = stage.name();
-        simpim_obs::metrics::counter_add(&format!("simpim.bounds.{name}.seen"), seen);
-        simpim_obs::metrics::counter_add(&format!("simpim.bounds.{name}.pruned"), stage_pruned[si]);
-        simpim_obs::metrics::gauge_set(
-            &format!("simpim.bounds.{name}.transfer_bytes"),
-            stage.transfer_bytes_per_object() as f64,
-        );
-    }
-    simpim_obs::metrics::histogram_record("simpim.mining.knn.refinements", refined);
+    flush_bound(
+        &stages[0].name(),
+        n as u64,
+        walked.first_pruned,
+        stages[0].transfer_bytes_per_object(),
+    );
+    walked.record_stages(&stages[1..], &mut report);
+    simpim_obs::metrics::histogram_record("simpim.mining.knn.refinements", walked.refined);
     simpim_obs::metrics::histogram_record(
         "simpim.mining.knn.candidates",
-        (n as u64).saturating_sub(stage_pruned[0]),
+        (n as u64).saturating_sub(walked.first_pruned),
     );
-    report.profile.record(measure.name(), exact_counters);
+    report.profile.record(measure.name(), walked.exact);
     report.profile.record("other", other);
-    query_span.record("refined", refined as f64);
+    query_span.record("refined", walked.refined as f64);
     query_span.record("ops", report.profile.total_counters().total_ops() as f64);
     Ok(KnnResult {
-        neighbors: top.into_sorted(),
+        neighbors: walked.neighbors,
         report,
     })
 }
@@ -287,12 +203,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "direction")]
     fn direction_mismatch_rejected() {
         let (ds, qs) = workload();
         let cascade = BoundCascade::new(vec![Box::new(
             PartBound::build(&ds, 8, simpim_bounds::part::PartTarget::Cosine).unwrap(),
         )]);
-        let _ = knn_cascade(&ds, &cascade, &qs[0], 5, Measure::EuclideanSq);
+        let err = knn_cascade(&ds, &cascade, &qs[0], 5, Measure::EuclideanSq).unwrap_err();
+        assert!(
+            matches!(&err, MiningError::InvalidArgument { what } if what.contains("direction")),
+            "{err:?}"
+        );
     }
 }

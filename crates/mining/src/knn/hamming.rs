@@ -7,16 +7,21 @@
 use simpim_similarity::{BinaryDataset, BinaryVecRef};
 use simpim_simkit::OpCounters;
 
-use crate::knn::{KnnResult, TopK};
+use crate::error::MiningError;
+use crate::knn::{check_args, KnnResult, TopK};
 use crate::report::{Architecture, RunReport};
 
 /// Scans all codes, returning the exact k nearest by Hamming distance.
 ///
-/// # Panics
-/// Panics when `k` is out of range or the query width mismatches.
-pub fn knn_hamming(codes: &BinaryDataset, query: &BinaryVecRef<'_>, k: usize) -> KnnResult {
-    assert!(k >= 1 && k <= codes.len(), "k must be in 1..=N");
-    assert_eq!(query.bits(), codes.bits(), "query code width mismatch");
+/// # Errors
+/// [`MiningError::InvalidArgument`] when `k` is outside `1..=N` or the
+/// query code width mismatches.
+pub fn knn_hamming(
+    codes: &BinaryDataset,
+    query: &BinaryVecRef<'_>,
+    k: usize,
+) -> Result<KnnResult, MiningError> {
+    check_args(k, codes.len(), query.bits(), codes.bits())?;
     let mut report = RunReport::new(Architecture::ConventionalDram);
     let mut top = TopK::new(k, true);
 
@@ -33,10 +38,10 @@ pub fn knn_hamming(codes: &BinaryDataset, query: &BinaryVecRef<'_>, k: usize) ->
     }
     report.profile.record("HD", hd_counters);
     report.profile.record("other", other);
-    KnnResult {
+    Ok(KnnResult {
         neighbors: top.into_sorted(),
         report,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -55,7 +60,7 @@ mod tests {
     #[test]
     fn self_query_is_nearest() {
         let ds = codes();
-        let res = knn_hamming(&ds, &ds.row(3), 1);
+        let res = knn_hamming(&ds, &ds.row(3), 1).unwrap();
         assert_eq!(res.indices(), vec![3]);
         assert_eq!(res.neighbors[0].1, 0.0);
     }
@@ -67,7 +72,7 @@ mod tests {
         let mut truth: Vec<(usize, u32)> =
             (0..ds.len()).map(|i| (i, q.hamming(&ds.row(i)))).collect();
         truth.sort_by_key(|&(i, d)| (d, i));
-        let res = knn_hamming(&ds, &q, 4);
+        let res = knn_hamming(&ds, &q, 4).unwrap();
         assert_eq!(
             res.indices(),
             truth.iter().take(4).map(|&(i, _)| i).collect::<Vec<_>>()
@@ -77,7 +82,7 @@ mod tests {
     #[test]
     fn charges_word_granular_traffic() {
         let ds = codes();
-        let res = knn_hamming(&ds, &ds.row(0), 2);
+        let res = knn_hamming(&ds, &ds.row(0), 2).unwrap();
         let c = res.report.profile.get("HD").unwrap().counters;
         assert_eq!(c.bytes_streamed, 8 * 2 * 8); // 8 codes × 2 words × 8 B
     }

@@ -15,27 +15,23 @@
 //! smallest of `N` 64-bit results (Fig. 14's "loading two dot-product
 //! results ≈ 64 bits per object").
 
-use simpim_bounds::{BoundCascade, BoundDirection};
+use simpim_bounds::{BoundCascade, BoundStage};
+use simpim_core::executor::BoundBatch;
 use simpim_core::PimExecutor;
 use simpim_similarity::{BinaryDataset, BinaryVecRef, Dataset, Measure};
 use simpim_simkit::OpCounters;
 
 use crate::error::MiningError;
-use crate::knn::cascade::charge_stage;
-use crate::knn::{exact_eval, KnnResult, LazyOrder, TopK};
+use crate::knn::{check_args, check_direction, flush_bound, walk, KnnResult, LazyOrder, TopK};
 use crate::report::{Architecture, RunReport};
-
-/// Charges the host-side cost of combining one PIM batch: per object, the
-/// Φ/dot reads plus the O(1) arithmetic of `G`.
-fn charge_g(objects: u64, bytes_per_object: u64, counters: &mut OpCounters) {
-    counters.stream(objects * bytes_per_object);
-    counters.arith += 4 * objects;
-    counters.mul += 2 * objects;
-}
 
 /// PIM-accelerated kNN under squared ED: PIM bound filter → retained
 /// original bounds → exact refinement. `executor` must have been prepared
 /// (`prepare_euclidean` / `prepare_fnn`) over exactly `dataset`'s rows.
+///
+/// # Errors
+/// [`MiningError::InvalidArgument`] when `k` is outside `1..=N`, the query
+/// dimensionality mismatches, or `retained` holds similarity bounds.
 pub fn knn_pim_ed(
     executor: &mut PimExecutor,
     dataset: &Dataset,
@@ -43,145 +39,33 @@ pub fn knn_pim_ed(
     query: &[f64],
     k: usize,
 ) -> Result<KnnResult, MiningError> {
-    assert!(k >= 1 && k <= dataset.len(), "k must be in 1..=N");
-    assert_eq!(query.len(), dataset.dim(), "query dimensionality mismatch");
-    if let Some(dir) = retained.direction() {
-        assert_eq!(
-            dir,
-            BoundDirection::LowerBoundsDistance,
-            "retained bounds must be ED lower bounds"
-        );
-    }
-
-    let mut report = RunReport::new(Architecture::ReRamPim);
-    let mut top = TopK::new(k, true);
-    let mut other = OpCounters::new();
-    let mut exact_counters = OpCounters::new();
     let n = dataset.len();
+    check_args(k, n, query.len(), dataset.dim())?;
+    check_direction(retained, Measure::EuclideanSq)?;
     let mut query_span = simpim_obs::span!("mining.knn.pim", k = k as u64, n = n as u64);
-
     // PIM bound batch over the whole dataset (one shot on the crossbars).
     let batch = executor.lb_ed_batch(query)?;
-    report.pim.add(&batch.timing);
-    let mut g_counters = OpCounters::new();
-    charge_g(n as u64, batch.host_bytes_per_object, &mut g_counters);
-    report
-        .profile
-        .record(&format!("G({})", executor.bound_name()), g_counters);
-
-    // Best-bound-first refinement (see `knn::cascade` for the rationale).
-    let mut order = LazyOrder::new(
-        batch.values.iter().copied().zip(0..).collect(),
-        true,
-        |i| i,
-        &mut other,
-    );
-
-    let prepared: Vec<_> = retained.stages().map(|s| s.prepare(query)).collect();
-    let stage_list: Vec<&dyn simpim_bounds::BoundStage> = retained.stages().collect();
-    let mut stage_evals = vec![0u64; stage_list.len()];
-    let mut stage_pruned = vec![0u64; stage_list.len()];
-    let mut pim_pruned = 0u64;
-    let mut refined = 0u64;
-
-    // Parallel chunked refinement against per-chunk τ snapshots; chunk
-    // boundaries and merge order are thread-count independent (see
-    // `knn::cascade` and DESIGN.md §10).
-    'walk: for chunk in crate::knn::refine_chunk_schedule(n, k) {
-        other.prune_test();
-        let start = chunk.start;
-        let cands = order.chunk(chunk);
-        if top.prunable(cands[0].0) {
-            // Sorted PIM bounds: this chunk and the rest are pruned too.
-            pim_pruned += (n - start) as u64;
-            break 'walk;
-        }
-        let snap = &top.clone();
-        let prepared = &prepared;
-        let chunks = simpim_par::map_chunks(cands.len(), crate::knn::REFINE_TASK, |r| {
-            let mut hits = Vec::new();
-            let mut exact = OpCounters::new();
-            let mut other = OpCounters::new();
-            let mut evals = vec![0u64; prepared.len()];
-            let mut pruned = vec![0u64; prepared.len()];
-            let mut pim_pruned = 0u64;
-            'cand: for &(lb, i) in &cands[r] {
-                other.prune_test();
-                if snap.prunable(lb) {
-                    pim_pruned += 1;
-                    continue 'cand;
-                }
-                for (si, prep) in prepared.iter().enumerate() {
-                    evals[si] += 1;
-                    other.prune_test();
-                    if snap.prunable(prep.bound(i)) {
-                        pruned[si] += 1;
-                        continue 'cand;
-                    }
-                }
-                exact.random_fetches += 1;
-                match exact_eval(Measure::EuclideanSq, dataset.row(i), query, &mut exact) {
-                    Ok(v) => hits.push((i, v)),
-                    Err(e) => return Err(e),
-                }
-            }
-            Ok((hits, exact, other, evals, pruned, pim_pruned))
-        });
-        for res in chunks {
-            let (hits, exact, task_other, evals, pruned, task_pim_pruned) = res?;
-            exact_counters.add(&exact);
-            other.add(&task_other);
-            pim_pruned += task_pim_pruned;
-            for (si, (e, p)) in evals.iter().zip(&pruned).enumerate() {
-                stage_evals[si] += e;
-                stage_pruned[si] += p;
-            }
-            refined += hits.len() as u64;
-            for (i, v) in hits {
-                other.prune_test();
-                top.offer(i, v);
-            }
-        }
-    }
-    for (si, stage) in stage_list.iter().enumerate() {
-        let mut c = OpCounters::new();
-        charge_stage(&stage.eval_cost(), stage_evals[si], &mut c);
-        report.profile.record(&stage.name(), c);
-    }
-
-    // Per-bound pruning observations, the PIM bound included — the same
-    // `simpim.bounds.*` names the cascade engine flushes, so
-    // `CandidateBound::from_metrics` sees PIM plans too.
     let bound = executor.bound_name();
-    simpim_obs::metrics::counter_add(&format!("simpim.bounds.{bound}.seen"), n as u64);
-    simpim_obs::metrics::counter_add(&format!("simpim.bounds.{bound}.pruned"), pim_pruned);
-    simpim_obs::metrics::gauge_set(
-        &format!("simpim.bounds.{bound}.transfer_bytes"),
-        batch.host_bytes_per_object as f64,
-    );
-    for (si, stage) in stage_list.iter().enumerate() {
-        let name = stage.name();
-        simpim_obs::metrics::counter_add(&format!("simpim.bounds.{name}.seen"), stage_evals[si]);
-        simpim_obs::metrics::counter_add(&format!("simpim.bounds.{name}.pruned"), stage_pruned[si]);
-        simpim_obs::metrics::gauge_set(
-            &format!("simpim.bounds.{name}.transfer_bytes"),
-            stage.transfer_bytes_per_object() as f64,
-        );
-    }
-    simpim_obs::metrics::histogram_record("simpim.mining.knn.refinements", refined);
-
-    report.profile.record("ED", exact_counters);
-    report.profile.record("other", other);
+    let (result, refined) = refine_batch(
+        &bound,
+        &batch,
+        dataset,
+        retained,
+        query,
+        k,
+        Measure::EuclideanSq,
+    )?;
     query_span.record("refined", refined as f64);
-    Ok(KnnResult {
-        neighbors: top.into_sorted(),
-        report,
-    })
+    Ok(result)
 }
 
 /// PIM-accelerated kNN under cosine / Pearson similarity: `UB_PIM` filter
 /// then exact refinement. `executor` must be prepared with
 /// `prepare_similarity` on the matching target.
+///
+/// # Errors
+/// [`MiningError::InvalidArgument`] when `k` is outside `1..=N`, the query
+/// dimensionality mismatches, or `measure` is not a similarity.
 pub fn knn_pim_sim(
     executor: &mut PimExecutor,
     dataset: &Dataset,
@@ -189,108 +73,103 @@ pub fn knn_pim_sim(
     k: usize,
     measure: Measure,
 ) -> Result<KnnResult, MiningError> {
-    assert!(k >= 1 && k <= dataset.len(), "k must be in 1..=N");
-    assert!(
-        matches!(measure, Measure::Cosine | Measure::Pearson),
-        "similarity path covers CS/PCC"
-    );
-
-    let mut report = RunReport::new(Architecture::ReRamPim);
-    let mut top = TopK::new(k, false);
-    let mut other = OpCounters::new();
-    let mut exact_counters = OpCounters::new();
     let n = dataset.len();
+    check_args(k, n, query.len(), dataset.dim())?;
+    if !matches!(measure, Measure::Cosine | Measure::Pearson) {
+        return Err(MiningError::InvalidArgument {
+            what: format!("the similarity path covers CS/PCC, not {}", measure.name()),
+        });
+    }
     let mut query_span = simpim_obs::span!("mining.knn.pim_sim", k = k as u64, n = n as u64);
-
     let batch = executor.ub_sim_batch(query)?;
+    let bound = executor.bound_name();
+    // Highest upper bound first: the similarity mirror of the ED walk,
+    // with no retained stages.
+    let retained = BoundCascade::empty();
+    let (result, refined) = refine_batch(&bound, &batch, dataset, &retained, query, k, measure)?;
+    query_span.record("refined", refined as f64);
+    Ok(result)
+}
+
+/// What both float fronts do with their PIM batch: book its timing and
+/// the host-side `G`, walk the candidates best-bound-first through the
+/// `retained` bounds to exact refinement, and flush the per-bound pruning
+/// observations — the PIM bound included, under the same `simpim.bounds.*`
+/// names the cascade engine uses, so `CandidateBound::from_metrics` sees
+/// PIM plans too. Returns the result and the refinement count.
+fn refine_batch(
+    bound: &str,
+    batch: &BoundBatch,
+    dataset: &Dataset,
+    retained: &BoundCascade,
+    query: &[f64],
+    k: usize,
+    measure: Measure,
+) -> Result<(KnnResult, u64), MiningError> {
+    let n = dataset.len();
+    if batch.values.len() != n {
+        return Err(MiningError::InvalidArgument {
+            what: format!(
+                "the executor holds {} objects, the dataset {n}",
+                batch.values.len()
+            ),
+        });
+    }
+    let mut report = RunReport::new(Architecture::ReRamPim);
     report.pim.add(&batch.timing);
     let mut g_counters = OpCounters::new();
-    charge_g(n as u64, batch.host_bytes_per_object, &mut g_counters);
-    report
-        .profile
-        .record(&format!("G({})", executor.bound_name()), g_counters);
+    batch.charge_g(&mut g_counters);
+    report.profile.record(&format!("G({bound})"), g_counters);
 
-    // Highest upper bound first: the similarity mirror of best-first
-    // refinement.
-    let mut order = LazyOrder::new(
+    let mut other = OpCounters::new();
+    let order = LazyOrder::new(
         batch.values.iter().copied().zip(0..).collect(),
-        false,
+        measure.smaller_is_closer(),
         |i| i,
         &mut other,
     );
+    let walked = walk(
+        order,
+        &retained.prepare(query),
+        |i| dataset.row(i),
+        |i| i,
+        query,
+        k,
+        measure,
+    )?;
+    other.add(&walked.other);
 
-    // Same chunked parallel walk as the ED path, minus retained stages.
-    let mut pruned = 0u64;
-    let mut refined = 0u64;
-    'walk: for chunk in crate::knn::refine_chunk_schedule(n, k) {
-        other.prune_test();
-        let start = chunk.start;
-        let cands = order.chunk(chunk);
-        if top.prunable(cands[0].0) {
-            // Sorted descending: this chunk and the rest cannot qualify.
-            pruned += (n - start) as u64;
-            break 'walk;
-        }
-        let snap = &top.clone();
-        let chunks = simpim_par::map_chunks(cands.len(), crate::knn::REFINE_TASK, |r| {
-            let mut hits = Vec::new();
-            let mut exact = OpCounters::new();
-            let mut other = OpCounters::new();
-            let mut pruned = 0u64;
-            for &(ub, i) in &cands[r] {
-                other.prune_test();
-                if snap.prunable(ub) {
-                    pruned += 1;
-                    continue;
-                }
-                exact.random_fetches += 1;
-                match exact_eval(measure, dataset.row(i), query, &mut exact) {
-                    Ok(v) => hits.push((i, v)),
-                    Err(e) => return Err(e),
-                }
-            }
-            Ok((hits, exact, other, pruned))
-        });
-        for res in chunks {
-            let (hits, exact, task_other, task_pruned) = res?;
-            exact_counters.add(&exact);
-            other.add(&task_other);
-            pruned += task_pruned;
-            refined += hits.len() as u64;
-            for (i, v) in hits {
-                other.prune_test();
-                top.offer(i, v);
-            }
-        }
-    }
-
-    let bound = executor.bound_name();
-    simpim_obs::metrics::counter_add(&format!("simpim.bounds.{bound}.seen"), n as u64);
-    simpim_obs::metrics::counter_add(&format!("simpim.bounds.{bound}.pruned"), pruned);
-    simpim_obs::metrics::gauge_set(
-        &format!("simpim.bounds.{bound}.transfer_bytes"),
-        batch.host_bytes_per_object as f64,
+    let stages: Vec<&dyn BoundStage> = retained.stages().collect();
+    walked.record_stages(&stages, &mut report);
+    flush_bound(
+        bound,
+        n as u64,
+        walked.first_pruned,
+        batch.host_bytes_per_object,
     );
-    simpim_obs::metrics::histogram_record("simpim.mining.knn.refinements", refined);
-
-    report.profile.record(measure.name(), exact_counters);
+    simpim_obs::metrics::histogram_record("simpim.mining.knn.refinements", walked.refined);
+    report.profile.record(measure.name(), walked.exact);
     report.profile.record("other", other);
-    query_span.record("refined", refined as f64);
-    Ok(KnnResult {
-        neighbors: top.into_sorted(),
+    let result = KnnResult {
+        neighbors: walked.neighbors,
         report,
-    })
+    };
+    Ok((result, walked.refined))
 }
 
 /// PIM kNN on binary codes: Hamming distances computed exactly on the
 /// crossbars; the host only selects the k smallest.
+///
+/// # Errors
+/// [`MiningError::InvalidArgument`] when `k` is outside `1..=N` or the
+/// query code width mismatches.
 pub fn knn_pim_hamming(
     executor: &mut PimExecutor,
     codes: &BinaryDataset,
     query: &BinaryVecRef<'_>,
     k: usize,
 ) -> Result<KnnResult, MiningError> {
-    assert!(k >= 1 && k <= codes.len(), "k must be in 1..=N");
+    check_args(k, codes.len(), query.bits(), codes.bits())?;
 
     let mut report = RunReport::new(Architecture::ReRamPim);
     let _span = simpim_obs::span!(
@@ -434,7 +313,7 @@ mod tests {
         let mut exec = PimExecutor::prepare_hamming(exec_cfg(100_000), &codes).unwrap();
         for qi in [0usize, 7, 100] {
             let q = codes.row(qi);
-            let truth = knn_hamming(&codes, &q, 10);
+            let truth = knn_hamming(&codes, &q, 10).unwrap();
             let got = knn_pim_hamming(&mut exec, &codes, &q, 10).unwrap();
             assert_eq!(got.indices(), truth.indices());
             // PIM HD needs no refinement: no ED/HD function on the host.

@@ -21,7 +21,7 @@ use simpim_similarity::{Dataset, Measure};
 use simpim_simkit::OpCounters;
 
 use crate::error::MiningError;
-use crate::knn::{exact_eval, LazyOrder, TopK};
+use crate::knn::{walk, LazyOrder, TopK};
 
 /// One shard's candidates, as parallel columns: `rows.row(i)` is the
 /// shard-local row whose stable global id is `ids[i]`, `live[i]` is
@@ -100,11 +100,8 @@ pub fn refine_resident(
         ));
     }
 
-    let smaller_is_closer = matches!(measure, Measure::EuclideanSq | Measure::Hamming);
-    let mut top = TopK::new(k, smaller_is_closer);
-
     // Best-bound-first over live slots; tombstones never surface.
-    let mut order = LazyOrder::new(
+    let order = LazyOrder::new(
         bounds
             .iter()
             .copied()
@@ -112,60 +109,17 @@ pub fn refine_resident(
             .filter(|&(i, _)| live[i])
             .map(|(i, v)| (v, i))
             .collect(),
-        smaller_is_closer,
+        measure.smaller_is_closer(),
         |i| ids[i],
         counters,
     );
-    let live_n = order.len();
-
-    // Parallel chunked walk (see `knn::cascade` / DESIGN.md §10): fixed
-    // chunk boundaries from `refine_chunk_schedule`, per-chunk τ
-    // snapshots, offers merged in candidate order — results and counters
-    // are identical at any `SIMPIM_THREADS`.
-    let mut refined = 0u64;
-    let mut pruned = 0u64;
-    'walk: for chunk in crate::knn::refine_chunk_schedule(live_n, k.min(live_n.max(1))) {
-        counters.prune_test();
-        let start = chunk.start;
-        let cands = order.chunk(chunk);
-        if top.prunable(cands[0].0) {
-            pruned += (live_n - start) as u64;
-            break 'walk;
-        }
-        let snap = &top.clone();
-        let chunks = simpim_par::map_chunks(cands.len(), crate::knn::REFINE_TASK, |r| {
-            let mut hits = Vec::new();
-            let mut local = OpCounters::new();
-            let mut pruned = 0u64;
-            for &(bound, i) in &cands[r] {
-                local.prune_test();
-                if snap.prunable(bound) {
-                    pruned += 1;
-                    continue;
-                }
-                local.random_fetches += 1;
-                match exact_eval(measure, rows.row(i), query, &mut local) {
-                    Ok(v) => hits.push((ids[i], v)),
-                    Err(e) => return Err(e),
-                }
-            }
-            Ok((hits, local, pruned))
-        });
-        for res in chunks {
-            let (hits, local, task_pruned) = res?;
-            counters.add(&local);
-            pruned += task_pruned;
-            refined += hits.len() as u64;
-            for (id, v) in hits {
-                counters.prune_test();
-                top.offer(id, v);
-            }
-        }
-    }
+    let walked = walk(order, &[], |i| rows.row(i), |i| ids[i], query, k, measure)?;
+    counters.add(&walked.exact);
+    counters.add(&walked.other);
     Ok(ShardRefine {
-        neighbors: top.into_sorted(),
-        refined,
-        pruned,
+        neighbors: walked.neighbors,
+        refined: walked.refined,
+        pruned: walked.first_pruned,
     })
 }
 
@@ -238,116 +192,6 @@ mod tests {
         .unwrap();
         let merged = merge_neighbors(&[a.neighbors, b.neighbors], 2, true);
         assert_eq!(merged, truth.neighbors);
-    }
-
-    /// The walk `refine_resident` replaced, kept as the reference: one
-    /// full stable sort of the live candidates up front, then the same
-    /// chunk schedule, τ snapshots and counter charges, serially.
-    fn full_sort_walk(
-        view: &ShardView<'_>,
-        query: &[f64],
-        k: usize,
-        measure: Measure,
-        counters: &mut OpCounters,
-    ) -> ShardRefine {
-        let smaller_is_closer = measure.smaller_is_closer();
-        let mut top = TopK::new(k, smaller_is_closer);
-        let mut order: Vec<(f64, usize)> = (0..view.rows.len())
-            .filter(|&i| view.live[i])
-            .map(|i| (view.bounds[i], i))
-            .collect();
-        order.sort_by(|a, b| {
-            let by_bound = a.0.total_cmp(&b.0);
-            let by_bound = if smaller_is_closer {
-                by_bound
-            } else {
-                by_bound.reverse()
-            };
-            by_bound.then(view.ids[a.1].cmp(&view.ids[b.1]))
-        });
-        let n = order.len();
-        counters.cmp += (n as f64 * (n as f64).log2().max(1.0)) as u64;
-        let (mut refined, mut pruned) = (0u64, 0u64);
-        for chunk in crate::knn::refine_chunk_schedule(n, k.min(n.max(1))) {
-            counters.prune_test();
-            if top.prunable(order[chunk.start].0) {
-                pruned += (n - chunk.start) as u64;
-                break;
-            }
-            let snap = top.clone();
-            let mut hits = Vec::new();
-            for &(bound, i) in &order[chunk] {
-                counters.prune_test();
-                if snap.prunable(bound) {
-                    pruned += 1;
-                    continue;
-                }
-                counters.random_fetches += 1;
-                let v = exact_eval(measure, view.rows.row(i), query, counters).unwrap();
-                hits.push((view.ids[i], v));
-            }
-            refined += hits.len() as u64;
-            for (id, v) in hits {
-                counters.prune_test();
-                top.offer(id, v);
-            }
-        }
-        ShardRefine {
-            neighbors: top.into_sorted(),
-            refined,
-            pruned,
-        }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
-
-        /// Ordering only the prefix the walk reaches changes nothing a
-        /// caller can see: same neighbours, `refined`, `pruned` and
-        /// `OpCounters` as the walk over a fully sorted order — with
-        /// heavily duplicated bounds (ties fall to the id, which runs
-        /// against the row index here), tombstones, k ∈ {1, 10, n}, both
-        /// senses of "closer", at 1, 2 and 8 workers.
-        #[test]
-        fn lazy_order_walk_equals_full_sort_walk(
-            cells in proptest::prop::collection::vec(
-                (0u32..8, 0u32..6, 0u32..6, proptest::any::<bool>()),
-                1..=300,
-            ),
-            k_choice in 0usize..3,
-            smaller_is_closer in proptest::any::<bool>(),
-        ) {
-            let n = cells.len();
-            let rows = Dataset::from_rows(
-                &cells
-                    .iter()
-                    .map(|&(_, x, y, _)| vec![0.1 + f64::from(x) * 0.15, 0.1 + f64::from(y) * 0.15])
-                    .collect::<Vec<_>>(),
-            )
-            .unwrap();
-            let ids: Vec<usize> = (0..n).map(|i| 10_000 - i).collect();
-            let live: Vec<bool> = cells.iter().map(|c| c.3).collect();
-            // Eight distinct bound values over up to 300 rows. Not valid
-            // bounds of anything: the two walks must agree regardless.
-            let bounds: Vec<f64> = cells.iter().map(|c| f64::from(c.0) * 0.05).collect();
-            let view = ShardView { rows: &rows, ids: &ids, live: &live, bounds: &bounds };
-            let measure = if smaller_is_closer { Measure::EuclideanSq } else { Measure::Cosine };
-            let k = [1, 10, n][k_choice];
-            let q = [0.4, 0.7];
-
-            let mut want_counters = OpCounters::new();
-            let want = full_sort_walk(&view, &q, k, measure, &mut want_counters);
-            for threads in [1usize, 2, 8] {
-                let mut counters = OpCounters::new();
-                let got = simpim_par::with_threads(threads, || {
-                    refine_resident(&view, &q, k, measure, &mut counters).unwrap()
-                });
-                proptest::prop_assert_eq!(&got.neighbors, &want.neighbors, "{} threads", threads);
-                proptest::prop_assert_eq!(got.refined, want.refined, "{} threads", threads);
-                proptest::prop_assert_eq!(got.pruned, want.pruned, "{} threads", threads);
-                proptest::prop_assert_eq!(counters, want_counters, "{} threads", threads);
-            }
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use simpim_similarity::{Dataset, Measure};
 use simpim_simkit::OpCounters;
 
 use crate::error::MiningError;
-use crate::knn::{exact_eval, KnnResult, TopK};
+use crate::knn::{check_args, exact_eval, KnnResult, TopK};
 use crate::report::{Architecture, RunReport};
 
 /// Scans the whole dataset, returning the exact k nearest under `measure`
@@ -16,18 +16,15 @@ use crate::report::{Architecture, RunReport};
 /// # Errors
 /// [`MiningError::UnsupportedMeasure`] for `Measure::Hamming` — binary
 /// codes use [`crate::knn::hamming`] instead.
-///
-/// # Panics
-/// Panics when `k` is zero or exceeds the dataset size, or when the query
-/// dimensionality mismatches.
+/// [`MiningError::InvalidArgument`] when `k` is zero or exceeds the dataset
+/// size, or when the query dimensionality mismatches.
 pub fn knn_standard(
     dataset: &Dataset,
     query: &[f64],
     k: usize,
     measure: Measure,
 ) -> Result<KnnResult, MiningError> {
-    assert!(k >= 1 && k <= dataset.len(), "k must be in 1..=N");
-    assert_eq!(query.len(), dataset.dim(), "query dimensionality mismatch");
+    check_args(k, dataset.len(), query.len(), dataset.dim())?;
     let mut report = RunReport::new(Architecture::ConventionalDram);
     let mut top = TopK::new(k, measure.smaller_is_closer());
     let _span = simpim_obs::span!(
@@ -107,9 +104,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "k must be")]
     fn zero_k_rejected() {
-        let _ = knn_standard(&dataset(), &[0.0, 0.0], 0, Measure::EuclideanSq);
+        let err = knn_standard(&dataset(), &[0.0, 0.0], 0, Measure::EuclideanSq).unwrap_err();
+        assert!(
+            matches!(&err, MiningError::InvalidArgument { what } if what.contains("k must be")),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -106,9 +106,7 @@ pub fn motif_pim(series: &[f64], w: usize, cfg: ExecutorConfig) -> Result<MotifR
         let batch = exec.lb_ed_batch(ds.row(i))?;
         bound_name = exec.bound_name();
         report.pim.add(&batch.timing);
-        g.stream(n as u64 * batch.host_bytes_per_object);
-        g.arith += 4 * n as u64;
-        g.mul += 2 * n as u64;
+        batch.charge_g(&mut g);
         for (j, &lb) in batch.values.iter().enumerate().skip(i + excl) {
             other.prune_test();
             if lb >= best.2 {
@@ -194,9 +192,7 @@ pub fn discord_pim(
         let batch = exec.lb_ed_batch(ds.row(i))?;
         bound_name = exec.bound_name();
         report.pim.add(&batch.timing);
-        g.stream(n as u64 * batch.host_bytes_per_object);
-        g.arith += 4 * n as u64;
-        g.mul += 2 * n as u64;
+        batch.charge_g(&mut g);
 
         let mut order: Vec<(f64, usize)> = batch
             .values

@@ -96,9 +96,7 @@ pub fn outliers_pim(
         let batch = executor.lb_ed_batch(row)?;
         bound_name = executor.bound_name();
         report.pim.add(&batch.timing);
-        g_counters.stream(n as u64 * batch.host_bytes_per_object);
-        g_counters.arith += 4 * n as u64;
-        g_counters.mul += 2 * n as u64;
+        batch.charge_g(&mut g_counters);
 
         // Ascending-bound neighbor scan with two prunes: per-candidate
         // (bound ≥ current k-th) and per-object (k-th < global cutoff `c`

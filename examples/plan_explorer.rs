@@ -11,7 +11,7 @@
 //! the winning pipelines.
 
 use simpim::core::planner::{CandidateBound, Planner, PruningProfile};
-use simpim::core::stage::PimFnnStage;
+use simpim::core::stage::PimStage;
 use simpim::datasets::{generate, sample_queries, SyntheticConfig};
 use simpim::mining::knn::algorithms::fnn_levels;
 use simpim::similarity::{Measure, NormalizedDataset};
@@ -38,7 +38,7 @@ fn main() {
         .iter()
         .map(|&s| FnnBound::build(&data, s).expect("divisor"))
         .collect();
-    let pim = PimFnnStage::build(&nds, 105, 1e6).expect("divisor");
+    let pim = PimStage::fnn(&nds, 105, 1e6).expect("divisor");
 
     let mut stages: Vec<&dyn BoundStage> = classic.iter().map(|b| b as &dyn BoundStage).collect();
     stages.push(&pim);

@@ -90,7 +90,7 @@ fn hamming_pim_is_exact_across_code_widths() {
         let mut exec = PimExecutor::prepare_hamming(exec_cfg(), &codes).unwrap();
         for qi in [0usize, 31, 419] {
             let q = codes.row(qi);
-            let truth = knn_hamming(&codes, &q, 10);
+            let truth = knn_hamming(&codes, &q, 10).unwrap();
             let pim = knn_pim_hamming(&mut exec, &codes, &q, 10).unwrap();
             assert_eq!(pim.indices(), truth.indices(), "bits={bits} qi={qi}");
         }

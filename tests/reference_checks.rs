@@ -53,7 +53,7 @@ proptest! {
         });
         let codes = lsh_codes(&base, bits, seed);
         let qi = (seed % 70) as usize;
-        let fast = knn_hamming(&codes, &codes.row(qi), 7);
+        let fast = knn_hamming(&codes, &codes.row(qi), 7).unwrap();
         let mut all: Vec<(u32, usize)> = (0..codes.len())
             .map(|j| (codes.row(qi).hamming(&codes.row(j)), j))
             .collect();
