@@ -18,9 +18,16 @@
 //!   every neighbor (index, distance bits). The binary aborts unless all
 //!   backends produce the *same* hash (the bit-identity contract), and
 //!   unless the hash is invariant across 1 and 4 `simpim-par` workers.
-//!   `dot_u32`'s outputs are hashed into a field of their own
-//!   (`dot_u32_hash`, held to the same all-backends-equal rule), so
-//!   `result_hash` stays comparable with artifacts that predate it.
+//!   `dot_u32`'s and `dot_u32_x4`'s outputs are hashed into fields of
+//!   their own (`dot_u32_hash`, `dot_u32_x4_hash`, held to the same
+//!   all-backends-equal rule), so `result_hash` stays comparable with
+//!   artifacts that predate them;
+//! * **the coalesced crossbar pass**: `PimArray::dot_batch_multi` of
+//!   `Q` ∈ {1, 4, 8} queries on one 10 000 × 420 region at one worker,
+//!   as milliseconds of pass per query — what a batch saves over `Q`
+//!   single passes, which the repo benchmark's `Q = 1` replay cannot
+//!   show — beside `dot_u32_x4`'s ns per operand and its speedup over
+//!   four `dot_u32` calls of the same tier.
 //!
 //! The artifact (`BENCH_kernels.json`) stamps each backend's numbers and
 //! its speedup over forced-scalar, seeding the per-PR BENCH trajectory
@@ -38,6 +45,8 @@ use simpim_datasets::PaperDataset;
 use simpim_kern::{self as kern, Backend};
 use simpim_obs::Json;
 use simpim_par as par;
+use simpim_reram::array::RegionId;
+use simpim_reram::{AccWidth, PimArray, PimConfig};
 
 const K: usize = 10;
 /// Packed words per popcount-MAC operand (≈ a 2.1 Mbit LSH code stripe).
@@ -46,6 +55,11 @@ const POPCOUNT_WORDS: usize = 32_768;
 const MIN_PASSES: usize = 5;
 const MAX_PASSES: usize = 200;
 const BUDGET_NS: u64 = 40_000_000;
+/// Rows of the coalesced-pass region (with the workload's 420 dimensions,
+/// one shard of the repo benchmark's serve-pruned) and the batch sizes it
+/// is read with.
+const PASS_ROWS: usize = 10_000;
+const PASS_QUERIES: [usize; 3] = [1, 4, 8];
 
 fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
@@ -95,10 +109,14 @@ struct Row {
     xorpop_ns: f64,
     andpop_ns: f64,
     dot_u32_ns: f64,
+    dot_u32_x4_ns: f64,
+    /// `dot_batch_multi` milliseconds per query, in `PASS_QUERIES` order.
+    pass_ms_per_query: [f64; 3],
     knn_wall_ms: f64,
     knn_qps: f64,
     hash: u64,
     dot_u32_hash: u64,
+    dot_u32_x4_hash: u64,
 }
 
 /// One timed kNN pass over the workload; returns (hash, wall ns).
@@ -121,7 +139,8 @@ fn sweep_backend(
     exec: &mut PimExecutor,
     w: &Workload,
     (wa, wb): (&[u64], &[u64]),
-    (operands, operand_query): (&[u32], &[u32]),
+    (operands, operand_queries): (&[u32], &[Vec<u32>]),
+    (pim, region): (&mut PimArray, RegionId),
 ) -> Row {
     kern::with_backend(b, || {
         let n = w.data.len();
@@ -154,8 +173,31 @@ fn sweep_backend(
             operands
                 .chunks_exact(d)
                 .fold(0xcbf2_9ce4_8422_2325u64, |h, row| {
-                    fnv1a(h, &kern::dot_u32(row, operand_query).to_le_bytes())
+                    fnv1a(h, &kern::dot_u32(row, &operand_queries[0]).to_le_bytes())
                 })
+        });
+        let four: [&[u32]; 4] = std::array::from_fn(|j| &operand_queries[j][..]);
+        let (dot_u32_x4_ns, dot_u32_x4_hash) = measure(4 * operands.len(), || {
+            operands
+                .chunks_exact(d)
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, row| {
+                    kern::dot_u32_x4(row, four)
+                        .iter()
+                        .fold(h, |h, sum| fnv1a(h, &sum.to_le_bytes()))
+                })
+        });
+        let pass_ms_per_query = PASS_QUERIES.map(|q| {
+            let passes: Vec<(RegionId, &[u32])> = operand_queries[..q]
+                .iter()
+                .map(|query| (region, &query[..]))
+                .collect();
+            let (ns_per_query, _) = par::with_threads(1, || {
+                measure(q, || {
+                    let out = pim.dot_batch_multi(&passes, AccWidth::U64);
+                    out.expect("programmed region").len() as u64
+                })
+            });
+            ns_per_query / 1e6
         });
 
         // End-to-end Standard-PIM kNN: timed at ambient workers, then
@@ -185,10 +227,13 @@ fn sweep_backend(
             xorpop_ns,
             andpop_ns,
             dot_u32_ns,
+            dot_u32_x4_ns,
+            pass_ms_per_query,
             knn_wall_ms: knn_ns as f64 / 1e6,
             knn_qps: w.queries.len() as f64 / knn_s.max(1e-12),
             hash,
             dot_u32_hash,
+            dot_u32_x4_hash,
         }
     })
 }
@@ -204,11 +249,26 @@ fn main() {
     let active = kern::backend();
     let wa = words(POPCOUNT_WORDS, 0x9e37_79b9_7f4a_7c15);
     let wb = words(POPCOUNT_WORDS, 0xd1b5_4a32_d192_ed03);
-    // A stored-operand matrix of the workload's shape plus one query, at
-    // the 20 bits α = 1e6 quantises to: what `PimArray::dot_batch` reads.
+    // A stored-operand matrix of the workload's shape plus the queries of
+    // a full batch, at the 20 bits α = 1e6 quantises to: what
+    // `PimArray::dot_batch` reads. The same queries read the pass region,
+    // programmed into 32-bit slots like the executor's.
     let narrow = |ws: Vec<u64>| -> Vec<u32> { ws.into_iter().map(|x| (x >> 44) as u32).collect() };
-    let operands = narrow(words(w.data.len() * w.data.dim(), 0xa076_1d64_78bd_642f));
-    let operand_query = narrow(words(w.data.dim(), 0xe703_7ed1_a0b4_28db));
+    let d = w.data.dim();
+    let operands = narrow(words(w.data.len() * d, 0xa076_1d64_78bd_642f));
+    let operand_queries: Vec<Vec<u32>> = (0..8)
+        .map(|j| narrow(words(d, 0xe703_7ed1_a0b4_28db + j)))
+        .collect();
+    let mut pim = PimArray::new(PimConfig::default()).expect("default platform");
+    let pass_region = pim
+        .program_region(
+            &narrow(words(PASS_ROWS * d, 0x8ebc_6af0_9c88_c6e3)),
+            PASS_ROWS,
+            d,
+            32,
+        )
+        .expect("the default array holds one shard")
+        .region;
 
     // One dataset, one programmed executor, shared by every
     // (backend, workers) measurement cell.
@@ -220,7 +280,16 @@ fn main() {
         .collect();
     let rows: Vec<Row> = tiers
         .iter()
-        .map(|&b| sweep_backend(b, &mut exec, &w, (&wa, &wb), (&operands, &operand_query)))
+        .map(|&b| {
+            sweep_backend(
+                b,
+                &mut exec,
+                &w,
+                (&wa, &wb),
+                (&operands, &operand_queries),
+                (&mut pim, pass_region),
+            )
+        })
         .collect();
 
     let scalar = &rows[0];
@@ -236,6 +305,11 @@ fn main() {
             "backend '{}': dot_u32 differs from scalar",
             r.name
         );
+        assert_eq!(
+            r.dot_u32_x4_hash, scalar.dot_u32_x4_hash,
+            "backend '{}': dot_u32_x4 differs from scalar",
+            r.name
+        );
     }
     let hash = scalar.hash;
 
@@ -249,8 +323,8 @@ fn main() {
             active.name()
         ),
         &[
-            "backend", "dot", "norm", "fused", "euclid", "xorpop", "andpop", "dot_u32", "knn qps",
-            "vs scalar",
+            "backend", "dot", "norm", "fused", "euclid", "xorpop", "andpop", "dot_u32", "x4",
+            "pass Q=1", "Q=4", "Q=8", "knn qps", "vs scalar",
         ],
         &rows
             .iter()
@@ -264,6 +338,10 @@ fn main() {
                     format!("{:.3}", r.xorpop_ns),
                     format!("{:.3}", r.andpop_ns),
                     format!("{:.3}", r.dot_u32_ns),
+                    format!("{:.3}", r.dot_u32_x4_ns),
+                    format!("{:.2}", r.pass_ms_per_query[0]),
+                    format!("{:.2}", r.pass_ms_per_query[1]),
+                    format!("{:.2}", r.pass_ms_per_query[2]),
                     format!("{:.0}", r.knn_qps),
                     fmt_x(scalar.dot_ns / r.dot_ns.max(1e-12)),
                 ]
@@ -272,7 +350,8 @@ fn main() {
     );
     println!(
         "result hash {hash:016x} identical across {} backends and 1|4|ambient workers \
-         (ns/element columns; popcount per u64 word)",
+         (ns/element columns; popcount per u64 word; pass columns: ms per query of one \
+         dot_batch_multi over {PASS_ROWS} x {d} at one worker)",
         rows.len()
     );
 
@@ -288,6 +367,15 @@ fn main() {
                 ("xor_popcount_ns_per_word", Json::Num(r.xorpop_ns)),
                 ("and_popcount_ns_per_word", Json::Num(r.andpop_ns)),
                 ("dot_u32_ns_per_elem", Json::Num(r.dot_u32_ns)),
+                ("dot_u32_x4_ns_per_elem", Json::Num(r.dot_u32_x4_ns)),
+                (
+                    "pass_ms_per_query",
+                    Json::obj(
+                        ["q1", "q4", "q8"]
+                            .into_iter()
+                            .zip(r.pass_ms_per_query.map(Json::Num)),
+                    ),
+                ),
                 ("knn_wall_ms", Json::Num(r.knn_wall_ms)),
                 ("knn_qps", Json::Num(r.knn_qps)),
                 (
@@ -305,6 +393,10 @@ fn main() {
                 (
                     "speedup_dot_u32",
                     Json::Num(scalar.dot_u32_ns / r.dot_u32_ns.max(1e-12)),
+                ),
+                (
+                    "speedup_dot_u32_x4",
+                    Json::Num(r.dot_u32_ns / r.dot_u32_x4_ns.max(1e-12)),
                 ),
                 (
                     "speedup_knn",
@@ -329,6 +421,10 @@ fn main() {
             (
                 "dot_u32_hash",
                 Json::Str(format!("{:016x}", scalar.dot_u32_hash)),
+            ),
+            (
+                "dot_u32_x4_hash",
+                Json::Str(format!("{:016x}", scalar.dot_u32_x4_hash)),
             ),
             ("threads_invariant", Json::Bool(true)),
             ("knn_qps", Json::Num(active_row.knn_qps)),

@@ -484,6 +484,11 @@ impl BoundBatch {
     }
 }
 
+/// The batch of a one-query pass.
+fn one_batch(mut batches: Vec<BoundBatch>) -> BoundBatch {
+    batches.pop().expect("one batch per query")
+}
+
 /// The PIM executor: a prepared dataset on a ReRAM bank.
 #[derive(Debug)]
 pub struct PimExecutor {
@@ -825,19 +830,23 @@ impl PimExecutor {
         self.cfg.faults.is_some_and(|f| !f.is_inert())
     }
 
+    /// Whether the cadence scrubs before the next batch.
+    fn scrub_due(&self) -> bool {
+        self.cfg.faults.is_some()
+            && self.cfg.scrub_interval != 0
+            && self.batches_since_scrub + 1 >= self.cfg.scrub_interval
+    }
+
     /// Periodic scrub cadence: every `scrub_interval` bound batches the
     /// executor re-scrubs all regions (catching wear-out that developed
-    /// online). Called at the start of each batch.
+    /// online). Called once per batch, before its pass.
     fn maybe_scrub(&mut self) -> Result<(), CoreError> {
-        if self.cfg.faults.is_none() || self.cfg.scrub_interval == 0 {
+        if !self.scrub_due() {
+            self.batches_since_scrub += 1;
             return Ok(());
         }
-        self.batches_since_scrub += 1;
-        if self.batches_since_scrub >= self.cfg.scrub_interval {
-            self.batches_since_scrub = 0;
-            self.scrub_and_remap()?;
-        }
-        Ok(())
+        self.batches_since_scrub = 0;
+        self.scrub_and_remap()
     }
 
     /// Runs one detect-and-recover pass now, outside the periodic
@@ -907,7 +916,7 @@ impl PimExecutor {
     pub fn lb_ed_batch(&mut self, query: &[f64]) -> Result<BoundBatch, CoreError> {
         self.prepared
             .phi_table("executor not prepared for ED bounds")?;
-        self.vector_pass(query)
+        self.vector_pass(&[query]).map(one_batch)
     }
 
     /// Upper bounds of the prepared similarity (CS or PCC) between every
@@ -918,7 +927,7 @@ impl PimExecutor {
                 what: "executor not prepared for similarity bounds",
             });
         }
-        self.vector_pass(query)
+        self.vector_pass(&[query]).map(one_batch)
     }
 
     /// Exact Hamming distances between every prepared code and `query`.
@@ -935,21 +944,42 @@ impl PimExecutor {
             });
         }
         let operands = [query.to_unsigned(), query.complement_to_unsigned()];
-        self.bound_pass(|_| Ok(Quantised::new(operands, 0.0)))
+        self.bound_pass(&[Quantised::new(operands, 0.0)])
+            .map(one_batch)
     }
 
-    /// The pass for a float query, its dimensionality checked.
-    fn vector_pass(&mut self, query: &[f64]) -> Result<BoundBatch, CoreError> {
-        if query.len() != self.prepared.dim() {
-            return Err(CoreError::Mismatch {
-                what: "query dimensionality",
-            });
-        }
-        self.bound_pass(|exec| exec.prepared.quantise(&exec.quantizer, query))
+    /// The pass for float queries: every query's dimensionality is
+    /// checked and every query quantised before the first dispatch, so a
+    /// bad query fails the batch with nothing dispatched or charged.
+    fn vector_pass<Q: AsRef<[f64]>>(
+        &mut self,
+        queries: &[Q],
+    ) -> Result<Vec<BoundBatch>, CoreError> {
+        let quantised = queries
+            .iter()
+            .map(|query| {
+                if query.as_ref().len() != self.prepared.dim() {
+                    return Err(CoreError::Mismatch {
+                        what: "query dimensionality",
+                    });
+                }
+                self.prepared.quantise(&self.quantizer, query.as_ref())
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        self.bound_pass(&quantised)
     }
 
-    /// The one online pass under every front: scrub cadence → quantise →
-    /// one dot batch per region → per-object recovery → `G`.
+    /// The one online pass under every front, for the quantised queries
+    /// of a batch: per query, scrub cadence → one dot pass per region →
+    /// per-object recovery → `G`, and one [`BoundBatch`] each.
+    ///
+    /// The modeled device serves the queries one after the other — the
+    /// passes are handed to the bank query by query, region by region,
+    /// and timing, dispatches, energy, counters and metrics are those of
+    /// as many single calls — while the host simulation reads each region
+    /// once for all of them ([`ReRamBank::dot_batch_multi`]). A scrub
+    /// changes what the crossbars read, so the batch is cut into runs
+    /// wherever the cadence scrubs and only a run shares its reads.
     ///
     /// Recovery is the single health rule (DESIGN.md §7). An object dead
     /// in any region gets the exact host-side dot over its retained rows
@@ -959,28 +989,59 @@ impl PimExecutor {
     /// exact function, which has no band to widen and takes the exact
     /// recompute too. A healthy object keeps its measured dots. Without
     /// an active fault model no status is looked up at all.
-    fn bound_pass(
-        &mut self,
-        quantise: impl FnOnce(&Self) -> Result<Quantised, CoreError>,
-    ) -> Result<BoundBatch, CoreError> {
-        self.maybe_scrub()?;
-        let q = quantise(self)?;
+    fn bound_pass(&mut self, queries: &[Quantised]) -> Result<Vec<BoundBatch>, CoreError> {
         let regions = self.prepared.regions();
-        let mut dots: [Vec<u64>; 2] = Default::default();
-        let mut timing = PimTiming::default();
-        for (r, (&region, floors)) in regions.iter().zip(&q.floors).enumerate() {
-            let out = self
-                .bank
-                .dot_batch(region, floors, self.prepared.acc_width())?;
-            if r == 0 {
-                timing = out.timing;
-            } else if self.cfg.parallel_regions {
-                timing.merge_parallel(&out.timing);
-            } else {
-                timing.add(&out.timing);
+        let mut batches = Vec::with_capacity(queries.len());
+        let mut rest = queries;
+        while !rest.is_empty() {
+            self.maybe_scrub()?;
+            let mut run = 1;
+            while run < rest.len() && !self.scrub_due() {
+                self.maybe_scrub()?;
+                run += 1;
             }
-            dots[r] = out.values;
+            let (now, later) = rest.split_at(run);
+            rest = later;
+            let passes: Vec<(RegionId, &[u32])> = now
+                .iter()
+                .flat_map(|q| regions.iter().zip(&q.floors).map(|(&r, f)| (r, &f[..])))
+                .collect();
+            let (reads, lost) = self
+                .bank
+                .dot_batch_multi(&passes, self.prepared.acc_width());
+            // A bank lost mid-run has served the passes before the loss:
+            // the queries they complete are accounted before the error.
+            let served = reads.len() / regions.len();
+            let mut reads = reads.into_iter();
+            for q in &now[..served] {
+                let mut dots: [Vec<u64>; 2] = Default::default();
+                let mut timing = PimTiming::default();
+                for (r, out) in reads.by_ref().take(regions.len()).enumerate() {
+                    if r == 0 {
+                        timing = out.timing;
+                    } else if self.cfg.parallel_regions {
+                        timing.merge_parallel(&out.timing);
+                    } else {
+                        timing.add(&out.timing);
+                    }
+                    dots[r] = out.values;
+                }
+                batches.push(self.combine_batch(q, &regions, dots, timing)?);
+            }
+            lost?;
         }
+        Ok(batches)
+    }
+
+    /// The host half of one query's pass: the health rule over its
+    /// measured `dots`, then `G`, the counters and the [`BoundBatch`].
+    fn combine_batch(
+        &mut self,
+        q: &Quantised,
+        regions: &[RegionId],
+        mut dots: [Vec<u64>; 2],
+        timing: PimTiming,
+    ) -> Result<BoundBatch, CoreError> {
         let n = dots[0].len();
 
         let (mut guarded, mut fallbacks) = (0u64, 0u64);
@@ -1013,7 +1074,7 @@ impl PimExecutor {
         let at = |table: &[u64], obj: usize| table.get(obj).copied().unwrap_or(0);
         let alpha = self.quantizer.alpha();
         self.prepared
-            .combine(&q, qmax, alpha, 0..n, &mut values, |obj| {
+            .combine(q, qmax, alpha, 0..n, &mut values, |obj| {
                 (
                     [dots[0][obj], at(&dots[1], obj)],
                     slack.get(obj).copied().unwrap_or_default(),
@@ -1035,6 +1096,9 @@ impl PimExecutor {
     /// entry point. The dataset stays programmed across the whole batch, so
     /// the per-query cost is a crossbar read pass only; the offline path's
     /// program cost is amortized across every query the residency serves.
+    /// Every [`BoundBatch`] is the one the single call would return, while
+    /// the host simulation reads each region once for the whole batch; a
+    /// query that fails its check fails the batch before any dispatch.
     ///
     /// The executor's span parents on `parent` (the serving layer's batch
     /// span) instead of this thread's stack, so the crossbar pass stays
@@ -1052,10 +1116,9 @@ impl PimExecutor {
         } else {
             simpim_obs::trace::open_span_ctx("core.executor.lb_ed_batch_multi", parent, &attrs).0
         };
-        let mut out = Vec::with_capacity(queries.len());
-        for q in queries {
-            out.push(self.lb_ed_batch(q)?);
-        }
+        self.prepared
+            .phi_table("executor not prepared for ED bounds")?;
+        let out = self.vector_pass(queries)?;
         simpim_obs::metrics::histogram_record(
             "simpim.core.executor.coalesced_queries",
             queries.len() as u64,
@@ -1939,22 +2002,228 @@ mod tests {
         assert!(batch.values[60] <= ed + 1e-9);
     }
 
+    /// `lb_ed_batch_multi` as it was before the pass took a batch: one
+    /// single-query pass after the other, stopping at the first error.
+    fn sequential(
+        exec: &mut PimExecutor,
+        queries: &[Vec<f64>],
+    ) -> Result<Vec<BoundBatch>, CoreError> {
+        queries.iter().map(|q| exec.lb_ed_batch(q)).collect()
+    }
+
+    /// Everything the modeled device and the host account for, by bits.
+    fn ledger(exec: &PimExecutor) -> (FaultCounters, u64, [u64; 3], u64) {
+        let energy = exec.bank().pim().energy();
+        (
+            *exec.fault_counters(),
+            exec.bank().dispatches(),
+            [energy.write_j, energy.compute_j, energy.bus_j].map(f64::to_bits),
+            exec.bank().buffer().high_water(),
+        )
+    }
+
+    fn assert_same_batches(got: &[BoundBatch], want: &[BoundBatch], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            let bits = |b: &BoundBatch| b.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(g), bits(w), "{what}: values of query {i}");
+            assert_eq!(g.timing, w.timing, "{what}: timing of query {i}");
+            assert_eq!(g.host_bytes_per_object, w.host_bytes_per_object, "{what}");
+            assert_eq!(
+                g.fault_counters, w.fault_counters,
+                "{what}: cumulative counters at query {i}"
+            );
+        }
+    }
+
+    /// The coalesced pass against the loop it replaced, on twin
+    /// executors: the three ED-family shapes (resident, rows appended)
+    /// under no fault model, an inert one, stuck cells behind a
+    /// glitching ADC and every wordline dead, with the scrub cadence at
+    /// every batch and at every third — seven queries a batch, so the
+    /// scrubs fall mid-batch — and the crossbars aged past their
+    /// endurance between two batches, so that a mid-batch scrub finds new
+    /// damage and the queries after it read differently from those
+    /// before. Every `BoundBatch` field, the cumulative counters query by
+    /// query, dispatches, energy and buffer pressure must match by bits.
     #[test]
-    fn multi_batch_matches_sequential_queries() {
-        let data = sample_data();
-        let queries: Vec<Vec<f64>> = vec![
-            vec![0.4, 0.3, 0.9, 0.1, 0.6, 0.2, 0.55, 0.45],
-            vec![0.5; 8],
-            vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8],
+    fn multi_batch_matches_the_sequential_loop() {
+        let rows_of = |data: &NormalizedDataset| -> Vec<Vec<f64>> {
+            data.dataset().rows().map(<[f64]>::to_vec).collect()
+        };
+        let head = |data: NormalizedDataset, n: usize| normalized(&rows_of(&data)[..n]);
+        let queries: Vec<Vec<f64>> = (0..7)
+            .map(|i| {
+                (0..8)
+                    .map(|j| ((i * 29 + j * 31) % 101) as f64 / 100.0)
+                    .collect()
+            })
+            .collect();
+        let sm_cfg = ExecutorConfig {
+            double_buffer: true,
+            ..cfg(34)
+        };
+        let shapes = [
+            ("LB_PIM-ED", cfg(4096), sample_data()),
+            ("LB_PIM-FNN^2", cfg(8), head(fnn_data(), 61)),
+            ("LB_PIM-SM^1", sm_cfg, head(sm_data(), 509)),
         ];
-        let mut a = PimExecutor::prepare_euclidean(cfg(4096), &data).unwrap();
-        let mut b = PimExecutor::prepare_euclidean(cfg(4096), &data).unwrap();
-        let multi = a
+        let worn = |model: FaultConfig| FaultConfig {
+            endurance_limit: 4,
+            ..model
+        };
+        let models = [
+            ("no fault model", None),
+            ("inert model", Some(FaultConfig::default())),
+            (
+                "stuck cells, glitching ADC",
+                Some(worn(FaultConfig {
+                    stuck_low_rate: 0.03,
+                    stuck_high_rate: 0.03,
+                    adc_glitch_rate: 0.05,
+                    seed: 1,
+                    ..Default::default()
+                })),
+            ),
+            (
+                "all wordlines dead",
+                Some(worn(FaultConfig {
+                    dead_wordline_rate: 1.0,
+                    ..Default::default()
+                })),
+            ),
+        ];
+        for (name, base, data) in &shapes {
+            for (model, faults) in &models {
+                for scrub_interval in [1, 3] {
+                    let what = format!("{name}, {model}, scrub every {scrub_interval}");
+                    let build = || {
+                        let c = ExecutorConfig {
+                            faults: *faults,
+                            scrub_interval,
+                            ..*base
+                        };
+                        let mut exec = PimExecutor::prepare_euclidean_resident(c, data, 2).unwrap();
+                        exec.append_row(&queries[3]).unwrap();
+                        exec.append_row(&queries[5]).unwrap();
+                        exec
+                    };
+                    let (mut exec, mut twin) = (build(), build());
+                    assert_eq!(exec.bound_name(), *name);
+                    let mut recoveries = Vec::new();
+                    for round in 0..3 {
+                        if round == 1 {
+                            for e in [&mut exec, &mut twin] {
+                                e.bank_mut().pim_mut().age_crossbars(8);
+                            }
+                        }
+                        let got = exec
+                            .lb_ed_batch_multi(&queries, simpim_obs::TraceCtx::NONE)
+                            .unwrap();
+                        let want = sequential(&mut twin, &queries).unwrap();
+                        assert_same_batches(&got, &want, &format!("{what}, round {round}"));
+                        assert_eq!(ledger(&exec), ledger(&twin), "{what}, round {round}");
+                        recoveries.extend(got.iter().map(|b| {
+                            b.fault_counters.scrubs + b.fault_counters.fallback_refinements
+                        }));
+                    }
+                    if scrub_interval == 3 && faults.is_some_and(|f| f.endurance_limit > 0) {
+                        // The aged crossbars were found by a scrub that
+                        // fell inside a batch: the counters step there.
+                        let steps = recoveries.windows(2).filter(|w| w[0] != w[1]).count();
+                        assert!(steps >= 2, "{what}: {recoveries:?}");
+                        let within = |batch: &[u64]| batch.first() != batch.last();
+                        assert!(recoveries.chunks(7).any(within), "{what}: {recoveries:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A bank that fail-stops inside a coalesced batch returns the loop's
+    /// error with the loop's dispatch count, for one region and for two,
+    /// and — read through stuck cells, so the counters move — has
+    /// accounted the queries served before the loss as the loop had; a
+    /// query of the wrong width or with a NaN fails the whole batch
+    /// before anything was dispatched, scrubbed or charged.
+    #[test]
+    fn multi_batch_fails_like_the_loop_and_checks_before_dispatch() {
+        let queries: Vec<Vec<f64>> = (0..5)
+            .map(|i| (0..8).map(|j| ((i * 3 + j) % 10) as f64 / 10.0).collect())
+            .collect();
+        for (name, base, data) in [
+            ("LB_PIM-ED", cfg(4096), sample_data()),
+            ("LB_PIM-FNN^2", cfg(8), fnn_data()),
+        ] {
+            for trip in [1, 3, 4] {
+                let build = || {
+                    let c = ExecutorConfig {
+                        faults: Some(FaultConfig {
+                            stuck_low_rate: 0.03,
+                            stuck_high_rate: 0.03,
+                            seed: 1,
+                            bank_loss_after_dispatches: trip,
+                            ..Default::default()
+                        }),
+                        ..base
+                    };
+                    PimExecutor::prepare_euclidean(c, &data).unwrap()
+                };
+                let (mut exec, mut twin) = (build(), build());
+                assert_eq!(exec.bound_name(), name);
+                let got = exec.lb_ed_batch_multi(&queries, simpim_obs::TraceCtx::NONE);
+                let want = sequential(&mut twin, &queries);
+                assert!(matches!(
+                    got,
+                    Err(CoreError::ReRam(simpim_reram::ReRamError::BankLost))
+                ));
+                assert_eq!(got, want, "{name}, loss after {trip}");
+                assert!(exec.bank_lost());
+                assert_eq!(exec.bank().dispatches(), trip);
+                assert_eq!(ledger(&exec), ledger(&twin), "{name}, loss after {trip}");
+                let counters = exec.fault_counters();
+                let recovered = counters.guarded_bounds + counters.fallback_refinements;
+                let regions = exec.prepared.regions().len() as u64;
+                assert_eq!(recovered > 0, trip >= regions, "{name}, loss after {trip}");
+            }
+        }
+
+        let faults = Some(FaultConfig {
+            stuck_low_rate: 0.03,
+            seed: 1,
+            ..Default::default()
+        });
+        let c = ExecutorConfig {
+            faults,
+            scrub_interval: 1,
+            ..cfg(4096)
+        };
+        let mut exec = PimExecutor::prepare_euclidean(c, &sample_data()).unwrap();
+        let before = ledger(&exec);
+        let mut narrow = queries.clone();
+        narrow[3].pop();
+        assert_eq!(
+            exec.lb_ed_batch_multi(&narrow, simpim_obs::TraceCtx::NONE),
+            Err(CoreError::Mismatch {
+                what: "query dimensionality"
+            })
+        );
+        let mut poisoned = queries.clone();
+        poisoned[4][2] = f64::NAN;
+        assert!(matches!(
+            exec.lb_ed_batch_multi(&poisoned, simpim_obs::TraceCtx::NONE),
+            Err(CoreError::Similarity(_))
+        ));
+        assert_eq!(
+            ledger(&exec),
+            before,
+            "nothing dispatched, scrubbed or charged"
+        );
+        let mut twin = PimExecutor::prepare_euclidean(c, &sample_data()).unwrap();
+        let got = exec
             .lb_ed_batch_multi(&queries, simpim_obs::TraceCtx::NONE)
             .unwrap();
-        for (q, m) in queries.iter().zip(&multi) {
-            assert_eq!(b.lb_ed_batch(q).unwrap().values, m.values);
-        }
+        assert_same_batches(&got, &sequential(&mut twin, &queries).unwrap(), "after");
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! inflated. This crate owns the workspace's distance inner loops — f64
 //! `dot` / `norm_sq` / fused dot+norm / squared Euclidean, the packed
 //! u64 popcount MACs behind Hamming distance and the bit-sliced crossbar
-//! model, and the exact u32 integer MAC ([`dot_u32`]) the array-level
-//! crossbar pass runs on — as a [`KernelBackend`] vtable selected
+//! model, and the exact u32 integer MAC ([`dot_u32`], four queries per row
+//! load in [`dot_u32_x4`]) the array-level crossbar pass runs on — as a
+//! [`KernelBackend`] vtable selected
 //! **once** at startup:
 //!
 //! * `x86_64`: AVX2 (4×f64 per register, Mula `pshufb` popcount) when
@@ -147,6 +148,8 @@ pub struct KernelBackend {
     pub and_popcount: fn(&[u64], &[u64]) -> u64,
     /// Exact integer MAC `Σ aᵢ·bᵢ` of u32 operands, modulo 2⁶⁴.
     pub dot_u32: fn(&[u32], &[u32]) -> u64,
+    /// Four `dot_u32`s of one row, the row loaded once for the four.
+    pub dot_u32_x4: fn(&[u32], [&[u32]; 4]) -> [u64; 4],
 }
 
 impl std::fmt::Debug for KernelBackend {
@@ -166,6 +169,7 @@ const SCALAR_TABLE: KernelBackend = KernelBackend {
     xor_popcount: scalar::xor_popcount,
     and_popcount: scalar::and_popcount,
     dot_u32: scalar::dot_u32,
+    dot_u32_x4: scalar::dot_u32_x4,
 };
 
 // Safe trampolines: each is installed in a table only after the matching
@@ -191,6 +195,7 @@ mod x86_dispatch {
     trampoline!(xor_popcount_avx2, x86::avx2::xor_popcount, (a: &[u64], b: &[u64]) -> u64);
     trampoline!(and_popcount_avx2, x86::avx2::and_popcount, (a: &[u64], b: &[u64]) -> u64);
     trampoline!(dot_u32_avx2, x86::avx2::dot_u32, (a: &[u32], b: &[u32]) -> u64);
+    trampoline!(dot_u32_x4_avx2, x86::avx2::dot_u32_x4, (row: &[u32], qs: [&[u32]; 4]) -> [u64; 4]);
 
     trampoline!(dot_sse2, x86::sse2::dot, (a: &[f64], b: &[f64]) -> f64);
     trampoline!(norm_sq_sse2, x86::sse2::norm_sq, (xs: &[f64]) -> f64);
@@ -199,6 +204,7 @@ mod x86_dispatch {
     trampoline!(xor_popcount_popcnt, x86::xor_popcount_popcnt, (a: &[u64], b: &[u64]) -> u64);
     trampoline!(and_popcount_popcnt, x86::and_popcount_popcnt, (a: &[u64], b: &[u64]) -> u64);
     trampoline!(dot_u32_sse2, x86::sse2::dot_u32, (a: &[u32], b: &[u32]) -> u64);
+    trampoline!(dot_u32_x4_sse2, x86::sse2::dot_u32_x4, (row: &[u32], qs: [&[u32]; 4]) -> [u64; 4]);
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -221,6 +227,7 @@ mod neon_dispatch {
     trampoline!(xor_popcount, neon::xor_popcount, (a: &[u64], b: &[u64]) -> u64);
     trampoline!(and_popcount, neon::and_popcount, (a: &[u64], b: &[u64]) -> u64);
     trampoline!(dot_u32, neon::dot_u32, (a: &[u32], b: &[u32]) -> u64);
+    trampoline!(dot_u32_x4, neon::dot_u32_x4, (row: &[u32], qs: [&[u32]; 4]) -> [u64; 4]);
 }
 
 /// Builds the vtable for a tier the running CPU supports.
@@ -249,6 +256,7 @@ fn table(b: Backend) -> KernelBackend {
                     scalar::and_popcount
                 },
                 dot_u32: x86_dispatch::dot_u32_sse2,
+                dot_u32_x4: x86_dispatch::dot_u32_x4_sse2,
             }
         }
         #[cfg(target_arch = "x86_64")]
@@ -261,6 +269,7 @@ fn table(b: Backend) -> KernelBackend {
             xor_popcount: x86_dispatch::xor_popcount_avx2,
             and_popcount: x86_dispatch::and_popcount_avx2,
             dot_u32: x86_dispatch::dot_u32_avx2,
+            dot_u32_x4: x86_dispatch::dot_u32_x4_avx2,
         },
         #[cfg(target_arch = "aarch64")]
         Backend::Neon => KernelBackend {
@@ -272,6 +281,7 @@ fn table(b: Backend) -> KernelBackend {
             xor_popcount: neon_dispatch::xor_popcount,
             and_popcount: neon_dispatch::and_popcount,
             dot_u32: neon_dispatch::dot_u32,
+            dot_u32_x4: neon_dispatch::dot_u32_x4,
         },
         #[allow(unreachable_patterns)]
         _ => SCALAR_TABLE,
@@ -468,6 +478,36 @@ pub fn dot_u32(a: &[u32], b: &[u32]) -> u64 {
     (kernels().dot_u32)(a, b)
 }
 
+/// Dispatched four-query form of [`dot_u32`]: `[Σ rowᵢ·qs[j]ᵢ; 4]`, each
+/// summed modulo 2⁶⁴ — identical to [`scalar::dot_u32_x4`], that is to
+/// four [`dot_u32`] calls, on every backend. The AVX2 tier loads and
+/// splits `row` once for the four queries; the others make the four calls.
+///
+/// # Panics
+/// Panics in debug builds when a query's length differs from the row's.
+#[inline]
+pub fn dot_u32_x4(row: &[u32], qs: [&[u32]; 4]) -> [u64; 4] {
+    (kernels().dot_u32_x4)(row, qs)
+}
+
+/// Asks the CPU to start loading `data` into its nearest cache, one
+/// hint per 64-byte line; returns at once and changes no result. The
+/// multi-query crossbar pass issues it for a row a few past the one it is
+/// multiplying. Does nothing where no hint instruction is wired up.
+#[inline]
+pub fn prefetch(data: &[u32]) {
+    #[cfg(target_arch = "x86_64")]
+    for line in data.chunks(16) {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: `prefetcht0` is SSE, baseline on x86_64; it reads no
+        // memory architecturally and cannot fault, and the address is
+        // inside `data` besides.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(line.as_ptr().cast()) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = data;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -529,6 +569,8 @@ mod tests {
                         .map(|(&x, &y)| (x as u32, y as u32))
                         .unzip();
                     assert_eq!(dot_u32(&p, &q), scalar::dot_u32(&p, &q));
+                    let (pq, pp) = (scalar::dot_u32(&p, &q), scalar::dot_u32(&p, &p));
+                    assert_eq!(dot_u32_x4(&p, [&q, &p, &p, &q]), [pq, pp, pp, pq]);
                 }
             });
         }

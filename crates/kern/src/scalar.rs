@@ -161,6 +161,18 @@ pub fn dot_u32(a: &[u32], b: &[u32]) -> u64 {
     })
 }
 
+/// Four [`dot_u32`]s of one `row`, one per query — the multi-query
+/// crossbar pass's inner step. AVX2 loads and splits `row` once for the
+/// four; here it is the four sums themselves, which is also the
+/// definition every tier is held to.
+///
+/// # Panics
+/// Panics in debug builds when a query's length differs from the row's.
+#[inline]
+pub fn dot_u32_x4(row: &[u32], qs: [&[u32]; 4]) -> [u64; 4] {
+    qs.map(|q| dot_u32(row, q))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,8 +10,9 @@
 //! `subpd` have exactly the scalar instructions' per-lane semantics;
 //! Rust never enables FTZ/DAZ, so subnormals round identically too. The
 //! popcount MACs are exact integer counting and trivially identical, and
-//! so is `dot_u32`: full `u64` products (`pmuludq`) summed modulo 2⁶⁴,
-//! which no lane layout or fold order can change.
+//! so are `dot_u32` and its four-query form `dot_u32_x4`: full `u64`
+//! products (`pmuludq`) summed modulo 2⁶⁴, which no lane layout or fold
+//! order can change.
 //!
 //! One deliberate carve-out: when several distinct NaNs collide in one
 //! reduction, *which* payload survives depends on operand order, and
@@ -160,6 +161,50 @@ pub mod avx2 {
             scalar::dot_u32(&a[16 * blocks..len], &b[16 * blocks..len]),
             |t, &l| t.wrapping_add(l),
         )
+    }
+
+    /// Four [`dot_u32`]s of one `row`: each eight operands of the row are
+    /// loaded and split into even and odd halves once and multiplied with
+    /// the same eight of every query, so a query costs one load, one
+    /// shift, two multiplies and two adds. An even and an odd accumulator
+    /// per query; the sums wrap exactly like four separate calls.
+    ///
+    /// # Safety
+    /// Requires AVX2 (detected at dispatch time).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn dot_u32_x4(row: &[u32], qs: [&[u32]; 4]) -> [u64; 4] {
+        debug_assert!(qs.iter().all(|q| q.len() == row.len()));
+        let len = qs.iter().fold(row.len(), |len, q| len.min(q.len()));
+        let blocks = len / 8;
+        let pr = row.as_ptr();
+        let pq = qs.map(<[u32]>::as_ptr);
+        let mut even = [_mm256_setzero_si256(); 4];
+        let mut odd = [_mm256_setzero_si256(); 4];
+        for i in 0..blocks {
+            // SAFETY: `8 * i + 7 < len`, the shortest of the five slices,
+            // so the 8-element load of each stays in bounds; `loadu` has
+            // no alignment need.
+            let vr = _mm256_loadu_si256(pr.add(8 * i).cast());
+            let vr_odd = _mm256_srli_epi64::<32>(vr);
+            for j in 0..4 {
+                let vq = _mm256_loadu_si256(pq[j].add(8 * i).cast());
+                even[j] = _mm256_add_epi64(even[j], _mm256_mul_epu32(vr, vq));
+                odd[j] = _mm256_add_epi64(
+                    odd[j],
+                    _mm256_mul_epu32(vr_odd, _mm256_srli_epi64::<32>(vq)),
+                );
+            }
+        }
+        let mut out = [0u64; 4];
+        for (j, sum) in out.iter_mut().enumerate() {
+            let mut lanes = [0u64; 4];
+            _mm256_storeu_si256(lanes.as_mut_ptr().cast(), _mm256_add_epi64(even[j], odd[j]));
+            *sum = lanes.iter().fold(
+                scalar::dot_u32(&row[8 * blocks..len], &qs[j][8 * blocks..len]),
+                |t, &l| t.wrapping_add(l),
+            );
+        }
+        out
     }
 
     /// Per-64-bit-element popcount of a ymm register via the Mula nibble
@@ -355,6 +400,22 @@ pub mod sse2 {
         scalar::dot_u32(&a[4 * blocks..len], &b[4 * blocks..len])
             .wrapping_add(lanes[0])
             .wrapping_add(lanes[1])
+    }
+
+    /// Four [`dot_u32`]s of one `row`, composed from this tier's own
+    /// [`dot_u32`]: the register-blocked form is AVX2's alone, the tier
+    /// the measured gain was taken on.
+    ///
+    /// # Safety
+    /// Requires SSE2 (always present on x86_64).
+    #[target_feature(enable = "sse2")]
+    pub unsafe fn dot_u32_x4(row: &[u32], qs: [&[u32]; 4]) -> [u64; 4] {
+        [
+            dot_u32(row, qs[0]),
+            dot_u32(row, qs[1]),
+            dot_u32(row, qs[2]),
+            dot_u32(row, qs[3]),
+        ]
     }
 
     /// Spills lane pairs `{0,1}` / `{2,3}` and finishes with the

@@ -24,6 +24,10 @@ use crate::timing::{dot_batch_timing, program_timing_ns, PimTiming};
 /// and therefore results — are identical at every `SIMPIM_THREADS`.
 const DOT_BATCH_CHUNK: usize = 256;
 
+/// Rows a task asks the cache for ahead of the one it is multiplying when
+/// a batch shares the read. A constant like [`DOT_BATCH_CHUNK`].
+const PREFETCH_ROWS: usize = 4;
+
 /// Identifies one programmed region of the PIM array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct RegionId(pub usize);
@@ -108,30 +112,39 @@ fn exact_block_len(stored_bits: u32, input_bits: u32) -> usize {
             .min(usize::BITS - 1)
 }
 
-/// One stored row against the query as the array computes it: one partial
-/// sum per crossbar chunk of `m` operands, the partials added by the
-/// gather tree. Returns the exact total and the largest partial (clamped
-/// to `u64`), which sizes the gather pass in [`PimTiming`]. `mac` is the
-/// `simpim-kern` integer kernel, exact modulo 2⁶⁴; it runs on blocks of
-/// at most `block` operands ([`exact_block_len`]) so that no block wraps,
-/// and the blocks are added in `u128`.
-fn row_dot(
-    mac: fn(&[u32], &[u32]) -> u64,
-    query: &[u32],
+/// One stored row against `N` queries as the array computes it: per query
+/// one partial sum per crossbar chunk of `m` operands, the partials added
+/// by the gather tree. Returns per query the exact total and the largest
+/// partial (clamped to `u64`), which sizes the gather pass in
+/// [`PimTiming`]. `mac` is the `simpim-kern` integer kernel (one query or
+/// four per row load), exact modulo 2⁶⁴; it runs on blocks of at most
+/// `block` operands so that no block wraps, and the blocks are added in
+/// `u128`. `block` is the [`exact_block_len`] of the widest query of the
+/// read: a shorter block than a query needs is still exact, and `u128`
+/// sums do not depend on where the blocks were cut.
+fn row_dot<const N: usize>(
+    mac: impl Fn(&[u32], [&[u32]; N]) -> [u64; N],
+    queries: [&[u32]; N],
     row: &[u32],
     m: usize,
     block: usize,
-) -> (u128, u64) {
-    let mut total: u128 = 0;
-    let mut max_partial: u64 = 0;
-    for (chunk_q, chunk_v) in query.chunks(m).zip(row.chunks(m)) {
-        let partial: u128 = chunk_q
-            .chunks(block)
-            .zip(chunk_v.chunks(block))
-            .map(|(q, v)| u128::from(mac(q, v)))
-            .sum();
-        max_partial = max_partial.max(partial.min(u128::from(u64::MAX)) as u64);
-        total += partial;
+) -> ([u128; N], [u64; N]) {
+    let mut total = [0u128; N];
+    let mut max_partial = [0u64; N];
+    for chunk in (0..row.len()).step_by(m) {
+        let chunk_end = (chunk + m).min(row.len());
+        let mut partial = [0u128; N];
+        for start in (chunk..chunk_end).step_by(block) {
+            let end = start.saturating_add(block).min(chunk_end);
+            let sums = mac(&row[start..end], queries.map(|q| &q[start..end]));
+            for (p, sum) in partial.iter_mut().zip(sums) {
+                *p += u128::from(sum);
+            }
+        }
+        for j in 0..N {
+            max_partial[j] = max_partial[j].max(partial[j].min(u128::from(u64::MAX)) as u64);
+            total[j] += partial[j];
+        }
     }
     (total, max_partial)
 }
@@ -561,10 +574,16 @@ impl PimArray {
         self.push_rows(region, flat, false)
     }
 
+    /// True when an attached fault model can corrupt a read.
+    fn faults_active(&self) -> bool {
+        self.faults.is_some_and(|f| !f.is_inert())
+    }
+
     /// Executes one dot-product batch: multiplies every programmed vector of
     /// `region` with `query`, wrapping results at the accumulator width
     /// (the paper keeps the least-significant 64 bits — 32 for binary
     /// codes). Returns the per-object results and the PIM-side timing.
+    /// The one-pass call of [`PimArray::dot_batch_multi`].
     ///
     /// Reading never wears cells; endurance counters are untouched.
     pub fn dot_batch(
@@ -573,109 +592,197 @@ impl PimArray {
         query: &[u32],
         acc: AccWidth,
     ) -> Result<(Vec<u64>, PimTiming), ReRamError> {
-        if self
-            .regions
-            .get(region.0)
-            .ok_or(ReRamError::NotProgrammed)?
-            .filling
-        {
-            return Err(ReRamError::InvalidConfig {
-                what: "region is mid-fill; seal it with finish_region first",
-            });
-        }
-        let faults_active = self.faults.is_some_and(|f| !f.is_inert());
-        if faults_active {
-            self.ensure_fault_info(region.0)?;
-        }
-        let reg = &self.regions[region.0];
-        if query.len() != reg.s {
-            return Err(ReRamError::GeometryViolation {
-                what: "query dimensionality",
-                got: query.len(),
-                limit: reg.s,
-            });
-        }
-        let input_bits = bits_needed_slice(query);
+        let mut out = self.dot_batch_multi(&[(region, query)], acc)?;
+        Ok(out.pop().expect("one result per pass"))
+    }
 
-        // Functional result: exact integer dot product wrapped at the
-        // accumulator width — bit-identical to the streamed bit-sliced
-        // pipeline, whose shift-and-add reassembles these same integers
-        // (proven against `Crossbar::dot_products` and `dot_batch_strict`
-        // in tests). Every stored row, clean or faulty, goes through
-        // `row_dot`.
-        //
-        // Objects are independent, so the batch fans out across the pool
-        // in fixed `DOT_BATCH_CHUNK`-object chunks — the per-crossbar
-        // concurrency the physical array has by construction. Each task
-        // writes its own slice of the one output buffer and `max_partial`
-        // is an order-independent max, so the output is bit-identical to
-        // the serial loop at any thread count.
+    /// Executes the passes of a coalesced batch, each a query streamed
+    /// through one region, and returns one [`PimArray::dot_batch`] result
+    /// per pass, in order. The modeled device runs them one after the
+    /// other in the order given, so timing, energy and every value are
+    /// those of as many single calls; the host simulation reads each
+    /// region once and multiplies its rows with all the queries streamed
+    /// through it. Every pass is checked before the first one runs.
+    pub fn dot_batch_multi(
+        &mut self,
+        passes: &[(RegionId, &[u32])],
+        acc: AccWidth,
+    ) -> Result<Vec<(Vec<u64>, PimTiming)>, ReRamError> {
+        let faults_active = self.faults_active();
+        for &(region, query) in passes {
+            if self
+                .regions
+                .get(region.0)
+                .ok_or(ReRamError::NotProgrammed)?
+                .filling
+            {
+                return Err(ReRamError::InvalidConfig {
+                    what: "region is mid-fill; seal it with finish_region first",
+                });
+            }
+            if faults_active {
+                self.ensure_fault_info(region.0)?;
+            }
+            if query.len() != self.regions[region.0].s {
+                return Err(ReRamError::GeometryViolation {
+                    what: "query dimensionality",
+                    got: query.len(),
+                    limit: self.regions[region.0].s,
+                });
+            }
+        }
+
+        // Host side: the passes grouped by region (a stable sort, so the
+        // queries of one region keep their order), one read per region.
+        let mut reads = vec![(Vec::new(), 0u64); passes.len()];
+        let mut by_region: Vec<usize> = (0..passes.len()).collect();
+        by_region.sort_by_key(|&i| passes[i].0 .0);
+        for group in by_region.chunk_by(|&a, &b| passes[a].0 == passes[b].0) {
+            let queries: Vec<&[u32]> = group.iter().map(|&i| passes[i].1).collect();
+            let read = self.read_region(passes[group[0]].0 .0, &queries, acc);
+            for (&i, one) in group.iter().zip(read) {
+                reads[i] = one;
+            }
+        }
+
+        // Device side, pass by pass in the order given.
+        let charged = passes.iter().zip(reads);
+        Ok(charged
+            .map(|(&(region, query), (values, max_partial))| {
+                let reg = &self.regions[region.0];
+                let input_bits = bits_needed_slice(query);
+                let partial_bits = bits_needed(max_partial).min(acc.bits());
+                let mut timing =
+                    dot_batch_timing(&self.cfg, &reg.cost, input_bits, partial_bits, reg.n, acc);
+                let input_cycles = self.cfg.crossbar.input_cycles(input_bits);
+                if faults_active {
+                    // Every ADC glitch retry re-runs one streamed pass.
+                    let retries = self.fault_info[region.0]
+                        .as_ref()
+                        .expect("survey ensured above")
+                        .retries;
+                    timing.data_pass_ns +=
+                        retries as f64 * input_cycles as f64 * self.cfg.crossbar.read_ns;
+                }
+
+                // Compute energy: cycles × active crossbars.
+                let cycles = input_cycles
+                    * ((reg.cost.groups * reg.cost.chunks_per_object)
+                        .div_ceil(reg.cost.data.max(1))) as u64;
+                self.energy
+                    .charge_compute(&self.energy_model, cycles, reg.cost.total());
+                self.energy
+                    .charge_bus(&self.energy_model, reg.n as u64 * acc.bytes());
+                (values, timing)
+            })
+            .collect())
+    }
+
+    /// The host simulation of every pass on one region: per query the
+    /// wrapped dot products of all stored rows and the largest crossbar
+    /// partial. Functionally each value is the exact integer dot product
+    /// wrapped at the accumulator width — bit-identical to the streamed
+    /// bit-sliced pipeline, whose shift-and-add reassembles these same
+    /// integers (proven against `Crossbar::dot_products` and
+    /// `dot_batch_strict` in tests). Every stored row, clean or faulty,
+    /// goes through [`row_dot`].
+    ///
+    /// Objects are independent, so the read fans out across the pool in
+    /// fixed `DOT_BATCH_CHUNK`-object chunks — the per-crossbar
+    /// concurrency the physical array has by construction. Each task
+    /// writes its own slice of every query's output buffer and
+    /// `max_partial` is an order-independent max, so the output is
+    /// bit-identical to the serial loop at any thread count. Inside a
+    /// task each row is multiplied with all the queries — four per row
+    /// load through `dot_u32_x4`, the rest one by one — before the next
+    /// is touched.
+    fn read_region(&self, ri: usize, queries: &[&[u32]], acc: AccWidth) -> Vec<(Vec<u64>, u64)> {
+        let reg = &self.regions[ri];
         let xb = &self.cfg.crossbar;
-        let m = xb.size;
-        let s = reg.s;
-        let mac = simpim_kern::kernels().dot_u32;
+        let (m, s) = (xb.size, reg.s);
+        let kern = simpim_kern::kernels();
         // A stuck-high cell can raise a stored operand up to the full
         // width of its ⌈b/h⌉ cells, so that width sizes the blocks.
         let stored_bits = (xb.cells_per_operand(reg.operand_bits) as u32 * xb.cell_bits).min(32);
-        let block = exact_block_len(stored_bits, input_bits);
-        let mut values = vec![0u64; reg.n];
-        let jobs = values
-            .chunks_mut(DOT_BATCH_CHUNK)
-            .zip(reg.data[..reg.n * s].chunks(DOT_BATCH_CHUNK * s))
-            .map(|(out, rows)| {
-                Box::new(move || {
-                    let mut chunk_max: u64 = 0;
-                    for (v, row) in out.iter_mut().zip(rows.chunks_exact(s)) {
-                        let (total, row_max) = row_dot(mac, query, row, m, block);
-                        chunk_max = chunk_max.max(row_max);
-                        *v = acc.wrap(total);
+        // One block length for the whole read, the widest query's: a
+        // shorter block than a query needs is exact all the same.
+        let widest = queries.iter().map(|q| bits_needed_slice(q)).max();
+        let block = exact_block_len(stored_bits, widest.unwrap_or(0));
+        let mac1 = |row: &[u32], [q]: [&[u32]; 1]| [(kern.dot_u32)(q, row)];
+        let task = &|rows: &[u32], outs: &mut [&mut [u64]]| -> Vec<u64> {
+            let mut max_partial = vec![0u64; queries.len()];
+            for (i, row) in rows.chunks_exact(s).enumerate() {
+                // While queries 2..Q read the row from cache nothing
+                // misses and the hardware stream falls idle, so a shared
+                // read asks for a row further on. Q = 1 stays exactly the
+                // single pass it was (the traced replay holds
+                // `lb_ed_batch` against the public `dot_batch`); a hint
+                // there is a claim of its own.
+                if queries.len() >= 2 {
+                    let ahead = ((i + PREFETCH_ROWS) * s).min(rows.len());
+                    simpim_kern::prefetch(&rows[ahead..(ahead + s).min(rows.len())]);
+                }
+                let mut put = |j: usize, total: &[u128], row_max: &[u64]| {
+                    for (g, (&t, &p)) in total.iter().zip(row_max).enumerate() {
+                        outs[j + g][i] = acc.wrap(t);
+                        max_partial[j + g] = max_partial[j + g].max(p);
                     }
-                    chunk_max
-                }) as simpim_par::Job<'_, u64>
+                };
+                let grouped = queries.len() / 4 * 4;
+                for j in (0..grouped).step_by(4) {
+                    let group: [&[u32]; 4] = queries[j..j + 4].try_into().expect("four queries");
+                    let (total, row_max) = row_dot(kern.dot_u32_x4, group, row, m, block);
+                    put(j, &total, &row_max);
+                }
+                for (j, &query) in queries.iter().enumerate().skip(grouped) {
+                    let (total, row_max) = row_dot(mac1, [query], row, m, block);
+                    put(j, &total, &row_max);
+                }
+            }
+            max_partial
+        };
+
+        let mut values = vec![vec![0u64; reg.n]; queries.len()];
+        let mut out_chunks: Vec<_> = values
+            .iter_mut()
+            .map(|v| v.chunks_mut(DOT_BATCH_CHUNK))
+            .collect();
+        let jobs = reg.data[..reg.n * s]
+            .chunks(DOT_BATCH_CHUNK * s)
+            .map(|rows| {
+                let mut outs: Vec<&mut [u64]> = out_chunks
+                    .iter_mut()
+                    .map(|chunks| chunks.next().expect("an output chunk per row chunk"))
+                    .collect();
+                Box::new(move || task(rows, &mut outs)) as simpim_par::Job<'_, Vec<u64>>
             })
             .collect();
-        let max_partial = simpim_par::join_all(jobs).into_iter().max().unwrap_or(0);
+        let mut max_partial = vec![0u64; queries.len()];
+        for task_max in simpim_par::join_all(jobs) {
+            for (all, one) in max_partial.iter_mut().zip(task_max) {
+                *all = (*all).max(one);
+            }
+        }
 
         // Read through the injected faults: corrupted objects return the
         // dot product of their *faulty* stored row (objects behind a
         // corrupted gather fabric read 0 — one consistent corruption).
-        if faults_active {
-            let info = self.fault_info[region.0]
+        if self.faults_active() {
+            let info = self.fault_info[ri]
                 .as_ref()
-                .expect("survey ensured above");
-            for (obj, v) in values.iter_mut().enumerate() {
-                if let Some(frow) = info.faulty_rows.get(&obj) {
-                    *v = acc.wrap(row_dot(mac, query, frow, m, block).0);
-                } else if info.dead_objects[obj] {
-                    *v = 0;
+                .expect("surveyed by the caller");
+            for (j, out) in values.iter_mut().enumerate() {
+                for (obj, v) in out.iter_mut().enumerate() {
+                    if let Some(frow) = info.faulty_rows.get(&obj) {
+                        let ([total], _) = row_dot(mac1, [queries[j]], frow, m, block);
+                        *v = acc.wrap(total);
+                    } else if info.dead_objects[obj] {
+                        *v = 0;
+                    }
                 }
             }
         }
-
-        let partial_bits = bits_needed(max_partial).min(acc.bits());
-        let mut timing =
-            dot_batch_timing(&self.cfg, &reg.cost, input_bits, partial_bits, reg.n, acc);
-        if faults_active {
-            // Every ADC glitch retry re-runs one streamed pass.
-            let retries = self.fault_info[region.0]
-                .as_ref()
-                .expect("survey ensured above")
-                .retries;
-            timing.data_pass_ns += retries as f64
-                * self.cfg.crossbar.input_cycles(input_bits) as f64
-                * self.cfg.crossbar.read_ns;
-        }
-
-        // Compute energy: cycles × active crossbars.
-        let cycles = self.cfg.crossbar.input_cycles(input_bits)
-            * ((reg.cost.groups * reg.cost.chunks_per_object).div_ceil(reg.cost.data.max(1)))
-                as u64;
-        self.energy
-            .charge_compute(&self.energy_model, cycles, reg.cost.total());
-        self.energy
-            .charge_bus(&self.energy_model, reg.n as u64 * acc.bytes());
-
-        Ok((values, timing))
+        values.into_iter().zip(max_partial).collect()
     }
 
     /// Strict-fidelity execution of one batch: materializes the region's
@@ -2073,7 +2180,8 @@ mod tests {
                 let row = vec![u32::MAX >> (32 - stored_bits); s];
                 let query = vec![u32::MAX >> (32 - input_bits); s];
                 let block = exact_block_len(stored_bits, input_bits);
-                let (total, max_partial) = row_dot(simpim_kern::dot_u32, &query, &row, m, block);
+                let mac = |row: &[u32], [q]: [&[u32]; 1]| [simpim_kern::dot_u32(q, row)];
+                let ([total], [max_partial]) = row_dot(mac, [&query], &row, m, block);
                 let exact = u128::from(row[0]) * u128::from(query[0]);
                 assert_eq!(total, exact * s as u128, "{stored_bits}+{input_bits} bits");
                 assert_eq!(
@@ -2178,6 +2286,185 @@ mod tests {
                 });
                 proptest::prop_assert_eq!(&got, &want, "faulty, {}", tier.name());
                 proptest::prop_assert_eq!(timing, timing_for(max_partial), "faulty timing");
+            }
+        }
+    }
+
+    /// Energy by bits: the accumulators are `f64` sums, so the order of
+    /// the charges is part of the value.
+    fn energy_bits(pim: &PimArray) -> [u64; 3] {
+        let e = pim.energy();
+        [e.write_j, e.compute_j, e.bus_j].map(f64::to_bits)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// `dot_batch_multi` over `Q` queries interleaved on two regions
+        /// (query-major, the executor's order for a two-region row) ≡
+        /// the same passes as single `dot_batch` calls in that order ≡
+        /// `dot_batch_strict`, on every kernel tier: values, `PimTiming`
+        /// per pass, the `EnergyReport` by bits and the region shapes.
+        /// `Q` covers no, one and two groups of four with every
+        /// remainder; operand and query widths lean to 28..=32 bits
+        /// (blocks of one at 32 + 32) and every query of a group has its
+        /// own width, so the group runs on its shortest block; both
+        /// accumulator widths, slot-stacked and gather-tree layouts;
+        /// clean, then read through stuck cells and dead lines.
+        #[test]
+        fn dot_batch_multi_matches_single_passes_and_strict(
+            operand_bits in proptest::prop_oneof![1u32..=32, 28u32..=32],
+            query_bits in proptest::prop::collection::vec(
+                proptest::prop_oneof![1u32..=32, 28u32..=32],
+                18,
+            ),
+            q in proptest::prop::sample::select(vec![1usize, 2, 3, 4, 5, 8, 9]),
+            shape in (1usize..=5, 1usize..=40),
+            acc in proptest::prop::sample::select(vec![AccWidth::U32, AccWidth::U64]),
+            seed in proptest::any::<u64>(),
+        ) {
+            use rand::{Rng, SeedableRng};
+            let (n, s) = shape;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut draw = |bits: u32, len: usize| -> Vec<u32> {
+                let max = u32::MAX >> (32 - bits);
+                (0..len)
+                    .map(|_| if rng.gen_range(0..2) == 0 { max } else { rng.gen_range(0..=max) })
+                    .collect()
+            };
+            let cfg = PimConfig {
+                crossbar: CrossbarConfig { size: 16, ..Default::default() },
+                num_crossbars: 8192,
+                ..Default::default()
+            };
+            // The second region is narrower and one row longer.
+            let (s2, bits2) = (s.div_ceil(2), operand_bits.min(12));
+            let mut pim = PimArray::new(cfg).unwrap();
+            let a = pim.program_region(&draw(operand_bits, n * s), n, s, operand_bits).unwrap();
+            let b = pim.program_region(&draw(bits2, (n + 1) * s2), n + 1, s2, bits2).unwrap();
+            let queries: Vec<(RegionId, Vec<u32>)> = (0..q)
+                .flat_map(|i| {
+                    [(a.region, draw(query_bits[2 * i], s)), (b.region, draw(query_bits[2 * i + 1], s2))]
+                })
+                .collect();
+            let passes: Vec<(RegionId, &[u32])> =
+                queries.iter().map(|(r, v)| (*r, v.as_slice())).collect();
+            let tiers: Vec<_> =
+                simpim_kern::Backend::ALL.into_iter().filter(|b| b.is_supported()).collect();
+
+            for faulty in [false, true] {
+                if faulty {
+                    pim.enable_faults(crate::faults::FaultConfig {
+                        stuck_low_rate: 0.1,
+                        stuck_high_rate: 0.1,
+                        dead_bitline_rate: 0.03,
+                        dead_wordline_rate: 0.03,
+                        seed,
+                        ..Default::default()
+                    })
+                    .unwrap();
+                } else {
+                    for &(region, query) in &passes {
+                        let strict = pim.dot_batch_strict(region, query, acc).unwrap();
+                        let (single, _) = pim.clone().dot_batch(region, query, acc).unwrap();
+                        proptest::prop_assert_eq!(strict, single, "strict vs single");
+                    }
+                }
+                for &tier in &tiers {
+                    let (mut multi, mut single) = (pim.clone(), pim.clone());
+                    let (got, want) = simpim_kern::with_backend(tier, || {
+                        let want: Vec<_> = passes
+                            .iter()
+                            .map(|&(region, query)| single.dot_batch(region, query, acc).unwrap())
+                            .collect();
+                        (multi.dot_batch_multi(&passes, acc).unwrap(), want)
+                    });
+                    proptest::prop_assert_eq!(got, want, "faulty {}, {}", faulty, tier.name());
+                    proptest::prop_assert_eq!(energy_bits(&multi), energy_bits(&single));
+                    for region in [a.region, b.region] {
+                        proptest::prop_assert_eq!(
+                            multi.region_shape(region).unwrap(),
+                            single.region_shape(region).unwrap()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A shared read runs on the shortest of its queries' exact blocks.
+    /// The row's first-chunk partial against the 32-bit query is 2⁶⁴ + 1:
+    /// on the block the three 1-bit queries would allow it wraps to 1
+    /// inside the kernel, which the value (wrapped anyway) hides and only
+    /// the largest partial — the gather pass of `PimTiming` — shows.
+    #[test]
+    fn a_shared_read_runs_on_its_shortest_exact_block() {
+        let cfg = PimConfig {
+            crossbar: CrossbarConfig {
+                size: 16,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let s = 17; // one operand past a crossbar: a gather tree
+        let padded = |head: [u32; 2]| [&head[..], &[0; 15]].concat();
+        let mut pim = PimArray::new(cfg).unwrap();
+        let rep = pim
+            .program_region(&padded([u32::MAX, 1 << 17]), 1, s, 32)
+            .unwrap();
+        let queries = [[u32::MAX, 1 << 16], [1, 1], [1, 0], [0, 1]].map(padded);
+        let passes: Vec<(RegionId, &[u32])> =
+            queries.iter().map(|q| (rep.region, &q[..])).collect();
+        let got = pim.dot_batch_multi(&passes, AccWidth::U64).unwrap();
+        assert_eq!(got[0].0, [1], "2^64 + 1 wrapped at the accumulator");
+        let timing =
+            |partial_bits| dot_batch_timing(&cfg, &rep.cost, 32, partial_bits, 1, AccWidth::U64);
+        assert_ne!(timing(64), timing(1));
+        assert_eq!(got[0].1, timing(64));
+    }
+
+    /// The shared read across its task seams: three pool tasks (256, 256
+    /// and 88 rows), the lookahead running off the end of each — at one
+    /// worker and at three, against the `u128` reference.
+    #[test]
+    fn dot_batch_multi_crosses_tasks() {
+        let (n, s, q) = (600usize, 420usize, 9usize);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |len: usize, bits: u32| -> Vec<u32> {
+            (0..len)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    (x >> 32) as u32 >> (32 - bits)
+                })
+                .collect()
+        };
+        let cfg = PimConfig {
+            num_crossbars: 1 << 16,
+            ..Default::default()
+        };
+        let m = cfg.crossbar.size;
+        let data = draw(n * s, 32);
+        let queries: Vec<Vec<u32>> = (0..q).map(|i| draw(s, 32 - 3 * i as u32)).collect();
+        let mut pim = PimArray::new(cfg).unwrap();
+        let rep = pim.program_region(&data, n, s, 32).unwrap();
+        let passes: Vec<(RegionId, &[u32])> =
+            queries.iter().map(|v| (rep.region, v.as_slice())).collect();
+        for workers in [1, 3] {
+            let got = simpim_par::with_threads(workers, || {
+                pim.dot_batch_multi(&passes, AccWidth::U64).unwrap()
+            });
+            for ((values, timing), query) in got.iter().zip(&queries) {
+                let (want, max_partial) =
+                    u128_reference(data.chunks_exact(s), query, m, AccWidth::U64);
+                assert_eq!(values, &want, "{workers} worker(s)");
+                let partial_bits = bits_needed(max_partial).min(64);
+                let input_bits = bits_needed_slice(query);
+                assert_eq!(
+                    *timing,
+                    dot_batch_timing(&cfg, &rep.cost, input_bits, partial_bits, n, AccWidth::U64)
+                );
             }
         }
     }

@@ -215,41 +215,77 @@ impl ReRamBank {
     }
 
     /// Issues one dot-product batch and stages the results in the buffer
-    /// array.
+    /// array. The one-pass call of [`ReRamBank::dot_batch_multi`].
     pub fn dot_batch(
         &mut self,
         region: RegionId,
         query: &[u32],
         acc: AccWidth,
     ) -> Result<DotBatchResult, ReRamError> {
-        self.ensure_alive()?;
-        self.dispatches += 1;
-        let mut span = simpim_obs::span!("reram.bank.dot_batch", region = region.0 as u64);
-        let (values, timing) = self.pim.dot_batch(region, query, acc)?;
-        let result_bytes = values.len() as u64 * acc.bytes();
-        self.buffer.stage(result_bytes);
-        // One registry touch per *batch*: dispatch count, gather-tree
-        // latency distribution, and buffer pressure.
-        simpim_obs::metrics::counter_add("simpim.reram.bank.dispatches", 1);
-        simpim_obs::metrics::counter_add("simpim.reram.bank.result_bytes", result_bytes);
-        simpim_obs::metrics::histogram_record(
-            "simpim.reram.bank.gather_ns",
-            timing.gather_ns as u64,
-        );
-        simpim_obs::metrics::gauge_set(
-            "simpim.reram.bank.buffer_high_water",
-            self.buffer.high_water() as f64,
-        );
-        span.record_all([
-            ("objects", values.len() as f64),
-            ("gather_ns", timing.gather_ns),
-            ("total_ns", timing.total_ns()),
-        ]);
-        Ok(DotBatchResult {
-            values,
-            timing,
-            result_bytes,
-        })
+        let (mut out, lost) = self.dot_batch_multi(&[(region, query)], acc);
+        lost.map(|()| out.pop().expect("one result per pass"))
+    }
+
+    /// Issues the passes of a coalesced batch (see
+    /// [`PimArray::dot_batch_multi`]) and stages each result in the buffer
+    /// array. The controller dispatches them one by one in the order
+    /// given: a bank that fail-stops at pass `i` has served, counted and
+    /// charged the passes before it, and their results come back beside
+    /// [`ReRamError::BankLost`]. A pass the array itself refuses (an
+    /// unknown or mid-fill region, a query of the wrong length) fails the
+    /// batch with every live dispatch counted and nothing run or charged.
+    pub fn dot_batch_multi(
+        &mut self,
+        passes: &[(RegionId, &[u32])],
+        acc: AccWidth,
+    ) -> (Vec<DotBatchResult>, Result<(), ReRamError>) {
+        let mut served = passes;
+        let mut lost = Ok(());
+        for i in 0..passes.len() {
+            if let Err(e) = self.ensure_alive() {
+                (served, lost) = (&passes[..i], Err(e));
+                break;
+            }
+            self.dispatches += 1;
+        }
+        let open =
+            |region: RegionId| simpim_obs::span!("reram.bank.dot_batch", region = region.0 as u64);
+        // The first pass's span opens before the array runs: it covers the
+        // host's shared read, and all of a single call as it always did.
+        let mut first = served.first().map(|pass| open(pass.0));
+        let reads = match self.pim.dot_batch_multi(served, acc) {
+            Ok(reads) => reads,
+            Err(refused) => return (Vec::new(), Err(refused)),
+        };
+        let mut out = Vec::with_capacity(served.len());
+        for (&(region, _), (values, timing)) in served.iter().zip(reads) {
+            let mut span = first.take().unwrap_or_else(|| open(region));
+            let result_bytes = values.len() as u64 * acc.bytes();
+            self.buffer.stage(result_bytes);
+            // One registry touch per *pass*: dispatch count, gather-tree
+            // latency distribution, and buffer pressure.
+            simpim_obs::metrics::counter_add("simpim.reram.bank.dispatches", 1);
+            simpim_obs::metrics::counter_add("simpim.reram.bank.result_bytes", result_bytes);
+            simpim_obs::metrics::histogram_record(
+                "simpim.reram.bank.gather_ns",
+                timing.gather_ns as u64,
+            );
+            simpim_obs::metrics::gauge_set(
+                "simpim.reram.bank.buffer_high_water",
+                self.buffer.high_water() as f64,
+            );
+            span.record_all([
+                ("objects", values.len() as f64),
+                ("gather_ns", timing.gather_ns),
+                ("total_ns", timing.total_ns()),
+            ]);
+            out.push(DotBatchResult {
+                values,
+                timing,
+                result_bytes,
+            });
+        }
+        (out, lost)
     }
 }
 

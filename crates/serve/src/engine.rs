@@ -508,6 +508,15 @@ impl ServeEngine {
 
     fn validate_query(&self, query: &[f64], k: usize) -> Result<(), ServeError> {
         self.validate_row(query, "query")?;
+        // A NaN or an infinity cannot be quantised: admitted, it would
+        // fail the crossbar pass of every query coalesced with it. Finite
+        // values outside [0, 1] stay legal (the floors saturate and the
+        // bounds stay bounds).
+        if query.iter().any(|v| !v.is_finite()) {
+            return Err(ServeError::InvalidArgument {
+                what: "query values must be finite".to_string(),
+            });
+        }
         if k == 0 {
             return Err(ServeError::InvalidArgument {
                 what: "k must be at least 1".to_string(),

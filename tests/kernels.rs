@@ -230,6 +230,51 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `dot_u32_x4` returns four scalar `dot_u32`s — each the `u128` sum
+    /// of products, truncated — on every backend: lengths through four
+    /// 8-operand AVX2 steps plus every tail, operands weighted towards
+    /// each query's maximum so the u64 sums wrap, the row and the four
+    /// queries each starting 0–3 operands into its own buffer so the five
+    /// packed loads see every 4-byte alignment independently, and the
+    /// queries of unequal maximal width (32, 20, 9 and 1 bits). Odd
+    /// operands differ from even ones in every draw, so a kernel that
+    /// skipped one even/odd split would miss half its products.
+    #[test]
+    fn dot_u32_x4_bit_identical_across_backends(
+        len in 0usize..=38,
+        raw in prop::collection::vec(
+            prop_oneof![any::<u32>(), Just(u32::MAX), 0u32..4],
+            5 * (38 + 3),
+        ),
+        skips in prop::collection::vec(0usize..4, 5),
+    ) {
+        let _g = lock();
+        const WIDTHS: [u32; 5] = [32, 32, 20, 9, 1];
+        let bufs: Vec<Vec<u32>> = raw
+            .chunks_exact(38 + 3)
+            .zip(WIDTHS)
+            .map(|(buf, bits)| buf.iter().map(|v| v & (u32::MAX >> (32 - bits))).collect())
+            .collect();
+        let view = |i: usize| &bufs[i][skips[i]..skips[i] + len];
+        let row = view(0);
+        let qs = [view(1), view(2), view(3), view(4)];
+        let want = qs.map(|q| {
+            row.iter()
+                .zip(q)
+                .fold(0u128, |t, (&x, &y)| t + u128::from(x) * u128::from(y)) as u64
+        });
+        prop_assert_eq!(qs.map(|q| scalar::dot_u32(row, q)), want, "scalar vs u128 reference");
+        for backend in supported_backends() {
+            kern::with_backend(backend, || {
+                prop_assert_eq!(kern::dot_u32_x4(row, qs), want, "dot_u32_x4/{}", backend.name());
+            });
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// End-to-end kNN: forcing `scalar` vs leaving the detected backend

@@ -398,6 +398,73 @@ fn flush_submitted_behind_queries_never_kills_the_scheduler() {
     assert_eq!(engine.stats().unwrap().queries, 401);
 }
 
+// A query holding a NaN or an infinity is refused at admission by every
+// entry point. Once queued it would fail `quantise` inside the coalesced
+// pass and shed every query batched with it to the host scan; refused, its
+// neighbours in the queue are answered from the crossbars. A finite value
+// outside [0, 1] is still a legal query.
+#[test]
+fn non_finite_query_is_refused_at_admission_and_sheds_nobody() {
+    use simpim::obs::TraceCtx;
+    use std::time::Duration;
+
+    let rows: Vec<Vec<f64>> = (0..24)
+        .map(|i| {
+            (0..4)
+                .map(|j| ((i * 11 + j * 17) % 89) as f64 / 88.0)
+                .collect()
+        })
+        .collect();
+    let data = Dataset::from_rows(&rows).unwrap();
+    let mut cfg = serve_cfg(2, None);
+    cfg.max_batch = 8;
+    let engine = ServeEngine::open(cfg, &data).unwrap();
+    let good = vec![0.4, 0.3, 0.9, 0.1];
+    let truth = |q: &[f64]| {
+        knn_standard(&data, q, 3, Measure::EuclideanSq)
+            .unwrap()
+            .neighbors
+    };
+    let refused = |r: Result<_, ServeError>| matches!(r, Err(ServeError::InvalidArgument { .. }));
+
+    let submit = |q: &[f64]| engine.knn_submit(q, 3, Duration::from_secs(60), TraceCtx::NONE);
+    let mut pending = Vec::new();
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        pending.push(submit(&good).unwrap());
+        pending.push(submit(&good).unwrap());
+        let poisoned = [0.4, bad, 0.9, 0.1];
+        assert!(refused(submit(&poisoned).map(|_| ())), "knn_submit, {bad}");
+        assert!(refused(engine.knn(&poisoned, 3).map(|_| ())), "knn, {bad}");
+        let batch = [good.clone(), poisoned.to_vec()];
+        assert!(
+            refused(engine.knn_batch(&batch, 3).map(|_| ())),
+            "knn_batch, {bad}"
+        );
+        pending.push(submit(&good).unwrap());
+    }
+    let accepted = pending.len() as u64;
+    for p in pending {
+        assert_eq!(p.wait().unwrap(), truth(&good));
+    }
+    let wide = [1.5, -0.25, 0.9, 0.1];
+    assert_eq!(engine.knn(&wide, 3).unwrap(), truth(&wide));
+
+    let stats = engine.stats().unwrap();
+    assert_eq!(stats.sheds, 0);
+    for set in &stats.shards {
+        for replica in &set.replicas {
+            assert_eq!(replica.sheds, 0);
+        }
+    }
+    assert_eq!(stats.queries, accepted + 1);
+    assert_eq!(
+        stats.answered_ok + stats.timeouts + stats.failed,
+        accepted + 1,
+        "every admitted query is accounted for"
+    );
+    assert_eq!((stats.failed, stats.timeouts), (0, 0));
+}
+
 // The three public ways to open an engine are fronts over one build
 // path: over the same 9 000 rows (two default-size programming blocks in
 // one shard) they must produce the same shard and the same answers.
