@@ -13,10 +13,11 @@
 //!
 //! 1. **Bounded peak RSS.** The largest point opens its serving engine
 //!    with [`ServeEngine::open_source`], which streams rows block-by-block
-//!    (`SIMPIM_BLOCK_ROWS`) into one host mirror per shard and programs
-//!    banks incrementally. The `VmHWM` delta across that open must stay
-//!    under a block-bounded budget (~2x the resident mirror, far below
-//!    the materialize-then-clone peak of the pre-streaming path).
+//!    ([`simpim_datasets::DEFAULT_BLOCK_ROWS`] at a time) into one host
+//!    mirror per shard and programs banks incrementally. The `VmHWM`
+//!    delta across that open must stay under a block-bounded budget (~2x
+//!    the resident mirror, far below the materialize-then-clone peak of
+//!    the pre-streaming path).
 //! 2. **Bit-identical answers.** The streamed engine's kNN answers equal
 //!    the in-memory [`ServeEngine::open`] engine's, id for id, bit for
 //!    bit.
@@ -177,7 +178,7 @@ fn main() {
     run.config_entry("trajectory_queries", Json::Num(QUERIES as f64));
     run.config_entry(
         "block_rows",
-        Json::Num(simpim_datasets::env_block_rows() as f64),
+        Json::Num(simpim_datasets::DEFAULT_BLOCK_ROWS as f64),
     );
 
     let mut trajectory: Vec<Json> = Vec::new();
@@ -234,7 +235,7 @@ fn main() {
             // streamed open may keep the shard mirrors plus the programmed
             // regions resident, but never a second full copy of the
             // dataset. Budget: 2x mirror + one stream block + fixed slack.
-            let block_bytes = (simpim_datasets::env_block_rows() * spec.d * 8) as u64;
+            let block_bytes = (simpim_datasets::DEFAULT_BLOCK_ROWS * spec.d * 8) as u64;
             let rss_budget = 2 * mirror_bytes + 4 * block_bytes + 256 * 1024 * 1024;
             let rss_delta = rss_after.saturating_sub(rss_before);
             assert!(

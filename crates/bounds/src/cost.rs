@@ -4,7 +4,7 @@
 /// Operation counts incurred by evaluating one bound on one object.
 /// Converted into `simpim-simkit` counters by the instrumented mining
 /// algorithms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvalCost {
     /// Simple arithmetic ops (add/sub).
     pub arith: u64,

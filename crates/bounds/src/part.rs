@@ -15,7 +15,7 @@ use crate::traits::{BoundDirection, BoundStage, PreparedBound};
 use simpim_similarity::{stats, Dataset, SimilarityError};
 
 /// Which similarity the dot-product bound is lifted to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartTarget {
     /// Raw dot product `p·q`.
     Dot,

@@ -6,7 +6,7 @@ use crate::cost::EvalCost;
 /// Whether a stage bounds a distance from below or a similarity from above.
 /// Either direction admits lossless pruning; the mining loop flips its
 /// comparison accordingly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BoundDirection {
     /// `bound(p,q) ≤ dist(p,q)` — prune when `bound ≥ threshold`.
     LowerBoundsDistance,

@@ -18,7 +18,7 @@ pub fn pim_oracle_ns(total_ns: f64, offloadable_ns: f64) -> f64 {
 }
 
 /// The framework's verdict for one algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OffloadDecision {
     /// Whether offloading is recommended.
     pub offload: bool,

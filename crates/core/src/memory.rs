@@ -19,7 +19,7 @@ use simpim_reram::gather::dataset_crossbar_cost;
 use simpim_reram::{CrossbarCost, PimConfig};
 
 /// Outcome of Theorem 4's optimization.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryPlan {
     /// Chosen compressed dimensionality `s` (per region).
     pub s: usize,

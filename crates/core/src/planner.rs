@@ -26,7 +26,7 @@ use simpim_similarity::{measures, Dataset, Measure};
 
 /// One candidate bound for the planner: its per-object transfer cost and
 /// its measured pruning ratio.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CandidateBound {
     /// Display name (`LB_FNN^7`, `LB_PIM-FNN^105`, …).
     pub name: String,
@@ -76,7 +76,7 @@ impl CandidateBound {
 }
 
 /// A chosen plan: bound order plus its estimated transfer cost.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionPlan {
     /// Indices into the candidate list, in application order.
     pub stages: Vec<usize>,
@@ -341,7 +341,7 @@ impl PruningProfile {
 }
 
 /// One bank of the fleet, as the placement planner sees it.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BankProfile {
     /// Crossbar budget of this bank.
     pub crossbars: usize,
@@ -353,7 +353,7 @@ pub struct BankProfile {
 
 /// One shard of a [`FleetPlan`]: a contiguous row range placed on a bank
 /// with the Theorem 4 plan its budget affords.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardPlacement {
     /// Index into the fleet's bank list.
     pub bank: usize,
@@ -372,7 +372,7 @@ pub struct ShardPlacement {
 
 /// A fleet-wide placement: shards in row order with the modeled
 /// throughput the placement attains.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetPlan {
     /// Shard placements, contiguous and in row order.
     pub shards: Vec<ShardPlacement>,

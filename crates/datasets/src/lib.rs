@@ -32,7 +32,7 @@ pub use lsh::lsh_codes;
 pub use queries::sample_queries;
 pub use spec::{DatasetSpec, PaperDataset};
 pub use stream::{
-    env_block_rows, DatasetSource, InMemorySource, LshCodeSource, SynthSource,
-    TimeseriesWindowSource,
+    DatasetSource, InMemorySource, LshCodeSource, SynthSource, TimeseriesWindowSource,
+    DEFAULT_BLOCK_ROWS,
 };
 pub use synth::{generate, generate_labeled, SyntheticConfig};

@@ -2,7 +2,7 @@
 //! generators.
 
 /// Identifies one of the paper's evaluation datasets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PaperDataset {
     /// ImageNet features: 2 340 173 × 150 (kNN).
     ImageNet,
@@ -24,7 +24,7 @@ pub enum PaperDataset {
 }
 
 /// Generation parameters for one dataset.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatasetSpec {
     /// Display name matching the paper.
     pub name: &'static str,

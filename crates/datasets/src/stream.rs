@@ -27,19 +27,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simpim_similarity::{BinaryDataset, Dataset};
 
-/// Default number of rows per streamed block when `SIMPIM_BLOCK_ROWS` is
-/// unset. Sized so a GIST-shaped block (d = 960, f64) stays under ~64 MiB.
+/// Rows per streamed block. Sized so a GIST-shaped block (d = 960, f64)
+/// stays under ~64 MiB.
 pub const DEFAULT_BLOCK_ROWS: usize = 8192;
-
-/// Reads the streamed-block size from `SIMPIM_BLOCK_ROWS` (rows per
-/// block, ≥ 1), defaulting to [`DEFAULT_BLOCK_ROWS`].
-pub fn env_block_rows() -> usize {
-    std::env::var("SIMPIM_BLOCK_ROWS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&v| v >= 1)
-        .unwrap_or(DEFAULT_BLOCK_ROWS)
-}
 
 /// A resettable, skippable producer of dataset rows in a fixed order.
 ///
@@ -522,12 +512,5 @@ mod tests {
             while src.next_codes(block, &mut codes) > 0 {}
             assert_eq!(codes, whole, "block size {block}");
         }
-    }
-
-    #[test]
-    fn env_block_rows_parses_and_defaults() {
-        // No env manipulation here (tests run in parallel); just the
-        // default path.
-        assert!(env_block_rows() >= 1);
     }
 }

@@ -5,7 +5,7 @@ use simpim_reram::PimTiming;
 use simpim_simkit::{HostParams, NvmEmulator, TimeBreakdown};
 
 /// Which main-memory technology the host side runs against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Architecture {
     /// Conventional architecture: DRAM main memory (the baselines).
     ConventionalDram,
@@ -21,7 +21,7 @@ pub enum Architecture {
 /// `None`, which [`RunReport::host_breakdown`] silently treated as DRAM —
 /// PIM runs accumulated through a defaulted report would lose their NVM
 /// delay injection. Construct via [`RunReport::new`] instead.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// Per-function operation counters (Section IV-B).
     pub profile: FunctionProfiler,

@@ -44,7 +44,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use simpim_obs::TraceCtx;
-use simpim_serve::{Neighbor, Pending, ServeEngine, ServeError};
+use simpim_serve::{Pending, ServeEngine, ServeError};
 
 use crate::error::NetError;
 use crate::stats::{stats_document, NetStats};
@@ -53,27 +53,18 @@ use crate::wire::{
     WireError, DEFAULT_MAX_FRAME,
 };
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
-/// Transport configuration. Defaults read the `SIMPIM_NET_*` environment
-/// knobs so deployments tune the transport without recompiling.
+/// Transport configuration.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Per-connection in-flight request window. Requests beyond it are
     /// shed with [`ErrorCode::Overloaded`] before touching the engine.
-    /// Default: `SIMPIM_NET_WINDOW` or 32.
+    /// Default: 32.
     pub window: usize,
     /// Slow-reader guard: a response write that makes no progress for
-    /// this long drops the connection. Default:
-    /// `SIMPIM_NET_WRITE_TIMEOUT_MS` or 5000.
+    /// this long drops the connection. Default: 5 s.
     pub write_timeout: Duration,
-    /// Maximum accepted frame payload. Default: `SIMPIM_NET_MAX_FRAME`
-    /// or 16 MiB.
+    /// Maximum accepted frame payload. Default: [`DEFAULT_MAX_FRAME`]
+    /// (16 MiB).
     pub max_frame: usize,
     /// Queue deadline applied to queries that don't carry their own
     /// (`timeout_ms == 0`). Default: 5 s.
@@ -86,12 +77,9 @@ pub struct NetConfig {
 impl Default for NetConfig {
     fn default() -> Self {
         Self {
-            window: (env_u64("SIMPIM_NET_WINDOW", 32) as usize).max(1),
-            write_timeout: Duration::from_millis(
-                env_u64("SIMPIM_NET_WRITE_TIMEOUT_MS", 5_000).max(1),
-            ),
-            max_frame: (env_u64("SIMPIM_NET_MAX_FRAME", DEFAULT_MAX_FRAME as u64) as usize)
-                .max(crate::wire::HEADER_LEN),
+            window: 32,
+            write_timeout: Duration::from_secs(5),
+            max_frame: DEFAULT_MAX_FRAME,
             default_deadline: Duration::from_secs(5),
             read_poll: Duration::from_millis(100),
         }
@@ -254,47 +242,50 @@ fn accept_loop(
 enum Outgoing {
     /// Already-encoded frame (errors, pong, stats, flight).
     Ready(Vec<u8>),
-    /// An admitted query; the writer resolves the reply.
-    Query(Tagged<Vec<Neighbor>>),
-    /// An admitted insert.
-    Insert(Tagged<usize>),
-    /// An admitted delete.
-    Delete(Tagged<bool>),
-    /// An admitted flush.
-    Flush(Tagged<()>),
+    /// An admitted engine command: it holds a window slot until the
+    /// writer has resolved `wait` into its response.
+    Pending {
+        ids: Ids,
+        accepted: Instant,
+        wait: Wait,
+    },
 }
 
-struct Tagged<T> {
-    request_id: u64,
-    trace_id: u64,
-    span_id: u64,
-    accepted: Instant,
-    pending: Pending<T>,
-}
+/// The `(request_id, trace_id, span_id)` a response echoes.
+type Ids = (u64, u64, u64);
 
-fn error_frame(
-    request_id: u64,
-    trace_id: u64,
-    span_id: u64,
-    code: ErrorCode,
-    message: String,
-) -> Vec<u8> {
+/// Blocks for an admitted command's engine reply and renders it.
+type Wait = Box<dyn FnOnce() -> Response + Send>;
+
+fn response_frame(ids: Ids, msg: Response) -> Vec<u8> {
     encode_response(&Envelope {
-        request_id,
-        trace_id,
-        span_id,
-        msg: Response::Error { code, message },
+        request_id: ids.0,
+        trace_id: ids.1,
+        span_id: ids.2,
+        msg,
     })
 }
 
-fn serve_error_frame(env_ids: (u64, u64, u64), e: &ServeError) -> Vec<u8> {
-    error_frame(
-        env_ids.0,
-        env_ids.1,
-        env_ids.2,
-        ErrorCode::from_serve(e),
-        e.to_string(),
-    )
+fn error_response(code: ErrorCode, message: String) -> Response {
+    Response::Error { code, message }
+}
+
+fn serve_error(e: &ServeError) -> Response {
+    error_response(ErrorCode::from_serve(e), e.to_string())
+}
+
+/// The one admit shape: an engine submission plus how its reply renders.
+/// Accepted, it becomes the [`Wait`] the writer resolves (an engine-side
+/// failure renders as its typed error frame); refused, the engine's
+/// error comes straight back for the reader to answer.
+fn admit<T: Send + 'static>(
+    submitted: Result<Pending<T>, ServeError>,
+    ok: impl FnOnce(T) -> Response + Send + 'static,
+) -> Result<Wait, ServeError> {
+    let pending = submitted?;
+    Ok(Box::new(move || {
+        pending.wait().map_or_else(|e| serve_error(&e), ok)
+    }))
 }
 
 fn serve_connection(
@@ -383,13 +374,9 @@ fn reader_loop(
                 // length prefix: answer a typed frame, then close.
                 counters.decode_errors.fetch_add(1, Ordering::Relaxed);
                 simpim_obs::metrics::counter_add("simpim.net.server.decode_errors", 1);
-                let _ = out_tx.send(Outgoing::Ready(error_frame(
-                    0,
-                    0,
-                    0,
-                    ErrorCode::BadFrame,
-                    WireError::TooLarge { len }.to_string(),
-                )));
+                let msg =
+                    error_response(ErrorCode::BadFrame, WireError::TooLarge { len }.to_string());
+                let _ = out_tx.send(Outgoing::Ready(response_frame((0, 0, 0), msg)));
                 return;
             }
             ReadStep::Err(_) => {
@@ -415,13 +402,9 @@ fn reader_loop(
                         } else {
                             ErrorCode::BadFrame
                         };
-                        let frame = error_frame(
-                            fail.request_id,
-                            fail.trace_id,
-                            fail.span_id,
-                            code,
-                            fail.error.to_string(),
-                        );
+                        let ids = (fail.request_id, fail.trace_id, fail.span_id);
+                        let msg = error_response(code, fail.error.to_string());
+                        let frame = response_frame(ids, msg);
                         if out_tx.send(Outgoing::Ready(frame)).is_err() || close {
                             return;
                         }
@@ -447,14 +430,7 @@ fn dispatch(
     out_tx: &SyncSender<Outgoing>,
 ) -> bool {
     let ids = (env.request_id, env.trace_id, env.span_id);
-    let reply = |msg: Response| {
-        Outgoing::Ready(encode_response(&Envelope {
-            request_id: ids.0,
-            trace_id: ids.1,
-            span_id: ids.2,
-            msg,
-        }))
-    };
+    let ready = |msg: Response| Outgoing::Ready(response_frame(ids, msg));
     // Engine-backed commands hold a window slot until their response is
     // written; control frames (ping/stats/flight) answer inline.
     let windowed = matches!(
@@ -469,26 +445,45 @@ fn dispatch(
             cfg.window
         );
         return out_tx
-            .send(reply(Response::Error {
-                code: ErrorCode::Overloaded,
-                message: msg,
-            }))
+            .send(ready(error_response(ErrorCode::Overloaded, msg)))
             .is_ok();
     }
     // Join the client's trace: its trace id, a locally minted span id —
     // flight-recorder trees reconstruct under the id the client knows.
     let ctx = TraceCtx::join(env.trace_id);
     let accepted = Instant::now();
+    // An accepted submission takes a window slot until the writer has
+    // resolved it; a refused one is answered at once.
+    let owe = |admitted: Result<Wait, ServeError>| match admitted {
+        Ok(wait) => {
+            in_flight.fetch_add(1, Ordering::AcqRel);
+            Outgoing::Pending {
+                ids,
+                accepted,
+                wait,
+            }
+        }
+        Err(e) => {
+            // Queue-full rejections are engine-side sheds, distinct from
+            // window sheds.
+            if matches!(e, ServeError::Overloaded) {
+                counters.engine_sheds.fetch_add(1, Ordering::Relaxed);
+                simpim_obs::metrics::counter_add("simpim.net.server.engine_sheds", 1);
+            }
+            ready(serve_error(&e))
+        }
+    };
     let out = match env.msg {
-        Request::Ping => reply(Response::Pong),
-        Request::Stats => match engine.stats() {
-            Ok(es) => reply(Response::Stats(stats_document(&es, &counters.snapshot()))),
-            Err(e) => Outgoing::Ready(serve_error_frame(ids, &e)),
-        },
-        Request::Flight => match engine.flight_dump() {
-            Ok(dump) => reply(Response::Flight(dump)),
-            Err(e) => Outgoing::Ready(serve_error_frame(ids, &e)),
-        },
+        Request::Ping => ready(Response::Pong),
+        Request::Stats => ready(engine.stats().map_or_else(
+            |e| serve_error(&e),
+            |es| Response::Stats(stats_document(&es, &counters.snapshot())),
+        )),
+        Request::Flight => ready(
+            engine
+                .flight_dump()
+                .map_or_else(|e| serve_error(&e), Response::Flight),
+        ),
         Request::Query {
             k,
             timeout_ms,
@@ -499,91 +494,21 @@ fn dispatch(
             } else {
                 Duration::from_millis(u64::from(timeout_ms))
             };
-            match engine.knn_submit(&vector, k as usize, deadline, ctx) {
-                Ok(pending) => {
-                    in_flight.fetch_add(1, Ordering::AcqRel);
-                    Outgoing::Query(Tagged {
-                        request_id: ids.0,
-                        trace_id: ids.1,
-                        span_id: ids.2,
-                        accepted,
-                        pending,
-                    })
-                }
-                Err(e) => shed_frame(ids, &e, counters),
-            }
+            owe(admit(
+                engine.knn_submit(&vector, k as usize, deadline, ctx),
+                |n| Response::Query(n.into_iter().map(|(id, d)| (id as u64, d)).collect()),
+            ))
         }
-        Request::Insert { row } => match engine.insert_submit(&row, ctx) {
-            Ok(pending) => {
-                in_flight.fetch_add(1, Ordering::AcqRel);
-                Outgoing::Insert(Tagged {
-                    request_id: ids.0,
-                    trace_id: ids.1,
-                    span_id: ids.2,
-                    accepted,
-                    pending,
-                })
-            }
-            Err(e) => shed_frame(ids, &e, counters),
-        },
-        Request::Delete { id } => match engine.delete_submit(id as usize, ctx) {
-            Ok(pending) => {
-                in_flight.fetch_add(1, Ordering::AcqRel);
-                Outgoing::Delete(Tagged {
-                    request_id: ids.0,
-                    trace_id: ids.1,
-                    span_id: ids.2,
-                    accepted,
-                    pending,
-                })
-            }
-            Err(e) => shed_frame(ids, &e, counters),
-        },
-        Request::Flush => match engine.flush_submit(ctx) {
-            Ok(pending) => {
-                in_flight.fetch_add(1, Ordering::AcqRel);
-                Outgoing::Flush(Tagged {
-                    request_id: ids.0,
-                    trace_id: ids.1,
-                    span_id: ids.2,
-                    accepted,
-                    pending,
-                })
-            }
-            Err(e) => shed_frame(ids, &e, counters),
-        },
+        Request::Insert { row } => owe(admit(engine.insert_submit(&row, ctx), |id| {
+            Response::Insert(id as u64)
+        })),
+        Request::Delete { id } => owe(admit(
+            engine.delete_submit(id as usize, ctx),
+            Response::Delete,
+        )),
+        Request::Flush => owe(admit(engine.flush_submit(ctx), |()| Response::Flush)),
     };
     out_tx.send(out).is_ok()
-}
-
-/// Encodes an engine-rejection frame, accounting queue-full rejections
-/// as engine-side sheds (distinct from window sheds).
-fn shed_frame(ids: (u64, u64, u64), e: &ServeError, counters: &Counters) -> Outgoing {
-    if matches!(e, ServeError::Overloaded) {
-        counters.engine_sheds.fetch_add(1, Ordering::Relaxed);
-        simpim_obs::metrics::counter_add("simpim.net.server.engine_sheds", 1);
-    }
-    Outgoing::Ready(serve_error_frame(ids, e))
-}
-
-fn resolve<T>(tagged: Tagged<T>, ok: impl FnOnce(T) -> Response) -> (Vec<u8>, u64, Instant) {
-    let msg = match tagged.pending.wait() {
-        Ok(v) => ok(v),
-        Err(e) => Response::Error {
-            code: ErrorCode::from_serve(&e),
-            message: e.to_string(),
-        },
-    };
-    (
-        encode_response(&Envelope {
-            request_id: tagged.request_id,
-            trace_id: tagged.trace_id,
-            span_id: tagged.span_id,
-            msg,
-        }),
-        tagged.trace_id,
-        tagged.accepted,
-    )
 }
 
 fn writer_loop(
@@ -596,38 +521,23 @@ fn writer_loop(
 ) {
     let _ = w.set_write_timeout(Some(write_timeout));
     while let Ok(out) = rx.recv() {
-        let windowed = !matches!(out, Outgoing::Ready(_));
-        let (frame, trace_id, accepted) = match out {
-            Outgoing::Ready(f) => (f, 0, None),
-            Outgoing::Query(t) => {
-                let (f, tr, at) = resolve(t, |n| {
-                    Response::Query(n.into_iter().map(|(id, d)| (id as u64, d)).collect())
-                });
-                (f, tr, Some(at))
-            }
-            Outgoing::Insert(t) => {
-                let (f, tr, at) = resolve(t, |id| Response::Insert(id as u64));
-                (f, tr, Some(at))
-            }
-            Outgoing::Delete(t) => {
-                let (f, tr, at) = resolve(t, Response::Delete);
-                (f, tr, Some(at))
-            }
-            Outgoing::Flush(t) => {
-                let (f, tr, at) = resolve(t, |()| Response::Flush);
-                (f, tr, Some(at))
+        let frame = match out {
+            Outgoing::Ready(frame) => frame,
+            Outgoing::Pending {
+                ids,
+                accepted,
+                wait,
+            } => {
+                let frame = response_frame(ids, wait());
+                in_flight.fetch_sub(1, Ordering::AcqRel);
+                simpim_obs::metrics::histogram_record_exemplar(
+                    "simpim.net.server.service_ns",
+                    accepted.elapsed().as_nanos() as u64,
+                    ids.1,
+                );
+                frame
             }
         };
-        if windowed {
-            in_flight.fetch_sub(1, Ordering::AcqRel);
-        }
-        if let Some(at) = accepted {
-            simpim_obs::metrics::histogram_record_exemplar(
-                "simpim.net.server.service_ns",
-                at.elapsed().as_nanos() as u64,
-                trace_id,
-            );
-        }
         // A write timeout here is the slow-reader path: the client's
         // receive window is full and stayed full for `write_timeout`.
         // Partial frames cannot be resumed, so the connection dies.
@@ -642,10 +552,10 @@ fn writer_loop(
             .bytes_tx
             .fetch_add(frame.len().saturating_sub(4) as u64, Ordering::Relaxed);
     }
-    // Connection is closing: resolve (and discard) whatever is still
-    // queued so in-flight accounting ends balanced.
+    // Connection is closing: drop (and so abandon the reply of) whatever
+    // is still queued so in-flight accounting ends balanced.
     while let Ok(out) = rx.try_recv() {
-        if !matches!(out, Outgoing::Ready(_)) {
+        if let Outgoing::Pending { .. } = out {
             in_flight.fetch_sub(1, Ordering::AcqRel);
         }
     }

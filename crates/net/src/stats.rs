@@ -7,7 +7,7 @@
 //! in-process, without the server linking any serialization framework.
 
 use simpim_obs::{Json, ToJson};
-use simpim_serve::{EngineStats, StageLatency};
+use simpim_serve::EngineStats;
 
 /// Counter snapshot of one [`crate::NetServer`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -65,18 +65,6 @@ impl ToJson for NetStats {
     }
 }
 
-fn stage_json(s: &StageLatency) -> Json {
-    Json::obj([
-        ("stage", Json::Str(s.stage.clone())),
-        ("count", Json::Num(s.count as f64)),
-        ("p50_ns", Json::Num(s.p50_ns as f64)),
-        ("p95_ns", Json::Num(s.p95_ns as f64)),
-        ("p99_ns", Json::Num(s.p99_ns as f64)),
-        ("exemplar_ns", Json::Num(s.exemplar_ns as f64)),
-        ("exemplar_trace", Json::Num(s.exemplar_trace as f64)),
-    ])
-}
-
 /// Projects [`EngineStats`] to JSON: every scalar counter, the per-stage
 /// latency percentiles, and the SLO reports. Per-shard replica detail is
 /// summarized (healthy replicas per shard) rather than dumped — the wire
@@ -110,24 +98,13 @@ pub fn engine_stats_json(s: &EngineStats) -> Json {
         ("degraded_shards", Json::Num(s.degraded_shards as f64)),
         (
             "stage_latency",
-            Json::Arr(s.stage_latency.iter().map(stage_json).collect()),
+            Json::Arr(s.stage_latency.iter().map(ToJson::to_json).collect()),
         ),
         (
             "slo",
             Json::Arr(s.slo.iter().map(ToJson::to_json).collect()),
         ),
-        (
-            "flight",
-            Json::obj([
-                ("capacity", Json::Num(s.flight.capacity as f64)),
-                ("slow_retained", Json::Num(s.flight.slow_retained as f64)),
-                (
-                    "anomalies_retained",
-                    Json::Num(s.flight.anomalies_retained as f64),
-                ),
-                ("recorded", Json::Num(s.flight.recorded as f64)),
-            ]),
-        ),
+        ("flight", s.flight.to_json()),
     ])
 }
 

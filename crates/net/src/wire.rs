@@ -36,7 +36,7 @@ pub const WIRE_VERSION: u8 = 1;
 pub const HEADER_LEN: usize = 26;
 
 /// Default maximum accepted payload length (16 MiB). Override with
-/// `SIMPIM_NET_MAX_FRAME` or [`crate::NetConfig::max_frame`].
+/// [`crate::NetConfig::max_frame`].
 pub const DEFAULT_MAX_FRAME: usize = 1 << 24;
 
 /// Request opcodes (`0x01..=0x07`).

@@ -1,11 +1,11 @@
 //! A minimal JSON value model with writer and parser.
 //!
-//! The workspace's `serde` is an offline no-op stub (see `vendor/serde`),
-//! so run artifacts are serialized through this module instead: a small,
-//! dependency-free JSON implementation sufficient for the artifact schema —
-//! objects keep insertion order (deterministic output), numbers are `f64`
-//! (integers up to 2⁵³ round-trip exactly), and strings support the full
-//! JSON escape set.
+//! The build container is offline and the workspace carries no
+//! serialization framework, so run artifacts are serialized through this
+//! module: a small, dependency-free JSON implementation sufficient for the
+//! artifact schema — objects keep insertion order (deterministic output),
+//! numbers are `f64` (integers up to 2⁵³ round-trip exactly), and strings
+//! support the full JSON escape set.
 
 use std::fmt;
 

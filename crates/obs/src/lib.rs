@@ -24,8 +24,8 @@
 //!   metrics snapshot, dataset spec and config, written as
 //!   `BENCH_<name>.json` files that seed the perf-trajectory history.
 //!
-//! Serialization uses the in-tree [`json`] module (the workspace's `serde`
-//! is an offline no-op stub): a small JSON value model with a writer, a
+//! Serialization uses the in-tree [`json`] module (the workspace links no
+//! serialization framework): a small JSON value model with a writer, a
 //! parser, and the [`json::ToJson`] / [`json::FromJson`] traits the other
 //! crates implement for their report types.
 

@@ -832,11 +832,14 @@ mod tests {
     fn orphan_sink_collects_exited_threads() {
         let _l = test_lock::hold();
         enable(1024);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let _g = span!("worker.span");
-            });
-        });
+        // Joined, not scoped: a scope returns once the closure has run,
+        // which can be before the thread-local journal's destructor has
+        // handed its spans to the orphan sink.
+        std::thread::spawn(|| {
+            let _g = span!("worker.span");
+        })
+        .join()
+        .unwrap();
         let all = drain_all();
         disable();
         assert!(all.iter().any(|r| r.name == "worker.span"));

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use simpim_simkit::{HostParams, OpCounters, TimeBreakdown};
 
 /// Accumulated counters for one named function.
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FunctionRecord {
     /// Operation counters attributed to this function.
     pub counters: OpCounters,
@@ -20,7 +20,7 @@ pub struct FunctionRecord {
 }
 
 /// The per-function profile of one algorithm run.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FunctionProfiler {
     entries: BTreeMap<String, FunctionRecord>,
 }

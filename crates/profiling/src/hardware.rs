@@ -12,7 +12,7 @@ pub fn hardware_breakdown(counters: &OpCounters, params: &HostParams) -> TimeBre
 }
 
 /// Result of the trace-driven cross-check.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceCheck {
     /// Fraction of line fetches serviced by memory in the cache simulator.
     pub simulated_memory_fraction: f64,

@@ -8,7 +8,7 @@ use crate::functions::FunctionProfiler;
 use simpim_simkit::HostParams;
 
 /// Oracle estimate for one algorithm profile.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OracleReport {
     /// Full model time (`T_total`), ns.
     pub total_ns: f64,

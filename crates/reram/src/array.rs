@@ -29,11 +29,11 @@ const DOT_BATCH_CHUNK: usize = 256;
 const PREFETCH_ROWS: usize = 4;
 
 /// Identifies one programmed region of the PIM array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RegionId(pub usize);
 
 /// Outcome of programming one region (offline stage).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProgramReport {
     /// Handle for issuing queries against this region.
     pub region: RegionId,
@@ -174,7 +174,7 @@ struct RegionFaultInfo {
 }
 
 /// Outcome of scrubbing one region against its fault map.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScrubReport {
     /// The scrubbed region.
     pub region: RegionId,
@@ -196,7 +196,7 @@ pub struct ScrubReport {
 }
 
 /// Outcome of remapping a region's dead crossbars onto spare capacity.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RemapReport {
     /// The repaired region.
     pub region: RegionId,

@@ -4,7 +4,7 @@
 use crate::error::ReRamError;
 
 /// Geometry and device parameters of one ReRAM crossbar.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrossbarConfig {
     /// Crossbar side length `m` (the paper uses 256×256).
     pub size: usize,
@@ -110,7 +110,7 @@ impl CrossbarConfig {
 /// Width of the accumulator collecting PIM results. The paper keeps the
 /// least-significant 64 bits for integer workloads and 32 bits for binary
 /// codes (Section VI-B); accumulation wraps at the chosen width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccWidth {
     /// Accumulate into the least-significant 32 bits.
     U32,
@@ -145,7 +145,7 @@ impl AccWidth {
 }
 
 /// Platform configuration of the ReRAM-based memory (Table 5).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PimConfig {
     /// Per-crossbar parameters.
     pub crossbar: CrossbarConfig,

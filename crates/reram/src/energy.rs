@@ -9,7 +9,7 @@
 use crate::config::PimConfig;
 
 /// Energy cost constants (joules).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Energy to program one cell bit (Table 1, ReRAM: ~1e-13 J/bit).
     pub write_j_per_bit: f64,
@@ -31,7 +31,7 @@ impl Default for EnergyModel {
 }
 
 /// Accumulated energy of a simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyReport {
     /// Programming (write) energy in joules.
     pub write_j: f64,

@@ -87,7 +87,7 @@ pub enum CrossbarHealth {
 /// probabilities; every site's fate is a pure splitmix64 hash of
 /// `(seed, site)`, so a given configuration always yields the same fault
 /// map.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Probability that a cell is stuck at level 0.
     pub stuck_low_rate: f64,

@@ -16,7 +16,7 @@ use crate::config::CrossbarConfig;
 use crate::error::ReRamError;
 
 /// Crossbar budget required by a layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrossbarCost {
     /// Data crossbars (`n_data` in Theorem 4).
     pub data: usize,

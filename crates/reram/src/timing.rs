@@ -25,7 +25,7 @@ use crate::config::{AccWidth, PimConfig};
 use crate::gather::CrossbarCost;
 
 /// Latency breakdown of one PIM dot-product batch, in nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PimTiming {
     /// Query streaming through the data crossbars.
     pub data_pass_ns: f64,

@@ -15,7 +15,7 @@
 //! `simpim-core`). Accuracy is preserved; only pruning power is lost.
 
 /// Bounded multiplicative cell variation.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VariationModel {
     /// Maximum relative deviation of a cell's conductance (e.g. 0.05 for
     /// ±5%).

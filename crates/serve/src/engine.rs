@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 use simpim_core::executor::ExecutorConfig;
 use simpim_mining::knn::resident::merge_neighbors;
 use simpim_obs::metrics::Histogram;
-use simpim_obs::{SloReport, SloSpec, TraceCtx};
+use simpim_obs::{Json, SloReport, SloSpec, ToJson, TraceCtx};
 use simpim_similarity::Dataset;
 
 use crate::error::ServeError;
@@ -51,8 +51,8 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Replication factor `R`: each shard's rows are programmed onto
     /// this many distinct banks. `1` disables replication (no failover
-    /// target; a lost bank degrades the shard to the exact host path).
-    /// Defaults to the `SIMPIM_REPLICAS` environment variable, or 1.
+    /// target; a lost bank degrades the shard to the exact host path),
+    /// and is the default.
     pub replicas: usize,
     /// Maximum queries coalesced into one scheduling batch (`Q`).
     pub max_batch: usize,
@@ -79,19 +79,11 @@ pub struct ServeConfig {
     pub slo: SloSpec,
 }
 
-fn replicas_from_env() -> usize {
-    std::env::var("SIMPIM_REPLICAS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&r| r >= 1)
-        .unwrap_or(1)
-}
-
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             shards: 2,
-            replicas: replicas_from_env(),
+            replicas: 1,
             max_batch: 8,
             queue_depth: 64,
             spare_rows: 16,
@@ -136,6 +128,20 @@ pub struct StageLatency {
     /// Trace id of that sample — the key into the flight dump and the
     /// obs journal (`0` when unknown).
     pub exemplar_trace: u64,
+}
+
+impl ToJson for StageLatency {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("stage", Json::Str(self.stage.clone())),
+            ("count", Json::Num(self.count as f64)),
+            ("p50_ns", Json::Num(self.p50_ns as f64)),
+            ("p95_ns", Json::Num(self.p95_ns as f64)),
+            ("p99_ns", Json::Num(self.p99_ns as f64)),
+            ("exemplar_ns", Json::Num(self.exemplar_ns as f64)),
+            ("exemplar_trace", Json::Num(self.exemplar_trace as f64)),
+        ])
+    }
 }
 
 /// Point-in-time engine statistics.
@@ -309,7 +315,7 @@ impl ServeEngine {
     /// ever materializing the whole dataset in one piece: rows flow
     /// straight into one shard mirror at a time, and each shard's
     /// replicas program their banks from that mirror in
-    /// [`simpim_datasets::env_block_rows`]-sized blocks — so peak host
+    /// [`simpim_datasets::DEFAULT_BLOCK_ROWS`]-sized blocks — so peak host
     /// memory beyond the resident mirrors is one block, not a second copy
     /// of the dataset. Row `i` of the stream keeps `i` as its stable
     /// global id, and the produced engine is bit-identical to
@@ -353,23 +359,19 @@ impl ServeEngine {
             })
             .all(|ok| ok);
         if planned != n || !contiguous {
-            return Err(ServeError::InvalidArgument {
-                what: format!(
-                    "plan covers {planned} rows (contiguous: {contiguous}), source has {n}"
-                ),
-            });
+            return Err(ServeError::invalid(format!(
+                "plan covers {planned} rows (contiguous: {contiguous}), source has {n}"
+            )));
         }
         let mut shard_rows = Vec::with_capacity(plan.shards.len());
         let mut shard_cfgs = Vec::with_capacity(plan.shards.len());
         for placement in &plan.shards {
             let Some(bank) = banks.get(placement.bank) else {
-                return Err(ServeError::InvalidArgument {
-                    what: format!(
-                        "plan references bank {} but only {} profiled",
-                        placement.bank,
-                        banks.len()
-                    ),
-                });
+                return Err(ServeError::invalid(format!(
+                    "plan references bank {} but only {} profiled",
+                    placement.bank,
+                    banks.len()
+                )));
             };
             let mut shard_cfg = cfg.shard_config();
             shard_cfg.executor.pim.num_crossbars = bank.crossbars;
@@ -385,9 +387,9 @@ impl ServeEngine {
     /// the first scrub runs).
     fn validate_cfg(cfg: &ServeConfig) -> Result<(), ServeError> {
         if cfg.shards == 0 || cfg.replicas == 0 || cfg.max_batch == 0 || cfg.queue_depth == 0 {
-            return Err(ServeError::InvalidArgument {
-                what: "shards, replicas, max_batch and queue_depth must be non-zero".to_string(),
-            });
+            return Err(ServeError::invalid(
+                "shards, replicas, max_batch and queue_depth must be non-zero",
+            ));
         }
         if let Some(faults) = &cfg.executor.faults {
             faults.validate().map_err(|e| ServeError::Config {
@@ -402,9 +404,9 @@ impl ServeEngine {
     /// than `shards` shards). `shards` is non-zero (see `validate_cfg`).
     fn uniform_split(n: usize, shards: usize) -> Result<Vec<usize>, ServeError> {
         if n < shards {
-            return Err(ServeError::InvalidArgument {
-                what: format!("need at least one row per shard ({n} rows, {shards} shards)"),
-            });
+            return Err(ServeError::invalid(format!(
+                "need at least one row per shard ({n} rows, {shards} shards)"
+            )));
         }
         let chunk = n.div_ceil(shards);
         Ok((0..n)
@@ -436,7 +438,7 @@ impl ServeEngine {
     }
 
     /// The materialization loop of [`ServeEngine::open_shards`]: the
-    /// source appends [`simpim_datasets::env_block_rows`]-sized blocks
+    /// source appends [`simpim_datasets::DEFAULT_BLOCK_ROWS`]-sized blocks
     /// straight into one shard mirror at a time (validated as it fills),
     /// and each replica set opens as soon as its mirror completes — at
     /// any instant only the finished mirrors are resident.
@@ -447,7 +449,7 @@ impl ServeEngine {
         replicas: usize,
     ) -> Result<Vec<ReplicaSet>, ServeError> {
         let d = source.dim();
-        let block = simpim_datasets::env_block_rows();
+        let block = simpim_datasets::DEFAULT_BLOCK_ROWS;
         let mut sets = Vec::with_capacity(shard_rows.len());
         let mut start = 0usize;
         for (&target, shard_cfg) in shard_rows.iter().zip(shard_cfgs) {
@@ -459,21 +461,19 @@ impl ServeEngine {
             while flat.len() < target * d {
                 let have = flat.len();
                 if source.next_block(block.min(target - have / d), &mut flat) == 0 {
-                    return Err(ServeError::InvalidArgument {
-                        what: format!(
-                            "source drained after {} rows, {} planned",
-                            start + have / d,
-                            shard_rows.iter().sum::<usize>()
-                        ),
-                    });
+                    return Err(ServeError::invalid(format!(
+                        "source drained after {} rows, {} planned",
+                        start + have / d,
+                        shard_rows.iter().sum::<usize>()
+                    )));
                 }
                 if flat[have..].iter().any(|v| !(0.0..=1.0).contains(v)) {
-                    return Err(ServeError::InvalidArgument {
-                        what: "dataset values must be normalized into [0, 1]".to_string(),
-                    });
+                    return Err(ServeError::invalid(
+                        "dataset values must be normalized into [0, 1]",
+                    ));
                 }
             }
-            let rows = Dataset::from_flat(flat, d).map_err(simpim_core::CoreError::from)?;
+            let rows = Dataset::from_flat(flat, d)?;
             sets.push(ReplicaSet::open(
                 *shard_cfg,
                 replicas,
@@ -513,27 +513,21 @@ impl ServeEngine {
         // values outside [0, 1] stay legal (the floors saturate and the
         // bounds stay bounds).
         if query.iter().any(|v| !v.is_finite()) {
-            return Err(ServeError::InvalidArgument {
-                what: "query values must be finite".to_string(),
-            });
+            return Err(ServeError::invalid("query values must be finite"));
         }
         if k == 0 {
-            return Err(ServeError::InvalidArgument {
-                what: "k must be at least 1".to_string(),
-            });
+            return Err(ServeError::invalid("k must be at least 1"));
         }
         Ok(())
     }
 
     fn validate_row(&self, row: &[f64], what: &str) -> Result<(), ServeError> {
         if row.len() != self.dim {
-            return Err(ServeError::InvalidArgument {
-                what: format!(
-                    "{what} has {} dimensions, engine serves {}",
-                    row.len(),
-                    self.dim
-                ),
-            });
+            return Err(ServeError::invalid(format!(
+                "{what} has {} dimensions, engine serves {}",
+                row.len(),
+                self.dim
+            )));
         }
         Ok(())
     }
@@ -768,41 +762,64 @@ impl Drop for ServeEngine {
     }
 }
 
-/// The engine-owned per-stage latency histograms. Each sample is
-/// recorded with its request's trace id, so every bucket remembers the
-/// worst offender that landed in it (the exemplar) — the jump-off point
-/// from a p99 number to a concrete flight-recorder trace.
-#[derive(Default)]
-struct StageHists {
-    queue: Histogram,
-    pass: Histogram,
-    merge: Histogram,
-    total: Histogram,
-    mutation: Histogram,
+/// One request stage of the ledger. The discriminant indexes [`STAGES`]
+/// and [`StageHists`].
+#[derive(Clone, Copy)]
+enum Stage {
+    Queue,
+    Pass,
+    Merge,
+    Total,
+    Mutation,
 }
 
+/// The stage table, one row per [`Stage`]: short name, metric name, and
+/// the second metric name a stage is also published under (`total` is
+/// the request latency). All three spellings work in SLO objectives.
+const STAGES: [(&str, &str, Option<&str>); 5] = [
+    ("queue", "simpim.serve.stage.queue_ns", None),
+    ("pass", "simpim.serve.stage.pass_ns", None),
+    ("merge", "simpim.serve.stage.merge_ns", None),
+    (
+        "total",
+        "simpim.serve.stage.total_ns",
+        Some("simpim.serve.latency_ns"),
+    ),
+    ("mutation", "simpim.serve.stage.mutation_ns", None),
+];
+
+/// The engine-owned per-stage latency histograms, one per [`STAGES`]
+/// row. Each sample is recorded with its request's trace id, so every
+/// bucket remembers the worst offender that landed in it (the exemplar)
+/// — the jump-off point from a p99 number to a concrete flight-recorder
+/// trace.
+#[derive(Default)]
+struct StageHists([Histogram; STAGES.len()]);
+
 impl StageHists {
-    /// Stage histogram by short name (`queue`) or full metric name
-    /// (`simpim.serve.stage.queue_ns`) — both spellings work in SLO
-    /// objectives.
-    fn by_name(&self, name: &str) -> Option<&Histogram> {
-        match name {
-            "queue" | "simpim.serve.stage.queue_ns" => Some(&self.queue),
-            "pass" | "simpim.serve.stage.pass_ns" => Some(&self.pass),
-            "merge" | "simpim.serve.stage.merge_ns" => Some(&self.merge),
-            "total" | "simpim.serve.stage.total_ns" | "simpim.serve.latency_ns" => {
-                Some(&self.total)
-            }
-            "mutation" | "simpim.serve.stage.mutation_ns" => Some(&self.mutation),
-            _ => None,
+    /// Records one sample of `stage` in the engine-local histogram and
+    /// under the stage's metric name(s) in the process registry.
+    fn record(&mut self, stage: Stage, ns: u64, trace_id: u64) {
+        let (_, metric, alias) = STAGES[stage as usize];
+        self.0[stage as usize].record_exemplar(ns, trace_id);
+        for name in [Some(metric), alias].into_iter().flatten() {
+            simpim_obs::metrics::histogram_record_exemplar(name, ns, trace_id);
         }
     }
 
+    /// Stage histogram by any of its [`STAGES`] spellings.
+    fn by_name(&self, name: &str) -> Option<&Histogram> {
+        let row = STAGES.iter().position(|&(short, metric, alias)| {
+            name == short || name == metric || alias == Some(name)
+        })?;
+        Some(&self.0[row])
+    }
+
     fn summaries(&self) -> Vec<StageLatency> {
-        ["queue", "pass", "merge", "total", "mutation"]
+        STAGES
             .iter()
-            .map(|&stage| {
-                let h = self.by_name(stage).expect("known stage");
+            .zip(&self.0)
+            .map(|(&(stage, ..), h)| {
                 let (exemplar_ns, exemplar_trace) =
                     h.exemplar_near_quantile(0.99).unwrap_or((0, 0));
                 StageLatency {
@@ -818,6 +835,15 @@ impl StageHists {
             .collect()
     }
 }
+
+/// `b − a` in nanoseconds, `0` if `b` is earlier.
+fn ns_between(a: Instant, b: Instant) -> u64 {
+    b.saturating_duration_since(a).as_nanos() as u64
+}
+
+/// One child stage handed to [`Scheduler::record_trace`]: name suffix,
+/// start, end, numeric attributes.
+type StageSpan<'a> = (&'a str, Instant, Instant, &'a [(&'a str, f64)]);
 
 struct Scheduler {
     sets: Vec<ReplicaSet>,
@@ -860,12 +886,6 @@ impl Scheduler {
             answered_ok: 0,
             failed: 0,
         }
-    }
-
-    /// Nanoseconds since the engine epoch — the clock every flight-span
-    /// timestamp is expressed in.
-    fn ns(&self, t: Instant) -> u64 {
-        t.saturating_duration_since(self.epoch).as_nanos() as u64
     }
 
     fn run(mut self, rx: Receiver<Cmd>) {
@@ -959,7 +979,21 @@ impl Scheduler {
         for q in expired {
             self.timeouts += 1;
             simpim_obs::metrics::counter_add("simpim.serve.timeouts", 1);
-            self.record_timeout_trace(&q, now);
+            // Just root + queue — it never reached a crossbar — and
+            // timeouts are anomalies, so the recorder always retains them.
+            let waited = now.saturating_duration_since(q.enqueued).as_secs_f64();
+            self.record_trace(
+                "query",
+                q.ctx,
+                Outcome::Timeout,
+                (q.enqueued, now, now),
+                &[("k", q.k as f64)],
+                &[],
+                vec![format!(
+                    "deadline expired after {:.3}ms in queue",
+                    waited * 1e3
+                )],
+            );
             let _ = q.reply.send(Err(ServeError::DeadlineExpired));
         }
         if live.is_empty() {
@@ -1075,15 +1109,27 @@ impl Scheduler {
             if let Err(e) = &answer {
                 anns.push(format!("error: {e}"));
             }
-            self.record_query_trace(
-                &req,
-                now,
-                pass_start,
-                pass_end,
-                merge_start,
-                done,
-                batch_seq,
+            let trace_id = req.ctx.trace_id;
+            for (stage, ns) in [
+                (Stage::Queue, ns_between(req.enqueued, now)),
+                (Stage::Pass, ns_between(pass_start, pass_end)),
+                (Stage::Merge, ns_between(merge_start, done)),
+                (Stage::Total, ns_between(req.enqueued, done)),
+            ] {
+                self.stages.record(stage, ns, trace_id);
+            }
+            let batch = ("batch", batch_seq as f64);
+            let shards = ("shards", self.sets.len() as f64);
+            self.record_trace(
+                "query",
+                req.ctx,
                 outcome,
+                (req.enqueued, now, done),
+                &[("k", req.k as f64), batch],
+                &[
+                    ("pass", pass_start, pass_end, &[shards, batch]),
+                    ("merge", merge_start, done, &[]),
+                ],
                 anns,
             );
             let _ = req.reply.send(answer);
@@ -1091,196 +1137,85 @@ impl Scheduler {
         span.record("shards", self.sets.len() as f64);
     }
 
-    /// Records the stage latencies of one answered query (engine-local
-    /// histograms + exemplar-tagged global metrics) and offers its
-    /// explicitly-built span tree to the flight recorder. Built from the
+    /// The one flight-trace builder: offers the recorder a request's
+    /// explicitly-built span tree — the `serve.{kind}` root over
+    /// `enqueued..done`, the queue wait `enqueued..dequeued`, then one
+    /// `serve.{kind}.{name}` child per entry of `stages` — built from the
     /// request's [`TraceCtx`] whether or not journal tracing is enabled.
     #[allow(clippy::too_many_arguments)]
-    fn record_query_trace(
+    fn record_trace(
         &mut self,
-        req: &QueryReq,
-        dequeued: Instant,
-        pass_start: Instant,
-        pass_end: Instant,
-        merge_start: Instant,
-        done: Instant,
-        batch_seq: u64,
+        kind: &str,
+        ctx: TraceCtx,
         outcome: Outcome,
+        (enqueued, dequeued, done): (Instant, Instant, Instant),
+        root_attrs: &[(&str, f64)],
+        stages: &[StageSpan<'_>],
         annotations: Vec<String>,
     ) {
-        let trace_id = req.ctx.trace_id;
-        let queue_ns = dequeued.saturating_duration_since(req.enqueued).as_nanos() as u64;
-        let pass_ns = pass_end.saturating_duration_since(pass_start).as_nanos() as u64;
-        let merge_ns = done.saturating_duration_since(merge_start).as_nanos() as u64;
-        let total_ns = done.saturating_duration_since(req.enqueued).as_nanos() as u64;
-        self.stages.queue.record_exemplar(queue_ns, trace_id);
-        self.stages.pass.record_exemplar(pass_ns, trace_id);
-        self.stages.merge.record_exemplar(merge_ns, trace_id);
-        self.stages.total.record_exemplar(total_ns, trace_id);
-        simpim_obs::metrics::histogram_record_exemplar(
-            "simpim.serve.stage.queue_ns",
-            queue_ns,
-            trace_id,
-        );
-        simpim_obs::metrics::histogram_record_exemplar(
-            "simpim.serve.stage.pass_ns",
-            pass_ns,
-            trace_id,
-        );
-        simpim_obs::metrics::histogram_record_exemplar(
-            "simpim.serve.stage.merge_ns",
-            merge_ns,
-            trace_id,
-        );
-        simpim_obs::metrics::histogram_record_exemplar(
-            "simpim.serve.stage.total_ns",
-            total_ns,
-            trace_id,
-        );
-        simpim_obs::metrics::histogram_record_exemplar(
-            "simpim.serve.latency_ns",
-            total_ns,
-            trace_id,
-        );
-        let root = QuerySpan {
-            span_id: req.ctx.span_id,
-            parent: None,
-            name: "serve.query".into(),
-            start_ns: self.ns(req.enqueued),
-            end_ns: self.ns(done),
-            attrs: vec![
-                ("k".into(), req.k as f64),
-                ("batch".into(), batch_seq as f64),
-            ],
+        let epoch = self.epoch;
+        let span = |name: String, start, end, attrs: &[(&str, f64)], root: bool| QuerySpan {
+            span_id: if root {
+                ctx.span_id
+            } else {
+                ctx.child().span_id
+            },
+            parent: (!root).then_some(ctx.span_id),
+            name,
+            // Nanoseconds since the engine epoch, the clock every
+            // flight-span timestamp is expressed in.
+            start_ns: ns_between(epoch, start),
+            end_ns: ns_between(epoch, end),
+            attrs: attrs.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
         };
-        let child =
-            |name: &str, start: Instant, end: Instant, attrs: Vec<(String, f64)>| QuerySpan {
-                span_id: req.ctx.child().span_id,
-                parent: Some(req.ctx.span_id),
-                name: name.into(),
-                start_ns: self.ns(start),
-                end_ns: self.ns(end),
-                attrs,
-            };
-        let spans = vec![
-            root,
-            child("serve.query.queue", req.enqueued, dequeued, vec![]),
-            child(
-                "serve.query.pass",
-                pass_start,
-                pass_end,
-                vec![
-                    ("shards".into(), self.sets.len() as f64),
-                    ("batch".into(), batch_seq as f64),
-                ],
-            ),
-            child("serve.query.merge", merge_start, done, vec![]),
+        let mut spans = vec![
+            span(format!("serve.{kind}"), enqueued, done, root_attrs, true),
+            span("serve.query.queue".into(), enqueued, dequeued, &[], false),
         ];
+        spans.extend(stages.iter().map(|&(name, start, end, attrs)| {
+            span(format!("serve.{kind}.{name}"), start, end, attrs, false)
+        }));
         self.flight.record(QueryTrace {
-            trace_id,
-            kind: "query".into(),
+            trace_id: ctx.trace_id,
+            kind: kind.into(),
             outcome,
-            total_ns,
+            total_ns: ns_between(enqueued, done),
             spans,
             annotations,
         });
     }
 
-    /// Flight-records a query whose deadline expired in the queue. Its
-    /// tree is just root + queue — it never reached a crossbar — and
-    /// timeouts are anomalies, so the recorder always retains them.
-    fn record_timeout_trace(&mut self, req: &QueryReq, dequeued: Instant) {
-        let waited = dequeued.saturating_duration_since(req.enqueued);
-        let queue = QuerySpan {
-            span_id: req.ctx.child().span_id,
-            parent: Some(req.ctx.span_id),
-            name: "serve.query.queue".into(),
-            start_ns: self.ns(req.enqueued),
-            end_ns: self.ns(dequeued),
-            attrs: vec![],
-        };
-        let root = QuerySpan {
-            span_id: req.ctx.span_id,
-            parent: None,
-            name: "serve.query".into(),
-            start_ns: self.ns(req.enqueued),
-            end_ns: self.ns(dequeued),
-            attrs: vec![("k".into(), req.k as f64)],
-        };
-        self.flight.record(QueryTrace {
-            trace_id: req.ctx.trace_id,
-            kind: "query".into(),
-            outcome: Outcome::Timeout,
-            total_ns: waited.as_nanos() as u64,
-            spans: vec![root, queue],
-            annotations: vec![format!(
-                "deadline expired after {:.3}ms in queue",
-                waited.as_secs_f64() * 1e3
-            )],
-        });
-    }
-
-    /// Flight-records one mutation (`insert` / `delete` / `flush`):
-    /// root + queue + apply spans, apply time into the `mutation` stage
-    /// histogram. Failed mutations are anomalies and always retained.
-    fn record_mutation_trace(
+    /// The one mutation lifecycle (`insert` / `delete` / `flush`): stamp
+    /// the dequeue, run `work`, put the apply time into the `mutation`
+    /// stage and flight-record root + queue + apply. Failed mutations are
+    /// anomalies and always retained.
+    fn apply_mutation<T>(
         &mut self,
         kind: &str,
         ctx: TraceCtx,
         enqueued: Instant,
-        dequeued: Instant,
-        ok: bool,
         attrs: &[(&str, f64)],
-    ) {
+        work: impl FnOnce(&mut Self) -> Result<T, ServeError>,
+    ) -> Result<T, ServeError> {
+        let dequeued = Instant::now();
+        let out = work(self);
         let done = Instant::now();
-        let trace_id = ctx.trace_id;
-        let apply_ns = done.saturating_duration_since(dequeued).as_nanos() as u64;
-        let total_ns = done.saturating_duration_since(enqueued).as_nanos() as u64;
-        self.stages.mutation.record_exemplar(apply_ns, trace_id);
-        simpim_obs::metrics::histogram_record_exemplar(
-            "simpim.serve.stage.mutation_ns",
-            apply_ns,
-            trace_id,
-        );
-        let root = QuerySpan {
-            span_id: ctx.span_id,
-            parent: None,
-            name: format!("serve.{kind}"),
-            start_ns: self.ns(enqueued),
-            end_ns: self.ns(done),
-            attrs: attrs.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
+        self.stages
+            .record(Stage::Mutation, ns_between(dequeued, done), ctx.trace_id);
+        let (outcome, annotations) = match &out {
+            Ok(_) => (Outcome::Ok, vec![]),
+            Err(_) => (Outcome::Failed, vec![format!("{kind} failed")]),
         };
-        let spans = vec![
-            root,
-            QuerySpan {
-                span_id: ctx.child().span_id,
-                parent: Some(ctx.span_id),
-                name: "serve.query.queue".into(),
-                start_ns: self.ns(enqueued),
-                end_ns: self.ns(dequeued),
-                attrs: vec![],
-            },
-            QuerySpan {
-                span_id: ctx.child().span_id,
-                parent: Some(ctx.span_id),
-                name: format!("serve.{kind}.apply"),
-                start_ns: self.ns(dequeued),
-                end_ns: self.ns(done),
-                attrs: vec![],
-            },
-        ];
-        self.flight.record(QueryTrace {
-            trace_id,
-            kind: kind.into(),
-            outcome: if ok { Outcome::Ok } else { Outcome::Failed },
-            total_ns,
-            spans,
-            annotations: if ok {
-                vec![]
-            } else {
-                vec![format!("{kind} failed")]
-            },
-        });
+        self.record_trace(
+            kind,
+            ctx,
+            outcome,
+            (enqueued, dequeued, done),
+            attrs,
+            &[("apply", dequeued, done, &[])],
+            annotations,
+        );
+        out
     }
 
     /// Executes one command, whatever its kind. `rx` is only read by
@@ -1297,9 +1232,7 @@ impl Scheduler {
                 ctx,
                 reply,
             } => {
-                let dequeued = Instant::now();
-                let out = self.rolling_flush(rx);
-                self.record_mutation_trace("flush", ctx, enqueued, dequeued, out.is_ok(), &[]);
+                let out = self.apply_mutation("flush", ctx, enqueued, &[], |s| s.rolling_flush(rx));
                 let _ = reply.send(out);
             }
             Cmd::Insert {
@@ -1308,23 +1241,16 @@ impl Scheduler {
                 ctx,
                 reply,
             } => {
-                let dequeued = Instant::now();
                 let id = self.next_id;
                 let shard = id % self.sets.len();
-                let out = self.sets[shard].insert(id, &row).map(|()| {
-                    self.next_id += 1;
-                    self.inserts += 1;
+                let attrs = [("id", id as f64), ("shard", shard as f64)];
+                let out = self.apply_mutation("insert", ctx, enqueued, &attrs, |s| {
+                    s.sets[shard].insert(id, &row)?;
+                    s.next_id += 1;
+                    s.inserts += 1;
                     simpim_obs::metrics::counter_add("simpim.serve.inserts", 1);
-                    id
+                    Ok(id)
                 });
-                self.record_mutation_trace(
-                    "insert",
-                    ctx,
-                    enqueued,
-                    dequeued,
-                    out.is_ok(),
-                    &[("id", id as f64), ("shard", shard as f64)],
-                );
                 let _ = reply.send(out);
             }
             Cmd::Delete {
@@ -1333,31 +1259,19 @@ impl Scheduler {
                 ctx,
                 reply,
             } => {
-                let dequeued = Instant::now();
-                let mut out = Ok(false);
-                for set in &mut self.sets {
-                    match set.delete(id) {
-                        Ok(true) => {
-                            out = Ok(true);
-                            break;
-                        }
-                        Ok(false) => {}
-                        Err(e) => {
-                            out = Err(e);
-                            break;
+                let attrs = [("id", id as f64)];
+                let out = self.apply_mutation("delete", ctx, enqueued, &attrs, |s| {
+                    s.deletes += 1;
+                    simpim_obs::metrics::counter_add("simpim.serve.deletes", 1);
+                    // The first shard that holds the id ends the search;
+                    // so does the first error.
+                    for set in &mut s.sets {
+                        if set.delete(id)? {
+                            return Ok(true);
                         }
                     }
-                }
-                self.deletes += 1;
-                simpim_obs::metrics::counter_add("simpim.serve.deletes", 1);
-                self.record_mutation_trace(
-                    "delete",
-                    ctx,
-                    enqueued,
-                    dequeued,
-                    out.is_ok(),
-                    &[("id", id as f64)],
-                );
+                    Ok(false)
+                });
                 let _ = reply.send(out);
             }
             Cmd::KillBank {
@@ -1366,13 +1280,11 @@ impl Scheduler {
                 reply,
             } => {
                 let out = if shard >= self.sets.len() || replica >= self.cfg.replicas {
-                    Err(ServeError::InvalidArgument {
-                        what: format!(
-                            "no replica ({shard}, {replica}): engine has {} shards × {} replicas",
-                            self.sets.len(),
-                            self.cfg.replicas
-                        ),
-                    })
+                    Err(ServeError::invalid(format!(
+                        "no replica ({shard}, {replica}): engine has {} shards × {} replicas",
+                        self.sets.len(),
+                        self.cfg.replicas
+                    )))
                 } else {
                     self.sets[shard].kill_replica(replica);
                     Ok(())
@@ -1391,18 +1303,14 @@ impl Scheduler {
                     |_| Some((good, total)),
                 );
                 for r in &slo {
-                    simpim_obs::metrics::gauge_set(
-                        &format!("simpim.serve.slo.{}.attainment", r.name),
-                        r.attainment,
-                    );
-                    simpim_obs::metrics::gauge_set(
-                        &format!("simpim.serve.slo.{}.budget_remaining", r.name),
-                        r.budget_remaining,
-                    );
-                    simpim_obs::metrics::gauge_set(
-                        &format!("simpim.serve.slo.{}.burn_rate", r.name),
-                        r.burn_rate,
-                    );
+                    for (gauge, v) in [
+                        ("attainment", r.attainment),
+                        ("budget_remaining", r.budget_remaining),
+                        ("burn_rate", r.burn_rate),
+                    ] {
+                        let name = format!("simpim.serve.slo.{}.{gauge}", r.name);
+                        simpim_obs::metrics::gauge_set(&name, v);
+                    }
                 }
                 let stats = EngineStats {
                     live: shards.iter().map(|s| s.live).sum(),
@@ -1526,6 +1434,21 @@ mod tests {
         assert_eq!(stats.queries, 3);
     }
 
+    /// One dump line with every digit run masked: pins key order, span
+    /// names, attribute keys, `kind`, `outcome` and annotation text while
+    /// ids and timestamps float.
+    fn masked(line: &str) -> String {
+        let mut out = String::new();
+        for c in line.chars() {
+            if !c.is_ascii_digit() {
+                out.push(c);
+            } else if !out.ends_with('#') {
+                out.push('#');
+            }
+        }
+        out
+    }
+
     #[test]
     fn submitted_commands_carry_the_external_trace_into_the_flight_dump() {
         let ds = data();
@@ -1547,15 +1470,89 @@ mod tests {
             .unwrap();
         assert!(engine.delete_submit(ins, ctx).unwrap().wait().unwrap());
         engine.flush_submit(ctx).unwrap().wait().unwrap();
+        // Two anomalies under the same remote trace: a row the shard
+        // refuses, and a query whose (zero) deadline expires in the queue
+        // (re-submitted in the unlikely case the dequeue wins the race).
+        assert!(engine
+            .insert_submit(&[0.1, 0.2, 0.3, 1.4], ctx)
+            .unwrap()
+            .wait()
+            .is_err());
+        let expired = (0..100).any(|_| {
+            let out = engine
+                .knn_submit(&q, 3, Duration::ZERO, ctx)
+                .unwrap()
+                .wait();
+            out == Err(ServeError::DeadlineExpired)
+        });
+        assert!(expired, "a zero deadline never expired in the queue");
         let dump = engine.flight_dump().unwrap();
         let traces = crate::flight::parse_dump(&dump).unwrap();
-        let carried = traces.iter().filter(|t| t.trace_id == remote_trace).count();
-        assert_eq!(
-            carried, 4,
-            "query, insert, delete and flush all reconstruct under the remote trace id"
+        let carried: Vec<&QueryTrace> = traces
+            .iter()
+            .filter(|t| t.trace_id == remote_trace)
+            .collect();
+        assert!(
+            carried.len() >= 6,
+            "query, insert, delete, flush, failed insert and timeout all reconstruct under the remote trace id"
         );
-        for t in traces.iter().filter(|t| t.trace_id == remote_trace) {
+        for t in &carried {
             t.validate_tree().unwrap();
+            let root = t.spans[0].span_id;
+            assert!(t.spans[1..].iter().all(|s| s.parent == Some(root)));
+        }
+        // The golden JSONL shape of each request kind, digits masked.
+        let span = |name: &str, parent: &str, attrs: &str| {
+            format!(
+                r#"{{"span_id":#,"parent":{parent},"name":"{name}","start_ns":#,"end_ns":#,"attrs":{{{attrs}}}}}"#
+            )
+        };
+        let line = |kind: &str, outcome: &str, spans: &[String], annotations: &str| {
+            format!(
+                r#"{{"trace_id":#,"kind":"{kind}","outcome":"{outcome}","total_ns":#,"spans":[{}],"annotations":[{annotations}]}}"#,
+                spans.join(",")
+            )
+        };
+        let queue = span("serve.query.queue", "#", "");
+        let mutation = |kind: &str, outcome: &str, attrs: &str, annotations: &str| {
+            let spans = [
+                span(&format!("serve.{kind}"), "null", attrs),
+                queue.clone(),
+                span(&format!("serve.{kind}.apply"), "#", ""),
+            ];
+            line(kind, outcome, &spans, annotations)
+        };
+        let golden = [
+            line(
+                "query",
+                "ok",
+                &[
+                    span("serve.query", "null", r#""k":#,"batch":#"#),
+                    queue.clone(),
+                    span("serve.query.pass", "#", r#""shards":#,"batch":#"#),
+                    span("serve.query.merge", "#", ""),
+                ],
+                "",
+            ),
+            line(
+                "query",
+                "timeout",
+                &[span("serve.query", "null", r#""k":#"#), queue.clone()],
+                r#""deadline expired after #.#ms in queue""#,
+            ),
+            mutation("insert", "ok", r#""id":#,"shard":#"#, ""),
+            mutation(
+                "insert",
+                "failed",
+                r#""id":#,"shard":#"#,
+                r#""insert failed""#,
+            ),
+            mutation("delete", "ok", r#""id":#"#, ""),
+            mutation("flush", "ok", "", ""),
+        ];
+        let lines: Vec<String> = dump.lines().map(masked).collect();
+        for want in &golden {
+            assert!(lines.contains(want), "no flight line like {want}\n{dump}");
         }
     }
 

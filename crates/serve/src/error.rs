@@ -63,6 +63,11 @@ impl Error for ServeError {
 }
 
 impl ServeError {
+    /// An [`ServeError::InvalidArgument`] saying `what` was wrong.
+    pub(crate) fn invalid(what: impl Into<String>) -> Self {
+        Self::InvalidArgument { what: what.into() }
+    }
+
     /// Whether this error is a whole-bank fail-stop
     /// ([`simpim_reram::ReRamError::BankLost`]) bubbling up through the
     /// execution stack — the signal that the replica's bank is gone and
@@ -78,6 +83,14 @@ impl ServeError {
 impl From<CoreError> for ServeError {
     fn from(e: CoreError) -> Self {
         Self::Core(e)
+    }
+}
+
+/// Dataset-shape failures (dimension mismatch, empty dimension) travel
+/// the same route the executor's do.
+impl From<simpim_similarity::SimilarityError> for ServeError {
+    fn from(e: simpim_similarity::SimilarityError) -> Self {
+        Self::Core(e.into())
     }
 }
 

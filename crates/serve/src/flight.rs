@@ -20,7 +20,7 @@
 
 use std::collections::VecDeque;
 
-use simpim_obs::json::{Json, JsonError};
+use simpim_obs::json::{Json, JsonError, ToJson};
 
 /// How a request ended, from the flight recorder's point of view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,27 +126,14 @@ impl QuerySpan {
 
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         Ok(Self {
-            span_id: v
-                .require("span_id")?
-                .as_u64()
-                .ok_or_else(|| JsonError::shape("span_id"))?,
+            span_id: u64_field(v, "span_id")?,
             parent: match v.require("parent")? {
                 Json::Null => None,
                 p => Some(p.as_u64().ok_or_else(|| JsonError::shape("parent"))?),
             },
-            name: v
-                .require("name")?
-                .as_str()
-                .ok_or_else(|| JsonError::shape("span name"))?
-                .to_string(),
-            start_ns: v
-                .require("start_ns")?
-                .as_u64()
-                .ok_or_else(|| JsonError::shape("start_ns"))?,
-            end_ns: v
-                .require("end_ns")?
-                .as_u64()
-                .ok_or_else(|| JsonError::shape("end_ns"))?,
+            name: str_field(v, "name")?,
+            start_ns: u64_field(v, "start_ns")?,
+            end_ns: u64_field(v, "end_ns")?,
             attrs: v
                 .get("attrs")
                 .and_then(Json::as_obj)
@@ -159,6 +146,19 @@ impl QuerySpan {
                 .unwrap_or_default(),
         })
     }
+}
+
+/// A required unsigned-integer member of a dump object.
+fn u64_field(v: &Json, key: &str) -> Result<u64, JsonError> {
+    v.require(key)?
+        .as_u64()
+        .ok_or_else(|| JsonError::shape(key))
+}
+
+/// A required string member of a dump object.
+fn str_field(v: &Json, key: &str) -> Result<String, JsonError> {
+    let s = v.require(key)?.as_str();
+    Ok(s.ok_or_else(|| JsonError::shape(key))?.to_string())
 }
 
 /// The complete flight record of one request: its span tree plus the
@@ -223,20 +223,10 @@ impl QueryTrace {
             spans.push(QuerySpan::from_json(s)?);
         }
         Ok(Self {
-            trace_id: v
-                .require("trace_id")?
-                .as_u64()
-                .ok_or_else(|| JsonError::shape("trace_id"))?,
-            kind: v
-                .require("kind")?
-                .as_str()
-                .ok_or_else(|| JsonError::shape("kind"))?
-                .to_string(),
+            trace_id: u64_field(v, "trace_id")?,
+            kind: str_field(v, "kind")?,
             outcome,
-            total_ns: v
-                .require("total_ns")?
-                .as_u64()
-                .ok_or_else(|| JsonError::shape("total_ns"))?,
+            total_ns: u64_field(v, "total_ns")?,
             spans,
             annotations: v
                 .get("annotations")
@@ -296,6 +286,22 @@ pub struct FlightRecorderStats {
     /// Anomalies evicted from the ring (oldest-first) because it was
     /// full.
     pub anomalies_evicted: u64,
+}
+
+/// The occupancy keys of the stats documents (`anomalies_evicted` is
+/// only in the `serve-bench` artifact, which appends it).
+impl ToJson for FlightRecorderStats {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("capacity", Json::Num(self.capacity as f64)),
+            ("slow_retained", Json::Num(self.slow_retained as f64)),
+            (
+                "anomalies_retained",
+                Json::Num(self.anomalies_retained as f64),
+            ),
+            ("recorded", Json::Num(self.recorded as f64)),
+        ])
+    }
 }
 
 /// Fixed-capacity retention of the traces worth keeping: the N slowest

@@ -12,8 +12,10 @@
 //!   wear-aware policy reprograms a shard only when its tombstone ratio
 //!   crosses a threshold that *rises* with accumulated crossbar wear —
 //!   worn shards compact less eagerly.
-//! - **Replica sets** ([`replica::ReplicaSet`]) program each shard's
-//!   rows onto `R` distinct banks. Every coalesced batch routes to the
+//! - **Replica sets** ([`replica::ReplicaSet`]) are the one serving
+//!   unit — [`shard::Shard`] is a set of one behind a delegating front
+//!   — and program each shard's rows onto `R` distinct banks. Every
+//!   coalesced batch routes to the
 //!   least-worn healthy replica (wear-leveling doubles as load
 //!   balancing); a fail-stopped bank is detected in-line, quarantined,
 //!   and the batch fails over transparently; a background repair loop

@@ -150,7 +150,11 @@ impl ReplicaSet {
         rows: Dataset,
         ids: Vec<usize>,
     ) -> Result<Self, ServeError> {
-        assert!(r >= 1, "a replica set needs at least one replica");
+        if r == 0 {
+            return Err(ServeError::invalid(
+                "a replica set needs at least one replica",
+            ));
+        }
         let mirror = ShardMirror::new(rows, ids);
         let replicas = (0..r)
             .map(|i| Residency::open(replica_config(cfg, i, 0), &mirror))
@@ -168,19 +172,14 @@ impl ReplicaSet {
         })
     }
 
-    /// Replication factor `R`.
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
-    }
-
     /// Live object count (the shared mirror's).
     pub fn live_len(&self) -> usize {
         self.mirror.live_len()
     }
 
-    /// Routing state of replica `i`.
-    pub fn replica_state(&self, i: usize) -> ReplicaState {
-        self.state[i]
+    /// The shared host mirror (read-only: mutations go through the set).
+    pub(crate) fn mirror(&self) -> &ShardMirror {
+        &self.mirror
     }
 
     /// The routing decision: the healthy replica with the least crossbar
@@ -194,8 +193,8 @@ impl ReplicaSet {
 
     /// Forces one batch through replica `i`, bypassing routing — the
     /// inspection hook replica-equivalence tests use to prove every
-    /// replica answers bit-identically. A lost bank sheds to the host
-    /// mirror inside the residency's own fallback, so this never fails
+    /// replica answers bit-identically. A lost bank is answered from the
+    /// host mirror ([`ShardMirror::host_batch`]), so this never fails
     /// over.
     pub fn query_replica(
         &mut self,
@@ -210,11 +209,7 @@ impl ReplicaSet {
             simpim_obs::TraceCtx::NONE,
         ) {
             Ok(out) => out,
-            Err(_) => queries
-                .iter()
-                .zip(ks)
-                .map(|(q, &k)| self.mirror.host_query(q, k))
-                .collect(),
+            Err(_) => self.mirror.host_batch(queries, ks),
         }
     }
 
@@ -284,12 +279,7 @@ impl ReplicaSet {
         if let Some(sp) = &mut span {
             sp.record_all([("degraded", 1.0), ("failovers", sample.failovers as f64)]);
         }
-        let out = queries
-            .iter()
-            .zip(ks)
-            .map(|(q, &k)| self.mirror.host_query(q, k))
-            .collect();
-        (out, sample)
+        (self.mirror.host_batch(queries, ks), sample)
     }
 
     /// Inserts a row under `id`: appended to the shared mirror once,
@@ -327,7 +317,7 @@ impl ReplicaSet {
         if self.mirror.dead_len() == 0 {
             return;
         }
-        if self.replicas.iter().any(|r| !r.order_clean(&self.mirror)) {
+        if self.replicas.iter().any(|r| r.tombstoned(&self.mirror) > 0) {
             return;
         }
         let table = self.mirror.compact();
@@ -336,11 +326,10 @@ impl ReplicaSet {
         }
     }
 
-    /// Takes replica `i` out of routing for a compacting reprogram. The
-    /// caller (the engine's rolling-flush loop) serves queries from the
-    /// remaining replicas between steps. Returns `false` (and does
-    /// nothing) for a lost replica — the repair loop owns those.
-    pub fn begin_reprogram(&mut self, i: usize) -> bool {
+    /// Takes replica `i` out of routing for a compacting reprogram.
+    /// Returns `false` (and does nothing) for a lost replica — the repair
+    /// loop owns those.
+    fn begin_reprogram(&mut self, i: usize) -> bool {
         if self.state[i] != ReplicaState::Healthy {
             return false;
         }
@@ -349,17 +338,18 @@ impl ReplicaSet {
     }
 
     /// Rejoins replica `i` to routing after its reprogram step.
-    pub fn finish_reprogram(&mut self, i: usize) {
+    fn finish_reprogram(&mut self, i: usize) {
         if self.state[i] == ReplicaState::Reprogramming {
             self.state[i] = ReplicaState::Healthy;
         }
     }
 
     /// One step of the rolling reprogram: drain replica `i` from
-    /// routing, compact it, rejoin it. The other `R − 1` replicas stay
-    /// queryable throughout, and answers are unchanged on both sides of
-    /// the step (compaction invariance). Once the last dirty replica
-    /// folds its tombstones, the shared mirror compacts too.
+    /// routing, compact it, rejoin it. The caller (the engine's
+    /// rolling-flush loop) serves queries from the other `R − 1` replicas
+    /// between steps, and answers are unchanged on both sides of the step
+    /// (compaction invariance). Once the last dirty replica folds its
+    /// tombstones, the shared mirror compacts too.
     pub fn reprogram_replica(&mut self, i: usize) -> Result<(), ServeError> {
         if !self.begin_reprogram(i) {
             return Ok(());
@@ -378,8 +368,10 @@ impl ReplicaSet {
     /// Proactive detection sweep: quarantines any replica whose bank has
     /// fail-stopped but which no batch has routed to yet (query-path
     /// detection only fires on routed traffic). Returns the number of
-    /// replicas newly quarantined. The engine runs this between commands
-    /// so idle banks don't hide their losses from the repair loop.
+    /// replicas newly quarantined. Nothing in the engine calls it — an
+    /// idle set keeps a dead bank until traffic finds it — so it is the
+    /// explicit sweep for embedders and tests that want losses surfaced
+    /// to the repair loop without a query.
     pub fn quarantine_lost(&mut self) -> usize {
         let mut newly = 0;
         for i in 0..self.replicas.len() {
@@ -521,6 +513,24 @@ mod tests {
     }
 
     #[test]
+    fn zero_replicas_and_empty_shards_are_refused_not_panicked() {
+        let refused = |out: Result<(), ServeError>, what: &str| {
+            assert!(
+                matches!(out, Err(ServeError::InvalidArgument { .. })),
+                "{what}: {out:?}"
+            );
+        };
+        let open = |r, rows, ids| ReplicaSet::open(cfg(None), r, rows, ids).map(drop);
+        refused(open(0, rows(), vec![0, 1, 2, 3]), "zero replicas");
+        let empty = || Dataset::with_dim(4).unwrap();
+        refused(open(2, empty(), vec![]), "zero rows, replica set");
+        refused(
+            crate::Shard::open(cfg(None), empty(), vec![]).map(drop),
+            "zero rows, standalone shard",
+        );
+    }
+
+    #[test]
     fn routing_prefers_the_least_worn_healthy_replica() {
         let mut set = ReplicaSet::open(cfg(None), 3, rows(), vec![0, 1, 2, 3]).unwrap();
         assert_eq!(set.route(), Some(0), "equal wear ties to the lowest index");
@@ -609,7 +619,7 @@ mod tests {
         let before = ask(&mut set, 3);
 
         assert!(set.begin_reprogram(0));
-        assert_eq!(set.replica_state(0), ReplicaState::Reprogramming);
+        assert_eq!(set.state[0], ReplicaState::Reprogramming);
         assert_eq!(set.route(), Some(1), "reads keep flowing mid-drain");
         let mid = ask(&mut set, 3);
         assert_eq!(mid, before, "mid-reprogram answers are unchanged");

@@ -6,7 +6,9 @@
 //! carried its own full host mirror — `R` copies of every vector. Now
 //! the mirror ([`ShardMirror`]) is hoisted out and shared; each replica
 //! keeps only a [`Residency`]: the executor, the bank, and a compact
-//! `order` map from crossbar object positions to mirror rows.
+//! `order` map from crossbar object positions to mirror rows. The
+//! replica set is the one serving unit: the standalone [`Shard`] is a
+//! front over a set of one.
 //!
 //! The mirror tracks three populations per row:
 //!
@@ -35,19 +37,20 @@
 //! burning endurance.
 //!
 //! Programming is **streamed**: rows flow from the mirror into the bank
-//! in [`simpim_datasets::env_block_rows`]-sized blocks through
+//! in [`simpim_datasets::DEFAULT_BLOCK_ROWS`]-sized blocks through
 //! [`simpim_core::ResidentBuilder`], whose result (matrix, Φ, wear) does
 //! not depend on the block size, so no second copy of the shard is ever
 //! materialized — open, repair, and reprogram all share it.
 
 use simpim_core::executor::{ExecutorConfig, PimExecutor};
 use simpim_core::{CoreError, ResidentBuilder};
-use simpim_datasets::env_block_rows;
+use simpim_datasets::DEFAULT_BLOCK_ROWS;
 use simpim_mining::knn::resident::{refine_resident, ShardView};
 use simpim_similarity::{Dataset, Measure};
 use simpim_simkit::OpCounters;
 
 use crate::error::ServeError;
+use crate::replica::ReplicaSet;
 use crate::Neighbor;
 
 /// Per-shard policy knobs.
@@ -114,7 +117,6 @@ impl ShardMirror {
     /// per replica either.
     pub fn new(rows: Dataset, ids: Vec<usize>) -> Self {
         assert_eq!(rows.len(), ids.len(), "ids must parallel rows");
-        assert!(!rows.is_empty(), "a shard needs at least one row");
         let live = vec![true; rows.len()];
         Self {
             rows,
@@ -127,9 +129,7 @@ impl ShardMirror {
     /// An empty mirror to stream rows into (see [`ShardMirror::append`]).
     pub fn with_dim(d: usize) -> Result<Self, ServeError> {
         Ok(Self {
-            rows: Dataset::with_dim(d)
-                .map_err(CoreError::from)
-                .map_err(ServeError::from)?,
+            rows: Dataset::with_dim(d)?,
             ids: Vec::new(),
             live: Vec::new(),
             dead: 0,
@@ -163,11 +163,7 @@ impl ShardMirror {
 
     /// Appends a row, returning its mirror index.
     pub fn append(&mut self, id: usize, row: &[f64]) -> Result<usize, ServeError> {
-        let idx = self
-            .rows
-            .append_row(row)
-            .map_err(CoreError::from)
-            .map_err(ServeError::from)?;
+        let idx = self.rows.append_row(row)?;
         self.ids.push(id);
         self.live.push(true);
         Ok(idx)
@@ -194,14 +190,10 @@ impl ShardMirror {
     /// are bit-identical to answers over the mirror (compaction
     /// invariance).
     pub fn snapshot_live(&self) -> Result<(Dataset, Vec<usize>), ServeError> {
-        let mut rows = Dataset::with_dim(self.dim())
-            .map_err(CoreError::from)
-            .map_err(ServeError::from)?;
+        let mut rows = Dataset::with_dim(self.dim())?;
         let mut ids = Vec::new();
         for i in self.live_indices() {
-            rows.append_row(self.rows.row(i))
-                .map_err(CoreError::from)
-                .map_err(ServeError::from)?;
+            rows.append_row(self.rows.row(i))?;
             ids.push(self.ids[i]);
         }
         Ok((rows, ids))
@@ -214,35 +206,39 @@ impl ShardMirror {
     /// under a residency that still has dead rows programmed would
     /// desynchronize its bound batch from the mirror.
     pub fn compact(&mut self) -> Vec<Option<usize>> {
-        let mut remap = vec![None; self.rows.len()];
-        if self.dead == 0 {
-            for (i, slot) in remap.iter_mut().enumerate() {
-                *slot = Some(i);
-            }
-            return remap;
+        let mut kept = 0;
+        let remap = self
+            .live
+            .iter()
+            .map(|&live| {
+                kept += usize::from(live);
+                live.then(|| kept - 1)
+            })
+            .collect();
+        if self.dead > 0 {
+            (self.rows, self.ids) = self.snapshot_live().expect("rows share one valid dim");
+            self.live = vec![true; self.ids.len()];
+            self.dead = 0;
         }
-        let mut rows = Dataset::with_dim(self.dim()).expect("dim is valid");
-        let mut ids = Vec::with_capacity(self.live_len());
-        for (i, slot) in remap.iter_mut().enumerate() {
-            if self.live[i] {
-                *slot = Some(rows.len());
-                rows.append_row(self.rows.row(i)).expect("row dims match");
-                ids.push(self.ids[i]);
-            }
-        }
-        self.rows = rows;
-        self.ids = ids;
-        self.live = vec![true; self.ids.len()];
-        self.dead = 0;
         remap
     }
 
-    /// Exact host-side answer over every live row, ignoring crossbars
-    /// entirely — the degraded / shed path. Bit-identical to the PIM
-    /// path by the refinement's exactness argument.
-    pub fn host_query(&self, query: &[f64], k: usize) -> Result<Vec<Neighbor>, ServeError> {
+    /// Exact host-side answers over every live row, ignoring crossbars
+    /// entirely — the one degraded / shed / lost-bank fallback. No row
+    /// carries a bound (the all-`0.0` vector is filled once for the whole
+    /// batch), so every live row is refined exactly: bit-identical to the
+    /// PIM path by the refinement's exactness argument.
+    pub fn host_batch(
+        &self,
+        queries: &[Vec<f64>],
+        ks: &[usize],
+    ) -> Vec<Result<Vec<Neighbor>, ServeError>> {
         let zeros = vec![0.0; self.rows.len()];
-        self.refine(query, k, &zeros)
+        queries
+            .iter()
+            .zip(ks)
+            .map(|(q, &k)| self.refine(q, k, &zeros))
+            .collect()
     }
 
     /// Refines one query given per-mirror-row bound values (`0.0` =
@@ -293,14 +289,19 @@ impl Residency {
     }
 
     /// Streams the mirror's live rows through [`ResidentBuilder`] in
-    /// [`env_block_rows`]-sized blocks.
+    /// [`DEFAULT_BLOCK_ROWS`]-sized blocks.
     fn program(
         cfg: &ShardConfig,
         mirror: &ShardMirror,
     ) -> Result<(PimExecutor, Vec<usize>), ServeError> {
-        assert!(mirror.live_len() > 0, "a residency needs at least one row");
+        if mirror.live_len() == 0 {
+            // Reached from `open` on the caller's thread: refuse, never panic.
+            return Err(ServeError::invalid(
+                "a shard needs at least one live row to program",
+            ));
+        }
         let d = mirror.dim();
-        let block = env_block_rows();
+        let block = DEFAULT_BLOCK_ROWS;
         let mut builder: ResidentBuilder = PimExecutor::begin_euclidean_resident(
             cfg.executor,
             mirror.live_len(),
@@ -357,13 +358,11 @@ impl Residency {
     ) -> Result<Vec<Result<Vec<Neighbor>, ServeError>>, ServeError> {
         if queries.len() != ks.len() {
             // Runs on a pool worker: fail this batch, never the thread.
-            return Err(ServeError::InvalidArgument {
-                what: format!(
-                    "ks must parallel queries: {} ks for {} queries",
-                    ks.len(),
-                    queries.len()
-                ),
-            });
+            return Err(ServeError::invalid(format!(
+                "ks must parallel queries: {} ks for {} queries",
+                ks.len(),
+                queries.len()
+            )));
         }
         match self.exec.lb_ed_batch_multi(queries, parent) {
             Ok(batches) => {
@@ -406,11 +405,7 @@ impl Residency {
                 // only the PIM filter is lost.
                 self.sheds += queries.len() as u64;
                 simpim_obs::metrics::counter_add("simpim.serve.sheds", queries.len() as u64);
-                Ok(queries
-                    .iter()
-                    .zip(ks)
-                    .map(|(q, &k)| mirror.host_query(q, k))
-                    .collect())
+                Ok(mirror.host_batch(queries, ks))
             }
         }
     }
@@ -426,18 +421,6 @@ impl Residency {
         mirror.live_len() - live_resident
     }
 
-    /// Whether a reprogram would change anything: tombstones to drop or
-    /// delta rows to fold in.
-    fn needs_fold(&self, mirror: &ShardMirror) -> bool {
-        self.tombstoned(mirror) > 0 || self.delta(mirror) > 0
-    }
-
-    /// `true` when no tombstoned row is still programmed here — the
-    /// per-residency precondition for [`ShardMirror::compact`].
-    pub fn order_clean(&self, mirror: &ShardMirror) -> bool {
-        self.tombstoned(mirror) == 0
-    }
-
     /// Rewrites this residency's `order` through a
     /// [`ShardMirror::compact`] remap table.
     pub fn remap(&mut self, table: &[Option<usize>]) {
@@ -450,7 +433,7 @@ impl Residency {
     /// A worn bank tolerates proportionally more tombstones before it
     /// spends another full-region program on compaction.
     fn reprogram_threshold(&self) -> f64 {
-        let wear = self.max_wear() as f64 / self.cfg.reprogram_wear_budget.max(1) as f64;
+        let wear = self.wear() as f64 / self.cfg.reprogram_wear_budget.max(1) as f64;
         self.cfg.tombstone_reprogram_ratio * (1.0 + wear)
     }
 
@@ -470,7 +453,8 @@ impl Residency {
     /// no-op on a lost bank — nothing can be programmed there; the
     /// repair loop owns those — and when there is nothing to fold.
     pub fn reprogram(&mut self, mirror: &ShardMirror) -> Result<(), ServeError> {
-        if self.bank_lost() || !self.needs_fold(mirror) {
+        let nothing_to_fold = self.tombstoned(mirror) == 0 && self.delta(mirror) == 0;
+        if self.bank_lost() || nothing_to_fold {
             return Ok(());
         }
         if mirror.live_len() == 0 {
@@ -521,10 +505,6 @@ impl Residency {
     /// Highest per-crossbar program count on this bank — the wear signal
     /// the replica router balances on.
     pub fn wear(&self) -> u32 {
-        self.max_wear()
-    }
-
-    fn max_wear(&self) -> u32 {
         let pim = self.exec.bank().pim();
         (0..self.cfg.executor.pim.num_crossbars)
             .map(|i| pim.crossbar_programs(i))
@@ -541,148 +521,94 @@ impl Residency {
             spare: self.exec.spare_capacity().unwrap_or(0),
             reprograms: self.reprograms,
             sheds: self.sheds,
-            max_crossbar_programs: self.max_wear(),
+            max_crossbar_programs: self.wear(),
             lost: self.bank_lost(),
         }
     }
 }
 
-/// A standalone shard: one mirror, one residency — the unreplicated
-/// serving unit (and the building block [`crate::ReplicaSet`] shares a
-/// mirror across).
+/// A standalone shard — the unreplicated serving unit. It is a
+/// [`ReplicaSet`] of one: every method delegates, so routing, loss
+/// detection (a fail-stopped bank is quarantined by the first batch that
+/// meets it, after which batches go straight to the exact host mirror)
+/// and compaction are the replicated path's, at `R = 1`.
 #[derive(Debug)]
 pub struct Shard {
-    mirror: ShardMirror,
-    res: Residency,
+    set: ReplicaSet,
 }
 
 impl Shard {
     /// Opens a shard over `rows` whose stable global ids are `ids`.
     pub fn open(cfg: ShardConfig, rows: Dataset, ids: Vec<usize>) -> Result<Self, ServeError> {
-        let mirror = ShardMirror::new(rows, ids);
-        let res = Residency::open(cfg, &mirror)?;
-        Ok(Self { mirror, res })
-    }
-
-    /// Row dimensionality this shard serves.
-    pub fn dim(&self) -> usize {
-        self.mirror.dim()
+        Ok(Self {
+            set: ReplicaSet::open(cfg, 1, rows, ids)?,
+        })
     }
 
     /// Live object count (resident + delta).
     pub fn live_len(&self) -> usize {
-        self.mirror.live_len()
+        self.set.live_len()
     }
 
-    /// Inserts a normalized row under global id `id`. Appends into the
-    /// bank's spare rows when any remain; otherwise (spares exhausted, or
-    /// the bank is lost and cannot be programmed at all) the row is
-    /// host-only delta until the next reprogram — so the mirror stays
-    /// current even on a dead bank, which keeps degraded-mode queries
-    /// exact.
+    /// Inserts a normalized row under global id `id`
+    /// ([`ReplicaSet::insert`]): into the bank's spare rows when any
+    /// remain, otherwise host-only delta until the next reprogram — so
+    /// the mirror stays current even on a dead bank.
     pub fn insert(&mut self, id: usize, row: &[f64]) -> Result<(), ServeError> {
-        validate_row(row, self.mirror.dim())?;
-        let idx = self.mirror.append(id, row)?;
-        self.res.absorb_insert(idx, row)?;
-        Ok(())
+        self.set.insert(id, row)
     }
 
-    /// Deletes global id `id` if this shard holds it: the row is
-    /// tombstoned (it stays programmed until the next reprogram folds it
-    /// out).
+    /// Deletes global id `id` if this shard holds it
+    /// ([`ReplicaSet::delete`]).
     pub fn delete(&mut self, id: usize) -> Result<bool, ServeError> {
-        if self.mirror.tombstone(id).is_none() {
-            return Ok(false);
-        }
-        self.res.maybe_reprogram(&self.mirror)?;
-        self.try_compact();
-        Ok(true)
+        self.set.delete(id)
     }
 
-    /// Drops tombstones from the mirror once the residency has folded
-    /// them (single-residency shard: right after any reprogram).
-    fn try_compact(&mut self) {
-        if self.mirror.dead > 0 && self.res.order_clean(&self.mirror) {
-            let table = self.mirror.compact();
-            self.res.remap(&table);
-        }
-    }
-
-    /// Serves a coalesced batch of queries: one PIM bound pass per query
-    /// over the resident region and per-query host refinement (delta
-    /// rows carry no bound, so they are always refined exactly). If the
-    /// PIM batch fails, every query in the batch sheds to the exact host
-    /// path — results stay identical, only the filter is lost.
+    /// Serves a coalesced batch of queries ([`ReplicaSet::query_batch`],
+    /// untraced): one PIM bound pass and per-query host refinement, or
+    /// the exact host mirror when the bank is lost or the pass sheds —
+    /// results are identical either way.
     pub fn query_batch(
         &mut self,
         queries: &[Vec<f64>],
         ks: &[usize],
     ) -> Vec<Result<Vec<Neighbor>, ServeError>> {
-        match self
-            .res
-            .try_query_batch(&self.mirror, queries, ks, simpim_obs::TraceCtx::NONE)
-        {
-            Ok(out) => out,
-            // A standalone shard has no replica to fail over to; a lost
-            // bank degrades it to the (still exact) host path.
-            Err(_) => queries
-                .iter()
-                .zip(ks)
-                .map(|(q, &k)| self.mirror.host_query(q, k))
-                .collect(),
-        }
-    }
-
-    /// Exact host-side answer, ignoring the crossbars entirely.
-    pub fn host_query(&self, query: &[f64], k: usize) -> Result<Vec<Neighbor>, ServeError> {
-        self.mirror.host_query(query, k)
-    }
-
-    /// Runs one scrub-and-remap pass over the resident regions now.
-    pub fn scrub(&mut self) -> Result<(), ServeError> {
-        self.res.scrub()
+        self.set
+            .query_batch(queries, ks, simpim_obs::TraceCtx::NONE, 0)
+            .0
     }
 
     /// Ages every crossbar of this shard's bank by `extra` program
     /// cycles (wear injection).
     pub fn age_bank(&mut self, extra: u32) {
-        self.res.age_bank(extra);
+        self.set.replica_mut(0).age_bank(extra);
     }
 
     /// Fail-stops this shard's bank (whole-bank-loss injection).
     pub fn kill_bank(&mut self) {
-        self.res.kill_bank();
+        self.set.kill_replica(0);
     }
 
     /// Whether this shard's bank is fail-stopped.
     pub fn bank_lost(&self) -> bool {
-        self.res.bank_lost()
+        self.stats().lost
     }
 
-    /// Snapshot of the live rows with their stable global ids — the
-    /// compacted layout a reprogram programs. Answers over the snapshot
-    /// are bit-identical to answers over this shard (compaction
-    /// invariance).
+    /// Snapshot of the live rows with their stable global ids
+    /// ([`ShardMirror::snapshot_live`]).
     pub fn snapshot_live(&self) -> Result<(Dataset, Vec<usize>), ServeError> {
-        self.mirror.snapshot_live()
-    }
-
-    /// Highest per-crossbar program count on this shard's bank.
-    pub fn wear(&self) -> u32 {
-        self.res.wear()
+        self.set.mirror().snapshot_live()
     }
 
     /// Forces pending compaction (tombstones or delta rows) onto the
     /// crossbars, regardless of the wear-aware threshold.
     pub fn flush(&mut self) -> Result<(), ServeError> {
-        self.res.reprogram(&self.mirror)?;
-        self.try_compact();
-        Ok(())
+        self.set.reprogram_replica(0)
     }
 
     /// Point-in-time statistics.
     pub fn stats(&self) -> ShardStats {
-        self.res.stats(&self.mirror)
+        self.set.stats().replicas[0]
     }
 }
 
@@ -690,14 +616,15 @@ impl Shard {
 /// values outside the normalized `[0, 1]` domain.
 pub(crate) fn validate_row(row: &[f64], d: usize) -> Result<(), ServeError> {
     if row.len() != d {
-        return Err(ServeError::InvalidArgument {
-            what: format!("row has {} dimensions, shard serves {d}", row.len()),
-        });
+        return Err(ServeError::invalid(format!(
+            "row has {} dimensions, shard serves {d}",
+            row.len()
+        )));
     }
     if row.iter().any(|v| !(0.0..=1.0).contains(v)) {
-        return Err(ServeError::InvalidArgument {
-            what: "row values must be normalized into [0, 1]".to_string(),
-        });
+        return Err(ServeError::invalid(
+            "row values must be normalized into [0, 1]",
+        ));
     }
     Ok(())
 }
@@ -815,16 +742,11 @@ mod tests {
 
     #[test]
     fn mismatched_ks_fail_the_batch_with_a_typed_error() {
-        let mut shard = Shard::open(cfg(), rows(), vec![0, 1, 2, 3]).unwrap();
+        let mirror = ShardMirror::new(rows(), vec![0, 1, 2, 3]);
+        let mut res = Residency::open(cfg(), &mirror).unwrap();
         let q = vec![0.45, 0.55, 0.4, 0.6];
-        let err = shard
-            .res
-            .try_query_batch(
-                &shard.mirror,
-                &[q.clone(), q],
-                &[2],
-                simpim_obs::TraceCtx::NONE,
-            )
+        let err = res
+            .try_query_batch(&mirror, &[q.clone(), q], &[2], simpim_obs::TraceCtx::NONE)
             .unwrap_err();
         assert!(
             matches!(&err, ServeError::InvalidArgument { what } if what.contains("1 ks for 2 queries")),
@@ -861,10 +783,12 @@ mod tests {
         assert!(shard.bank_lost());
         assert!(shard.stats().lost);
         // The residency surfaces the loss for failover...
-        let err = shard
-            .res
+        let mirror = ShardMirror::new(ds.clone(), vec![0, 1, 2, 3]);
+        let mut res = Residency::open(cfg(), &mirror).unwrap();
+        res.kill_bank();
+        let err = res
             .try_query_batch(
-                &shard.mirror,
+                &mirror,
                 std::slice::from_ref(&q),
                 &[2],
                 simpim_obs::TraceCtx::NONE,
@@ -884,9 +808,22 @@ mod tests {
         assert!(shard.delete(0).unwrap());
         assert!(shard.delete(1).unwrap());
         assert_eq!(shard.stats().reprograms, 0, "no reprogram on a dead bank");
-        let got = shard.query_batch(&[q], &[5]).remove(0).unwrap();
+        let got = shard
+            .query_batch(std::slice::from_ref(&q), &[5])
+            .remove(0)
+            .unwrap();
         assert!(got.iter().all(|&(id, _)| id != 0 && id != 1));
         assert!(got.iter().any(|&(id, _)| id == 4));
+        // A flush has no bank to program, and the quarantined shard still
+        // answers exactly what an offline scan of its live rows does.
+        shard.flush().unwrap();
+        assert_eq!(shard.stats().reprograms, 0);
+        let (live, ids) = shard.snapshot_live().unwrap();
+        assert_eq!(ids, vec![2, 3, 4]);
+        let truth = knn_standard(&live, &q, 3, Measure::EuclideanSq).unwrap();
+        let got = shard.query_batch(&[q], &[3]).remove(0).unwrap();
+        let want: Vec<Neighbor> = truth.neighbors.iter().map(|&(i, v)| (ids[i], v)).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -931,10 +868,8 @@ mod tests {
 
     #[test]
     fn streamed_block_size_does_not_change_answers() {
-        // The programming path streams mirror rows in SIMPIM_BLOCK_ROWS
+        // The programming path streams mirror rows in DEFAULT_BLOCK_ROWS
         // blocks; the block size must be invisible in every answer.
-        // (Uses explicit tiny shards rather than the env knob to stay
-        // parallel-test safe.)
         let mut all = Vec::new();
         for n in [1usize, 3, 7, 16] {
             let ds = Dataset::from_rows(

@@ -15,7 +15,7 @@ use crate::stats;
 /// Identifies one of the paper's four similarity measures. Carried through
 /// the mining algorithms and the execution planner so that cost estimation
 /// and bound selection know which function is being accelerated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Measure {
     /// Squared Euclidean distance (smaller = closer).
     EuclideanSq,

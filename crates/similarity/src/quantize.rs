@@ -21,7 +21,7 @@ use crate::error::SimilarityError;
 pub const DEFAULT_ALPHA: f64 = 1e6;
 
 /// Min–max normalization plus α-scaling fitted on a dataset.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quantizer {
     lo: f64,
     hi: f64,
@@ -31,7 +31,7 @@ pub struct Quantizer {
 /// Per-vector scalar statistics of the scaled representation, computed once
 /// (offline for dataset rows, once per query online) and reused by every
 /// PIM-aware bound.
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RowStats {
     /// `Σ p̄ᵢ²` over the scaled (not truncated) values.
     pub sum_sq_scaled: f64,

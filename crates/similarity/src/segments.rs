@@ -13,7 +13,7 @@ use crate::error::SimilarityError;
 use crate::stats;
 
 /// Segment means and standard deviations of one vector at one segmentation.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SegmentStats {
     /// `µ(p̂ᵢ)` for each of the `d′` segments.
     pub means: Vec<f64>,

@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// `T_total = T_c + T_cache + T_ALU + T_Br + T_Fe`, all in nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TimeBreakdown {
     /// Computation time actually spent executing operations.
     pub tc_ns: f64,

@@ -10,7 +10,7 @@
 use crate::constants;
 
 /// Geometry of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub capacity_bytes: usize,
@@ -67,7 +67,7 @@ pub struct Cache {
 }
 
 /// Which level serviced an access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessOutcome {
     /// Hit in L1.
     L1,
@@ -143,7 +143,7 @@ impl Cache {
 }
 
 /// Per-level access statistics of a [`Hierarchy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HierarchyStats {
     /// Accesses serviced by L1.
     pub l1_hits: u64,

@@ -17,7 +17,7 @@ use crate::counters::OpCounters;
 
 /// Host-side latency/bandwidth parameters (defaults = the paper's machine,
 /// see [`crate::constants`]).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostParams {
     /// Clock period in nanoseconds.
     pub cycle_ns: f64,

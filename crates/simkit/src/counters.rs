@@ -6,7 +6,7 @@
 //! reproducible (unlike sampled hardware counters).
 
 /// Deterministic operation/traffic counters for one measured scope.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OpCounters {
     /// Simple arithmetic ops (add/sub/fma treated as one each).
     pub arith: u64,
@@ -140,7 +140,7 @@ impl simpim_obs::ToJson for OpCounters {
 ///
 /// Like [`OpCounters`], these are exact event counts, not samples — two runs
 /// with the same fault seed report identical totals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultCounters {
     /// Scrub passes executed over programmed regions.
     pub scrubs: u64,

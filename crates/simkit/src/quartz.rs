@@ -14,7 +14,7 @@ use crate::cost::HostParams;
 use crate::counters::OpCounters;
 
 /// Delay-injection factors for a ReRAM (or other NVM) main memory.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NvmEmulator {
     /// Multiplier on read-side memory stall time.
     pub read_factor: f64,

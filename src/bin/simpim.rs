@@ -35,7 +35,7 @@ use simpim::mining::kmeans::KmeansConfig;
 use simpim::mining::knn::pim::{knn_pim_ed, knn_pim_sim};
 use simpim::mining::knn::standard::knn_standard;
 use simpim::mining::outlier::{outliers_pim, outliers_standard};
-use simpim::obs::Json;
+use simpim::obs::{Json, ToJson};
 use simpim::serve::{ServeConfig, ServeEngine};
 use simpim::similarity::{Dataset, Measure, NormalizedDataset, Quantizer};
 use simpim::simkit::HostParams;
@@ -564,29 +564,12 @@ fn cmd_serve_bench(args: &Args) -> Result<(), String> {
     // that let `simpim flight` pinpoint which request a bad p99 was.
     run.push_extra(
         "stages",
-        Json::Arr(
-            stats
-                .stage_latency
-                .iter()
-                .map(|s| {
-                    Json::obj([
-                        ("stage", Json::Str(s.stage.clone())),
-                        ("count", Json::Num(s.count as f64)),
-                        ("p50_ns", Json::Num(s.p50_ns as f64)),
-                        ("p95_ns", Json::Num(s.p95_ns as f64)),
-                        ("p99_ns", Json::Num(s.p99_ns as f64)),
-                        ("exemplar_ns", Json::Num(s.exemplar_ns as f64)),
-                        ("exemplar_trace", Json::Num(s.exemplar_trace as f64)),
-                    ])
-                })
-                .collect(),
-        ),
+        Json::Arr(stats.stage_latency.iter().map(ToJson::to_json).collect()),
     );
     if !stats.slo.is_empty() {
-        use simpim::obs::ToJson;
         run.push_extra(
             "slo",
-            Json::Arr(stats.slo.iter().map(|r| r.to_json()).collect()),
+            Json::Arr(stats.slo.iter().map(ToJson::to_json).collect()),
         );
     }
     // The flight dump rides next to the artifact so a slow run can be
@@ -598,26 +581,14 @@ fn cmd_serve_bench(args: &Args) -> Result<(), String> {
     if let Err(e) = std::fs::write(&flight_path, &flight_dump) {
         eprintln!("warning: could not write {}: {e}", flight_path.display());
     }
-    run.push_extra(
-        "flight",
-        Json::obj([
-            ("capacity", Json::Num(stats.flight.capacity as f64)),
-            (
-                "slow_retained",
-                Json::Num(stats.flight.slow_retained as f64),
-            ),
-            (
-                "anomalies_retained",
-                Json::Num(stats.flight.anomalies_retained as f64),
-            ),
-            ("recorded", Json::Num(stats.flight.recorded as f64)),
-            (
-                "anomalies_evicted",
-                Json::Num(stats.flight.anomalies_evicted as f64),
-            ),
-            ("dump", Json::Str(flight_path.display().to_string())),
-        ]),
-    );
+    let mut flight_doc = stats.flight.to_json();
+    if let Json::Obj(pairs) = &mut flight_doc {
+        let evicted = Json::Num(stats.flight.anomalies_evicted as f64);
+        pairs.push(("anomalies_evicted".to_string(), evicted));
+        let dump = Json::Str(flight_path.display().to_string());
+        pairs.push(("dump".to_string(), dump));
+    }
+    run.push_extra("flight", flight_doc);
     let path = run.finish();
 
     println!("serve-bench on {} (k = {k}, Q = {batch}):", dataset.name());
@@ -925,7 +896,6 @@ fn cmd_net_bench(args: &Args) -> Result<(), String> {
         )
     });
     if let Some(r) = &slo_report {
-        use simpim::obs::ToJson;
         run.push_extra("slo", Json::Arr(vec![r.to_json()]));
     }
     let path = run.finish();
@@ -1332,7 +1302,7 @@ const USAGE: &str =
   serve-bench [--dataset year] [--k 10] [--batch 8] [--clients 4] [--queries 64] [--shards 2]
               [--replicas R] [--kill-after N] [--slo-p99-us U] [--flight N]
               closed-loop load generator for the serving engine; writes BENCH_serve.json.
-              --replicas R programs each shard onto R banks (default: SIMPIM_REPLICAS or 1);
+              --replicas R programs each shard onto R banks (default 1);
               --kill-after N fail-stops bank (0, 0) after N answered queries and requires the
               run to finish with zero failed queries and the replica re-replicated;
               --slo-p99-us U declares `p99(total) <= U us` + 99.9% availability, names the
@@ -1344,7 +1314,7 @@ const USAGE: &str =
               serve the engine over TCP (length-prefixed binary frames) until killed;
               --addr with port 0 binds an ephemeral port, printed and (with --ready-file)
               written to a file once accepting; --window bounds in-flight requests per
-              connection (default: SIMPIM_NET_WINDOW or 32); --run-seconds N exits after N s
+              connection (default 32); --run-seconds N exits after N s
   net-bench   --addr HOST:PORT [--dataset year] [--connections 4] [--requests 400]
               [--rate 200] [--k 10] [--timeout-ms 2000] [--verify 8] [--slo-p99-us U]
               open-loop load generator over pipelined TCP connections; writes BENCH_net.json

@@ -392,11 +392,15 @@ fn slow_reader_is_shed_and_does_not_stall_other_connections() {
 
     // Now drain the abuser's socket: every request got a frame back —
     // answered or typed-overloaded, never silence, never a hang.
+    // Shed frames are written by the same queue as answers, so responses
+    // come back in request order whatever mix of the two they are.
     let mut answered = 0u64;
     let mut shed = 0u64;
-    for _ in 0..40 {
+    for i in 0..40u64 {
         let payload = read_frame(&mut abuser).expect("every request gets a response frame");
-        match decode_response(&payload).unwrap().msg {
+        let reply = decode_response(&payload).unwrap();
+        assert_eq!(reply.request_id, i, "responses must keep request order");
+        match reply.msg {
             Response::Query(_) => answered += 1,
             Response::Error {
                 code: ErrorCode::Overloaded,
@@ -407,7 +411,100 @@ fn slow_reader_is_shed_and_does_not_stall_other_connections() {
     }
     assert_eq!(answered + shed, 40);
     assert!(shed > 0, "a window of 2 must shed a 40-deep flood");
-    let stats = server.stats();
+
+    // A pipelined mix of all seven opcodes on the same connection, two
+    // of them refused by the engine (a row outside [0, 1] after
+    // admission, a query of the wrong width at admission): one response
+    // per request, in request order, each of a kind its request allows.
+    // Nothing here changes the rows (the insert is refused, the delete
+    // misses).
+    let mixed = |i: u64| match i % 8 {
+        0 => Request::Query {
+            k: 3,
+            timeout_ms: 5_000,
+            vector: rows[1].clone(),
+        },
+        1 => Request::Ping,
+        2 => Request::Insert {
+            row: vec![0.5, 0.5, 0.5, 1.5],
+        },
+        3 => Request::Stats,
+        4 => Request::Delete { id: 10_000 },
+        5 => Request::Flight,
+        6 => Request::Flush,
+        _ => Request::Query {
+            k: 3,
+            timeout_ms: 5_000,
+            vector: vec![0.5; 3],
+        },
+    };
+    let send = |stream: &mut TcpStream, request_id: u64, msg: Request| {
+        let frame = encode_request(&Envelope {
+            request_id,
+            trace_id: 0,
+            span_id: 0,
+            msg,
+        });
+        stream.write_all(&frame).unwrap();
+    };
+    for i in 0..24u64 {
+        send(&mut abuser, 100 + i, mixed(i));
+    }
+    for i in 0..24u64 {
+        let reply = decode_response(&read_frame(&mut abuser).unwrap()).unwrap();
+        assert_eq!(
+            reply.request_id,
+            100 + i,
+            "responses must keep request order"
+        );
+        let allowed = match (i % 8, &reply.msg) {
+            (_, Response::Error { code, .. }) if *code == ErrorCode::Overloaded => {
+                shed += 1;
+                !matches!(i % 8, 1 | 3 | 5) // control frames are never shed
+            }
+            (0, Response::Query(_))
+            | (1, Response::Pong)
+            | (3, Response::Stats(_))
+            | (4, Response::Delete(false))
+            | (5, Response::Flight(_))
+            | (6, Response::Flush) => true,
+            (2 | 7, Response::Error { code, .. }) => *code == ErrorCode::InvalidArgument,
+            _ => false,
+        };
+        assert!(allowed, "request {i} ({:?}) got {:?}", mixed(i), reply.msg);
+    }
+
+    // No window slot leaked through any shed or engine-error reply: three
+    // refused inserts one after another (more than the window holds)
+    // each reach the engine, and the connection still answers exactly.
+    for i in 0..3u64 {
+        send(&mut abuser, 200 + i, mixed(2));
+        let reply = decode_response(&read_frame(&mut abuser).unwrap()).unwrap();
+        assert!(
+            matches!(&reply.msg, Response::Error { code, .. } if *code == ErrorCode::InvalidArgument),
+            "{:?}",
+            reply.msg
+        );
+    }
+    send(&mut abuser, 300, mixed(0));
+    let reply = decode_response(&read_frame(&mut abuser).unwrap()).unwrap();
+    let truth: Vec<(u64, f64)> = offline_truth(&live, &rows[1], 3)
+        .iter()
+        .map(|&(id, v)| (id as u64, v))
+        .collect();
+    assert!(matches!(reply.msg, Response::Query(got) if got == truth));
+
+    // Every frame read was answered by exactly one frame written (the
+    // write counter trails the socket by an instant, hence the poll).
+    let mut stats = server.stats();
+    for _ in 0..200 {
+        if stats.frames_tx == stats.frames_rx {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+        stats = server.stats();
+    }
+    assert_eq!(stats.frames_tx, stats.frames_rx);
     assert!(
         stats.sheds() >= shed,
         "server accounting must see the sheds"
