@@ -61,6 +61,24 @@ fn run_queries(exec: &mut PimExecutor, w: &Workload) -> (u64, RunReport) {
     (h, total)
 }
 
+/// What a dispatch costs when its jobs cost nothing: the median wall time
+/// of `join_all` over two empty jobs at 2 workers, in microseconds.
+fn dispatch_us() -> f64 {
+    const CALLS: usize = 10_000;
+    let mut ns: Vec<u64> = par::with_threads(2, || {
+        (0..CALLS)
+            .map(|_| {
+                let jobs: Vec<par::Job<'_, ()>> = vec![Box::new(|| ()), Box::new(|| ())];
+                let t0 = Instant::now();
+                par::join_all(std::hint::black_box(jobs));
+                t0.elapsed().as_nanos() as u64
+            })
+            .collect()
+    });
+    ns.sort_unstable();
+    ns[CALLS / 2] as f64 / 1e3
+}
+
 fn main() {
     let mut run = BenchRun::start("parallel");
     // The Fig. 13 workload with a higher object-count floor than the
@@ -135,6 +153,7 @@ fn main() {
     let measured_speedup = wall1 as f64 / wall8.max(1) as f64;
     let modeled_speedup = wall1 as f64 / modeled8.max(1) as f64;
     let parallel_fraction = busy as f64 / wall1.max(1) as f64;
+    let dispatch_us = dispatch_us();
 
     print_table(
         &format!(
@@ -165,7 +184,8 @@ fn main() {
     );
     println!(
         "result hash {hash:016x} identical at 1, 8 and ambient workers; \
-         {} dispatches / {jobs} jobs, parallel fraction {:.1}%",
+         {} dispatches / {jobs} jobs, parallel fraction {:.1}%; \
+         an empty 2-job dispatch at 2 workers takes {dispatch_us:.2} us",
         dispatches.len(),
         parallel_fraction * 100.0
     );
@@ -188,6 +208,7 @@ fn main() {
             ("dispatches", Json::Num(dispatches.len() as f64)),
             ("dispatch_jobs", Json::Num(jobs as f64)),
             ("parallel_fraction", Json::Num(parallel_fraction)),
+            ("dispatch_us", Json::Num(dispatch_us)),
         ]),
     );
     run.finish();

@@ -379,11 +379,20 @@ fn with_registry<R>(f: impl FnOnce(&mut BTreeMap<String, Metric>) -> R) -> R {
     f(&mut guard)
 }
 
+/// Applies `update` to the metric `name`, inserting `fresh` first when
+/// the name is new — the only event that allocates the key.
+fn with_metric(name: &str, fresh: Metric, update: impl FnOnce(&mut Metric)) {
+    with_registry(|reg| match reg.get_mut(name) {
+        Some(metric) => update(metric),
+        None => update(reg.entry(name.to_string()).or_insert(fresh)),
+    });
+}
+
 /// Adds `n` to the counter `name` (created at zero on first use). A name
 /// registered as a different kind is left untouched.
 pub fn counter_add(name: &str, n: u64) {
-    with_registry(|reg| {
-        if let Metric::Counter(v) = reg.entry(name.to_string()).or_insert(Metric::Counter(0)) {
+    with_metric(name, Metric::Counter(0), |m| {
+        if let Metric::Counter(v) = m {
             *v += n;
         }
     });
@@ -391,9 +400,8 @@ pub fn counter_add(name: &str, n: u64) {
 
 /// Sets the gauge `name` to `v` (created on first use).
 pub fn gauge_set(name: &str, v: f64) {
-    with_registry(|reg| {
-        let slot = reg.entry(name.to_string()).or_insert(Metric::Gauge(v));
-        if let Metric::Gauge(g) = slot {
+    with_metric(name, Metric::Gauge(v), |m| {
+        if let Metric::Gauge(g) = m {
             *g = v;
         }
     });
@@ -401,11 +409,8 @@ pub fn gauge_set(name: &str, v: f64) {
 
 /// Records `v` into the histogram `name` (created on first use).
 pub fn histogram_record(name: &str, v: u64) {
-    with_registry(|reg| {
-        let slot = reg
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Histogram::new()));
-        if let Metric::Histogram(h) = slot {
+    with_metric(name, Metric::Histogram(Histogram::new()), |m| {
+        if let Metric::Histogram(h) = m {
             h.record(v);
         }
     });
@@ -414,11 +419,8 @@ pub fn histogram_record(name: &str, v: u64) {
 /// Records `v` into the histogram `name`, tagging its bucket with the
 /// worst-sample exemplar `trace_id` (see [`Histogram::record_exemplar`]).
 pub fn histogram_record_exemplar(name: &str, v: u64, trace_id: u64) {
-    with_registry(|reg| {
-        let slot = reg
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Histogram::new()));
-        if let Metric::Histogram(h) = slot {
+    with_metric(name, Metric::Histogram(Histogram::new()), |m| {
+        if let Metric::Histogram(h) = m {
             h.record_exemplar(v, trace_id);
         }
     });

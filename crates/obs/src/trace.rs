@@ -29,10 +29,10 @@
 //! request's span tree can be reassembled from any mix of journals.
 //!
 //! All threads share one monotonic epoch, so `start_ns`/`end_ns` are
-//! directly comparable across journals. Journals of threads that exit
-//! (e.g. scoped shard workers) are folded into a process-wide *orphan
-//! sink* (bounded by the same capacity) so [`dump_jsonl_all`] still sees
-//! them.
+//! directly comparable across journals. Journals of threads that exit,
+//! and of `simpim-par` pool helpers each time they leave a dispatch
+//! ([`hand_over`]), are folded into a process-wide *orphan sink* (bounded
+//! by the same capacity) so [`dump_jsonl_all`] still sees them.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -52,8 +52,9 @@ pub const DEFAULT_CAPACITY: usize = 65_536;
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 /// Process-wide trace id mint; 0 is reserved for "untraced".
 static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
-/// Capacity handed to [`enable`], mirrored here so the orphan sink and
-/// [`journal_stats`] can see it without a thread-local hop.
+/// Capacity handed to [`enable`]: the bound of every thread's journal
+/// (threads that outlive an `enable`, pool helpers included, see the new
+/// value) and of the orphan sink.
 static JOURNAL_CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
 
 fn next_span_id() -> u64 {
@@ -84,9 +85,9 @@ fn note_drop(name: &str) {
     }
 }
 
-/// Spans recorded by threads that have since exited (scoped workers, the
-/// engine scheduler). Folded in by the `Tracer` destructor, bounded by the
-/// journal capacity; overflow counts as per-name drops.
+/// Spans recorded by threads that have since exited (the engine
+/// scheduler) or handed their journal over ([`hand_over`]: pool helpers).
+/// Bounded by the journal capacity; overflow counts as per-name drops.
 fn orphan_sink() -> &'static Mutex<Vec<SpanRecord>> {
     static SINK: OnceLock<Mutex<Vec<SpanRecord>>> = OnceLock::new();
     SINK.get_or_init(|| Mutex::new(Vec::new()))
@@ -220,7 +221,6 @@ struct Tracer {
     records: Vec<SpanRecord>,
     /// Indices into `records` of currently-open recorded spans.
     stack: Vec<usize>,
-    capacity: usize,
     dropped: u64,
     /// Open-span depth including unrecorded spans, so `depth` stays
     /// truthful even past capacity.
@@ -232,17 +232,16 @@ impl Tracer {
         Self {
             records: Vec::new(),
             stack: Vec::new(),
-            capacity: JOURNAL_CAPACITY.load(Ordering::Relaxed),
             dropped: 0,
             open_depth: 0,
         }
     }
 }
 
-impl Drop for Tracer {
-    /// Thread exit: fold this journal into the orphan sink so scoped
-    /// worker threads don't take their spans with them.
-    fn drop(&mut self) {
+impl Tracer {
+    /// Moves this journal into the orphan sink (bounded by the journal
+    /// capacity; overflow counts as per-name drops).
+    fn fold_into_orphans(&mut self) {
         if self.records.is_empty() {
             return;
         }
@@ -256,6 +255,14 @@ impl Drop for Tracer {
                 }
             }
         }
+    }
+}
+
+impl Drop for Tracer {
+    /// Thread exit: fold this journal into the orphan sink so worker
+    /// threads don't take their spans with them.
+    fn drop(&mut self) {
+        self.fold_into_orphans();
     }
 }
 
@@ -273,7 +280,6 @@ pub fn enable(capacity: usize) {
         let mut t = t.borrow_mut();
         t.records.clear(); // keep replaced journal out of the orphan sink
         *t = Tracer::new();
-        t.capacity = capacity;
     });
     if let Ok(mut sink) = orphan_sink().lock() {
         sink.clear();
@@ -300,10 +306,8 @@ pub fn is_enabled() -> bool {
 pub fn clear() {
     TRACER.with(|t| {
         let mut t = t.borrow_mut();
-        let cap = t.capacity;
         t.records.clear(); // keep replaced journal out of the orphan sink
         *t = Tracer::new();
-        t.capacity = cap;
     });
 }
 
@@ -315,6 +319,15 @@ pub fn drain() -> Vec<SpanRecord> {
         t.open_depth = 0;
         std::mem::take(&mut t.records)
     })
+}
+
+/// Hands this thread's journal to the orphan sink now, as thread exit
+/// would. A `simpim-par` pool helper calls this before it reports leaving
+/// a dispatch — it never exits, and the spans of the jobs it ran must be
+/// in [`drain_all`] when `join_all` returns. No span may be open on this
+/// thread.
+pub fn hand_over() {
+    TRACER.with(|t| t.borrow_mut().fold_into_orphans());
 }
 
 /// Takes this thread's journal *and* the orphan sink (journals of exited
@@ -466,7 +479,7 @@ fn open_span_slow(
         let mut t = t.borrow_mut();
         let depth = t.open_depth;
         t.open_depth += 1;
-        if t.records.len() >= t.capacity {
+        if t.records.len() >= JOURNAL_CAPACITY.load(Ordering::Relaxed) {
             t.dropped += 1;
             note_drop(name);
             // Unrecorded span: the guard still tracks depth so siblings

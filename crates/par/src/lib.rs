@@ -17,10 +17,15 @@
 //! merge replays the serial order. The thread count only decides *which
 //! OS thread* executes a chunk, which no computation observes.
 //!
-//! The pool is dependency-free: workers are `std::thread::scope` scoped
-//! threads pulling chunk indices from an atomic cursor (cheap work
-//! stealing — an idle worker grabs the next unclaimed chunk). Pool
-//! utilization is exported through `simpim-obs` as `simpim.par.*` metrics.
+//! The pool is dependency-free and persistent: helper threads
+//! `simpim-par-{i}` are started the first time a dispatch may use them and
+//! then sleep on a condvar between dispatches. A dispatch publishes its
+//! jobs; the calling thread and the helpers that wake pull job indices
+//! from one atomic cursor (cheap work stealing — whoever is free grabs
+//! the next unclaimed job), so a dispatch of tiny jobs is finished by its
+//! caller before a helper is awake, and a dispatch issued from inside a
+//! job cannot deadlock: its caller alone can drain it. Pool utilization is
+//! exported through `simpim-obs` as `simpim.par.*` metrics.
 //!
 //! The worker count comes from, in priority order: the programmatic
 //! [`set_thread_override`] (used by tests and benches), the
@@ -28,8 +33,9 @@
 //! [`std::thread::available_parallelism`].
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// Upper bound on workers; far above any sane `SIMPIM_THREADS`.
@@ -53,7 +59,8 @@ fn env_threads() -> usize {
 ///
 /// Priority: [`set_thread_override`] > `SIMPIM_THREADS` > detected cores.
 /// Always at least 1, at most 256. This value never changes chunk
-/// boundaries — only how many scoped workers pull from the chunk queue.
+/// boundaries — only how many threads (the caller plus pool helpers) pull
+/// from the chunk queue.
 pub fn thread_count() -> usize {
     let ovr = THREAD_OVERRIDE.load(Ordering::Relaxed);
     if ovr >= 1 {
@@ -109,17 +116,34 @@ pub fn chunk_ranges(len: usize, chunk: usize) -> Vec<Range<usize>> {
 /// state (disjoint `&mut` chunks, shard handles, …).
 pub type Job<'s, T> = Box<dyn FnOnce() -> T + Send + 's>;
 
+/// One job's cell: the job until somebody claims it, its outcome after.
+enum Slot<'s, T> {
+    Todo(Job<'s, T>),
+    Running,
+    Done(std::thread::Result<T>),
+}
+
+/// Locks a mutex of this crate: every update under one is a single
+/// assignment, push or counter step, so the data is valid whether or not
+/// a holder ever panicked.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Executes the jobs on the pool and returns their results **in job
-/// order** (ordered reduction). Jobs are claimed via an atomic cursor, so
-/// an idle worker steals the next unclaimed job; which worker runs a job
-/// is the only nondeterminism, and it is unobservable in the results.
+/// order** (ordered reduction). Jobs are claimed via an atomic cursor by
+/// the calling thread and by at most `thread_count().min(jobs) - 1` pool
+/// helpers; which thread runs a job is the only nondeterminism, and it is
+/// unobservable in the results.
 ///
 /// With one worker (or one job) everything runs inline on the caller in
-/// job order — the exact serial loop.
+/// job order — the exact serial loop. Otherwise a job that panics is
+/// caught where it ran, the other jobs still run, and the panic of the
+/// lowest-indexed such job is re-raised here; the pool is unaffected.
 pub fn join_all<'s, T: Send + 's>(jobs: Vec<Job<'s, T>>) -> Vec<T> {
     let n_jobs = jobs.len();
     let workers = thread_count().min(n_jobs);
-    stats::record_call(n_jobs, workers);
+    stats::record_call(n_jobs);
     if workers <= 1 {
         if model::capture_enabled() {
             return model::run_inline_timed(jobs);
@@ -128,58 +152,181 @@ pub fn join_all<'s, T: Send + 's>(jobs: Vec<Job<'s, T>>) -> Vec<T> {
     }
 
     let start = Instant::now();
-    let slots: Vec<Mutex<Option<Job<'s, T>>>> =
-        jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
+    let slots: Vec<Mutex<Slot<'s, T>>> = jobs
+        .into_iter()
+        .map(|j| Mutex::new(Slot::Todo(j)))
+        .collect();
     let cursor = AtomicUsize::new(0);
+    let (busy_ns, steals) = (AtomicU64::new(0), AtomicU64::new(0));
     let fair_share = n_jobs.div_ceil(workers);
-
-    let mut collected: Vec<(usize, T)> = Vec::with_capacity(n_jobs);
-    let mut total_busy = 0u128;
-    let mut total_steals = 0u64;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let slots = &slots;
-                let cursor = &cursor;
-                s.spawn(move || {
-                    let mut local: Vec<(usize, T)> = Vec::new();
-                    let mut busy = 0u128;
-                    let mut pulled = 0usize;
-                    loop {
-                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                        if idx >= n_jobs {
-                            break;
-                        }
-                        let job = slots[idx]
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .take()
-                            .expect("job claimed twice");
-                        pulled += 1;
-                        let t0 = Instant::now();
-                        local.push((idx, job()));
-                        busy += t0.elapsed().as_nanos();
-                    }
-                    let steals = pulled.saturating_sub(fair_share) as u64;
-                    (local, busy, steals)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (local, busy, steals) = h.join().expect("simpim-par worker panicked");
-            collected.extend(local);
-            total_busy += busy;
-            total_steals += steals;
+    // What the caller and every helper that joins run: claim the next
+    // unclaimed job until none is left. Never unwinds.
+    let work = || {
+        let (mut busy, mut pulled) = (0u64, 0usize);
+        loop {
+            let idx = cursor.fetch_add(1, Ordering::Relaxed);
+            if idx >= n_jobs {
+                break;
+            }
+            let Slot::Todo(job) = std::mem::replace(&mut *lock(&slots[idx]), Slot::Running) else {
+                unreachable!("the cursor hands out each index once");
+            };
+            pulled += 1;
+            let t0 = Instant::now();
+            let outcome = catch_unwind(AssertUnwindSafe(job));
+            busy += t0.elapsed().as_nanos() as u64;
+            *lock(&slots[idx]) = Slot::Done(outcome);
         }
-    });
-    let wall = start.elapsed().as_nanos();
-    stats::record_dispatch(workers, wall, total_busy, total_steals);
+        busy_ns.fetch_add(busy, Ordering::Relaxed);
+        steals.fetch_add(pulled.saturating_sub(fair_share) as u64, Ordering::Relaxed);
+    };
+    pool::run(&work, workers - 1);
+    stats::record_dispatch(
+        workers,
+        start.elapsed().as_nanos(),
+        busy_ns.into_inner(),
+        steals.into_inner(),
+    );
 
-    // Ordered reduction: results come back in job-index order no matter
-    // which worker produced them.
-    collected.sort_unstable_by_key(|&(idx, _)| idx);
-    debug_assert_eq!(collected.len(), n_jobs);
-    collected.into_iter().map(|(_, t)| t).collect()
+    // Ordered reduction: slot i holds job i's outcome no matter which
+    // thread produced it.
+    slots
+        .into_iter()
+        .map(|slot| match slot.into_inner() {
+            Ok(Slot::Done(Ok(value))) => value,
+            Ok(Slot::Done(Err(payload))) => resume_unwind(payload),
+            _ => unreachable!("every job ran before the dispatch closed"),
+        })
+        .collect()
+}
+
+/// The process-wide helper threads and the dispatches open to them.
+mod pool {
+    use super::{lock, Condvar, Mutex};
+
+    /// A dispatch's claim loop, as its helpers see it.
+    type Work = &'static (dyn Fn() + Sync);
+
+    /// A published dispatch: `wanted` more helpers may join it, `inside`
+    /// have joined and not yet left.
+    struct Open {
+        id: u64,
+        work: Work,
+        wanted: usize,
+        inside: usize,
+    }
+
+    struct State {
+        /// Helper threads started so far; grows to the largest count a
+        /// dispatch ever asked for and never shrinks.
+        helpers: usize,
+        last_id: u64,
+        open: Vec<Open>,
+    }
+
+    static STATE: Mutex<State> = Mutex::new(State {
+        helpers: 0,
+        last_id: 0,
+        open: Vec::new(),
+    });
+    /// Idle helpers sleep here until a dispatch is published.
+    static PUBLISHED: Condvar = Condvar::new();
+    /// A closing dispatch's caller sleeps here until its helpers have left.
+    static LEFT: Condvar = Condvar::new();
+
+    #[cfg(test)]
+    pub(crate) fn helper_count() -> usize {
+        lock(&STATE).helpers
+    }
+
+    /// Publishes `work`, lets up to `helpers` pool threads run it beside
+    /// the caller, and returns once the caller's own run is over and every
+    /// helper that joined has left. `work` must not unwind.
+    pub(crate) fn run(work: &(dyn Fn() + Sync), helpers: usize) {
+        // SAFETY: only the lifetime is erased. The reference is reachable
+        // solely through this dispatch's `Open` entry, and a helper copies
+        // it out only under the `STATE` lock, in the same critical section
+        // that counts it `inside`. `Close` — created right after
+        // publishing, dropped before this function returns or unwinds —
+        // takes that lock, forbids further joins, sleeps until `inside` is
+        // zero and removes the entry; a helper decrements `inside` only
+        // after its call of `work` has returned and never touches the
+        // reference again. So no helper can hold or obtain the reference
+        // once `run` is left, and the borrow behind it outlives `run`.
+        let erased: Work = unsafe { std::mem::transmute::<&(dyn Fn() + Sync), Work>(work) };
+        let id = {
+            let mut st = lock(&STATE);
+            while st.helpers < helpers {
+                // Detached on purpose: helpers live as long as the process
+                // and never unwind (jobs are caught in `work`). If the OS
+                // refuses a thread the caller drains the dispatch alone.
+                let name = format!("simpim-par-{}", st.helpers);
+                if std::thread::Builder::new()
+                    .name(name)
+                    .spawn(helper)
+                    .is_err()
+                {
+                    break;
+                }
+                st.helpers += 1;
+            }
+            st.last_id += 1;
+            let id = st.last_id;
+            st.open.push(Open {
+                id,
+                work: erased,
+                wanted: helpers,
+                inside: 0,
+            });
+            id
+        };
+        let _close = Close(id);
+        // A helper woken for nothing finds no dispatch that wants it and
+        // goes back to sleep.
+        if helpers == 1 {
+            PUBLISHED.notify_one();
+        } else {
+            PUBLISHED.notify_all();
+        }
+        work();
+    }
+
+    /// Unpublishes dispatch `.0` and waits for its helpers to leave.
+    struct Close(u64);
+
+    impl Drop for Close {
+        fn drop(&mut self) {
+            let mut st = lock(&STATE);
+            if let Some(open) = st.open.iter_mut().find(|o| o.id == self.0) {
+                open.wanted = 0;
+            }
+            let busy = |st: &mut State| st.open.iter().any(|o| o.id == self.0 && o.inside > 0);
+            let mut st = LEFT.wait_while(st, busy).unwrap_or_else(|e| e.into_inner());
+            st.open.retain(|o| o.id != self.0);
+        }
+    }
+
+    fn helper() {
+        let mut st = lock(&STATE);
+        loop {
+            let Some(open) = st.open.iter_mut().find(|o| o.wanted > 0) else {
+                st = PUBLISHED.wait(st).unwrap_or_else(|e| e.into_inner());
+                continue;
+            };
+            open.wanted -= 1;
+            open.inside += 1;
+            let (id, work) = (open.id, open.work);
+            drop(st);
+            work();
+            // The spans this thread's jobs recorded must be drainable the
+            // moment `join_all` returns, so they go before `inside` does.
+            simpim_obs::trace::hand_over();
+            st = lock(&STATE);
+            let open = st.open.iter_mut().find(|o| o.id == id);
+            open.expect("an entry outlives its helpers").inside -= 1;
+            LEFT.notify_all();
+        }
+    }
 }
 
 /// Maps `f` over fixed `chunk`-sized ranges of `0..len`, returning the
@@ -258,7 +405,7 @@ pub mod model {
             .collect();
         DEPTH.with(|d| d.set(d.get() - 1));
         if top {
-            log().lock().unwrap_or_else(|e| e.into_inner()).push(ns);
+            lock(log()).push(ns);
         }
         out
     }
@@ -271,10 +418,10 @@ pub mod model {
     /// [`set_thread_override`].
     pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Vec<Vec<u64>>) {
         let was = CAPTURING.swap(true, Ordering::Relaxed);
-        log().lock().unwrap_or_else(|e| e.into_inner()).clear();
+        lock(log()).clear();
         let out = f();
         CAPTURING.store(was, Ordering::Relaxed);
-        let dispatches = std::mem::take(&mut *log().lock().unwrap_or_else(|e| e.into_inner()));
+        let dispatches = std::mem::take(&mut *lock(log()));
         (out, dispatches)
     }
 
@@ -315,11 +462,10 @@ pub mod model {
 mod stats {
     use std::ops::Range;
 
-    pub(crate) fn record_call(tasks: usize, workers: usize) {
+    pub(crate) fn record_call(tasks: usize) {
         simpim_obs::metrics::counter_add("simpim.par.calls", 1);
         simpim_obs::metrics::counter_add("simpim.par.tasks", tasks as u64);
         simpim_obs::metrics::gauge_set("simpim.par.threads", super::thread_count() as f64);
-        let _ = workers;
     }
 
     pub(crate) fn record_chunks(ranges: &[Range<usize>]) {
@@ -328,13 +474,10 @@ mod stats {
         }
     }
 
-    pub(crate) fn record_dispatch(workers: usize, wall_ns: u128, busy_ns: u128, steals: u64) {
-        let idle = (wall_ns * workers as u128).saturating_sub(busy_ns);
+    pub(crate) fn record_dispatch(workers: usize, wall_ns: u128, busy_ns: u64, steals: u64) {
+        let idle = (wall_ns * workers as u128).saturating_sub(busy_ns as u128);
         simpim_obs::metrics::counter_add("simpim.par.dispatches", 1);
-        simpim_obs::metrics::counter_add(
-            "simpim.par.busy_ns",
-            busy_ns.min(u64::MAX as u128) as u64,
-        );
+        simpim_obs::metrics::counter_add("simpim.par.busy_ns", busy_ns);
         simpim_obs::metrics::counter_add("simpim.par.idle_ns", idle.min(u64::MAX as u128) as u64);
         simpim_obs::metrics::counter_add("simpim.par.steals", steals);
         simpim_obs::metrics::histogram_record("simpim.par.workers", workers as u64);
@@ -455,6 +598,28 @@ mod tests {
         assert_eq!(model::simulated_makespan_ns(&[3, 1, 1, 1], 2), 3);
         // Serial residue outside dispatches is carried over unchanged.
         assert_eq!(model::modeled_wall_ns(100, &[vec![10, 10]], 2), 90);
+    }
+
+    fn squares(n: usize) -> Vec<Job<'static, usize>> {
+        (0..n)
+            .map(|i| Box::new(move || i * i) as Job<'_, usize>)
+            .collect()
+    }
+
+    #[test]
+    fn helpers_are_kept_not_respawned() {
+        let _g = test_lock();
+        with_threads(2, || {
+            join_all(squares(2));
+            let after_first = pool::helper_count();
+            assert!(after_first >= 1);
+            for _ in 0..2_000 {
+                assert_eq!(join_all(squares(2)), vec![0, 1]);
+            }
+            assert_eq!(pool::helper_count(), after_first);
+        });
+        with_threads(8, || join_all(squares(100)));
+        assert_eq!(pool::helper_count(), 7, "8 workers = the caller + 7");
     }
 
     #[test]

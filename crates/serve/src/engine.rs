@@ -9,7 +9,7 @@
 //! forming one coalesced batch. Mutations act as batch barriers:
 //! commands are always applied in arrival order, so a query sees
 //! exactly the inserts and deletes that preceded it. The batch then
-//! fans out across the shards — one scoped thread per shard, each
+//! fans out across the shards — one `simpim_par` job per shard, each
 //! routing the coalesced PIM pass to its least-worn healthy replica —
 //! and the per-shard partial top-k pools merge into each query's exact
 //! global answer (see `mining::knn::resident` for the exactness

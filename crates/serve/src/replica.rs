@@ -184,11 +184,14 @@ impl ReplicaSet {
 
     /// The routing decision: the healthy replica with the least crossbar
     /// wear (ties to the lowest index — deterministic). `None` when the
-    /// set is degraded.
+    /// set is degraded. A lone healthy replica is the answer without
+    /// reading wear, which walks every crossbar's program counter.
     pub fn route(&self) -> Option<usize> {
+        let healthy = |i: &usize| self.state[*i] == ReplicaState::Healthy;
+        let lone = (0..self.replicas.len()).filter(healthy).count() == 1;
         (0..self.replicas.len())
-            .filter(|&i| self.state[i] == ReplicaState::Healthy)
-            .min_by_key(|&i| (self.replicas[i].wear(), i))
+            .filter(healthy)
+            .min_by_key(|&i| (if lone { 0 } else { self.replicas[i].wear() }, i))
     }
 
     /// Forces one batch through replica `i`, bypassing routing — the

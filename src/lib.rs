@@ -27,7 +27,7 @@
 //!   with a bit-identical portable fallback), selected once at startup
 //!   and overridable with `SIMPIM_KERNEL` (see DESIGN.md §14).
 //! * [`par`] — the deterministic data-parallel execution layer: a
-//!   dependency-free scoped thread pool with fixed chunk boundaries and
+//!   dependency-free persistent thread pool with fixed chunk boundaries and
 //!   ordered reduction, so results are bit-identical at any thread count
 //!   (see DESIGN.md §10).
 //! * [`serve`] — the online query-serving engine: sharded resident

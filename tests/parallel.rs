@@ -4,6 +4,11 @@
 //! results (values *and* instrumentation counters) for `SIMPIM_THREADS`
 //! in {1, 2, 8}, with the packed word-wide MAC kernel agreeing with the
 //! scalar reference, and with injected crossbar faults in the loop.
+//!
+//! The last four tests pin what the persistent pool under `join_all` owes
+//! its callers beyond determinism: nested and concurrent dispatches
+//! complete, a job's panic reaches the caller and spares the pool, and a
+//! helper's spans are drainable when `join_all` returns.
 
 use std::sync::{Mutex, MutexGuard};
 
@@ -207,4 +212,112 @@ proptest! {
         prop_assert_eq!(&per_threads[0], &per_threads[1]);
         prop_assert_eq!(&per_threads[0], &per_threads[2]);
     }
+}
+
+fn squares(n: usize) -> Vec<par::Job<'static, usize>> {
+    (0..n)
+        .map(|i| Box::new(move || i * i) as par::Job<'_, usize>)
+        .collect()
+}
+
+#[test]
+fn nested_dispatch_completes() {
+    let _g = lock();
+    let sums = par::with_threads(2, || {
+        par::join_all(
+            (0..4usize)
+                .map(|i| {
+                    Box::new(move || par::join_all(squares(8 + i)).iter().sum::<usize>())
+                        as par::Job<'_, usize>
+                })
+                .collect(),
+        )
+    });
+    let want: Vec<usize> = (0..4)
+        .map(|i| (0..8 + i).map(|j| j * j).sum::<usize>())
+        .collect();
+    assert_eq!(sums, want);
+}
+
+#[test]
+fn concurrent_dispatchers_each_get_their_own_results_in_order() {
+    let _g = lock();
+    let go = std::sync::Barrier::new(4);
+    par::with_threads(2, || {
+        std::thread::scope(|s| {
+            for t in 0..4usize {
+                let go = &go;
+                s.spawn(move || {
+                    go.wait();
+                    for round in 0..200usize {
+                        let tag = t * 1_000_000 + round * 100;
+                        let got = par::join_all(
+                            (0..16usize)
+                                .map(|i| Box::new(move || tag + i) as par::Job<'_, usize>)
+                                .collect(),
+                        );
+                        assert_eq!(got, (tag..tag + 16).collect::<Vec<_>>());
+                    }
+                });
+            }
+        });
+    });
+}
+
+#[test]
+fn a_panicking_job_reaches_the_caller_and_spares_the_pool() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let _g = lock();
+    let ran = AtomicUsize::new(0);
+    let caught = par::with_threads(2, || {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            par::join_all(
+                (0..6usize)
+                    .map(|i| {
+                        let ran = &ran;
+                        Box::new(move || {
+                            if i == 3 {
+                                std::panic::panic_any("job 3 failed");
+                            }
+                            ran.fetch_add(1, Ordering::Relaxed);
+                        }) as par::Job<'_, ()>
+                    })
+                    .collect(),
+            )
+        }))
+    });
+    let payload = caught.expect_err("the job's panic is re-raised");
+    assert_eq!(payload.downcast_ref::<&str>(), Some(&"job 3 failed"));
+    assert_eq!(ran.into_inner(), 5, "the other jobs still ran");
+    for threads in THREADS {
+        let got = par::with_threads(threads, || par::join_all(squares(50)));
+        assert_eq!(got, (0..50).map(|i| i * i).collect::<Vec<_>>());
+    }
+}
+
+#[test]
+fn a_helpers_spans_are_drainable_when_join_all_returns() {
+    use simpim::obs::trace;
+    let _g = lock();
+    trace::enable(1024);
+    // Both jobs must be running to pass the barrier, so one of them is on
+    // a helper, whose journal is not the caller's.
+    let both = std::sync::Barrier::new(2);
+    par::with_threads(2, || {
+        par::join_all(
+            (0..2)
+                .map(|_| {
+                    let both = &both;
+                    Box::new(move || {
+                        let _span = trace::open_span("par.test.job", &[]);
+                        both.wait();
+                    }) as par::Job<'_, ()>
+                })
+                .collect(),
+        )
+    });
+    let spans = trace::drain_all();
+    trace::disable();
+    let jobs = spans.iter().filter(|r| r.name == "par.test.job").count();
+    assert_eq!(jobs, 2, "the caller's span and the helper's span");
 }
