@@ -27,7 +27,14 @@
 //!   as milliseconds of pass per query — what a batch saves over `Q`
 //!   single passes, which the repo benchmark's `Q = 1` replay cannot
 //!   show — beside `dot_u32_x4`'s ns per operand and its speedup over
-//!   four `dot_u32` calls of the same tier.
+//!   four `dot_u32` calls of the same tier;
+//! * **the abandoning distance and the batch refinement built on it**:
+//!   `euclidean_sq_until` in ns per element of the whole row when every
+//!   row is abandoned about 1/8 and 1/2 of the way in and when none is
+//!   (its outcomes hashed into `euclidean_sq_until_hash`, equal on all
+//!   backends), and `refine_resident_batch` of `Q` ∈ {1, 4, 8} queries on
+//!   one 5 000 × 960 shard with all-zero bounds at one worker, as
+//!   milliseconds of refinement per query.
 //!
 //! The artifact (`BENCH_kernels.json`) stamps each backend's numbers and
 //! its speedup over forced-scalar, seeding the per-PR BENCH trajectory
@@ -43,10 +50,13 @@ use simpim_bounds::BoundCascade;
 use simpim_core::executor::PimExecutor;
 use simpim_datasets::PaperDataset;
 use simpim_kern::{self as kern, Backend};
+use simpim_mining::knn::resident::{refine_resident_batch, BatchQuery};
 use simpim_obs::Json;
 use simpim_par as par;
 use simpim_reram::array::RegionId;
 use simpim_reram::{AccWidth, PimArray, PimConfig};
+use simpim_similarity::{Dataset, Measure};
+use simpim_simkit::OpCounters;
 
 const K: usize = 10;
 /// Packed words per popcount-MAC operand (≈ a 2.1 Mbit LSH code stripe).
@@ -60,6 +70,9 @@ const BUDGET_NS: u64 = 40_000_000;
 /// is read with.
 const PASS_ROWS: usize = 10_000;
 const PASS_QUERIES: [usize; 3] = [1, 4, 8];
+/// The batch-refinement shard: one shard of the repo benchmark's
+/// serve-dense, refined with the `PASS_QUERIES` batch sizes.
+const REFINE_SHAPE: (usize, usize) = (5_000, 960);
 
 fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
@@ -99,6 +112,11 @@ fn words(len: usize, mut seed: u64) -> Vec<u64> {
         .collect()
 }
 
+/// Three measurements of one kind as a JSON object.
+fn triple(names: [&str; 3], values: [f64; 3]) -> Json {
+    Json::obj(names.into_iter().zip(values.map(Json::Num)))
+}
+
 /// Per-backend measurements, in `BACKENDS` order.
 struct Row {
     name: &'static str,
@@ -110,13 +128,18 @@ struct Row {
     andpop_ns: f64,
     dot_u32_ns: f64,
     dot_u32_x4_ns: f64,
+    /// `euclidean_sq_until` abandoning at 1/8, at 1/2, never.
+    until_ns: [f64; 3],
     /// `dot_batch_multi` milliseconds per query, in `PASS_QUERIES` order.
     pass_ms_per_query: [f64; 3],
+    /// `refine_resident_batch` milliseconds per query, in the same order.
+    refine_ms_per_query: [f64; 3],
     knn_wall_ms: f64,
     knn_qps: f64,
     hash: u64,
     dot_u32_hash: u64,
     dot_u32_x4_hash: u64,
+    until_hash: u64,
 }
 
 /// One timed kNN pass over the workload; returns (hash, wall ns).
@@ -141,6 +164,7 @@ fn sweep_backend(
     (wa, wb): (&[u64], &[u64]),
     (operands, operand_queries): (&[u32], &[Vec<u32>]),
     (pim, region): (&mut PimArray, RegionId),
+    (shard, shard_queries): (&Dataset, &[Vec<f64>]),
 ) -> Row {
     kern::with_backend(b, || {
         let n = w.data.len();
@@ -166,6 +190,28 @@ fn sweep_backend(
         });
         let (euclid_ns, h_euclid) = measure(f64_elems, || {
             hash_all(&|r| kern::euclidean_sq(r, q0).to_bits())
+        });
+        // Per row, a limit just under the partial sum at the first abandon
+        // test at or past 1/8 (1/2) of the row; or none at all.
+        let stride = kern::LANES * kern::scalar::UNTIL_BLOCKS;
+        let mut until_hash = 0xcbf2_9ce4_8422_2325u64;
+        let until_ns = [Some(d / 8), Some(d / 2), None].map(|cut| {
+            let limits: Vec<f64> = (0..n)
+                .map(|i| {
+                    cut.map_or(f64::INFINITY, |cut| {
+                        let cut = cut.next_multiple_of(stride).min(d);
+                        kern::euclidean_sq(&w.data.row(i)[..cut], &q0[..cut]) * (1.0 - 1e-9)
+                    })
+                })
+                .collect();
+            let (ns, h) = measure(f64_elems, || {
+                (0..n).fold(0xcbf2_9ce4_8422_2325u64, |h, i| {
+                    let v = kern::euclidean_sq_until(w.data.row(i), q0, limits[i]);
+                    fnv1a(h, &v.map_or(u64::MAX, f64::to_bits).to_le_bytes())
+                })
+            });
+            until_hash = fnv1a(until_hash, &h.to_le_bytes());
+            ns
         });
         let (xorpop_ns, h_xor) = measure(POPCOUNT_WORDS, || kern::xor_popcount(wa, wb));
         let (andpop_ns, h_and) = measure(POPCOUNT_WORDS, || kern::and_popcount(wa, wb));
@@ -200,6 +246,34 @@ fn sweep_backend(
             ns_per_query / 1e6
         });
 
+        let ids: Vec<usize> = (0..shard.len()).collect();
+        let (live, zeros) = (vec![true; shard.len()], vec![0.0; shard.len()]);
+        let refine_ms_per_query = PASS_QUERIES.map(|q| {
+            let batch: Vec<BatchQuery<'_>> = shard_queries[..q]
+                .iter()
+                .map(|query| BatchQuery {
+                    query,
+                    k: K,
+                    bounds: &zeros,
+                })
+                .collect();
+            let (ns_per_query, _) = par::with_threads(1, || {
+                measure(q, || {
+                    let mut counters = OpCounters::new();
+                    let out = refine_resident_batch(
+                        shard,
+                        &ids,
+                        &live,
+                        &batch,
+                        Measure::EuclideanSq,
+                        &mut counters,
+                    );
+                    out.expect("Euclidean rows").len() as u64
+                })
+            });
+            ns_per_query / 1e6
+        });
+
         // End-to-end Standard-PIM kNN: timed at ambient workers, then
         // re-run pinned to 1 and 4 workers — all three hashes must match
         // (kernels compose with simpim-par chunking bit-identically).
@@ -228,12 +302,15 @@ fn sweep_backend(
             andpop_ns,
             dot_u32_ns,
             dot_u32_x4_ns,
+            until_ns,
             pass_ms_per_query,
+            refine_ms_per_query,
             knn_wall_ms: knn_ns as f64 / 1e6,
             knn_qps: w.queries.len() as f64 / knn_s.max(1e-12),
             hash,
             dot_u32_hash,
             dot_u32_x4_hash,
+            until_hash,
         }
     })
 }
@@ -270,6 +347,16 @@ fn main() {
         .expect("the default array holds one shard")
         .region;
 
+    let shard = simpim_datasets::generate(&simpim_datasets::SyntheticConfig {
+        n: REFINE_SHAPE.0,
+        d: REFINE_SHAPE.1,
+        clusters: 512,
+        cluster_std: 0.08,
+        stat_uniformity: 0.5,
+        seed: 12,
+    });
+    let shard_queries = simpim_datasets::sample_queries(&shard, 8, 0.03, 12);
+
     // One dataset, one programmed executor, shared by every
     // (backend, workers) measurement cell.
     let mut exec = prepare_executor(&w.data).expect("fits");
@@ -288,6 +375,7 @@ fn main() {
                 (&wa, &wb),
                 (&operands, &operand_queries),
                 (&mut pim, pass_region),
+                (&shard, &shard_queries),
             )
         })
         .collect();
@@ -295,21 +383,18 @@ fn main() {
     let scalar = &rows[0];
     assert_eq!(scalar.name, "scalar");
     for r in &rows[1..] {
-        assert_eq!(
-            r.hash, scalar.hash,
-            "backend '{}' is not bit-identical to scalar",
-            r.name
-        );
-        assert_eq!(
-            r.dot_u32_hash, scalar.dot_u32_hash,
-            "backend '{}': dot_u32 differs from scalar",
-            r.name
-        );
-        assert_eq!(
-            r.dot_u32_x4_hash, scalar.dot_u32_x4_hash,
-            "backend '{}': dot_u32_x4 differs from scalar",
-            r.name
-        );
+        for (what, got, want) in [
+            (
+                "the float and popcount kernels and kNN",
+                r.hash,
+                scalar.hash,
+            ),
+            ("dot_u32", r.dot_u32_hash, scalar.dot_u32_hash),
+            ("dot_u32_x4", r.dot_u32_x4_hash, scalar.dot_u32_x4_hash),
+            ("euclidean_sq_until", r.until_hash, scalar.until_hash),
+        ] {
+            assert_eq!(got, want, "backend '{}': {what} differ from scalar", r.name);
+        }
     }
     let hash = scalar.hash;
 
@@ -323,36 +408,38 @@ fn main() {
             active.name()
         ),
         &[
-            "backend", "dot", "norm", "fused", "euclid", "xorpop", "andpop", "dot_u32", "x4",
-            "pass Q=1", "Q=4", "Q=8", "knn qps", "vs scalar",
+            "backend", "dot", "norm", "fused", "euclid", "until 1/8", "1/2", "never", "xorpop",
+            "andpop", "dot_u32", "x4", "pass Q=1", "Q=4", "Q=8", "refine Q=1", "Q=4", "Q=8",
+            "knn qps", "vs scalar",
         ],
         &rows
             .iter()
             .map(|r| {
-                vec![
-                    r.name.into(),
-                    format!("{:.3}", r.dot_ns),
-                    format!("{:.3}", r.norm_ns),
-                    format!("{:.3}", r.fused_ns),
-                    format!("{:.3}", r.euclid_ns),
-                    format!("{:.3}", r.xorpop_ns),
-                    format!("{:.3}", r.andpop_ns),
-                    format!("{:.3}", r.dot_u32_ns),
-                    format!("{:.3}", r.dot_u32_x4_ns),
-                    format!("{:.2}", r.pass_ms_per_query[0]),
-                    format!("{:.2}", r.pass_ms_per_query[1]),
-                    format!("{:.2}", r.pass_ms_per_query[2]),
-                    format!("{:.0}", r.knn_qps),
-                    fmt_x(scalar.dot_ns / r.dot_ns.max(1e-12)),
-                ]
+                let ns = [r.dot_ns, r.norm_ns, r.fused_ns, r.euclid_ns]
+                    .into_iter()
+                    .chain(r.until_ns)
+                    .chain([r.xorpop_ns, r.andpop_ns, r.dot_u32_ns, r.dot_u32_x4_ns]);
+                let ms = r.pass_ms_per_query.into_iter().chain(r.refine_ms_per_query);
+                std::iter::once(r.name.to_string())
+                    .chain(ns.map(|v| format!("{v:.3}")))
+                    .chain(ms.map(|v| format!("{v:.2}")))
+                    .chain([
+                        format!("{:.0}", r.knn_qps),
+                        fmt_x(scalar.dot_ns / r.dot_ns.max(1e-12)),
+                    ])
+                    .collect()
             })
             .collect::<Vec<_>>(),
     );
     println!(
         "result hash {hash:016x} identical across {} backends and 1|4|ambient workers \
-         (ns/element columns; popcount per u64 word; pass columns: ms per query of one \
-         dot_batch_multi over {PASS_ROWS} x {d} at one worker)",
-        rows.len()
+         (ns/element columns, until per element of the whole row; popcount per u64 word; \
+         pass columns: ms per query of one dot_batch_multi over {PASS_ROWS} x {d} at one \
+         worker; refine columns: ms per query of one refine_resident_batch over {} x {} \
+         with zero bounds at one worker)",
+        rows.len(),
+        REFINE_SHAPE.0,
+        REFINE_SHAPE.1
     );
 
     let backends_json: Vec<Json> = rows
@@ -364,17 +451,21 @@ fn main() {
                 ("norm_sq_ns_per_elem", Json::Num(r.norm_ns)),
                 ("dot_norm_sq_ns_per_elem", Json::Num(r.fused_ns)),
                 ("euclidean_sq_ns_per_elem", Json::Num(r.euclid_ns)),
+                (
+                    "euclidean_sq_until_ns_per_elem",
+                    triple(["abandon_1_8", "abandon_1_2", "never"], r.until_ns),
+                ),
                 ("xor_popcount_ns_per_word", Json::Num(r.xorpop_ns)),
                 ("and_popcount_ns_per_word", Json::Num(r.andpop_ns)),
                 ("dot_u32_ns_per_elem", Json::Num(r.dot_u32_ns)),
                 ("dot_u32_x4_ns_per_elem", Json::Num(r.dot_u32_x4_ns)),
                 (
                     "pass_ms_per_query",
-                    Json::obj(
-                        ["q1", "q4", "q8"]
-                            .into_iter()
-                            .zip(r.pass_ms_per_query.map(Json::Num)),
-                    ),
+                    triple(["q1", "q4", "q8"], r.pass_ms_per_query),
+                ),
+                (
+                    "refine_ms_per_query",
+                    triple(["q1", "q4", "q8"], r.refine_ms_per_query),
                 ),
                 ("knn_wall_ms", Json::Num(r.knn_wall_ms)),
                 ("knn_qps", Json::Num(r.knn_qps)),
@@ -425,6 +516,10 @@ fn main() {
             (
                 "dot_u32_x4_hash",
                 Json::Str(format!("{:016x}", scalar.dot_u32_x4_hash)),
+            ),
+            (
+                "euclidean_sq_until_hash",
+                Json::Str(format!("{:016x}", scalar.until_hash)),
             ),
             ("threads_invariant", Json::Bool(true)),
             ("knn_qps", Json::Num(active_row.knn_qps)),

@@ -3,7 +3,8 @@
 //! The paper's speedups come from wide in-situ MACs; a credible host
 //! baseline has to be vectorized too, or every reported PIM speedup is
 //! inflated. This crate owns the workspace's distance inner loops — f64
-//! `dot` / `norm_sq` / fused dot+norm / squared Euclidean, the packed
+//! `dot` / `norm_sq` / fused dot+norm / squared Euclidean (and its
+//! early-abandoning form [`euclidean_sq_until`]), the packed
 //! u64 popcount MACs behind Hamming distance and the bit-sliced crossbar
 //! model, and the exact u32 integer MAC ([`dot_u32`], four queries per row
 //! load in [`dot_u32_x4`]) the array-level crossbar pass runs on — as a
@@ -142,6 +143,8 @@ pub struct KernelBackend {
     pub dot_norm_sq: fn(&[f64], &[f64]) -> (f64, f64),
     /// Squared Euclidean distance `Σ (pᵢ − qᵢ)²`.
     pub euclidean_sq: fn(&[f64], &[f64]) -> f64,
+    /// `euclidean_sq`, or `None` as soon as it is seen to exceed a limit.
+    pub euclidean_sq_until: fn(&[f64], &[f64], f64) -> Option<f64>,
     /// Hamming MAC `Σ popcount(aᵢ XOR bᵢ)` over packed u64 words.
     pub xor_popcount: fn(&[u64], &[u64]) -> u64,
     /// Bit-serial MAC `Σ popcount(aᵢ AND bᵢ)` over packed u64 words.
@@ -166,6 +169,7 @@ const SCALAR_TABLE: KernelBackend = KernelBackend {
     norm_sq: scalar::norm_sq,
     dot_norm_sq: scalar::dot_norm_sq,
     euclidean_sq: scalar::euclidean_sq,
+    euclidean_sq_until: scalar::euclidean_sq_until,
     xor_popcount: scalar::xor_popcount,
     and_popcount: scalar::and_popcount,
     dot_u32: scalar::dot_u32,
@@ -192,6 +196,7 @@ mod x86_dispatch {
     trampoline!(norm_sq_avx2, x86::avx2::norm_sq, (xs: &[f64]) -> f64);
     trampoline!(dot_norm_sq_avx2, x86::avx2::dot_norm_sq, (a: &[f64], b: &[f64]) -> (f64, f64));
     trampoline!(euclidean_sq_avx2, x86::avx2::euclidean_sq, (p: &[f64], q: &[f64]) -> f64);
+    trampoline!(euclidean_sq_until_avx2, x86::avx2::euclidean_sq_until, (p: &[f64], q: &[f64], limit: f64) -> Option<f64>);
     trampoline!(xor_popcount_avx2, x86::avx2::xor_popcount, (a: &[u64], b: &[u64]) -> u64);
     trampoline!(and_popcount_avx2, x86::avx2::and_popcount, (a: &[u64], b: &[u64]) -> u64);
     trampoline!(dot_u32_avx2, x86::avx2::dot_u32, (a: &[u32], b: &[u32]) -> u64);
@@ -245,6 +250,10 @@ fn table(b: Backend) -> KernelBackend {
                 norm_sq: x86_dispatch::norm_sq_sse2,
                 dot_norm_sq: x86_dispatch::dot_norm_sq_sse2,
                 euclidean_sq: x86_dispatch::euclidean_sq_sse2,
+                // The hand-written form is AVX2's alone, the tier the
+                // measured gain was taken on; the portable one keeps the
+                // lane order, so its bits are this tier's too.
+                euclidean_sq_until: scalar::euclidean_sq_until,
                 xor_popcount: if hw_popcnt {
                     x86_dispatch::xor_popcount_popcnt
                 } else {
@@ -266,6 +275,7 @@ fn table(b: Backend) -> KernelBackend {
             norm_sq: x86_dispatch::norm_sq_avx2,
             dot_norm_sq: x86_dispatch::dot_norm_sq_avx2,
             euclidean_sq: x86_dispatch::euclidean_sq_avx2,
+            euclidean_sq_until: x86_dispatch::euclidean_sq_until_avx2,
             xor_popcount: x86_dispatch::xor_popcount_avx2,
             and_popcount: x86_dispatch::and_popcount_avx2,
             dot_u32: x86_dispatch::dot_u32_avx2,
@@ -278,6 +288,7 @@ fn table(b: Backend) -> KernelBackend {
             norm_sq: neon_dispatch::norm_sq,
             dot_norm_sq: neon_dispatch::dot_norm_sq,
             euclidean_sq: neon_dispatch::euclidean_sq,
+            euclidean_sq_until: scalar::euclidean_sq_until,
             xor_popcount: neon_dispatch::xor_popcount,
             and_popcount: neon_dispatch::and_popcount,
             dot_u32: neon_dispatch::dot_u32,
@@ -446,6 +457,18 @@ pub fn dot_norm_sq(a: &[f64], b: &[f64]) -> (f64, f64) {
 #[inline]
 pub fn euclidean_sq(p: &[f64], q: &[f64]) -> f64 {
     (kernels().euclidean_sq)(p, q)
+}
+
+/// Dispatched [`euclidean_sq`] that abandons: `Some` of the same bits
+/// unless the distance is above `limit`, and then `None` as soon as a
+/// partial fold shows it — see [`scalar::euclidean_sq_until`]. The same
+/// outcome on every backend.
+///
+/// # Panics
+/// Panics in debug builds when the lengths differ.
+#[inline]
+pub fn euclidean_sq_until(p: &[f64], q: &[f64], limit: f64) -> Option<f64> {
+    (kernels().euclidean_sq_until)(p, q, limit)
 }
 
 /// Dispatched Hamming MAC `Σ popcount(aᵢ XOR bᵢ)` — exact on every

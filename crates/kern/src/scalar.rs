@@ -79,6 +79,56 @@ pub fn euclidean_sq(p: &[f64], q: &[f64]) -> f64 {
     })
 }
 
+/// 4-element blocks between two abandon tests of [`euclidean_sq_until`]:
+/// often enough to drop a hopeless candidate an eighth of the way into a
+/// 960-dimensional row, rarely enough that the extra fold is noise.
+pub const UNTIL_BLOCKS: usize = 16;
+
+/// [`euclidean_sq`] that gives up early: `Some(euclidean_sq(p, q))`, to
+/// the bit, unless that is above `limit`, and then `None` — as soon as a
+/// fold of the lanes every [`UNTIL_BLOCKS`] blocks shows it. Squares are
+/// never negative and IEEE addition is monotone, so a partial fold above
+/// `limit` proves the finished sum is too; the lanes themselves run
+/// untouched, which is why a finished sum is the canonical one. (A NaN
+/// distance is above nothing: it comes back as `Some`, unless the fold had
+/// already passed `limit` before the NaN operand was reached.)
+///
+/// # Panics
+/// Panics in debug builds when the lengths differ.
+#[inline]
+pub fn euclidean_sq_until(p: &[f64], q: &[f64], limit: f64) -> Option<f64> {
+    debug_assert_eq!(p.len(), q.len());
+    let sq = |x: f64, y: f64| {
+        let d = x - y;
+        d * d
+    };
+    let mut lanes = [0.0f64; LANES];
+    let mut acc = 0.0;
+    let mut tail: (&[f64], &[f64]) = (&[], &[]);
+    let stride = LANES * UNTIL_BLOCKS;
+    for (ps, qs) in p.chunks(stride).zip(q.chunks(stride)) {
+        let mut cp = ps.chunks_exact(LANES);
+        let mut cq = qs.chunks_exact(LANES);
+        for (bp, bq) in cp.by_ref().zip(cq.by_ref()) {
+            for (lane, (&x, &y)) in lanes.iter_mut().zip(bp.iter().zip(bq)) {
+                *lane += sq(x, y);
+            }
+        }
+        acc = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+        if acc > limit {
+            return None;
+        }
+        // Only the last, ragged stride leaves elements past its blocks.
+        tail = (cp.remainder(), cq.remainder());
+    }
+    let total = fold_tail(acc, tail.0, tail.1, sq);
+    if total > limit {
+        None
+    } else {
+        Some(total)
+    }
+}
+
 /// Fused single pass returning `(Σ aᵢ·bᵢ, Σ aᵢ²)`.
 ///
 /// Each component accumulates in its own 4-lane set with the same

@@ -85,6 +85,52 @@ pub mod avx2 {
         })
     }
 
+    /// [`euclidean_sq`] that abandons above `limit`
+    /// ([`scalar::euclidean_sq_until`]): the same accumulator, folded on
+    /// the side after every [`scalar::UNTIL_BLOCKS`] blocks — `hadd` makes
+    /// the in-pair sums `l0 + l1` and `l2 + l3`, one scalar add the rest.
+    ///
+    /// # Safety
+    /// Requires AVX2 (detected at dispatch time).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn euclidean_sq_until(p: &[f64], q: &[f64], limit: f64) -> Option<f64> {
+        debug_assert_eq!(p.len(), q.len());
+        let blocks = p.len().min(q.len()) / 4;
+        let (pp, pq) = (p.as_ptr(), q.as_ptr());
+        let mut acc = _mm256_setzero_pd();
+        let mut i = 0;
+        while i < blocks {
+            let end = (i + scalar::UNTIL_BLOCKS).min(blocks);
+            while i < end {
+                // SAFETY: `4 * i + 3 < 4 * blocks`, inside both slices;
+                // `loadu` has no alignment need.
+                let d = _mm256_sub_pd(
+                    _mm256_loadu_pd(pp.add(4 * i)),
+                    _mm256_loadu_pd(pq.add(4 * i)),
+                );
+                acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
+                i += 1;
+            }
+            let pairs = _mm256_hadd_pd(acc, acc);
+            let part = _mm_add_sd(
+                _mm256_castpd256_pd128(pairs),
+                _mm256_extractf128_pd::<1>(pairs),
+            );
+            if _mm_cvtsd_f64(part) > limit {
+                return None;
+            }
+        }
+        let total = fold4(acc, &p[4 * blocks..], &q[4 * blocks..], |x, y| {
+            let d = x - y;
+            d * d
+        });
+        if total > limit {
+            None
+        } else {
+            Some(total)
+        }
+    }
+
     /// Fused `(dot(a, b), norm_sq(a))`: two ymm accumulators, one pass.
     ///
     /// # Safety

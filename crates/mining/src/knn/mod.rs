@@ -449,6 +449,27 @@ pub fn exact_eval(
     }
 }
 
+/// [`exact_eval`] for a candidate that only matters at or below `limit`:
+/// a Euclidean distance is abandoned (`None`) once a partial sum is above
+/// it; the similarities are evaluated in full. Charged like
+/// [`exact_eval`] either way — the modeled host pays Eq. 1's whole row,
+/// abandonment is the simulation's saving.
+pub(crate) fn exact_eval_until(
+    measure: Measure,
+    p: &[f64],
+    q: &[f64],
+    limit: f64,
+    counters: &mut OpCounters,
+) -> Result<Option<f64>, MiningError> {
+    if measure == Measure::EuclideanSq {
+        let d = p.len() as u64;
+        counters.euclidean_kernel(d, d * 8);
+        Ok(measures::euclidean_sq_until(p, q, limit))
+    } else {
+        exact_eval(measure, p, q, counters).map(Some)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -16,12 +16,18 @@
 //! shard's bound values are valid bounds, which Theorems 1–2 guarantee
 //! even under drifted crossbars (guard-banded) and dead ones (exact host
 //! fallback).
+//!
+//! Two refinements live here and give the same bits: [`refine_resident`]
+//! walks one query's candidates best bound first; [`refine_resident_batch`]
+//! refines the queries of a coalesced batch together, in one sweep of the
+//! shard's rows. The serving path uses the first for a batch of one and
+//! the second otherwise (DESIGN.md §16 says why both exist).
 
 use simpim_similarity::{Dataset, Measure};
 use simpim_simkit::OpCounters;
 
 use crate::error::MiningError;
-use crate::knn::{walk, LazyOrder, TopK};
+use crate::knn::{exact_eval, exact_eval_until, walk, LazyOrder, TopK};
 
 /// One shard's candidates, as parallel columns: `rows.row(i)` is the
 /// shard-local row whose stable global id is `ids[i]`, `live[i]` is
@@ -52,6 +58,59 @@ pub struct ShardRefine {
     pub pruned: u64,
 }
 
+/// The argument check of both refinements. They run on the serving
+/// scheduler's pool workers: a malformed view must fail its query, not
+/// panic the thread.
+fn check(view: &ShardView<'_>, query: &[f64], k: usize) -> Result<(), MiningError> {
+    let rows = view.rows;
+    let invalid = |what: String| Err(MiningError::InvalidArgument { what });
+    if k == 0 {
+        return invalid("k must be at least 1".into());
+    }
+    for (column, len) in [
+        ("ids", view.ids.len()),
+        ("live", view.live.len()),
+        ("bounds", view.bounds.len()),
+    ] {
+        if len != rows.len() {
+            return invalid(format!(
+                "{column} must parallel rows: {len} entries for {} rows",
+                rows.len()
+            ));
+        }
+    }
+    if query.len() != rows.dim() {
+        return invalid(format!(
+            "query has {} dimensions, the shard's rows have {}",
+            query.len(),
+            rows.dim()
+        ));
+    }
+    Ok(())
+}
+
+/// Best-bound-first over a checked view's live slots, ties by global id;
+/// tombstones never surface.
+fn live_order<'a>(
+    view: &ShardView<'a>,
+    measure: Measure,
+    counters: &mut OpCounters,
+) -> LazyOrder<impl Fn(usize) -> usize + 'a> {
+    let (ids, live) = (view.ids, view.live);
+    LazyOrder::new(
+        view.bounds
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(i, _)| live[i])
+            .map(|(i, v)| (v, i))
+            .collect(),
+        measure.smaller_is_closer(),
+        move |i| ids[i],
+        counters,
+    )
+}
+
 /// Refines one shard's PIM bound batch into its exact partial top-k.
 ///
 /// The walk is best-bound-first with the planner's usual early exit:
@@ -68,51 +127,9 @@ pub fn refine_resident(
     measure: Measure,
     counters: &mut OpCounters,
 ) -> Result<ShardRefine, MiningError> {
-    let ShardView {
-        rows,
-        ids,
-        live,
-        bounds,
-    } = *view;
-    // This runs on the serving scheduler's pool workers: a malformed
-    // view must fail its batch, not panic the thread.
-    let invalid = |what: String| Err(MiningError::InvalidArgument { what });
-    if k == 0 {
-        return invalid("k must be at least 1".into());
-    }
-    for (column, len) in [
-        ("ids", ids.len()),
-        ("live", live.len()),
-        ("bounds", bounds.len()),
-    ] {
-        if len != rows.len() {
-            return invalid(format!(
-                "{column} must parallel rows: {len} entries for {} rows",
-                rows.len()
-            ));
-        }
-    }
-    if query.len() != rows.dim() {
-        return invalid(format!(
-            "query has {} dimensions, the shard's rows have {}",
-            query.len(),
-            rows.dim()
-        ));
-    }
-
-    // Best-bound-first over live slots; tombstones never surface.
-    let order = LazyOrder::new(
-        bounds
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|&(i, _)| live[i])
-            .map(|(i, v)| (v, i))
-            .collect(),
-        measure.smaller_is_closer(),
-        |i| ids[i],
-        counters,
-    );
+    check(view, query, k)?;
+    let (rows, ids) = (view.rows, view.ids);
+    let order = live_order(view, measure, counters);
     let walked = walk(order, &[], |i| rows.row(i), |i| ids[i], query, k, measure)?;
     counters.add(&walked.exact);
     counters.add(&walked.other);
@@ -121,6 +138,138 @@ pub fn refine_resident(
         refined: walked.refined,
         pruned: walked.first_pruned,
     })
+}
+
+/// Rows per worker task of the batch sweep: a fixed block, so what a
+/// block refines never depends on the worker count, and (at 960
+/// dimensions and 8 queries) some tens of microseconds of work a task.
+const SWEEP_ROWS: usize = 64;
+
+/// One query of a coalesced batch: its vector, its `k`, and its own bound
+/// column over the shard's rows (see [`ShardView::bounds`]).
+#[derive(Debug, Clone, Copy)]
+pub struct BatchQuery<'a> {
+    /// The query vector.
+    pub query: &'a [f64],
+    /// Neighbours wanted.
+    pub k: usize,
+    /// PIM bound value per row, for this query.
+    pub bounds: &'a [f64],
+}
+
+/// Refines a coalesced batch against one shard, reading every row once
+/// for the whole batch where [`refine_resident`] per query would fetch
+/// most of the shard per query, in bound order. Two steps:
+///
+/// * **seed** — per query, the walk's own first chunk (its `k`
+///   best-bounded live candidates, ties by id) is evaluated exactly into
+///   the query's pool, whose threshold τ is then frozen;
+/// * **sweep** — the rows in storage order, in fixed `SWEEP_ROWS`
+///   blocks on the pool: a live row is compared with every query whose
+///   bound for it τ does not prune and that did not seed on it, the
+///   Euclidean distance abandoned once it is above τ; hits merge block by
+///   block.
+///
+/// Each answer is bit-identical to [`refine_resident`]'s: the final
+/// threshold is at most τ, so every candidate whose bound could still
+/// matter is evaluated; an abandoned distance is above τ and could not
+/// have entered the pool; and [`TopK`] (ties by id) does not depend on
+/// offer order. `refined` / `pruned` depend on τ and the blocks, never on
+/// the worker count. Counters charge an abandoned distance in full, as the
+/// modeled host (Eq. 1) would pay it.
+///
+/// # Errors
+/// Per query, what [`refine_resident`] would refuse
+/// ([`MiningError::InvalidArgument`]) — the rest of the batch is still
+/// answered; for the batch, [`MiningError::UnsupportedMeasure`].
+pub fn refine_resident_batch(
+    rows: &Dataset,
+    ids: &[usize],
+    live: &[bool],
+    batch: &[BatchQuery<'_>],
+    measure: Measure,
+    counters: &mut OpCounters,
+) -> Result<Vec<Result<ShardRefine, MiningError>>, MiningError> {
+    // Per query its pool — only read while the sweep runs, which is what
+    // freezes τ — and the rows it was seeded on, ascending.
+    let mut seeded = Vec::with_capacity(batch.len());
+    for b in batch {
+        let view = ShardView {
+            rows,
+            ids,
+            live,
+            bounds: b.bounds,
+        };
+        if let Err(e) = check(&view, b.query, b.k) {
+            seeded.push(Err(e));
+            continue;
+        }
+        let mut order = live_order(&view, measure, counters);
+        let mut top = TopK::new(b.k, measure.smaller_is_closer());
+        let mut seeds = Vec::with_capacity(b.k.min(order.len()));
+        for &(_, i) in order.chunk(0..b.k.min(order.len())) {
+            counters.random_fetches += 1;
+            counters.prune_test();
+            top.offer(ids[i], exact_eval(measure, rows.row(i), b.query, counters)?);
+            seeds.push(i);
+        }
+        seeds.sort_unstable();
+        seeded.push(Ok((top, seeds)));
+    }
+
+    // A column that does not parallel the rows has failed every query by
+    // now, and then there is nothing to sweep.
+    let any_ok = seeded.iter().any(Result::is_ok);
+    let n = if any_ok { rows.len() } else { 0 };
+    let blocks = simpim_par::map_chunks(n, SWEEP_ROWS, |block| {
+        let mut hits = Vec::new();
+        let mut swept = vec![0u64; batch.len()];
+        let mut cost = OpCounters::new();
+        for i in block.filter(|&i| live[i]) {
+            for (j, (b, s)) in batch.iter().zip(&seeded).enumerate() {
+                let Ok((top, seeds)) = s else { continue };
+                cost.prune_test();
+                if top.prunable(b.bounds[i]) || seeds.binary_search(&i).is_ok() {
+                    continue;
+                }
+                swept[j] += 1;
+                cost.random_fetches += 1;
+                let tau = top.threshold();
+                if let Some(v) = exact_eval_until(measure, rows.row(i), b.query, tau, &mut cost)? {
+                    hits.push((j, ids[i], v));
+                }
+            }
+        }
+        Ok::<_, MiningError>((hits, swept, cost))
+    });
+    let mut evaluated = vec![0u64; batch.len()];
+    for block in blocks {
+        let (hits, swept, cost) = block?;
+        counters.add(&cost);
+        for (total, n) in evaluated.iter_mut().zip(swept) {
+            *total += n;
+        }
+        for (j, id, v) in hits {
+            counters.prune_test();
+            if let Ok((top, _)) = &mut seeded[j] {
+                top.offer(id, v);
+            }
+        }
+    }
+    let live_rows = live.iter().filter(|&&l| l).count() as u64;
+    let refine = |(top, seeds): (TopK, Vec<usize>), swept| {
+        let refined = seeds.len() as u64 + swept;
+        ShardRefine {
+            neighbors: top.into_sorted(),
+            refined,
+            pruned: live_rows - refined,
+        }
+    };
+    Ok(seeded
+        .into_iter()
+        .zip(evaluated)
+        .map(|(s, swept)| s.map(|s| refine(s, swept)))
+        .collect())
 }
 
 /// Merges per-shard partial top-k pools into the global exact top-k.
@@ -245,6 +394,150 @@ mod tests {
                 other => panic!("{expect}: expected InvalidArgument, got {other:?}"),
             }
             assert_eq!(c, OpCounters::new(), "{expect}: nothing charged");
+        }
+    }
+
+    #[test]
+    fn a_query_the_walk_would_refuse_fails_alone_in_a_batch() {
+        let ds = rows();
+        let (ids, live, zeros) = ([0, 1, 2, 3], [true; 4], [0.0; 4]);
+        let q = [0.45, 0.55];
+        let of = |query, k, bounds| BatchQuery { query, k, bounds };
+        let batch = [
+            of(&q[..], 2, &zeros[..]),
+            of(&q[..], 0, &zeros[..]),
+            of(&q[..1], 2, &zeros[..]),
+            of(&q[..], 2, &zeros[..3]),
+        ];
+        let mut c = OpCounters::new();
+        let out =
+            refine_resident_batch(&ds, &ids, &live, &batch, Measure::EuclideanSq, &mut c).unwrap();
+        let truth = knn_standard(&ds, &q, 2, Measure::EuclideanSq).unwrap();
+        assert_eq!(out[0].as_ref().unwrap().neighbors, truth.neighbors);
+        for (got, expect) in out[1..].iter().zip([
+            "k must be at least 1",
+            "query has 1 dimensions",
+            "bounds must parallel rows",
+        ]) {
+            assert!(
+                matches!(got, Err(MiningError::InvalidArgument { what }) if what.contains(expect)),
+                "{expect}: {got:?}"
+            );
+        }
+        // A column that parallels nothing fails every query, and a measure
+        // float rows do not have fails the batch.
+        let out = refine_resident_batch(
+            &ds,
+            &ids[..3],
+            &live,
+            &batch[..1],
+            Measure::EuclideanSq,
+            &mut c,
+        );
+        assert!(matches!(
+            &out.unwrap()[0],
+            Err(MiningError::InvalidArgument { .. })
+        ));
+        let out = refine_resident_batch(&ds, &ids, &live, &batch[..1], Measure::Hamming, &mut c);
+        assert!(matches!(out, Err(MiningError::UnsupportedMeasure { .. })));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// A batch refined together answers each query exactly as
+        /// `refine_resident` does alone — neighbours bit for bit — for
+        /// Q ∈ {1, 2, 3, 8, 9}, with tombstones, delta rows (bound 0.0),
+        /// all-zero columns, six distinct rows many times over (ties on the
+        /// distance, so the id decides; ids run against the row index, so a
+        /// row swept late often displaces a seed it ties with), `k` from 1 to past
+        /// the live rows, a different `k` per query, valid lower bounds up
+        /// to the distance itself, and rows wide enough (70) that a
+        /// distance can be abandoned mid-row. Per query `refined + pruned`
+        /// is the live rows, and both counts are the same at 1, 2 and 8
+        /// workers. Sweeping a seed a second time, abandoning at `≥`, or
+        /// sweeping a tombstone breaks it.
+        #[test]
+        fn batch_refine_matches_single_refines(
+            cells in proptest::prop::collection::vec(
+                (0u32..2, 0u32..3, 0u32..8, 0u32..5),
+                1..=160,
+            ),
+            q_choice in 0usize..5,
+            queries in proptest::prop::collection::vec(
+                (0u32..9, 0u32..9, 0usize..5, 0u32..4),
+                9,
+            ),
+        ) {
+            let n = cells.len();
+            let wide = |x: f64, y: f64| -> Vec<f64> {
+                (0..70).map(|t| if t % 3 == 0 { x } else { y }).collect()
+            };
+            let rows = Dataset::from_rows(
+                &cells
+                    .iter()
+                    .map(|c| wide(0.1 + f64::from(c.0) * 0.5, 0.1 + f64::from(c.1) * 0.25))
+                    .collect::<Vec<_>>(),
+            )
+            .unwrap();
+            let ids: Vec<usize> = (0..n).map(|i| 10_000 - i).collect();
+            // One slot in eight is a tombstone.
+            let live: Vec<bool> = cells.iter().map(|c| c.2 != 0).collect();
+            let live_rows = live.iter().filter(|&&l| l).count() as u64;
+            let q_count = [1, 2, 3, 8, 9][q_choice];
+            let qs: Vec<Vec<f64>> = queries[..q_count]
+                .iter()
+                .map(|q| wide(f64::from(q.0) * 0.125, f64::from(q.1) * 0.125))
+                .collect();
+            let ks: Vec<usize> = queries[..q_count]
+                .iter()
+                .map(|q| [1, 3, 10, n, n + 5][q.2])
+                .collect();
+            // Row i's bound for query j: 0, ¼, ½, ¾ or all of the distance
+            // (0 is a delta row); every fourth query has an all-zero column.
+            let columns: Vec<Vec<f64>> = (0..q_count)
+                .map(|j| {
+                    (0..n)
+                        .map(|i| {
+                            let frac = (cells[i].3 + j as u32) % 5;
+                            let zero = queries[j].3 == 0;
+                            if zero { 0.0 } else {
+                                f64::from(frac) * 0.25
+                                    * simpim_similarity::measures::euclidean_sq(rows.row(i), &qs[j])
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let batch: Vec<BatchQuery<'_>> = (0..q_count)
+                .map(|j| BatchQuery { query: &qs[j], k: ks[j], bounds: &columns[j] })
+                .collect();
+
+            let mut counts: Option<Vec<(u64, u64)>> = None;
+            for threads in [1usize, 2, 8] {
+                simpim_par::with_threads(threads, || {
+                    let mut c = OpCounters::new();
+                    let got = refine_resident_batch(
+                        &rows, &ids, &live, &batch, Measure::EuclideanSq, &mut c,
+                    )
+                    .unwrap();
+                    assert_eq!(got.len(), q_count);
+                    for (j, got) in got.iter().enumerate() {
+                        let got = got.as_ref().unwrap();
+                        let view = ShardView { rows: &rows, ids: &ids, live: &live, bounds: &columns[j] };
+                        let alone =
+                            refine_resident(&view, &qs[j], ks[j], Measure::EuclideanSq, &mut c).unwrap();
+                        let bits = |r: &ShardRefine| -> Vec<(usize, u64)> {
+                            r.neighbors.iter().map(|&(id, v)| (id, v.to_bits())).collect()
+                        };
+                        assert_eq!(bits(got), bits(&alone), "query {j} of {q_count}, {threads} threads");
+                        assert_eq!(got.refined + got.pruned, live_rows, "query {j}: every live row counted once");
+                    }
+                    let these: Vec<(u64, u64)> =
+                        got.iter().flatten().map(|r| (r.refined, r.pruned)).collect();
+                    assert_eq!(counts.get_or_insert_with(|| these.clone()), &these, "{threads} threads");
+                });
+            }
         }
     }
 

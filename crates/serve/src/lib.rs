@@ -27,7 +27,8 @@
 //!   queue in front of a scheduler thread that coalesces up to `Q`
 //!   in-flight queries into a single crossbar pass per shard (amortizing
 //!   the programming cost that dominates single-query latency), then
-//!   refines per query on the host with the usual bound cascade.
+//!   refines the batch together on the host: one sweep of a shard's rows
+//!   for all of its queries (a single query keeps the bound-ordered walk).
 //! - **Exactness**: every answer is bit-identical to what the offline
 //!   `mining::knn` would return on the same live rows. Bounds stay
 //!   valid under drift (guard-band) and quarantine (host fallback), the

@@ -45,7 +45,7 @@
 use simpim_core::executor::{ExecutorConfig, PimExecutor};
 use simpim_core::{CoreError, ResidentBuilder};
 use simpim_datasets::DEFAULT_BLOCK_ROWS;
-use simpim_mining::knn::resident::{refine_resident, ShardView};
+use simpim_mining::knn::resident::{refine_resident, refine_resident_batch, BatchQuery, ShardView};
 use simpim_similarity::{Dataset, Measure};
 use simpim_simkit::OpCounters;
 
@@ -225,40 +225,87 @@ impl ShardMirror {
 
     /// Exact host-side answers over every live row, ignoring crossbars
     /// entirely — the one degraded / shed / lost-bank fallback. No row
-    /// carries a bound (the all-`0.0` vector is filled once for the whole
+    /// carries a bound (one all-`0.0` column serves every query of the
     /// batch), so every live row is refined exactly: bit-identical to the
-    /// PIM path by the refinement's exactness argument.
+    /// PIM path by the refinement's exactness argument. A `ks` that does
+    /// not parallel `queries` fails every query of the batch.
     pub fn host_batch(
         &self,
         queries: &[Vec<f64>],
         ks: &[usize],
     ) -> Vec<Result<Vec<Neighbor>, ServeError>> {
+        if let Err(e) = check_ks(queries, ks) {
+            return vec![Err(e); queries.len()];
+        }
         let zeros = vec![0.0; self.rows.len()];
-        queries
+        let batch: Vec<BatchQuery<'_>> = queries
             .iter()
             .zip(ks)
-            .map(|(q, &k)| self.refine(q, k, &zeros))
-            .collect()
+            .map(|(query, &k)| BatchQuery {
+                query,
+                k,
+                bounds: &zeros,
+            })
+            .collect();
+        self.refine_batch(&batch)
     }
 
-    /// Refines one query given per-mirror-row bound values (`0.0` =
-    /// no bound, refine exactly). Tombstones never surface.
-    fn refine(&self, query: &[f64], k: usize, bounds: &[f64]) -> Result<Vec<Neighbor>, ServeError> {
+    /// Refines a batch, each query with its own column of per-mirror-row
+    /// bound values (`0.0` = no bound, refine exactly). Tombstones never
+    /// surface. A batch goes down in one call, its rows read once for all
+    /// of it; a query that is invalid on its own fails alone.
+    ///
+    /// A batch of one keeps the single-query walk — a fork, on purpose
+    /// (DESIGN.md §16): the benchmark's traced replay times exactly that
+    /// walk against a plain distance over the rows it refined.
+    fn refine_batch(&self, batch: &[BatchQuery<'_>]) -> Vec<Result<Vec<Neighbor>, ServeError>> {
+        let started = std::time::Instant::now();
         let mut counters = OpCounters::new();
-        let out = refine_resident(
-            &ShardView {
-                rows: &self.rows,
-                ids: &self.ids,
-                live: &self.live,
-                bounds,
-            },
-            query,
-            k,
-            Measure::EuclideanSq,
-            &mut counters,
-        )?;
-        Ok(out.neighbors)
+        let (rows, ids, live) = (&self.rows, &self.ids[..], &self.live[..]);
+        let measure = Measure::EuclideanSq;
+        let refined = if let [one] = batch {
+            let view = ShardView {
+                rows,
+                ids,
+                live,
+                bounds: one.bounds,
+            };
+            vec![refine_resident(
+                &view,
+                one.query,
+                one.k,
+                measure,
+                &mut counters,
+            )]
+        } else {
+            refine_resident_batch(rows, ids, live, batch, measure, &mut counters)
+                .unwrap_or_else(|e| vec![Err(e); batch.len()])
+        };
+        let (mut evaluated, mut pruned) = (0, 0);
+        for r in refined.iter().flatten() {
+            evaluated += r.refined;
+            pruned += r.pruned;
+        }
+        simpim_obs::metrics::counter_add("simpim.serve.refined", evaluated);
+        simpim_obs::metrics::counter_add("simpim.serve.pruned", pruned);
+        simpim_obs::metrics::histogram_record(
+            "simpim.serve.shard.refine_ns",
+            started.elapsed().as_nanos() as u64,
+        );
+        refined.into_iter().map(|r| Ok(r?.neighbors)).collect()
     }
+}
+
+/// A coalesced batch carries one `k` per query.
+fn check_ks(queries: &[Vec<f64>], ks: &[usize]) -> Result<(), ServeError> {
+    if queries.len() == ks.len() {
+        return Ok(());
+    }
+    Err(ServeError::invalid(format!(
+        "ks must parallel queries: {} ks for {} queries",
+        ks.len(),
+        queries.len()
+    )))
 }
 
 /// One bank's programmed state over a [`ShardMirror`]: the executor and
@@ -343,8 +390,9 @@ impl Residency {
     }
 
     /// Serves a coalesced batch through this bank: one PIM bound pass,
-    /// bounds scattered into mirror order (rows without one — the delta
-    /// — get `0.0` and are refined exactly), then exact host refinement.
+    /// a bound column per query scattered into mirror order (rows without
+    /// a bound — the delta — get `0.0` and are refined exactly), then one
+    /// exact host refinement of the whole batch.
     /// Whole-bank loss surfaces as the outer `Err` for failover, a `ks`
     /// that does not parallel `queries` as an outer
     /// [`ServeError::InvalidArgument`]; every *recoverable* PIM failure
@@ -356,40 +404,36 @@ impl Residency {
         ks: &[usize],
         parent: simpim_obs::TraceCtx,
     ) -> Result<Vec<Result<Vec<Neighbor>, ServeError>>, ServeError> {
-        if queries.len() != ks.len() {
-            // Runs on a pool worker: fail this batch, never the thread.
-            return Err(ServeError::invalid(format!(
-                "ks must parallel queries: {} ks for {} queries",
-                ks.len(),
-                queries.len()
-            )));
-        }
+        // Runs on a pool worker: fail this batch, never the thread.
+        check_ks(queries, ks)?;
         match self.exec.lb_ed_batch_multi(queries, parent) {
             Ok(batches) => {
                 let mut pass_ns = 0.0;
-                // Zero-filled once for the whole batch: every query's
-                // scatter overwrites exactly the `order` slots, and the
-                // rest — the delta rows — must read `0.0` (refine
-                // exactly) and are never written.
-                let mut scattered = vec![0.0; mirror.len()];
-                let out = queries
-                    .iter()
-                    .zip(ks)
-                    .zip(&batches)
-                    .map(|((q, &k), batch)| {
-                        pass_ns += batch.timing.total_ns();
-                        debug_assert_eq!(batch.values.len(), self.order.len());
-                        for (j, &idx) in self.order.iter().enumerate() {
-                            scattered[idx] = batch.values[j];
-                        }
-                        mirror.refine(q, k, &scattered)
-                    })
-                    .collect();
+                // One zero-filled column a query: its scatter overwrites
+                // exactly the `order` slots, and the rest — the delta
+                // rows — must read `0.0` (refine exactly).
+                let n = mirror.len();
+                let mut scattered = vec![0.0; n * batches.len()];
+                for (j, batch) in batches.iter().enumerate() {
+                    pass_ns += batch.timing.total_ns();
+                    debug_assert_eq!(batch.values.len(), self.order.len());
+                    let column = &mut scattered[j * n..][..n];
+                    for (&idx, &bound) in self.order.iter().zip(&batch.values) {
+                        column[idx] = bound;
+                    }
+                }
                 simpim_obs::metrics::histogram_record(
                     "simpim.serve.shard.pim_pass_ns",
                     pass_ns as u64,
                 );
-                Ok(out)
+                let batch: Vec<BatchQuery<'_>> = (queries.iter().zip(ks).enumerate())
+                    .map(|(j, (query, &k))| BatchQuery {
+                        query,
+                        k,
+                        bounds: &scattered[j * n..][..n],
+                    })
+                    .collect();
+                Ok(mirror.refine_batch(&batch))
             }
             Err(e) => {
                 let e = ServeError::from(e);
@@ -565,7 +609,7 @@ impl Shard {
     }
 
     /// Serves a coalesced batch of queries ([`ReplicaSet::query_batch`],
-    /// untraced): one PIM bound pass and per-query host refinement, or
+    /// untraced): one PIM bound pass and one host refinement of the batch, or
     /// the exact host mirror when the bank is lost or the pass sheds —
     /// results are identical either way.
     pub fn query_batch(

@@ -56,6 +56,14 @@ pub fn euclidean_sq(p: &[f64], q: &[f64]) -> f64 {
     simpim_kern::euclidean_sq(p, q)
 }
 
+/// [`euclidean_sq`] that abandons a hopeless candidate: `Some` of the
+/// same bits unless the distance is above `limit`, otherwise `None` as
+/// soon as a partial sum shows it (`simpim_kern::euclidean_sq_until`).
+#[inline]
+pub fn euclidean_sq_until(p: &[f64], q: &[f64], limit: f64) -> Option<f64> {
+    simpim_kern::euclidean_sq_until(p, q, limit)
+}
+
 /// Sequential reference form of [`euclidean_sq`]: one running sum in
 /// element order, kept as the equivalence-test ground truth.
 #[inline]

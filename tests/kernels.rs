@@ -336,6 +336,90 @@ proptest! {
     }
 }
 
+/// `euclidean_sq_until` is `euclidean_sq` or a proof that it is above
+/// the limit, and the same of the two on every tier: lengths 0..=200 and
+/// 960 (whole strides, ragged strides, ragged blocks), five alignments,
+/// limits far below, one ulp below, at, one ulp above and far above the
+/// true distance, and `+∞`. `Some` carries the canonical bits and is not
+/// above the limit; `None` means the distance is. With a NaN operand the
+/// distance is NaN, which no limit is below: the tiers still agree, and a
+/// finished sum comes back as `Some(NaN)`.
+#[test]
+fn euclidean_sq_until_is_exact_or_above_limit_on_every_backend() {
+    let _g = lock();
+    let mut s = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        (s >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let a: Vec<f64> = (0..964).map(|_| next()).collect();
+    let b: Vec<f64> = (0..964).map(|_| next()).collect();
+    let on_every_tier = |p: &[f64], q: &[f64], limit: f64| -> Option<f64> {
+        let want = scalar::euclidean_sq_until(p, q, limit);
+        for backend in supported_backends() {
+            let got = kern::with_backend(backend, || kern::euclidean_sq_until(p, q, limit));
+            let what = format!("{} len {} limit {limit:e}", backend.name(), p.len());
+            assert_eq!(got.is_some(), want.is_some(), "{what}");
+            if let (Some(got), Some(want)) = (got, want) {
+                assert_bits(got, want, &what);
+            }
+        }
+        want
+    };
+    for len in (0..=200).chain([960]) {
+        for offset in 0..5 {
+            let (p, q) = (&a[offset..offset + len], &b[offset..offset + len]);
+            let full = scalar::euclidean_sq(p, q);
+            let below = if full > 0.0 {
+                f64::from_bits(full.to_bits() - 1)
+            } else {
+                -1.0
+            };
+            let above = f64::from_bits(full.to_bits() + 1);
+            for limit in [
+                full * 0.1 - 1e-9,
+                below,
+                full,
+                above,
+                full * 2.0 + 1.0,
+                f64::INFINITY,
+            ] {
+                match on_every_tier(p, q, limit) {
+                    Some(got) => {
+                        assert_eq!(got.to_bits(), full.to_bits(), "len {len} limit {limit:e}");
+                        assert!(full <= limit, "len {len}: {full:e} is above {limit:e}");
+                    }
+                    None => assert!(full > limit, "len {len}: {full:e} abandoned at {limit:e}"),
+                }
+            }
+        }
+    }
+    // A NaN first, in the second stride, and last in a ragged tail.
+    for at in [0, 70, 198] {
+        let mut p = a[..199].to_vec();
+        p[at] = f64::NAN;
+        let q = &b[..199];
+        assert!(scalar::euclidean_sq(&p, q).is_nan());
+        let finished = on_every_tier(&p, q, f64::INFINITY);
+        assert!(
+            finished.is_some_and(f64::is_nan),
+            "NaN at {at}: {finished:?}"
+        );
+        for limit in [0.0, 1.0, 30.0] {
+            let got = on_every_tier(&p, q, limit);
+            assert!(got.is_none_or(f64::is_nan), "NaN at {at}: {got:?}");
+        }
+        if at == 0 {
+            assert!(
+                on_every_tier(&p, q, 0.0).is_some(),
+                "a NaN lane is never above a limit"
+            );
+        }
+    }
+}
+
 /// `SIMPIM_KERNEL` accepts exactly auto|scalar|sse2|avx2|neon (any
 /// case), maps `auto`/empty to detection, and rejects everything else —
 /// the contract the CI determinism job leans on when it runs the sweep

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use simpim::core::executor::ExecutorConfig;
 use simpim::mining::knn::standard::knn_standard;
 use simpim::reram::{CrossbarConfig, FaultConfig, PimConfig};
-use simpim::serve::{ReplicaSet, ServeConfig, ServeEngine, ServeError, ShardConfig};
+use simpim::serve::{ReplicaSet, ServeConfig, ServeEngine, ServeError, Shard, ShardConfig};
 use simpim::similarity::{Dataset, Measure};
 
 /// A small platform that fits the tiny proptest datasets quickly.
@@ -242,6 +242,99 @@ proptest! {
         for q in &queries {
             prop_assert_eq!(engine.knn(q, k).unwrap(), offline_truth(&live, q, k));
         }
+    }
+}
+
+// A coalesced batch refines together — one sweep of a shard's rows for
+// all of its queries. Eight different queries in one `knn_batch`, over an
+// engine whose shards hold delta rows (inserts past the spare rows) and
+// tombstones and one of which has lost its only bank (so it answers from
+// the host mirror, the batch refinement's other caller), must each equal
+// the offline scan of the live rows.
+#[test]
+fn a_batch_of_eight_over_delta_tombstones_and_a_dead_bank_matches_offline_scan() {
+    let (n, d, k) = (40, 6, 5);
+    let cell = |i: usize, j: usize| ((i * 37 + j * 11 + (i * j) % 7) % 101) as f64 / 100.0;
+    let rows: Vec<Vec<f64>> = (0..n)
+        .map(|i| (0..d).map(|j| cell(i, j)).collect())
+        .collect();
+    let mut cfg = serve_cfg(2, None);
+    cfg.max_batch = 8;
+    let engine = ServeEngine::open(cfg, &Dataset::from_rows(&rows).unwrap()).unwrap();
+    let mut live: Vec<(usize, Vec<f64>)> = rows.iter().cloned().enumerate().collect();
+    // Twelve inserts against four spare rows a shard: some stay delta.
+    for i in n..n + 12 {
+        let row: Vec<f64> = (0..d).map(|j| cell(i, j + 3)).collect();
+        assert_eq!(engine.insert(&row).unwrap(), i);
+        live.push((i, row));
+    }
+    for id in [3, 17, 30, 44] {
+        assert!(engine.delete(id).unwrap());
+        live.retain(|(i, _)| *i != id);
+    }
+    engine.kill_bank(1, 0).unwrap();
+    let stats = engine.stats().unwrap();
+    assert!(stats.shards.iter().any(|s| s.replicas[0].delta > 0));
+    assert!(stats.shards.iter().any(|s| s.replicas[0].tombstones > 0));
+
+    let queries: Vec<Vec<f64>> = (0..8)
+        .map(|q| (0..d).map(|j| cell(q * 5 + 1, j + 1)).collect())
+        .collect();
+    let got = engine.knn_batch(&queries, k).unwrap();
+    for (q, got) in queries.iter().zip(&got) {
+        assert_eq!(got, &offline_truth(&live, q, k));
+    }
+    let stats = engine.stats().unwrap();
+    assert!(
+        stats.failovers >= 1 && stats.degraded_queries >= 1,
+        "shard 1 must have answered from the host mirror: {stats:?}"
+    );
+}
+
+// One bad query of a batch fails alone, with the error it would get on
+// its own; the rest of the batch is answered. On the crossbar path and on
+// the host path (bank lost) alike.
+#[test]
+fn a_query_with_k_zero_fails_alone_in_a_shard_batch() {
+    let rows: Vec<Vec<f64>> = (0..12)
+        .map(|i| {
+            (0..4)
+                .map(|j| ((i * 29 + j * 13) % 53) as f64 / 52.0)
+                .collect()
+        })
+        .collect();
+    let cfg = ShardConfig {
+        executor: exec_cfg(None),
+        spare_rows: 2,
+        ..Default::default()
+    };
+    let data = Dataset::from_rows(&rows).unwrap();
+    let mut shard = Shard::open(cfg, data, (0..12).collect()).unwrap();
+    let live: Vec<(usize, Vec<f64>)> = rows.iter().cloned().enumerate().collect();
+    let queries = vec![rows[2].clone(), rows[5].clone(), rows[9].clone()];
+    for bank_lost in [false, true] {
+        if bank_lost {
+            shard.kill_bank();
+        }
+        let got = shard.query_batch(&queries, &[3, 0, 2]);
+        assert_eq!(got.len(), 3);
+        assert_eq!(got[0], Ok(offline_truth(&live, &queries[0], 3)));
+        assert!(
+            matches!(&got[1], Err(ServeError::Mining(e)) if e.to_string().contains("k must be at least 1")),
+            "bank lost: {bank_lost}: {:?}",
+            got[1]
+        );
+        assert_eq!(got[2], Ok(offline_truth(&live, &queries[2], 2)));
+    }
+    // A `ks` that does not parallel the queries fails all of them, on the
+    // host path too (it used to answer the shorter prefix).
+    let got = shard.query_batch(&queries, &[3, 2]);
+    assert_eq!(got.len(), 3);
+    for r in &got {
+        assert!(
+            matches!(r, Err(ServeError::InvalidArgument { what }) if what.contains("2 ks for 3 queries")),
+            "{r:?}"
+        );
     }
 }
 
