@@ -1165,12 +1165,6 @@ impl PimExecutor {
         }
         Ok(spare)
     }
-
-    /// Number of objects currently resident (initial rows + appends).
-    pub fn resident_len(&self) -> Result<usize, CoreError> {
-        let (n, _, _) = self.bank.pim().region_shape(self.prepared.regions()[0])?;
-        Ok(n)
-    }
 }
 
 /// The constructor of every ED-family executor
@@ -1962,12 +1956,13 @@ mod tests {
             .append_row(&[0.9, 0.1, 0.8, 0.2, 0.7, 0.3, 0.6, 0.4])
             .unwrap();
         assert_eq!(idx, 2);
-        assert_eq!(resident.resident_len().unwrap(), 3);
         assert_eq!(resident.spare_capacity().unwrap(), 0);
         assert!(resident.bank().pim().total_cell_writes() > wear_before);
         let q = [0.4, 0.3, 0.9, 0.1, 0.6, 0.2, 0.55, 0.45];
         let a = offline.lb_ed_batch(&q).unwrap();
         let b = resident.lb_ed_batch(&q).unwrap();
+        // One bound per resident object: the initial rows and the append.
+        assert_eq!(b.values.len(), 3);
         assert_eq!(a.values, b.values);
         // Exhausted spares reject further appends.
         assert!(resident.append_row(&[0.5; 8]).is_err());

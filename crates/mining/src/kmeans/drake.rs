@@ -5,7 +5,8 @@
 //! one aggregate lower bound for all remaining centers. Points whose upper
 //! bound undercuts every tracked bound are settled without any distance
 //! computation; a violated aggregate bound forces a full rescan that
-//! rebuilds the tracked set. This implementation fixes `b = ⌈k/4⌉`
+//! rebuilds the tracked set — the shared full scan, which also seeds every
+//! point in the first assign step. This implementation fixes `b = ⌈k/4⌉`
 //! (Drake's starting value; the original paper adapts `b` downward —
 //! noted as a simplification in DESIGN.md).
 //!
@@ -17,150 +18,120 @@ use simpim_simkit::OpCounters;
 
 use crate::error::MiningError;
 use crate::kmeans::pim::PimAssist;
-use crate::kmeans::{
-    center_drifts, check_k, exact_dist, finish, init_centers, record_iteration, update_centers,
-    KmeansConfig, KmeansResult,
-};
-use crate::report::{Architecture, RunReport};
+use crate::kmeans::{run, KmeansConfig, KmeansResult, Rule, Scan};
 
-/// Per-point Drake state: assigned center, upper bound, the `b` tracked
+/// Drake's rule: `b` centres tracked per point.
+struct Drake {
+    b: usize,
+}
+
+/// One point's bounds: `ub` on its own centre, the `b` tracked
 /// `(center, lower bound)` pairs sorted by bound, and the aggregate bound
 /// for the untracked rest.
-#[derive(Debug, Clone)]
-struct PointState {
-    assigned: usize,
+#[derive(Clone)]
+struct Tracked {
     ub: f64,
     tracked: Vec<(usize, f64)>,
     lb_rest: f64,
 }
 
-/// Fully rescans one point: exact distances (PIM-filtered when available)
-/// to every center, rebuilding the tracked set.
-#[allow(clippy::too_many_arguments)]
-fn rescan(
-    i: usize,
-    row: &[f64],
-    centers: &[Vec<f64>],
-    b: usize,
-    pim: Option<&PimAssist<'_>>,
-    ed: &mut OpCounters,
-    other: &mut OpCounters,
-    state: &mut PointState,
-) {
-    let k = centers.len();
-    // (bound-or-distance, center, is_exact): PIM-skipped centers carry
-    // their lower bound, which is valid for tracked/rest bounds.
-    let mut entries: Vec<(f64, usize)> = Vec::with_capacity(k);
-    let mut best = f64::INFINITY;
-    let mut best_c = usize::MAX;
-    for (c, center) in centers.iter().enumerate() {
-        let value = if let Some(assist) = pim {
-            other.prune_test();
-            let lb_pim = assist.lb_dist(i, c);
-            if best_c != usize::MAX && lb_pim >= best {
-                lb_pim
-            } else {
-                let dist = exact_dist(row, center, ed);
-                other.prune_test();
-                if dist < best {
-                    best = dist;
-                    best_c = c;
-                }
-                dist
-            }
-        } else {
-            let dist = exact_dist(row, center, ed);
-            other.prune_test();
-            if dist < best {
-                best = dist;
-                best_c = c;
-            }
-            dist
-        };
-        entries.push((value, c));
-    }
-    // best_c's entry is its exact distance; order the rest by bound.
-    entries.retain(|&(_, c)| c != best_c);
-    entries.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    other.cmp += (k as f64 * (k as f64).log2().max(1.0)) as u64; // sort cost
-    state.assigned = best_c;
-    state.ub = best;
-    state.tracked = entries
-        .iter()
-        .take(b)
-        .copied()
-        .map(|(v, c)| (c, v))
-        .collect();
-    state.lb_rest = entries.get(b).map(|&(v, _)| v).unwrap_or(f64::INFINITY);
+/// The order of a tracked set: by bound, then by centre.
+fn by_bound(x: &(usize, f64), y: &(usize, f64)) -> std::cmp::Ordering {
+    x.1.total_cmp(&y.1).then(x.0.cmp(&y.0))
 }
 
-/// One point's Drake assign step: settle on bounds when possible,
-/// otherwise tighten / rescan. Mutates only `state` (plus the per-chunk
-/// counters), which is what makes the chunked parallel assign safe.
-#[allow(clippy::too_many_arguments)]
-fn assign_point(
-    i: usize,
-    row: &[f64],
-    centers: &[Vec<f64>],
-    b: usize,
-    pim: Option<&PimAssist<'_>>,
-    ed: &mut OpCounters,
-    other: &mut OpCounters,
-    changed: &mut u64,
-    st: &mut PointState,
-) {
-    let first_lb = st.tracked.first().map(|&(_, v)| v).unwrap_or(st.lb_rest);
-    other.prune_test();
-    if st.ub <= first_lb.min(st.lb_rest) {
-        return; // settled without any distance
-    }
-    // Tighten the upper bound.
-    st.ub = exact_dist(row, &centers[st.assigned], ed);
-    other.prune_test();
-    if st.ub <= first_lb.min(st.lb_rest) {
-        return;
-    }
-    if st.lb_rest < st.ub {
-        // Aggregate bound violated: rebuild from scratch.
-        let old = st.assigned;
-        rescan(i, row, centers, b, pim, ed, other, st);
-        if st.assigned != old {
-            *changed += 1;
+impl Rule for Drake {
+    const NAME: &'static str = "drake";
+    const SPAN: &'static str = "mining.kmeans.drake.iteration";
+    type Point = Tracked;
+
+    fn point(&self) -> Tracked {
+        Tracked {
+            ub: f64::INFINITY,
+            tracked: Vec::new(),
+            lb_rest: 0.0,
         }
-        return;
     }
-    // Scan tracked centers in bound order.
-    let old = st.assigned;
-    for t in 0..st.tracked.len() {
-        let (c, lbv) = st.tracked[t];
-        other.prune_test();
-        if lbv >= st.ub {
-            break; // sorted: the rest cannot win either
+
+    /// The full rescan: every centre's distance or bound, the nearest
+    /// assigned and the next `b` tracked.
+    fn seed(&self, scan: &mut Scan<'_>, i: usize, a: &mut usize, p: &mut Tracked) {
+        let k = scan.centers.len();
+        let mut values = vec![0.0f64; k];
+        (*a, p.ub) = scan.nearest(i, &mut values);
+        let mut rest: Vec<(usize, f64)> = values
+            .into_iter()
+            .enumerate()
+            .filter(|&(c, _)| c != *a)
+            .collect();
+        rest.sort_by(by_bound);
+        scan.other.cmp += (k as f64 * (k as f64).log2().max(1.0)) as u64; // sort cost
+        p.lb_rest = rest.get(self.b).map_or(f64::INFINITY, |&(_, v)| v);
+        rest.truncate(self.b);
+        p.tracked = rest;
+    }
+
+    fn assign(&self, scan: &mut Scan<'_>, i: usize, a: &mut usize, p: &mut Tracked) {
+        let first_lb = p.tracked.first().map_or(p.lb_rest, |&(_, v)| v);
+        scan.other.prune_test();
+        if p.ub <= first_lb.min(p.lb_rest) {
+            return; // settled without any distance
         }
-        if let Some(assist) = pim {
-            other.prune_test();
-            let lb_pim = assist.lb_dist(i, c);
-            if lb_pim >= st.ub {
-                st.tracked[t].1 = lbv.max(lb_pim);
+        // Tighten the upper bound.
+        p.ub = scan.dist(i, *a);
+        scan.other.prune_test();
+        if p.ub <= first_lb.min(p.lb_rest) {
+            return;
+        }
+        if p.lb_rest < p.ub {
+            // Aggregate bound violated: rebuild from scratch.
+            self.seed(scan, i, a, p);
+            return;
+        }
+        // Scan tracked centers in bound order.
+        for t in 0..p.tracked.len() {
+            let (c, lbv) = p.tracked[t];
+            scan.other.prune_test();
+            if lbv >= p.ub {
+                break; // sorted: the rest cannot win either
+            }
+            if let Some(lb_pim) = scan.pim_prunes(i, c, p.ub) {
+                p.tracked[t].1 = lbv.max(lb_pim);
                 continue;
             }
+            let dist = scan.dist(i, c);
+            scan.other.prune_test();
+            if dist < p.ub {
+                // Swap: the old assignment joins the tracked set.
+                p.tracked[t] = (*a, p.ub);
+                (*a, p.ub) = (c, dist);
+            } else {
+                p.tracked[t].1 = dist;
+            }
         }
-        let dist = exact_dist(row, &centers[c], ed);
-        other.prune_test();
-        if dist < st.ub {
-            // Swap: the old assignment joins the tracked set.
-            let (old_a, old_ub) = (st.assigned, st.ub);
-            st.assigned = c;
-            st.ub = dist;
-            st.tracked[t] = (old_a, old_ub);
-        } else {
-            st.tracked[t].1 = dist;
-        }
+        p.tracked.sort_by(by_bound);
     }
-    st.tracked
-        .sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    if st.assigned != old {
-        *changed += 1;
+
+    fn shift(
+        &self,
+        drifts: &[f64],
+        assign: &[usize],
+        points: &mut [Tracked],
+        counters: &mut OpCounters,
+    ) {
+        let max_drift = drifts.iter().copied().fold(0.0f64, f64::max);
+        for (p, &a) in points.iter_mut().zip(assign) {
+            p.ub += drifts[a];
+            for (c, lbv) in &mut p.tracked {
+                *lbv = (*lbv - drifts[*c]).max(0.0);
+            }
+            p.tracked.sort_by(by_bound);
+            p.lb_rest = (p.lb_rest - max_drift).max(0.0);
+        }
+        let (n, b) = (points.len(), self.b);
+        counters.arith += (n * (b + 2)) as u64;
+        counters.stream((n * b) as u64 * 16);
+        counters.write((n * b) as u64 * 8);
     }
 }
 
@@ -168,142 +139,14 @@ fn assign_point(
 pub fn kmeans_drake(
     dataset: &Dataset,
     cfg: &KmeansConfig,
-    mut pim: Option<&mut PimAssist<'_>>,
+    pim: Option<&mut PimAssist<'_>>,
 ) -> Result<KmeansResult, MiningError> {
-    check_k(cfg.k, dataset.len())?;
-    let arch = if pim.is_some() {
-        Architecture::ReRamPim
-    } else {
-        Architecture::ConventionalDram
-    };
-    let mut report = RunReport::new(arch);
-    let k = cfg.k;
-    let n = dataset.len();
-    let b = k.div_ceil(4).max(1).min(k.saturating_sub(1).max(1));
-    let mut centers = init_centers(dataset, k, cfg.seed);
-
-    // Initial full pass.
-    let mut states: Vec<PointState> = Vec::with_capacity(n);
-    {
-        if let Some(assist) = pim.as_deref_mut() {
-            assist.refresh(&centers, &mut report)?;
+    run(dataset, cfg, pim, |centers, _| {
+        let k = centers.len();
+        Drake {
+            b: k.div_ceil(4).max(1).min(k.saturating_sub(1).max(1)),
         }
-        let mut ed = OpCounters::new();
-        let mut other = OpCounters::new();
-        for (i, row) in dataset.rows().enumerate() {
-            let mut st = PointState {
-                assigned: 0,
-                ub: f64::INFINITY,
-                tracked: Vec::new(),
-                lb_rest: 0.0,
-            };
-            rescan(
-                i,
-                row,
-                &centers,
-                b,
-                pim.as_deref(),
-                &mut ed,
-                &mut other,
-                &mut st,
-            );
-            states.push(st);
-        }
-        report.profile.record("ED", ed);
-        report.profile.record("other", other);
-    }
-
-    let mut iterations = 1;
-    for _ in 1..cfg.max_iters {
-        let mut iter_span = simpim_obs::span!(
-            "mining.kmeans.drake.iteration",
-            iter = iterations as u64 + 1
-        );
-        let assignments: Vec<usize> = states.iter().map(|s| s.assigned).collect();
-        let mut upd = OpCounters::new();
-        let new_centers = update_centers(dataset, &assignments, &centers, &mut upd);
-        report.profile.record("other", upd);
-
-        // Bound maintenance under drift.
-        let mut bound_upd = OpCounters::new();
-        let drifts = center_drifts(&centers, &new_centers, &mut bound_upd);
-        let max_drift = drifts.iter().cloned().fold(0.0f64, f64::max);
-        for st in &mut states {
-            st.ub += drifts[st.assigned];
-            for (c, lbv) in &mut st.tracked {
-                *lbv = (*lbv - drifts[*c]).max(0.0);
-            }
-            st.tracked
-                .sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            st.lb_rest = (st.lb_rest - max_drift).max(0.0);
-        }
-        bound_upd.arith += (n * (b + 2)) as u64;
-        bound_upd.stream((n * b) as u64 * 16);
-        bound_upd.write((n * b) as u64 * 8);
-        report.profile.record("bound update", bound_upd);
-        centers = new_centers;
-
-        if max_drift == 0.0 {
-            break;
-        }
-
-        iterations += 1;
-        if let Some(assist) = pim.as_deref_mut() {
-            assist.refresh(&centers, &mut report)?;
-        }
-
-        // Assign step, parallelized over fixed chunks of the per-point
-        // states (each point touches only `states[i]`); chunk counters
-        // merge in order — bit-identical at any `SIMPIM_THREADS`.
-        let mut ed = OpCounters::new();
-        let mut other = OpCounters::new();
-        let mut changed = 0u64;
-        let assist = pim.as_deref();
-        let centers_ref = &centers;
-        const CH: usize = crate::kmeans::ASSIGN_CHUNK;
-        let jobs: Vec<simpim_par::Job<'_, (OpCounters, OpCounters, u64)>> = states
-            .chunks_mut(CH)
-            .enumerate()
-            .map(|(ci, chunk)| {
-                Box::new(move || {
-                    let mut ed = OpCounters::new();
-                    let mut other = OpCounters::new();
-                    let mut changed = 0u64;
-                    for (j, st) in chunk.iter_mut().enumerate() {
-                        let i = ci * CH + j;
-                        let row = dataset.row(i);
-                        assign_point(
-                            i,
-                            row,
-                            centers_ref,
-                            b,
-                            assist,
-                            &mut ed,
-                            &mut other,
-                            &mut changed,
-                            st,
-                        );
-                    }
-                    (ed, other, changed)
-                }) as simpim_par::Job<'_, _>
-            })
-            .collect();
-        for (chunk_ed, chunk_other, chunk_changed) in simpim_par::join_all(jobs) {
-            ed.add(&chunk_ed);
-            other.add(&chunk_other);
-            changed += chunk_changed;
-        }
-        report.profile.record("ED", ed);
-        report.profile.record("other", other);
-        record_iteration("drake", changed);
-        iter_span.record("reassigned", changed as f64);
-        if changed == 0 {
-            break;
-        }
-    }
-
-    let assignments: Vec<usize> = states.iter().map(|s| s.assigned).collect();
-    Ok(finish(dataset, assignments, centers, iterations, report))
+    })
 }
 
 #[cfg(test)]

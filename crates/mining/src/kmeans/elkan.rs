@@ -7,10 +7,11 @@
 //! * point filter — `ub(i) ≤ ½·min_{c≠a} d(a,c)` proves the assignment;
 //! * center filter — `ub(i) ≤ lb(i,c)` or `ub(i) ≤ ½·d(a,c)` skips `c`.
 //!
-//! After each update step every bound shifts by the center drift. Keeping
-//! `k` lower bounds per point makes the *bound update* pass `O(N·k)` —
-//! the overhead that caps Elkan's PIM-oracle at ~2.2× in the paper
-//! (Fig. 7b): ED is not always Elkan's bottleneck.
+//! The first assign step is the shared full scan, which seeds `ub` and
+//! every `lb`. After each update step every bound shifts by the center
+//! drift. Keeping `k` lower bounds per point makes the *bound update*
+//! pass `O(N·k)` — the overhead that caps Elkan's PIM-oracle at ~2.2× in
+//! the paper (Fig. 7b): ED is not always Elkan's bottleneck.
 //!
 //! With a [`PimAssist`], `LB_PIM-ED` is consulted right before each exact
 //! distance; a skipped computation still yields a valid `lb(i,c)` (the PIM
@@ -21,218 +22,120 @@ use simpim_simkit::OpCounters;
 
 use crate::error::MiningError;
 use crate::kmeans::pim::PimAssist;
-use crate::kmeans::{
-    center_drifts, check_k, exact_dist, finish, init_centers, record_iteration, update_centers,
-    KmeansConfig, KmeansResult,
-};
-use crate::report::{Architecture, RunReport};
+use crate::kmeans::{exact_dist, run, Bounds, KmeansConfig, KmeansResult, Rule, Scan};
+
+/// The centre-centre distances `cc` and the half separations `s(c)` of
+/// the current centres. A point's [`Bounds`] hold `lb[c]` for every
+/// centre `c`.
+struct Elkan {
+    k: usize,
+    cc: Vec<f64>,
+    s: Vec<f64>,
+}
+
+impl Rule for Elkan {
+    const NAME: &'static str = "elkan";
+    const SPAN: &'static str = "mining.kmeans.elkan.iteration";
+    type Point = Bounds;
+
+    fn point(&self) -> Bounds {
+        Bounds {
+            ub: 0.0,
+            lb: vec![0.0; self.k],
+        }
+    }
+
+    fn seed(&self, scan: &mut Scan<'_>, i: usize, a: &mut usize, p: &mut Bounds) {
+        (*a, p.ub) = scan.nearest(i, &mut p.lb);
+    }
+
+    fn assign(&self, scan: &mut Scan<'_>, i: usize, a: &mut usize, p: &mut Bounds) {
+        let k = self.k;
+        scan.other.prune_test();
+        if p.ub <= self.s[*a] {
+            return; // point filter
+        }
+        let mut ub_stale = true;
+        for c in 0..k {
+            if c == *a {
+                continue;
+            }
+            scan.other.prune_test();
+            scan.other.prune_test();
+            if p.ub <= p.lb[c] || p.ub <= 0.5 * self.cc[*a * k + c] {
+                continue; // center filter
+            }
+            if ub_stale {
+                p.ub = scan.dist(i, *a);
+                p.lb[*a] = p.ub;
+                ub_stale = false;
+                scan.other.prune_test();
+                scan.other.prune_test();
+                if p.ub <= p.lb[c] || p.ub <= 0.5 * self.cc[*a * k + c] {
+                    continue;
+                }
+            }
+            if let Some(lb_pim) = scan.pim_prunes(i, c, p.ub) {
+                p.lb[c] = p.lb[c].max(lb_pim);
+                continue; // PIM filter: exact ED avoided
+            }
+            let dist = scan.dist(i, c);
+            p.lb[c] = dist;
+            scan.other.prune_test();
+            if dist < p.ub {
+                (*a, p.ub) = (c, dist);
+            }
+        }
+    }
+
+    fn shift(
+        &self,
+        drifts: &[f64],
+        assign: &[usize],
+        points: &mut [Bounds],
+        counters: &mut OpCounters,
+    ) {
+        for (p, &a) in points.iter_mut().zip(assign) {
+            p.ub += drifts[a];
+            for (lb, drift) in p.lb.iter_mut().zip(drifts) {
+                *lb = (*lb - drift).max(0.0);
+            }
+        }
+        let (n, k) = (points.len(), self.k);
+        counters.arith += (n * (k + 1)) as u64;
+        counters.stream((n * k) as u64 * 8);
+        counters.write((n * k) as u64 * 8);
+    }
+
+    fn prepare(&mut self, centers: &[Vec<f64>], counters: &mut OpCounters) {
+        let k = self.k;
+        self.s = vec![f64::INFINITY; k];
+        for a in 0..k {
+            for b in (a + 1)..k {
+                let dist = exact_dist(&centers[a], &centers[b], counters);
+                self.cc[a * k + b] = dist;
+                self.cc[b * k + a] = dist;
+                self.s[a] = self.s[a].min(dist);
+                self.s[b] = self.s[b].min(dist);
+            }
+        }
+        for v in &mut self.s {
+            *v *= 0.5;
+        }
+    }
+}
 
 /// Runs Elkan's algorithm; pass a [`PimAssist`] for `Elkan-PIM`.
 pub fn kmeans_elkan(
     dataset: &Dataset,
     cfg: &KmeansConfig,
-    mut pim: Option<&mut PimAssist<'_>>,
+    pim: Option<&mut PimAssist<'_>>,
 ) -> Result<KmeansResult, MiningError> {
-    check_k(cfg.k, dataset.len())?;
-    let arch = if pim.is_some() {
-        Architecture::ReRamPim
-    } else {
-        Architecture::ConventionalDram
-    };
-    let mut report = RunReport::new(arch);
-    let k = cfg.k;
-    let n = dataset.len();
-    let mut centers = init_centers(dataset, k, cfg.seed);
-
-    // Initial assignment pass: exact distances seed ub / lb (PIM-filtered
-    // skips still leave valid lower bounds in lb).
-    let mut assignments = vec![0usize; n];
-    let mut ub = vec![0.0f64; n];
-    let mut lb = vec![0.0f64; n * k];
-    {
-        if let Some(assist) = pim.as_deref_mut() {
-            assist.refresh(&centers, &mut report)?;
-        }
-        let mut ed = OpCounters::new();
-        let mut other = OpCounters::new();
-        for (i, row) in dataset.rows().enumerate() {
-            let mut best = f64::INFINITY;
-            let mut best_c = usize::MAX;
-            for (c, center) in centers.iter().enumerate() {
-                if let Some(assist) = pim.as_deref() {
-                    other.prune_test();
-                    let lb_pim = assist.lb_dist(i, c);
-                    if best_c != usize::MAX && lb_pim >= best {
-                        lb[i * k + c] = lb_pim;
-                        continue;
-                    }
-                }
-                let dist = exact_dist(row, center, &mut ed);
-                lb[i * k + c] = dist;
-                other.prune_test();
-                if dist < best {
-                    best = dist;
-                    best_c = c;
-                }
-            }
-            assignments[i] = best_c;
-            ub[i] = best;
-        }
-        report.profile.record("ED", ed);
-        report.profile.record("other", other);
-    }
-
-    let mut iterations = 1;
-    let mut cc = vec![0.0f64; k * k];
-    for _ in 1..cfg.max_iters {
-        let mut iter_span = simpim_obs::span!(
-            "mining.kmeans.elkan.iteration",
-            iter = iterations as u64 + 1
-        );
-        // Update step first (the initial pass was iteration 1's assign).
-        let mut upd = OpCounters::new();
-        let new_centers = update_centers(dataset, &assignments, &centers, &mut upd);
-        report.profile.record("other", upd);
-
-        // Drift-adjust every bound (the expensive O(N·k) pass).
-        let mut bound_upd = OpCounters::new();
-        let drifts = center_drifts(&centers, &new_centers, &mut bound_upd);
-        for i in 0..n {
-            ub[i] += drifts[assignments[i]];
-            for c in 0..k {
-                lb[i * k + c] = (lb[i * k + c] - drifts[c]).max(0.0);
-            }
-        }
-        bound_upd.arith += (n * (k + 1)) as u64;
-        bound_upd.stream((n * k) as u64 * 8);
-        bound_upd.write((n * k) as u64 * 8);
-        centers = new_centers;
-
-        if drifts.iter().all(|&d| d == 0.0) {
-            report.profile.record("bound update", bound_upd);
-            break;
-        }
-
-        // Center-center distances and the ½-min separation s(c).
-        let mut s = vec![f64::INFINITY; k];
-        for a in 0..k {
-            for b in (a + 1)..k {
-                let dist = exact_dist(&centers[a], &centers[b], &mut bound_upd);
-                cc[a * k + b] = dist;
-                cc[b * k + a] = dist;
-                s[a] = s[a].min(dist);
-                s[b] = s[b].min(dist);
-            }
-        }
-        for v in &mut s {
-            *v *= 0.5;
-        }
-        report.profile.record("bound update", bound_upd);
-
-        iterations += 1;
-        if let Some(assist) = pim.as_deref_mut() {
-            assist.refresh(&centers, &mut report)?;
-        }
-
-        // Assign step with the Elkan filters, parallelized over fixed
-        // point chunks. Every mutated slot (`assignments[i]`, `ub[i]`,
-        // `lb[i·k..]`) is per-point, so workers take disjoint `&mut`
-        // chunks; counters merge in chunk order — bit-identical at any
-        // `SIMPIM_THREADS`.
-        let mut ed = OpCounters::new();
-        let mut other = OpCounters::new();
-        let mut changed = 0u64;
-        {
-            let assist = pim.as_deref();
-            let centers = &centers;
-            let s = &s;
-            let cc = &cc;
-            const CH: usize = crate::kmeans::ASSIGN_CHUNK;
-            let mut jobs: Vec<simpim_par::Job<'_, (OpCounters, OpCounters, u64)>> = Vec::new();
-            for (ci, ((a_chunk, ub_chunk), lb_chunk)) in assignments
-                .chunks_mut(CH)
-                .zip(ub.chunks_mut(CH))
-                .zip(lb.chunks_mut(CH * k))
-                .enumerate()
-            {
-                jobs.push(Box::new(move || {
-                    let mut ed = OpCounters::new();
-                    let mut other = OpCounters::new();
-                    let mut changed = 0u64;
-                    for (j, (a_slot, ub_slot)) in
-                        a_chunk.iter_mut().zip(ub_chunk.iter_mut()).enumerate()
-                    {
-                        let i = ci * CH + j;
-                        let row = dataset.row(i);
-                        let lb_row = &mut lb_chunk[j * k..(j + 1) * k];
-                        let a = *a_slot;
-                        other.prune_test();
-                        if *ub_slot <= s[a] {
-                            continue; // point filter
-                        }
-                        let mut ub_stale = true;
-                        let mut cur = a;
-                        for c in 0..k {
-                            if c == cur {
-                                continue;
-                            }
-                            other.prune_test();
-                            other.prune_test();
-                            if *ub_slot <= lb_row[c] || *ub_slot <= 0.5 * cc[cur * k + c] {
-                                continue; // center filter
-                            }
-                            if ub_stale {
-                                let dist = exact_dist(row, &centers[cur], &mut ed);
-                                *ub_slot = dist;
-                                lb_row[cur] = dist;
-                                ub_stale = false;
-                                other.prune_test();
-                                other.prune_test();
-                                if *ub_slot <= lb_row[c] || *ub_slot <= 0.5 * cc[cur * k + c] {
-                                    continue;
-                                }
-                            }
-                            if let Some(assist) = assist {
-                                other.prune_test();
-                                let lb_pim = assist.lb_dist(i, c);
-                                if lb_pim >= *ub_slot {
-                                    lb_row[c] = lb_row[c].max(lb_pim);
-                                    continue; // PIM filter: exact ED avoided
-                                }
-                            }
-                            let dist = exact_dist(row, &centers[c], &mut ed);
-                            lb_row[c] = dist;
-                            other.prune_test();
-                            if dist < *ub_slot {
-                                cur = c;
-                                *ub_slot = dist;
-                                ub_stale = false;
-                            }
-                        }
-                        if cur != a {
-                            *a_slot = cur;
-                            changed += 1;
-                        }
-                    }
-                    (ed, other, changed)
-                }));
-            }
-            for (chunk_ed, chunk_other, chunk_changed) in simpim_par::join_all(jobs) {
-                ed.add(&chunk_ed);
-                other.add(&chunk_other);
-                changed += chunk_changed;
-            }
-        }
-        report.profile.record("ED", ed);
-        report.profile.record("other", other);
-        record_iteration("elkan", changed);
-        iter_span.record("reassigned", changed as f64);
-        if changed == 0 {
-            break;
-        }
-    }
-
-    Ok(finish(dataset, assignments, centers, iterations, report))
+    run(dataset, cfg, pim, |centers, _| Elkan {
+        k: centers.len(),
+        cc: vec![0.0; centers.len() * centers.len()],
+        s: Vec::new(),
+    })
 }
 
 #[cfg(test)]

@@ -3,6 +3,10 @@
 //! Assign each point to its nearest center (the full `N × k` distance
 //! table — the transfer of `N·k·d·b` bits the paper profiles), then move
 //! each center to its cluster mean; repeat until assignments stabilize.
+//! Lloyd keeps no bounds, so its rule is the assign scan alone: squared
+//! distances (no `sqrt` charged), and no drift to measure. When the run
+//! stops at `max_iters` the centres still move once more, to the means of
+//! the last assignment.
 //!
 //! With a [`PimAssist`], the assign step consults `LB_PIM-ED` before every
 //! exact distance (`Standard-PIM`): centers are processed in index order
@@ -11,104 +15,51 @@
 //! tie-breaking.
 
 use simpim_similarity::{measures, Dataset};
-use simpim_simkit::OpCounters;
 
 use crate::error::MiningError;
 use crate::kmeans::pim::PimAssist;
-use crate::kmeans::{
-    check_k, finish, init_centers, record_iteration, update_centers, KmeansConfig, KmeansResult,
-};
-use crate::report::{Architecture, RunReport};
+use crate::kmeans::{run, KmeansConfig, KmeansResult, Rule, Scan};
+
+/// Lloyd's assign rule: the nearest centre by squared distance.
+struct Lloyd;
+
+impl Rule for Lloyd {
+    const NAME: &'static str = "lloyd";
+    const SPAN: &'static str = "mining.kmeans.lloyd.iteration";
+    const BOUNDED: bool = false;
+    type Point = ();
+
+    fn point(&self) {}
+
+    fn assign(&self, scan: &mut Scan<'_>, i: usize, a: &mut usize, _: &mut ()) {
+        let row = scan.data.row(i);
+        let d = row.len() as u64;
+        let (mut best_c, mut best_sq) = (usize::MAX, f64::INFINITY);
+        for (c, center) in scan.centers.iter().enumerate() {
+            if let Some(pim) = scan.pim {
+                scan.other.prune_test();
+                if best_c != usize::MAX && pim.lb_sq(i, c) >= best_sq {
+                    continue; // cannot strictly beat the incumbent
+                }
+            }
+            scan.ed.euclidean_kernel(d, d * 8);
+            let dist_sq = measures::euclidean_sq(row, center);
+            scan.other.prune_test();
+            if dist_sq < best_sq {
+                (best_c, best_sq) = (c, dist_sq);
+            }
+        }
+        *a = best_c;
+    }
+}
 
 /// Runs Lloyd's algorithm; pass a [`PimAssist`] for the `-PIM` variant.
 pub fn kmeans_lloyd(
     dataset: &Dataset,
     cfg: &KmeansConfig,
-    mut pim: Option<&mut PimAssist<'_>>,
+    pim: Option<&mut PimAssist<'_>>,
 ) -> Result<KmeansResult, MiningError> {
-    check_k(cfg.k, dataset.len())?;
-    let arch = if pim.is_some() {
-        Architecture::ReRamPim
-    } else {
-        Architecture::ConventionalDram
-    };
-    let mut report = RunReport::new(arch);
-    let mut centers = init_centers(dataset, cfg.k, cfg.seed);
-    let mut assignments = vec![usize::MAX; dataset.len()];
-    let d = dataset.dim() as u64;
-
-    let mut iterations = 0;
-    for _ in 0..cfg.max_iters {
-        iterations += 1;
-        let mut iter_span =
-            simpim_obs::span!("mining.kmeans.lloyd.iteration", iter = iterations as u64);
-        if let Some(assist) = pim.as_deref_mut() {
-            assist.refresh(&centers, &mut report)?;
-        }
-
-        // Assign step, parallelized over fixed point chunks (per-point
-        // state is disjoint); workers return each chunk's assignments and
-        // counters, merged in chunk order — bit-identical at any
-        // `SIMPIM_THREADS`.
-        let mut ed = OpCounters::new();
-        let mut other = OpCounters::new();
-        let mut changed = 0u64;
-        let assist = pim.as_deref();
-        let centers_ref = &centers;
-        let chunks = simpim_par::map_chunks(dataset.len(), crate::kmeans::ASSIGN_CHUNK, |points| {
-            let mut ed = OpCounters::new();
-            let mut other = OpCounters::new();
-            let mut best = Vec::with_capacity(points.len());
-            for i in points {
-                let row = dataset.row(i);
-                let mut best_sq = f64::INFINITY;
-                let mut best_c = usize::MAX;
-                for (c, center) in centers_ref.iter().enumerate() {
-                    if let Some(assist) = assist {
-                        other.prune_test();
-                        if best_c != usize::MAX && assist.lb_sq(i, c) >= best_sq {
-                            continue; // cannot strictly beat the incumbent
-                        }
-                    }
-                    ed.euclidean_kernel(d, d * 8);
-                    let dist_sq = measures::euclidean_sq(row, center);
-                    other.prune_test();
-                    if dist_sq < best_sq {
-                        best_sq = dist_sq;
-                        best_c = c;
-                    }
-                }
-                best.push(best_c);
-            }
-            (best, ed, other)
-        });
-        let mut next = 0usize;
-        for (best, chunk_ed, chunk_other) in chunks {
-            ed.add(&chunk_ed);
-            other.add(&chunk_other);
-            for best_c in best {
-                if assignments[next] != best_c {
-                    assignments[next] = best_c;
-                    changed += 1;
-                }
-                next += 1;
-            }
-        }
-        report.profile.record("ED", ed);
-        report.profile.record("other", other);
-        record_iteration("lloyd", changed);
-        iter_span.record("reassigned", changed as f64);
-        if changed == 0 {
-            break;
-        }
-
-        // Update step.
-        let mut upd = OpCounters::new();
-        centers = update_centers(dataset, &assignments, &centers, &mut upd);
-        report.profile.record("other", upd);
-    }
-
-    Ok(finish(dataset, assignments, centers, iterations, report))
+    run(dataset, cfg, pim, |_, _| Lloyd)
 }
 
 #[cfg(test)]

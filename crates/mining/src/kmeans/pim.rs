@@ -22,7 +22,6 @@ pub struct PimAssist<'a> {
     /// `lb_sq[c * n + i]` — lower bound on the **squared** distance.
     lb_sq: Vec<f64>,
     n: usize,
-    k: usize,
 }
 
 impl<'a> PimAssist<'a> {
@@ -33,7 +32,6 @@ impl<'a> PimAssist<'a> {
             executor,
             lb_sq: Vec::new(),
             n: 0,
-            k: 0,
         }
     }
 
@@ -45,7 +43,6 @@ impl<'a> PimAssist<'a> {
         centers: &[Vec<f64>],
         report: &mut RunReport,
     ) -> Result<(), CoreError> {
-        self.k = centers.len();
         self.lb_sq.clear();
         let mut g_counters = OpCounters::new();
         for center in centers {
@@ -68,7 +65,7 @@ impl<'a> PimAssist<'a> {
     /// `c`-th center of the last refresh.
     #[inline]
     pub fn lb_sq(&self, i: usize, c: usize) -> f64 {
-        debug_assert!(i < self.n && c < self.k, "refresh() before querying bounds");
+        debug_assert!(i < self.n, "refresh() before querying bounds");
         self.lb_sq[c * self.n + i]
     }
 
@@ -76,11 +73,6 @@ impl<'a> PimAssist<'a> {
     #[inline]
     pub fn lb_dist(&self, i: usize, c: usize) -> f64 {
         self.lb_sq(i, c).sqrt()
-    }
-
-    /// Number of centers covered by the last refresh.
-    pub fn num_centers(&self) -> usize {
-        self.k
     }
 }
 
@@ -127,7 +119,6 @@ mod tests {
         let centers = vec![vec![0.3; 16], vec![0.7; 16], vec![0.5; 16]];
         let mut report = RunReport::new(Architecture::ReRamPim);
         assist.refresh(&centers, &mut report).unwrap();
-        assert_eq!(assist.num_centers(), 3);
         for (c, center) in centers.iter().enumerate() {
             for i in 0..60 {
                 let exact = euclidean_sq(ds.row(i), center);

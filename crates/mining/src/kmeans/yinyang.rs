@@ -3,11 +3,13 @@
 //! Centers are partitioned once into `t = ⌈k/10⌉` groups (by clustering
 //! the initial centers themselves); each point keeps one upper bound and
 //! one lower bound **per group** instead of Elkan's per-center bounds.
-//! The global filter skips a point when its upper bound undercuts every
-//! group bound; surviving points only scan groups whose bound is violated.
-//! Fewer bounds mean cheaper maintenance than Elkan, but on
-//! high-dimensional data the surviving exact-ED work grows — exactly the
-//! gap `Yinyang-PIM` closes (up to 4.9× in the paper).
+//! The first assign step is the shared full scan, whose distances and
+//! bounds seed the group bounds. The global filter skips a point when its
+//! upper bound undercuts every group bound; surviving points only scan
+//! groups whose bound is violated, and each group bound shifts by the
+//! largest drift in its group. Fewer bounds mean cheaper maintenance than
+//! Elkan, but on high-dimensional data the surviving exact-ED work grows
+//! — exactly the gap `Yinyang-PIM` closes (up to 4.9× in the paper).
 //!
 //! With a [`PimAssist`], `LB_PIM-ED` guards every exact distance inside a
 //! group scan; a skipped center contributes its PIM bound to the group's
@@ -18,11 +20,7 @@ use simpim_simkit::OpCounters;
 
 use crate::error::MiningError;
 use crate::kmeans::pim::PimAssist;
-use crate::kmeans::{
-    center_drifts, check_k, exact_dist, finish, init_centers, record_iteration, update_centers,
-    KmeansConfig, KmeansResult,
-};
-use crate::report::{Architecture, RunReport};
+use crate::kmeans::{run, Bounds, KmeansConfig, KmeansResult, Rule, Scan};
 
 /// Groups the initial centers into `t` clusters with a few Lloyd passes
 /// over the centers themselves (the grouping the Yinyang paper prescribes).
@@ -67,219 +65,119 @@ fn group_centers(centers: &[Vec<f64>], t: usize, counters: &mut OpCounters) -> V
     groups
 }
 
+/// The `t` groups: `group_of[c]` for every centre. A point's [`Bounds`]
+/// hold `lb[g]` for the centres of group `g` other than its own.
+struct Yinyang {
+    t: usize,
+    group_of: Vec<usize>,
+}
+
+impl Rule for Yinyang {
+    const NAME: &'static str = "yinyang";
+    const SPAN: &'static str = "mining.kmeans.yinyang.iteration";
+    type Point = Bounds;
+
+    fn point(&self) -> Bounds {
+        Bounds {
+            ub: 0.0,
+            lb: vec![f64::INFINITY; self.t],
+        }
+    }
+
+    fn seed(&self, scan: &mut Scan<'_>, i: usize, a: &mut usize, p: &mut Bounds) {
+        let mut values = vec![0.0f64; scan.centers.len()];
+        (*a, p.ub) = scan.nearest(i, &mut values);
+        for (c, &v) in values.iter().enumerate() {
+            if c != *a {
+                let g = self.group_of[c];
+                p.lb[g] = p.lb[g].min(v);
+            }
+        }
+    }
+
+    fn assign(&self, scan: &mut Scan<'_>, i: usize, a: &mut usize, p: &mut Bounds) {
+        let min_lb = p.lb.iter().copied().fold(f64::INFINITY, f64::min);
+        scan.other.prune_test();
+        if p.ub <= min_lb {
+            return; // global filter
+        }
+        p.ub = scan.dist(i, *a);
+        scan.other.prune_test();
+        if p.ub <= min_lb {
+            return;
+        }
+        for g in 0..self.t {
+            scan.other.prune_test();
+            if p.lb[g] >= p.ub {
+                continue; // group filter (bound stays valid)
+            }
+            let mut new_lb = f64::INFINITY;
+            for c in 0..scan.centers.len() {
+                if self.group_of[c] != g || c == *a {
+                    continue;
+                }
+                if let Some(lb_pim) = scan.pim_prunes(i, c, p.ub) {
+                    new_lb = new_lb.min(lb_pim);
+                    continue; // PIM filter
+                }
+                let dist = scan.dist(i, c);
+                scan.other.prune_test();
+                if dist < p.ub {
+                    // The displaced assignment feeds its group's bound.
+                    let (old_a, old_ub) = (*a, p.ub);
+                    (*a, p.ub) = (c, dist);
+                    let og = self.group_of[old_a];
+                    if og == g {
+                        new_lb = new_lb.min(old_ub);
+                    } else {
+                        p.lb[og] = p.lb[og].min(old_ub);
+                    }
+                } else {
+                    new_lb = new_lb.min(dist);
+                }
+            }
+            p.lb[g] = new_lb;
+        }
+    }
+
+    fn shift(
+        &self,
+        drifts: &[f64],
+        assign: &[usize],
+        points: &mut [Bounds],
+        counters: &mut OpCounters,
+    ) {
+        let t = self.t;
+        let mut group_drift = vec![0.0f64; t];
+        for (&g, &dr) in self.group_of.iter().zip(drifts) {
+            group_drift[g] = group_drift[g].max(dr);
+        }
+        for (p, &a) in points.iter_mut().zip(assign) {
+            p.ub += drifts[a];
+            for (lb, gd) in p.lb.iter_mut().zip(&group_drift) {
+                *lb = (*lb - gd).max(0.0);
+            }
+        }
+        let n = points.len();
+        counters.arith += (n * (t + 1)) as u64;
+        counters.stream((n * t) as u64 * 8);
+        counters.write((n * t) as u64 * 8);
+    }
+}
+
 /// Runs Yinyang k-means; pass a [`PimAssist`] for `Yinyang-PIM`.
 pub fn kmeans_yinyang(
     dataset: &Dataset,
     cfg: &KmeansConfig,
-    mut pim: Option<&mut PimAssist<'_>>,
+    pim: Option<&mut PimAssist<'_>>,
 ) -> Result<KmeansResult, MiningError> {
-    check_k(cfg.k, dataset.len())?;
-    let arch = if pim.is_some() {
-        Architecture::ReRamPim
-    } else {
-        Architecture::ConventionalDram
-    };
-    let mut report = RunReport::new(arch);
-    let k = cfg.k;
-    let n = dataset.len();
-    let t = k.div_ceil(10).max(1);
-    let mut centers = init_centers(dataset, k, cfg.seed);
-
-    let mut grouping_counters = OpCounters::new();
-    let group_of = group_centers(&centers, t, &mut grouping_counters);
-    report.profile.record("other", grouping_counters);
-
-    // Initial exact pass: assignments, ub, per-group lb.
-    let mut assignments = vec![0usize; n];
-    let mut ub = vec![0.0f64; n];
-    let mut lb = vec![f64::INFINITY; n * t]; // min dist to non-assigned centers per group
-    {
-        if let Some(assist) = pim.as_deref_mut() {
-            assist.refresh(&centers, &mut report)?;
-        }
-        let mut ed = OpCounters::new();
-        let mut other = OpCounters::new();
-        for (i, row) in dataset.rows().enumerate() {
-            // Exact distances (or PIM bounds for clearly-far centers).
-            let mut best = f64::INFINITY;
-            let mut best_c = usize::MAX;
-            let mut values = vec![0.0f64; k];
-            for (c, center) in centers.iter().enumerate() {
-                values[c] = if let Some(assist) = pim.as_deref() {
-                    other.prune_test();
-                    let lb_pim = assist.lb_dist(i, c);
-                    if best_c != usize::MAX && lb_pim >= best {
-                        lb_pim
-                    } else {
-                        let dist = exact_dist(row, center, &mut ed);
-                        other.prune_test();
-                        if dist < best {
-                            best = dist;
-                            best_c = c;
-                        }
-                        dist
-                    }
-                } else {
-                    let dist = exact_dist(row, center, &mut ed);
-                    other.prune_test();
-                    if dist < best {
-                        best = dist;
-                        best_c = c;
-                    }
-                    dist
-                };
-            }
-            assignments[i] = best_c;
-            ub[i] = best;
-            for c in 0..k {
-                if c != best_c {
-                    let g = group_of[c];
-                    lb[i * t + g] = lb[i * t + g].min(values[c]);
-                }
-            }
-        }
-        report.profile.record("ED", ed);
-        report.profile.record("other", other);
-    }
-
-    let mut iterations = 1;
-    for _ in 1..cfg.max_iters {
-        let mut iter_span = simpim_obs::span!(
-            "mining.kmeans.yinyang.iteration",
-            iter = iterations as u64 + 1
-        );
-        let mut upd = OpCounters::new();
-        let new_centers = update_centers(dataset, &assignments, &centers, &mut upd);
-        report.profile.record("other", upd);
-
-        let mut bound_upd = OpCounters::new();
-        let drifts = center_drifts(&centers, &new_centers, &mut bound_upd);
-        let mut group_drift = vec![0.0f64; t];
-        for (c, &dr) in drifts.iter().enumerate() {
-            group_drift[group_of[c]] = group_drift[group_of[c]].max(dr);
-        }
-        for i in 0..n {
-            ub[i] += drifts[assignments[i]];
-            for g in 0..t {
-                lb[i * t + g] = (lb[i * t + g] - group_drift[g]).max(0.0);
-            }
-        }
-        bound_upd.arith += (n * (t + 1)) as u64;
-        bound_upd.stream((n * t) as u64 * 8);
-        bound_upd.write((n * t) as u64 * 8);
-        report.profile.record("bound update", bound_upd);
-        centers = new_centers;
-
-        if drifts.iter().all(|&d| d == 0.0) {
-            break;
-        }
-
-        iterations += 1;
-        if let Some(assist) = pim.as_deref_mut() {
-            assist.refresh(&centers, &mut report)?;
-        }
-
-        // Assign step, parallelized over fixed point chunks: each point
-        // mutates only its own `assignments[i]` / `ub[i]` / `lb[i·t..]`
-        // slots, handed to workers as disjoint `&mut` chunks; counters
-        // merge in chunk order — bit-identical at any `SIMPIM_THREADS`.
-        let mut ed = OpCounters::new();
-        let mut other = OpCounters::new();
-        let mut changed = 0u64;
-        {
-            let assist = pim.as_deref();
-            let centers = &centers;
-            let group_of = &group_of;
-            const CH: usize = crate::kmeans::ASSIGN_CHUNK;
-            let jobs: Vec<simpim_par::Job<'_, (OpCounters, OpCounters, u64)>> = assignments
-                .chunks_mut(CH)
-                .zip(ub.chunks_mut(CH))
-                .zip(lb.chunks_mut(CH * t))
-                .enumerate()
-                .map(|(ci, ((a_chunk, ub_chunk), lb_chunk))| {
-                    Box::new(move || {
-                        let mut ed = OpCounters::new();
-                        let mut other = OpCounters::new();
-                        let mut changed = 0u64;
-                        for (j, (a_slot, ub_slot)) in
-                            a_chunk.iter_mut().zip(ub_chunk.iter_mut()).enumerate()
-                        {
-                            let i = ci * CH + j;
-                            let row = dataset.row(i);
-                            let lb_row = &mut lb_chunk[j * t..(j + 1) * t];
-                            let min_lb = lb_row.iter().copied().fold(f64::INFINITY, f64::min);
-                            other.prune_test();
-                            if *ub_slot <= min_lb {
-                                continue; // global filter
-                            }
-                            *ub_slot = exact_dist(row, &centers[*a_slot], &mut ed);
-                            other.prune_test();
-                            if *ub_slot <= min_lb {
-                                continue;
-                            }
-                            let old = *a_slot;
-                            for g in 0..t {
-                                other.prune_test();
-                                if lb_row[g] >= *ub_slot {
-                                    continue; // group filter (bound stays valid)
-                                }
-                                let mut new_lb = f64::INFINITY;
-                                for (c, center) in centers.iter().enumerate() {
-                                    if group_of[c] != g || c == *a_slot {
-                                        continue;
-                                    }
-                                    if let Some(assist) = assist {
-                                        other.prune_test();
-                                        let lb_pim = assist.lb_dist(i, c);
-                                        if lb_pim >= *ub_slot {
-                                            new_lb = new_lb.min(lb_pim);
-                                            continue; // PIM filter
-                                        }
-                                    }
-                                    let dist = exact_dist(row, center, &mut ed);
-                                    other.prune_test();
-                                    if dist < *ub_slot {
-                                        // The displaced assignment feeds its
-                                        // group's bound.
-                                        let (old_a, old_ub) = (*a_slot, *ub_slot);
-                                        *a_slot = c;
-                                        *ub_slot = dist;
-                                        if group_of[old_a] == g {
-                                            new_lb = new_lb.min(old_ub);
-                                        } else {
-                                            let og = group_of[old_a];
-                                            lb_row[og] = lb_row[og].min(old_ub);
-                                        }
-                                    } else {
-                                        new_lb = new_lb.min(dist);
-                                    }
-                                }
-                                lb_row[g] = new_lb;
-                            }
-                            if *a_slot != old {
-                                changed += 1;
-                            }
-                        }
-                        (ed, other, changed)
-                    }) as simpim_par::Job<'_, _>
-                })
-                .collect();
-            for (chunk_ed, chunk_other, chunk_changed) in simpim_par::join_all(jobs) {
-                ed.add(&chunk_ed);
-                other.add(&chunk_other);
-                changed += chunk_changed;
-            }
-        }
-        report.profile.record("ED", ed);
-        report.profile.record("other", other);
-        record_iteration("yinyang", changed);
-        iter_span.record("reassigned", changed as f64);
-        if changed == 0 {
-            break;
-        }
-    }
-
-    Ok(finish(dataset, assignments, centers, iterations, report))
+    run(dataset, cfg, pim, |centers, report| {
+        let t = centers.len().div_ceil(10).max(1);
+        let mut grouping = OpCounters::new();
+        let group_of = group_centers(centers, t, &mut grouping);
+        report.profile.record("other", grouping);
+        Yinyang { t, group_of }
+    })
 }
 
 #[cfg(test)]

@@ -528,20 +528,6 @@ impl PimArray {
         Ok(())
     }
 
-    /// Number of programmed regions.
-    #[inline]
-    pub fn num_regions(&self) -> usize {
-        self.regions.len()
-    }
-
-    /// Layout of a programmed region.
-    pub fn region_cost(&self, region: RegionId) -> Result<&CrossbarCost, ReRamError> {
-        self.regions
-            .get(region.0)
-            .map(|r| &r.cost)
-            .ok_or(ReRamError::NotProgrammed)
-    }
-
     /// Shape of a programmed region: `(n, s, operand_bits)`.
     pub fn region_shape(&self, region: RegionId) -> Result<(usize, usize, u32), ReRamError> {
         self.regions
@@ -1263,21 +1249,6 @@ impl PimArray {
         })
     }
 
-    /// Health of every crossbar in the region's allocation (data crossbars
-    /// first, then gather). Requires a prior scrub.
-    pub fn region_health(&self, region: RegionId) -> Result<Vec<CrossbarHealth>, ReRamError> {
-        if self.faults.is_none() {
-            return Err(ReRamError::FaultsNotEnabled);
-        }
-        let info = self
-            .fault_info
-            .get(region.0)
-            .ok_or(ReRamError::NotProgrammed)?
-            .as_ref()
-            .ok_or(ReRamError::NotScrubbed)?;
-        Ok(info.health.clone())
-    }
-
     /// Worst-case health of the crossbars serving one object. Requires a
     /// prior scrub.
     pub fn object_health(
@@ -1749,9 +1720,10 @@ mod tests {
         let r1 = pim.program_region(&[1, 2, 3, 4], 1, 4, 4).unwrap();
         let r2 = pim.program_region(&[5, 6, 7, 8], 1, 4, 4).unwrap();
         assert_ne!(r1.region, r2.region);
-        assert_eq!(pim.num_regions(), 2);
         assert_eq!(pim.region_shape(r1.region).unwrap(), (1, 4, 4));
-        assert!(pim.region_shape(RegionId(9)).is_err());
+        assert_eq!(pim.region_shape(r2.region).unwrap(), (1, 4, 4));
+        // Exactly two regions: the next id is not programmed.
+        assert!(pim.region_shape(RegionId(2)).is_err());
         assert_eq!(pim.used_crossbars(), r1.cost.total() + r2.cost.total());
         let (v1, _) = pim
             .dot_batch(r1.region, &[1, 0, 0, 0], AccWidth::U64)

@@ -6,8 +6,6 @@
 //! movement is cheap compared to moving raw vectors to the CPU — is what
 //! the experiments depend on.
 
-use crate::config::PimConfig;
-
 /// Energy cost constants (joules).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
@@ -69,12 +67,6 @@ impl EnergyReport {
         self.compute_j += other.compute_j;
         self.bus_j += other.bus_j;
     }
-}
-
-/// Convenience: energy of moving `bytes` over the internal bus of `cfg`
-/// using the default model (sanity checks in benches).
-pub fn bus_energy_j(_cfg: &PimConfig, bytes: u64) -> f64 {
-    EnergyModel::default().bus_j_per_byte * bytes as f64
 }
 
 #[cfg(test)]

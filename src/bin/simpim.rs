@@ -30,7 +30,11 @@ use simpim::core::executor::{ExecutorConfig, PimExecutor};
 use simpim::core::memory::choose_dimensionality;
 use simpim::datasets::io::{read_csv, read_fvecs};
 use simpim::mining::dbscan::dbscan;
+use simpim::mining::kmeans::drake::kmeans_drake;
+use simpim::mining::kmeans::elkan::kmeans_elkan;
+use simpim::mining::kmeans::lloyd::kmeans_lloyd;
 use simpim::mining::kmeans::pim::PimAssist;
+use simpim::mining::kmeans::yinyang::kmeans_yinyang;
 use simpim::mining::kmeans::KmeansConfig;
 use simpim::mining::knn::pim::{knn_pim_ed, knn_pim_sim};
 use simpim::mining::knn::standard::knn_standard;
@@ -196,17 +200,18 @@ fn cmd_kmeans(args: &Args) -> Result<(), String> {
     let data = load_data(&PathBuf::from(args.required("data")?))?;
     let k: usize = args.get("k", 8)?;
     let iters: usize = args.get("max-iters", 25)?;
-    let algo = args
-        .flags
-        .get("algo")
-        .map(String::as_str)
-        .unwrap_or("lloyd")
-        .to_string();
-    if !["lloyd", "elkan", "drake", "yinyang"].contains(&algo.as_str()) {
-        return Err(format!(
-            "unknown --algo {algo:?} (lloyd|elkan|drake|yinyang)"
-        ));
-    }
+    let algo = args.flags.get("algo").map_or("lloyd", String::as_str);
+    let run = match algo {
+        "lloyd" => kmeans_lloyd,
+        "elkan" => kmeans_elkan,
+        "drake" => kmeans_drake,
+        "yinyang" => kmeans_yinyang,
+        other => {
+            return Err(format!(
+                "unknown --algo {other:?} (lloyd|elkan|drake|yinyang)"
+            ))
+        }
+    };
     let (nds, _) = normalize(&data)?;
     let norm = nds.dataset().clone();
     let cfg = KmeansConfig {
@@ -216,15 +221,7 @@ fn cmd_kmeans(args: &Args) -> Result<(), String> {
     };
     let params = HostParams::default();
 
-    let run = |pim: Option<&mut PimAssist<'_>>| match algo.as_str() {
-        "lloyd" => simpim::mining::kmeans::lloyd::kmeans_lloyd(&norm, &cfg, pim),
-        "elkan" => simpim::mining::kmeans::elkan::kmeans_elkan(&norm, &cfg, pim),
-        "drake" => simpim::mining::kmeans::drake::kmeans_drake(&norm, &cfg, pim),
-        "yinyang" => simpim::mining::kmeans::yinyang::kmeans_yinyang(&norm, &cfg, pim),
-        other => panic!("unknown --algo {other:?} (lloyd|elkan|drake|yinyang)"),
-    };
-
-    let base = run(None).map_err(|e| e.to_string())?;
+    let base = run(&norm, &cfg, None).map_err(|e| e.to_string())?;
     println!(
         "{algo}: {} iterations, inertia {:.4}, {:.2} ms/iter (model)",
         base.iterations,
@@ -235,7 +232,7 @@ fn cmd_kmeans(args: &Args) -> Result<(), String> {
         let mut exec = PimExecutor::prepare_euclidean(ExecutorConfig::default(), &nds)
             .map_err(|e| e.to_string())?;
         let mut assist = PimAssist::new(&mut exec);
-        let pim = run(Some(&mut assist)).map_err(|e| e.to_string())?;
+        let pim = run(&norm, &cfg, Some(&mut assist)).map_err(|e| e.to_string())?;
         assert_eq!(
             pim.assignments, base.assignments,
             "PIM clustering must be exact"

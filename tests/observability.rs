@@ -6,12 +6,16 @@
 use std::sync::Mutex;
 
 use proptest::prelude::*;
+use simpim::core::executor::{ExecutorConfig, PimExecutor};
 use simpim::datasets::{generate, SyntheticConfig};
+use simpim::mining::kmeans::pim::PimAssist;
+use simpim::mining::kmeans::{drake, elkan, lloyd, yinyang, KmeansConfig, KmeansResult};
 use simpim::mining::knn::algorithms::fnn_cascade;
 use simpim::mining::knn::cascade::knn_cascade;
 use simpim::mining::knn::standard::knn_standard;
+use simpim::mining::MiningError;
 use simpim::obs::{Histogram, Json, RunArtifact, StageRecord, ToJson};
-use simpim::similarity::Measure;
+use simpim::similarity::{Dataset, Measure, NormalizedDataset};
 
 /// Tracing enable/disable and the metrics registry are process-global:
 /// tests that toggle the one, or assert on deltas of the other while
@@ -150,6 +154,61 @@ fn counter_deltas_match_work_done() {
     let pruned0 = after.counter(&name(&stage0, "pruned")).unwrap_or(0)
         - before.counter(&name(&stage0, "pruned")).unwrap_or(0);
     assert!(pruned0 <= (ds.len() * queries) as u64);
+}
+
+#[test]
+fn kmeans_counts_and_spans_every_assign_step() {
+    // The seeding assign step is an iteration like any other: the counter
+    // and the span count both equal `KmeansResult::iterations`.
+    type Algo = fn(
+        &Dataset,
+        &KmeansConfig,
+        Option<&mut PimAssist<'_>>,
+    ) -> Result<KmeansResult, MiningError>;
+    let _gate = OBS_GATE.lock().unwrap();
+    let ds = generate(&SyntheticConfig {
+        n: 150,
+        d: 16,
+        clusters: 4,
+        cluster_std: 0.05,
+        stat_uniformity: 0.1,
+        seed: 11,
+    });
+    let nds = NormalizedDataset::assert_normalized(ds.clone());
+    let cfg = KmeansConfig {
+        k: 6,
+        max_iters: 30,
+        seed: 2,
+    };
+    let algos: [(&str, Algo); 4] = [
+        ("lloyd", lloyd::kmeans_lloyd),
+        ("elkan", elkan::kmeans_elkan),
+        ("drake", drake::kmeans_drake),
+        ("yinyang", yinyang::kmeans_yinyang),
+    ];
+    for (name, algo) in algos {
+        for pim in [false, true] {
+            let counter = format!("simpim.mining.kmeans.{name}.iterations");
+            let mut exec = PimExecutor::prepare_euclidean(ExecutorConfig::default(), &nds).unwrap();
+            let mut assist = PimAssist::new(&mut exec);
+            let before = simpim::obs::metrics::snapshot()
+                .counter(&counter)
+                .unwrap_or(0);
+            simpim::obs::trace::enable(4096);
+            simpim::obs::trace::clear();
+            let r = algo(&ds, &cfg, pim.then_some(&mut assist)).unwrap();
+            let spans = simpim::obs::trace::drain();
+            simpim::obs::trace::disable();
+            let after = simpim::obs::metrics::snapshot()
+                .counter(&counter)
+                .unwrap_or(0);
+            let span = format!("mining.kmeans.{name}.iteration");
+            let steps = spans.iter().filter(|s| s.name == span).count();
+            assert!(r.iterations > 1, "{name}: a run of more than the seed");
+            assert_eq!(after - before, r.iterations as u64, "{name} pim={pim}");
+            assert_eq!(steps, r.iterations, "{name} pim={pim}");
+        }
+    }
 }
 
 #[test]
