@@ -484,6 +484,33 @@ impl BoundBatch {
     }
 }
 
+/// The shape mismatch of a row write into a shape without a Φ table.
+const UNSUPPORTED_WRITE: &str = "executor shape does not support appends";
+
+/// Theorem 4's resident plan for `n_total + spare` objects × `d` dims
+/// under `cfg` — what [`PimExecutor::begin_euclidean_resident`] and
+/// [`PimExecutor::relayout`] allocate.
+fn plan_resident(
+    cfg: &ExecutorConfig,
+    n_total: usize,
+    d: usize,
+    spare: usize,
+) -> Result<(MemoryPlan, ResidentShapeChoice), CoreError> {
+    if n_total == 0 || d == 0 {
+        return Err(CoreError::Mismatch {
+            what: "resident preparation needs a non-empty shape",
+        });
+    }
+    let buffer_factor = if cfg.double_buffer { 2 } else { 1 };
+    resident_plan(
+        n_total + spare,
+        d,
+        buffer_factor,
+        cfg.operand_bits,
+        &cfg.pim,
+    )
+}
+
 /// The batch of a one-query pass.
 fn one_batch(mut batches: Vec<BoundBatch>) -> BoundBatch {
     batches.pop().expect("one batch per query")
@@ -543,15 +570,9 @@ impl PimExecutor {
         d: usize,
         spare: usize,
     ) -> Result<ResidentBuilder, CoreError> {
-        if n_total == 0 || d == 0 {
-            return Err(CoreError::Mismatch {
-                what: "resident preparation needs a non-empty shape",
-            });
-        }
-        let capacity = n_total + spare;
-        let buffer_factor = if cfg.double_buffer { 2 } else { 1 };
-        let (plan, shape) = resident_plan(capacity, d, buffer_factor, cfg.operand_bits, &cfg.pim)?;
-        ResidentBuilder::open(cfg, plan, shape, n_total, d, capacity)
+        let (plan, shape) = plan_resident(&cfg, n_total, d, spare)?;
+        let bank = ReRamBank::new(cfg.pim)?;
+        ResidentBuilder::open(cfg, plan, shape, n_total, d, n_total + spare, bank)
     }
 
     /// Prepares `LB_PIM-SM` at an explicit segmentation `d_prime` — the
@@ -616,7 +637,9 @@ impl PimExecutor {
             )?,
             regions,
         };
-        let mut builder = ResidentBuilder::open(cfg, plan, shape, ds.len(), ds.dim(), ds.len())?;
+        let bank = ReRamBank::new(cfg.pim)?;
+        let mut builder =
+            ResidentBuilder::open(cfg, plan, shape, ds.len(), ds.dim(), ds.len(), bank)?;
         builder.push_rows(ds.as_flat())?;
         builder.finish()
     }
@@ -1133,20 +1156,8 @@ impl PimExecutor {
     /// `Ed`, `Fnn` and `Sm` shapes (the ones
     /// [`PimExecutor::prepare_euclidean_resident`] produces).
     pub fn append_row(&mut self, row: &[f64]) -> Result<usize, CoreError> {
-        const UNSUPPORTED: &str = "executor shape does not support appends";
-        self.prepared.phi_table(UNSUPPORTED)?;
-        if row.len() != self.prepared.dim() {
-            return Err(CoreError::Mismatch {
-                what: "row dimensionality",
-            });
-        }
-        let q = self.prepared.quantise(&self.quantizer, row)?;
-        for (&region, floors) in self.prepared.regions().iter().zip(&q.floors) {
-            self.bank.append_rows(region, floors)?;
-        }
-        let phis = self.prepared.phi_table(UNSUPPORTED)?;
-        phis.push(q.phi);
-        let idx = phis.len() - 1;
+        let idx = self.prepared.phi_table(UNSUPPORTED_WRITE)?.len();
+        self.write_row(idx, row)?;
         // Appending invalidates the lazy fault survey; re-scrub now so the
         // next batch's per-object health lookups stay available.
         if self.cfg.faults.is_some() {
@@ -1154,6 +1165,76 @@ impl PimExecutor {
         }
         simpim_obs::metrics::counter_add("simpim.core.executor.appends", 1);
         Ok(idx)
+    }
+
+    /// Quantises one normalized row and writes it as object `obj` of
+    /// every resident region — over a programmed object (`obj < n`,
+    /// [`ReRamBank::rewrite_rows`]) or as a new one in the spare slots
+    /// (`obj = n`, [`ReRamBank::append_rows`]) — and sets `Φ[obj]`. Only
+    /// the crossbars the row lands on wear. The fault survey is left
+    /// stale: a caller writing several rows scrubs once after the last
+    /// ([`PimExecutor::scrub_now`]). Valid for the `Ed`, `Fnn` and `Sm`
+    /// shapes.
+    pub fn write_row(&mut self, obj: usize, row: &[f64]) -> Result<(), CoreError> {
+        let n = self.prepared.phi_table(UNSUPPORTED_WRITE)?.len();
+        if row.len() != self.prepared.dim() || obj > n {
+            return Err(CoreError::Mismatch {
+                what: "row dimensionality or object index",
+            });
+        }
+        let q = self.prepared.quantise(&self.quantizer, row)?;
+        for (&region, floors) in self.prepared.regions().iter().zip(&q.floors) {
+            if obj < n {
+                self.bank.rewrite_rows(region, obj, floors)?;
+            } else {
+                self.bank.append_rows(region, floors)?;
+            }
+        }
+        let phis = self.prepared.phi_table(UNSUPPORTED_WRITE)?;
+        phis.resize(n.max(obj + 1), 0.0);
+        phis[obj] = q.phi;
+        Ok(())
+    }
+
+    /// Keeps the first `n` resident objects (`1..=n` of them) and returns
+    /// the rest to the spare slots. Nothing is programmed, so no bank
+    /// command is issued. Like [`PimExecutor::write_row`], it leaves the
+    /// fault survey stale.
+    pub fn truncate(&mut self, n: usize) -> Result<(), CoreError> {
+        for region in self.prepared.regions() {
+            self.bank.pim_mut().truncate_rows(region, n)?;
+        }
+        self.prepared.phi_table(UNSUPPORTED_WRITE)?.truncate(n);
+        Ok(())
+    }
+
+    /// Re-lays the resident regions out for `n_total + spare` objects on
+    /// this executor's own bank: Theorem 4 plans the new shape first (a
+    /// plan that fails leaves everything as it was), then the bank is
+    /// cleared — its per-crossbar wear survives [`PimArray::clear`] — and
+    /// `fill` streams the `n_total` rows through the builder. A build that
+    /// fails after the clear leaves the executor on a fail-stopped blank
+    /// bank, so the serving layer treats it as a lost bank.
+    ///
+    /// [`PimArray::clear`]: simpim_reram::PimArray::clear
+    pub fn relayout(
+        &mut self,
+        n_total: usize,
+        spare: usize,
+        fill: impl FnOnce(&mut ResidentBuilder) -> Result<(), CoreError>,
+    ) -> Result<(), CoreError> {
+        let d = self.prepared.dim();
+        let (plan, shape) = plan_resident(&self.cfg, n_total, d, spare)?;
+        let mut bank = std::mem::replace(&mut self.bank, ReRamBank::new(self.cfg.pim)?);
+        bank.pim_mut().clear();
+        bank.memory_mut().release(self.report.phi_bytes);
+        let built = ResidentBuilder::open(self.cfg, plan, shape, n_total, d, n_total + spare, bank)
+            .and_then(|mut builder| {
+                fill(&mut builder)?;
+                builder.finish()
+            });
+        *self = built.inspect_err(|_| self.bank.kill())?;
+        Ok(())
     }
 
     /// Spare object slots left across the resident regions (the minimum
@@ -1195,7 +1276,8 @@ pub struct ResidentBuilder {
 
 impl ResidentBuilder {
     /// Allocates the (empty) regions of `shape` at `plan.s` dimensions
-    /// for `capacity` objects on a fresh bank.
+    /// for `capacity` objects on `bank` (a fresh one, or a cleared one
+    /// being re-laid out).
     fn open(
         cfg: ExecutorConfig,
         plan: MemoryPlan,
@@ -1203,9 +1285,9 @@ impl ResidentBuilder {
         n_total: usize,
         d: usize,
         capacity: usize,
+        mut bank: ReRamBank,
     ) -> Result<Self, CoreError> {
         let quantizer = Quantizer::identity(cfg.alpha)?;
-        let mut bank = ReRamBank::new(cfg.pim)?;
         let mut cell_writes = 0u64;
         let mut program_ns = 0.0f64;
         let mut begin = || -> Result<RegionId, CoreError> {
@@ -1254,16 +1336,6 @@ impl ResidentBuilder {
     /// The Theorem 4 plan chosen for the declared shape.
     pub fn plan(&self) -> &MemoryPlan {
         &self.plan
-    }
-
-    /// Rows pushed so far.
-    pub fn pushed(&self) -> usize {
-        self.pushed
-    }
-
-    /// Rows the builder was declared for.
-    pub fn expected(&self) -> usize {
-        self.n_total
     }
 
     /// Quantizes and programs one block of rows (`flat` row-major,
@@ -1995,6 +2067,40 @@ mod tests {
         assert_eq!(batch.values.len(), 61);
         let ed = euclidean_sq(&extra, &q);
         assert!(batch.values[60] <= ed + 1e-9);
+    }
+
+    #[test]
+    fn rewrites_truncation_and_relayout_match_a_fresh_prepare_and_keep_wear() {
+        // Rows [a, b, c] rewritten in place to [c, b] (c over a, then the
+        // tail dropped) must bound exactly like [c, b] prepared afresh.
+        let rows = sample_data()
+            .dataset()
+            .rows()
+            .map(<[f64]>::to_vec)
+            .collect::<Vec<_>>();
+        let mut exec =
+            PimExecutor::prepare_euclidean_resident(cfg(4096), &sample_data(), 1).unwrap();
+        let written = exec.bank().pim().total_cell_writes();
+        exec.write_row(0, &rows[2]).unwrap();
+        exec.truncate(2).unwrap();
+        assert!(exec.bank().pim().total_cell_writes() > written);
+        assert_eq!(exec.spare_capacity().unwrap(), 2);
+        assert!(exec.write_row(3, &rows[0]).is_err(), "no holes past n");
+        let fresh_rows = normalized(&[rows[2].clone(), rows[1].clone()]);
+        let mut fresh = PimExecutor::prepare_euclidean(cfg(4096), &fresh_rows).unwrap();
+        let q = [0.4, 0.3, 0.9, 0.1, 0.6, 0.2, 0.55, 0.45];
+        assert_eq!(
+            exec.lb_ed_batch(&q).unwrap().values,
+            fresh.lb_ed_batch(&q).unwrap().values
+        );
+        // A re-layout for more rows than the allocation holds plans anew on
+        // the same bank: the old wear carries over.
+        exec.bank_mut().pim_mut().age_crossbars(10);
+        let grown: Vec<f64> = [2, 1, 0, 1].iter().flat_map(|&i| rows[i].clone()).collect();
+        exec.relayout(4, 1, |b| b.push_rows(&grown)).unwrap();
+        assert_eq!(exec.spare_capacity().unwrap(), 1);
+        assert!(exec.bank().pim().crossbar_programs(0) >= 12);
+        assert_eq!(exec.lb_ed_batch(&q).unwrap().values.len(), 4);
     }
 
     /// `lb_ed_batch_multi` as it was before the pass took a batch: one

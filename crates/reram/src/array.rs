@@ -435,16 +435,20 @@ impl PimArray {
         region: RegionId,
         flat: &[u32],
     ) -> Result<ProgramReport, ReRamError> {
-        self.push_rows(region, flat, true)
+        self.write_rows(region, None, flat, true)
     }
 
-    /// Extends a region by `flat` (row-major, `k × s`): the shared body of
-    /// [`PimArray::fill_rows`] (`filling`, wear already charged at begin)
-    /// and [`PimArray::append_rows`] (sealed region, wears the crossbars
-    /// the new rows land on).
-    fn push_rows(
+    /// Writes `flat` (row-major, `k × s`) over objects `at..at + k` of a
+    /// region — at its end (`at = None`: the rows extend `n`) or over
+    /// programmed rows (`at + k <= n`). The one body of
+    /// [`PimArray::fill_rows`] (`filling`, wear already charged at begin),
+    /// [`PimArray::append_rows`] and [`PimArray::rewrite_rows`] (sealed
+    /// region: one program cycle of wear on each crossbar the rows land
+    /// on, never on the rest).
+    fn write_rows(
         &mut self,
         region: RegionId,
+        at: Option<usize>,
         flat: &[u32],
         filling: bool,
     ) -> Result<ProgramReport, ReRamError> {
@@ -466,23 +470,23 @@ impl PimArray {
             });
         }
         let k = flat.len() / s;
-        let spare = reg.capacity - reg.n;
-        if k > spare {
+        // A rewrite stays within the programmed rows, an append within
+        // the allocation.
+        let start = at.unwrap_or(reg.n);
+        let limit = if at.is_some() { reg.n } else { reg.capacity };
+        if start + k > limit {
             return Err(ReRamError::InsufficientCapacity {
                 required: k,
-                available: spare,
+                available: limit.saturating_sub(start),
             });
         }
         check_operands(flat, reg.operand_bits)?;
 
         if !filling {
-            // One program cycle of wear on each crossbar a new row lands
-            // on (appends never rewrite programmed cells, so wear is
-            // confined to the touched spare rows' crossbars).
             let m = self.cfg.crossbar.size;
             let w = self.cfg.crossbar.cells_per_operand(reg.operand_bits);
             let mut touched: Vec<usize> = Vec::new();
-            for obj in reg.n..reg.n + k {
+            for obj in start..start + k {
                 for dim in (0..s).step_by(m.max(1)) {
                     let (local, _, _) = Self::locate(reg, m, w, obj, dim);
                     touched.push(reg.phys(local));
@@ -499,11 +503,48 @@ impl PimArray {
         }
 
         let reg = &mut self.regions[ri];
-        reg.data.extend_from_slice(flat);
-        reg.n += k;
-        // The survey's per-object tables are sized by `n`; recompute lazily.
+        if at.is_some() {
+            reg.data[start * s..(start + k) * s].copy_from_slice(flat);
+        } else {
+            reg.data.extend_from_slice(flat);
+            reg.n += k;
+        }
+        // The survey's per-object tables describe the old rows; recompute lazily.
         self.fault_info[ri] = None;
         Ok(self.charge_program(region, flat.len() as u64, 0, 0))
+    }
+
+    /// Reprograms objects `at..at + k` of a sealed region with `flat`
+    /// (row-major, `k × s`; the rows must already be programmed). Wears
+    /// only the crossbars the rewritten rows physically sit on and
+    /// invalidates the region's fault survey, like
+    /// [`PimArray::append_rows`].
+    pub fn rewrite_rows(
+        &mut self,
+        region: RegionId,
+        at: usize,
+        flat: &[u32],
+    ) -> Result<ProgramReport, ReRamError> {
+        self.write_rows(region, Some(at), flat, false)
+    }
+
+    /// Shrinks a sealed region to its first `n` objects (`1..=n` of the
+    /// current ones); the rows past `n` become spare again. Nothing is
+    /// programmed, so nothing wears.
+    pub fn truncate_rows(&mut self, region: RegionId, n: usize) -> Result<(), ReRamError> {
+        let reg = self
+            .regions
+            .get_mut(region.0)
+            .ok_or(ReRamError::NotProgrammed)?;
+        if reg.filling || n == 0 || n > reg.n {
+            return Err(ReRamError::InvalidConfig {
+                what: "truncate_rows keeps 1..=n rows of a sealed region",
+            });
+        }
+        reg.n = n;
+        reg.data.truncate(n * reg.s);
+        self.fault_info[region.0] = None;
+        Ok(())
     }
 
     /// Seals a streamed region: queries, appends, and scrubs become legal.
@@ -557,7 +598,7 @@ impl PimArray {
         region: RegionId,
         flat: &[u32],
     ) -> Result<ProgramReport, ReRamError> {
-        self.push_rows(region, flat, false)
+        self.write_rows(region, None, flat, false)
     }
 
     /// True when an attached fault model can corrupt a read.
@@ -1494,6 +1535,47 @@ mod tests {
         pim.append_rows(rep.region, &flat).unwrap();
         assert_eq!(pim.crossbar_programs(0), p0 + 3);
         assert_eq!(pim.crossbar_programs(1), p1 + 1);
+    }
+
+    #[test]
+    fn rewrites_wear_their_crossbar_and_truncation_frees_spares() {
+        let mut pim = PimArray::new(small_cfg()).unwrap();
+        // Same geometry: four objects a data crossbar, capacity 8.
+        let flat: Vec<u32> = (0..8 * 6).map(|v| v % 16).collect();
+        let rep = pim.program_region_with_capacity(&flat, 6, 8, 8, 4).unwrap();
+        let (p0, p1) = (pim.crossbar_programs(0), pim.crossbar_programs(1));
+        let writes = pim.total_cell_writes();
+        // Object 5 sits on crossbar 1: only crossbar 1 wears.
+        let row = [1u32; 8];
+        let out = pim.rewrite_rows(rep.region, 5, &row).unwrap();
+        assert_eq!(out.rows_written, 8);
+        assert!(pim.total_cell_writes() > writes);
+        assert_eq!(
+            (pim.crossbar_programs(0), pim.crossbar_programs(1)),
+            (p0, p1 + 1)
+        );
+        assert_eq!(pim.region_row(rep.region, 5).unwrap(), &row);
+        assert_eq!(pim.region_shape(rep.region).unwrap().0, 6);
+        // A rewrite never reaches past the programmed rows.
+        assert!(matches!(
+            pim.rewrite_rows(rep.region, 6, &row),
+            Err(ReRamError::InsufficientCapacity {
+                required: 1,
+                available: 0
+            })
+        ));
+        // Truncation programs nothing and hands the rows back as spares.
+        pim.truncate_rows(rep.region, 2).unwrap();
+        assert_eq!(pim.region_shape(rep.region).unwrap().0, 2);
+        assert_eq!(
+            (pim.crossbar_programs(0), pim.crossbar_programs(1)),
+            (p0, p1 + 1)
+        );
+        let (values, _) = pim.dot_batch(rep.region, &[1; 8], AccWidth::U64).unwrap();
+        assert_eq!(values.len(), 2);
+        pim.append_rows(rep.region, &[1; 8 * 6]).unwrap();
+        assert!(pim.truncate_rows(rep.region, 0).is_err());
+        assert!(pim.truncate_rows(rep.region, 9).is_err());
     }
 
     #[test]

@@ -207,6 +207,18 @@ impl ReRamBank {
         Ok(rep)
     }
 
+    /// Reprograms already-programmed objects of a region in place. See
+    /// [`PimArray::rewrite_rows`].
+    pub fn rewrite_rows(
+        &mut self,
+        region: RegionId,
+        at: usize,
+        flat: &[u32],
+    ) -> Result<ProgramReport, ReRamError> {
+        self.ensure_alive()?;
+        self.pim.rewrite_rows(region, at, flat)
+    }
+
     /// Spare object slots still unprogrammed in a region. See
     /// [`PimArray::region_capacity`] and [`PimArray::region_shape`].
     pub fn region_spare(&self, region: RegionId) -> Result<usize, ReRamError> {

@@ -952,15 +952,16 @@ impl Scheduler {
     /// replica leaves routing, compacts, rejoins — and between steps any
     /// queries that queued up are served from the replicas still in
     /// rotation. The first error is reported but the roll continues, so
-    /// one bad replica cannot leave the rest uncompacted.
-    fn rolling_flush(&mut self, rx: &Receiver<Cmd>) -> Result<(), ServeError> {
-        let mut out = Ok(());
+    /// one bad replica cannot leave the rest uncompacted. Returns the
+    /// rows the roll wrote beside that outcome.
+    fn rolling_flush(&mut self, rx: &Receiver<Cmd>) -> (usize, Result<(), ServeError>) {
+        let (mut written, mut out) = (0, Ok(()));
         for si in 0..self.sets.len() {
             for ri in 0..self.cfg.replicas {
-                if let Err(e) = self.sets[si].reprogram_replica(ri) {
-                    if out.is_ok() {
-                        out = Err(e);
-                    }
+                match self.sets[si].reprogram_replica(ri) {
+                    Ok(rows) => written += rows,
+                    Err(e) if out.is_ok() => out = Err(e),
+                    Err(_) => {}
                 }
                 // Serve one batch of the queries that queued up behind
                 // this step from the replicas still in rotation.
@@ -970,7 +971,7 @@ impl Scheduler {
                 }
             }
         }
-        out
+        (written, out)
     }
 
     fn process_queries(&mut self, batch: Vec<QueryReq>) {
@@ -1187,18 +1188,19 @@ impl Scheduler {
 
     /// The one mutation lifecycle (`insert` / `delete` / `flush`): stamp
     /// the dequeue, run `work`, put the apply time into the `mutation`
-    /// stage and flight-record root + queue + apply. Failed mutations are
-    /// anomalies and always retained.
+    /// stage and flight-record root + queue + apply (with the attributes
+    /// `work` pushed). Failed mutations are anomalies and always retained.
     fn apply_mutation<T>(
         &mut self,
         kind: &str,
         ctx: TraceCtx,
         enqueued: Instant,
         attrs: &[(&str, f64)],
-        work: impl FnOnce(&mut Self) -> Result<T, ServeError>,
+        work: impl FnOnce(&mut Self, &mut Vec<(&'static str, f64)>) -> Result<T, ServeError>,
     ) -> Result<T, ServeError> {
         let dequeued = Instant::now();
-        let out = work(self);
+        let mut applied = Vec::new();
+        let out = work(self, &mut applied);
         let done = Instant::now();
         self.stages
             .record(Stage::Mutation, ns_between(dequeued, done), ctx.trace_id);
@@ -1212,7 +1214,7 @@ impl Scheduler {
             outcome,
             (enqueued, dequeued, done),
             attrs,
-            &[("apply", dequeued, done, &[])],
+            &[("apply", dequeued, done, &applied[..])],
             annotations,
         );
         out
@@ -1232,7 +1234,11 @@ impl Scheduler {
                 ctx,
                 reply,
             } => {
-                let out = self.apply_mutation("flush", ctx, enqueued, &[], |s| s.rolling_flush(rx));
+                let out = self.apply_mutation("flush", ctx, enqueued, &[], |s, applied| {
+                    let (written, out) = s.rolling_flush(rx);
+                    applied.push(("rows_written", written as f64));
+                    out
+                });
                 let _ = reply.send(out);
             }
             Cmd::Insert {
@@ -1244,7 +1250,7 @@ impl Scheduler {
                 let id = self.next_id;
                 let shard = id % self.sets.len();
                 let attrs = [("id", id as f64), ("shard", shard as f64)];
-                let out = self.apply_mutation("insert", ctx, enqueued, &attrs, |s| {
+                let out = self.apply_mutation("insert", ctx, enqueued, &attrs, |s, _| {
                     s.sets[shard].insert(id, &row)?;
                     s.next_id += 1;
                     s.inserts += 1;
@@ -1260,7 +1266,7 @@ impl Scheduler {
                 reply,
             } => {
                 let attrs = [("id", id as f64)];
-                let out = self.apply_mutation("delete", ctx, enqueued, &attrs, |s| {
+                let out = self.apply_mutation("delete", ctx, enqueued, &attrs, |s, _| {
                     s.deletes += 1;
                     simpim_obs::metrics::counter_add("simpim.serve.deletes", 1);
                     // The first shard that holds the id ends the search;
@@ -1515,10 +1521,15 @@ mod tests {
         };
         let queue = span("serve.query.queue", "#", "");
         let mutation = |kind: &str, outcome: &str, attrs: &str, annotations: &str| {
+            let applied = if kind == "flush" {
+                r#""rows_written":#"#
+            } else {
+                ""
+            };
             let spans = [
                 span(&format!("serve.{kind}"), "null", attrs),
                 queue.clone(),
-                span(&format!("serve.{kind}.apply"), "#", ""),
+                span(&format!("serve.{kind}.apply"), "#", applied),
             ];
             line(kind, outcome, &spans, annotations)
         };

@@ -178,7 +178,7 @@ impl ReplicaSet {
     }
 
     /// The shared host mirror (read-only: mutations go through the set).
-    pub(crate) fn mirror(&self) -> &ShardMirror {
+    pub fn mirror(&self) -> &ShardMirror {
         &self.mirror
     }
 
@@ -352,10 +352,11 @@ impl ReplicaSet {
     /// rolling-flush loop) serves queries from the other `R − 1` replicas
     /// between steps, and answers are unchanged on both sides of the step
     /// (compaction invariance). Once the last dirty replica folds its
-    /// tombstones, the shared mirror compacts too.
-    pub fn reprogram_replica(&mut self, i: usize) -> Result<(), ServeError> {
+    /// tombstones, the shared mirror compacts too. Returns the rows the
+    /// step wrote ([`Residency::reprogram`]).
+    pub fn reprogram_replica(&mut self, i: usize) -> Result<usize, ServeError> {
         if !self.begin_reprogram(i) {
-            return Ok(());
+            return Ok(0);
         }
         let out = self.replicas[i].reprogram(&self.mirror);
         self.finish_reprogram(i);

@@ -30,17 +30,22 @@
 //! *every* residency over it has folded them (see
 //! [`ShardMirror::compact`]).
 //!
-//! The wear-aware reprogram policy is unchanged: a reprogram rewrites
-//! every crossbar of the residency, so the tombstone ratio that
-//! triggers one *rises* with the wear already accumulated — a fresh
-//! bank compacts eagerly, a worn bank tolerates more dead weight before
-//! burning endurance.
+//! A compaction ([`Residency::reprogram`]) works **in place** on the
+//! residency's own bank and rewrites only the rows that change: each
+//! tombstoned position takes a delta row, or else the last programmed
+//! row (the region shrinks back into its spare slots), and leftover
+//! delta rows are appended. Only the crossbars those rows land on wear.
+//! Only when the live rows outgrow the allocation Theorem 4 planned
+//! (`n + spare_rows`) is the shard re-laid out — on the same bank, whose
+//! wear survives the clear. The tombstone ratio that triggers a
+//! compaction still *rises* with the wear already accumulated: a fresh
+//! bank compacts eagerly, a worn bank tolerates more dead weight.
 //!
 //! Programming is **streamed**: rows flow from the mirror into the bank
 //! in [`simpim_datasets::DEFAULT_BLOCK_ROWS`]-sized blocks through
 //! [`simpim_core::ResidentBuilder`], whose result (matrix, Φ, wear) does
 //! not depend on the block size, so no second copy of the shard is ever
-//! materialized — open, repair, and reprogram all share it.
+//! materialized — open, repair, and re-layout all share it.
 
 use simpim_core::executor::{ExecutorConfig, PimExecutor};
 use simpim_core::{CoreError, ResidentBuilder};
@@ -151,6 +156,11 @@ impl ShardMirror {
         self.rows.is_empty()
     }
 
+    /// Row `i` (tombstoned or not).
+    pub fn row(&self, i: usize) -> &[f64] {
+        self.rows.row(i)
+    }
+
     /// Live rows.
     pub fn live_len(&self) -> usize {
         self.rows.len() - self.dead
@@ -199,27 +209,31 @@ impl ShardMirror {
         Ok((rows, ids))
     }
 
-    /// Drops tombstoned rows, returning `old index → new index` (dead
-    /// slots map to `None`). Only call once every residency over this
+    /// Drops tombstoned rows in place — each dead slot takes the last
+    /// row — returning `old index → new index` (dead slots map to
+    /// `None`). Storage order is not part of an answer, which is ordered
+    /// by (distance, global id). Only call once every residency over this
     /// mirror has folded its tombstones (their `order`s are remapped
     /// with the returned table via [`Residency::remap`]); compacting
     /// under a residency that still has dead rows programmed would
     /// desynchronize its bound batch from the mirror.
     pub fn compact(&mut self) -> Vec<Option<usize>> {
-        let mut kept = 0;
-        let remap = self
-            .live
-            .iter()
-            .map(|&live| {
-                kept += usize::from(live);
-                live.then(|| kept - 1)
-            })
-            .collect();
-        if self.dead > 0 {
-            (self.rows, self.ids) = self.snapshot_live().expect("rows share one valid dim");
-            self.live = vec![true; self.ids.len()];
-            self.dead = 0;
+        let mut remap = vec![None; self.len()];
+        // `origin[i]`: the index the row now at `i` had before.
+        let mut origin: Vec<usize> = (0..self.len()).collect();
+        let mut i = 0;
+        while i < self.rows.len() {
+            if self.live[i] {
+                remap[origin[i]] = Some(i); // slots below `i` never move again
+                i += 1;
+                continue;
+            }
+            self.rows.swap_remove_row(i).expect("a slot below len");
+            self.ids.swap_remove(i);
+            self.live.swap_remove(i);
+            origin.swap_remove(i);
         }
+        self.dead = 0;
         remap
     }
 
@@ -325,42 +339,41 @@ impl Residency {
     /// Programs the mirror's live rows onto a fresh bank, streaming
     /// block-by-block (no second copy of the rows is ever built).
     pub fn open(cfg: ShardConfig, mirror: &ShardMirror) -> Result<Self, ServeError> {
-        let (exec, order) = Self::program(&cfg, mirror)?;
-        Ok(Self {
-            cfg,
-            exec,
-            order,
-            reprograms: 0,
-            sheds: 0,
-        })
-    }
-
-    /// Streams the mirror's live rows through [`ResidentBuilder`] in
-    /// [`DEFAULT_BLOCK_ROWS`]-sized blocks.
-    fn program(
-        cfg: &ShardConfig,
-        mirror: &ShardMirror,
-    ) -> Result<(PimExecutor, Vec<usize>), ServeError> {
         if mirror.live_len() == 0 {
             // Reached from `open` on the caller's thread: refuse, never panic.
             return Err(ServeError::invalid(
                 "a shard needs at least one live row to program",
             ));
         }
-        let d = mirror.dim();
-        let block = DEFAULT_BLOCK_ROWS;
-        let mut builder: ResidentBuilder = PimExecutor::begin_euclidean_resident(
+        let order: Vec<usize> = mirror.live_indices().collect();
+        let mut builder = PimExecutor::begin_euclidean_resident(
             cfg.executor,
-            mirror.live_len(),
-            d,
+            order.len(),
+            mirror.dim(),
             cfg.spare_rows,
         )?;
-        let mut order = Vec::with_capacity(mirror.live_len());
-        let mut buf = Vec::with_capacity(block.min(mirror.live_len()) * d);
-        for i in mirror.live_indices() {
-            buf.extend_from_slice(mirror.rows.row(i));
-            order.push(i);
-            if buf.len() >= block * d {
+        Self::stream(&mut builder, mirror, &order)?;
+        Ok(Self {
+            cfg,
+            exec: builder.finish()?,
+            order,
+            reprograms: 0,
+            sheds: 0,
+        })
+    }
+
+    /// Streams the mirror rows `order` names, in that order, through
+    /// [`ResidentBuilder`] in [`DEFAULT_BLOCK_ROWS`]-sized blocks.
+    fn stream(
+        builder: &mut ResidentBuilder,
+        mirror: &ShardMirror,
+        order: &[usize],
+    ) -> Result<(), CoreError> {
+        let block = DEFAULT_BLOCK_ROWS * mirror.dim();
+        let mut buf = Vec::with_capacity(block.min(order.len() * mirror.dim()));
+        for &i in order {
+            buf.extend_from_slice(mirror.row(i));
+            if buf.len() >= block {
                 builder.push_rows(&buf)?;
                 buf.clear();
             }
@@ -368,7 +381,7 @@ impl Residency {
         if !buf.is_empty() {
             builder.push_rows(&buf)?;
         }
-        Ok((builder.finish()?, order))
+        Ok(())
     }
 
     /// Tries to absorb a freshly appended mirror row (`idx`) into the
@@ -475,7 +488,7 @@ impl Residency {
 
     /// The wear-adjusted tombstone threshold: `base · (1 + wear/budget)`.
     /// A worn bank tolerates proportionally more tombstones before it
-    /// spends another full-region program on compaction.
+    /// spends more program cycles on compaction.
     fn reprogram_threshold(&self) -> f64 {
         let wear = self.wear() as f64 / self.cfg.reprogram_wear_budget.max(1) as f64;
         self.cfg.tombstone_reprogram_ratio * (1.0 + wear)
@@ -491,28 +504,98 @@ impl Residency {
         Ok(())
     }
 
-    /// Compacts this residency: programs the mirror's live rows (delta
-    /// folded in, tombstones dropped) onto a fresh resident layout with
-    /// a full complement of spare slots, streamed from the mirror. A
-    /// no-op on a lost bank — nothing can be programmed there; the
-    /// repair loop owns those — and when there is nothing to fold.
-    pub fn reprogram(&mut self, mirror: &ShardMirror) -> Result<(), ServeError> {
+    /// Compacts this residency — delta folded in, tombstones dropped —
+    /// and returns the rows it wrote. In place when the live rows fit
+    /// the allocation (see the module docs); otherwise a re-layout of
+    /// every live row with a full complement of spare slots on this same
+    /// bank. A no-op on a lost bank — nothing can be programmed there;
+    /// the repair loop owns those — and when there is nothing to fold.
+    pub fn reprogram(&mut self, mirror: &ShardMirror) -> Result<usize, ServeError> {
         let nothing_to_fold = self.tombstoned(mirror) == 0 && self.delta(mirror) == 0;
-        if self.bank_lost() || nothing_to_fold {
-            return Ok(());
+        // With everything deleted, keep the old (all-tombstoned) residency
+        // rather than program an empty region: queries return nothing.
+        if self.bank_lost() || nothing_to_fold || mirror.live_len() == 0 {
+            return Ok(0);
         }
-        if mirror.live_len() == 0 {
-            // Everything deleted: keep the old (all-tombstoned)
-            // residency rather than programming an empty region. Queries
-            // already return nothing.
-            return Ok(());
-        }
-        let (exec, order) = Self::program(&self.cfg, mirror)?;
-        self.exec = exec;
-        self.order = order;
+        let started = std::time::Instant::now();
+        let written = if mirror.live_len() > self.order.len() + self.exec.spare_capacity()? {
+            let order: Vec<usize> = mirror.live_indices().collect();
+            self.exec
+                .relayout(order.len(), self.cfg.spare_rows, |builder| {
+                    Self::stream(builder, mirror, &order)
+                })?;
+            self.order = order;
+            self.order.len()
+        } else {
+            self.compact_in_place(mirror)?
+        };
         self.reprograms += 1;
         simpim_obs::metrics::counter_add("simpim.serve.reprograms", 1);
-        Ok(())
+        simpim_obs::metrics::counter_add("simpim.serve.compact_rows", written as u64);
+        simpim_obs::metrics::histogram_record(
+            "simpim.serve.compact_ns",
+            started.elapsed().as_nanos() as u64,
+        );
+        Ok(written)
+    }
+
+    /// The in-place compaction: every tombstoned position takes a delta
+    /// row while any is left, otherwise the last programmed row (dead
+    /// tail rows are dropped), and the region is truncated to what is
+    /// left; delta rows still left are appended into the spare slots.
+    /// With faults configured, one scrub covers every row written.
+    fn compact_in_place(&mut self, mirror: &ShardMirror) -> Result<usize, ServeError> {
+        let mut resident = vec![false; mirror.len()];
+        for &i in &self.order {
+            resident[i] = true;
+        }
+        let mut delta = mirror.live_indices().filter(|&i| !resident[i]);
+        let live = |i: usize| mirror.live[i];
+        let mut written = 0;
+        let mut j = 0;
+        while j < self.order.len() {
+            if live(self.order[j]) {
+                j += 1;
+                continue;
+            }
+            let row = match delta.next() {
+                Some(row) => row,
+                None => {
+                    // Shrink: drop the dead tail (`j` itself, if it is
+                    // last), then move the live tail row to `j`.
+                    while self.order.last().is_some_and(|&i| !live(i)) {
+                        self.order.pop();
+                    }
+                    if j >= self.order.len() {
+                        break;
+                    }
+                    self.order.pop().expect("a live row past j")
+                }
+            };
+            self.exec.write_row(j, mirror.row(row))?;
+            self.order[j] = row;
+            written += 1;
+            j += 1;
+        }
+        self.exec.truncate(self.order.len())?;
+        for row in delta {
+            self.exec.write_row(self.order.len(), mirror.row(row))?;
+            self.order.push(row);
+            written += 1;
+        }
+        self.exec.scrub_now()?;
+        Ok(written)
+    }
+
+    /// `order()[j]` is the mirror index of the row programmed at object
+    /// position `j` of this residency's regions.
+    pub fn order(&self) -> &[usize] {
+        &self.order
+    }
+
+    /// The executor holding this residency's bank.
+    pub fn executor(&self) -> &PimExecutor {
+        &self.exec
     }
 
     /// Runs one scrub-and-remap pass over the resident regions now (a
@@ -647,7 +730,7 @@ impl Shard {
     /// Forces pending compaction (tombstones or delta rows) onto the
     /// crossbars, regardless of the wear-aware threshold.
     pub fn flush(&mut self) -> Result<(), ServeError> {
-        self.set.reprogram_replica(0)
+        self.set.reprogram_replica(0).map(drop)
     }
 
     /// Point-in-time statistics.
@@ -908,6 +991,42 @@ mod tests {
             0,
             "worn shard must defer compaction"
         );
+    }
+
+    #[test]
+    fn wear_survives_compaction_in_place_and_on_relayout() {
+        let q = vec![0.45, 0.55, 0.4, 0.6];
+        for spare_rows in [2, 0] {
+            // Spares: the insert lands in them and the flush compacts in
+            // place. None: the insert is delta, the live rows outgrow the
+            // allocation and the flush re-lays the bank out.
+            let mut shard = Shard::open(
+                ShardConfig {
+                    spare_rows,
+                    ..cfg()
+                },
+                rows(),
+                vec![0, 1, 2, 3],
+            )
+            .unwrap();
+            shard.age_bank(10);
+            assert!(shard.delete(1).unwrap());
+            shard.insert(4, &[0.2, 0.3, 0.4, 0.5]).unwrap();
+            shard.insert(5, &[0.6, 0.7, 0.8, 0.9]).unwrap();
+            shard.flush().unwrap();
+            let stats = shard.stats();
+            assert_eq!((stats.tombstones, stats.delta, stats.reprograms), (0, 0, 1));
+            assert!(
+                stats.max_crossbar_programs >= 11,
+                "spare_rows {spare_rows}: wear reset to {}",
+                stats.max_crossbar_programs
+            );
+            let (live, ids) = shard.snapshot_live().unwrap();
+            let truth = knn_standard(&live, &q, 5, Measure::EuclideanSq).unwrap();
+            let want: Vec<Neighbor> = truth.neighbors.iter().map(|&(i, v)| (ids[i], v)).collect();
+            let got = shard.query_batch(std::slice::from_ref(&q), &[5]);
+            assert_eq!(got[0], Ok(want));
+        }
     }
 
     #[test]

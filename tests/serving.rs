@@ -243,6 +243,145 @@ proptest! {
             prop_assert_eq!(engine.knn(q, k).unwrap(), offline_truth(&live, q, k));
         }
     }
+
+    // Compaction rewrites rows in place, or re-lays the bank out when the
+    // live rows outgrow the allocation (no spare rows at all, or fewer
+    // than the inserts); either way, after every flush each programmed
+    // position holds the quantisation of the mirror row `order` maps it
+    // to, and every replica answers like the offline scan of the live rows.
+    #[test]
+    fn compaction_keeps_programmed_rows_and_answers_exact(
+        shape in ((6usize..=12, 1usize..=2), (0usize..3, 0u8..=1, 0u64..=3)),
+        flat in prop::collection::vec(0.0f64..=1.0, 12 * 4),
+        ops in prop::collection::vec(
+            (0u8..3, 0usize..1000, prop::collection::vec(0.0f64..=1.0, 4)),
+            1..24,
+        ),
+        query in prop::collection::vec(0.0f64..=1.0, 4),
+    ) {
+        use simpim::core::PreparedFunction;
+        use simpim::similarity::Quantizer;
+
+        let ((n, r), (spare, with_faults, seed)) = shape;
+        let d = 4;
+        let rows: Vec<Vec<f64>> = (0..n).map(|i| flat[i * d..(i + 1) * d].to_vec()).collect();
+        let faults = (with_faults == 1).then(|| FaultConfig {
+            dead_bitline_rate: 0.05,
+            seed,
+            ..Default::default()
+        });
+        let cfg = ShardConfig {
+            executor: exec_cfg(faults),
+            spare_rows: [0, 2, 16][spare],
+            ..Default::default()
+        };
+        let quantizer = Quantizer::identity(cfg.executor.alpha).unwrap();
+        let data = Dataset::from_rows(&rows).unwrap();
+        let mut set = ReplicaSet::open(cfg, r, data, (0..n).collect()).unwrap();
+        let mut live: Vec<(usize, Vec<f64>)> = rows.into_iter().enumerate().collect();
+        let mut next_id = n;
+        for (kind, pick, row) in &ops {
+            match kind {
+                0 => {
+                    set.insert(next_id, row).unwrap();
+                    live.push((next_id, row.clone()));
+                    next_id += 1;
+                }
+                1 if live.len() > 1 => {
+                    let (id, _) = live.remove(pick % live.len());
+                    prop_assert!(set.delete(id).unwrap());
+                }
+                _ => {
+                    for i in 0..r {
+                        set.reprogram_replica(i).unwrap();
+                    }
+                    let (snap, ids) = set.mirror().snapshot_live().unwrap();
+                    let mut snapshot: Vec<(usize, Vec<f64>)> =
+                        ids.into_iter().zip(snap.rows().map(<[f64]>::to_vec)).collect();
+                    snapshot.sort_by_key(|(id, _)| *id);
+                    prop_assert_eq!(&snapshot, &live);
+                    let k = 3.min(live.len());
+                    let truth = offline_truth(&live, &query, k);
+                    let mirror: Vec<Vec<f64>> =
+                        (0..set.mirror().len()).map(|j| set.mirror().row(j).to_vec()).collect();
+                    let stats = set.stats();
+                    prop_assert!(stats.replicas.iter().all(|s| s.tombstones + s.delta == 0));
+                    for i in 0..r {
+                        let got = set.query_replica(i, std::slice::from_ref(&query), &[k]);
+                        prop_assert_eq!(&got[0], &Ok(truth.clone()), "replica {}", i);
+                        let res = set.replica_mut(i);
+                        let exec = res.executor();
+                        let PreparedFunction::Ed { region, .. } = exec.prepared() else {
+                            panic!("tiny shards fit uncompressed");
+                        };
+                        let pim = exec.bank().pim();
+                        prop_assert_eq!(pim.region_shape(*region).unwrap().0, res.order().len());
+                        for (j, &row) in res.order().iter().enumerate() {
+                            let want = quantizer.quantize_vec(&mirror[row]).unwrap().floors;
+                            prop_assert_eq!(pim.region_row(*region, j).unwrap(), &want[..]);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+// A flush queued between two runs of queries, all submitted without
+// waiting, is served between them: every reply arrives, the queries ahead
+// of the mutations see the old rows and the ones behind see the new — at
+// one replica a shard and at two.
+#[test]
+fn queries_around_a_queued_flush_are_answered_in_submission_order() {
+    use simpim::obs::TraceCtx;
+    use std::time::Duration;
+
+    let rows: Vec<Vec<f64>> = (0..24)
+        .map(|i| {
+            (0..4)
+                .map(|j| ((i * 11 + j * 17) % 89) as f64 / 88.0)
+                .collect()
+        })
+        .collect();
+    let data = Dataset::from_rows(&rows).unwrap();
+    let q = vec![0.4, 0.3, 0.9, 0.1];
+    let before: Vec<(usize, Vec<f64>)> = rows.iter().cloned().enumerate().collect();
+    let truth_before = offline_truth(&before, &q, 3);
+    let nearest = truth_before[0].0;
+    let mut after = before.clone();
+    after.retain(|(id, _)| *id != nearest);
+    after.push((24, q.clone()));
+    let truth_after = offline_truth(&after, &q, 3);
+    assert_eq!(truth_after[0], (24, 0.0));
+
+    for replicas in [1, 2] {
+        let mut cfg = serve_cfg(2, None);
+        cfg.replicas = replicas;
+        cfg.max_batch = 16;
+        cfg.queue_depth = 64;
+        let engine = ServeEngine::open(cfg, &data).unwrap();
+        let submit = || {
+            engine
+                .knn_submit(&q, 3, Duration::from_secs(60), TraceCtx::NONE)
+                .unwrap()
+        };
+        let ahead: Vec<_> = (0..8).map(|_| submit()).collect();
+        let delete = engine.delete_submit(nearest, TraceCtx::NONE).unwrap();
+        let insert = engine.insert_submit(&q, TraceCtx::NONE).unwrap();
+        let flush = engine.flush_submit(TraceCtx::NONE).unwrap();
+        let behind: Vec<_> = (0..8).map(|_| submit()).collect();
+        for pending in ahead {
+            assert_eq!(pending.wait().unwrap(), truth_before, "R = {replicas}");
+        }
+        assert!(delete.wait().unwrap());
+        assert_eq!(insert.wait().unwrap(), 24);
+        flush.wait().unwrap();
+        for pending in behind {
+            assert_eq!(pending.wait().unwrap(), truth_after, "R = {replicas}");
+        }
+        let stats = engine.stats().unwrap();
+        assert_eq!((stats.queries, stats.failed), (16, 0));
+    }
 }
 
 // A coalesced batch refines together — one sweep of a shard's rows for

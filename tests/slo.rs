@@ -286,6 +286,63 @@ fn stage_exemplar_trace_ids_resolve_to_flight_traces() {
     }
 }
 
+// A compaction costs the rows that changed, not the shard: on a 200-row
+// shard, three deletes and two inserts make a flush write at most five
+// rows, a flush with nothing to fold writes none, and the counter, the
+// histogram, `serve.reprograms` and each flush's `apply` span agree.
+#[test]
+fn a_flush_writes_only_the_rows_that_changed() {
+    let _gate = REGISTRY_GATE.lock().unwrap_or_else(|e| e.into_inner());
+    simpim::obs::metrics::reset();
+
+    let engine = ServeEngine::open(cfg(1, 1), &dataset(200, 4)).unwrap();
+    for id in [3, 50, 120] {
+        assert!(engine.delete(id).unwrap());
+    }
+    for q in &queries(2, 4) {
+        engine.insert(q).unwrap();
+    }
+    let snap = || simpim::obs::metrics::snapshot();
+    let compacted = |s: &simpim::obs::MetricsSnapshot| {
+        let ns = s
+            .histogram("simpim.serve.compact_ns")
+            .map_or(0, |h| h.count);
+        let rows = s.counter("simpim.serve.compact_rows").unwrap_or(0);
+        (s.counter("simpim.serve.reprograms").unwrap_or(0), ns, rows)
+    };
+    assert_eq!(
+        compacted(&snap()),
+        (0, 0, 0),
+        "nothing compacts before the flush"
+    );
+    engine.flush().unwrap();
+    let (reprograms, samples, rows) = compacted(&snap());
+    assert_eq!((reprograms, samples), (1, 1));
+    assert!(
+        (1..=5).contains(&rows),
+        "a flush of 3 + 2 mutations wrote {rows} rows"
+    );
+    engine.flush().unwrap();
+    assert_eq!(compacted(&snap()), (1, 1, rows), "nothing left to fold");
+
+    let dump = engine.flight_dump().unwrap();
+    let written: Vec<f64> = parse_dump(&dump)
+        .unwrap()
+        .iter()
+        .filter(|t| t.kind == "flush")
+        .map(|t| {
+            let apply = t
+                .spans
+                .iter()
+                .find(|s| s.name == "serve.flush.apply")
+                .unwrap();
+            let attr = apply.attrs.iter().find(|(k, _)| k == "rows_written");
+            attr.expect("the apply span carries rows_written").1
+        })
+        .collect();
+    assert_eq!(written, vec![rows as f64, 0.0]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
