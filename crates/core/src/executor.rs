@@ -1116,7 +1116,8 @@ impl PimExecutor {
 
     /// Runs [`PimExecutor::lb_ed_batch`] for a coalesced batch of queries
     /// against the resident regions — the serving layer's one-pass-per-shard
-    /// entry point. The dataset stays programmed across the whole batch, so
+    /// entry point, and the offline tasks' chunk of anchor rows. The
+    /// dataset stays programmed across the whole batch, so
     /// the per-query cost is a crossbar read pass only; the offline path's
     /// program cost is amortized across every query the residency serves.
     /// Every [`BoundBatch`] is the one the single call would return, while
@@ -1128,9 +1129,9 @@ impl PimExecutor {
     /// attributable to its request even though the dispatch crossed onto a
     /// pool worker thread; [`simpim_obs::TraceCtx::NONE`] parents on the
     /// thread's own stack.
-    pub fn lb_ed_batch_multi(
+    pub fn lb_ed_batch_multi<Q: AsRef<[f64]>>(
         &mut self,
-        queries: &[Vec<f64>],
+        queries: &[Q],
         parent: simpim_obs::TraceCtx,
     ) -> Result<Vec<BoundBatch>, CoreError> {
         let attrs = [("queries", queries.len() as f64)];

@@ -9,12 +9,17 @@
 //!
 //! Both variants expand clusters in identical seed order, so labelings
 //! (including the order-dependent border-point assignments) are identical.
+//! The range queries go through the anchor driver one anchor at a time:
+//! the expansion picks its next anchor from the last answer, so fetching
+//! bounds ahead would either change which cluster claims a border point
+//! first or hold every neighbor list in memory.
 
-use simpim_core::{CoreError, PimExecutor};
-use simpim_similarity::{measures, Dataset};
-use simpim_simkit::OpCounters;
+use simpim_core::PimExecutor;
+use simpim_similarity::Dataset;
 
-use crate::report::{Architecture, RunReport};
+use crate::anchors::{check, Anchors};
+use crate::error::MiningError;
+use crate::report::RunReport;
 
 /// Cluster assignment of one object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,58 +51,23 @@ impl DbscanResult {
     }
 }
 
-/// The ε-neighborhood of `center` (indices, including `center` itself).
-fn range_query_scan(
-    dataset: &Dataset,
-    center: usize,
-    eps_sq: f64,
-    ed: &mut OpCounters,
-    other: &mut OpCounters,
-) -> Vec<usize> {
-    let d = dataset.dim() as u64;
-    let row = dataset.row(center);
+/// The ε-neighborhood of anchor `i` (indices, including `i` itself). On
+/// PIM, exact distances only for candidates whose `LB_PIM` does not
+/// already exceed ε².
+fn range_query(a: &mut Anchors<'_>, i: usize, eps_sq: f64) -> Result<Vec<usize>, MiningError> {
+    let bounds = a.one(i)?;
+    let (data, t) = (a.data, &mut a.tally);
     let mut out = Vec::new();
-    for (j, cand) in dataset.rows().enumerate() {
-        ed.euclidean_kernel(d, d * 8);
-        other.prune_test();
-        if measures::euclidean_sq(row, cand) <= eps_sq {
-            out.push(j);
+    for (j, cand) in data.rows().enumerate() {
+        if let Some(b) = &bounds {
+            t.other.prune_test();
+            if b[j] > eps_sq {
+                continue; // provably outside the ε-ball
+            }
         }
-    }
-    out
-}
-
-/// PIM-filtered ε-neighborhood: exact distances only for candidates whose
-/// `LB_PIM` does not already exceed ε².
-fn range_query_pim(
-    executor: &mut PimExecutor,
-    dataset: &Dataset,
-    center: usize,
-    eps_sq: f64,
-    report: &mut RunReport,
-    ed: &mut OpCounters,
-    other: &mut OpCounters,
-) -> Result<Vec<usize>, CoreError> {
-    let d = dataset.dim() as u64;
-    let row = dataset.row(center);
-    let batch = executor.lb_ed_batch(row)?;
-    report.pim.add(&batch.timing);
-    let mut g = OpCounters::new();
-    batch.charge_g(&mut g);
-    report
-        .profile
-        .record(&format!("G({})", executor.bound_name()), g);
-
-    let mut out = Vec::new();
-    for (j, &lb) in batch.values.iter().enumerate() {
-        other.prune_test();
-        if lb > eps_sq {
-            continue; // provably outside the ε-ball
-        }
-        ed.euclidean_kernel(d, d * 8);
-        ed.random_fetches += 1;
-        other.prune_test();
-        if measures::euclidean_sq(row, dataset.row(j)) <= eps_sq {
+        let dist = t.distance(data.row(i), cand);
+        t.other.prune_test();
+        if dist <= eps_sq {
             out.push(j);
         }
     }
@@ -106,90 +76,62 @@ fn range_query_pim(
 
 /// Runs DBSCAN. Pass a prepared executor for the PIM variant; `None` runs
 /// the full-scan baseline. `eps` is in the *unsquared* distance domain.
+///
+/// # Errors
+/// [`MiningError::InvalidArgument`] when `eps` is not positive and finite
+/// or `min_pts` is 0, before anything runs on the crossbars;
+/// [`MiningError::Core`] when a bound pass fails.
 pub fn dbscan(
     dataset: &Dataset,
     eps: f64,
     min_pts: usize,
-    mut pim: Option<&mut PimExecutor>,
-) -> Result<DbscanResult, CoreError> {
-    assert!(eps > 0.0, "eps must be positive");
-    assert!(min_pts >= 1, "min_pts must be at least 1");
-    let arch = if pim.is_some() {
-        Architecture::ReRamPim
-    } else {
-        Architecture::ConventionalDram
-    };
-    let mut report = RunReport::new(arch);
-    let mut ed = OpCounters::new();
-    let mut other = OpCounters::new();
+    pim: Option<&mut PimExecutor>,
+) -> Result<DbscanResult, MiningError> {
+    use DbscanLabel::{Cluster, Noise};
+    check(eps > 0.0 && eps.is_finite(), || {
+        format!("eps must be positive and finite, got {eps}")
+    })?;
+    check(min_pts >= 1, || "min_pts must be at least 1".to_string())?;
+    let mut a = Anchors::new(dataset, pim);
     let eps_sq = eps * eps;
-    let n = dataset.len();
-
-    const UNVISITED: usize = usize::MAX;
-    const NOISE: usize = usize::MAX - 1;
-    let mut label = vec![UNVISITED; n];
+    // `None` until the object is visited.
+    let mut label: Vec<Option<DbscanLabel>> = vec![None; dataset.len()];
     let mut clusters = 0usize;
 
-    for i in 0..n {
-        if label[i] != UNVISITED {
+    for i in 0..dataset.len() {
+        if label[i].is_some() {
             continue;
         }
-        let neighbors = match pim.as_deref_mut() {
-            Some(exec) => {
-                range_query_pim(exec, dataset, i, eps_sq, &mut report, &mut ed, &mut other)?
-            }
-            None => range_query_scan(dataset, i, eps_sq, &mut ed, &mut other),
-        };
+        let neighbors = range_query(&mut a, i, eps_sq)?;
         if neighbors.len() < min_pts {
-            label[i] = NOISE;
+            label[i] = Some(Noise);
             continue;
         }
         // New cluster: BFS over density-reachable points.
-        let cid = clusters;
+        let cid = Some(Cluster(clusters));
         clusters += 1;
         label[i] = cid;
         let mut queue: Vec<usize> = neighbors.into_iter().filter(|&j| j != i).collect();
         while let Some(j) = queue.pop() {
-            if label[j] == NOISE {
-                label[j] = cid; // border point
-                continue;
-            }
-            if label[j] != UNVISITED {
-                continue;
-            }
-            label[j] = cid;
-            let reach = match pim.as_deref_mut() {
-                Some(exec) => {
-                    range_query_pim(exec, dataset, j, eps_sq, &mut report, &mut ed, &mut other)?
+            match label[j] {
+                Some(Cluster(_)) => {}
+                Some(Noise) => label[j] = cid, // border point
+                None => {
+                    label[j] = cid;
+                    let reach = range_query(&mut a, j, eps_sq)?;
+                    if reach.len() >= min_pts {
+                        let open = |x: &usize| !matches!(label[*x], Some(Cluster(_)));
+                        queue.extend(reach.into_iter().filter(open));
+                    }
                 }
-                None => range_query_scan(dataset, j, eps_sq, &mut ed, &mut other),
-            };
-            if reach.len() >= min_pts {
-                queue.extend(
-                    reach
-                        .into_iter()
-                        .filter(|&x| label[x] == UNVISITED || label[x] == NOISE),
-                );
             }
         }
     }
 
-    report.profile.record("ED", ed);
-    report.profile.record("other", other);
-    let labels = label
-        .into_iter()
-        .map(|l| {
-            if l == NOISE || l == UNVISITED {
-                DbscanLabel::Noise
-            } else {
-                DbscanLabel::Cluster(l)
-            }
-        })
-        .collect();
     Ok(DbscanResult {
-        labels,
+        labels: label.into_iter().map(|l| l.unwrap_or(Noise)).collect(),
         clusters,
-        report,
+        report: a.finish(),
     })
 }
 

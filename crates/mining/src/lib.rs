@@ -28,7 +28,12 @@
 //! * [`kmeans::pim`] — each algorithm with `LB_PIM-ED` filtering inserted
 //!   before every exact ED it would compute in the assign step.
 //!
-//! **Further similarity-based tasks** (Section II-C's wider list)
+//! **Further similarity-based tasks** (Section II-C's wider list). Each
+//! task is one body under its baseline and PIM fronts, over one private
+//! anchor driver that owns the report, the counters and the anchors' PIM
+//! bounds — fetched 64 anchors per `lb_ed_batch_multi` pass, and one
+//! anchor per pass for DBSCAN, whose expansion picks its next anchor from
+//! the last answer.
 //! * [`outlier`] — distance-based outlier detection (top-m by k-NN
 //!   distance, ORCA-style cutoff) with lossless `LB_PIM` filtering.
 //! * [`dbscan`] — density-based clustering whose ε-range queries are
@@ -41,6 +46,7 @@
 //! memory, and the PIM-side latency — the raw material of every figure in
 //! the evaluation.
 
+mod anchors;
 pub mod dbscan;
 pub mod error;
 pub mod kmeans;

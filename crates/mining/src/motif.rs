@@ -13,11 +13,11 @@
 //! positions, the standard exclusion zone.
 
 use simpim_core::executor::{ExecutorConfig, PimExecutor};
-use simpim_core::CoreError;
-use simpim_similarity::{measures, Dataset, NormalizedDataset};
-use simpim_simkit::OpCounters;
+use simpim_similarity::{Dataset, NormalizedDataset};
 
-use crate::report::{Architecture, RunReport};
+use crate::anchors::{check, Anchors};
+use crate::error::MiningError;
+use crate::report::RunReport;
 
 /// The closest non-trivial window pair.
 #[derive(Debug, Clone)]
@@ -42,196 +42,169 @@ pub struct DiscordResult {
 }
 
 /// Materializes the sliding-window dataset of a series.
-pub fn window_dataset(series: &[f64], w: usize) -> Dataset {
-    assert!(w >= 1 && w <= series.len(), "window must fit the series");
-    let n = series.len() - w + 1;
+///
+/// # Errors
+/// [`MiningError::InvalidArgument`] when `w` is outside
+/// `1..=series.len()`.
+pub fn window_dataset(series: &[f64], w: usize) -> Result<Dataset, MiningError> {
+    let len = series.len();
+    check((1..=len).contains(&w), || {
+        format!("window must be in 1..={len}, got {w}")
+    })?;
     let mut ds = Dataset::with_dim(w).expect("w >= 1");
-    for i in 0..n {
-        ds.push(&series[i..i + w]).expect("window width fixed");
+    for window in series.windows(w) {
+        ds.push(window).expect("window width fixed");
     }
-    ds
+    Ok(ds)
 }
 
-fn exclusion(w: usize) -> usize {
-    (w / 2).max(1)
+/// The windows of a series, their exclusion zone and, on PIM, the
+/// executor prepared over them — once the series is known to hold at
+/// least one non-trivial pair.
+fn windows(
+    series: &[f64],
+    w: usize,
+    cfg: Option<ExecutorConfig>,
+) -> Result<(Dataset, usize, Option<PimExecutor>), MiningError> {
+    let ds = window_dataset(series, w)?;
+    let excl = (w / 2).max(1);
+    check(ds.len() > excl, || {
+        format!(
+            "a series of {} points has no two windows of {w} at least {excl} apart",
+            series.len()
+        )
+    })?;
+    let nds = NormalizedDataset::assert_normalized_ref(&ds);
+    let exec = cfg
+        .map(|c| PimExecutor::prepare_euclidean(c, nds))
+        .transpose()?;
+    Ok((ds, excl, exec))
 }
 
 /// Exhaustive motif search: O(n²) window pairs.
-pub fn motif_standard(series: &[f64], w: usize) -> MotifResult {
-    let ds = window_dataset(series, w);
-    let excl = exclusion(w);
-    let mut report = RunReport::new(Architecture::ConventionalDram);
-    let mut ed = OpCounters::new();
-    let mut other = OpCounters::new();
-    let d = w as u64;
-
-    let mut best = (usize::MAX, usize::MAX, f64::INFINITY);
-    for i in 0..ds.len() {
-        for j in (i + excl)..ds.len() {
-            ed.euclidean_kernel(d, d * 8);
-            other.prune_test();
-            let dist = measures::euclidean_sq(ds.row(i), ds.row(j));
-            if dist < best.2 {
-                best = (i, j, dist);
-            }
-        }
-    }
-    report.profile.record("ED", ed);
-    report.profile.record("other", other);
-    MotifResult {
-        pair: (best.0, best.1),
-        distance: best.2,
-        report,
-    }
+///
+/// # Errors
+/// [`MiningError::InvalidArgument`] when `w` is outside `1..=len` or the
+/// series holds no non-trivial window pair.
+pub fn motif_standard(series: &[f64], w: usize) -> Result<MotifResult, MiningError> {
+    motif(series, w, None)
 }
 
-/// PIM-filtered motif search: per anchor window, one `LB_PIM` batch orders
-/// and prunes the candidate scan against the running best distance.
-/// Returns exactly the [`motif_standard`] pair.
-pub fn motif_pim(series: &[f64], w: usize, cfg: ExecutorConfig) -> Result<MotifResult, CoreError> {
-    let ds = window_dataset(series, w);
-    let nds = NormalizedDataset::assert_normalized_ref(&ds);
-    let mut exec = PimExecutor::prepare_euclidean(cfg, nds)?;
-    let excl = exclusion(w);
-    let mut report = RunReport::new(Architecture::ReRamPim);
-    let mut ed = OpCounters::new();
-    let mut g = OpCounters::new();
-    let mut other = OpCounters::new();
-    let d = w as u64;
-    let n = ds.len();
+/// PIM-filtered motif search: per anchor window, its `LB_PIM` batch
+/// prunes the candidate scan against the running best distance. Returns
+/// exactly the [`motif_standard`] pair.
+///
+/// # Errors
+/// As [`motif_standard`], before any executor is prepared;
+/// [`MiningError::Core`] when the windows do not fit `cfg` or a bound
+/// pass fails.
+pub fn motif_pim(
+    series: &[f64],
+    w: usize,
+    cfg: ExecutorConfig,
+) -> Result<MotifResult, MiningError> {
+    motif(series, w, Some(cfg))
+}
 
+/// The body of both motif fronts: per anchor window, every later window
+/// outside its exclusion zone, compared exactly unless its bound cannot
+/// beat the running best.
+fn motif(
+    series: &[f64],
+    w: usize,
+    cfg: Option<ExecutorConfig>,
+) -> Result<MotifResult, MiningError> {
+    let (ds, excl, mut exec) = windows(series, w, cfg)?;
+    let n = ds.len();
+    let mut a = Anchors::new(&ds, exec.as_mut());
     let mut best = (usize::MAX, usize::MAX, f64::INFINITY);
-    let mut bound_name = String::new();
-    for i in 0..n {
-        let batch = exec.lb_ed_batch(ds.row(i))?;
-        bound_name = exec.bound_name();
-        report.pim.add(&batch.timing);
-        batch.charge_g(&mut g);
-        for (j, &lb) in batch.values.iter().enumerate().skip(i + excl) {
-            other.prune_test();
-            if lb >= best.2 {
-                continue; // cannot beat the running motif
+    a.each(n, |t, i, bounds| {
+        for j in (i + excl)..n {
+            if let Some(b) = bounds {
+                t.other.prune_test();
+                if b[j] >= best.2 {
+                    continue; // cannot beat the running motif
+                }
             }
-            ed.euclidean_kernel(d, d * 8);
-            ed.random_fetches += 1;
-            let dist = measures::euclidean_sq(ds.row(i), ds.row(j));
-            other.prune_test();
+            let dist = t.distance(ds.row(i), ds.row(j));
+            t.other.prune_test();
             if dist < best.2 {
                 best = (i, j, dist);
             }
         }
-    }
-    report.profile.record(&format!("G({bound_name})"), g);
-    report.profile.record("ED", ed);
-    report.profile.record("other", other);
+    })?;
     Ok(MotifResult {
         pair: (best.0, best.1),
         distance: best.2,
-        report,
+        report: a.finish(),
     })
 }
 
 /// Exhaustive discord search: each window's non-trivial 1-NN distance,
 /// maximized.
-pub fn discord_standard(series: &[f64], w: usize) -> DiscordResult {
-    let ds = window_dataset(series, w);
-    let excl = exclusion(w);
-    let mut report = RunReport::new(Architecture::ConventionalDram);
-    let mut ed = OpCounters::new();
-    let mut other = OpCounters::new();
-    let d = w as u64;
-
-    let mut best = (usize::MAX, f64::NEG_INFINITY);
-    for i in 0..ds.len() {
-        let mut nn = f64::INFINITY;
-        for j in 0..ds.len() {
-            if i.abs_diff(j) < excl {
-                continue;
-            }
-            ed.euclidean_kernel(d, d * 8);
-            other.prune_test();
-            nn = nn.min(measures::euclidean_sq(ds.row(i), ds.row(j)));
-        }
-        other.prune_test();
-        if nn > best.1 {
-            best = (i, nn);
-        }
-    }
-    report.profile.record("ED", ed);
-    report.profile.record("other", other);
-    DiscordResult {
-        position: best.0,
-        score: best.1,
-        report,
-    }
+///
+/// # Errors
+/// As [`motif_standard`].
+pub fn discord_standard(series: &[f64], w: usize) -> Result<DiscordResult, MiningError> {
+    discord(series, w, None)
 }
 
 /// PIM-filtered discord search with the ORCA-style cutoff: a window whose
 /// running 1-NN distance drops below the best discord score so far is
 /// abandoned; within a window's scan, sorted `LB_PIM` values finalize the
 /// 1-NN early. Returns exactly the [`discord_standard`] result.
+///
+/// # Errors
+/// As [`motif_pim`].
 pub fn discord_pim(
     series: &[f64],
     w: usize,
     cfg: ExecutorConfig,
-) -> Result<DiscordResult, CoreError> {
-    let ds = window_dataset(series, w);
-    let nds = NormalizedDataset::assert_normalized_ref(&ds);
-    let mut exec = PimExecutor::prepare_euclidean(cfg, nds)?;
-    let excl = exclusion(w);
-    let mut report = RunReport::new(Architecture::ReRamPim);
-    let mut ed = OpCounters::new();
-    let mut g = OpCounters::new();
-    let mut other = OpCounters::new();
-    let d = w as u64;
+) -> Result<DiscordResult, MiningError> {
+    discord(series, w, Some(cfg))
+}
+
+/// The body of both discord fronts: per anchor window, its 1-NN distance
+/// over the windows outside its exclusion zone — on the baseline from all
+/// of them, on PIM walked by ascending bound and abandoned at the cutoff.
+fn discord(
+    series: &[f64],
+    w: usize,
+    cfg: Option<ExecutorConfig>,
+) -> Result<DiscordResult, MiningError> {
+    let (ds, excl, mut exec) = windows(series, w, cfg)?;
     let n = ds.len();
-
+    let mut a = Anchors::new(&ds, exec.as_mut());
     let mut best = (usize::MAX, f64::NEG_INFINITY);
-    let mut bound_name = String::new();
-    for i in 0..n {
-        let batch = exec.lb_ed_batch(ds.row(i))?;
-        bound_name = exec.bound_name();
-        report.pim.add(&batch.timing);
-        batch.charge_g(&mut g);
-
-        let mut order: Vec<(f64, usize)> = batch
-            .values
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|&(j, _)| i.abs_diff(j) >= excl)
-            .map(|(j, v)| (v, j))
-            .collect();
-        order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        other.cmp += (n as f64 * (n as f64).log2().max(1.0)) as u64;
-
+    a.each(n, |t, i, bounds| {
+        let cutoff = bounds.map_or(f64::NEG_INFINITY, |_| best.1);
         let mut nn = f64::INFINITY;
-        let mut abandoned = false;
-        for &(lb, j) in &order {
-            other.prune_test();
-            if lb >= nn {
-                break; // sorted: the 1-NN distance is final
+        for (lb, j) in t.walk_order(bounds, n, |j| i.abs_diff(j) >= excl) {
+            if bounds.is_some() {
+                t.other.prune_test();
+                if lb >= nn {
+                    break; // sorted: the 1-NN distance is final
+                }
             }
-            ed.euclidean_kernel(d, d * 8);
-            ed.random_fetches += 1;
-            nn = nn.min(measures::euclidean_sq(ds.row(i), ds.row(j)));
-            other.prune_test();
-            if nn <= best.1 {
-                abandoned = true; // cannot be the discord any more
-                break;
+            nn = nn.min(t.distance(ds.row(i), ds.row(j)));
+            t.other.prune_test();
+            if nn <= cutoff {
+                return; // cannot be the discord any more
             }
         }
-        if !abandoned && nn > best.1 {
+        if bounds.is_none() {
+            // The baseline's comparison below; on PIM the walk's cutoff
+            // test has already made it.
+            t.other.prune_test();
+        }
+        if nn > best.1 {
             best = (i, nn);
         }
-    }
-    report.profile.record(&format!("G({bound_name})"), g);
-    report.profile.record("ED", ed);
-    report.profile.record("other", other);
+    })?;
     Ok(DiscordResult {
         position: best.0,
         score: best.1,
-        report,
+        report: a.finish(),
     })
 }
 
@@ -253,7 +226,7 @@ mod tests {
     #[test]
     fn finds_the_planted_motif() {
         let (s, w) = planted();
-        let res = motif_standard(&s.values, w);
+        let res = motif_standard(&s.values, w).unwrap();
         let (a, b) = s.motif_positions;
         // The discovered pair must point at the planted occurrences
         // (within a couple of positions — neighboring windows overlap the
@@ -270,7 +243,7 @@ mod tests {
     #[test]
     fn finds_the_planted_discord() {
         let (s, w) = planted();
-        let res = discord_standard(&s.values, w);
+        let res = discord_standard(&s.values, w).unwrap();
         assert!(
             res.position.abs_diff(s.discord_position) <= w,
             "discord at {} vs planted {}",
@@ -287,7 +260,7 @@ mod tests {
     #[test]
     fn pim_motif_matches_standard() {
         let (s, w) = planted();
-        let base = motif_standard(&s.values, w);
+        let base = motif_standard(&s.values, w).unwrap();
         let pim = motif_pim(&s.values, w, ExecutorConfig::default()).unwrap();
         assert_eq!(pim.pair, base.pair);
         assert!((pim.distance - base.distance).abs() < 1e-12);
@@ -297,7 +270,7 @@ mod tests {
     #[test]
     fn pim_discord_matches_standard() {
         let (s, w) = planted();
-        let base = discord_standard(&s.values, w);
+        let base = discord_standard(&s.values, w).unwrap();
         let pim = discord_pim(&s.values, w, ExecutorConfig::default()).unwrap();
         assert_eq!(pim.position, base.position);
         assert!((pim.score - base.score).abs() < 1e-12);
@@ -306,7 +279,7 @@ mod tests {
     #[test]
     fn pim_prunes_most_pairwise_work() {
         let (s, w) = planted();
-        let base = motif_standard(&s.values, w);
+        let base = motif_standard(&s.values, w).unwrap();
         let pim = motif_pim(&s.values, w, ExecutorConfig::default()).unwrap();
         let b = base.report.profile.get("ED").unwrap().counters.mul;
         let p = pim.report.profile.get("ED").unwrap().counters.mul;
@@ -315,7 +288,7 @@ mod tests {
 
     #[test]
     fn window_dataset_shape() {
-        let ds = window_dataset(&[0.1, 0.2, 0.3, 0.4, 0.5], 3);
+        let ds = window_dataset(&[0.1, 0.2, 0.3, 0.4, 0.5], 3).unwrap();
         assert_eq!(ds.len(), 3);
         assert_eq!(ds.dim(), 3);
         assert_eq!(ds.row(2), &[0.3, 0.4, 0.5]);

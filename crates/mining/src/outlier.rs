@@ -14,12 +14,13 @@
 //! same lossless filter-and-refinement as kNN, so results are identical
 //! to the baseline.
 
-use simpim_core::{CoreError, PimExecutor};
-use simpim_similarity::{measures, Dataset};
-use simpim_simkit::OpCounters;
+use simpim_core::PimExecutor;
+use simpim_similarity::Dataset;
 
+use crate::anchors::{check, Anchors};
+use crate::error::MiningError;
 use crate::knn::TopK;
-use crate::report::{Architecture, RunReport};
+use crate::report::RunReport;
 
 /// Result of an outlier search: the top-`m` `(object, score)` pairs,
 /// highest score first, plus instrumentation.
@@ -39,113 +40,79 @@ impl OutlierResult {
 }
 
 /// Exhaustive baseline: every object's exact `k`-NN distance (O(N²·d)).
-pub fn outliers_standard(dataset: &Dataset, k: usize, m: usize) -> OutlierResult {
-    assert!(k >= 1 && k < dataset.len(), "k must be in 1..N");
-    assert!(m >= 1 && m <= dataset.len(), "m must be in 1..=N");
-    let mut report = RunReport::new(Architecture::ConventionalDram);
-    let mut ed = OpCounters::new();
-    let mut other = OpCounters::new();
-    let d = dataset.dim() as u64;
-
-    let mut top = TopK::new(m, false); // larger score = stronger outlier
-    for (i, row) in dataset.rows().enumerate() {
-        let mut knn = TopK::new(k, true);
-        for (j, cand) in dataset.rows().enumerate() {
-            if i == j {
-                continue;
-            }
-            ed.euclidean_kernel(d, d * 8);
-            other.prune_test();
-            knn.offer(j, measures::euclidean_sq(row, cand));
-        }
-        let score = knn.threshold();
-        other.prune_test();
-        top.offer(i, score);
-    }
-    report.profile.record("ED", ed);
-    report.profile.record("other", other);
-    OutlierResult {
-        outliers: top.into_sorted(),
-        report,
-    }
+///
+/// # Errors
+/// [`MiningError::InvalidArgument`] when `k` is outside `1..N` or `m`
+/// outside `1..=N`.
+pub fn outliers_standard(
+    dataset: &Dataset,
+    k: usize,
+    m: usize,
+) -> Result<OutlierResult, MiningError> {
+    outliers(dataset, k, m, None)
 }
 
 /// ORCA-style cutoff pruning with `LB_PIM` candidate filtering: the PIM
 /// bound batch for object `i` orders and prunes its neighbor scan, and the
 /// global cutoff abandons inliers early. Returns exactly the
 /// [`outliers_standard`] result.
+///
+/// # Errors
+/// As [`outliers_standard`], before anything runs on the crossbars;
+/// [`MiningError::Core`] when a bound pass fails.
 pub fn outliers_pim(
     executor: &mut PimExecutor,
     dataset: &Dataset,
     k: usize,
     m: usize,
-) -> Result<OutlierResult, CoreError> {
-    assert!(k >= 1 && k < dataset.len(), "k must be in 1..N");
-    assert!(m >= 1 && m <= dataset.len(), "m must be in 1..=N");
-    let mut report = RunReport::new(Architecture::ReRamPim);
-    let mut ed = OpCounters::new();
-    let mut g_counters = OpCounters::new();
-    let mut other = OpCounters::new();
-    let d = dataset.dim() as u64;
+) -> Result<OutlierResult, MiningError> {
+    outliers(dataset, k, m, Some(executor))
+}
+
+/// The body of both fronts. Per object, the baseline offers every other
+/// object's exact distance to its `k`-NN pool; PIM walks them by
+/// ascending bound with two prunes: per candidate (bound beyond the
+/// current `k`-th ⇒ the `k`-NN distance is final) and per object (`k`-th
+/// below the cutoff once the top-`m` pool is full ⇒ not a top-`m`
+/// outlier).
+fn outliers(
+    dataset: &Dataset,
+    k: usize,
+    m: usize,
+    exec: Option<&mut PimExecutor>,
+) -> Result<OutlierResult, MiningError> {
     let n = dataset.len();
-
-    let mut top = TopK::new(m, false);
-    let mut bound_name = String::new();
-    for (i, row) in dataset.rows().enumerate() {
-        // One PIM batch per object: LB_PIM(i, ·) for every candidate.
-        let batch = executor.lb_ed_batch(row)?;
-        bound_name = executor.bound_name();
-        report.pim.add(&batch.timing);
-        batch.charge_g(&mut g_counters);
-
-        // Ascending-bound neighbor scan with two prunes: per-candidate
-        // (bound ≥ current k-th) and per-object (k-th < global cutoff `c`
-        // once the k-NN pool is full ⇒ i cannot be a top-m outlier).
-        let mut order: Vec<(f64, usize)> = batch
-            .values
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|&(j, _)| j != i)
-            .map(|(j, v)| (v, j))
-            .collect();
-        order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        other.cmp += (n as f64 * (n as f64).log2().max(1.0)) as u64;
-
-        let cutoff = if top.threshold().is_finite() {
-            top.threshold()
-        } else {
-            f64::NEG_INFINITY
-        };
+    check((1..n).contains(&k), || {
+        format!("k must be in 1..{n}, got {k}")
+    })?;
+    check((1..=n).contains(&m), || {
+        format!("m must be in 1..={n}, got {m}")
+    })?;
+    let mut a = Anchors::new(dataset, exec);
+    let mut top = TopK::new(m, false); // larger score = stronger outlier
+    a.each(n, |t, i, bounds| {
+        let row = dataset.row(i);
+        let cutoff = bounds.map_or(f64::NEG_INFINITY, |_| top.threshold());
         let mut knn = TopK::new(k, true);
-        let mut pruned_as_inlier = false;
-        for &(lb, j) in &order {
-            other.prune_test();
-            if knn.prunable(lb) {
-                break; // sorted bounds: k-NN distance is final
+        for (lb, j) in t.walk_order(bounds, n, |j| j != i) {
+            if bounds.is_some() {
+                t.other.prune_test();
+                if knn.prunable(lb) {
+                    break; // sorted bounds: k-NN distance is final
+                }
             }
-            ed.euclidean_kernel(d, d * 8);
-            ed.random_fetches += 1;
-            knn.offer(j, measures::euclidean_sq(row, dataset.row(j)));
-            other.prune_test();
+            knn.offer(j, t.distance(row, dataset.row(j)));
+            t.other.prune_test();
             if knn.threshold() < cutoff {
-                pruned_as_inlier = true; // score can only shrink further
-                break;
+                return; // an inlier: its score can only shrink further
             }
         }
-        if !pruned_as_inlier {
-            other.prune_test();
-            top.offer(i, knn.threshold());
-        }
-    }
-    report
-        .profile
-        .record(&format!("G({bound_name})"), g_counters);
-    report.profile.record("ED", ed);
-    report.profile.record("other", other);
+        t.other.prune_test();
+        top.offer(i, knn.threshold());
+    })?;
     Ok(OutlierResult {
         outliers: top.into_sorted(),
-        report,
+        report: a.finish(),
     })
 }
 
@@ -180,7 +147,7 @@ mod tests {
     #[test]
     fn standard_finds_planted_outliers() {
         let (ds, planted) = data_with_outliers();
-        let res = outliers_standard(&ds, 5, 3);
+        let res = outliers_standard(&ds, 5, 3).unwrap();
         let mut found = res.indices();
         found.sort_unstable();
         assert_eq!(found, planted);
@@ -193,7 +160,7 @@ mod tests {
         let nds = NormalizedDataset::assert_normalized(ds.clone());
         let mut exec = PimExecutor::prepare_euclidean(ExecutorConfig::default(), &nds).unwrap();
         for (k, m) in [(3usize, 3usize), (5, 5), (10, 8)] {
-            let truth = outliers_standard(&ds, k, m);
+            let truth = outliers_standard(&ds, k, m).unwrap();
             let got = outliers_pim(&mut exec, &ds, k, m).unwrap();
             assert_eq!(got.indices(), truth.indices(), "k={k} m={m}");
             for (a, b) in truth.outliers.iter().zip(&got.outliers) {
@@ -207,7 +174,7 @@ mod tests {
         let (ds, _) = data_with_outliers();
         let nds = NormalizedDataset::assert_normalized(ds.clone());
         let mut exec = PimExecutor::prepare_euclidean(ExecutorConfig::default(), &nds).unwrap();
-        let base = outliers_standard(&ds, 5, 3);
+        let base = outliers_standard(&ds, 5, 3).unwrap();
         let pim = outliers_pim(&mut exec, &ds, 5, 3).unwrap();
         let b = base.report.profile.get("ED").unwrap().counters.mul;
         let p = pim.report.profile.get("ED").unwrap().counters.mul;
@@ -219,9 +186,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "k must be")]
     fn rejects_degenerate_k() {
         let (ds, _) = data_with_outliers();
-        outliers_standard(&ds, ds.len(), 1);
+        let err = outliers_standard(&ds, ds.len(), 1).unwrap_err();
+        assert!(
+            matches!(&err, MiningError::InvalidArgument { what } if what.contains("k must be")),
+            "{err}"
+        );
     }
 }

@@ -32,7 +32,7 @@ fn main() {
     let mut exec = PimExecutor::prepare_euclidean(ExecutorConfig::default(), &nds).expect("fits");
 
     // --- Outlier detection: top-5 by 10-NN distance. ---
-    let base = outliers_standard(&data, 10, 5);
+    let base = outliers_standard(&data, 10, 5).expect("valid k and m");
     let pim = outliers_pim(&mut exec, &data, 10, 5).expect("prepared");
     assert_eq!(base.indices(), pim.indices(), "PIM outliers must be exact");
     println!("top-5 outliers (index, score): {:?}", pim.outliers);

@@ -27,7 +27,7 @@ fn main() {
         s.discord_position
     );
 
-    let base = motif_standard(&s.values, w);
+    let base = motif_standard(&s.values, w).expect("a window pair");
     let pim = motif_pim(&s.values, w, ExecutorConfig::default()).expect("fits");
     assert_eq!(base.pair, pim.pair, "PIM motif must be exact");
     println!(
@@ -41,7 +41,7 @@ fn main() {
         base.report.total_ms(&params) / pim.report.total_ms(&params)
     );
 
-    let base = discord_standard(&s.values, w);
+    let base = discord_standard(&s.values, w).expect("a window pair");
     let pim = discord_pim(&s.values, w, ExecutorConfig::default()).expect("fits");
     assert_eq!(base.position, pim.position, "PIM discord must be exact");
     println!(

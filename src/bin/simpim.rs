@@ -281,7 +281,7 @@ fn cmd_outliers(args: &Args) -> Result<(), String> {
     let norm = nds.dataset().clone();
     let params = HostParams::default();
 
-    let base = outliers_standard(&norm, k, m);
+    let base = outliers_standard(&norm, k, m).map_err(|e| e.to_string())?;
     println!("top-{m} outliers by {k}-NN distance:");
     for (i, score) in &base.outliers {
         println!("  object {i}: score {score:.5}");

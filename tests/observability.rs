@@ -7,12 +7,15 @@ use std::sync::Mutex;
 
 use proptest::prelude::*;
 use simpim::core::executor::{ExecutorConfig, PimExecutor};
+use simpim::datasets::timeseries::{generate_series, SeriesConfig};
 use simpim::datasets::{generate, SyntheticConfig};
 use simpim::mining::kmeans::pim::PimAssist;
 use simpim::mining::kmeans::{drake, elkan, lloyd, yinyang, KmeansConfig, KmeansResult};
 use simpim::mining::knn::algorithms::fnn_cascade;
 use simpim::mining::knn::cascade::knn_cascade;
 use simpim::mining::knn::standard::knn_standard;
+use simpim::mining::motif::{discord_pim, motif_pim};
+use simpim::mining::outlier::outliers_pim;
 use simpim::mining::MiningError;
 use simpim::obs::{Histogram, Json, RunArtifact, StageRecord, ToJson};
 use simpim::similarity::{Dataset, Measure, NormalizedDataset};
@@ -209,6 +212,71 @@ fn kmeans_counts_and_spans_every_assign_step() {
             assert_eq!(steps, r.iterations, "{name} pim={pim}");
         }
     }
+}
+
+#[test]
+fn offline_tasks_fetch_their_bounds_in_batched_passes() {
+    // Outliers, motif and discord fetch the bounds of N anchors in
+    // ⌈N / 64⌉ coalesced passes. The device still serves the anchors one
+    // by one: one executor batch and one single query's dispatches each.
+    let _gate = OBS_GATE.lock().unwrap();
+    let ds = generate(&SyntheticConfig {
+        n: 150,
+        d: 16,
+        clusters: 3,
+        cluster_std: 0.05,
+        stat_uniformity: 0.1,
+        seed: 21,
+    });
+    let nds = NormalizedDataset::assert_normalized(ds.clone());
+    let cfg = ExecutorConfig::default();
+    let mut single = PimExecutor::prepare_euclidean(cfg, &nds).unwrap();
+    single.lb_ed_batch(ds.row(0)).unwrap();
+    let per_anchor = single.bank().dispatches();
+    let w = 16;
+    let series = generate_series(&SeriesConfig {
+        len: 300,
+        pattern_len: w,
+        noise: 0.02,
+        seed: 5,
+    })
+    .values;
+    let windows = series.len() - w + 1;
+
+    // (bound passes opened, executor batches counted) while `run` runs.
+    let measure = |run: &mut dyn FnMut()| {
+        let batches = || {
+            simpim::obs::metrics::snapshot()
+                .counter("simpim.core.executor.batches")
+                .unwrap_or(0)
+        };
+        let before = batches();
+        simpim::obs::trace::enable(1 << 16);
+        simpim::obs::trace::clear();
+        run();
+        let spans = simpim::obs::trace::drain();
+        simpim::obs::trace::disable();
+        let passes = spans
+            .iter()
+            .filter(|s| s.name == "core.executor.lb_ed_batch_multi")
+            .count();
+        (passes, batches() - before)
+    };
+    let n = ds.len();
+    let mut exec = PimExecutor::prepare_euclidean(cfg, &nds).unwrap();
+    let got = measure(&mut || {
+        outliers_pim(&mut exec, &ds, 4, 5).unwrap();
+    });
+    assert_eq!(got, (n.div_ceil(64), n as u64), "outliers");
+    assert_eq!(exec.bank().dispatches(), n as u64 * per_anchor, "outliers");
+    let got = measure(&mut || {
+        motif_pim(&series, w, cfg).unwrap();
+    });
+    assert_eq!(got, (windows.div_ceil(64), windows as u64), "motif");
+    let got = measure(&mut || {
+        discord_pim(&series, w, cfg).unwrap();
+    });
+    assert_eq!(got, (windows.div_ceil(64), windows as u64), "discord");
 }
 
 #[test]
