@@ -18,16 +18,17 @@
 //!   every neighbor (index, distance bits). The binary aborts unless all
 //!   backends produce the *same* hash (the bit-identity contract), and
 //!   unless the hash is invariant across 1 and 4 `simpim-par` workers.
-//!   `dot_u32`'s and `dot_u32_x4`'s outputs are hashed into fields of
-//!   their own (`dot_u32_hash`, `dot_u32_x4_hash`, held to the same
-//!   all-backends-equal rule), so `result_hash` stays comparable with
-//!   artifacts that predate them;
+//!   `dot_u32`'s and `dot_multi_f64`'s outputs are hashed into fields of
+//!   their own (`dot_u32_hash`, `dot_multi_f64_hash`, held to the same
+//!   all-backends-equal rule, and the second also to the hash of the
+//!   same crossbar-chunk sums made by one `dot_u32` per query), so
+//!   `result_hash` stays comparable with artifacts that predate them;
 //! * **the coalesced crossbar pass**: `PimArray::dot_batch_multi` of
-//!   `Q` ∈ {1, 4, 8} queries on one 10 000 × 420 region at one worker,
+//!   every `Q` in 1..=8 queries on one 10 000 × 420 region at one worker,
 //!   as milliseconds of pass per query — what a batch saves over `Q`
 //!   single passes, which the repo benchmark's `Q = 1` replay cannot
-//!   show — beside `dot_u32_x4`'s ns per operand and its speedup over
-//!   four `dot_u32` calls of the same tier;
+//!   show — beside `dot_multi_f64`'s ns per operand at eight queries and
+//!   its speedup over eight `dot_u32` calls of the same tier;
 //! * **the abandoning distance and the batch refinement built on it**:
 //!   `euclidean_sq_until` in ns per element of the whole row when every
 //!   row is abandoned about 1/8 and 1/2 of the way in and when none is
@@ -67,12 +68,13 @@ const MAX_PASSES: usize = 200;
 const BUDGET_NS: u64 = 40_000_000;
 /// Rows of the coalesced-pass region (with the workload's 420 dimensions,
 /// one shard of the repo benchmark's serve-pruned) and the batch sizes it
-/// is read with.
+/// is read with: every one a coalesced batch can have.
 const PASS_ROWS: usize = 10_000;
-const PASS_QUERIES: [usize; 3] = [1, 4, 8];
+const PASS_QUERIES: [usize; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
 /// The batch-refinement shard: one shard of the repo benchmark's
-/// serve-dense, refined with the `PASS_QUERIES` batch sizes.
+/// serve-dense, and the batch sizes it is refined with.
 const REFINE_SHAPE: (usize, usize) = (5_000, 960);
+const REFINE_QUERIES: [usize; 3] = [1, 4, 8];
 
 fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
@@ -127,18 +129,19 @@ struct Row {
     xorpop_ns: f64,
     andpop_ns: f64,
     dot_u32_ns: f64,
-    dot_u32_x4_ns: f64,
+    dot_multi_f64_ns: f64,
     /// `euclidean_sq_until` abandoning at 1/8, at 1/2, never.
     until_ns: [f64; 3],
     /// `dot_batch_multi` milliseconds per query, in `PASS_QUERIES` order.
-    pass_ms_per_query: [f64; 3],
-    /// `refine_resident_batch` milliseconds per query, in the same order.
+    pass_ms_per_query: [f64; 8],
+    /// `refine_resident_batch` milliseconds per query, in
+    /// `REFINE_QUERIES` order.
     refine_ms_per_query: [f64; 3],
     knn_wall_ms: f64,
     knn_qps: f64,
     hash: u64,
     dot_u32_hash: u64,
-    dot_u32_x4_hash: u64,
+    dot_multi_f64_hash: u64,
     until_hash: u64,
 }
 
@@ -222,16 +225,55 @@ fn sweep_backend(
                     fnv1a(h, &kern::dot_u32(row, &operand_queries[0]).to_le_bytes())
                 })
         });
-        let four: [&[u32]; 4] = std::array::from_fn(|j| &operand_queries[j][..]);
-        let (dot_u32_x4_ns, dot_u32_x4_hash) = measure(4 * operands.len(), || {
+        // Eight queries per row load, per query the row's total and its
+        // largest sum over a chunk of the default 256-operand crossbar:
+        // the shared read's inner step.
+        let seg = PimConfig::default().crossbar.size;
+        let as_f64: Vec<Vec<f64>> = operand_queries
+            .iter()
+            .map(|q| q.iter().map(|&v| f64::from(v)).collect())
+            .collect();
+        let eight: Vec<&[f64]> = as_f64.iter().map(Vec::as_slice).collect();
+        // Timed without the hash (eight FNV-1a folds per row would cost
+        // about as much as the kernel), hashed in a pass of its own.
+        let mut sums = [0.0; 2 * kern::MULTI_QUERIES];
+        let (dot_multi_f64_ns, _) = measure(8 * operands.len(), || {
+            operands.chunks_exact(d).fold(0u64, |t, row| {
+                kern::dot_multi_f64(row, &eight, seg, &mut sums);
+                t.wrapping_add(sums[0] as u64)
+            })
+        });
+        let dot_multi_f64_hash =
             operands
                 .chunks_exact(d)
                 .fold(0xcbf2_9ce4_8422_2325u64, |h, row| {
-                    kern::dot_u32_x4(row, four)
-                        .iter()
-                        .fold(h, |h, sum| fnv1a(h, &sum.to_le_bytes()))
-                })
-        });
+                    kern::dot_multi_f64(row, &eight, seg, &mut sums);
+                    sums.iter()
+                        .fold(h, |h, &sum| fnv1a(h, &(sum as u64).to_le_bytes()))
+                });
+        // The same totals and largest chunk sums from `dot_u32`.
+        let composed = operands
+            .chunks_exact(d)
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, row| {
+                let per_query = operand_queries.iter().map(|q| {
+                    let chunks = (0..d).step_by(seg).map(|start| {
+                        let end = (start + seg).min(d);
+                        kern::dot_u32(&row[start..end], &q[start..end])
+                    });
+                    chunks.fold((0, 0), |(total, top), sum| (total + sum, sum.max(top)))
+                });
+                let (totals, tops): (Vec<u64>, Vec<u64>) = per_query.unzip();
+                totals
+                    .iter()
+                    .chain(&tops)
+                    .fold(h, |h, v| fnv1a(h, &v.to_le_bytes()))
+            });
+        assert_eq!(
+            dot_multi_f64_hash,
+            composed,
+            "{}: dot_multi_f64 differs from one dot_u32 per query",
+            b.name()
+        );
         let pass_ms_per_query = PASS_QUERIES.map(|q| {
             let passes: Vec<(RegionId, &[u32])> = operand_queries[..q]
                 .iter()
@@ -248,7 +290,7 @@ fn sweep_backend(
 
         let ids: Vec<usize> = (0..shard.len()).collect();
         let (live, zeros) = (vec![true; shard.len()], vec![0.0; shard.len()]);
-        let refine_ms_per_query = PASS_QUERIES.map(|q| {
+        let refine_ms_per_query = REFINE_QUERIES.map(|q| {
             let batch: Vec<BatchQuery<'_>> = shard_queries[..q]
                 .iter()
                 .map(|query| BatchQuery {
@@ -301,7 +343,7 @@ fn sweep_backend(
             xorpop_ns,
             andpop_ns,
             dot_u32_ns,
-            dot_u32_x4_ns,
+            dot_multi_f64_ns,
             until_ns,
             pass_ms_per_query,
             refine_ms_per_query,
@@ -309,7 +351,7 @@ fn sweep_backend(
             knn_qps: w.queries.len() as f64 / knn_s.max(1e-12),
             hash,
             dot_u32_hash,
-            dot_u32_x4_hash,
+            dot_multi_f64_hash,
             until_hash,
         }
     })
@@ -390,7 +432,11 @@ fn main() {
                 scalar.hash,
             ),
             ("dot_u32", r.dot_u32_hash, scalar.dot_u32_hash),
-            ("dot_u32_x4", r.dot_u32_x4_hash, scalar.dot_u32_x4_hash),
+            (
+                "dot_multi_f64",
+                r.dot_multi_f64_hash,
+                scalar.dot_multi_f64_hash,
+            ),
             ("euclidean_sq_until", r.until_hash, scalar.until_hash),
         ] {
             assert_eq!(got, want, "backend '{}': {what} differ from scalar", r.name);
@@ -409,7 +455,8 @@ fn main() {
         ),
         &[
             "backend", "dot", "norm", "fused", "euclid", "until 1/8", "1/2", "never", "xorpop",
-            "andpop", "dot_u32", "x4", "pass Q=1", "Q=4", "Q=8", "refine Q=1", "Q=4", "Q=8",
+            "andpop", "dot_u32", "multi", "pass Q=1", "Q=2", "Q=3", "Q=4", "Q=5", "Q=6", "Q=7",
+            "Q=8", "refine Q=1", "Q=4", "Q=8",
             "knn qps", "vs scalar",
         ],
         &rows
@@ -418,7 +465,7 @@ fn main() {
                 let ns = [r.dot_ns, r.norm_ns, r.fused_ns, r.euclid_ns]
                     .into_iter()
                     .chain(r.until_ns)
-                    .chain([r.xorpop_ns, r.andpop_ns, r.dot_u32_ns, r.dot_u32_x4_ns]);
+                    .chain([r.xorpop_ns, r.andpop_ns, r.dot_u32_ns, r.dot_multi_f64_ns]);
                 let ms = r.pass_ms_per_query.into_iter().chain(r.refine_ms_per_query);
                 std::iter::once(r.name.to_string())
                     .chain(ns.map(|v| format!("{v:.3}")))
@@ -458,10 +505,15 @@ fn main() {
                 ("xor_popcount_ns_per_word", Json::Num(r.xorpop_ns)),
                 ("and_popcount_ns_per_word", Json::Num(r.andpop_ns)),
                 ("dot_u32_ns_per_elem", Json::Num(r.dot_u32_ns)),
-                ("dot_u32_x4_ns_per_elem", Json::Num(r.dot_u32_x4_ns)),
+                ("dot_multi_f64_ns_per_elem", Json::Num(r.dot_multi_f64_ns)),
                 (
                     "pass_ms_per_query",
-                    triple(["q1", "q4", "q8"], r.pass_ms_per_query),
+                    Json::obj(
+                        PASS_QUERIES
+                            .map(|q| format!("q{q}"))
+                            .into_iter()
+                            .zip(r.pass_ms_per_query.map(Json::Num)),
+                    ),
                 ),
                 (
                     "refine_ms_per_query",
@@ -486,8 +538,8 @@ fn main() {
                     Json::Num(scalar.dot_u32_ns / r.dot_u32_ns.max(1e-12)),
                 ),
                 (
-                    "speedup_dot_u32_x4",
-                    Json::Num(r.dot_u32_ns / r.dot_u32_x4_ns.max(1e-12)),
+                    "speedup_dot_multi_f64",
+                    Json::Num(r.dot_u32_ns / r.dot_multi_f64_ns.max(1e-12)),
                 ),
                 (
                     "speedup_knn",
@@ -514,8 +566,8 @@ fn main() {
                 Json::Str(format!("{:016x}", scalar.dot_u32_hash)),
             ),
             (
-                "dot_u32_x4_hash",
-                Json::Str(format!("{:016x}", scalar.dot_u32_x4_hash)),
+                "dot_multi_f64_hash",
+                Json::Str(format!("{:016x}", scalar.dot_multi_f64_hash)),
             ),
             (
                 "euclidean_sq_until_hash",

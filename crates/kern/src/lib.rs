@@ -6,12 +6,13 @@
 //! `dot` / `norm_sq` / fused dot+norm / squared Euclidean (and its
 //! early-abandoning form [`euclidean_sq_until`]), the packed
 //! u64 popcount MACs behind Hamming distance and the bit-sliced crossbar
-//! model, and the exact u32 integer MAC ([`dot_u32`], four queries per row
-//! load in [`dot_u32_x4`]) the array-level crossbar pass runs on — as a
-//! [`KernelBackend`] vtable selected
+//! model, and the exact integer MACs the array-level crossbar pass runs
+//! on ([`dot_u32`] for one query, [`dot_multi_f64`] for up to eight
+//! queries per row load) — as a [`KernelBackend`] vtable selected
 //! **once** at startup:
 //!
-//! * `x86_64`: AVX2 (4×f64 per register, Mula `pshufb` popcount) when
+//! * `x86_64`: AVX2 (4×f64 per register, Mula `pshufb` popcount; the
+//!   multi-query MAC on FMA when `fma` is detected too) when
 //!   `is_x86_feature_detected!("avx2")`, else SSE2 (baseline, two 2-wide
 //!   registers; hardware `popcnt` when detected).
 //! * `aarch64`: NEON when `is_aarch64_feature_detected!("neon")`.
@@ -27,8 +28,10 @@
 //! results invariant across machines, thread counts (`simpim-par` chunks
 //! never change), and `SIMPIM_KERNEL` settings. The integer kernels are
 //! identical by construction instead: they sum exact integers modulo
-//! 2⁶⁴, which is associative, so lane layout and fold order are free. The
-//! proptest suite in `tests/kernels.rs` enforces both.
+//! 2⁶⁴, which is associative, so lane layout and fold order are free.
+//! [`dot_multi_f64`] sums integers in `f64` below 2⁵³, where nothing
+//! rounds — the one place a fused multiply-add is the same as `mul` then
+//! `add`. The proptest suite in `tests/kernels.rs` enforces all three.
 //!
 //! Selection order: [`set_backend_override`] / [`with_backend`] (tests,
 //! benches) > the `SIMPIM_KERNEL` environment variable
@@ -49,7 +52,7 @@ mod neon;
 mod x86;
 
 /// Re-export of the canonical lane count (4) of the chunked layout.
-pub use scalar::LANES;
+pub use scalar::{LANES, MULTI_QUERIES};
 
 /// Identifies one kernel backend tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -129,6 +132,10 @@ impl Backend {
     }
 }
 
+/// The signature of [`dot_multi_f64`]: a row, its queries, the segment
+/// length, the output.
+pub type MultiF64 = fn(&[u32], &[&[f64]], usize, &mut [f64]);
+
 /// The dispatched kernel table: plain function pointers, one indirect
 /// call per kernel invocation, resolved once per backend.
 #[derive(Clone, Copy)]
@@ -151,8 +158,10 @@ pub struct KernelBackend {
     pub and_popcount: fn(&[u64], &[u64]) -> u64,
     /// Exact integer MAC `Σ aᵢ·bᵢ` of u32 operands, modulo 2⁶⁴.
     pub dot_u32: fn(&[u32], &[u32]) -> u64,
-    /// Four `dot_u32`s of one row, the row loaded once for the four.
-    pub dot_u32_x4: fn(&[u32], [&[u32]; 4]) -> [u64; 4],
+    /// The multi-query MAC of [`scalar::dot_multi_f64`], where this tier
+    /// has one that beats a [`dot_u32`] per query (AVX2 with FMA); `None`
+    /// elsewhere, and the crossbar pass then makes those calls.
+    pub dot_multi_f64: Option<MultiF64>,
 }
 
 impl std::fmt::Debug for KernelBackend {
@@ -173,7 +182,7 @@ const SCALAR_TABLE: KernelBackend = KernelBackend {
     xor_popcount: scalar::xor_popcount,
     and_popcount: scalar::and_popcount,
     dot_u32: scalar::dot_u32,
-    dot_u32_x4: scalar::dot_u32_x4,
+    dot_multi_f64: None,
 };
 
 // Safe trampolines: each is installed in a table only after the matching
@@ -200,7 +209,7 @@ mod x86_dispatch {
     trampoline!(xor_popcount_avx2, x86::avx2::xor_popcount, (a: &[u64], b: &[u64]) -> u64);
     trampoline!(and_popcount_avx2, x86::avx2::and_popcount, (a: &[u64], b: &[u64]) -> u64);
     trampoline!(dot_u32_avx2, x86::avx2::dot_u32, (a: &[u32], b: &[u32]) -> u64);
-    trampoline!(dot_u32_x4_avx2, x86::avx2::dot_u32_x4, (row: &[u32], qs: [&[u32]; 4]) -> [u64; 4]);
+    trampoline!(dot_multi_f64_fma, x86::avx2::dot_multi_f64, (row: &[u32], qs: &[&[f64]], seg: usize, out: &mut [f64]) -> ());
 
     trampoline!(dot_sse2, x86::sse2::dot, (a: &[f64], b: &[f64]) -> f64);
     trampoline!(norm_sq_sse2, x86::sse2::norm_sq, (xs: &[f64]) -> f64);
@@ -209,7 +218,6 @@ mod x86_dispatch {
     trampoline!(xor_popcount_popcnt, x86::xor_popcount_popcnt, (a: &[u64], b: &[u64]) -> u64);
     trampoline!(and_popcount_popcnt, x86::and_popcount_popcnt, (a: &[u64], b: &[u64]) -> u64);
     trampoline!(dot_u32_sse2, x86::sse2::dot_u32, (a: &[u32], b: &[u32]) -> u64);
-    trampoline!(dot_u32_x4_sse2, x86::sse2::dot_u32_x4, (row: &[u32], qs: [&[u32]; 4]) -> [u64; 4]);
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -232,7 +240,6 @@ mod neon_dispatch {
     trampoline!(xor_popcount, neon::xor_popcount, (a: &[u64], b: &[u64]) -> u64);
     trampoline!(and_popcount, neon::and_popcount, (a: &[u64], b: &[u64]) -> u64);
     trampoline!(dot_u32, neon::dot_u32, (a: &[u32], b: &[u32]) -> u64);
-    trampoline!(dot_u32_x4, neon::dot_u32_x4, (row: &[u32], qs: [&[u32]; 4]) -> [u64; 4]);
 }
 
 /// Builds the vtable for a tier the running CPU supports.
@@ -265,7 +272,7 @@ fn table(b: Backend) -> KernelBackend {
                     scalar::and_popcount
                 },
                 dot_u32: x86_dispatch::dot_u32_sse2,
-                dot_u32_x4: x86_dispatch::dot_u32_x4_sse2,
+                dot_multi_f64: None,
             }
         }
         #[cfg(target_arch = "x86_64")]
@@ -279,7 +286,9 @@ fn table(b: Backend) -> KernelBackend {
             xor_popcount: x86_dispatch::xor_popcount_avx2,
             and_popcount: x86_dispatch::and_popcount_avx2,
             dot_u32: x86_dispatch::dot_u32_avx2,
-            dot_u32_x4: x86_dispatch::dot_u32_x4_avx2,
+            // An AVX2 CPU without FMA keeps the per-query `dot_u32`.
+            dot_multi_f64: is_x86_feature_detected!("fma")
+                .then_some(x86_dispatch::dot_multi_f64_fma as _),
         },
         #[cfg(target_arch = "aarch64")]
         Backend::Neon => KernelBackend {
@@ -292,7 +301,7 @@ fn table(b: Backend) -> KernelBackend {
             xor_popcount: neon_dispatch::xor_popcount,
             and_popcount: neon_dispatch::and_popcount,
             dot_u32: neon_dispatch::dot_u32,
-            dot_u32_x4: neon_dispatch::dot_u32_x4,
+            dot_multi_f64: None,
         },
         #[allow(unreachable_patterns)]
         _ => SCALAR_TABLE,
@@ -501,16 +510,17 @@ pub fn dot_u32(a: &[u32], b: &[u32]) -> u64 {
     (kernels().dot_u32)(a, b)
 }
 
-/// Dispatched four-query form of [`dot_u32`]: `[Σ rowᵢ·qs[j]ᵢ; 4]`, each
-/// summed modulo 2⁶⁴ — identical to [`scalar::dot_u32_x4`], that is to
-/// four [`dot_u32`] calls, on every backend. The AVX2 tier loads and
-/// splits `row` once for the four queries; the others make the four calls.
+/// Dispatched [`scalar::dot_multi_f64`]: one row against up to eight
+/// queries, per query the exact dot product and its largest segment sum —
+/// the same values on every backend under that function's bound. Tiers
+/// without a multi-query form of their own run the portable one.
 ///
 /// # Panics
-/// Panics in debug builds when a query's length differs from the row's.
+/// Panics when `seg` is 0, when `qs` holds more than [`MULTI_QUERIES`]
+/// queries, or when `out` is shorter than two values per query.
 #[inline]
-pub fn dot_u32_x4(row: &[u32], qs: [&[u32]; 4]) -> [u64; 4] {
-    (kernels().dot_u32_x4)(row, qs)
+pub fn dot_multi_f64(row: &[u32], qs: &[&[f64]], seg: usize, out: &mut [f64]) {
+    kernels().dot_multi_f64.unwrap_or(scalar::dot_multi_f64)(row, qs, seg, out)
 }
 
 /// Asks the CPU to start loading `data` into its nearest cache, one
@@ -592,8 +602,15 @@ mod tests {
                         .map(|(&x, &y)| (x as u32, y as u32))
                         .unzip();
                     assert_eq!(dot_u32(&p, &q), scalar::dot_u32(&p, &q));
+                    // 20-bit operands: every MAC is exact in f64.
+                    let (p, q): (Vec<u32>, Vec<u32>) =
+                        p.iter().zip(&q).map(|(&x, &y)| (x >> 12, y >> 12)).unzip();
                     let (pq, pp) = (scalar::dot_u32(&p, &q), scalar::dot_u32(&p, &p));
-                    assert_eq!(dot_u32_x4(&p, [&q, &p, &p, &q]), [pq, pp, pp, pq]);
+                    let [qf, pf] =
+                        [&q, &p].map(|v| v.iter().map(|&x| f64::from(x)).collect::<Vec<_>>());
+                    let mut out = [f64::NAN; 6];
+                    dot_multi_f64(&p, &[&qf, &pf, &qf], len.max(1), &mut out);
+                    assert_eq!(out.map(|v| v as u64), [pq, pp, pq, pq, pp, pq]);
                 }
             });
         }

@@ -152,22 +152,6 @@ pub unsafe fn dot_u32(a: &[u32], b: &[u32]) -> u64 {
         .wrapping_add(vgetq_lane_u64::<1>(acc))
 }
 
-/// Four [`dot_u32`]s of one `row`, composed from this tier's own
-/// [`dot_u32`] (no register-blocked form: it could be neither compiled
-/// nor run where this crate is developed).
-///
-/// # Safety
-/// Requires NEON (detected at dispatch time).
-#[target_feature(enable = "neon")]
-pub unsafe fn dot_u32_x4(row: &[u32], qs: [&[u32]; 4]) -> [u64; 4] {
-    [
-        dot_u32(row, qs[0]),
-        dot_u32(row, qs[1]),
-        dot_u32(row, qs[2]),
-        dot_u32(row, qs[3]),
-    ]
-}
-
 #[inline(always)]
 unsafe fn popcount_mac(a: &[u64], b: &[u64], xor: bool) -> u64 {
     debug_assert_eq!(a.len(), b.len());

@@ -12,8 +12,9 @@
 //! NaN *payloads* are outside the contract — Rust documents NaN bit
 //! patterns as non-deterministic, so a reduction over several distinct
 //! NaNs guarantees NaN ⇔ NaN, not which payload wins.) The integer
-//! kernels — the popcount MACs and [`dot_u32`] — need no such layout:
-//! wrapping integer sums are the same in any order.
+//! kernels — the popcount MACs, [`dot_u32`] and [`dot_multi_f64`] — need
+//! no such layout: wrapping integer sums, and integer `f64` sums that
+//! never round, are the same in any order.
 
 /// Independent accumulator lanes of the chunked kernels. Four lanes break
 /// the loop-carried add dependency and map one-to-one onto a 4×f64 AVX2
@@ -211,16 +212,51 @@ pub fn dot_u32(a: &[u32], b: &[u32]) -> u64 {
     })
 }
 
-/// Four [`dot_u32`]s of one `row`, one per query — the multi-query
-/// crossbar pass's inner step. AVX2 loads and splits `row` once for the
-/// four; here it is the four sums themselves, which is also the
-/// definition every tier is held to.
+/// Most queries one [`dot_multi_f64`] call multiplies a row with: eight
+/// `f64` accumulator registers is what one AVX2 register file keeps busy
+/// beside the row and the query loads.
+pub const MULTI_QUERIES: usize = 8;
+
+/// Exact integer MACs of one stored `row` with up to [`MULTI_QUERIES`]
+/// queries, in `f64` — the shared read of a crossbar pass. The row is cut
+/// into segments of `seg` operands (one per crossbar); for query `j` of
+/// `Q = qs.len()`, `out[j]` receives the whole dot product
+/// `Σ rowᵢ · qs[j]ᵢ` and `out[Q + j]` the largest of its segments' sums
+/// (0 for an empty row). Only the first `min` of the slice lengths count.
+///
+/// Every query holds integers (a `u32` converted once per pass). The
+/// results are the exact integers whenever every row operand is below
+/// 2³¹ and `2^(b + i) · len ≤ 2⁵³` for `b`-bit row operands, `i`-bit
+/// query values and `len` operands: then each product and every partial
+/// sum is an integer below 2⁵³, which an `f64` holds exactly, so nothing
+/// rounds, in any summation order, with or without a fused multiply-add.
+/// The caller keeps that bound (see `simpim-reram`'s
+/// `PimArray::dot_batch_multi`); under it every tier returns the values
+/// of one `dot_u32` per query and segment.
 ///
 /// # Panics
-/// Panics in debug builds when a query's length differs from the row's.
-#[inline]
-pub fn dot_u32_x4(row: &[u32], qs: [&[u32]; 4]) -> [u64; 4] {
-    qs.map(|q| dot_u32(row, q))
+/// Panics when `seg` is 0, when `qs` holds more than [`MULTI_QUERIES`]
+/// queries, or when `out` is shorter than `2 · Q`.
+pub fn dot_multi_f64(row: &[u32], qs: &[&[f64]], seg: usize, out: &mut [f64]) {
+    assert!(
+        seg > 0 && qs.len() <= MULTI_QUERIES,
+        "segments of 1+ operands, 8 queries at most"
+    );
+    let len = qs.iter().fold(row.len(), |len, q| len.min(q.len()));
+    let (total, top) = out[..2 * qs.len()].split_at_mut(qs.len());
+    for (j, q) in qs.iter().enumerate() {
+        (total[j], top[j]) = (0.0, 0.0);
+        for start in (0..len).step_by(seg) {
+            let end = (start + seg).min(len);
+            let sum: f64 = row[start..end]
+                .iter()
+                .zip(&q[start..end])
+                .map(|(&r, &x)| f64::from(r) * x)
+                .sum();
+            total[j] += sum;
+            top[j] = top[j].max(sum);
+        }
+    }
 }
 
 #[cfg(test)]

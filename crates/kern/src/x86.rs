@@ -10,9 +10,10 @@
 //! `subpd` have exactly the scalar instructions' per-lane semantics;
 //! Rust never enables FTZ/DAZ, so subnormals round identically too. The
 //! popcount MACs are exact integer counting and trivially identical, and
-//! so are `dot_u32` and its four-query form `dot_u32_x4`: full `u64`
-//! products (`pmuludq`) summed modulo 2⁶⁴, which no lane layout or fold
-//! order can change.
+//! so is `dot_u32`: full `u64` products (`pmuludq`) summed modulo 2⁶⁴,
+//! which no lane layout or fold order can change. The one kernel that
+//! uses FMA, AVX2's `dot_multi_f64`, is exact for another reason: it
+//! multiplies and adds integers below 2⁵³, which round to themselves.
 //!
 //! One deliberate carve-out: when several distinct NaNs collide in one
 //! reduction, *which* payload survives depends on operand order, and
@@ -28,7 +29,7 @@
 
 #![cfg(target_arch = "x86_64")]
 
-use crate::scalar::{self, fold_tail};
+use crate::scalar::{self, fold_tail, MULTI_QUERIES};
 
 /// AVX2 kernels: one ymm register holds all four accumulator lanes.
 pub mod avx2 {
@@ -209,48 +210,119 @@ pub mod avx2 {
         )
     }
 
-    /// Four [`dot_u32`]s of one `row`: each eight operands of the row are
-    /// loaded and split into even and odd halves once and multiplied with
-    /// the same eight of every query, so a query costs one load, one
-    /// shift, two multiplies and two adds. An even and an odd accumulator
-    /// per query; the sums wrap exactly like four separate calls.
+    /// [`scalar::dot_multi_f64`] on FMA: each four operands of the row
+    /// are loaded and converted to `f64` once (`vcvtdq2pd`, a signed
+    /// convert — hence the caller's `< 2³¹` bound) and then cost one
+    /// `vfmadd231pd` per query, whose load folds into the instruction.
+    /// Exact under the caller's bound: every value is an integer below
+    /// 2⁵³, so a fused multiply-add rounds nothing, exactly like a
+    /// `mul` and an `add`. Dispatches to a body with as many
+    /// accumulators per query as cover the FMA latency chain for that
+    /// query count.
     ///
     /// # Safety
-    /// Requires AVX2 (detected at dispatch time).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_u32_x4(row: &[u32], qs: [&[u32]; 4]) -> [u64; 4] {
-        debug_assert!(qs.iter().all(|q| q.len() == row.len()));
+    /// Requires AVX2 and FMA (detected at dispatch time).
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn dot_multi_f64(row: &[u32], qs: &[&[f64]], seg: usize, out: &mut [f64]) {
+        assert!(seg > 0, "segments of 1+ operands");
+        match qs.len() {
+            0 => {}
+            // Sized on one 10 000 × 420 pass (kernel_sweep's): up to 12
+            // chains while a step's loads are few, one per query from six
+            // queries on, where the loads alone outlast the FMA latency.
+            1 => multi_f64::<1, 6>(row, qs, seg, out),
+            2 => multi_f64::<2, 6>(row, qs, seg, out),
+            3 => multi_f64::<3, 3>(row, qs, seg, out),
+            4 => multi_f64::<4, 3>(row, qs, seg, out),
+            5 => multi_f64::<5, 2>(row, qs, seg, out),
+            6 => multi_f64::<6, 1>(row, qs, seg, out),
+            7 => multi_f64::<7, 1>(row, qs, seg, out),
+            8 => multi_f64::<8, 1>(row, qs, seg, out),
+            _ => panic!("8 queries at most"),
+        }
+    }
+
+    /// The body of [`dot_multi_f64`] for `Q` queries with `U`
+    /// accumulators each, so `Q · U` independent `vfmadd231pd` chains
+    /// are in flight. A segment runs `4 · U` operands a step, then four
+    /// at a time, the last four masked (masked-off lanes load as zero
+    /// and add a zero product). Its sums are folded four queries to one
+    /// register, which is added to the totals and maxed into the largest
+    /// segment sums; both are stored once, at the end of the row.
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::needless_range_loop)] // a register block, indexed
+    unsafe fn multi_f64<const Q: usize, const U: usize>(
+        row: &[u32],
+        qs: &[&[f64]],
+        seg: usize,
+        out: &mut [f64],
+    ) {
+        const G: usize = MULTI_QUERIES / 4;
+        assert!(
+            out.len() >= 2 * Q,
+            "a total and a largest segment per query"
+        );
         let len = qs.iter().fold(row.len(), |len, q| len.min(q.len()));
-        let blocks = len / 8;
         let pr = row.as_ptr();
-        let pq = qs.map(<[u32]>::as_ptr);
-        let mut even = [_mm256_setzero_si256(); 4];
-        let mut odd = [_mm256_setzero_si256(); 4];
-        for i in 0..blocks {
-            // SAFETY: `8 * i + 7 < len`, the shortest of the five slices,
-            // so the 8-element load of each stays in bounds; `loadu` has
-            // no alignment need.
-            let vr = _mm256_loadu_si256(pr.add(8 * i).cast());
-            let vr_odd = _mm256_srli_epi64::<32>(vr);
-            for j in 0..4 {
-                let vq = _mm256_loadu_si256(pq[j].add(8 * i).cast());
-                even[j] = _mm256_add_epi64(even[j], _mm256_mul_epu32(vr, vq));
-                odd[j] = _mm256_add_epi64(
-                    odd[j],
-                    _mm256_mul_epu32(vr_odd, _mm256_srli_epi64::<32>(vq)),
-                );
+        let pq: [*const f64; Q] = core::array::from_fn(|j| qs[j].as_ptr());
+        let lane = _mm_setr_epi32(0, 1, 2, 3);
+        let mut total = [_mm256_setzero_pd(); G];
+        let mut top = [_mm256_setzero_pd(); G];
+        let mut start = 0;
+        while start < len {
+            let end = (start + seg).min(len);
+            let mut acc = [[_mm256_setzero_pd(); U]; Q];
+            let mut i = start;
+            while i + 4 * U <= end {
+                for u in 0..U {
+                    // SAFETY: `i + 4u + 3 < end <= len`, the shortest of
+                    // the slices; `loadu` has no alignment need.
+                    let r = _mm256_cvtepi32_pd(_mm_loadu_si128(pr.add(i + 4 * u).cast()));
+                    for j in 0..Q {
+                        let q = _mm256_loadu_pd(pq[j].add(i + 4 * u));
+                        acc[j][u] = _mm256_fmadd_pd(r, q, acc[j][u]);
+                    }
+                }
+                i += 4 * U;
             }
+            while i < end {
+                let live = _mm_cmpgt_epi32(_mm_set1_epi32((end - i).min(4) as i32), lane);
+                // SAFETY: lanes at or past `end` are masked off and never
+                // read; the rest are inside every slice.
+                let r = _mm256_cvtepi32_pd(_mm_maskload_epi32(pr.add(i).cast(), live));
+                let live = _mm256_cvtepi32_epi64(live);
+                for j in 0..Q {
+                    let q = _mm256_maskload_pd(pq[j].add(i), live);
+                    acc[j][0] = _mm256_fmadd_pd(r, q, acc[j][0]);
+                }
+                i += 4;
+            }
+            let mut sums = [_mm256_setzero_pd(); MULTI_QUERIES];
+            for (sum, chains) in sums.iter_mut().zip(&acc) {
+                for &chain in chains {
+                    *sum = _mm256_add_pd(*sum, chain);
+                }
+            }
+            for g in 0..Q.div_ceil(4) {
+                // [a01 b01 a23 b23] and [c01 d01 c23 d23] → [a b c d].
+                let ab = _mm256_hadd_pd(sums[4 * g], sums[4 * g + 1]);
+                let cd = _mm256_hadd_pd(sums[4 * g + 2], sums[4 * g + 3]);
+                let four = _mm256_add_pd(
+                    _mm256_permute2f128_pd::<0x20>(ab, cd),
+                    _mm256_permute2f128_pd::<0x31>(ab, cd),
+                );
+                total[g] = _mm256_add_pd(total[g], four);
+                top[g] = _mm256_max_pd(top[g], four);
+            }
+            start = end;
         }
-        let mut out = [0u64; 4];
-        for (j, sum) in out.iter_mut().enumerate() {
-            let mut lanes = [0u64; 4];
-            _mm256_storeu_si256(lanes.as_mut_ptr().cast(), _mm256_add_epi64(even[j], odd[j]));
-            *sum = lanes.iter().fold(
-                scalar::dot_u32(&row[8 * blocks..len], &qs[j][8 * blocks..len]),
-                |t, &l| t.wrapping_add(l),
-            );
+        let mut spill = [0.0f64; 2 * MULTI_QUERIES];
+        for g in 0..G {
+            _mm256_storeu_pd(spill.as_mut_ptr().add(4 * g), total[g]);
+            _mm256_storeu_pd(spill.as_mut_ptr().add(MULTI_QUERIES + 4 * g), top[g]);
         }
-        out
+        out[..Q].copy_from_slice(&spill[..Q]);
+        out[Q..2 * Q].copy_from_slice(&spill[MULTI_QUERIES..MULTI_QUERIES + Q]);
     }
 
     /// Per-64-bit-element popcount of a ymm register via the Mula nibble
@@ -446,22 +518,6 @@ pub mod sse2 {
         scalar::dot_u32(&a[4 * blocks..len], &b[4 * blocks..len])
             .wrapping_add(lanes[0])
             .wrapping_add(lanes[1])
-    }
-
-    /// Four [`dot_u32`]s of one `row`, composed from this tier's own
-    /// [`dot_u32`]: the register-blocked form is AVX2's alone, the tier
-    /// the measured gain was taken on.
-    ///
-    /// # Safety
-    /// Requires SSE2 (always present on x86_64).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn dot_u32_x4(row: &[u32], qs: [&[u32]; 4]) -> [u64; 4] {
-        [
-            dot_u32(row, qs[0]),
-            dot_u32(row, qs[1]),
-            dot_u32(row, qs[2]),
-            dot_u32(row, qs[3]),
-        ]
     }
 
     /// Spills lane pairs `{0,1}` / `{2,3}` and finishes with the

@@ -73,7 +73,8 @@ pub enum ErrorCode {
     InvalidArgument,
     /// Server-side configuration error.
     Config,
-    /// A PIM execution or refinement failure that was not recoverable.
+    /// A PIM execution or refinement failure that was not recoverable, or
+    /// a batch that panicked in the engine.
     Internal,
     /// The request frame was malformed (unknown opcode, truncated or
     /// inconsistent body). Request-scoped: the connection continues.
@@ -126,7 +127,7 @@ impl ErrorCode {
             E::Closed => ErrorCode::Closed,
             E::InvalidArgument { .. } => ErrorCode::InvalidArgument,
             E::Config { .. } => ErrorCode::Config,
-            E::Core(_) | E::Mining(_) => ErrorCode::Internal,
+            E::Core(_) | E::Mining(_) | E::Internal { .. } => ErrorCode::Internal,
         }
     }
 }
@@ -938,6 +939,12 @@ mod tests {
         assert_eq!(
             ErrorCode::from_serve(&ServeError::InvalidArgument { what: "k".into() }),
             ErrorCode::InvalidArgument
+        );
+        assert_eq!(
+            ErrorCode::from_serve(&ServeError::Internal {
+                what: "panic".into()
+            }),
+            ErrorCode::Internal
         );
     }
 }

@@ -59,6 +59,10 @@ struct Region {
     capacity: usize,
     s: usize,
     operand_bits: u32,
+    /// Width of the widest operand ever programmed (at most
+    /// `operand_bits`). It only grows — a rewrite or truncation that drops
+    /// the widest row keeps it — so it stays a bound on every stored row.
+    widest_bits: u32,
     cost: CrossbarCost,
     /// First physical crossbar id of this region's allocation; local
     /// crossbar `l` lives at physical id `base_crossbar + l` unless
@@ -75,6 +79,18 @@ struct Region {
 }
 
 impl Region {
+    /// Whether a row of this region against `input_bits`-bit queries sums
+    /// exactly in `f64`: each product is below
+    /// `2^(widest_bits + input_bits)`, so the row's sum, and every
+    /// crossbar chunk's in it, is an integer below 2⁵³ when
+    /// `widest_bits + input_bits + ⌈log₂ s⌉ ≤ 53` — with the stored
+    /// operands below 2³¹, where `simpim-kern`'s signed convert reads them
+    /// right. Then [`simpim_kern::dot_multi_f64`] is exact.
+    fn f64_exact(&self, input_bits: u32) -> bool {
+        let log_s = self.s.next_power_of_two().trailing_zeros();
+        self.widest_bits <= 31 && self.widest_bits + input_bits + log_s <= 53
+    }
+
     #[inline]
     fn phys(&self, local: usize) -> usize {
         self.remap
@@ -84,18 +100,20 @@ impl Region {
     }
 }
 
-/// Rejects the first value of `flat` that overflows `operand_bits`.
-fn check_operands(flat: &[u32], operand_bits: u32) -> Result<(), ReRamError> {
-    match flat
-        .iter()
-        .find(|&&v| operand_bits < 32 && u64::from(v) >= (1u64 << operand_bits))
-    {
-        Some(&v) => Err(ReRamError::OperandOverflow {
-            value: u64::from(v),
-            bits: operand_bits,
-        }),
-        None => Ok(()),
+/// Rejects the first value of `flat` that overflows `operand_bits`, else
+/// returns the width of the widest one ([`bits_needed`] of their OR).
+fn check_operands(flat: &[u32], operand_bits: u32) -> Result<u32, ReRamError> {
+    let widest = bits_needed(u64::from(flat.iter().fold(0, |all, &v| all | v)));
+    if widest <= operand_bits {
+        return Ok(widest);
     }
+    let v = flat
+        .iter()
+        .find(|&&v| bits_needed(u64::from(v)) > operand_bits);
+    Err(ReRamError::OperandOverflow {
+        value: u64::from(*v.expect("a value wider than the OR's bound")),
+        bits: operand_bits,
+    })
 }
 
 /// Longest run of operands whose products are guaranteed to sum below
@@ -112,39 +130,33 @@ fn exact_block_len(stored_bits: u32, input_bits: u32) -> usize {
             .min(usize::BITS - 1)
 }
 
-/// One stored row against `N` queries as the array computes it: per query
-/// one partial sum per crossbar chunk of `m` operands, the partials added
-/// by the gather tree. Returns per query the exact total and the largest
-/// partial (clamped to `u64`), which sizes the gather pass in
-/// [`PimTiming`]. `mac` is the `simpim-kern` integer kernel (one query or
-/// four per row load), exact modulo 2⁶⁴; it runs on blocks of at most
-/// `block` operands so that no block wraps, and the blocks are added in
-/// `u128`. `block` is the [`exact_block_len`] of the widest query of the
-/// read: a shorter block than a query needs is still exact, and `u128`
-/// sums do not depend on where the blocks were cut.
-fn row_dot<const N: usize>(
-    mac: impl Fn(&[u32], [&[u32]; N]) -> [u64; N],
-    queries: [&[u32]; N],
+/// One stored row against one query as the array computes it: one partial
+/// sum per crossbar chunk of `m` operands, the partials added by the
+/// gather tree. Returns the exact total and the largest partial (clamped
+/// to `u64`), which sizes the gather pass in [`PimTiming`]. `mac` is the
+/// `simpim-kern` integer kernel `dot_u32`, exact modulo 2⁶⁴; it runs on
+/// blocks of at most `block` operands so that no block wraps, and the
+/// blocks are added in `u128`. `block` is the [`exact_block_len`] of the
+/// widest query of the read: a shorter block than a query needs is still
+/// exact, and `u128` sums do not depend on where the blocks were cut.
+fn row_dot(
+    mac: fn(&[u32], &[u32]) -> u64,
+    query: &[u32],
     row: &[u32],
     m: usize,
     block: usize,
-) -> ([u128; N], [u64; N]) {
-    let mut total = [0u128; N];
-    let mut max_partial = [0u64; N];
+) -> (u128, u64) {
+    let mut total = 0u128;
+    let mut max_partial = 0u64;
     for chunk in (0..row.len()).step_by(m) {
         let chunk_end = (chunk + m).min(row.len());
-        let mut partial = [0u128; N];
+        let mut partial = 0u128;
         for start in (chunk..chunk_end).step_by(block) {
             let end = start.saturating_add(block).min(chunk_end);
-            let sums = mac(&row[start..end], queries.map(|q| &q[start..end]));
-            for (p, sum) in partial.iter_mut().zip(sums) {
-                *p += u128::from(sum);
-            }
+            partial += u128::from(mac(&query[start..end], &row[start..end]));
         }
-        for j in 0..N {
-            max_partial[j] = max_partial[j].max(partial[j].min(u128::from(u64::MAX)) as u64);
-            total[j] += partial[j];
-        }
+        max_partial = max_partial.max(partial.min(u128::from(u64::MAX)) as u64);
+        total += partial;
     }
     (total, max_partial)
 }
@@ -351,7 +363,7 @@ impl PimArray {
                 what: "operand_bits must be in 1..=32",
             });
         }
-        check_operands(flat, operand_bits)?;
+        let widest_bits = check_operands(flat, operand_bits)?;
         let cost = dataset_crossbar_cost(capacity, s, operand_bits, &self.cfg.crossbar)?;
         if cost.total() > self.free_crossbars() {
             return Err(ReRamError::InsufficientCapacity {
@@ -377,6 +389,7 @@ impl PimArray {
             capacity,
             s,
             operand_bits,
+            widest_bits,
             cost,
             base_crossbar,
             remap: HashMap::new(),
@@ -480,7 +493,7 @@ impl PimArray {
                 available: limit.saturating_sub(start),
             });
         }
-        check_operands(flat, reg.operand_bits)?;
+        let widest_bits = check_operands(flat, reg.operand_bits)?;
 
         if !filling {
             let m = self.cfg.crossbar.size;
@@ -503,6 +516,7 @@ impl PimArray {
         }
 
         let reg = &mut self.regions[ri];
+        reg.widest_bits = reg.widest_bits.max(widest_bits);
         if at.is_some() {
             reg.data[start * s..(start + k) * s].copy_from_slice(flat);
         } else {
@@ -711,8 +725,7 @@ impl PimArray {
     /// wrapped at the accumulator width — bit-identical to the streamed
     /// bit-sliced pipeline, whose shift-and-add reassembles these same
     /// integers (proven against `Crossbar::dot_products` and
-    /// `dot_batch_strict` in tests). Every stored row, clean or faulty,
-    /// goes through [`row_dot`].
+    /// `dot_batch_strict` in tests).
     ///
     /// Objects are independent, so the read fans out across the pool in
     /// fixed `DOT_BATCH_CHUNK`-object chunks — the per-crossbar
@@ -720,9 +733,13 @@ impl PimArray {
     /// writes its own slice of every query's output buffer and
     /// `max_partial` is an order-independent max, so the output is
     /// bit-identical to the serial loop at any thread count. Inside a
-    /// task each row is multiplied with all the queries — four per row
-    /// load through `dot_u32_x4`, the rest one by one — before the next
-    /// is touched.
+    /// task each row is multiplied with all the queries before the next
+    /// is touched: with two or more queries, where the tier has the
+    /// multi-query kernel and `Region::f64_exact` holds for the widest
+    /// query, up to eight queries per row load through
+    /// `dot_multi_f64` (the queries converted to `f64` once per read);
+    /// otherwise one [`row_dot`] per query. A single query is a
+    /// memory-bound read and stays on `row_dot`.
     fn read_region(&self, ri: usize, queries: &[&[u32]], acc: AccWidth) -> Vec<(Vec<u64>, u64)> {
         let reg = &self.regions[ri];
         let xb = &self.cfg.crossbar;
@@ -733,38 +750,62 @@ impl PimArray {
         let stored_bits = (xb.cells_per_operand(reg.operand_bits) as u32 * xb.cell_bits).min(32);
         // One block length for the whole read, the widest query's: a
         // shorter block than a query needs is exact all the same.
-        let widest = queries.iter().map(|q| bits_needed_slice(q)).max();
-        let block = exact_block_len(stored_bits, widest.unwrap_or(0));
-        let mac1 = |row: &[u32], [q]: [&[u32]; 1]| [(kern.dot_u32)(q, row)];
+        let widest = queries
+            .iter()
+            .map(|q| bits_needed_slice(q))
+            .max()
+            .unwrap_or(0);
+        let block = exact_block_len(stored_bits, widest);
+        let multi = kern
+            .dot_multi_f64
+            .filter(|_| queries.len() >= 2 && reg.f64_exact(widest));
+        let as_f64: Vec<Vec<f64>> = match multi {
+            Some(_) => queries
+                .iter()
+                .map(|q| q.iter().map(|&v| f64::from(v)).collect())
+                .collect(),
+            None => Vec::new(),
+        };
+        let as_f64: Vec<&[f64]> = as_f64.iter().map(Vec::as_slice).collect();
         let task = &|rows: &[u32], outs: &mut [&mut [u64]]| -> Vec<u64> {
             let mut max_partial = vec![0u64; queries.len()];
+            // The multi-query path's largest chunk sums, integers in `f64`.
+            let mut tops = vec![0.0f64; queries.len()];
+            let mut sums = [0.0f64; 2 * simpim_kern::MULTI_QUERIES];
             for (i, row) in rows.chunks_exact(s).enumerate() {
-                // While queries 2..Q read the row from cache nothing
-                // misses and the hardware stream falls idle, so a shared
-                // read asks for a row further on. Q = 1 stays exactly the
-                // single pass it was (the traced replay holds
-                // `lb_ed_batch` against the public `dot_batch`); a hint
-                // there is a claim of its own.
-                if queries.len() >= 2 {
-                    let ahead = ((i + PREFETCH_ROWS) * s).min(rows.len());
-                    simpim_kern::prefetch(&rows[ahead..(ahead + s).min(rows.len())]);
-                }
-                let mut put = |j: usize, total: &[u128], row_max: &[u64]| {
-                    for (g, (&t, &p)) in total.iter().zip(row_max).enumerate() {
-                        outs[j + g][i] = acc.wrap(t);
-                        max_partial[j + g] = max_partial[j + g].max(p);
+                let Some(mac) = multi else {
+                    // While queries 2..Q read the row from cache nothing
+                    // misses and the hardware stream falls idle, so a
+                    // shared read asks for a row further on. Q = 1 stays
+                    // exactly the single pass it was (the traced replay
+                    // holds `lb_ed_batch` against the public `dot_batch`);
+                    // a hint there is a claim of its own. The multi-query
+                    // kernel takes no hint: its `f64` queries fill most of
+                    // the L1 cache, and rows fetched into it evict them.
+                    if queries.len() >= 2 {
+                        let ahead = ((i + PREFETCH_ROWS) * s).min(rows.len());
+                        simpim_kern::prefetch(&rows[ahead..(ahead + s).min(rows.len())]);
                     }
+                    for (j, &query) in queries.iter().enumerate() {
+                        let (total, row_max) = row_dot(kern.dot_u32, query, row, m, block);
+                        outs[j][i] = acc.wrap(total);
+                        max_partial[j] = max_partial[j].max(row_max);
+                    }
+                    continue;
                 };
-                let grouped = queries.len() / 4 * 4;
-                for j in (0..grouped).step_by(4) {
-                    let group: [&[u32]; 4] = queries[j..j + 4].try_into().expect("four queries");
-                    let (total, row_max) = row_dot(kern.dot_u32_x4, group, row, m, block);
-                    put(j, &total, &row_max);
+                for (g, group) in as_f64.chunks(simpim_kern::MULTI_QUERIES).enumerate() {
+                    mac(row, group, m, &mut sums);
+                    let (q, first) = (group.len(), g * simpim_kern::MULTI_QUERIES);
+                    for j in 0..q {
+                        // An integer below 2⁵³: exact as an `i64`, which
+                        // converts in one instruction.
+                        outs[first + j][i] = acc.wrap(u128::from(sums[j] as i64 as u64));
+                        tops[first + j] = tops[first + j].max(sums[q + j]);
+                    }
                 }
-                for (j, &query) in queries.iter().enumerate().skip(grouped) {
-                    let (total, row_max) = row_dot(mac1, [query], row, m, block);
-                    put(j, &total, &row_max);
-                }
+            }
+            for (all, top) in max_partial.iter_mut().zip(tops) {
+                *all = (*all).max(top as u64);
             }
             max_partial
         };
@@ -794,6 +835,8 @@ impl PimArray {
         // Read through the injected faults: corrupted objects return the
         // dot product of their *faulty* stored row (objects behind a
         // corrupted gather fabric read 0 — one consistent corruption).
+        // A faulty row can be wider than anything programmed, so it takes
+        // `row_dot` on the cell-width block whatever path the rest took.
         if self.faults_active() {
             let info = self.fault_info[ri]
                 .as_ref()
@@ -801,7 +844,7 @@ impl PimArray {
             for (j, out) in values.iter_mut().enumerate() {
                 for (obj, v) in out.iter_mut().enumerate() {
                     if let Some(frow) = info.faulty_rows.get(&obj) {
-                        let ([total], _) = row_dot(mac1, [queries[j]], frow, m, block);
+                        let (total, _) = row_dot(kern.dot_u32, queries[j], frow, m, block);
                         *v = acc.wrap(total);
                     } else if info.dead_objects[obj] {
                         *v = 0;
@@ -2234,8 +2277,7 @@ mod tests {
                 let row = vec![u32::MAX >> (32 - stored_bits); s];
                 let query = vec![u32::MAX >> (32 - input_bits); s];
                 let block = exact_block_len(stored_bits, input_bits);
-                let mac = |row: &[u32], [q]: [&[u32]; 1]| [simpim_kern::dot_u32(q, row)];
-                let ([total], [max_partial]) = row_dot(mac, [&query], &row, m, block);
+                let (total, max_partial) = row_dot(simpim_kern::dot_u32, &query, &row, m, block);
                 let exact = u128::from(row[0]) * u128::from(query[0]);
                 assert_eq!(total, exact * s as u128, "{stored_bits}+{input_bits} bits");
                 assert_eq!(
@@ -2359,20 +2401,22 @@ mod tests {
         /// the same passes as single `dot_batch` calls in that order ≡
         /// `dot_batch_strict`, on every kernel tier: values, `PimTiming`
         /// per pass, the `EnergyReport` by bits and the region shapes.
-        /// `Q` covers no, one and two groups of four with every
-        /// remainder; operand and query widths lean to 28..=32 bits
-        /// (blocks of one at 32 + 32) and every query of a group has its
-        /// own width, so the group runs on its shortest block; both
-        /// accumulator widths, slot-stacked and gather-tree layouts;
-        /// clean, then read through stuck cells and dead lines.
+        /// `Q` runs 1..=9: the single pass, every multi-query group size
+        /// and a nine-query read's group of eight plus one. Operand and
+        /// query widths fall on both sides of the `f64` gate: 8..=20
+        /// bits keep a row's sum below 2⁵³, 28..=32 bits leave it (blocks
+        /// of one at 32 + 32), and every query of a read has its own
+        /// width, so the read runs on its widest; both accumulator
+        /// widths, slot-stacked and gather-tree layouts; clean, then read
+        /// through stuck cells and dead lines.
         #[test]
         fn dot_batch_multi_matches_single_passes_and_strict(
-            operand_bits in proptest::prop_oneof![1u32..=32, 28u32..=32],
+            operand_bits in proptest::prop_oneof![1u32..=32, 28u32..=32, 8u32..=20],
             query_bits in proptest::prop::collection::vec(
-                proptest::prop_oneof![1u32..=32, 28u32..=32],
+                proptest::prop_oneof![1u32..=32, 28u32..=32, 8u32..=20],
                 18,
             ),
-            q in proptest::prop::sample::select(vec![1usize, 2, 3, 4, 5, 8, 9]),
+            q in 1usize..=9,
             shape in (1usize..=5, 1usize..=40),
             acc in proptest::prop::sample::select(vec![AccWidth::U32, AccWidth::U64]),
             seed in proptest::any::<u64>(),
@@ -2475,6 +2519,122 @@ mod tests {
             |partial_bits| dot_batch_timing(&cfg, &rep.cost, 32, partial_bits, 1, AccWidth::U64);
         assert_ne!(timing(64), timing(1));
         assert_eq!(got[0].1, timing(64));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        /// A region whose rows all sit under the `f64` gate takes the
+        /// multi-query kernel; a row appended or rewritten past it (one
+        /// 31- or 32-bit operand) flips the region to one `dot_u32` per query
+        /// for good — truncating the wide row away keeps the widest width
+        /// programmed. Before the flip, after it and after the truncation,
+        /// on every tier, clean and with a fault model that leaves faulty
+        /// rows: `dot_batch_multi` ≡ single passes (values, `PimTiming`,
+        /// energy by bits) ≡ `dot_batch_strict` on the clean array.
+        #[test]
+        fn a_region_widened_mid_life_flips_off_the_f64_path_and_stays_exact(
+            (n, s) in (1usize..=5, 5usize..=40),
+            q in 2usize..=9,
+            narrow in 1u32..=20,
+            wide in 31u32..=32,
+            (rewrite, faulty) in (proptest::any::<bool>(), proptest::any::<bool>()),
+            seed in proptest::any::<u64>(),
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut draw = |bits: u32, len: usize| -> Vec<u32> {
+                let max = u32::MAX >> (32 - bits);
+                (0..len)
+                    .map(|_| if rng.gen_range(0..2) == 0 { max } else { rng.gen_range(0..=max) })
+                    .collect()
+            };
+            let cfg = PimConfig {
+                crossbar: CrossbarConfig { size: 16, ..Default::default() },
+                num_crossbars: 8192,
+                ..Default::default()
+            };
+            let mut pim = PimArray::new(cfg).unwrap();
+            let r = pim
+                .program_region_with_capacity(&draw(narrow, n * s), n, n + 1, s, 32)
+                .unwrap()
+                .region;
+            if faulty {
+                pim.enable_faults(crate::faults::FaultConfig {
+                    stuck_low_rate: 0.1,
+                    stuck_high_rate: 0.1,
+                    dead_bitline_rate: 0.03,
+                    dead_wordline_rate: 0.03,
+                    seed,
+                    ..Default::default()
+                })
+                .unwrap();
+            }
+            // 20-bit queries on rows of 5+ operands: a 31-bit operand
+            // takes the row past 2⁵³ (31 + 20 + 3 bits), a 32-bit one past
+            // the signed convert.
+            let mut queries: Vec<Vec<u32>> = (0..q).map(|_| draw(20, s)).collect();
+            queries[0][0] = (1 << 20) - 1;
+            let passes: Vec<(RegionId, &[u32])> =
+                queries.iter().map(|v| (r, v.as_slice())).collect();
+            let widest = queries.iter().map(|v| bits_needed_slice(v)).max().unwrap();
+            let check = |pim: &PimArray, f64_path: bool| {
+                proptest::prop_assert_eq!(pim.regions[r.0].f64_exact(widest), f64_path);
+                for tier in simpim_kern::Backend::ALL.into_iter().filter(|b| b.is_supported()) {
+                    let (mut multi, mut single) = (pim.clone(), pim.clone());
+                    let (got, want) = simpim_kern::with_backend(tier, || {
+                        let want: Vec<_> = passes
+                            .iter()
+                            .map(|&(region, query)| single.dot_batch(region, query, AccWidth::U64).unwrap())
+                            .collect();
+                        (multi.dot_batch_multi(&passes, AccWidth::U64).unwrap(), want)
+                    });
+                    proptest::prop_assert_eq!(got, want, "f64 path {}, {}", f64_path, tier.name());
+                    proptest::prop_assert_eq!(energy_bits(&multi), energy_bits(&single));
+                }
+                if !faulty {
+                    for &(region, query) in &passes {
+                        let (single, _) = pim.clone().dot_batch(region, query, AccWidth::U64).unwrap();
+                        let strict = pim.dot_batch_strict(region, query, AccWidth::U64).unwrap();
+                        proptest::prop_assert_eq!(strict, single, "strict vs single");
+                    }
+                }
+            };
+            check(&pim, true);
+            let mut row = draw(narrow, s);
+            row[rng.gen_range(0..s)] = u32::MAX >> (32 - wide);
+            if rewrite {
+                pim.rewrite_rows(r, rng.gen_range(0..n), &row).unwrap();
+            } else {
+                pim.append_rows(r, &row).unwrap();
+            }
+            check(&pim, false);
+            if !rewrite && n > 1 {
+                pim.truncate_rows(r, n).unwrap();
+                check(&pim, false);
+            }
+        }
+    }
+
+    /// A stored operand of 2³¹ or more keeps a region off the `f64`
+    /// path even where its sums are small: the kernel's convert is
+    /// signed and would read it negative.
+    #[test]
+    fn a_32_bit_stored_operand_stays_off_the_f64_path() {
+        let mut pim = PimArray::new(PimConfig::default()).unwrap();
+        let rows = [[1u32 << 31, 3, 0, 1], [u32::MAX, 0, 7, 2]];
+        let r = pim
+            .program_region(rows.as_flattened(), 2, 4, 32)
+            .unwrap()
+            .region;
+        assert!(!pim.regions[r.0].f64_exact(1));
+        let queries = [[1u32, 0, 1, 1], [0, 1, 1, 1]];
+        let passes: Vec<(RegionId, &[u32])> = queries.iter().map(|q| (r, &q[..])).collect();
+        let got = pim.dot_batch_multi(&passes, AccWidth::U64).unwrap();
+        for ((values, _), q) in got.iter().zip(&queries) {
+            let (want, _) = u128_reference(rows.iter().map(|r| &r[..]), q, 256, AccWidth::U64);
+            assert_eq!(values, &want);
+        }
     }
 
     /// The shared read across its task seams: three pool tasks (256, 256

@@ -26,6 +26,7 @@
 //!   that arrived during the step served from the other replicas
 //!   between steps — under `R ≥ 2` a flush never blocks reads.
 
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
@@ -236,6 +237,9 @@ enum Cmd {
     FlightDump {
         reply: mpsc::Sender<Result<String, ServeError>>,
     },
+    /// Makes the next batch panic on the pool (the containment test).
+    #[cfg(test)]
+    PanicNextBatch,
 }
 
 /// How [`ServeEngine::enqueue`] treats a full submission queue: the sync
@@ -865,6 +869,8 @@ struct Scheduler {
     timeouts: u64,
     answered_ok: u64,
     failed: u64,
+    #[cfg(test)]
+    panic_next_batch: bool,
 }
 
 impl Scheduler {
@@ -885,6 +891,8 @@ impl Scheduler {
             timeouts: 0,
             answered_ok: 0,
             failed: 0,
+            #[cfg(test)]
+            panic_next_batch: false,
         }
     }
 
@@ -1026,23 +1034,43 @@ impl Scheduler {
         // whose routed bank died retries on its other replicas before
         // the merge ever sees it.
         type ShardBatch = (Vec<Result<Vec<Neighbor>, ServeError>>, RouteSample);
+        #[cfg(test)]
+        let inject_panic = std::mem::take(&mut self.panic_next_batch);
         let pass_start = Instant::now();
         let jobs: Vec<simpim_par::Job<'_, ShardBatch>> = self
             .sets
             .iter_mut()
             .enumerate()
             .map(|(si, set)| {
-                Box::new(move || set.query_batch(queries_ref, ks_ref, batch_ctx, si))
-                    as simpim_par::Job<'_, _>
+                Box::new(move || {
+                    #[cfg(test)]
+                    assert!(!inject_panic, "injected panic in shard {si}");
+                    set.query_batch(queries_ref, ks_ref, batch_ctx, si)
+                }) as simpim_par::Job<'_, _>
             })
             .collect();
-        let shard_results: Vec<ShardBatch> = simpim_par::join_all(jobs);
+        // A panic on the pool is re-raised here. It fails this batch, not
+        // the scheduler thread: every query of it gets `Internal`, and the
+        // next command is served as usual.
+        let joined = std::panic::catch_unwind(AssertUnwindSafe(|| simpim_par::join_all(jobs)));
+        let mut annotations = Vec::new();
+        let shard_results: Vec<ShardBatch> = joined.unwrap_or_else(|panic| {
+            simpim_obs::metrics::counter_add("simpim.serve.panics", 1);
+            let what = panic
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .unwrap_or("a panic without a message")
+                .to_string();
+            annotations.push(format!("batch panicked: {what}"));
+            let failed = vec![Err(ServeError::Internal { what }); live.len()];
+            vec![(failed, RouteSample::default()); self.sets.len()]
+        });
         let pass_end = Instant::now();
 
         // Batch-level fault annotations, shared by every member query's
         // flight trace: which replica served each shard, and what
         // failover / shed / degraded handling the batch absorbed.
-        let mut annotations = Vec::new();
         let mut degraded = false;
         let mut failovers = 0u64;
         let mut sheds = 0u64;
@@ -1352,6 +1380,8 @@ impl Scheduler {
             Cmd::FlightDump { reply } => {
                 let _ = reply.send(Ok(self.flight.dump_jsonl()));
             }
+            #[cfg(test)]
+            Cmd::PanicNextBatch => self.panic_next_batch = true,
         }
     }
 }
@@ -1420,6 +1450,33 @@ mod tests {
         let truth = knn_standard(&ds, &q, 3, Measure::EuclideanSq).unwrap();
         let got = engine.knn(&q, 3).unwrap();
         assert_eq!(got, truth.neighbors);
+    }
+
+    #[test]
+    fn a_panicking_batch_fails_its_queries_and_the_engine_keeps_serving() {
+        let ds = data();
+        let engine = ServeEngine::open(small_cfg(), &ds).unwrap();
+        let q = vec![0.4, 0.3, 0.9, 0.1];
+        let truth = knn_standard(&ds, &q, 3, Measure::EuclideanSq).unwrap();
+        // Dispatched in order ahead of the query, so it is its batch that
+        // panics (on the pool, in a shard job).
+        let _ = engine
+            .enqueue::<()>(Admission::Block, |_| Cmd::PanicNextBatch)
+            .unwrap();
+        match engine.knn(&q, 3) {
+            Err(ServeError::Internal { what }) => {
+                assert!(what.contains("injected panic"), "{what}")
+            }
+            other => panic!("expected an internal error, got {other:?}"),
+        }
+        assert_eq!(engine.knn(&q, 3).unwrap(), truth.neighbors);
+        let stats = engine.stats().unwrap();
+        assert_eq!((stats.failed, stats.answered_ok), (1, 1));
+        let dump = engine.flight_dump().unwrap();
+        let failed = dump.lines().next().unwrap();
+        assert!(failed.contains("\"outcome\":\"failed\"") && failed.contains("batch panicked"));
+        let snap = simpim_obs::metrics::snapshot();
+        assert!(snap.counter("simpim.serve.panics").unwrap_or(0) >= 1);
     }
 
     #[test]

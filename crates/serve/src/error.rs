@@ -33,6 +33,12 @@ pub enum ServeError {
     Core(CoreError),
     /// A refinement failure (measure/operand mismatch).
     Mining(MiningError),
+    /// The serving code itself failed: a panic while a batch ran. That
+    /// batch's queries fail with it; the engine keeps serving.
+    Internal {
+        /// The panic's message.
+        what: String,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -48,6 +54,7 @@ impl fmt::Display for ServeError {
             Self::Config { what } => write!(f, "invalid configuration: {what}"),
             Self::Core(e) => write!(f, "PIM execution failed: {e}"),
             Self::Mining(e) => write!(f, "refinement failed: {e}"),
+            Self::Internal { what } => write!(f, "internal error: {what}"),
         }
     }
 }
@@ -114,6 +121,11 @@ mod tests {
         assert!(ServeError::Config { what: "bad".into() }
             .to_string()
             .contains("configuration"));
+        assert!(ServeError::Internal {
+            what: "boom".into()
+        }
+        .to_string()
+        .contains("internal error: boom"));
     }
 
     #[test]

@@ -229,47 +229,120 @@ proptest! {
     }
 }
 
+/// The `u128` reference of `dot_multi_f64`: per query the row's dot
+/// product, then per query its largest sum over a `seg`-operand segment.
+fn multi_reference(row: &[u32], qs: &[&[u32]], seg: usize) -> Vec<u128> {
+    let sums = |q: &[u32]| -> Vec<u128> {
+        row.chunks(seg)
+            .zip(q.chunks(seg))
+            .map(|(r, q)| {
+                r.iter()
+                    .zip(q)
+                    .map(|(&x, &y)| u128::from(x) * u128::from(y))
+                    .sum()
+            })
+            .collect()
+    };
+    let per_query: Vec<Vec<u128>> = qs.iter().map(|q| sums(q)).collect();
+    let totals = per_query.iter().map(|s| s.iter().sum());
+    let tops = per_query
+        .iter()
+        .map(|s| s.iter().copied().max().unwrap_or(0));
+    totals.chain(tops).collect()
+}
+
+/// `dot_multi_f64` on `row` against `qs` on every backend (and the
+/// portable body directly), each value held to the `u128` reference —
+/// which under the 53-bit bound is an integer an `f64` holds exactly.
+fn check_multi(row: &[u32], qs: &[&[u32]], seg: usize) {
+    let want = multi_reference(row, qs, seg);
+    prop_assert!(want.iter().all(|&v| v < 1 << 53), "a case inside the bound");
+    let as_f64: Vec<Vec<f64>> = qs
+        .iter()
+        .map(|q| q.iter().map(|&v| f64::from(v)).collect())
+        .collect();
+    let qf: Vec<&[f64]> = as_f64.iter().map(Vec::as_slice).collect();
+    let exact = |out: &[f64]| -> Vec<u128> { out.iter().map(|&v| v as u128).collect() };
+    let mut out = vec![f64::NAN; 2 * qs.len()];
+    scalar::dot_multi_f64(row, &qf, seg, &mut out);
+    prop_assert_eq!(exact(&out), want.clone(), "scalar vs u128 reference");
+    prop_assert!(out.iter().all(|v| v.fract() == 0.0));
+    for backend in supported_backends() {
+        kern::with_backend(backend, || {
+            let mut out = vec![f64::NAN; 2 * qs.len()];
+            kern::dot_multi_f64(row, &qf, seg, &mut out);
+            prop_assert_eq!(
+                exact(&out),
+                want.clone(),
+                "dot_multi_f64/{}",
+                backend.name()
+            );
+            prop_assert!(out.iter().all(|v| v.fract() == 0.0));
+        });
+    }
+}
+
+/// `⌈log₂ len⌉`, 0 for lengths 0 and 1.
+fn log2_ceil(len: usize) -> u32 {
+    len.max(1).next_power_of_two().trailing_zeros()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// `dot_u32_x4` returns four scalar `dot_u32`s — each the `u128` sum
-    /// of products, truncated — on every backend: lengths through four
-    /// 8-operand AVX2 steps plus every tail, operands weighted towards
-    /// each query's maximum so the u64 sums wrap, the row and the four
-    /// queries each starting 0–3 operands into its own buffer so the five
-    /// packed loads see every 4-byte alignment independently, and the
-    /// queries of unequal maximal width (32, 20, 9 and 1 bits). Odd
-    /// operands differ from even ones in every draw, so a kernel that
-    /// skipped one even/odd split would miss half its products.
+    /// `dot_multi_f64` returns the exact totals and largest segment sums
+    /// of the `u128` reference on every backend, for 2..=8 queries (one
+    /// for the tail group of a nine-query read), segments of 1..=24
+    /// operands and row lengths 0..=48 — every AVX2 step, unroll and
+    /// masked tail — with the row and every query starting 0–3 operands
+    /// into its own buffer, so each packed load sees every alignment.
+    /// Row operands are `b` ≤ 31 bits and queries `i` bits with
+    /// `b + i + ⌈log₂ len⌉` = 53 where a 32-bit query allows it, and
+    /// operands lean to their maxima so the sums reach the bound.
     #[test]
-    fn dot_u32_x4_bit_identical_across_backends(
-        len in 0usize..=38,
-        raw in prop::collection::vec(
-            prop_oneof![any::<u32>(), Just(u32::MAX), 0u32..4],
-            5 * (38 + 3),
-        ),
-        skips in prop::collection::vec(0usize..4, 5),
+    fn dot_multi_f64_is_exact_across_backends(
+        (q, seg, len) in (1usize..=8, 1usize..=24, 0usize..=48),
+        stored_bits in prop_oneof![1u32..=31, 28u32..=31],
+        raw in prop::collection::vec(prop_oneof![any::<u32>(), Just(u32::MAX), 0u32..4], 9 * (48 + 3)),
+        skips in prop::collection::vec(0usize..4, 9),
     ) {
         let _g = lock();
-        const WIDTHS: [u32; 5] = [32, 32, 20, 9, 1];
+        let input_bits = (53 - stored_bits - log2_ceil(len)).min(32);
         let bufs: Vec<Vec<u32>> = raw
-            .chunks_exact(38 + 3)
-            .zip(WIDTHS)
-            .map(|(buf, bits)| buf.iter().map(|v| v & (u32::MAX >> (32 - bits))).collect())
+            .chunks_exact(48 + 3)
+            .enumerate()
+            .map(|(k, buf)| {
+                let bits = if k == 0 { stored_bits } else { input_bits };
+                buf.iter().map(|v| v & (u32::MAX >> (32 - bits))).collect()
+            })
             .collect();
-        let view = |i: usize| &bufs[i][skips[i]..skips[i] + len];
-        let row = view(0);
-        let qs = [view(1), view(2), view(3), view(4)];
-        let want = qs.map(|q| {
-            row.iter()
-                .zip(q)
-                .fold(0u128, |t, (&x, &y)| t + u128::from(x) * u128::from(y)) as u64
-        });
-        prop_assert_eq!(qs.map(|q| scalar::dot_u32(row, q)), want, "scalar vs u128 reference");
-        for backend in supported_backends() {
-            kern::with_backend(backend, || {
-                prop_assert_eq!(kern::dot_u32_x4(row, qs), want, "dot_u32_x4/{}", backend.name());
-            });
+        let view = |k: usize| &bufs[k][skips[k]..skips[k] + len];
+        let qs: Vec<&[u32]> = (1..=q).map(view).collect();
+        check_multi(view(0), &qs, seg);
+    }
+}
+
+/// Every operand at its maximum with `b + i + ⌈log₂ len⌉` exactly 53,
+/// for every query count and row widths from 31 bits down: the largest
+/// sums the bound admits come back exact.
+#[test]
+fn dot_multi_f64_is_exact_at_the_bound() {
+    let _g = lock();
+    for (len, seg) in [
+        (1usize, 1usize),
+        (5, 4),
+        (48, 24),
+        (256, 256),
+        (420, 256),
+        (1024, 256),
+    ] {
+        for stored_bits in [31u32, 27, 22] {
+            let input_bits = 53 - stored_bits - log2_ceil(len);
+            let row = vec![u32::MAX >> (32 - stored_bits); len];
+            let query = vec![u32::MAX >> (32 - input_bits); len];
+            for q in 1..=kern::MULTI_QUERIES {
+                check_multi(&row, &vec![&query[..]; q], seg);
+            }
         }
     }
 }

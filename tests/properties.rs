@@ -123,23 +123,56 @@ proptest! {
         rows in prop::collection::vec(prop::collection::vec(0u32..1024, 12), 1..=6),
         query in prop::collection::vec(0u32..1024, 12),
     ) {
-        let cfg = PimConfig {
-            // 10-bit operands span 5 cells; an 8-wide crossbar forces the
-            // 12-dim vectors through a 2-chunk gather tree.
-            crossbar: CrossbarConfig { size: 8, cell_bits: 2, dac_bits: 2, adc_bits: 10, ..Default::default() },
-            num_crossbars: 4096,
-            ..Default::default()
-        };
-        let mut pim = PimArray::new(cfg).unwrap();
-        let n = rows.len();
-        let flat: Vec<u32> = rows.iter().flatten().copied().collect();
-        let rep = pim.program_region(&flat, n, 12, 10).unwrap();
-        let (vals, _) = pim.dot_batch(rep.region, &query, AccWidth::U64).unwrap();
-        for (i, row) in rows.iter().enumerate() {
-            let exact: u64 = row.iter().zip(&query).map(|(&a, &b)| u64::from(a) * u64::from(b)).sum();
-            prop_assert_eq!(vals[i], exact);
-        }
+        check_pim_array_dot(&rows, &query);
     }
+}
+
+/// Programs `rows` (12-dim, 10-bit operands) and checks one pass of
+/// `query` and a shared read of it with its reverse against the exact
+/// dot products.
+fn check_pim_array_dot(rows: &[Vec<u32>], query: &[u32]) {
+    let cfg = PimConfig {
+        // 10-bit operands span 5 cells; an 8-wide crossbar forces the
+        // 12-dim vectors through a 2-chunk gather tree.
+        crossbar: CrossbarConfig {
+            size: 8,
+            cell_bits: 2,
+            dac_bits: 2,
+            adc_bits: 10,
+            ..Default::default()
+        },
+        num_crossbars: 4096,
+        ..Default::default()
+    };
+    let mut pim = PimArray::new(cfg).unwrap();
+    let n = rows.len();
+    let flat: Vec<u32> = rows.iter().flatten().copied().collect();
+    let rep = pim.program_region(&flat, n, 12, 10).unwrap();
+    let exact = |query: &[u32]| -> Vec<u64> {
+        rows.iter()
+            .map(|row| {
+                row.iter()
+                    .zip(query)
+                    .map(|(&a, &b)| u64::from(a) * u64::from(b))
+                    .sum()
+            })
+            .collect()
+    };
+    let (vals, _) = pim.dot_batch(rep.region, query, AccWidth::U64).unwrap();
+    assert_eq!(vals, exact(query));
+    let reversed: Vec<u32> = query.iter().rev().copied().collect();
+    let passes = [(rep.region, query), (rep.region, &reversed[..])];
+    let shared = pim.dot_batch_multi(&passes, AccWidth::U64).unwrap();
+    assert_eq!(shared[0].0, exact(query));
+    assert_eq!(shared[1].0, exact(&reversed));
+}
+
+/// The one case the property above ever failed on, kept as a plain test:
+/// all-zero rows and query — a region whose widest programmed operand has
+/// no set bit, read alone and shared.
+#[test]
+fn pim_array_matches_exact_dot_on_an_all_zero_region() {
+    check_pim_array_dot(&[vec![0; 12]], &[0; 12]);
 }
 
 proptest! {
