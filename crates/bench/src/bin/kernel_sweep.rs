@@ -2,7 +2,7 @@
 //! Fig. 13 shape (DESIGN.md §14).
 //!
 //! For every kernel backend the running CPU supports (always `scalar`;
-//! `sse2`/`avx2` on x86_64, `neon` on aarch64), pinned via
+//! `sse2`/`avx2` on x86_64), pinned via
 //! `simpim_kern::with_backend`, the sweep measures:
 //!
 //! * **per-kernel ns/element** for the seven dispatched kernels (f64
@@ -34,8 +34,12 @@
 //!   row is abandoned about 1/8 and 1/2 of the way in and when none is
 //!   (its outcomes hashed into `euclidean_sq_until_hash`, equal on all
 //!   backends), and `refine_resident_batch` of `Q` ∈ {1, 4, 8} queries on
-//!   one 5 000 × 960 shard with all-zero bounds at one worker, as
-//!   milliseconds of refinement per query.
+//!   one 5 000 × 960 shard with all-zero bounds and the shard's cell
+//!   plane at one worker, as milliseconds of refinement per query;
+//! * **the cell-plane bound**: `cell_bound_multi` over that shard's cells
+//!   at eight queries, in ns per cell and query, its sums hashed into
+//!   `cell_bound_hash` — equal on all backends, and to one portable call
+//!   per query.
 //!
 //! The artifact (`BENCH_kernels.json`) stamps each backend's numbers and
 //! its speedup over forced-scalar, seeding the per-PR BENCH trajectory
@@ -51,7 +55,7 @@ use simpim_bounds::BoundCascade;
 use simpim_core::executor::PimExecutor;
 use simpim_datasets::PaperDataset;
 use simpim_kern::{self as kern, Backend};
-use simpim_mining::knn::resident::{refine_resident_batch, BatchQuery};
+use simpim_mining::knn::resident::{push_cells, refine_resident_batch, BatchQuery};
 use simpim_obs::Json;
 use simpim_par as par;
 use simpim_reram::array::RegionId;
@@ -130,6 +134,7 @@ struct Row {
     andpop_ns: f64,
     dot_u32_ns: f64,
     dot_multi_f64_ns: f64,
+    cell_bound_ns: f64,
     /// `euclidean_sq_until` abandoning at 1/8, at 1/2, never.
     until_ns: [f64; 3],
     /// `dot_batch_multi` milliseconds per query, in `PASS_QUERIES` order.
@@ -143,6 +148,7 @@ struct Row {
     dot_u32_hash: u64,
     dot_multi_f64_hash: u64,
     until_hash: u64,
+    cell_bound_hash: u64,
 }
 
 /// One timed kNN pass over the workload; returns (hash, wall ns).
@@ -167,7 +173,7 @@ fn sweep_backend(
     (wa, wb): (&[u64], &[u64]),
     (operands, operand_queries): (&[u32], &[Vec<u32>]),
     (pim, region): (&mut PimArray, RegionId),
-    (shard, shard_queries): (&Dataset, &[Vec<f64>]),
+    (shard, shard_queries, cells): (&Dataset, &[Vec<f64>], &[u8]),
 ) -> Row {
     kern::with_backend(b, || {
         let n = w.data.len();
@@ -288,6 +294,30 @@ fn sweep_backend(
             ns_per_query / 1e6
         });
 
+        // The cell plane's bound at eight queries a row (hashed while
+        // timed: eight folds a row are noise beside 7 680 cell tests),
+        // against one portable call per query.
+        let (sd, mut query_cells) = (shard.dim(), Vec::new());
+        push_cells(&shard_queries.concat(), &mut query_cells);
+        let cell_queries: Vec<&[u8]> = query_cells.chunks_exact(sd).collect();
+        let cell_hash = |sums: &dyn Fn(&[u8], &mut [u64])| {
+            let (mut h, mut out) = (0xcbf2_9ce4_8422_2325u64, [0u64; kern::MULTI_QUERIES]);
+            for row in cells.chunks_exact(sd) {
+                sums(row, &mut out);
+                h = out.iter().fold(h, |h, v| fnv1a(h, &v.to_le_bytes()));
+            }
+            h
+        };
+        let (cell_bound_ns, cell_bound_hash) = measure(cells.len() * 8, || {
+            cell_hash(&|row, out| kern::cell_bound_multi(row, &cell_queries, out))
+        });
+        let one_by_one = cell_hash(&|row, out| {
+            for (j, q) in cell_queries.iter().enumerate() {
+                kern::scalar::cell_bound_multi(row, &[q], &mut out[j..]);
+            }
+        });
+        assert_eq!(cell_bound_hash, one_by_one, "cells/{}", b.name());
+
         let ids: Vec<usize> = (0..shard.len()).collect();
         let (live, zeros) = (vec![true; shard.len()], vec![0.0; shard.len()]);
         let refine_ms_per_query = REFINE_QUERIES.map(|q| {
@@ -306,6 +336,7 @@ fn sweep_backend(
                         shard,
                         &ids,
                         &live,
+                        Some(cells),
                         &batch,
                         Measure::EuclideanSq,
                         &mut counters,
@@ -344,6 +375,7 @@ fn sweep_backend(
             andpop_ns,
             dot_u32_ns,
             dot_multi_f64_ns,
+            cell_bound_ns,
             until_ns,
             pass_ms_per_query,
             refine_ms_per_query,
@@ -353,6 +385,7 @@ fn sweep_backend(
             dot_u32_hash,
             dot_multi_f64_hash,
             until_hash,
+            cell_bound_hash,
         }
     })
 }
@@ -398,6 +431,8 @@ fn main() {
         seed: 12,
     });
     let shard_queries = simpim_datasets::sample_queries(&shard, 8, 0.03, 12);
+    let mut cells = Vec::new();
+    push_cells(shard.as_flat(), &mut cells);
 
     // One dataset, one programmed executor, shared by every
     // (backend, workers) measurement cell.
@@ -417,7 +452,7 @@ fn main() {
                 (&wa, &wb),
                 (&operands, &operand_queries),
                 (&mut pim, pass_region),
-                (&shard, &shard_queries),
+                (&shard, &shard_queries, &cells),
             )
         })
         .collect();
@@ -438,6 +473,11 @@ fn main() {
                 scalar.dot_multi_f64_hash,
             ),
             ("euclidean_sq_until", r.until_hash, scalar.until_hash),
+            (
+                "cell_bound_multi",
+                r.cell_bound_hash,
+                scalar.cell_bound_hash,
+            ),
         ] {
             assert_eq!(got, want, "backend '{}': {what} differ from scalar", r.name);
         }
@@ -455,7 +495,7 @@ fn main() {
         ),
         &[
             "backend", "dot", "norm", "fused", "euclid", "until 1/8", "1/2", "never", "xorpop",
-            "andpop", "dot_u32", "multi", "pass Q=1", "Q=2", "Q=3", "Q=4", "Q=5", "Q=6", "Q=7",
+            "andpop", "dot_u32", "multi", "cell", "pass Q=1", "Q=2", "Q=3", "Q=4", "Q=5", "Q=6", "Q=7",
             "Q=8", "refine Q=1", "Q=4", "Q=8",
             "knn qps", "vs scalar",
         ],
@@ -465,7 +505,8 @@ fn main() {
                 let ns = [r.dot_ns, r.norm_ns, r.fused_ns, r.euclid_ns]
                     .into_iter()
                     .chain(r.until_ns)
-                    .chain([r.xorpop_ns, r.andpop_ns, r.dot_u32_ns, r.dot_multi_f64_ns]);
+                    .chain([r.xorpop_ns, r.andpop_ns, r.dot_u32_ns, r.dot_multi_f64_ns])
+                    .chain([r.cell_bound_ns]);
                 let ms = r.pass_ms_per_query.into_iter().chain(r.refine_ms_per_query);
                 std::iter::once(r.name.to_string())
                     .chain(ns.map(|v| format!("{v:.3}")))
@@ -481,9 +522,10 @@ fn main() {
     println!(
         "result hash {hash:016x} identical across {} backends and 1|4|ambient workers \
          (ns/element columns, until per element of the whole row; popcount per u64 word; \
-         pass columns: ms per query of one dot_batch_multi over {PASS_ROWS} x {d} at one \
-         worker; refine columns: ms per query of one refine_resident_batch over {} x {} \
-         with zero bounds at one worker)",
+         cell per cell and query at eight queries; pass columns: ms per query of one \
+         dot_batch_multi over {PASS_ROWS} x {d} at one worker; refine columns: ms per query \
+         of one refine_resident_batch over {} x {} with zero bounds and the cell plane at \
+         one worker)",
         rows.len(),
         REFINE_SHAPE.0,
         REFINE_SHAPE.1
@@ -506,6 +548,7 @@ fn main() {
                 ("and_popcount_ns_per_word", Json::Num(r.andpop_ns)),
                 ("dot_u32_ns_per_elem", Json::Num(r.dot_u32_ns)),
                 ("dot_multi_f64_ns_per_elem", Json::Num(r.dot_multi_f64_ns)),
+                ("cell_bound_ns_per_elem", Json::Num(r.cell_bound_ns)),
                 (
                     "pass_ms_per_query",
                     Json::obj(
@@ -572,6 +615,10 @@ fn main() {
             (
                 "euclidean_sq_until_hash",
                 Json::Str(format!("{:016x}", scalar.until_hash)),
+            ),
+            (
+                "cell_bound_hash",
+                Json::Str(format!("{:016x}", scalar.cell_bound_hash)),
             ),
             ("threads_invariant", Json::Bool(true)),
             ("knn_qps", Json::Num(active_row.knn_qps)),

@@ -8,15 +8,19 @@
 //! u64 popcount MACs behind Hamming distance and the bit-sliced crossbar
 //! model, and the exact integer MACs the array-level crossbar pass runs
 //! on ([`dot_u32`] for one query, [`dot_multi_f64`] for up to eight
-//! queries per row load) — as a [`KernelBackend`] vtable selected
+//! queries per row load), and the integer cell-plane bound a serving
+//! shard tests before an exact distance ([`cell_bound_multi`]) — as a
+//! [`KernelBackend`] vtable selected
 //! **once** at startup:
 //!
 //! * `x86_64`: AVX2 (4×f64 per register, Mula `pshufb` popcount; the
 //!   multi-query MAC on FMA when `fma` is detected too) when
 //!   `is_x86_feature_detected!("avx2")`, else SSE2 (baseline, two 2-wide
 //!   registers; hardware `popcnt` when detected).
-//! * `aarch64`: NEON when `is_aarch64_feature_detected!("neon")`.
-//! * everything else: the portable chunked [`scalar`] kernels.
+//! * everything else, `aarch64` included: the portable chunked
+//!   [`scalar`] kernels, whose bits every tier matches. (`neon` is still
+//!   a name `SIMPIM_KERNEL` accepts, but no NEON tier is built: it
+//!   degrades to `scalar` like any tier the CPU cannot run.)
 //!
 //! **Bit-identity is the contract.** Every backend reproduces the scalar
 //! kernels' exact operation sequence: 4 accumulator lanes over 4-element
@@ -46,8 +50,6 @@ use std::sync::OnceLock;
 
 pub mod scalar;
 
-#[cfg(target_arch = "aarch64")]
-mod neon;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
@@ -64,7 +66,8 @@ pub enum Backend {
     Sse2,
     /// x86_64 AVX2: one 4×f64 register per lane set, `pshufb` popcount.
     Avx2,
-    /// aarch64 NEON: two 2×f64 registers, `cnt`/`addlv` popcount.
+    /// aarch64 NEON — a name only: no NEON tier is built, so it is never
+    /// supported and a request for it degrades to [`Backend::Scalar`].
     Neon,
 }
 
@@ -75,44 +78,21 @@ impl Backend {
     /// Stable lowercase name, as accepted by `SIMPIM_KERNEL` and stamped
     /// into artifacts.
     pub fn name(self) -> &'static str {
-        match self {
-            Backend::Scalar => "scalar",
-            Backend::Sse2 => "sse2",
-            Backend::Avx2 => "avx2",
-            Backend::Neon => "neon",
-        }
+        ["scalar", "sse2", "avx2", "neon"][self as usize]
     }
 
     /// Numeric code for the `simpim.kern.backend` gauge (scalar=0,
-    /// sse2=1, avx2=2, neon=3).
+    /// sse2=1, avx2=2, neon=3): the tier's place in [`Backend::ALL`].
     pub fn code(self) -> u8 {
-        match self {
-            Backend::Scalar => 0,
-            Backend::Sse2 => 1,
-            Backend::Avx2 => 2,
-            Backend::Neon => 3,
-        }
+        self as u8
     }
 
-    fn from_code(code: u8) -> Backend {
-        match code {
-            1 => Backend::Sse2,
-            2 => Backend::Avx2,
-            3 => Backend::Neon,
-            _ => Backend::Scalar,
-        }
-    }
-
-    /// Parses a `SIMPIM_KERNEL` value. `Some(None)` means `auto`
-    /// (detect), `None` means unrecognized.
+    /// Parses a `SIMPIM_KERNEL` value (any case). `Some(None)` means
+    /// `auto` (detect), `None` means unrecognized.
     pub fn parse(s: &str) -> Option<Option<Backend>> {
         match s.trim().to_ascii_lowercase().as_str() {
             "" | "auto" => Some(None),
-            "scalar" => Some(Some(Backend::Scalar)),
-            "sse2" => Some(Some(Backend::Sse2)),
-            "avx2" => Some(Some(Backend::Avx2)),
-            "neon" => Some(Some(Backend::Neon)),
-            _ => None,
+            name => Self::ALL.into_iter().find(|b| b.name() == name).map(Some),
         }
     }
 
@@ -124,8 +104,6 @@ impl Backend {
             Backend::Sse2 => is_x86_feature_detected!("sse2"),
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => is_x86_feature_detected!("avx2"),
-            #[cfg(target_arch = "aarch64")]
-            Backend::Neon => std::arch::is_aarch64_feature_detected!("neon"),
             #[allow(unreachable_patterns)]
             _ => false,
         }
@@ -162,6 +140,8 @@ pub struct KernelBackend {
     /// has one that beats a [`dot_u32`] per query (AVX2 with FMA); `None`
     /// elsewhere, and the crossbar pass then makes those calls.
     pub dot_multi_f64: Option<MultiF64>,
+    /// The cell-plane bound sums of [`scalar::cell_bound_multi`].
+    pub cell_bound_multi: fn(&[u8], &[&[u8]], &mut [u64]),
 }
 
 impl std::fmt::Debug for KernelBackend {
@@ -183,6 +163,7 @@ const SCALAR_TABLE: KernelBackend = KernelBackend {
     and_popcount: scalar::and_popcount,
     dot_u32: scalar::dot_u32,
     dot_multi_f64: None,
+    cell_bound_multi: scalar::cell_bound_multi,
 };
 
 // Safe trampolines: each is installed in a table only after the matching
@@ -210,6 +191,7 @@ mod x86_dispatch {
     trampoline!(and_popcount_avx2, x86::avx2::and_popcount, (a: &[u64], b: &[u64]) -> u64);
     trampoline!(dot_u32_avx2, x86::avx2::dot_u32, (a: &[u32], b: &[u32]) -> u64);
     trampoline!(dot_multi_f64_fma, x86::avx2::dot_multi_f64, (row: &[u32], qs: &[&[f64]], seg: usize, out: &mut [f64]) -> ());
+    trampoline!(cell_bound_multi_avx2, x86::avx2::cell_bound_multi, (row: &[u8], qs: &[&[u8]], out: &mut [u64]) -> ());
 
     trampoline!(dot_sse2, x86::sse2::dot, (a: &[f64], b: &[f64]) -> f64);
     trampoline!(norm_sq_sse2, x86::sse2::norm_sq, (xs: &[f64]) -> f64);
@@ -218,28 +200,6 @@ mod x86_dispatch {
     trampoline!(xor_popcount_popcnt, x86::xor_popcount_popcnt, (a: &[u64], b: &[u64]) -> u64);
     trampoline!(and_popcount_popcnt, x86::and_popcount_popcnt, (a: &[u64], b: &[u64]) -> u64);
     trampoline!(dot_u32_sse2, x86::sse2::dot_u32, (a: &[u32], b: &[u32]) -> u64);
-}
-
-#[cfg(target_arch = "aarch64")]
-mod neon_dispatch {
-    use super::neon;
-
-    macro_rules! trampoline {
-        ($name:ident, $path:path, ($($arg:ident: $ty:ty),+) -> $ret:ty) => {
-            pub fn $name($($arg: $ty),+) -> $ret {
-                // Safety: installed only after feature detection.
-                unsafe { $path($($arg),+) }
-            }
-        };
-    }
-
-    trampoline!(dot, neon::dot, (a: &[f64], b: &[f64]) -> f64);
-    trampoline!(norm_sq, neon::norm_sq, (xs: &[f64]) -> f64);
-    trampoline!(dot_norm_sq, neon::dot_norm_sq, (a: &[f64], b: &[f64]) -> (f64, f64));
-    trampoline!(euclidean_sq, neon::euclidean_sq, (p: &[f64], q: &[f64]) -> f64);
-    trampoline!(xor_popcount, neon::xor_popcount, (a: &[u64], b: &[u64]) -> u64);
-    trampoline!(and_popcount, neon::and_popcount, (a: &[u64], b: &[u64]) -> u64);
-    trampoline!(dot_u32, neon::dot_u32, (a: &[u32], b: &[u32]) -> u64);
 }
 
 /// Builds the vtable for a tier the running CPU supports.
@@ -273,6 +233,7 @@ fn table(b: Backend) -> KernelBackend {
                 },
                 dot_u32: x86_dispatch::dot_u32_sse2,
                 dot_multi_f64: None,
+                cell_bound_multi: scalar::cell_bound_multi,
             }
         }
         #[cfg(target_arch = "x86_64")]
@@ -289,19 +250,7 @@ fn table(b: Backend) -> KernelBackend {
             // An AVX2 CPU without FMA keeps the per-query `dot_u32`.
             dot_multi_f64: is_x86_feature_detected!("fma")
                 .then_some(x86_dispatch::dot_multi_f64_fma as _),
-        },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => KernelBackend {
-            backend: Backend::Neon,
-            dot: neon_dispatch::dot,
-            norm_sq: neon_dispatch::norm_sq,
-            dot_norm_sq: neon_dispatch::dot_norm_sq,
-            euclidean_sq: neon_dispatch::euclidean_sq,
-            euclidean_sq_until: scalar::euclidean_sq_until,
-            xor_popcount: neon_dispatch::xor_popcount,
-            and_popcount: neon_dispatch::and_popcount,
-            dot_u32: neon_dispatch::dot_u32,
-            dot_multi_f64: None,
+            cell_bound_multi: x86_dispatch::cell_bound_multi_avx2,
         },
         #[allow(unreachable_patterns)]
         _ => SCALAR_TABLE,
@@ -310,22 +259,8 @@ fn table(b: Backend) -> KernelBackend {
 
 /// Best tier the running CPU supports, ignoring overrides.
 pub fn detected_backend() -> Backend {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx2") {
-            return Backend::Avx2;
-        }
-        if is_x86_feature_detected!("sse2") {
-            return Backend::Sse2;
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            return Backend::Neon;
-        }
-    }
-    Backend::Scalar
+    let best = Backend::ALL.into_iter().rev().find(|b| b.is_supported());
+    best.unwrap_or(Backend::Scalar)
 }
 
 /// 0 = no override; otherwise `backend.code() + 1`.
@@ -376,7 +311,7 @@ fn env_default() -> Backend {
 pub fn backend() -> Backend {
     let ovr = BACKEND_OVERRIDE.load(Ordering::Relaxed);
     if ovr != 0 {
-        return Backend::from_code(ovr - 1);
+        return Backend::ALL[usize::from(ovr - 1)];
     }
     env_default()
 }
@@ -523,6 +458,18 @@ pub fn dot_multi_f64(row: &[u32], qs: &[&[f64]], seg: usize, out: &mut [f64]) {
     kernels().dot_multi_f64.unwrap_or(scalar::dot_multi_f64)(row, qs, seg, out)
 }
 
+/// Dispatched [`scalar::cell_bound_multi`]: one row of `u8` cells against
+/// up to eight queries' cells, per query `Σ max(|rᵢ − qᵢ| − 1, 0)²` — the
+/// same integers on every backend.
+///
+/// # Panics
+/// Panics when `qs` holds more than [`MULTI_QUERIES`] queries, or when
+/// `out` is shorter than `qs`.
+#[inline]
+pub fn cell_bound_multi(row: &[u8], qs: &[&[u8]], out: &mut [u64]) {
+    (kernels().cell_bound_multi)(row, qs, out)
+}
+
 /// Asks the CPU to start loading `data` into its nearest cache, one
 /// hint per 64-byte line; returns at once and changes no result. The
 /// multi-query crossbar pass issues it for a row a few past the one it is
@@ -611,6 +558,11 @@ mod tests {
                     let mut out = [f64::NAN; 6];
                     dot_multi_f64(&p, &[&qf, &pf, &qf], len.max(1), &mut out);
                     assert_eq!(out.map(|v| v as u64), [pq, pp, pq, pq, pp, pq]);
+                    let [r, c] = [&w, &v].map(|x| x.iter().map(|&x| x as u8).collect::<Vec<_>>());
+                    let (mut got, mut want) = ([0u64; 3], [0u64; 3]);
+                    cell_bound_multi(&r, &[&c, &r, &c[..len / 2]], &mut got);
+                    scalar::cell_bound_multi(&r, &[&c, &r, &c[..len / 2]], &mut want);
+                    assert_eq!(got, want);
                 }
             });
         }
@@ -640,7 +592,7 @@ mod tests {
         assert_eq!(Backend::parse("mmx"), None);
         for b in Backend::ALL {
             assert_eq!(Backend::parse(b.name()), Some(Some(b)));
-            assert_eq!(Backend::from_code(b.code()), b);
+            assert_eq!(Backend::ALL[usize::from(b.code())], b);
         }
     }
 

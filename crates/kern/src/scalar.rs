@@ -12,7 +12,8 @@
 //! NaN *payloads* are outside the contract — Rust documents NaN bit
 //! patterns as non-deterministic, so a reduction over several distinct
 //! NaNs guarantees NaN ⇔ NaN, not which payload wins.) The integer
-//! kernels — the popcount MACs, [`dot_u32`] and [`dot_multi_f64`] — need
+//! kernels — the popcount MACs, [`dot_u32`], [`dot_multi_f64`] and
+//! [`cell_bound_multi`] — need
 //! no such layout: wrapping integer sums, and integer `f64` sums that
 //! never round, are the same in any order.
 
@@ -256,6 +257,32 @@ pub fn dot_multi_f64(row: &[u32], qs: &[&[f64]], seg: usize, out: &mut [f64]) {
             total[j] += sum;
             top[j] = top[j].max(sum);
         }
+    }
+}
+
+/// The cell-plane bound sums of one stored `row` of `u8` cells with up
+/// to [`MULTI_QUERIES`] queries' cells: `out[j] = Σ max(|rowᵢ − qs[j]ᵢ| − 1, 0)²`
+/// over the first `min` of the slice lengths. A cell is an 8-bit floor of
+/// a value, so neighbouring cells may hold values as close as zero and a
+/// gap of `g` cells proves at least `g − 1` cells of distance (the
+/// serving shard's host cell plane, DESIGN.md §9). Integer sums, so every
+/// tier returns the same integers; each term is at most 254², so the
+/// sums are exact for any row a `u64` can address.
+///
+/// # Panics
+/// Panics when `qs` holds more than [`MULTI_QUERIES`] queries, or when
+/// `out` is shorter than `qs`.
+pub fn cell_bound_multi(row: &[u8], qs: &[&[u8]], out: &mut [u64]) {
+    assert!(qs.len() <= MULTI_QUERIES, "8 queries at most");
+    let len = qs.iter().fold(row.len(), |len, q| len.min(q.len()));
+    let gap_sq = |(&r, &x): (&u8, &u8)| u32::from(r.abs_diff(x).saturating_sub(1)).pow(2);
+    for (sum, q) in out[..qs.len()].iter_mut().zip(qs) {
+        // 2¹⁵ terms of at most 254² stay below 2³²: a `u32` sum a chunk,
+        // which vectorises, added up in `u64`.
+        let chunks = row[..len].chunks(1 << 15).zip(q[..len].chunks(1 << 15));
+        *sum = chunks
+            .map(|(r, q)| u64::from(r.iter().zip(q).map(gap_sq).sum::<u32>()))
+            .sum();
     }
 }
 

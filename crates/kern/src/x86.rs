@@ -325,6 +325,72 @@ pub mod avx2 {
         out[Q..2 * Q].copy_from_slice(&spill[MULTI_QUERIES..MULTI_QUERIES + Q]);
     }
 
+    /// [`scalar::cell_bound_multi`] on 32 cells a step: each row step is
+    /// loaded once for every query; `|r − q|` is two saturating
+    /// subtractions or-ed (`vpsubusb`, `vpor`), one more saturating
+    /// subtraction of 1 is the `max(· − 1, 0)`, and the gaps, widened to
+    /// 16 bits, square and pair up in `vpmaddwd`. A step adds at most
+    /// 4 · 254² to an `i32` lane, so the lanes are folded into the `u64`
+    /// sums every [`CELL_STEPS`] steps, long before they could overflow.
+    /// The ragged tail goes through the portable kernel.
+    ///
+    /// # Safety
+    /// Requires AVX2 (detected at dispatch time).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn cell_bound_multi(row: &[u8], qs: &[&[u8]], out: &mut [u64]) {
+        match qs.len() {
+            0 => {}
+            1 => cell_multi::<1>(row, qs, out),
+            2 => cell_multi::<2>(row, qs, out),
+            3 => cell_multi::<3>(row, qs, out),
+            4 => cell_multi::<4>(row, qs, out),
+            5 => cell_multi::<5>(row, qs, out),
+            6 => cell_multi::<6>(row, qs, out),
+            7 => cell_multi::<7>(row, qs, out),
+            8 => cell_multi::<8>(row, qs, out),
+            _ => panic!("8 queries at most"),
+        }
+    }
+
+    /// 32-cell steps between two folds of [`cell_bound_multi`]'s `i32`
+    /// lanes: 4 096 · 4 · 254² < 2³¹.
+    const CELL_STEPS: usize = 4096;
+
+    /// The body of [`cell_bound_multi`] for `Q` queries.
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::needless_range_loop)] // a register block, indexed
+    unsafe fn cell_multi<const Q: usize>(row: &[u8], qs: &[&[u8]], out: &mut [u64]) {
+        let len = qs.iter().fold(row.len(), |len, q| len.min(q.len()));
+        let whole = len - len % 32;
+        let (zero, one) = (_mm256_setzero_si256(), _mm256_set1_epi8(1));
+        let tails: [&[u8]; Q] = core::array::from_fn(|j| &qs[j][whole..len]);
+        scalar::cell_bound_multi(&row[whole..len], &tails, out);
+        for start in (0..whole).step_by(32 * CELL_STEPS) {
+            let mut acc = [zero; Q];
+            for i in (start..whole.min(start + 32 * CELL_STEPS)).step_by(32) {
+                // SAFETY: `i + 31 < whole <= len`, the shortest of the
+                // slices; `loadu` has no alignment need.
+                let r = _mm256_loadu_si256(row.as_ptr().add(i).cast());
+                for j in 0..Q {
+                    let q = _mm256_loadu_si256(qs[j].as_ptr().add(i).cast());
+                    let gap = _mm256_or_si256(_mm256_subs_epu8(r, q), _mm256_subs_epu8(q, r));
+                    let gap = _mm256_subs_epu8(gap, one);
+                    let (lo, hi) = (
+                        _mm256_unpacklo_epi8(gap, zero),
+                        _mm256_unpackhi_epi8(gap, zero),
+                    );
+                    let sq = _mm256_add_epi32(_mm256_madd_epi16(lo, lo), _mm256_madd_epi16(hi, hi));
+                    acc[j] = _mm256_add_epi32(acc[j], sq);
+                }
+            }
+            for j in 0..Q {
+                let mut lanes = [0u32; 8];
+                _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc[j]);
+                out[j] += lanes.iter().map(|&l| u64::from(l)).sum::<u64>();
+            }
+        }
+    }
+
     /// Per-64-bit-element popcount of a ymm register via the Mula nibble
     /// LUT: `pshufb` looks up each nibble's population count, `psadbw`
     /// horizontally sums the byte counts into the four u64 lanes.

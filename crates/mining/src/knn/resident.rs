@@ -21,12 +21,16 @@
 //! walks one query's candidates best bound first; [`refine_resident_batch`]
 //! refines the queries of a coalesced batch together, in one sweep of the
 //! shard's rows. The serving path uses the first for a batch of one and
-//! the second otherwise (DESIGN.md §16 says why both exist).
+//! the second otherwise (DESIGN.md §16 says why both exist). The batch
+//! refinement can also take the shard's host cell plane ([`push_cells`]): an exact
+//! 8-bit lower bound tested between the PIM bound and the distance.
 
 use simpim_similarity::{Dataset, Measure};
 use simpim_simkit::OpCounters;
 
 use crate::error::MiningError;
+use simpim_kern::MULTI_QUERIES;
+
 use crate::knn::{exact_eval, exact_eval_until, walk, LazyOrder, TopK};
 
 /// One shard's candidates, as parallel columns: `rows.row(i)` is the
@@ -56,6 +60,42 @@ pub struct ShardRefine {
     pub refined: u64,
     /// Candidates eliminated by their bound (tombstones excluded).
     pub pruned: u64,
+    /// Of `pruned`, the candidates the cell plane eliminated after their
+    /// PIM bound let them through.
+    pub plane_pruned: u64,
+}
+
+/// Cells per unit value: a cell is `⌊256 v⌋`, 8 bits.
+const CELLS: f64 = 256.0;
+
+/// Appends the cells of `values` to `out`: `(256 v) as u8`, which floors
+/// and saturates, so `1.0` lands in cell 255 with its neighbours below it,
+/// and a value below 0 (above 1) in cell 0 (255). A shard's host **cell
+/// plane** is its rows cut this way, `d` cells a row, row-major; the
+/// batch refinement cuts its queries with the same function.
+///
+/// **The bound.** Whatever the finite values, a cell `P` of a row value
+/// `p` and a cell `Q` of a query value `q` that differ prove
+/// `|p − q| ≥ (|P − Q| − 1) / 256`: the larger cell did not saturate
+/// below (it is above 0), so its value is at least its cell's floor, and
+/// the smaller did not saturate above (it is below 255), so its value is
+/// below the next cell's floor. Hence
+/// `ED²(p, q) ≥ Σ max(|P − Q| − 1, 0)² / 2¹⁶`, an integer sum
+/// ([`simpim_kern::cell_bound_multi`]) scaled exactly. The computed
+/// distance keeps it too: each `(|P − Q| − 1) / 256` and its square are
+/// representable, rounding is monotone, and so the computed differences,
+/// squares and sums of non-negative terms never fall below the exact
+/// bound's own. The bound is still deflated by a relative `(d + 8) · 2⁻⁵²`
+/// — more than the `≈ d · 2⁻⁵³` any summation of `d` non-negative terms
+/// can lose — so it holds however the distance kernel sums.
+pub fn push_cells(values: &[f64], out: &mut Vec<u8>) {
+    out.extend(values.iter().map(|&v| (v * CELLS) as u8));
+}
+
+/// A cell sum of `d` cells as a squared distance no computed distance is
+/// below (see [`push_cells`]).
+fn plane_bound(sum: u64, d: usize) -> f64 {
+    sum as f64 / (CELLS * CELLS) * (1.0 - (d + 8) as f64 * f64::EPSILON)
 }
 
 /// The argument check of both refinements. They run on the serving
@@ -137,6 +177,7 @@ pub fn refine_resident(
         neighbors: walked.neighbors,
         refined: walked.refined,
         pruned: walked.first_pruned,
+        plane_pruned: 0,
     })
 }
 
@@ -166,30 +207,43 @@ pub struct BatchQuery<'a> {
 ///   the query's pool, whose threshold τ is then frozen;
 /// * **sweep** — the rows in storage order, in fixed `SWEEP_ROWS`
 ///   blocks on the pool: a live row is compared with every query whose
-///   bound for it τ does not prune and that did not seed on it, the
-///   Euclidean distance abandoned once it is above τ; hits merge block by
-///   block.
+///   bound for it τ does not prune and that did not seed on it — given
+///   the shard's cell plane (`cells`, see [`push_cells`]), only once the
+///   row's cell bounds for those queries (one
+///   [`simpim_kern::cell_bound_multi`] call per eight) do not prune it
+///   either — the Euclidean distance abandoned once it is above τ; hits
+///   merge block by block.
 ///
 /// Each answer is bit-identical to [`refine_resident`]'s: the final
 /// threshold is at most τ, so every candidate whose bound could still
-/// matter is evaluated; an abandoned distance is above τ and could not
-/// have entered the pool; and [`TopK`] (ties by id) does not depend on
-/// offer order. `refined` / `pruned` depend on τ and the blocks, never on
-/// the worker count. Counters charge an abandoned distance in full, as the
-/// modeled host (Eq. 1) would pay it.
+/// matter is evaluated; a cell bound above τ is below the row's computed
+/// distance ([`push_cells`]); an abandoned distance is above τ and could
+/// not have entered the pool; and [`TopK`] (ties by id) does not depend
+/// on offer order. `refined` / `pruned` depend on τ and the blocks, never
+/// on the worker count. Counters charge an abandoned distance in full, as
+/// the modeled host (Eq. 1) would pay it, and a cell test as `d` bytes
+/// and `d` integer MACs.
 ///
 /// # Errors
 /// Per query, what [`refine_resident`] would refuse
 /// ([`MiningError::InvalidArgument`]) — the rest of the batch is still
-/// answered; for the batch, [`MiningError::UnsupportedMeasure`].
+/// answered; for the batch, [`MiningError::UnsupportedMeasure`], and
+/// [`MiningError::InvalidArgument`] for `cells` that are not `d` a row, or
+/// that come with a measure other than [`Measure::EuclideanSq`].
 pub fn refine_resident_batch(
     rows: &Dataset,
     ids: &[usize],
     live: &[bool],
+    cells: Option<&[u8]>,
     batch: &[BatchQuery<'_>],
     measure: Measure,
     counters: &mut OpCounters,
 ) -> Result<Vec<Result<ShardRefine, MiningError>>, MiningError> {
+    let d = rows.dim();
+    if cells.is_some_and(|c| measure != Measure::EuclideanSq || c.len() != rows.len() * d) {
+        let what = "a cell plane bounds squared ED, d cells a row".into();
+        return Err(MiningError::InvalidArgument { what });
+    }
     // Per query its pool — only read while the sweep runs, which is what
     // freezes τ — and the rows it was seeded on, ascending.
     let mut seeded = Vec::with_capacity(batch.len());
@@ -217,37 +271,69 @@ pub fn refine_resident_batch(
         seeded.push(Ok((top, seeds)));
     }
 
+    // `d` cells a query that passed its check (the others are never read).
+    let mut query_cells = Vec::new();
+    if cells.is_some() {
+        for (j, (b, s)) in batch.iter().zip(&seeded).enumerate() {
+            push_cells(if s.is_ok() { b.query } else { &[] }, &mut query_cells);
+            query_cells.resize((j + 1) * d, 0);
+        }
+    }
+
     // A column that does not parallel the rows has failed every query by
     // now, and then there is nothing to sweep.
     let any_ok = seeded.iter().any(Result::is_ok);
     let n = if any_ok { rows.len() } else { 0 };
     let blocks = simpim_par::map_chunks(n, SWEEP_ROWS, |block| {
         let mut hits = Vec::new();
-        let mut swept = vec![0u64; batch.len()];
+        // Per query: rows evaluated exactly, rows the plane pruned.
+        let mut swept = vec![[0u64; 2]; batch.len()];
         let mut cost = OpCounters::new();
+        let mut sums = [0u64; MULTI_QUERIES];
         for i in block.filter(|&i| live[i]) {
-            for (j, (b, s)) in batch.iter().zip(&seeded).enumerate() {
-                let Ok((top, seeds)) = s else { continue };
-                cost.prune_test();
-                if top.prunable(b.bounds[i]) || seeds.binary_search(&i).is_ok() {
-                    continue;
+            for first in (0..batch.len()).step_by(MULTI_QUERIES) {
+                // The queries of this group that still need row `i`.
+                let (mut need, mut m) = ([0usize; MULTI_QUERIES], 0);
+                for (j, s) in seeded.iter().enumerate().skip(first).take(MULTI_QUERIES) {
+                    let Ok((top, seeds)) = s else { continue };
+                    cost.prune_test();
+                    if !top.prunable(batch[j].bounds[i]) && seeds.binary_search(&i).is_err() {
+                        (need[m], m) = (j, m + 1);
+                    }
                 }
-                swept[j] += 1;
-                cost.random_fetches += 1;
-                let tau = top.threshold();
-                if let Some(v) = exact_eval_until(measure, rows.row(i), b.query, tau, &mut cost)? {
-                    hits.push((j, ids[i], v));
+                if let Some(cells) = cells {
+                    let qs: [&[u8]; MULTI_QUERIES] =
+                        std::array::from_fn(|t| &query_cells[need[t] * d..][..d]);
+                    simpim_kern::cell_bound_multi(&cells[i * d..][..d], &qs[..m], &mut sums);
+                }
+                for (&j, &sum) in need[..m].iter().zip(&sums) {
+                    let Ok((top, _)) = &seeded[j] else { continue };
+                    if cells.is_some() {
+                        cost.dot_kernel(d as u64, d as u64);
+                        cost.prune_test();
+                        if top.prunable(plane_bound(sum, d)) {
+                            swept[j][1] += 1;
+                            continue;
+                        }
+                    }
+                    swept[j][0] += 1;
+                    cost.random_fetches += 1;
+                    let (q, tau) = (batch[j].query, top.threshold());
+                    if let Some(v) = exact_eval_until(measure, rows.row(i), q, tau, &mut cost)? {
+                        hits.push((j, ids[i], v));
+                    }
                 }
             }
         }
         Ok::<_, MiningError>((hits, swept, cost))
     });
-    let mut evaluated = vec![0u64; batch.len()];
+    let mut evaluated = vec![[0u64; 2]; batch.len()];
     for block in blocks {
         let (hits, swept, cost) = block?;
         counters.add(&cost);
         for (total, n) in evaluated.iter_mut().zip(swept) {
-            *total += n;
+            total[0] += n[0];
+            total[1] += n[1];
         }
         for (j, id, v) in hits {
             counters.prune_test();
@@ -257,12 +343,13 @@ pub fn refine_resident_batch(
         }
     }
     let live_rows = live.iter().filter(|&&l| l).count() as u64;
-    let refine = |(top, seeds): (TopK, Vec<usize>), swept| {
+    let refine = |(top, seeds): (TopK, Vec<usize>), [swept, plane_pruned]: [u64; 2]| {
         let refined = seeds.len() as u64 + swept;
         ShardRefine {
             neighbors: top.into_sorted(),
             refined,
             pruned: live_rows - refined,
+            plane_pruned,
         }
     };
     Ok(seeded
@@ -411,7 +498,8 @@ mod tests {
         ];
         let mut c = OpCounters::new();
         let out =
-            refine_resident_batch(&ds, &ids, &live, &batch, Measure::EuclideanSq, &mut c).unwrap();
+            refine_resident_batch(&ds, &ids, &live, None, &batch, Measure::EuclideanSq, &mut c)
+                .unwrap();
         let truth = knn_standard(&ds, &q, 2, Measure::EuclideanSq).unwrap();
         assert_eq!(out[0].as_ref().unwrap().neighbors, truth.neighbors);
         for (got, expect) in out[1..].iter().zip([
@@ -424,13 +512,16 @@ mod tests {
                 "{expect}: {got:?}"
             );
         }
-        // A column that parallels nothing fails every query, and a measure
-        // float rows do not have fails the batch.
+        // A column that parallels nothing fails every query; a measure
+        // float rows do not have, or a plane short of a cell, fails the
+        // batch.
+        let one = &batch[..1];
         let out = refine_resident_batch(
             &ds,
             &ids[..3],
             &live,
-            &batch[..1],
+            None,
+            one,
             Measure::EuclideanSq,
             &mut c,
         );
@@ -438,8 +529,30 @@ mod tests {
             &out.unwrap()[0],
             Err(MiningError::InvalidArgument { .. })
         ));
-        let out = refine_resident_batch(&ds, &ids, &live, &batch[..1], Measure::Hamming, &mut c);
+        let out = refine_resident_batch(&ds, &ids, &live, None, one, Measure::Hamming, &mut c);
         assert!(matches!(out, Err(MiningError::UnsupportedMeasure { .. })));
+        let mut cells = Vec::new();
+        push_cells(ds.as_flat(), &mut cells);
+        for (cells, measure) in [
+            (&cells[1..], Measure::EuclideanSq),
+            (&cells[..], Measure::Cosine),
+        ] {
+            let out = refine_resident_batch(&ds, &ids, &live, Some(cells), one, measure, &mut c);
+            assert!(matches!(out, Err(MiningError::InvalidArgument { .. })));
+        }
+        // With the plane, the queries the walk would refuse still fail alone.
+        let out = refine_resident_batch(
+            &ds,
+            &ids,
+            &live,
+            Some(&cells),
+            &batch,
+            Measure::EuclideanSq,
+            &mut c,
+        )
+        .unwrap();
+        assert_eq!(out[0].as_ref().unwrap().neighbors, truth.neighbors);
+        assert!(out[1..].iter().all(Result::is_err));
     }
 
     proptest::proptest! {
@@ -455,8 +568,10 @@ mod tests {
         /// to the distance itself, and rows wide enough (70) that a
         /// distance can be abandoned mid-row. Per query `refined + pruned`
         /// is the live rows, and both counts are the same at 1, 2 and 8
-        /// workers. Sweeping a seed a second time, abandoning at `≥`, or
-        /// sweeping a tombstone breaks it.
+        /// workers — with the cell plane and without, where the plane
+        /// prunes exactly the rows it takes from `refined`. Sweeping a
+        /// seed a second time, abandoning at `≥`, pruning on a cell bound
+        /// at `≥`, or sweeping a tombstone breaks it.
         #[test]
         fn batch_refine_matches_single_refines(
             cells in proptest::prop::collection::vec(
@@ -513,30 +628,135 @@ mod tests {
                 .map(|j| BatchQuery { query: &qs[j], k: ks[j], bounds: &columns[j] })
                 .collect();
 
-            let mut counts: Option<Vec<(u64, u64)>> = None;
-            for threads in [1usize, 2, 8] {
-                simpim_par::with_threads(threads, || {
-                    let mut c = OpCounters::new();
-                    let got = refine_resident_batch(
-                        &rows, &ids, &live, &batch, Measure::EuclideanSq, &mut c,
-                    )
-                    .unwrap();
-                    assert_eq!(got.len(), q_count);
-                    for (j, got) in got.iter().enumerate() {
-                        let got = got.as_ref().unwrap();
-                        let view = ShardView { rows: &rows, ids: &ids, live: &live, bounds: &columns[j] };
-                        let alone =
-                            refine_resident(&view, &qs[j], ks[j], Measure::EuclideanSq, &mut c).unwrap();
-                        let bits = |r: &ShardRefine| -> Vec<(usize, u64)> {
-                            r.neighbors.iter().map(|&(id, v)| (id, v.to_bits())).collect()
-                        };
-                        assert_eq!(bits(got), bits(&alone), "query {j} of {q_count}, {threads} threads");
-                        assert_eq!(got.refined + got.pruned, live_rows, "query {j}: every live row counted once");
-                    }
-                    let these: Vec<(u64, u64)> =
-                        got.iter().flatten().map(|r| (r.refined, r.pruned)).collect();
-                    assert_eq!(counts.get_or_insert_with(|| these.clone()), &these, "{threads} threads");
-                });
+            let mut cells = Vec::new();
+            push_cells(rows.as_flat(), &mut cells);
+            let mut unplaned: Vec<u64> = Vec::new();
+            for plane in [None, Some(&cells[..])] {
+                let mut counts: Option<Vec<(u64, u64, u64)>> = None;
+                for threads in [1usize, 2, 8] {
+                    simpim_par::with_threads(threads, || {
+                        let mut c = OpCounters::new();
+                        let got = refine_resident_batch(
+                            &rows, &ids, &live, plane, &batch, Measure::EuclideanSq, &mut c,
+                        )
+                        .unwrap();
+                        assert_eq!(got.len(), q_count);
+                        for (j, got) in got.iter().enumerate() {
+                            let got = got.as_ref().unwrap();
+                            let view = ShardView { rows: &rows, ids: &ids, live: &live, bounds: &columns[j] };
+                            let alone =
+                                refine_resident(&view, &qs[j], ks[j], Measure::EuclideanSq, &mut c).unwrap();
+                            let bits = |r: &ShardRefine| -> Vec<(usize, u64)> {
+                                r.neighbors.iter().map(|&(id, v)| (id, v.to_bits())).collect()
+                            };
+                            let what = format!("query {j} of {q_count}, {threads} threads, plane {}", plane.is_some());
+                            assert_eq!(bits(got), bits(&alone), "{what}");
+                            assert_eq!(got.refined + got.pruned, live_rows, "{what}: every live row counted once");
+                        }
+                        let these: Vec<(u64, u64, u64)> =
+                            got.iter().flatten().map(|r| (r.refined, r.pruned, r.plane_pruned)).collect();
+                        assert_eq!(counts.get_or_insert_with(|| these.clone()), &these, "{threads} threads");
+                    });
+                }
+                // The plane takes from `refined` exactly the rows it prunes.
+                let counts = counts.unwrap();
+                if plane.is_none() {
+                    assert!(counts.iter().all(|c| c.2 == 0));
+                    unplaned = counts.iter().map(|c| c.0).collect();
+                } else {
+                    let moved: Vec<u64> = counts.iter().map(|c| c.0 + c.2).collect();
+                    assert_eq!(moved, unplaned);
+                }
+            }
+        }
+    }
+
+    /// The plane prunes only above τ, as `TopK::prunable` does: a row at
+    /// distance 0 swept after a seed at distance 0 (seeded first on a
+    /// negative bound), and a row at τ exactly where its cell bound is
+    /// tight (a cell edge; τ from a seed at the same distance), each still
+    /// reach the distance and win their tie on the id, as in the walk.
+    #[test]
+    fn a_tie_with_tau_is_refined_past_the_plane() {
+        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let edge = (below(1.0 / 256.0), 2.0 / 256.0, [0.0, 1.0 / 65536.0]);
+        for (value, query, bounds) in [(0.5, 0.5, [-1.0, 0.0]), edge] {
+            let rows = Dataset::from_rows(&[vec![value], vec![value]]).unwrap();
+            let (ids, live, query) = ([10, 5], [true; 2], [query]);
+            let mut cells = Vec::new();
+            push_cells(rows.as_flat(), &mut cells);
+            let plane = Some(&cells[..]);
+            let batch = [BatchQuery {
+                query: &query,
+                k: 1,
+                bounds: &bounds,
+            }];
+            let mut c = OpCounters::new();
+            let got = refine_resident_batch(
+                &rows,
+                &ids,
+                &live,
+                plane,
+                &batch,
+                Measure::EuclideanSq,
+                &mut c,
+            );
+            let view = ShardView {
+                rows: &rows,
+                ids: &ids,
+                live: &live,
+                bounds: &bounds,
+            };
+            let alone = refine_resident(&view, &query, 1, Measure::EuclideanSq, &mut c).unwrap();
+            assert_eq!(got.unwrap()[0].as_ref().unwrap().neighbors, alone.neighbors);
+            assert_eq!(alone.neighbors[0].0, 5);
+        }
+    }
+
+    /// The cell bound as computed, against `euclidean_sq` as computed:
+    /// every pair of cells, each value at its cell's two edges (and 0, 1,
+    /// and queries below 0 and above 1), in one dimension; then the
+    /// largest gaps repeated over 1 to 4 096 dimensions. The deflated
+    /// bound is never above the distance.
+    #[test]
+    fn the_cell_bound_is_below_the_computed_distance() {
+        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let mut values: Vec<f64> = (0..256)
+            .flat_map(|c| [f64::from(c) / 256.0, below(f64::from(c + 1) / 256.0)])
+            .chain([0.0, 1.0])
+            .collect();
+        let rows = values.clone();
+        values.extend([-1e300, -1.0, -1e-300, 1.0 + f64::EPSILON, 1.5, 1e300]);
+        let holds = |p: &[f64], q: &[f64]| {
+            let (mut pc, mut qc, mut sum) = (Vec::new(), Vec::new(), [0u64]);
+            push_cells(p, &mut pc);
+            push_cells(q, &mut qc);
+            simpim_kern::cell_bound_multi(&pc, &[&qc], &mut sum);
+            let bound = plane_bound(sum[0], p.len());
+            let exact = simpim_kern::euclidean_sq(p, q);
+            assert!(bound <= exact, "{bound} > {exact}: p {} q {}", p[0], q[0]);
+            sum[0]
+        };
+        let mut pairs = std::collections::HashSet::new();
+        for &p in &rows {
+            for &q in &values {
+                holds(&[p], &[q]);
+                pairs.insert(((p * CELLS) as u8, (q * CELLS) as u8));
+            }
+        }
+        assert_eq!(pairs.len(), 256 * 256, "every pair of cells");
+        // Per dimension the tightest pairs: the lower cell's top edge
+        // against the upper cell's floor, and the widest gaps.
+        let tight = [
+            (1.0, below(1.0 / 256.0)),
+            (1.0, 0.0),
+            (0.5, below(2.0 / 256.0)),
+            (1.0, -1.0),
+        ];
+        for d in 1..=4096 {
+            for &(p, q) in &tight {
+                let sum = holds(&vec![p; d], &vec![q; d]);
+                assert_eq!(sum, holds(&vec![q; d], &vec![p; d]));
             }
         }
     }

@@ -48,6 +48,7 @@
 
 use std::time::Instant;
 
+use simpim_core::PreparedFunction;
 use simpim_similarity::Dataset;
 
 use crate::error::ServeError;
@@ -155,11 +156,9 @@ impl ReplicaSet {
                 "a replica set needs at least one replica",
             ));
         }
-        let mirror = ShardMirror::new(rows, ids);
-        let replicas = (0..r)
-            .map(|i| Residency::open(replica_config(cfg, i, 0), &mirror))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self {
+        let mut mirror = ShardMirror::new(rows, ids);
+        let replicas = mirror.open_residencies(r, |i| replica_config(cfg, i, 0))?;
+        let mut set = Self {
             cfg,
             mirror,
             state: vec![ReplicaState::Healthy; r],
@@ -169,7 +168,19 @@ impl ReplicaSet {
             repairs: 0,
             degraded_queries: 0,
             generation: 0,
-        })
+        };
+        set.plan_cell_plane();
+        Ok(set)
+    }
+
+    /// Keeps the mirror's cell plane exactly while a replica's plan is a
+    /// segment bound (`LB_PIM-FNN` / `LB_PIM-SM`); called wherever a bank
+    /// may have been planned anew (open, re-layout, repair).
+    fn plan_cell_plane(&mut self) {
+        use PreparedFunction::{Fnn, Sm};
+        let segment = |r: &Residency| matches!(r.executor().prepared(), Fnn { .. } | Sm { .. });
+        let on = self.replicas.iter().any(segment);
+        self.mirror.set_cell_plane(on);
     }
 
     /// Live object count (the shared mirror's).
@@ -309,6 +320,7 @@ impl ReplicaSet {
             replica.maybe_reprogram(&self.mirror)?;
         }
         self.try_compact();
+        self.plan_cell_plane();
         Ok(true)
     }
 
@@ -361,6 +373,7 @@ impl ReplicaSet {
         let out = self.replicas[i].reprogram(&self.mirror);
         self.finish_reprogram(i);
         self.try_compact();
+        self.plan_cell_plane();
         out
     }
 
@@ -413,6 +426,7 @@ impl ReplicaSet {
         // The repaired residency programmed only live rows; if it was
         // the last one holding tombstones, the mirror can compact now.
         self.try_compact();
+        self.plan_cell_plane();
         simpim_obs::metrics::counter_add("simpim.serve.repairs", 1);
         simpim_obs::metrics::histogram_record(
             "simpim.serve.repair_ns",

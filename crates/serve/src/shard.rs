@@ -41,6 +41,17 @@
 //! compaction still *rises* with the wear already accumulated: a fresh
 //! bank compacts eagerly, a worn bank tolerates more dead weight.
 //!
+//! A shard whose PIM stage is a segment bound (`LB_PIM-FNN` /
+//! `LB_PIM-SM`: Theorem 4 could not keep every dimension on the
+//! crossbars) also keeps a host **cell plane** in the mirror: one `u8`
+//! cell per dimension per row, parallel to the rows, which the batch
+//! refinement tests between the PIM bound and the exact distance
+//! ([`simpim_mining::knn::resident::push_cells`]). A shard on the
+//! uncompressed `LB_PIM-ED` keeps none — that bound already prunes
+//! nearly every row. The choice follows the plan: made at open (where the
+//! first replica's fill cuts the cells of the rows it streams), and again
+//! whenever a re-layout or a repair plans the bank anew.
+//!
 //! Programming is **streamed**: rows flow from the mirror into the bank
 //! in [`simpim_datasets::DEFAULT_BLOCK_ROWS`]-sized blocks through
 //! [`simpim_core::ResidentBuilder`], whose result (matrix, Φ, wear) does
@@ -50,7 +61,9 @@
 use simpim_core::executor::{ExecutorConfig, PimExecutor};
 use simpim_core::{CoreError, ResidentBuilder};
 use simpim_datasets::DEFAULT_BLOCK_ROWS;
-use simpim_mining::knn::resident::{refine_resident, refine_resident_batch, BatchQuery, ShardView};
+use simpim_mining::knn::resident::{
+    push_cells, refine_resident, refine_resident_batch, BatchQuery, ShardView,
+};
 use simpim_similarity::{Dataset, Measure};
 use simpim_simkit::OpCounters;
 
@@ -103,14 +116,27 @@ pub struct ShardStats {
     pub max_crossbar_programs: u32,
     /// Whether this shard's bank is fail-stopped (bank loss).
     pub lost: bool,
+    /// Whether the shard keeps a host cell plane (its plan is a segment
+    /// bound).
+    pub cell_plane: bool,
+    /// Bytes of that plane: one per dimension per mirror row.
+    pub cell_plane_bytes: usize,
 }
 
 /// The host-side truth for one shard's rows: vectors, stable global
-/// ids, and liveness. Shared by every replica of the shard — mutations
-/// apply here once, residencies only track what their bank holds.
+/// ids, liveness, and the cell plane when the shard has one. Shared by
+/// every replica of the shard — mutations apply here once, residencies
+/// only track what their bank holds.
+///
+/// Its rows are normalized into `[0, 1]`, which the engine validates at
+/// open and every insert validates; the crossbars'
+/// floors need it (the cell plane's bound holds for any finite values).
 #[derive(Debug)]
 pub struct ShardMirror {
     rows: Dataset,
+    /// `d` cells per row ([`push_cells`]), parallel to `rows`; `None`
+    /// when the shard keeps no plane.
+    cells: Option<Vec<u8>>,
     ids: Vec<usize>,
     live: Vec<bool>,
     dead: usize,
@@ -122,23 +148,40 @@ impl ShardMirror {
     /// per replica either.
     pub fn new(rows: Dataset, ids: Vec<usize>) -> Self {
         assert_eq!(rows.len(), ids.len(), "ids must parallel rows");
+        debug_assert!(rows.as_flat().iter().all(|v| (0.0..=1.0).contains(v)));
         let live = vec![true; rows.len()];
         Self {
             rows,
+            cells: None,
             ids,
             live,
             dead: 0,
         }
     }
 
-    /// An empty mirror to stream rows into (see [`ShardMirror::append`]).
-    pub fn with_dim(d: usize) -> Result<Self, ServeError> {
-        Ok(Self {
-            rows: Dataset::with_dim(d)?,
-            ids: Vec::new(),
-            live: Vec::new(),
-            dead: 0,
-        })
+    /// Opens `r` residencies over this mirror, replica `i` under `cfg(i)`;
+    /// the first one's fill also cuts the cell plane when its plan is a
+    /// segment bound.
+    pub(crate) fn open_residencies(
+        &mut self,
+        r: usize,
+        cfg: impl Fn(usize) -> ShardConfig,
+    ) -> Result<Vec<Residency>, ServeError> {
+        let (first, cells) = Residency::open_cutting(cfg(0), self, true)?;
+        self.cells = cells;
+        let rest = (1..r).map(|i| Residency::open(cfg(i), self));
+        std::iter::once(Ok(first)).chain(rest).collect()
+    }
+
+    /// Keeps a cell plane (cut from every row in one pass) or drops it.
+    pub(crate) fn set_cell_plane(&mut self, on: bool) {
+        if !on {
+            self.cells = None;
+        } else if self.cells.is_none() {
+            let mut cells = Vec::new();
+            push_cells(self.rows.as_flat(), &mut cells);
+            self.cells = Some(cells);
+        }
     }
 
     /// Row dimensionality.
@@ -173,7 +216,11 @@ impl ShardMirror {
 
     /// Appends a row, returning its mirror index.
     pub fn append(&mut self, id: usize, row: &[f64]) -> Result<usize, ServeError> {
+        debug_assert!(row.iter().all(|v| (0.0..=1.0).contains(v)));
         let idx = self.rows.append_row(row)?;
+        if let Some(cells) = &mut self.cells {
+            push_cells(row, cells);
+        }
         self.ids.push(id);
         self.live.push(true);
         Ok(idx)
@@ -229,6 +276,12 @@ impl ShardMirror {
                 continue;
             }
             self.rows.swap_remove_row(i).expect("a slot below len");
+            if let Some(cells) = &mut self.cells {
+                let d = self.rows.dim();
+                let last = cells.len() - d;
+                cells.copy_within(last.., i * d);
+                cells.truncate(last);
+            }
             self.ids.swap_remove(i);
             self.live.swap_remove(i);
             origin.swap_remove(i);
@@ -240,8 +293,9 @@ impl ShardMirror {
     /// Exact host-side answers over every live row, ignoring crossbars
     /// entirely — the one degraded / shed / lost-bank fallback. No row
     /// carries a bound (one all-`0.0` column serves every query of the
-    /// batch), so every live row is refined exactly: bit-identical to the
-    /// PIM path by the refinement's exactness argument. A `ks` that does
+    /// batch), so every live row is refined exactly — past the cell plane,
+    /// when the shard has one: bit-identical to the PIM path by the
+    /// refinement's exactness argument. A `ks` that does
     /// not parallel `queries` fails every query of the batch.
     pub fn host_batch(
         &self,
@@ -271,7 +325,8 @@ impl ShardMirror {
     ///
     /// A batch of one keeps the single-query walk — a fork, on purpose
     /// (DESIGN.md §16): the benchmark's traced replay times exactly that
-    /// walk against a plain distance over the rows it refined.
+    /// walk against a plain distance over the rows it refined. A larger
+    /// batch is tested against the cell plane, when the shard has one.
     fn refine_batch(&self, batch: &[BatchQuery<'_>]) -> Vec<Result<Vec<Neighbor>, ServeError>> {
         let started = std::time::Instant::now();
         let mut counters = OpCounters::new();
@@ -292,16 +347,19 @@ impl ShardMirror {
                 &mut counters,
             )]
         } else {
-            refine_resident_batch(rows, ids, live, batch, measure, &mut counters)
+            let cells = self.cells.as_deref();
+            refine_resident_batch(rows, ids, live, cells, batch, measure, &mut counters)
                 .unwrap_or_else(|e| vec![Err(e); batch.len()])
         };
-        let (mut evaluated, mut pruned) = (0, 0);
+        let (mut evaluated, mut pruned, mut plane_pruned) = (0, 0, 0);
         for r in refined.iter().flatten() {
             evaluated += r.refined;
             pruned += r.pruned;
+            plane_pruned += r.plane_pruned;
         }
         simpim_obs::metrics::counter_add("simpim.serve.refined", evaluated);
         simpim_obs::metrics::counter_add("simpim.serve.pruned", pruned);
+        simpim_obs::metrics::counter_add("simpim.serve.plane_pruned", plane_pruned);
         simpim_obs::metrics::histogram_record(
             "simpim.serve.shard.refine_ns",
             started.elapsed().as_nanos() as u64,
@@ -339,6 +397,18 @@ impl Residency {
     /// Programs the mirror's live rows onto a fresh bank, streaming
     /// block-by-block (no second copy of the rows is ever built).
     pub fn open(cfg: ShardConfig, mirror: &ShardMirror) -> Result<Self, ServeError> {
+        Ok(Self::open_cutting(cfg, mirror, false)?.0)
+    }
+
+    /// [`Residency::open`] that, asked to `cut`, when its plan is a segment
+    /// bound and the mirror holds no tombstone (so rows stream in mirror
+    /// order), also returns the cells of every row it streamed: the cell
+    /// plane's one pass, over rows the fill has just read.
+    fn open_cutting(
+        cfg: ShardConfig,
+        mirror: &ShardMirror,
+        cut: bool,
+    ) -> Result<(Self, Option<Vec<u8>>), ServeError> {
         if mirror.live_len() == 0 {
             // Reached from `open` on the caller's thread: refuse, never panic.
             return Err(ServeError::invalid(
@@ -352,27 +422,35 @@ impl Residency {
             mirror.dim(),
             cfg.spare_rows,
         )?;
-        Self::stream(&mut builder, mirror, &order)?;
-        Ok(Self {
+        let cut = cut && !builder.plan().uncompressed && mirror.dead == 0;
+        let mut cells = cut.then(|| Vec::with_capacity(order.len() * mirror.dim()));
+        Self::stream(&mut builder, mirror, &order, cells.as_mut())?;
+        let residency = Self {
             cfg,
             exec: builder.finish()?,
             order,
             reprograms: 0,
             sheds: 0,
-        })
+        };
+        Ok((residency, cells))
     }
 
     /// Streams the mirror rows `order` names, in that order, through
-    /// [`ResidentBuilder`] in [`DEFAULT_BLOCK_ROWS`]-sized blocks.
+    /// [`ResidentBuilder`] in [`DEFAULT_BLOCK_ROWS`]-sized blocks, cutting
+    /// each into `cells` too when given.
     fn stream(
         builder: &mut ResidentBuilder,
         mirror: &ShardMirror,
         order: &[usize],
+        mut cells: Option<&mut Vec<u8>>,
     ) -> Result<(), CoreError> {
         let block = DEFAULT_BLOCK_ROWS * mirror.dim();
         let mut buf = Vec::with_capacity(block.min(order.len() * mirror.dim()));
         for &i in order {
             buf.extend_from_slice(mirror.row(i));
+            if let Some(cells) = cells.as_deref_mut() {
+                push_cells(mirror.row(i), cells);
+            }
             if buf.len() >= block {
                 builder.push_rows(&buf)?;
                 buf.clear();
@@ -522,7 +600,7 @@ impl Residency {
             let order: Vec<usize> = mirror.live_indices().collect();
             self.exec
                 .relayout(order.len(), self.cfg.spare_rows, |builder| {
-                    Self::stream(builder, mirror, &order)
+                    Self::stream(builder, mirror, &order, None)
                 })?;
             self.order = order;
             self.order.len()
@@ -650,6 +728,8 @@ impl Residency {
             sheds: self.sheds,
             max_crossbar_programs: self.wear(),
             lost: self.bank_lost(),
+            cell_plane: mirror.cells.is_some(),
+            cell_plane_bytes: mirror.cells.as_ref().map_or(0, Vec::len),
         }
     }
 }
@@ -1027,6 +1107,83 @@ mod tests {
             let got = shard.query_batch(std::slice::from_ref(&q), &[5]);
             assert_eq!(got[0], Ok(want));
         }
+    }
+
+    /// The answers of `shard` for `qs` against an offline scan of its
+    /// live rows, and its cell plane against its mirror row for row.
+    fn assert_exact_with_plane(shard: &mut Shard, qs: &[Vec<f64>], plane: bool) {
+        let mirror = shard.set.mirror();
+        let stats = shard.stats();
+        assert_eq!(stats.cell_plane, plane);
+        let mut want = Vec::new();
+        if plane {
+            (0..mirror.len()).for_each(|i| push_cells(mirror.row(i), &mut want));
+        }
+        assert_eq!(mirror.cells.as_ref().map_or(&[][..], |c| &c[..]), &want[..]);
+        assert_eq!(stats.cell_plane_bytes, want.len());
+        let (live, ids) = shard.snapshot_live().unwrap();
+        // A query of the wrong width fails alone, on the plane's path too.
+        let mut batch = qs.to_vec();
+        batch.insert(1, vec![0.5; 3]);
+        let mut got = shard.query_batch(&batch, &vec![5; batch.len()]);
+        let wrong = got.remove(1);
+        assert!(wrong.is_err_and(|e| e.to_string().contains("3 dimensions")));
+        for (q, got) in qs.iter().zip(got) {
+            let truth = knn_standard(&live, q, 5, Measure::EuclideanSq).unwrap();
+            let want: Vec<Neighbor> = truth.neighbors.iter().map(|&(i, v)| (ids[i], v)).collect();
+            assert_eq!(got.unwrap(), want);
+        }
+    }
+
+    #[test]
+    fn a_segment_bound_shard_moves_its_cells_with_its_rows() {
+        // 10 crossbars hold 24 rows × 8 dimensions only compressed: a
+        // segment bound with a cell plane. 8 rows fit uncompressed.
+        let row = |i: usize| -> Vec<f64> {
+            (0..8)
+                .map(|j| ((i * 37 + j * 11) % 97) as f64 / 96.0)
+                .collect()
+        };
+        let data = |n: usize| Dataset::from_rows(&(0..n).map(row).collect::<Vec<_>>()).unwrap();
+        let mut c = cfg();
+        c.executor.pim.num_crossbars = 10;
+        let qs: Vec<Vec<f64>> = vec![
+            row(3),
+            row(50),
+            vec![-0.2, 1.3, 0.5, 0.0, 1.0, 0.25, 0.7, 0.9],
+        ];
+        let mut shard = Shard::open(c, data(24), (0..24).collect()).unwrap();
+        assert_exact_with_plane(&mut shard, &qs, true);
+        // Inserts into the spares and past them, deletes that compact on
+        // their own, then a flush folding the delta in.
+        for i in 24..30 {
+            shard.insert(i, &row(i)).unwrap();
+        }
+        assert!(shard.stats().delta > 0);
+        assert_exact_with_plane(&mut shard, &qs, true);
+        for id in [0, 5, 23, 24, 7, 11, 2, 13, 17, 19, 29, 3, 8] {
+            assert!(shard.delete(id).unwrap());
+            assert_exact_with_plane(&mut shard, &qs, true);
+        }
+        assert!(shard.stats().reprograms > 0);
+        shard.flush().unwrap();
+        assert_exact_with_plane(&mut shard, &qs, true);
+
+        // An uncompressed shard keeps no plane, until it outgrows its
+        // allocation and the re-layout plans a segment bound.
+        let mut shard = Shard::open(
+            ShardConfig { spare_rows: 0, ..c },
+            data(8),
+            (0..8).collect(),
+        )
+        .unwrap();
+        assert_exact_with_plane(&mut shard, &qs, false);
+        for i in 8..24 {
+            shard.insert(i, &row(i)).unwrap();
+        }
+        assert_exact_with_plane(&mut shard, &qs, false);
+        shard.flush().unwrap();
+        assert_exact_with_plane(&mut shard, &qs, true);
     }
 
     #[test]

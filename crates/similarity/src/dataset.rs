@@ -147,12 +147,6 @@ impl Dataset {
         &self.data[i * self.d..(i + 1) * self.d]
     }
 
-    /// Mutably borrow the `i`-th vector.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        &mut self.data[i * self.d..(i + 1) * self.d]
-    }
-
     /// Iterate over all vectors in order.
     pub fn rows(&self) -> impl ExactSizeIterator<Item = &[f64]> + '_ {
         self.data.chunks_exact(self.d)

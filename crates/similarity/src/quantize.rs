@@ -198,11 +198,6 @@ impl NormalizedDataset {
         &self.inner
     }
 
-    /// Consumes the wrapper.
-    pub fn into_dataset(self) -> Dataset {
-        self.inner
-    }
-
     /// Wraps a dataset the caller guarantees to be within `[0, 1]`.
     /// Verified in debug builds.
     pub fn assert_normalized(dataset: Dataset) -> Self {
