@@ -29,6 +29,11 @@
 //!   single passes, which the repo benchmark's `Q = 1` replay cannot
 //!   show — beside `dot_multi_f64`'s ns per operand at eight queries and
 //!   its speedup over eight `dot_u32` calls of the same tier;
+//! * **the coarse-first pass**: `PimArray::dot_batch_coarse` of `Q` in
+//!   2..=8 queries on the same region, in ns per operand and query, and
+//!   its kernel `dot_multi_u8` over the region's 8-bit cells at eight
+//!   queries, its sums hashed into `dot_multi_u8_hash` — equal on all
+//!   backends, and to one call per query;
 //! * **the abandoning distance and the batch refinement built on it**:
 //!   `euclidean_sq_until` in ns per element of the whole row when every
 //!   row is abandoned about 1/8 and 1/2 of the way in and when none is
@@ -134,11 +139,14 @@ struct Row {
     andpop_ns: f64,
     dot_u32_ns: f64,
     dot_multi_f64_ns: f64,
+    dot_multi_u8_ns: f64,
     cell_bound_ns: f64,
     /// `euclidean_sq_until` abandoning at 1/8, at 1/2, never.
     until_ns: [f64; 3],
     /// `dot_batch_multi` milliseconds per query, in `PASS_QUERIES` order.
     pass_ms_per_query: [f64; 8],
+    /// `dot_batch_coarse` ns per operand and query, at 2..=8 queries.
+    coarse_ns: [f64; 7],
     /// `refine_resident_batch` milliseconds per query, in
     /// `REFINE_QUERIES` order.
     refine_ms_per_query: [f64; 3],
@@ -147,6 +155,7 @@ struct Row {
     hash: u64,
     dot_u32_hash: u64,
     dot_multi_f64_hash: u64,
+    dot_multi_u8_hash: u64,
     until_hash: u64,
     cell_bound_hash: u64,
 }
@@ -293,6 +302,66 @@ fn sweep_backend(
             });
             ns_per_query / 1e6
         });
+        let coarse_ns = std::array::from_fn(|i| {
+            let passes: Vec<(RegionId, &[u32])> = operand_queries[..i + 2]
+                .iter()
+                .map(|query| (region, &query[..]))
+                .collect();
+            let (ns, _) = par::with_threads(1, || {
+                measure(PASS_ROWS * d * passes.len(), || {
+                    let out = pim.dot_batch_coarse(&passes, AccWidth::U64);
+                    out.expect("programmed region").len() as u64
+                })
+            });
+            ns
+        });
+        // The coarse pass's kernel over the operands' 8-bit cells (the
+        // 20-bit operands shifted by 12), at eight queries a block of
+        // rows, against one call per query.
+        let [plane, query_cells]: [Vec<u8>; 2] = [operands, &operand_queries.concat()]
+            .map(|v| v.iter().map(|&x| (x >> 12) as u8).collect());
+        let u8_queries: Vec<&[u8]> = query_cells.chunks_exact(d).collect();
+        // Per block of rows the kernel's outputs folded by `fold` (timed
+        // with a plain sum, hashed in a pass of its own).
+        let u8_pass = |qs: &[&[u8]], fold: &dyn Fn(u64, &[u64]) -> u64| {
+            let mut out = vec![0u64; 2 * qs.len() * 256];
+            plane
+                .chunks(256 * d)
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, rows| {
+                    let out = &mut out[..2 * qs.len() * rows.len() / d];
+                    kern::dot_multi_u8(rows, d, qs, seg, out);
+                    fold(h, out)
+                })
+        };
+        let hashed = |h, out: &[u64]| out.iter().fold(h, |h: u64, v| fnv1a(h, &v.to_le_bytes()));
+        let u8_hash = |qs: &[&[u8]]| u8_pass(qs, &hashed);
+        let (dot_multi_u8_ns, _) = measure(8 * plane.len(), || {
+            u8_pass(&u8_queries, &|t, out| t.wrapping_add(out[0]))
+        });
+        let dot_multi_u8_hash = u8_hash(&u8_queries);
+        let one_by_one: Vec<u64> = u8_queries.iter().map(|q| u8_hash(&[q])).collect();
+        let multi_by_one: Vec<u64> = (0..8)
+            .map(|j| {
+                let mut out = vec![0u64; 2 * 8 * 256];
+                plane
+                    .chunks(256 * d)
+                    .fold(0xcbf2_9ce4_8422_2325u64, |h, rows| {
+                        let n = rows.len() / d;
+                        kern::dot_multi_u8(rows, d, &u8_queries, seg, &mut out[..16 * n]);
+                        let (total, top) = (&out[j * n..][..n], &out[(8 + j) * n..][..n]);
+                        total
+                            .iter()
+                            .chain(top)
+                            .fold(h, |h, v| fnv1a(h, &v.to_le_bytes()))
+                    })
+            })
+            .collect();
+        assert_eq!(
+            one_by_one,
+            multi_by_one,
+            "{}: dot_multi_u8 differs from one query a call",
+            b.name()
+        );
 
         // The cell plane's bound at eight queries a row (hashed while
         // timed: eight folds a row are noise beside 7 680 cell tests),
@@ -375,15 +444,18 @@ fn sweep_backend(
             andpop_ns,
             dot_u32_ns,
             dot_multi_f64_ns,
+            dot_multi_u8_ns,
             cell_bound_ns,
             until_ns,
             pass_ms_per_query,
+            coarse_ns,
             refine_ms_per_query,
             knn_wall_ms: knn_ns as f64 / 1e6,
             knn_qps: w.queries.len() as f64 / knn_s.max(1e-12),
             hash,
             dot_u32_hash,
             dot_multi_f64_hash,
+            dot_multi_u8_hash,
             until_hash,
             cell_bound_hash,
         }
@@ -472,6 +544,11 @@ fn main() {
                 r.dot_multi_f64_hash,
                 scalar.dot_multi_f64_hash,
             ),
+            (
+                "dot_multi_u8",
+                r.dot_multi_u8_hash,
+                scalar.dot_multi_u8_hash,
+            ),
             ("euclidean_sq_until", r.until_hash, scalar.until_hash),
             (
                 "cell_bound_multi",
@@ -495,8 +572,9 @@ fn main() {
         ),
         &[
             "backend", "dot", "norm", "fused", "euclid", "until 1/8", "1/2", "never", "xorpop",
-            "andpop", "dot_u32", "multi", "cell", "pass Q=1", "Q=2", "Q=3", "Q=4", "Q=5", "Q=6", "Q=7",
-            "Q=8", "refine Q=1", "Q=4", "Q=8",
+            "andpop", "dot_u32", "multi", "u8", "cell", "pass Q=1", "Q=2", "Q=3", "Q=4", "Q=5", "Q=6",
+            "Q=7", "Q=8", "coarse Q=2", "Q=3", "Q=4", "Q=5", "Q=6", "Q=7", "Q=8", "refine Q=1", "Q=4",
+            "Q=8",
             "knn qps", "vs scalar",
         ],
         &rows
@@ -506,11 +584,12 @@ fn main() {
                     .into_iter()
                     .chain(r.until_ns)
                     .chain([r.xorpop_ns, r.andpop_ns, r.dot_u32_ns, r.dot_multi_f64_ns])
-                    .chain([r.cell_bound_ns]);
-                let ms = r.pass_ms_per_query.into_iter().chain(r.refine_ms_per_query);
+                    .chain([r.dot_multi_u8_ns, r.cell_bound_ns]);
                 std::iter::once(r.name.to_string())
                     .chain(ns.map(|v| format!("{v:.3}")))
-                    .chain(ms.map(|v| format!("{v:.2}")))
+                    .chain(r.pass_ms_per_query.map(|v| format!("{v:.2}")))
+                    .chain(r.coarse_ns.map(|v| format!("{v:.3}")))
+                    .chain(r.refine_ms_per_query.map(|v| format!("{v:.2}")))
                     .chain([
                         format!("{:.0}", r.knn_qps),
                         fmt_x(scalar.dot_ns / r.dot_ns.max(1e-12)),
@@ -522,8 +601,9 @@ fn main() {
     println!(
         "result hash {hash:016x} identical across {} backends and 1|4|ambient workers \
          (ns/element columns, until per element of the whole row; popcount per u64 word; \
-         cell per cell and query at eight queries; pass columns: ms per query of one \
-         dot_batch_multi over {PASS_ROWS} x {d} at one worker; refine columns: ms per query \
+         u8 per cell and query, cell per cell and query, at eight queries; pass columns: ms \
+         per query of one dot_batch_multi over {PASS_ROWS} x {d} at one worker; coarse \
+         columns: ns per operand and query of dot_batch_coarse on it; refine columns: ms per query \
          of one refine_resident_batch over {} x {} with zero bounds and the cell plane at \
          one worker)",
         rows.len(),
@@ -548,6 +628,15 @@ fn main() {
                 ("and_popcount_ns_per_word", Json::Num(r.andpop_ns)),
                 ("dot_u32_ns_per_elem", Json::Num(r.dot_u32_ns)),
                 ("dot_multi_f64_ns_per_elem", Json::Num(r.dot_multi_f64_ns)),
+                ("dot_multi_u8_ns_per_elem", Json::Num(r.dot_multi_u8_ns)),
+                (
+                    "coarse_ns_per_operand",
+                    Json::obj(
+                        (2..=8)
+                            .map(|q| format!("q{q}"))
+                            .zip(r.coarse_ns.map(Json::Num)),
+                    ),
+                ),
                 ("cell_bound_ns_per_elem", Json::Num(r.cell_bound_ns)),
                 (
                     "pass_ms_per_query",
@@ -611,6 +700,10 @@ fn main() {
             (
                 "dot_multi_f64_hash",
                 Json::Str(format!("{:016x}", scalar.dot_multi_f64_hash)),
+            ),
+            (
+                "dot_multi_u8_hash",
+                Json::Str(format!("{:016x}", scalar.dot_multi_u8_hash)),
             ),
             (
                 "euclidean_sq_until_hash",

@@ -484,6 +484,27 @@ impl BoundBatch {
     }
 }
 
+/// A coalesced batch's `LB_PIM-ED` bounds read coarse first
+/// ([`PimExecutor::lb_ed_batch_coarse`]).
+#[derive(Debug)]
+pub struct CoarseBatch {
+    /// Per query its batch: the modeled pass, counters and metrics of
+    /// [`PimExecutor::lb_ed_batch_multi`]'s, bit for bit; the values are
+    /// the fine bounds, or, where [`CoarseBatch::is_coarse`], coarse
+    /// bounds no larger than them.
+    pub batches: Vec<BoundBatch>,
+    /// Per query that read coarse, its quantised form, for
+    /// [`PimExecutor::lb_ed_fine`].
+    fine: Vec<Option<Quantised>>,
+}
+
+impl CoarseBatch {
+    /// Whether query `j`'s values are coarse bounds.
+    pub fn is_coarse(&self, j: usize) -> bool {
+        self.fine.get(j).is_some_and(Option::is_some)
+    }
+}
+
 /// The shape mismatch of a row write into a shape without a Φ table.
 const UNSUPPORTED_WRITE: &str = "executor shape does not support appends";
 
@@ -512,7 +533,7 @@ fn plan_resident(
 }
 
 /// The batch of a one-query pass.
-fn one_batch(mut batches: Vec<BoundBatch>) -> BoundBatch {
+fn one_batch<B>(mut batches: Vec<B>) -> B {
     batches.pop().expect("one batch per query")
 }
 
@@ -967,8 +988,8 @@ impl PimExecutor {
             });
         }
         let operands = [query.to_unsigned(), query.complement_to_unsigned()];
-        self.bound_pass(&[Quantised::new(operands, 0.0)])
-            .map(one_batch)
+        let (batch, _) = one_batch(self.bound_pass(&[Quantised::new(operands, 0.0)], false)?);
+        Ok(batch)
     }
 
     /// The pass for float queries: every query's dimensionality is
@@ -978,7 +999,14 @@ impl PimExecutor {
         &mut self,
         queries: &[Q],
     ) -> Result<Vec<BoundBatch>, CoreError> {
-        let quantised = queries
+        let quantised = self.quantise_all(queries)?;
+        let batches = self.bound_pass(&quantised, false)?;
+        Ok(batches.into_iter().map(|(batch, _)| batch).collect())
+    }
+
+    /// Every query's dimensionality checked and every query quantised.
+    fn quantise_all<Q: AsRef<[f64]>>(&self, queries: &[Q]) -> Result<Vec<Quantised>, CoreError> {
+        queries
             .iter()
             .map(|query| {
                 if query.as_ref().len() != self.prepared.dim() {
@@ -988,8 +1016,7 @@ impl PimExecutor {
                 }
                 self.prepared.quantise(&self.quantizer, query.as_ref())
             })
-            .collect::<Result<Vec<_>, _>>()?;
-        self.bound_pass(&quantised)
+            .collect()
     }
 
     /// The one online pass under every front, for the quantised queries
@@ -1012,7 +1039,17 @@ impl PimExecutor {
     /// exact function, which has no band to widen and takes the exact
     /// recompute too. A healthy object keeps its measured dots. Without
     /// an active fault model no status is looked up at all.
-    fn bound_pass(&mut self, queries: &[Quantised]) -> Result<Vec<BoundBatch>, CoreError> {
+    ///
+    /// With `coarse`, the host reads coarse first where the bank can
+    /// ([`ReRamBank::dot_batch_coarse`]): the device is charged the same,
+    /// and a query whose pass came back coarse has coarse bounds for
+    /// values — `G` of an integer no smaller than each dot, hence no
+    /// larger than each fine bound — and a `true` beside its batch.
+    fn bound_pass(
+        &mut self,
+        queries: &[Quantised],
+        coarse: bool,
+    ) -> Result<Vec<(BoundBatch, bool)>, CoreError> {
         let regions = self.prepared.regions();
         let mut batches = Vec::with_capacity(queries.len());
         let mut rest = queries;
@@ -1029,9 +1066,12 @@ impl PimExecutor {
                 .iter()
                 .flat_map(|q| regions.iter().zip(&q.floors).map(|(&r, f)| (r, &f[..])))
                 .collect();
-            let (reads, lost) = self
-                .bank
-                .dot_batch_multi(&passes, self.prepared.acc_width());
+            let acc = self.prepared.acc_width();
+            let (reads, lost) = if coarse {
+                self.bank.dot_batch_coarse(&passes, acc)
+            } else {
+                self.bank.dot_batch_multi(&passes, acc)
+            };
             // A bank lost mid-run has served the passes before the loss:
             // the queries they complete are accounted before the error.
             let served = reads.len() / regions.len();
@@ -1039,7 +1079,9 @@ impl PimExecutor {
             for q in &now[..served] {
                 let mut dots: [Vec<u64>; 2] = Default::default();
                 let mut timing = PimTiming::default();
+                let mut read_coarse = false;
                 for (r, out) in reads.by_ref().take(regions.len()).enumerate() {
+                    read_coarse |= out.coarse;
                     if r == 0 {
                         timing = out.timing;
                     } else if self.cfg.parallel_regions {
@@ -1049,7 +1091,8 @@ impl PimExecutor {
                     }
                     dots[r] = out.values;
                 }
-                batches.push(self.combine_batch(q, &regions, dots, timing)?);
+                let batch = self.combine_batch(q, &regions, dots, timing)?;
+                batches.push((batch, read_coarse));
             }
             lost?;
         }
@@ -1115,40 +1158,118 @@ impl PimExecutor {
     }
 
     /// Runs [`PimExecutor::lb_ed_batch`] for a coalesced batch of queries
-    /// against the resident regions — the serving layer's one-pass-per-shard
-    /// entry point, and the offline tasks' chunk of anchor rows. The
+    /// against the resident regions — the offline tasks' chunk of anchor
+    /// rows (the serving layer reads coarse first:
+    /// [`PimExecutor::lb_ed_batch_coarse`]). The
     /// dataset stays programmed across the whole batch, so
     /// the per-query cost is a crossbar read pass only; the offline path's
     /// program cost is amortized across every query the residency serves.
     /// Every [`BoundBatch`] is the one the single call would return, while
     /// the host simulation reads each region once for the whole batch; a
     /// query that fails its check fails the batch before any dispatch.
+    /// Its span parents on `parent` as
+    /// [`PimExecutor::lb_ed_batch_coarse`]'s does.
+    pub fn lb_ed_batch_multi<Q: AsRef<[f64]>>(
+        &mut self,
+        queries: &[Q],
+        parent: simpim_obs::TraceCtx,
+    ) -> Result<Vec<BoundBatch>, CoreError> {
+        let out = self.coalesced("core.executor.lb_ed_batch_multi", queries, parent, false)?;
+        Ok(out.batches)
+    }
+
+    /// [`PimExecutor::lb_ed_batch_multi`] read coarse first — the serving
+    /// layer's pass. The modeled device runs and is charged the same
+    /// passes, so every timing, counter and metric is bit for bit the
+    /// fine batch's; but on the `Ed` shape, where the bank reads a
+    /// region's passes from its coarse plane ([`ReRamBank::dot_batch_coarse`]),
+    /// a query's values are coarse bounds: `G` of an integer no smaller
+    /// than each dot, so each is at most the fine bound as computed
+    /// (Theorem 1's bound decreases in its dot, and rounding is monotone).
+    /// [`CoarseBatch::is_coarse`] says which queries; for them
+    /// [`PimExecutor::lb_ed_fine`] computes the fine bound of chosen rows.
+    /// The other shapes, a batch of one and an array with a fault model
+    /// read fine, and then the batch is [`PimExecutor::lb_ed_batch_multi`]'s.
     ///
     /// The executor's span parents on `parent` (the serving layer's batch
     /// span) instead of this thread's stack, so the crossbar pass stays
     /// attributable to its request even though the dispatch crossed onto a
     /// pool worker thread; [`simpim_obs::TraceCtx::NONE`] parents on the
     /// thread's own stack.
-    pub fn lb_ed_batch_multi<Q: AsRef<[f64]>>(
+    pub fn lb_ed_batch_coarse<Q: AsRef<[f64]>>(
         &mut self,
         queries: &[Q],
         parent: simpim_obs::TraceCtx,
-    ) -> Result<Vec<BoundBatch>, CoreError> {
+    ) -> Result<CoarseBatch, CoreError> {
+        let coarse = matches!(self.prepared, PreparedFunction::Ed { .. });
+        self.coalesced("core.executor.lb_ed_batch_coarse", queries, parent, coarse)
+    }
+
+    /// The fine `LB_PIM-ED` bounds of query `j` of `batch` for the objects
+    /// `objs`, into `out` — the values [`PimExecutor::lb_ed_batch_multi`]
+    /// returns for them, bit for bit: the same dot products
+    /// ([`simpim_reram::PimArray::dot_rows`]) through the same `G`. The
+    /// device was charged for them with the batch, so nothing is charged
+    /// here. A query that did not read coarse has its fine bounds in the
+    /// batch already and is refused, like a shape other than `Ed`.
+    pub fn lb_ed_fine(
+        &self,
+        batch: &CoarseBatch,
+        j: usize,
+        objs: &[usize],
+        out: &mut [f64],
+    ) -> Result<(), CoreError> {
+        let (Some(Some(q)), PreparedFunction::Ed { region, .. }) =
+            (batch.fine.get(j), &self.prepared)
+        else {
+            return Err(CoreError::Mismatch {
+                what: "fine bounds of a query that read coarse",
+            });
+        };
+        let dots =
+            self.bank
+                .pim()
+                .dot_rows(*region, &q.floors[0], objs, self.prepared.acc_width())?;
+        let alpha = self.quantizer.alpha();
+        for ((&obj, dot), value) in objs.iter().zip(dots).zip(out) {
+            let value = std::slice::from_mut(value);
+            let operands = |_| ([dot, 0], [0, 0]);
+            self.prepared
+                .combine(q, [0, 0], alpha, obj..obj + 1, value, operands);
+        }
+        Ok(())
+    }
+
+    /// The one body of [`PimExecutor::lb_ed_batch_multi`] and
+    /// [`PimExecutor::lb_ed_batch_coarse`], under the span `name`.
+    fn coalesced<Q: AsRef<[f64]>>(
+        &mut self,
+        name: &'static str,
+        queries: &[Q],
+        parent: simpim_obs::TraceCtx,
+        coarse: bool,
+    ) -> Result<CoarseBatch, CoreError> {
         let attrs = [("queries", queries.len() as f64)];
         let mut span = if parent.is_none() {
-            simpim_obs::trace::open_span("core.executor.lb_ed_batch_multi", &attrs)
+            simpim_obs::trace::open_span(name, &attrs)
         } else {
-            simpim_obs::trace::open_span_ctx("core.executor.lb_ed_batch_multi", parent, &attrs).0
+            simpim_obs::trace::open_span_ctx(name, parent, &attrs).0
         };
         self.prepared
             .phi_table("executor not prepared for ED bounds")?;
-        let out = self.vector_pass(queries)?;
+        let quantised = self.quantise_all(queries)?;
+        let read = self.bound_pass(&quantised, coarse)?;
         simpim_obs::metrics::histogram_record(
             "simpim.core.executor.coalesced_queries",
             queries.len() as u64,
         );
-        span.record_all([("batches", out.len() as f64)]);
-        Ok(out)
+        span.record_all([("batches", read.len() as f64)]);
+        let (batches, fine) = read
+            .into_iter()
+            .zip(quantised)
+            .map(|((batch, read_coarse), q)| (batch, read_coarse.then_some(q)))
+            .unzip();
+        Ok(CoarseBatch { batches, fine })
     }
 
     /// Appends one normalized row into the resident regions' spare slots
@@ -1236,6 +1357,16 @@ impl PimExecutor {
             });
         *self = built.inspect_err(|_| self.bank.kill())?;
         Ok(())
+    }
+
+    /// Host bytes of the coarse planes the bank keeps for this executor's
+    /// regions (0 until a coarse read built one).
+    pub fn coarse_plane_bytes(&self) -> usize {
+        let pim = self.bank.pim();
+        let regions = self.prepared.regions().into_iter();
+        regions
+            .map(|r| pim.coarse_plane_bytes(r).unwrap_or(0))
+            .sum()
     }
 
     /// Spare object slots left across the resident regions (the minimum
@@ -2138,6 +2269,31 @@ mod tests {
         }
     }
 
+    /// A coarse-first batch against the fine one: the same batches but
+    /// for the values of a query that read coarse, each at most the fine
+    /// value, whose fine values `lb_ed_fine` gives back bit for bit.
+    fn assert_coarse_batch(
+        exec: &PimExecutor,
+        read: &CoarseBatch,
+        fine: &[BoundBatch],
+        what: &str,
+    ) {
+        let mut same = read.batches.clone();
+        for (j, (batch, want)) in same.iter_mut().zip(fine).enumerate() {
+            if !read.is_coarse(j) {
+                continue;
+            }
+            let objs: Vec<usize> = (0..want.values.len()).collect();
+            let mut values = vec![f64::NAN; objs.len()];
+            exec.lb_ed_fine(read, j, &objs, &mut values).unwrap();
+            for (coarse, fine) in batch.values.iter().zip(&want.values) {
+                assert!(coarse <= fine, "{what}: query {j}: {coarse} above {fine}");
+            }
+            batch.values = values;
+        }
+        assert_same_batches(&same, fine, what);
+    }
+
     /// The coalesced pass against the loop it replaced, on twin
     /// executors: the three ED-family shapes (resident, rows appended)
     /// under no fault model, an inert one, stuck cells behind a
@@ -2148,6 +2304,9 @@ mod tests {
     /// damage and the queries after it read differently from those
     /// before. Every `BoundBatch` field, the cumulative counters query by
     /// query, dispatches, energy and buffer pressure must match by bits.
+    /// A third twin reads coarse first: the same ledger and batches
+    /// ([`assert_coarse_batch`]), coarse only on `LB_PIM-ED` without an
+    /// active fault model, and there for every query without one.
     #[test]
     fn multi_batch_matches_the_sequential_loop() {
         let rows_of = |data: &NormalizedDataset| -> Vec<Vec<f64>> {
@@ -2210,12 +2369,12 @@ mod tests {
                         exec.append_row(&queries[5]).unwrap();
                         exec
                     };
-                    let (mut exec, mut twin) = (build(), build());
+                    let (mut exec, mut twin, mut coarse) = (build(), build(), build());
                     assert_eq!(exec.bound_name(), *name);
                     let mut recoveries = Vec::new();
                     for round in 0..3 {
                         if round == 1 {
-                            for e in [&mut exec, &mut twin] {
+                            for e in [&mut exec, &mut twin, &mut coarse] {
                                 e.bank_mut().pim_mut().age_crossbars(8);
                             }
                         }
@@ -2225,6 +2384,19 @@ mod tests {
                         let want = sequential(&mut twin, &queries).unwrap();
                         assert_same_batches(&got, &want, &format!("{what}, round {round}"));
                         assert_eq!(ledger(&exec), ledger(&twin), "{what}, round {round}");
+                        let read = coarse
+                            .lb_ed_batch_coarse(&queries, simpim_obs::TraceCtx::NONE)
+                            .unwrap();
+                        let what = format!("{what}, round {round}, coarse first");
+                        assert_coarse_batch(&coarse, &read, &got, &what);
+                        assert_eq!(ledger(&coarse), ledger(&exec), "{what}");
+                        let clean = faults.is_none_or(|f| f.is_inert());
+                        let reads_coarse = (0..queries.len()).map(|j| read.is_coarse(j));
+                        if *name != "LB_PIM-ED" || !clean {
+                            assert!(!reads_coarse.clone().any(|c| c), "{what}");
+                        } else if faults.is_none() {
+                            assert!(reads_coarse.clone().all(|c| c), "{what}");
+                        }
                         recoveries.extend(got.iter().map(|b| {
                             b.fault_counters.scrubs + b.fault_counters.fallback_refinements
                         }));

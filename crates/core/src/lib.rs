@@ -38,7 +38,7 @@ pub mod planner;
 pub mod stage;
 
 pub use error::CoreError;
-pub use executor::{PimExecutor, PreparedFunction, ResidentBuilder};
+pub use executor::{CoarseBatch, PimExecutor, PreparedFunction, ResidentBuilder};
 pub use memory::{choose_dimensionality, MemoryPlan};
 pub use planner::{
     BankProfile, CandidateBound, ExecutionPlan, FleetPlan, FleetPlanner, Planner, PruningProfile,

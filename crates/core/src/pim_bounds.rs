@@ -727,6 +727,51 @@ mod tests {
         }
     }
 
+    /// Theorem 1 fed the coarse plane's dot bound
+    /// (`simpim_reram::coarse::dot_bound`) for every pair of 6-bit floors
+    /// (α = 64), each value at its floor and just below the next, in rows
+    /// of one to three dimensions (every pair in every position through
+    /// the offsets), at every shift up to 6: computed coarse ≤ computed
+    /// fine ≤ the computed squared distance, and at shift 0 coarse = fine.
+    #[test]
+    fn the_coarse_bound_is_below_the_fine_one_as_computed() {
+        use simpim_reram::coarse::dot_bound;
+        let alpha = 64.0;
+        let quantizer = Quantizer::identity(alpha).unwrap();
+        for d in 1..=3usize {
+            for (p0, q0) in (0u32..64).flat_map(|p| (0u32..64).map(move |q| (p, q))) {
+                for (pf, qf) in [(0.0, 0.0), (0.0, 0.999), (0.999, 0.0), (0.999, 0.999)] {
+                    let value = |first: u32, step: u32, frac: f64| -> Vec<f64> {
+                        let floor = |i: u32| f64::from((first + step * i) % 64);
+                        (0..d as u32).map(|i| (floor(i) + frac) / alpha).collect()
+                    };
+                    let (p, q) = (value(p0, 17, pf), value(q0, 29, qf));
+                    let [ep, eq] = [&p, &q]
+                        .map(|v| EdQuant::from_quantized(quantizer.quantize_vec(v).unwrap()));
+                    let pairs = || ep.floors.iter().zip(&eq.floors);
+                    let dot: u64 = pairs().map(|(&a, &b)| u64::from(a * b)).sum();
+                    let fine = lb_pim_ed(ep.phi, eq.phi, dot, d, alpha);
+                    let exact = euclidean_sq(&p, &q);
+                    assert!(fine <= exact, "{p:?} {q:?}: fine {fine} above {exact}");
+                    for t in 0..=6 {
+                        let coarse_dot =
+                            pairs().map(|(&a, &b)| u64::from((a >> t) * (b >> t))).sum();
+                        let sums = |f: &[u32]| -> [u64; 2] {
+                            let cells = f.iter().map(|&v| u64::from(v >> t)).sum();
+                            [cells, f.iter().map(|&v| u64::from(v)).sum()]
+                        };
+                        let bound = dot_bound(t, coarse_dot, sums(&ep.floors), sums(&eq.floors), d);
+                        let coarse = lb_pim_ed(ep.phi, eq.phi, bound, d, alpha);
+                        assert!(coarse <= fine, "t={t} {p:?} {q:?}: {coarse} above {fine}");
+                        if t == 0 {
+                            assert_eq!(coarse.to_bits(), fine.to_bits());
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn error_bounds_are_monotone_in_alpha() {
         assert!(error_bound_ed(100, 1e6) < error_bound_ed(100, 1e3));

@@ -8,7 +8,8 @@
 //! u64 popcount MACs behind Hamming distance and the bit-sliced crossbar
 //! model, and the exact integer MACs the array-level crossbar pass runs
 //! on ([`dot_u32`] for one query, [`dot_multi_f64`] for up to eight
-//! queries per row load), and the integer cell-plane bound a serving
+//! queries per row load, [`dot_multi_u8`] for the coarse 8-bit plane read
+//! before it), and the integer cell-plane bound a serving
 //! shard tests before an exact distance ([`cell_bound_multi`]) — as a
 //! [`KernelBackend`] vtable selected
 //! **once** at startup:
@@ -114,6 +115,10 @@ impl Backend {
 /// length, the output.
 pub type MultiF64 = fn(&[u32], &[&[f64]], usize, &mut [f64]);
 
+/// The signature of [`dot_multi_u8`]: a block of rows, the row length,
+/// its queries, the segment length, the output.
+pub type MultiU8 = fn(&[u8], usize, &[&[u8]], usize, &mut [u64]);
+
 /// The dispatched kernel table: plain function pointers, one indirect
 /// call per kernel invocation, resolved once per backend.
 #[derive(Clone, Copy)]
@@ -140,6 +145,8 @@ pub struct KernelBackend {
     /// has one that beats a [`dot_u32`] per query (AVX2 with FMA); `None`
     /// elsewhere, and the crossbar pass then makes those calls.
     pub dot_multi_f64: Option<MultiF64>,
+    /// The coarse crossbar pass's MACs of [`scalar::dot_multi_u8`].
+    pub dot_multi_u8: MultiU8,
     /// The cell-plane bound sums of [`scalar::cell_bound_multi`].
     pub cell_bound_multi: fn(&[u8], &[&[u8]], &mut [u64]),
 }
@@ -163,6 +170,7 @@ const SCALAR_TABLE: KernelBackend = KernelBackend {
     and_popcount: scalar::and_popcount,
     dot_u32: scalar::dot_u32,
     dot_multi_f64: None,
+    dot_multi_u8: scalar::dot_multi_u8,
     cell_bound_multi: scalar::cell_bound_multi,
 };
 
@@ -191,6 +199,7 @@ mod x86_dispatch {
     trampoline!(and_popcount_avx2, x86::avx2::and_popcount, (a: &[u64], b: &[u64]) -> u64);
     trampoline!(dot_u32_avx2, x86::avx2::dot_u32, (a: &[u32], b: &[u32]) -> u64);
     trampoline!(dot_multi_f64_fma, x86::avx2::dot_multi_f64, (row: &[u32], qs: &[&[f64]], seg: usize, out: &mut [f64]) -> ());
+    trampoline!(dot_multi_u8_avx2, x86::avx2::dot_multi_u8, (rows: &[u8], s: usize, qs: &[&[u8]], seg: usize, out: &mut [u64]) -> ());
     trampoline!(cell_bound_multi_avx2, x86::avx2::cell_bound_multi, (row: &[u8], qs: &[&[u8]], out: &mut [u64]) -> ());
 
     trampoline!(dot_sse2, x86::sse2::dot, (a: &[f64], b: &[f64]) -> f64);
@@ -200,6 +209,7 @@ mod x86_dispatch {
     trampoline!(xor_popcount_popcnt, x86::xor_popcount_popcnt, (a: &[u64], b: &[u64]) -> u64);
     trampoline!(and_popcount_popcnt, x86::and_popcount_popcnt, (a: &[u64], b: &[u64]) -> u64);
     trampoline!(dot_u32_sse2, x86::sse2::dot_u32, (a: &[u32], b: &[u32]) -> u64);
+    trampoline!(dot_multi_u8_sse2, x86::sse2::dot_multi_u8, (rows: &[u8], s: usize, qs: &[&[u8]], seg: usize, out: &mut [u64]) -> ());
 }
 
 /// Builds the vtable for a tier the running CPU supports.
@@ -233,6 +243,7 @@ fn table(b: Backend) -> KernelBackend {
                 },
                 dot_u32: x86_dispatch::dot_u32_sse2,
                 dot_multi_f64: None,
+                dot_multi_u8: x86_dispatch::dot_multi_u8_sse2,
                 cell_bound_multi: scalar::cell_bound_multi,
             }
         }
@@ -250,6 +261,7 @@ fn table(b: Backend) -> KernelBackend {
             // An AVX2 CPU without FMA keeps the per-query `dot_u32`.
             dot_multi_f64: is_x86_feature_detected!("fma")
                 .then_some(x86_dispatch::dot_multi_f64_fma as _),
+            dot_multi_u8: x86_dispatch::dot_multi_u8_avx2,
             cell_bound_multi: x86_dispatch::cell_bound_multi_avx2,
         },
         #[allow(unreachable_patterns)]
@@ -458,6 +470,20 @@ pub fn dot_multi_f64(row: &[u32], qs: &[&[f64]], seg: usize, out: &mut [f64]) {
     kernels().dot_multi_f64.unwrap_or(scalar::dot_multi_f64)(row, qs, seg, out)
 }
 
+/// Dispatched [`scalar::dot_multi_u8`]: a block of rows of `u8` plane
+/// cells against up to eight queries' cells, per row and query the dot
+/// product and its largest `seg`-cell segment sum — the same integers on
+/// every backend.
+///
+/// # Panics
+/// Panics when `s` or `seg` is 0, when `rows` is not whole rows, when `qs`
+/// holds more than [`MULTI_QUERIES`] queries or one that is not `s` cells,
+/// or when `out` is shorter than two values a row and query.
+#[inline]
+pub fn dot_multi_u8(rows: &[u8], s: usize, qs: &[&[u8]], seg: usize, out: &mut [u64]) {
+    (kernels().dot_multi_u8)(rows, s, qs, seg, out)
+}
+
 /// Dispatched [`scalar::cell_bound_multi`]: one row of `u8` cells against
 /// up to eight queries' cells, per query `Σ max(|rᵢ − qᵢ| − 1, 0)²` — the
 /// same integers on every backend.
@@ -559,6 +585,16 @@ mod tests {
                     dot_multi_f64(&p, &[&qf, &pf, &qf], len.max(1), &mut out);
                     assert_eq!(out.map(|v| v as u64), [pq, pp, pq, pq, pp, pq]);
                     let [r, c] = [&w, &v].map(|x| x.iter().map(|&x| x as u8).collect::<Vec<_>>());
+                    if len > 0 {
+                        let (mut got, mut want) = ([0u64; 12], [0u64; 12]);
+                        let (half, seg) = (len / 2 * 2, len / 2 + 1);
+                        let qs = [&c[..len / 2], &r[..len / 2], &c[len / 2..half]];
+                        if half > 0 {
+                            dot_multi_u8(&r[..half], len / 2, &qs, seg, &mut got);
+                            scalar::dot_multi_u8(&r[..half], len / 2, &qs, seg, &mut want);
+                            assert_eq!(got, want);
+                        }
+                    }
                     let (mut got, mut want) = ([0u64; 3], [0u64; 3]);
                     cell_bound_multi(&r, &[&c, &r, &c[..len / 2]], &mut got);
                     scalar::cell_bound_multi(&r, &[&c, &r, &c[..len / 2]], &mut want);

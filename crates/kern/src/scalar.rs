@@ -12,8 +12,8 @@
 //! NaN *payloads* are outside the contract — Rust documents NaN bit
 //! patterns as non-deterministic, so a reduction over several distinct
 //! NaNs guarantees NaN ⇔ NaN, not which payload wins.) The integer
-//! kernels — the popcount MACs, [`dot_u32`], [`dot_multi_f64`] and
-//! [`cell_bound_multi`] — need
+//! kernels — the popcount MACs, [`dot_u32`], [`dot_multi_f64`],
+//! [`dot_multi_u8`] and [`cell_bound_multi`] — need
 //! no such layout: wrapping integer sums, and integer `f64` sums that
 //! never round, are the same in any order.
 
@@ -258,6 +258,65 @@ pub fn dot_multi_f64(row: &[u32], qs: &[&[f64]], seg: usize, out: &mut [f64]) {
             top[j] = top[j].max(sum);
         }
     }
+}
+
+/// The coarse crossbar pass's MACs: [`dot_multi_f64`]'s outputs for a
+/// block of `n` stored rows of `u8` plane cells, `s` cells a row, against
+/// up to [`MULTI_QUERIES`] queries of `s` cells, in integers, query by
+/// query: for row `r` and query `j` of `Q = qs.len()`, `out[n·j + r]`
+/// receives `Σ rowᵢ · qs[j]ᵢ` and `out[n·(Q + j) + r]` the largest of its
+/// `seg`-cell segments' sums. A block, not a row, per call: a tier widens
+/// the queries once for all of its rows, and each query's values come
+/// out side by side. Exact for any row a `u64` can address, and so the
+/// same integers on every tier.
+///
+/// # Panics
+/// Panics when `s` or `seg` is 0, when `rows` is not whole rows, when `qs`
+/// holds more than [`MULTI_QUERIES`] queries or one that is not `s` cells,
+/// or when `out` is shorter than `2Q` values a row.
+pub fn dot_multi_u8(rows: &[u8], s: usize, qs: &[&[u8]], seg: usize, out: &mut [u64]) {
+    let q = check_multi_u8(rows, s, qs, seg, out);
+    let n = rows.len() / s;
+    for (r, row) in rows.chunks_exact(s).enumerate() {
+        for (j, x) in qs.iter().enumerate() {
+            let (mut total, mut top) = (0, 0);
+            for (r, x) in row.chunks(seg).zip(x.chunks(seg)) {
+                // 2¹⁶ products of at most 255² stay below 2³²: a `u32`
+                // sum a chunk, which vectorises, added up in `u64`.
+                let chunks = r.chunks(1 << 16).zip(x.chunks(1 << 16));
+                let sum: u64 = chunks
+                    .map(|(r, x)| {
+                        let products = r.iter().zip(x).map(|(&a, &b)| u32::from(a) * u32::from(b));
+                        u64::from(products.sum::<u32>())
+                    })
+                    .sum();
+                total += sum;
+                top = top.max(sum);
+            }
+            (out[n * j + r], out[n * (q + j) + r]) = (total, top);
+        }
+    }
+}
+
+/// The argument check every tier's [`dot_multi_u8`] runs first; returns
+/// the query count.
+pub(crate) fn check_multi_u8(
+    rows: &[u8],
+    s: usize,
+    qs: &[&[u8]],
+    seg: usize,
+    out: &[u64],
+) -> usize {
+    assert!(
+        s > 0 && seg > 0 && rows.len().is_multiple_of(s) && qs.len() <= MULTI_QUERIES,
+        "whole rows of 1+ cells, segments of 1+ cells, 8 queries at most"
+    );
+    assert!(qs.iter().all(|x| x.len() == s), "queries of s cells");
+    assert!(
+        out.len() >= rows.len() / s * 2 * qs.len(),
+        "two outputs a row and query"
+    );
+    qs.len()
 }
 
 /// The cell-plane bound sums of one stored `row` of `u8` cells with up

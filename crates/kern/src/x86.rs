@@ -391,6 +391,132 @@ pub mod avx2 {
         }
     }
 
+    /// [`scalar::dot_multi_u8`] on 16 cells a step: the queries are
+    /// widened to 16 bits once for the block; a row step is widened once
+    /// (`vpmovzxbw`) and then costs one `vpmaddwd` (its load folded in)
+    /// and one add per query, product pairs of at most 2 · 255² into
+    /// `i32` lanes. A segment's last step is the 16 cells ending at its
+    /// end, those before it masked to zero. At the end of a segment, and
+    /// every [`U8_STEPS`] steps inside a long one, the lanes are folded
+    /// four queries to a register (`vphaddd`) into the segment's `u64`
+    /// sums. Rows under 16 cells go through the portable kernel.
+    ///
+    /// # Safety
+    /// Requires AVX2 (detected at dispatch time).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn dot_multi_u8(rows: &[u8], s: usize, qs: &[&[u8]], seg: usize, out: &mut [u64]) {
+        match scalar::check_multi_u8(rows, s, qs, seg, out) {
+            0 => {}
+            _ if s < 16 => scalar::dot_multi_u8(rows, s, qs, seg, out),
+            1 => multi_u8::<1>(rows, s, qs, seg, out),
+            2 => multi_u8::<2>(rows, s, qs, seg, out),
+            3 => multi_u8::<3>(rows, s, qs, seg, out),
+            4 => multi_u8::<4>(rows, s, qs, seg, out),
+            5 => multi_u8::<5>(rows, s, qs, seg, out),
+            6 => multi_u8::<6>(rows, s, qs, seg, out),
+            7 => multi_u8::<7>(rows, s, qs, seg, out),
+            _ => multi_u8::<8>(rows, s, qs, seg, out),
+        }
+    }
+
+    /// 16-cell steps between two folds of [`dot_multi_u8`]'s `i32` lanes:
+    /// 4 097 · 16 · 255² < 2³² (the last step of a segment may add one), so
+    /// the sum of a query's eight lanes is exact when `vphaddd` adds them
+    /// modulo 2³².
+    const U8_STEPS: usize = 4096;
+
+    /// Four queries' `i32` lane sets → their four sums as `u64` lanes.
+    #[target_feature(enable = "avx2")]
+    unsafe fn fold4_u32(acc: &[__m256i]) -> __m256i {
+        // [a01 a23 b01 b23 | a45 a67 b45 b67], then [a b c d] per half.
+        let ab = _mm256_hadd_epi32(acc[0], acc[1]);
+        let cd = _mm256_hadd_epi32(acc[2], acc[3]);
+        let abcd = _mm256_hadd_epi32(ab, cd);
+        let four = _mm_add_epi32(
+            _mm256_castsi256_si128(abcd),
+            _mm256_extracti128_si256::<1>(abcd),
+        );
+        _mm256_cvtepu32_epi64(four)
+    }
+
+    /// The body of [`dot_multi_u8`] for `Q` queries and rows of 16+ cells.
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::needless_range_loop)] // a register block, indexed
+    unsafe fn multi_u8<const Q: usize>(
+        rows: &[u8],
+        s: usize,
+        qs: &[&[u8]],
+        seg: usize,
+        out: &mut [u64],
+    ) {
+        const G: usize = MULTI_QUERIES / 4;
+        let wide: Vec<i16> = qs
+            .iter()
+            .flat_map(|x| x.iter().map(|&v| i16::from(v)))
+            .collect();
+        let pq: [*const i16; Q] = core::array::from_fn(|j| wide[j * s..].as_ptr());
+        let lane = _mm_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+        let zero = _mm256_setzero_si256();
+        let n = rows.len() / s;
+        for (r, row) in rows.chunks_exact(s).enumerate() {
+            let pr = row.as_ptr();
+            let (mut total, mut top) = ([zero; G], [zero; G]);
+            for start in (0..s).step_by(seg) {
+                let end = (start + seg).min(s);
+                let mut sums = [zero; G];
+                let mut i = start;
+                while i < end {
+                    let stop = end.min(i + 16 * U8_STEPS);
+                    let mut acc = [zero; MULTI_QUERIES];
+                    while i + 16 <= stop {
+                        // SAFETY: `i + 15 < stop <= s`, inside the row and
+                        // every widened query; `loadu` has no alignment need.
+                        let r = _mm256_cvtepu8_epi16(_mm_loadu_si128(pr.add(i).cast()));
+                        for j in 0..Q {
+                            let x = _mm256_loadu_si256(pq[j].add(i).cast());
+                            acc[j] = _mm256_add_epi32(acc[j], _mm256_madd_epi16(r, x));
+                        }
+                        i += 16;
+                    }
+                    if i < stop {
+                        // The 16 cells from `at` hold `i..stop`; the lanes
+                        // outside it are masked off the row.
+                        let at = i.min(s - 16);
+                        let keep = _mm_and_si128(
+                            _mm_cmpgt_epi8(lane, _mm_set1_epi8((i - at) as i8 - 1)),
+                            _mm_cmplt_epi8(lane, _mm_set1_epi8((stop - at) as i8)),
+                        );
+                        // SAFETY: `at + 15 < s` since `s >= 16`.
+                        let r = _mm_and_si128(_mm_loadu_si128(pr.add(at).cast()), keep);
+                        let r = _mm256_cvtepu8_epi16(r);
+                        for j in 0..Q {
+                            let x = _mm256_loadu_si256(pq[j].add(at).cast());
+                            acc[j] = _mm256_add_epi32(acc[j], _mm256_madd_epi16(r, x));
+                        }
+                        i = stop;
+                    }
+                    for g in 0..Q.div_ceil(4) {
+                        sums[g] = _mm256_add_epi64(sums[g], fold4_u32(&acc[4 * g..4 * g + 4]));
+                    }
+                }
+                for g in 0..Q.div_ceil(4) {
+                    total[g] = _mm256_add_epi64(total[g], sums[g]);
+                    // Sums below 2⁶³: the signed compare orders them.
+                    let above = _mm256_cmpgt_epi64(sums[g], top[g]);
+                    top[g] = _mm256_blendv_epi8(top[g], sums[g], above);
+                }
+            }
+            let mut spill = [0u64; 2 * MULTI_QUERIES];
+            for g in 0..G {
+                _mm256_storeu_si256(spill.as_mut_ptr().add(4 * g).cast(), total[g]);
+                _mm256_storeu_si256(spill.as_mut_ptr().add(MULTI_QUERIES + 4 * g).cast(), top[g]);
+            }
+            for j in 0..Q {
+                (out[n * j + r], out[n * (Q + j) + r]) = (spill[j], spill[MULTI_QUERIES + j]);
+            }
+        }
+    }
+
     /// Per-64-bit-element popcount of a ymm register via the Mula nibble
     /// LUT: `pshufb` looks up each nibble's population count, `psadbw`
     /// horizontally sums the byte counts into the four u64 lanes.
@@ -584,6 +710,82 @@ pub mod sse2 {
         scalar::dot_u32(&a[4 * blocks..len], &b[4 * blocks..len])
             .wrapping_add(lanes[0])
             .wrapping_add(lanes[1])
+    }
+
+    /// [`scalar::dot_multi_u8`] on 16 cells a step: the queries are
+    /// widened to 16 bits once for the block, the row step is unpacked to
+    /// two registers of 16-bit cells, and two `pmaddwd` add product pairs
+    /// into four `i32` lanes per query. A segment's last step is the 16
+    /// cells ending at its end, those before it masked to zero. The lanes
+    /// are added into the segment's `u64` sums at its end and every 4 096
+    /// steps (4 097 · 4 · 255² < 2³¹ per lane). Rows under 16 cells go
+    /// through the portable kernel.
+    ///
+    /// # Safety
+    /// Requires SSE2 (always present on x86_64).
+    #[target_feature(enable = "sse2")]
+    pub unsafe fn dot_multi_u8(rows: &[u8], s: usize, qs: &[&[u8]], seg: usize, out: &mut [u64]) {
+        let q = scalar::check_multi_u8(rows, s, qs, seg, out);
+        if q == 0 || s < 16 {
+            return scalar::dot_multi_u8(rows, s, qs, seg, out);
+        }
+        let wide: Vec<i16> = qs
+            .iter()
+            .flat_map(|x| x.iter().map(|&v| i16::from(v)))
+            .collect();
+        let lane = _mm_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+        let zero = _mm_setzero_si128();
+        // One step: the row's 16 cells at `at` (masked by `keep`) against
+        // every query's, into `acc`.
+        let step = |acc: &mut [__m128i; MULTI_QUERIES], row: &[u8], at: usize, keep: __m128i| {
+            // SAFETY: `at + 15 < s`, inside the row and every widened query.
+            let r = _mm_and_si128(_mm_loadu_si128(row.as_ptr().add(at).cast()), keep);
+            let (lo, hi) = (_mm_unpacklo_epi8(r, zero), _mm_unpackhi_epi8(r, zero));
+            for (j, a) in acc[..q].iter_mut().enumerate() {
+                let x = wide[j * s + at..].as_ptr();
+                let lo = _mm_madd_epi16(lo, _mm_loadu_si128(x.cast()));
+                let hi = _mm_madd_epi16(hi, _mm_loadu_si128(x.add(8).cast()));
+                *a = _mm_add_epi32(*a, _mm_add_epi32(lo, hi));
+            }
+        };
+        let n = rows.len() / s;
+        for (r, row) in rows.chunks_exact(s).enumerate() {
+            let (mut total, mut top) = ([0u64; MULTI_QUERIES], [0u64; MULTI_QUERIES]);
+            for start in (0..s).step_by(seg) {
+                let end = (start + seg).min(s);
+                let mut sums = [0u64; MULTI_QUERIES];
+                let mut i = start;
+                while i < end {
+                    let stop = end.min(i + 16 * 4096);
+                    let mut acc = [zero; MULTI_QUERIES];
+                    while i + 16 <= stop {
+                        step(&mut acc, row, i, _mm_set1_epi8(-1));
+                        i += 16;
+                    }
+                    if i < stop {
+                        let at = i.min(s - 16);
+                        let keep = _mm_and_si128(
+                            _mm_cmpgt_epi8(lane, _mm_set1_epi8((i - at) as i8 - 1)),
+                            _mm_cmplt_epi8(lane, _mm_set1_epi8((stop - at) as i8)),
+                        );
+                        step(&mut acc, row, at, keep);
+                        i = stop;
+                    }
+                    for (sum, a) in sums.iter_mut().zip(&acc[..q]) {
+                        let mut lanes = [0u32; 4];
+                        _mm_storeu_si128(lanes.as_mut_ptr().cast(), *a);
+                        *sum += lanes.iter().map(|&l| u64::from(l)).sum::<u64>();
+                    }
+                }
+                for j in 0..q {
+                    total[j] += sums[j];
+                    top[j] = top[j].max(sums[j]);
+                }
+            }
+            for j in 0..q {
+                (out[n * j + r], out[n * (q + j) + r]) = (total[j], top[j]);
+            }
+        }
     }
 
     /// Spills lane pairs `{0,1}` / `{2,3}` and finishes with the

@@ -151,6 +151,80 @@ fn live_order<'a>(
     )
 }
 
+/// The seed step of [`refine_resident_batch`] for one query over the
+/// rows `candidates` of a checked view: the walk's first chunk among
+/// them — their `k` best-bounded live rows, ties by id — evaluated
+/// exactly into a pool, and those rows, ascending.
+///
+/// The `k` are kept in one pass over the candidates, best first — the
+/// first chunk [`LazyOrder`] would cut, by the same order — and the
+/// order's `n·log₂n` comparisons are charged as it charges them.
+fn seed(
+    view: &ShardView<'_>,
+    candidates: impl Iterator<Item = usize>,
+    query: &[f64],
+    k: usize,
+    measure: Measure,
+    counters: &mut OpCounters,
+) -> Result<(TopK, Vec<usize>), MiningError> {
+    let (rows, ids, live, bounds) = (view.rows, view.ids, view.live, view.bounds);
+    let closer = measure.smaller_is_closer();
+    // Whether row `a` ranks before row `b`: best bound first, ties by id.
+    let before = |a: usize, b: usize| {
+        let by_bound = bounds[a].total_cmp(&bounds[b]);
+        let by_bound = if closer { by_bound } else { by_bound.reverse() };
+        by_bound.then_with(|| ids[a].cmp(&ids[b])).is_lt()
+    };
+    let (mut best, mut n) = (Vec::with_capacity(k + 1), 0usize);
+    for i in candidates.filter(|&i| live[i]) {
+        n += 1;
+        if best.len() < k || before(i, best[k - 1]) {
+            best.insert(best.partition_point(|&b| before(b, i)), i);
+            best.truncate(k);
+        }
+    }
+    let n = n as f64;
+    counters.cmp += (n * n.log2().max(1.0)) as u64;
+    let mut top = TopK::new(k, closer);
+    for &i in &best {
+        counters.random_fetches += 1;
+        counters.prune_test();
+        top.offer(ids[i], exact_eval(measure, rows.row(i), query, counters)?);
+    }
+    best.sort_unstable();
+    Ok((top, best))
+}
+
+/// The threshold τ [`refine_resident_batch`] freezes for `query` once
+/// it has seeded, over `view` — found among the rows `candidates` alone.
+/// It is the batch refinement's τ whenever the view's `k` best-bounded
+/// live rows (ties by id) are all among the candidates: a caller that
+/// knows a bound above `k` candidates' for every other row gets τ without
+/// ordering the whole column. Nothing is charged.
+///
+/// # Errors
+/// What [`refine_resident`] would refuse ([`MiningError::InvalidArgument`]),
+/// and [`MiningError::UnsupportedMeasure`].
+pub fn seed_threshold(
+    view: &ShardView<'_>,
+    candidates: &[usize],
+    query: &[f64],
+    k: usize,
+    measure: Measure,
+) -> Result<f64, MiningError> {
+    check(view, query, k)?;
+    let mut counters = OpCounters::new();
+    let (top, _) = seed(
+        view,
+        candidates.iter().copied(),
+        query,
+        k,
+        measure,
+        &mut counters,
+    )?;
+    Ok(top.threshold())
+}
+
 /// Refines one shard's PIM bound batch into its exact partial top-k.
 ///
 /// The walk is best-bound-first with the planner's usual early exit:
@@ -258,17 +332,14 @@ pub fn refine_resident_batch(
             seeded.push(Err(e));
             continue;
         }
-        let mut order = live_order(&view, measure, counters);
-        let mut top = TopK::new(b.k, measure.smaller_is_closer());
-        let mut seeds = Vec::with_capacity(b.k.min(order.len()));
-        for &(_, i) in order.chunk(0..b.k.min(order.len())) {
-            counters.random_fetches += 1;
-            counters.prune_test();
-            top.offer(ids[i], exact_eval(measure, rows.row(i), b.query, counters)?);
-            seeds.push(i);
-        }
-        seeds.sort_unstable();
-        seeded.push(Ok((top, seeds)));
+        seeded.push(Ok(seed(
+            &view,
+            0..rows.len(),
+            b.query,
+            b.k,
+            measure,
+            counters,
+        )?));
     }
 
     // `d` cells a query that passed its check (the others are never read).

@@ -12,6 +12,7 @@
 use std::collections::HashMap;
 
 use crate::bitslice::{bits_needed, bits_needed_slice};
+use crate::coarse::{self, Plane};
 use crate::config::{AccWidth, PimConfig};
 use crate::energy::{EnergyModel, EnergyReport};
 use crate::error::ReRamError;
@@ -76,6 +77,10 @@ struct Region {
     /// Local crossbar → spare physical crossbar substitutions installed by
     /// [`PimArray::remap_dead`].
     remap: HashMap<usize, usize>,
+    /// The coarse plane, once a coarse read asked for it
+    /// ([`PimArray::dot_batch_coarse`]); kept in step with every write at
+    /// its shift, dropped by a write that changes the shift.
+    plane: Option<Plane>,
 }
 
 impl Region {
@@ -89,6 +94,13 @@ impl Region {
     fn f64_exact(&self, input_bits: u32) -> bool {
         let log_s = self.s.next_power_of_two().trailing_zeros();
         self.widest_bits <= 31 && self.widest_bits + input_bits + log_s <= 53
+    }
+
+    /// Widest a stored operand can read: a stuck-high cell can raise one
+    /// up to the full width of its `⌈b/h⌉` cells, so that width sizes the
+    /// exact MAC blocks.
+    fn stored_bits(&self, xb: &crate::config::CrossbarConfig) -> u32 {
+        (xb.cells_per_operand(self.operand_bits) as u32 * xb.cell_bits).min(32)
     }
 
     #[inline]
@@ -394,6 +406,7 @@ impl PimArray {
             base_crossbar,
             remap: HashMap::new(),
             filling,
+            plane: None,
         });
         self.fault_info.push(None);
         // The all-ones gather trees program row-parallel (uniform level,
@@ -523,6 +536,11 @@ impl PimArray {
             reg.data.extend_from_slice(flat);
             reg.n += k;
         }
+        let shift = coarse::shift(reg.widest_bits);
+        reg.plane = reg.plane.take().filter(|p| p.shift == shift);
+        if let Some(plane) = &mut reg.plane {
+            plane.write(start, flat, s, self.cfg.crossbar.size);
+        }
         // The survey's per-object tables describe the old rows; recompute lazily.
         self.fault_info[ri] = None;
         Ok(self.charge_program(region, flat.len() as u64, 0, 0))
@@ -557,6 +575,9 @@ impl PimArray {
         }
         reg.n = n;
         reg.data.truncate(n * reg.s);
+        if let Some(plane) = &mut reg.plane {
+            plane.truncate(n, reg.s);
+        }
         self.fault_info[region.0] = None;
         Ok(())
     }
@@ -649,6 +670,50 @@ impl PimArray {
         passes: &[(RegionId, &[u32])],
         acc: AccWidth,
     ) -> Result<Vec<(Vec<u64>, PimTiming)>, ReRamError> {
+        let reads = self.dot_batch_read(passes, acc, false)?;
+        Ok(reads
+            .into_iter()
+            .map(|(values, timing, _)| (values, timing))
+            .collect())
+    }
+
+    /// [`PimArray::dot_batch_multi`], read coarse first where that is
+    /// proven to change nothing: the modeled device runs and is charged
+    /// the same passes — timing, energy and every count bit for bit —
+    /// but the host simulation of a region whose passes take the coarse
+    /// plane ([`crate::coarse`]) multiplies only its 8-bit cells, and
+    /// those passes' values are [`coarse::dot_bound`]s, integers no
+    /// smaller than the dot products. Each result says whether its values
+    /// are such bounds (`true`) or the dot products; [`PimArray::dot_rows`]
+    /// computes the dot products of chosen rows afterwards.
+    ///
+    /// A region's passes read coarse when there are two or more of them
+    /// (a single pass stays the plain read the traced replay times), no
+    /// fault model is active (a read through faults is not the stored
+    /// matrix), the accumulator is 64 bits wide and every query's
+    /// operands fit a cell at the region's shift. The modeled gather
+    /// clock needs each pass's largest crossbar partial only to its
+    /// `⌈bits / dac_bits⌉`: the coarse partials bracket every fine one
+    /// (the module docs of [`crate::coarse`]), and the rows whose bracket could
+    /// still change that count are read fine.
+    pub fn dot_batch_coarse(
+        &mut self,
+        passes: &[(RegionId, &[u32])],
+        acc: AccWidth,
+    ) -> Result<Vec<(Vec<u64>, PimTiming, bool)>, ReRamError> {
+        self.dot_batch_read(passes, acc, true)
+    }
+
+    /// The one body of [`PimArray::dot_batch_multi`] and
+    /// [`PimArray::dot_batch_coarse`]: the checks, the host reads region
+    /// by region (coarse where `coarse` asks and the region's passes
+    /// qualify), then the device half pass by pass.
+    pub(crate) fn dot_batch_read(
+        &mut self,
+        passes: &[(RegionId, &[u32])],
+        acc: AccWidth,
+        coarse: bool,
+    ) -> Result<Vec<(Vec<u64>, PimTiming, bool)>, ReRamError> {
         let faults_active = self.faults_active();
         for &(region, query) in passes {
             if self
@@ -675,21 +740,27 @@ impl PimArray {
 
         // Host side: the passes grouped by region (a stable sort, so the
         // queries of one region keep their order), one read per region.
-        let mut reads = vec![(Vec::new(), 0u64); passes.len()];
+        let mut reads = vec![(Vec::new(), 0u64, false); passes.len()];
         let mut by_region: Vec<usize> = (0..passes.len()).collect();
         by_region.sort_by_key(|&i| passes[i].0 .0);
         for group in by_region.chunk_by(|&a, &b| passes[a].0 == passes[b].0) {
+            let ri = passes[group[0]].0 .0;
             let queries: Vec<&[u32]> = group.iter().map(|&i| passes[i].1).collect();
-            let read = self.read_region(passes[group[0]].0 .0, &queries, acc);
-            for (&i, one) in group.iter().zip(read) {
-                reads[i] = one;
+            let coarse = coarse && self.reads_coarse(ri, &queries, acc);
+            let read = if coarse {
+                self.read_region_coarse(ri, &queries, acc)
+            } else {
+                self.read_region(ri, &queries, acc)
+            };
+            for (&i, (values, max_partial)) in group.iter().zip(read) {
+                reads[i] = (values, max_partial, coarse);
             }
         }
 
         // Device side, pass by pass in the order given.
         let charged = passes.iter().zip(reads);
         Ok(charged
-            .map(|(&(region, query), (values, max_partial))| {
+            .map(|(&(region, query), (values, max_partial, coarse))| {
                 let reg = &self.regions[region.0];
                 let input_bits = bits_needed_slice(query);
                 let partial_bits = bits_needed(max_partial).min(acc.bits());
@@ -714,9 +785,216 @@ impl PimArray {
                     .charge_compute(&self.energy_model, cycles, reg.cost.total());
                 self.energy
                     .charge_bus(&self.energy_model, reg.n as u64 * acc.bytes());
-                (values, timing)
+                (values, timing, coarse)
             })
             .collect())
+    }
+
+    /// Whether the passes of `queries` through region `ri` read its coarse
+    /// plane (see [`PimArray::dot_batch_coarse`]); builds the plane when
+    /// they do and it has none yet.
+    fn reads_coarse(&mut self, ri: usize, queries: &[&[u32]], acc: AccWidth) -> bool {
+        let faults_active = self.faults_active();
+        let m = self.cfg.crossbar.size;
+        let reg = &mut self.regions[ri];
+        let shift = coarse::shift(reg.widest_bits);
+        let in_cells = |q: &&[u32]| bits_needed_slice(q) <= shift + coarse::CELL_BITS;
+        let fine_only = queries.len() < 2 || faults_active || acc != AccWidth::U64;
+        if fine_only || !coarse::fits(shift, reg.s) || !queries.iter().all(in_cells) {
+            return false;
+        }
+        if reg.plane.is_none() {
+            reg.plane = Some(Plane::new(shift, &reg.data, reg.s, m));
+        }
+        true
+    }
+
+    /// The dot products a full pass of `query` through `region` returns
+    /// for the objects `objs`, in order: the host re-reading stored rows
+    /// whose pass the device was already charged for
+    /// ([`PimArray::dot_batch_coarse`]), so nothing is timed, charged or
+    /// counted. It reads the rows as programmed, which a pass under an
+    /// active fault model does not.
+    pub fn dot_rows(
+        &self,
+        region: RegionId,
+        query: &[u32],
+        objs: &[usize],
+        acc: AccWidth,
+    ) -> Result<Vec<u64>, ReRamError> {
+        let reg = self
+            .regions
+            .get(region.0)
+            .ok_or(ReRamError::NotProgrammed)?;
+        if query.len() != reg.s {
+            return Err(ReRamError::GeometryViolation {
+                what: "query dimensionality",
+                got: query.len(),
+                limit: reg.s,
+            });
+        }
+        if let Some(&obj) = objs.iter().find(|&&obj| obj >= reg.n) {
+            return Err(ReRamError::GeometryViolation {
+                what: "object index",
+                got: obj,
+                limit: reg.n,
+            });
+        }
+        let xb = &self.cfg.crossbar;
+        let block = exact_block_len(reg.stored_bits(xb), bits_needed_slice(query));
+        let mac = simpim_kern::kernels().dot_u32;
+        let row = |obj: usize| &reg.data[obj * reg.s..][..reg.s];
+        // Scattered rows miss the cache one after the other: ask for a
+        // few ahead of the one being multiplied.
+        let ahead = objs
+            .iter()
+            .skip(PREFETCH_ROWS)
+            .map(Some)
+            .chain(std::iter::repeat(None));
+        Ok(objs
+            .iter()
+            .zip(ahead)
+            .map(|(&obj, next)| {
+                if let Some(&next) = next {
+                    simpim_kern::prefetch(row(next));
+                }
+                acc.wrap(row_dot(mac, query, row(obj), xb.size, block).0)
+            })
+            .collect())
+    }
+
+    /// Host bytes of `region`'s coarse plane (0 while it has none).
+    pub fn coarse_plane_bytes(&self, region: RegionId) -> Result<usize, ReRamError> {
+        let reg = self
+            .regions
+            .get(region.0)
+            .ok_or(ReRamError::NotProgrammed)?;
+        Ok(reg.plane.as_ref().map_or(0, Plane::bytes))
+    }
+
+    /// The coarse read of every pass on region `ri`, whose plane
+    /// [`PimArray::reads_coarse`] built: per query the [`coarse::dot_bound`]
+    /// of every stored row, and a largest crossbar partial that gives the
+    /// gather clock the fine read's cycle count. One
+    /// [`simpim_kern::dot_multi_u8`] per task and eight queries gives each
+    /// row's coarse totals and largest coarse chunks; a chunk's bracket
+    /// bounds the row's fine partials. The largest lower end `L` is a fine
+    /// partial's floor, so the fine largest partial `M ≥ L`; a row whose
+    /// upper end needs more gather cycles than `L` does is read fine, and
+    /// every other row needs no more than `L`'s. So `M` and the largest of
+    /// `L` and those rows' fine partials take the same cycles. Tasks fan
+    /// out like [`PimArray::read_region`]'s.
+    fn read_region_coarse(
+        &self,
+        ri: usize,
+        queries: &[&[u32]],
+        acc: AccWidth,
+    ) -> Vec<(Vec<u64>, u64)> {
+        const MULTI: usize = simpim_kern::MULTI_QUERIES;
+        let reg = &self.regions[ri];
+        let plane = reg.plane.as_ref().expect("built by reads_coarse");
+        let xb = &self.cfg.crossbar;
+        let (m, s, t) = (xb.size, reg.s, plane.shift);
+        let cells: Vec<Vec<u8>> = queries
+            .iter()
+            .map(|q| q.iter().map(|&v| (v >> t) as u8).collect())
+            .collect();
+        let cells: Vec<&[u8]> = cells.iter().map(Vec::as_slice).collect();
+        let sums: Vec<coarse::RowSums> =
+            queries.iter().map(|q| coarse::row_sums(q, t, m)).collect();
+        // Without a gather tree the partials time nothing.
+        let gathers = reg.cost.gather_depth > 0;
+        let cycles = |partial: u64| xb.input_cycles(bits_needed(partial).min(acc.bits()));
+        // The least partial that takes more gather cycles than `partial`.
+        let above = |partial: u64| {
+            let bits = cycles(partial) as u32 * xb.dac_bits;
+            if bits < acc.bits().min(64) {
+                1 << bits
+            } else {
+                u64::MAX
+            }
+        };
+        // Per query: the task's largest lower end, and — where its upper
+        // ends reach more gather cycles — the rows whose upper end does.
+        type Open = (Vec<u64>, Vec<Vec<(usize, u64)>>);
+        let task = &|first: usize, rows: &[u8], outs: &mut [&mut [u64]]| -> Open {
+            let n = rows.len() / s;
+            let (mut low, mut open) = (vec![0u64; queries.len()], vec![Vec::new(); queries.len()]);
+            let mut out = vec![0u64; n * 2 * MULTI];
+            let [row_cells, row_operands, row_chunks] = plane.sums.each_ref().map(|v| &v[first..]);
+            for (g, group) in cells.chunks(MULTI).enumerate() {
+                let (q, base) = (group.len(), g * MULTI);
+                let out = &mut out[..n * 2 * q];
+                simpim_kern::dot_multi_u8(rows, s, group, m, out);
+                let (totals, tops) = out.split_at(n * q);
+                for (k, j) in (base..base + q).enumerate() {
+                    let (x, total, top) = (sums[j], &totals[k * n..][..n], &tops[k * n..][..n]);
+                    let sides = row_cells.iter().zip(row_operands);
+                    for ((value, &dot), (&cells, &operands)) in
+                        outs[j].iter_mut().zip(total).zip(sides)
+                    {
+                        *value =
+                            coarse::dot_bound(t, dot, [cells, operands], [x.cells, x.operands], s);
+                    }
+                    if !gathers {
+                        continue;
+                    }
+                    let bracket = |i: usize| {
+                        coarse::chunk_bracket(t, top[i], [row_chunks[i], x.chunk_cells], m.min(s))
+                    };
+                    let (mut lows, mut high) = (low[j], 0);
+                    for i in 0..n {
+                        let (lo, hi) = bracket(i);
+                        (lows, high) = (lows.max(lo), high.max(hi));
+                    }
+                    low[j] = lows;
+                    if cycles(high) > cycles(lows) {
+                        let bar = above(lows);
+                        let reach = (0..n).map(|i| (first + i, bracket(i).1));
+                        open[j].extend(reach.filter(|&(_, hi)| hi >= bar));
+                    }
+                }
+            }
+            (low, open)
+        };
+
+        let mut values = vec![vec![0u64; reg.n]; queries.len()];
+        let mut out_chunks: Vec<_> = values
+            .iter_mut()
+            .map(|v| v.chunks_mut(DOT_BATCH_CHUNK))
+            .collect();
+        let jobs = plane.cells[..reg.n * s]
+            .chunks(DOT_BATCH_CHUNK * s)
+            .enumerate()
+            .map(|(c, rows)| {
+                let mut outs: Vec<&mut [u64]> = out_chunks
+                    .iter_mut()
+                    .map(|chunks| chunks.next().expect("an output chunk per row chunk"))
+                    .collect();
+                let first = c * DOT_BATCH_CHUNK;
+                Box::new(move || task(first, rows, &mut outs)) as simpim_par::Job<'_, Open>
+            })
+            .collect();
+        let (mut low, mut open) = (vec![0u64; queries.len()], vec![Vec::new(); queries.len()]);
+        for (task_low, task_open) in simpim_par::join_all(jobs) {
+            for j in 0..queries.len() {
+                low[j] = low[j].max(task_low[j]);
+                open[j].extend_from_slice(&task_open[j]);
+            }
+        }
+        let widest = queries.iter().map(|q| bits_needed_slice(q)).max();
+        let block = exact_block_len(reg.stored_bits(xb), widest.unwrap_or(0));
+        let mac = simpim_kern::kernels().dot_u32;
+        let max_partial = (0..queries.len()).map(|j| {
+            let rows = open[j]
+                .iter()
+                .filter(|&&(_, hi)| cycles(hi) > cycles(low[j]));
+            rows.fold(low[j], |top, &(obj, _)| {
+                let row = &reg.data[obj * s..][..s];
+                top.max(row_dot(mac, queries[j], row, m, block).1)
+            })
+        });
+        values.into_iter().zip(max_partial).collect()
     }
 
     /// The host simulation of every pass on one region: per query the
@@ -745,9 +1023,7 @@ impl PimArray {
         let xb = &self.cfg.crossbar;
         let (m, s) = (xb.size, reg.s);
         let kern = simpim_kern::kernels();
-        // A stuck-high cell can raise a stored operand up to the full
-        // width of its ⌈b/h⌉ cells, so that width sizes the blocks.
-        let stored_bits = (xb.cells_per_operand(reg.operand_bits) as u32 * xb.cell_bits).min(32);
+        let stored_bits = reg.stored_bits(xb);
         // One block length for the whole read, the widest query's: a
         // shorter block than a query needs is exact all the same.
         let widest = queries
@@ -2681,6 +2957,276 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `Region::f64_exact` on and around its boundary, at every stored
+    /// width `b` and query width `i` up to 32 bits and row lengths of
+    /// `⌈log₂ s⌉` up to 24, both at `s = 2^l` and just past `2^(l − 1)`:
+    /// it holds exactly when `b ≤ 31` and `b + i + ⌈log₂ s⌉ ≤ 53`, and
+    /// then the largest row sum `s (2^b − 1)(2^i − 1)` is below 2⁵³.
+    #[test]
+    fn the_f64_gate_holds_exactly_on_its_boundary() {
+        let mut pim = PimArray::new(PimConfig::default()).unwrap();
+        let r = pim.program_region(&[1], 1, 1, 32).unwrap().region;
+        let mut reg = pim.regions[r.0].clone();
+        for b in 1..=32u32 {
+            for i in 1..=32u32 {
+                for l in 0..=24u32 {
+                    for s in [1usize << l, (1usize << l.saturating_sub(1)) + 1] {
+                        (reg.s, reg.widest_bits) = (s, b);
+                        let gate = reg.f64_exact(i);
+                        let log_s = s.next_power_of_two().trailing_zeros();
+                        assert_eq!(gate, b <= 31 && b + i + log_s <= 53, "b={b} i={i} s={s}");
+                        let largest = s as u128 * ((1u128 << b) - 1) * ((1u128 << i) - 1);
+                        assert!(!gate || largest < 1 << 53, "b={b} i={i} s={s}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The plain and the coarse-first read of the same passes, each on
+    /// its own copy of `pim`.
+    #[allow(clippy::type_complexity)]
+    fn both_reads(
+        pim: &PimArray,
+        passes: &[(RegionId, &[u32])],
+        acc: AccWidth,
+    ) -> (
+        (PimArray, Vec<(Vec<u64>, PimTiming)>),
+        (PimArray, Vec<(Vec<u64>, PimTiming, bool)>),
+    ) {
+        let (mut fine, mut coarse) = (pim.clone(), pim.clone());
+        let want = fine.dot_batch_multi(passes, acc).unwrap();
+        let got = coarse.dot_batch_coarse(passes, acc).unwrap();
+        ((fine, want), (coarse, got))
+    }
+
+    /// Every coarse value is at least the dot product the plain read
+    /// returns, and `dot_rows` gives that dot product back; a pass that
+    /// did not read coarse returns the plain values. Timing and energy
+    /// are the plain read's, bit for bit. Returns each pass's flag.
+    fn assert_coarse_read(
+        pim: &PimArray,
+        passes: &[(RegionId, &[u32])],
+        acc: AccWidth,
+    ) -> Vec<bool> {
+        let ((fine, want), (coarse, got)) = both_reads(pim, passes, acc);
+        assert_eq!(energy_bits(&coarse), energy_bits(&fine), "energy");
+        let mut flags = Vec::new();
+        for (&(region, query), ((values, timing, read_coarse), (dots, fine_timing))) in
+            passes.iter().zip(got.into_iter().zip(want))
+        {
+            assert_eq!(timing, fine_timing, "the modeled pass");
+            if read_coarse {
+                assert!(
+                    values.iter().zip(&dots).all(|(v, d)| v >= d),
+                    "{values:?} {dots:?}"
+                );
+                let objs: Vec<usize> = (0..dots.len()).collect();
+                assert_eq!(coarse.dot_rows(region, query, &objs, acc).unwrap(), dots);
+            } else {
+                assert_eq!(values, dots);
+            }
+            flags.push(read_coarse);
+        }
+        flags
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// `dot_batch_coarse` ≡ `dot_batch_multi` on the modeled device
+        /// (timing per pass, energy by bits) and bounds every dot from
+        /// above where it read coarse, on every kernel tier, over `Q`
+        /// queries interleaved on two regions: stored operands at or below
+        /// a cell (shift 0: the bound is the dot), past it (shift 1..=12)
+        /// and at 28..=32 bits; queries that fit a cell at the shift and
+        /// queries that do not; both accumulators; slot-stacked and
+        /// gather-tree layouts; clean, then with a fault model. A region
+        /// reads coarse exactly when two or more of its passes fit, the
+        /// array is clean, the accumulator is 64 bits wide and its sums
+        /// cannot wrap (28..=32-bit operands leave that last gate).
+        #[test]
+        fn a_coarse_read_charges_the_full_pass_and_bounds_every_dot(
+            operand_bits in proptest::prop_oneof![1u32..=8, 9u32..=20, 28u32..=32],
+            over in proptest::prop::collection::vec(proptest::prop_oneof![0u32..=8, 9u32..=9], 18),
+            q in 1usize..=9,
+            shape in (1usize..=5, 1usize..=40),
+            acc in proptest::prop::sample::select(vec![AccWidth::U32, AccWidth::U64]),
+            seed in proptest::any::<u64>(),
+        ) {
+            use rand::{Rng, SeedableRng};
+            let (n, s) = shape;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut draw = |bits: u32, len: usize| -> Vec<u32> {
+                let max = u32::MAX >> (32 - bits.min(32));
+                (0..len)
+                    .map(|_| if rng.gen_range(0..2) == 0 { max } else { rng.gen_range(0..=max) })
+                    .collect()
+            };
+            let cfg = PimConfig {
+                crossbar: CrossbarConfig { size: 16, ..Default::default() },
+                num_crossbars: 8192,
+                ..Default::default()
+            };
+            let (s2, bits2) = (s.div_ceil(2), operand_bits.min(12));
+            let mut pim = PimArray::new(cfg).unwrap();
+            let a = pim.program_region(&draw(operand_bits, n * s), n, s, operand_bits).unwrap();
+            let b = pim.program_region(&draw(bits2, (n + 1) * s2), n + 1, s2, bits2).unwrap();
+            // A query `over` bits past the region's shift: 8 and less fit
+            // a cell, 9 does not (unless the region is that narrow).
+            let widths: Vec<[u32; 2]> = [a.region, b.region]
+                .map(|r| coarse::shift(pim.regions[r.0].widest_bits))
+                .into_iter()
+                .map(|t| [t, t])
+                .collect();
+            let queries: Vec<(RegionId, Vec<u32>)> = (0..q)
+                .flat_map(|i| {
+                    let bits = |r: usize, k: usize| (widths[r][0] + over[k]).clamp(1, 32);
+                    [(a.region, draw(bits(0, 2 * i), s)), (b.region, draw(bits(1, 2 * i + 1), s2))]
+                })
+                .collect();
+            let passes: Vec<(RegionId, &[u32])> =
+                queries.iter().map(|(r, v)| (*r, v.as_slice())).collect();
+            let tiers: Vec<_> =
+                simpim_kern::Backend::ALL.into_iter().filter(|b| b.is_supported()).collect();
+            for faulty in [false, true] {
+                if faulty {
+                    pim.enable_faults(crate::faults::FaultConfig {
+                        stuck_low_rate: 0.1,
+                        dead_wordline_rate: 0.03,
+                        seed,
+                        ..Default::default()
+                    })
+                    .unwrap();
+                }
+                for &tier in &tiers {
+                    let flags = simpim_kern::with_backend(tier, || assert_coarse_read(&pim, &passes, acc));
+                    for (i, (&(region, _), &flag)) in passes.iter().zip(&flags).enumerate() {
+                        let t = coarse::shift(pim.regions[region.0].widest_bits);
+                        let fits = passes
+                            .iter()
+                            .filter(|(r, _)| *r == region)
+                            .all(|(_, q)| bits_needed_slice(q) <= t + coarse::CELL_BITS);
+                        let s = pim.regions[region.0].s;
+                        let want = q >= 2 && !faulty && acc == AccWidth::U64 && fits && coarse::fits(t, s);
+                        proptest::prop_assert_eq!(flag, want, "pass {}", i);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A row whose coarse bracket straddles a gather-cycle boundary: its
+    /// chunk's coarse partial puts the lower end at 2²⁹ (15 two-bit
+    /// cycles), the fine partial is 16 · 8 191 · 12 287 > 2³⁰ (16). The
+    /// coarse read resolves the row fine and charges the plain read's
+    /// gather pass; the bracket's lower end alone would charge one cycle
+    /// less a stage.
+    #[test]
+    fn the_coarse_read_resolves_a_row_that_straddles_a_gather_cycle() {
+        let cfg = PimConfig {
+            crossbar: CrossbarConfig {
+                size: 16,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let s = 17; // one operand past a crossbar: a gather tree
+        let straddling = [vec![8191u32; 16], vec![0]].concat();
+        // A 20-bit operand the query never meets sets the shift to 12.
+        let widening = [vec![0u32; 16], vec![(1 << 20) - 1]].concat();
+        let mut pim = PimArray::new(cfg).unwrap();
+        let rep = pim
+            .program_region(&[straddling, widening].concat(), 2, s, 32)
+            .unwrap();
+        let query = [vec![12_287u32; 16], vec![0]].concat();
+        let passes = [(rep.region, &query[..]), (rep.region, &[0; 17][..])];
+        assert_eq!(
+            assert_coarse_read(&pim, &passes, AccWidth::U64),
+            [true, true]
+        );
+        let ((_, want), (_, got)) = both_reads(&pim, &passes, AccWidth::U64);
+        let timing = |partial: u64| {
+            dot_batch_timing(&cfg, &rep.cost, 14, bits_needed(partial), 2, AccWidth::U64)
+        };
+        assert_eq!(got[0].1, timing(16 * 8191 * 12_287));
+        assert_eq!(want[0].1, got[0].1);
+        assert_ne!(
+            got[0].1,
+            timing(1 << 29),
+            "the lower end alone is a cycle short"
+        );
+    }
+
+    /// A region's plane across its life: built by the first coarse read,
+    /// kept in step by rewrites, appends and truncation at its shift,
+    /// dropped by a write that widens the region and derived again at the
+    /// new shift by the next coarse read. After each step the coarse
+    /// values equal a fresh array's over the same rows, and every read
+    /// keeps [`assert_coarse_read`]'s contract.
+    #[test]
+    fn a_plane_follows_its_rows_and_is_derived_again_when_the_shift_grows() {
+        let (s, m) = (40, 16);
+        let cfg = PimConfig {
+            crossbar: CrossbarConfig {
+                size: m,
+                ..Default::default()
+            },
+            num_crossbars: 4096,
+            ..Default::default()
+        };
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = |len: usize, bits: u32| -> Vec<u32> {
+            (0..len)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    (x as u32) >> (32 - bits)
+                })
+                .collect()
+        };
+        let rows = draw(6 * s, 12);
+        let queries = [draw(s, 12), draw(s, 10), draw(s, 4)];
+        let mut pim = PimArray::new(cfg).unwrap();
+        let r = pim
+            .program_region_with_capacity(&rows, 6, 9, s, 32)
+            .unwrap()
+            .region;
+        let check = |pim: &mut PimArray, shift: u32| {
+            let passes: Vec<(RegionId, &[u32])> = queries.iter().map(|q| (r, &q[..])).collect();
+            assert_eq!(assert_coarse_read(pim, &passes, AccWidth::U64), [true; 3]);
+            let got = pim.dot_batch_coarse(&passes, AccWidth::U64).unwrap();
+            let plane = pim.regions[r.0].plane.as_ref().expect("built by the read");
+            assert_eq!(plane.shift, shift);
+            let (n, _, _) = pim.region_shape(r).unwrap();
+            assert_eq!(pim.coarse_plane_bytes(r).unwrap(), plane.bytes());
+            assert_eq!(plane.cells.len(), n * s);
+            let data = pim.regions[r.0].data.clone();
+            let mut fresh = PimArray::new(cfg).unwrap();
+            let f = fresh.program_region(&data, n, s, 32).unwrap().region;
+            let passes: Vec<(RegionId, &[u32])> = queries.iter().map(|q| (f, &q[..])).collect();
+            assert_eq!(fresh.dot_batch_coarse(&passes, AccWidth::U64).unwrap(), got);
+        };
+        assert_eq!(
+            pim.coarse_plane_bytes(r).unwrap(),
+            0,
+            "no plane before a coarse read"
+        );
+        check(&mut pim, 4);
+        pim.rewrite_rows(r, 2, &draw(2 * s, 12)).unwrap();
+        pim.append_rows(r, &draw(s, 11)).unwrap();
+        check(&mut pim, 4);
+        pim.truncate_rows(r, 5).unwrap();
+        check(&mut pim, 4);
+        pim.append_rows(r, &draw(s, 20)).unwrap();
+        assert!(
+            pim.regions[r.0].plane.is_none(),
+            "a wider row drops the plane"
+        );
+        check(&mut pim, 12);
     }
 
     #[test]

@@ -24,6 +24,9 @@ pub struct DotBatchResult {
     pub timing: PimTiming,
     /// Bytes staged in the buffer array for the CPU to collect.
     pub result_bytes: u64,
+    /// Whether `values` are coarse upper bounds of the dot products
+    /// ([`ReRamBank::dot_batch_coarse`]) rather than the dot products.
+    pub coarse: bool,
 }
 
 /// A ReRAM-based memory bank with in-situ processing.
@@ -251,6 +254,28 @@ impl ReRamBank {
         passes: &[(RegionId, &[u32])],
         acc: AccWidth,
     ) -> (Vec<DotBatchResult>, Result<(), ReRamError>) {
+        self.dispatch(passes, acc, false)
+    }
+
+    /// [`ReRamBank::dot_batch_multi`] with the host simulation reading
+    /// coarse first ([`PimArray::dot_batch_coarse`]): the same dispatches,
+    /// staging, metrics and charges; a result whose pass read coarse holds
+    /// upper bounds of its dot products and says so.
+    pub fn dot_batch_coarse(
+        &mut self,
+        passes: &[(RegionId, &[u32])],
+        acc: AccWidth,
+    ) -> (Vec<DotBatchResult>, Result<(), ReRamError>) {
+        self.dispatch(passes, acc, true)
+    }
+
+    /// The controller half of both batch calls.
+    fn dispatch(
+        &mut self,
+        passes: &[(RegionId, &[u32])],
+        acc: AccWidth,
+        coarse: bool,
+    ) -> (Vec<DotBatchResult>, Result<(), ReRamError>) {
         let mut served = passes;
         let mut lost = Ok(());
         for i in 0..passes.len() {
@@ -265,12 +290,12 @@ impl ReRamBank {
         // The first pass's span opens before the array runs: it covers the
         // host's shared read, and all of a single call as it always did.
         let mut first = served.first().map(|pass| open(pass.0));
-        let reads = match self.pim.dot_batch_multi(served, acc) {
+        let reads = match self.pim.dot_batch_read(served, acc, coarse) {
             Ok(reads) => reads,
             Err(refused) => return (Vec::new(), Err(refused)),
         };
         let mut out = Vec::with_capacity(served.len());
-        for (&(region, _), (values, timing)) in served.iter().zip(reads) {
+        for (&(region, _), (values, timing, coarse)) in served.iter().zip(reads) {
             let mut span = first.take().unwrap_or_else(|| open(region));
             let result_bytes = values.len() as u64 * acc.bytes();
             self.buffer.stage(result_bytes);
@@ -295,6 +320,7 @@ impl ReRamBank {
                 values,
                 timing,
                 result_bytes,
+                coarse,
             });
         }
         (out, lost)

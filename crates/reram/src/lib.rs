@@ -25,6 +25,10 @@
 //! * [`bank`] — the bank controller tying the arrays together and exposing
 //!   the offline *program* / online *dot-product batch* operations used by
 //!   `simpim-core`'s executor.
+//! * [`coarse`] — a region's coarse plane: its operands shifted to 8-bit
+//!   cells, read first by a coalesced pass to bound every dot product
+//!   from above, so the host simulation computes the fine dot only where
+//!   the bound cannot decide.
 //! * [`timing`] / [`energy`] — latency and energy accounting with the
 //!   paper's Table 5 constants (256×256 2-bit cells, 29.31 / 50.88 ns
 //!   read/write, 2 GB PIM array, 16 MB eDRAM buffer, 50 GB/s internal bus).
@@ -52,6 +56,7 @@ pub mod array;
 pub mod bank;
 pub mod bitslice;
 pub mod cell;
+pub mod coarse;
 pub mod config;
 pub mod crossbar;
 pub mod energy;

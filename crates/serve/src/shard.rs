@@ -59,10 +59,10 @@
 //! materialized — open, repair, and re-layout all share it.
 
 use simpim_core::executor::{ExecutorConfig, PimExecutor};
-use simpim_core::{CoreError, ResidentBuilder};
+use simpim_core::{CoarseBatch, CoreError, ResidentBuilder};
 use simpim_datasets::DEFAULT_BLOCK_ROWS;
 use simpim_mining::knn::resident::{
-    push_cells, refine_resident, refine_resident_batch, BatchQuery, ShardView,
+    push_cells, refine_resident, refine_resident_batch, seed_threshold, BatchQuery, ShardView,
 };
 use simpim_similarity::{Dataset, Measure};
 use simpim_simkit::OpCounters;
@@ -121,6 +121,12 @@ pub struct ShardStats {
     pub cell_plane: bool,
     /// Bytes of that plane: one per dimension per mirror row.
     pub cell_plane_bytes: usize,
+    /// Whether this residency's bank keeps a coarse plane (its plan is
+    /// `LB_PIM-ED` and a coalesced batch has read it coarse).
+    pub coarse_plane: bool,
+    /// Host bytes of that plane: a cell per stored operand and three
+    /// sums a row.
+    pub coarse_plane_bytes: usize,
 }
 
 /// The host-side truth for one shard's rows: vectors, stable global
@@ -368,6 +374,28 @@ impl ShardMirror {
     }
 }
 
+/// What [`Residency::sharpen`] reads of a batch beside one query's
+/// column: the pass (a tombstone's coarse bounds set to +∞), how many
+/// programmed objects are live, and the live rows that are not resident
+/// (the delta, whose bound `0.0` is exact).
+#[derive(Clone, Copy)]
+struct Sharpen<'a> {
+    pass: &'a CoarseBatch,
+    live_objs: usize,
+    delta: &'a [usize],
+}
+
+/// The largest of the bounds `values[objs]`, and its place in `objs`.
+fn largest(objs: &[usize], values: &[f64]) -> (f64, usize) {
+    let mut worst = (f64::NEG_INFINITY, 0);
+    for (place, &obj) in objs.iter().enumerate() {
+        if values[obj] > worst.0 {
+            worst = (values[obj], place);
+        }
+    }
+    worst
+}
+
 /// A coalesced batch carries one `k` per query.
 fn check_ks(queries: &[Vec<f64>], ks: &[usize]) -> Result<(), ServeError> {
     if queries.len() == ks.len() {
@@ -481,9 +509,10 @@ impl Residency {
     }
 
     /// Serves a coalesced batch through this bank: one PIM bound pass,
-    /// a bound column per query scattered into mirror order (rows without
-    /// a bound — the delta — get `0.0` and are refined exactly), then one
-    /// exact host refinement of the whole batch.
+    /// a bound column per query in mirror order (read coarse first and
+    /// sharpened where the pass allows, DESIGN.md §9; rows without a bound
+    /// — the delta — get `0.0` and are refined exactly), then one exact
+    /// host refinement of the whole batch.
     /// Whole-bank loss surfaces as the outer `Err` for failover, a `ks`
     /// that does not parallel `queries` as an outer
     /// [`ServeError::InvalidArgument`]; every *recoverable* PIM failure
@@ -497,37 +526,19 @@ impl Residency {
     ) -> Result<Vec<Result<Vec<Neighbor>, ServeError>>, ServeError> {
         // Runs on a pool worker: fail this batch, never the thread.
         check_ks(queries, ks)?;
-        match self.exec.lb_ed_batch_multi(queries, parent) {
-            Ok(batches) => {
-                let mut pass_ns = 0.0;
-                // One zero-filled column a query: its scatter overwrites
-                // exactly the `order` slots, and the rest — the delta
-                // rows — must read `0.0` (refine exactly).
+        match self.bound_columns(mirror, queries, ks, parent) {
+            Ok(columns) => {
                 let n = mirror.len();
-                let mut scattered = vec![0.0; n * batches.len()];
-                for (j, batch) in batches.iter().enumerate() {
-                    pass_ns += batch.timing.total_ns();
-                    debug_assert_eq!(batch.values.len(), self.order.len());
-                    let column = &mut scattered[j * n..][..n];
-                    for (&idx, &bound) in self.order.iter().zip(&batch.values) {
-                        column[idx] = bound;
-                    }
-                }
-                simpim_obs::metrics::histogram_record(
-                    "simpim.serve.shard.pim_pass_ns",
-                    pass_ns as u64,
-                );
                 let batch: Vec<BatchQuery<'_>> = (queries.iter().zip(ks).enumerate())
                     .map(|(j, (query, &k))| BatchQuery {
                         query,
                         k,
-                        bounds: &scattered[j * n..][..n],
+                        bounds: &columns[j * n..][..n],
                     })
                     .collect();
                 Ok(mirror.refine_batch(&batch))
             }
             Err(e) => {
-                let e = ServeError::from(e);
                 if e.is_bank_loss() {
                     // The bank fail-stopped: this replica cannot serve
                     // from its crossbars at all. Let the caller route the
@@ -543,6 +554,164 @@ impl Residency {
                 Ok(mirror.host_batch(queries, ks))
             }
         }
+    }
+
+    /// The batch's bound columns, one per query over the mirror's rows
+    /// (`queries.len()` columns of `mirror.len()`), from one coarse-first
+    /// pass ([`PimExecutor::lb_ed_batch_coarse`]) scattered into mirror
+    /// order. Delta rows read `0.0`. A query whose pass read coarse has
+    /// its column sharpened ([`Residency::sharpen`]) so that the
+    /// refinement seeds, prunes and counts exactly as over the fine
+    /// column.
+    fn bound_columns(
+        &mut self,
+        mirror: &ShardMirror,
+        queries: &[Vec<f64>],
+        ks: &[usize],
+        parent: simpim_obs::TraceCtx,
+    ) -> Result<Vec<f64>, ServeError> {
+        let mut pass = self.exec.lb_ed_batch_coarse(queries, parent)?;
+        let n = mirror.len();
+        let pass_ns: f64 = pass.batches.iter().map(|b| b.timing.total_ns()).sum();
+        simpim_obs::metrics::histogram_record("simpim.serve.shard.pim_pass_ns", pass_ns as u64);
+        // Zero-filled: a scatter overwrites exactly the `order` slots, and
+        // the rest — the delta rows — must read `0.0` (refine exactly).
+        let mut columns = vec![0.0; n * queries.len()];
+        for (j, batch) in pass.batches.iter().enumerate() {
+            debug_assert_eq!(batch.values.len(), self.order.len());
+            let column = &mut columns[j * n..][..n];
+            for (&idx, &bound) in self.order.iter().zip(&batch.values) {
+                column[idx] = bound;
+            }
+        }
+        let coarse: Vec<bool> = (0..queries.len()).map(|j| pass.is_coarse(j)).collect();
+        if coarse.contains(&true) {
+            let live: Vec<bool> = self.order.iter().map(|&i| mirror.live[i]).collect();
+            let live_objs = live.iter().filter(|&&l| l).count();
+            // A tombstone never surfaces: its coarse bound may as well be
+            // +∞, which keeps it out of every step of `sharpen`.
+            if live_objs < live.len() {
+                for (batch, _) in pass.batches.iter_mut().zip(&coarse).filter(|(_, &c)| c) {
+                    for (v, _) in batch.values.iter_mut().zip(&live).filter(|(_, &l)| !l) {
+                        *v = f64::INFINITY;
+                    }
+                }
+            }
+            let mut resident = vec![false; n];
+            for &i in &self.order {
+                resident[i] = true;
+            }
+            let delta: Vec<usize> = mirror.live_indices().filter(|&i| !resident[i]).collect();
+            let batch = Sharpen {
+                pass: &pass,
+                live_objs,
+                delta: &delta,
+            };
+            let mut coarse_pruned = 0;
+            for (j, (query, &k)) in queries.iter().zip(ks).enumerate() {
+                if coarse[j] && k > 0 {
+                    let column = &mut columns[j * n..][..n];
+                    coarse_pruned += self.sharpen(mirror, &batch, j, (query, k), column)?;
+                }
+            }
+            simpim_obs::metrics::counter_add("simpim.serve.coarse_pruned", coarse_pruned);
+        }
+        Ok(columns)
+    }
+
+    /// Turns query `j`'s coarse column into the column the refinement
+    /// needs, with a fine bound only where it can decide, and returns how
+    /// many live rows kept their coarse bound (pruned before any fine
+    /// dot). Three steps (DESIGN.md §9), each reading the pass's coarse
+    /// values in object order:
+    ///
+    /// * **κ** — the largest fine bound of the `k` live rows with the
+    ///   smallest coarse bounds (delta rows first: their `0.0` is exact);
+    ///   every row with a coarse bound ≤ κ gets its fine one. At least `k`
+    ///   rows have a fine bound ≤ κ, so the `k` best fine bounds, ties by
+    ///   id — the refinement's seeds — are among the rows now fine (or
+    ///   delta) and at most κ, and every row left coarse ranks after them.
+    /// * **τ** — the threshold those seeds freeze
+    ///   ([`simpim_mining::knn::resident::seed_threshold`], the refinement's
+    ///   own seed step, over those rows alone).
+    /// * **fine** — every row whose coarse bound is ≤ τ gets its fine one.
+    ///
+    /// Every row left coarse then has a coarse bound above τ, itself at
+    /// least the `k`-th fine bound, and a fine bound no smaller: the
+    /// refinement seeds on the same rows, freezes the same τ, and prunes
+    /// (strictly above τ) exactly the rows the fine column would.
+    fn sharpen(
+        &self,
+        mirror: &ShardMirror,
+        batch: &Sharpen<'_>,
+        j: usize,
+        (query, k): (&[f64], usize),
+        column: &mut [f64],
+    ) -> Result<u64, ServeError> {
+        let Sharpen {
+            pass,
+            live_objs,
+            delta,
+        } = *batch;
+        // Coarse bounds in object order, a tombstone's +∞.
+        let coarse = &pass.batches[j].values;
+        // Reads objects `objs` fine into the column.
+        let refine = |objs: &[usize], column: &mut [f64]| -> Result<(), ServeError> {
+            let mut values = vec![0.0; objs.len()];
+            self.exec.lb_ed_fine(pass, j, objs, &mut values)?;
+            for (&obj, v) in objs.iter().zip(values) {
+                column[self.order[obj]] = v;
+            }
+            Ok(())
+        };
+        // The objects whose coarse bound is above `low`, at most `high`
+        // (and finite: never a tombstone).
+        let within = |low: f64, high: f64| -> Vec<usize> {
+            let high = high.min(f64::MAX);
+            let hit = |&obj: &usize| coarse[obj] > low && coarse[obj] <= high;
+            (0..coarse.len()).filter(hit).collect()
+        };
+        // κ: the k − |delta| live objects with the smallest coarse bounds,
+        // or every live one when there are no more.
+        let take = k.saturating_sub(delta.len());
+        let (first, kappa) = if live_objs <= take {
+            (within(f64::NEG_INFINITY, f64::MAX), f64::MAX)
+        } else {
+            let mut first: Vec<usize> = (0..take).collect();
+            let mut worst = largest(&first, coarse);
+            for (obj, &bound) in coarse.iter().enumerate().skip(take) {
+                if bound < worst.0 {
+                    first[worst.1] = obj;
+                    worst = largest(&first, coarse);
+                }
+            }
+            (first, 0.0)
+        };
+        refine(&first, column)?;
+        let kappa = first
+            .iter()
+            .map(|&obj| column[self.order[obj]])
+            .fold(kappa, f64::max);
+        let mut rest = within(f64::NEG_INFINITY, kappa);
+        rest.retain(|obj| !first.contains(obj));
+        refine(&rest, column)?;
+        let mut candidates = delta.to_vec();
+        let fine = first.iter().chain(&rest).map(|&obj| self.order[obj]);
+        candidates.extend(fine.filter(|&i| column[i] <= kappa));
+        let view = ShardView {
+            rows: &mirror.rows,
+            ids: &mirror.ids,
+            live: &mirror.live,
+            bounds: column,
+        };
+        let tau = seed_threshold(&view, &candidates, query, k, Measure::EuclideanSq)?;
+        let last = if tau > kappa {
+            within(kappa, tau)
+        } else {
+            Vec::new()
+        };
+        refine(&last, column)?;
+        Ok((live_objs - first.len() - rest.len() - last.len()) as u64)
     }
 
     /// Tombstoned slots still programmed on this bank.
@@ -719,6 +888,7 @@ impl Residency {
 
     /// Point-in-time statistics of this residency over `mirror`.
     pub fn stats(&self, mirror: &ShardMirror) -> ShardStats {
+        let coarse_plane_bytes = self.exec.coarse_plane_bytes();
         ShardStats {
             live: mirror.live_len(),
             tombstones: self.tombstoned(mirror),
@@ -730,6 +900,8 @@ impl Residency {
             lost: self.bank_lost(),
             cell_plane: mirror.cells.is_some(),
             cell_plane_bytes: mirror.cells.as_ref().map_or(0, Vec::len),
+            coarse_plane: coarse_plane_bytes > 0,
+            coarse_plane_bytes,
         }
     }
 }
@@ -964,20 +1136,214 @@ mod tests {
 
     #[test]
     fn a_batch_scatters_each_querys_bounds_over_the_delta() {
-        // Two different queries in one batch with a delta row present:
-        // the bound buffer is shared across the batch, so each answer
-        // must still equal the same query served alone.
+        // Different queries in one batch with delta and tombstoned rows
+        // present: the bound buffer is shared across the batch and read
+        // coarse first, so each answer must still equal the same query
+        // served alone (the single walk over the fine bounds) and an
+        // offline scan of the live rows, at any worker count.
         let mut shard = Shard::open(cfg(), rows(), vec![0, 1, 2, 3]).unwrap();
         shard.insert(4, &[0.2, 0.3, 0.4, 0.5]).unwrap();
         shard.insert(5, &[0.6, 0.7, 0.8, 0.9]).unwrap();
         shard.insert(6, &[0.15, 0.25, 0.35, 0.45]).unwrap(); // past the spare rows
-        assert_eq!(shard.stats().delta, 1);
-        let qs = vec![vec![0.45, 0.55, 0.4, 0.6], vec![0.2, 0.3, 0.4, 0.5]];
-        let together = shard.query_batch(&qs, &[3, 3]);
-        for (q, got) in qs.iter().zip(together) {
-            let alone = shard.query_batch(std::slice::from_ref(q), &[3]).remove(0);
-            assert_eq!(got.unwrap(), alone.unwrap());
+        assert!(shard.delete(1).unwrap());
+        let stats = shard.stats();
+        assert_eq!((stats.delta, stats.tombstones), (1, 1));
+        let qs = vec![
+            vec![0.45, 0.55, 0.4, 0.6],
+            vec![0.2, 0.3, 0.4, 0.5],
+            vec![0.9, 0.1, 0.1, 0.9],
+        ];
+        let (live, ids) = shard.snapshot_live().unwrap();
+        for workers in [1, 2, 8] {
+            simpim_par::with_threads(workers, || {
+                for k in [1, 3, 6, 9] {
+                    let together = shard.query_batch(&qs, &[k; 3]);
+                    for (q, got) in qs.iter().zip(together) {
+                        let alone = shard.query_batch(std::slice::from_ref(q), &[k]).remove(0);
+                        let truth = knn_standard(&live, q, k.min(live.len()), Measure::EuclideanSq);
+                        let want: Vec<Neighbor> = truth
+                            .unwrap()
+                            .neighbors
+                            .iter()
+                            .map(|&(i, v)| (ids[i], v))
+                            .collect();
+                        let got = got.unwrap();
+                        assert_eq!(got, alone.unwrap(), "{workers} workers, k {k}");
+                        assert_eq!(got, want, "{workers} workers, k {k}");
+                    }
+                }
+            });
         }
+        assert!(shard.stats().coarse_plane, "the batches read coarse");
+    }
+
+    /// Refines `queries` over the bound columns `res` builds (coarse
+    /// first, sharpened) and over the fine pass's columns, at 1, 2 and 8
+    /// workers: the same neighbours to the bit, the same refined, pruned
+    /// and plane-pruned counts and the same counters, query by query.
+    /// Returns whether some row kept a coarse bound.
+    fn assert_coarse_refines_as_fine(
+        res: &mut Residency,
+        mirror: &ShardMirror,
+        queries: &[Vec<f64>],
+        ks: &[usize],
+    ) -> bool {
+        let mut kept = false;
+        let n = mirror.len();
+        let refine = |columns: &[f64]| {
+            let batch: Vec<BatchQuery<'_>> = (queries.iter().zip(ks).enumerate())
+                .map(|(j, (query, &k))| BatchQuery {
+                    query,
+                    k,
+                    bounds: &columns[j * n..][..n],
+                })
+                .collect();
+            let (rows, cells) = (&mirror.rows, mirror.cells.as_deref());
+            let mut counters = OpCounters::new();
+            let measure = Measure::EuclideanSq;
+            let out = refine_resident_batch(
+                rows,
+                &mirror.ids,
+                &mirror.live,
+                cells,
+                &batch,
+                measure,
+                &mut counters,
+            );
+            let out: Vec<_> = out
+                .unwrap()
+                .into_iter()
+                .map(|r| match r {
+                    Ok(r) => {
+                        let bits: Vec<_> = r
+                            .neighbors
+                            .iter()
+                            .map(|&(id, v)| (id, v.to_bits()))
+                            .collect();
+                        Ok((bits, r.refined, r.pruned, r.plane_pruned))
+                    }
+                    Err(e) => Err(e.to_string()),
+                })
+                .collect();
+            (out, counters)
+        };
+        for workers in [1, 2, 8] {
+            simpim_par::with_threads(workers, || {
+                let coarse = res.bound_columns(mirror, queries, ks, simpim_obs::TraceCtx::NONE);
+                let batches = res
+                    .exec
+                    .lb_ed_batch_multi(queries, simpim_obs::TraceCtx::NONE);
+                let mut fine = vec![0.0; n * queries.len()];
+                for (j, batch) in batches.unwrap().iter().enumerate() {
+                    for (&idx, &bound) in res.order.iter().zip(&batch.values) {
+                        fine[j * n + idx] = bound;
+                    }
+                }
+                let coarse = coarse.unwrap();
+                assert_eq!(refine(&coarse), refine(&fine), "{workers} workers");
+                kept |= coarse != fine;
+            });
+        }
+        kept
+    }
+
+    /// The coarse-first pass and the serving edges: each case refines as
+    /// the fine pass would ([`assert_coarse_refines_as_fine`]), and reads
+    /// coarse (keeps a coarse plane) where the gates allow — tombstones
+    /// and delta rows on an `LB_PIM-ED` shard, `k` from 1 to past the live
+    /// rows and 0; not for a batch of one, a segment-bound shard or a bank
+    /// with a fault model; a query whose cells overflow the rows' shift
+    /// (a value above 1 against narrow rows) reads fine; and a shard whose
+    /// rows widen mid-life derives its plane again at the new shift.
+    #[test]
+    fn the_coarse_pass_refines_as_the_fine_one_at_every_edge() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rand = move |scale: f64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 11) as f64 / (1u64 << 53) as f64 * scale
+        };
+        let d = 24;
+        let mut draw = |n: usize, scale: f64| -> Vec<Vec<f64>> {
+            (0..n)
+                .map(|_| (0..d).map(|_| rand(scale)).collect())
+                .collect()
+        };
+        let open = |c: ShardConfig, rows: &[Vec<f64>]| {
+            let mirror =
+                ShardMirror::new(Dataset::from_rows(rows).unwrap(), (0..rows.len()).collect());
+            let res = Residency::open(c, &mirror).unwrap();
+            (mirror, res)
+        };
+        let rows = draw(60, 1.0);
+        let mut queries = draw(4, 1.0);
+        queries.extend(
+            rows[..4]
+                .iter()
+                .map(|r| r.iter().map(|v| v * 0.999).collect()),
+        );
+        let ks = [1, 3, 5, 10, 64, 0, 2, 7];
+
+        // Tombstones and delta rows, every k: reads coarse.
+        let (mut mirror, mut res) = open(cfg(), &rows);
+        for (id, row) in (60..64).zip(draw(4, 1.0)) {
+            let idx = mirror.append(id, &row).unwrap();
+            res.absorb_insert(idx, &row).unwrap();
+        }
+        for id in [0, 7, 33, 61, 59] {
+            mirror.tombstone(id).unwrap();
+        }
+        assert_eq!((res.delta(&mirror), res.tombstoned(&mirror)), (2, 5));
+        assert!(assert_coarse_refines_as_fine(
+            &mut res, &mirror, &queries, &ks
+        ));
+        assert!(res.stats(&mirror).coarse_plane);
+
+        // A batch of one reads fine.
+        let (mirror, mut res) = open(cfg(), &rows);
+        assert_coarse_refines_as_fine(&mut res, &mirror, &queries[..1], &[3]);
+        assert!(!res.stats(&mirror).coarse_plane);
+
+        // A segment-bound shard and a faulty bank: read fine.
+        let mut segmented = cfg();
+        segmented.executor.pim.num_crossbars = 40;
+        let mut faulty = cfg();
+        faulty.executor.faults = Some(simpim_reram::FaultConfig {
+            stuck_low_rate: 0.02,
+            stuck_high_rate: 0.02,
+            seed: 9,
+            ..Default::default()
+        });
+        for (what, c) in [("segment bound", segmented), ("faulty", faulty)] {
+            let (mirror, mut res) = open(c, &rows);
+            assert_eq!(res.executor().bound_name() == "LB_PIM-ED", what == "faulty");
+            assert_coarse_refines_as_fine(&mut res, &mirror, &queries, &ks);
+            assert!(!res.stats(&mirror).coarse_plane, "{what}");
+        }
+
+        // Rows under 0.06 (16-bit floors, shift 8): queries in their range
+        // read coarse; with one value above 1 in the batch (clamped to 1,
+        // a 20-bit floor, a cell above 255) it reads fine; a row near 1
+        // widens the region (shift 12) and its plane is derived again.
+        let small = draw(60, 0.06);
+        let (mut mirror, mut res) = open(cfg(), &small);
+        let mut near = draw(8, 0.06);
+        assert_coarse_refines_as_fine(&mut res, &mirror, &near, &ks);
+        let narrow = res.stats(&mirror).coarse_plane_bytes;
+        assert!(narrow > 0);
+        near[2][5] = 1.5;
+        assert_coarse_refines_as_fine(&mut res, &mirror, &near, &ks);
+        let wide: Vec<f64> = (0..d).map(|j| 0.9 + j as f64 / 1000.0).collect();
+        let idx = mirror.append(60, &wide).unwrap();
+        assert!(res.absorb_insert(idx, &wide).unwrap());
+        assert_eq!(
+            res.stats(&mirror).coarse_plane_bytes,
+            0,
+            "the wider row dropped it"
+        );
+        assert_coarse_refines_as_fine(&mut res, &mirror, &queries, &ks);
+        assert!(res.stats(&mirror).coarse_plane_bytes > narrow);
     }
 
     #[test]

@@ -384,6 +384,79 @@ fn cell_bound_multi_is_exact_past_its_fold_interval() {
     }
 }
 
+/// `dot_multi_u8` on the block `rows` (`s` cells a row) against `qs`, on
+/// every backend and the portable body, against the `u128` reference of
+/// `dot_multi_f64` (the totals, then the largest segment sums, each query
+/// by query over the rows), and against one call per row and query.
+fn check_multi_u8(rows: &[u8], s: usize, qs: &[&[u8]], seg: usize) {
+    let wide = |x: &[u8]| -> Vec<u32> { x.iter().map(|&v| u32::from(v)).collect() };
+    let wide_qs: Vec<Vec<u32>> = qs.iter().map(|q| wide(q)).collect();
+    let refs: Vec<&[u32]> = wide_qs.iter().map(Vec::as_slice).collect();
+    // Per row the reference's totals then tops, laid out query by query.
+    let (n, q) = (rows.len() / s, qs.len());
+    let per_row: Vec<Vec<u128>> = rows
+        .chunks_exact(s)
+        .map(|row| multi_reference(&wide(row), &refs, seg))
+        .collect();
+    let want: Vec<u64> = (0..2 * q)
+        .flat_map(|v| per_row.iter().map(move |row| row[v]))
+        .map(|v| u64::try_from(v).expect("u8 sums fit a u64"))
+        .collect();
+    let mut out = vec![u64::MAX; want.len()];
+    scalar::dot_multi_u8(rows, s, qs, seg, &mut out);
+    assert_eq!(out, want, "scalar vs u128 reference");
+    for backend in supported_backends() {
+        kern::with_backend(backend, || {
+            let mut out = vec![u64::MAX; want.len()];
+            kern::dot_multi_u8(rows, s, qs, seg, &mut out);
+            assert_eq!(out, want, "dot_multi_u8/{}", backend.name());
+            for (r, row) in rows.chunks_exact(s).enumerate() {
+                for (j, x) in qs.iter().enumerate() {
+                    let mut one = [u64::MAX; 2];
+                    kern::dot_multi_u8(row, s, &[x], seg, &mut one);
+                    let (total, top) = (want[n * j + r], want[n * (q + j) + r]);
+                    assert_eq!(one, [total, top], "one query/{}", backend.name());
+                }
+            }
+        });
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `dot_multi_u8` returns the exact totals and largest segment sums on
+    /// every backend, for 0..=8 queries, blocks of 0..=3 rows of 1..=70
+    /// cells and segments of 1..=40 — every 16-cell step, masked last
+    /// step, segment seam and the portable body under 16 cells — with
+    /// cells leaning to 0 and 255, each slice starting 0–31 cells into its
+    /// buffer.
+    #[test]
+    fn dot_multi_u8_is_exact_across_backends(
+        (q, n, s, seg) in (0usize..=8, 0usize..=3, 1usize..=70, 1usize..=40),
+        raw in prop::collection::vec(prop_oneof![any::<u8>(), 0u8..2, 254u8..=255], 9 * (210 + 31)),
+        skips in prop::collection::vec(0usize..32, 9),
+    ) {
+        let _g = lock();
+        let view = |k: usize, len: usize| &raw[k * 241 + skips[k]..][..len];
+        let qs: Vec<&[u8]> = (1..=q).map(|k| view(k, s)).collect();
+        check_multi_u8(view(0, n * s), s, &qs, seg);
+    }
+}
+
+/// Every cell at 255 over rows and segments past the SIMD bodies' `i32`
+/// fold interval (4 096 steps of 16 cells), for one to eight queries, and
+/// two 420-cell rows on 256-cell segments, the serving shape.
+#[test]
+fn dot_multi_u8_is_exact_past_its_fold_interval() {
+    let _g = lock();
+    let full = vec![255u8; 140_001];
+    for q in 1..=8 {
+        check_multi_u8(&full, full.len(), &vec![&full[..]; q], 70_000);
+        check_multi_u8(&full[..840], 420, &vec![&full[..420]; q], 256);
+    }
+}
+
 /// Every operand at its maximum with `b + i + ⌈log₂ len⌉` exactly 53,
 /// for every query count and row widths from 31 bits down: the largest
 /// sums the bound admits come back exact.

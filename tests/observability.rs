@@ -279,6 +279,62 @@ fn offline_tasks_fetch_their_bounds_in_batched_passes() {
     assert_eq!(got, (windows.div_ceil(64), windows as u64), "discord");
 }
 
+/// The coarse-first read on the bank, on a row built so that its
+/// coarse bracket straddles a two-bit gather cycle (see
+/// `the_coarse_read_resolves_a_row_that_straddles_a_gather_cycle` in
+/// `simpim-reram`), against the full pass on a twin bank: the same
+/// `PimTiming` per pass, energy by bits, dispatch count and every
+/// `simpim.reram.*` metric, while the coarse values bound the dots.
+#[test]
+fn a_coarse_read_charges_the_bank_as_the_full_pass() {
+    use simpim::reram::{AccWidth, CrossbarConfig, PimConfig, ReRamBank};
+    let _gate = OBS_GATE.lock().unwrap();
+    let cfg = PimConfig {
+        crossbar: CrossbarConfig {
+            size: 16,
+            ..Default::default()
+        },
+        num_crossbars: 64,
+        ..Default::default()
+    };
+    let straddling = [vec![8191u32; 16], vec![0]].concat();
+    let widening = [vec![0u32; 16], vec![(1 << 20) - 1]].concat();
+    let query = [vec![12_287u32; 16], vec![0]].concat();
+    let run = |coarse: bool| {
+        let mut bank = ReRamBank::new(cfg).unwrap();
+        let rep = bank
+            .program_region(&[straddling.clone(), widening.clone()].concat(), 2, 17, 32)
+            .unwrap();
+        let passes = [(rep.region, &query[..]), (rep.region, &[0; 17][..])];
+        simpim::obs::metrics::reset();
+        let (out, lost) = if coarse {
+            bank.dot_batch_coarse(&passes, AccWidth::U64)
+        } else {
+            bank.dot_batch_multi(&passes, AccWidth::U64)
+        };
+        lost.unwrap();
+        let mut reram = simpim::obs::metrics::snapshot();
+        reram
+            .metrics
+            .retain(|name, _| name.starts_with("simpim.reram."));
+        let energy = bank.pim().energy();
+        let energy = [energy.write_j, energy.compute_j, energy.bus_j].map(f64::to_bits);
+        (out, reram, energy, bank.dispatches())
+    };
+    let (fine, fine_metrics, fine_energy, fine_dispatches) = run(false);
+    let (coarse, metrics, energy, dispatches) = run(true);
+    assert!(!metrics.metrics.is_empty());
+    assert_eq!(
+        (metrics, energy, dispatches),
+        (fine_metrics, fine_energy, fine_dispatches)
+    );
+    for (c, f) in coarse.iter().zip(&fine) {
+        assert!(c.coarse && !f.coarse);
+        assert_eq!((c.timing, c.result_bytes), (f.timing, f.result_bytes));
+        assert!(c.values.iter().zip(&f.values).all(|(c, f)| c >= f));
+    }
+}
+
 #[test]
 fn artifact_round_trips_through_json() {
     let mut a = RunArtifact::new("roundtrip");
