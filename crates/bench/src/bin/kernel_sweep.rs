@@ -2,7 +2,7 @@
 //! Fig. 13 shape (DESIGN.md §14).
 //!
 //! For every kernel backend the running CPU supports (always `scalar`;
-//! `sse2`/`avx2` on x86_64), pinned via
+//! `avx2` on an x86_64 CPU with AVX2), pinned via
 //! `simpim_kern::with_backend`, the sweep measures:
 //!
 //! * **per-kernel ns/element** for the seven dispatched kernels (f64

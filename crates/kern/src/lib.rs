@@ -14,14 +14,14 @@
 //! [`KernelBackend`] vtable selected
 //! **once** at startup:
 //!
-//! * `x86_64`: AVX2 (4×f64 per register, Mula `pshufb` popcount; the
-//!   multi-query MAC on FMA when `fma` is detected too) when
-//!   `is_x86_feature_detected!("avx2")`, else SSE2 (baseline, two 2-wide
-//!   registers; hardware `popcnt` when detected).
-//! * everything else, `aarch64` included: the portable chunked
-//!   [`scalar`] kernels, whose bits every tier matches. (`neon` is still
-//!   a name `SIMPIM_KERNEL` accepts, but no NEON tier is built: it
-//!   degrades to `scalar` like any tier the CPU cannot run.)
+//! * `x86_64` with `is_x86_feature_detected!("avx2")`: AVX2 (4×f64 per
+//!   register, Mula `pshufb` popcount; the multi-query MAC on FMA when
+//!   `fma` is detected too).
+//! * everything else, pre-AVX2 `x86_64` and `aarch64` included: the
+//!   portable chunked [`scalar`] kernels, whose bits the AVX2 tier
+//!   matches. (`sse2` and `neon` are still names `SIMPIM_KERNEL` accepts,
+//!   but neither tier is built: both degrade to `scalar` like any tier
+//!   the CPU cannot run.)
 //!
 //! **Bit-identity is the contract.** Every backend reproduces the scalar
 //! kernels' exact operation sequence: 4 accumulator lanes over 4-element
@@ -62,8 +62,8 @@ pub use scalar::{LANES, MULTI_QUERIES};
 pub enum Backend {
     /// Portable chunked Rust — the reference, available everywhere.
     Scalar,
-    /// x86_64 baseline: two 2×f64 registers per lane set (+ `popcnt`
-    /// MACs when the CPU has the instruction).
+    /// x86_64 SSE2 — a name only: no SSE2 tier is built, so it is never
+    /// supported and a request for it degrades to [`Backend::Scalar`].
     Sse2,
     /// x86_64 AVX2: one 4×f64 register per lane set, `pshufb` popcount.
     Avx2,
@@ -102,10 +102,7 @@ impl Backend {
         match self {
             Backend::Scalar => true,
             #[cfg(target_arch = "x86_64")]
-            Backend::Sse2 => is_x86_feature_detected!("sse2"),
-            #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => is_x86_feature_detected!("avx2"),
-            #[allow(unreachable_patterns)]
             _ => false,
         }
     }
@@ -201,52 +198,12 @@ mod x86_dispatch {
     trampoline!(dot_multi_f64_fma, x86::avx2::dot_multi_f64, (row: &[u32], qs: &[&[f64]], seg: usize, out: &mut [f64]) -> ());
     trampoline!(dot_multi_u8_avx2, x86::avx2::dot_multi_u8, (rows: &[u8], s: usize, qs: &[&[u8]], seg: usize, out: &mut [u64]) -> ());
     trampoline!(cell_bound_multi_avx2, x86::avx2::cell_bound_multi, (row: &[u8], qs: &[&[u8]], out: &mut [u64]) -> ());
-
-    trampoline!(dot_sse2, x86::sse2::dot, (a: &[f64], b: &[f64]) -> f64);
-    trampoline!(norm_sq_sse2, x86::sse2::norm_sq, (xs: &[f64]) -> f64);
-    trampoline!(dot_norm_sq_sse2, x86::sse2::dot_norm_sq, (a: &[f64], b: &[f64]) -> (f64, f64));
-    trampoline!(euclidean_sq_sse2, x86::sse2::euclidean_sq, (p: &[f64], q: &[f64]) -> f64);
-    trampoline!(xor_popcount_popcnt, x86::xor_popcount_popcnt, (a: &[u64], b: &[u64]) -> u64);
-    trampoline!(and_popcount_popcnt, x86::and_popcount_popcnt, (a: &[u64], b: &[u64]) -> u64);
-    trampoline!(dot_u32_sse2, x86::sse2::dot_u32, (a: &[u32], b: &[u32]) -> u64);
-    trampoline!(dot_multi_u8_sse2, x86::sse2::dot_multi_u8, (rows: &[u8], s: usize, qs: &[&[u8]], seg: usize, out: &mut [u64]) -> ());
 }
 
 /// Builds the vtable for a tier the running CPU supports.
 fn table(b: Backend) -> KernelBackend {
     match b {
         Backend::Scalar => SCALAR_TABLE,
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => {
-            // `popcnt` postdates SSE2 silicon; detect it independently so
-            // the mid tier still gets hardware popcount where available.
-            let hw_popcnt = is_x86_feature_detected!("popcnt");
-            KernelBackend {
-                backend: Backend::Sse2,
-                dot: x86_dispatch::dot_sse2,
-                norm_sq: x86_dispatch::norm_sq_sse2,
-                dot_norm_sq: x86_dispatch::dot_norm_sq_sse2,
-                euclidean_sq: x86_dispatch::euclidean_sq_sse2,
-                // The hand-written form is AVX2's alone, the tier the
-                // measured gain was taken on; the portable one keeps the
-                // lane order, so its bits are this tier's too.
-                euclidean_sq_until: scalar::euclidean_sq_until,
-                xor_popcount: if hw_popcnt {
-                    x86_dispatch::xor_popcount_popcnt
-                } else {
-                    scalar::xor_popcount
-                },
-                and_popcount: if hw_popcnt {
-                    x86_dispatch::and_popcount_popcnt
-                } else {
-                    scalar::and_popcount
-                },
-                dot_u32: x86_dispatch::dot_u32_sse2,
-                dot_multi_f64: None,
-                dot_multi_u8: x86_dispatch::dot_multi_u8_sse2,
-                cell_bound_multi: scalar::cell_bound_multi,
-            }
-        }
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => KernelBackend {
             backend: Backend::Avx2,
@@ -264,7 +221,6 @@ fn table(b: Backend) -> KernelBackend {
             dot_multi_u8: x86_dispatch::dot_multi_u8_avx2,
             cell_bound_multi: x86_dispatch::cell_bound_multi_avx2,
         },
-        #[allow(unreachable_patterns)]
         _ => SCALAR_TABLE,
     }
 }
@@ -293,7 +249,7 @@ fn normalize(b: Backend, origin: &str) -> Backend {
         b
     } else {
         warn_once(&format!(
-            "{origin} requested backend '{}' which this CPU cannot run; using 'scalar'",
+            "{origin} requested backend '{}', which this build does not run on this CPU; using 'scalar'",
             b.name()
         ));
         Backend::Scalar
@@ -328,8 +284,8 @@ pub fn backend() -> Backend {
     env_default()
 }
 
-/// Stable name of the active backend (`scalar|sse2|avx2|neon`), as
-/// stamped into artifact config sections.
+/// Stable name of the active backend (`scalar|avx2`), as stamped into
+/// artifact config sections.
 pub fn backend_name() -> &'static str {
     backend().name()
 }
@@ -371,9 +327,9 @@ pub fn kernels() -> &'static KernelBackend {
 }
 
 /// Exports the active backend as the `simpim.kern.backend` gauge
-/// (scalar=0, sse2=1, avx2=2, neon=3). Bench harnesses call this right
-/// after resetting the metrics registry so the artifact snapshot carries
-/// the backend that actually ran.
+/// (scalar=0, avx2=2; the name-only tiers' codes never show). Bench
+/// harnesses call this right after resetting the metrics registry so the
+/// artifact snapshot carries the backend that actually ran.
 pub fn publish_metrics() {
     simpim_obs::metrics::gauge_set("simpim.kern.backend", f64::from(backend().code()));
 }
@@ -641,22 +597,27 @@ mod tests {
             assert_eq!(kernels().backend, b);
         });
         #[cfg(target_arch = "x86_64")]
-        assert_ne!(b, Backend::Scalar, "x86_64 always has at least SSE2");
+        if is_x86_feature_detected!("avx2") {
+            assert_eq!(b, Backend::Avx2);
+        }
     }
 
     #[test]
     fn unsupported_override_degrades_to_scalar() {
         let _g = test_lock();
-        // NEON can never be supported on x86_64 and vice versa; on other
-        // arches every SIMD tier is unsupported. Pick a tier that is
-        // foreign everywhere this test can run.
+        // SSE2 and NEON are names only, never built; on other arches
+        // than x86_64 AVX2 is foreign too.
         #[cfg(target_arch = "x86_64")]
-        let foreign = Backend::Neon;
+        let unbuilt = [Backend::Sse2, Backend::Neon];
         #[cfg(not(target_arch = "x86_64"))]
-        let foreign = Backend::Avx2;
-        with_backend(foreign, || {
-            assert_eq!(backend(), Backend::Scalar);
-        });
+        let unbuilt = [Backend::Sse2, Backend::Neon, Backend::Avx2];
+        for b in unbuilt {
+            assert!(!b.is_supported());
+            with_backend(b, || {
+                assert_eq!(backend(), Backend::Scalar);
+                assert_eq!(kernels().backend, Backend::Scalar);
+            });
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 /// Independent accumulator lanes of the chunked kernels. Four lanes break
 /// the loop-carried add dependency and map one-to-one onto a 4×f64 AVX2
-/// register (or two 2×f64 SSE2/NEON registers).
+/// register.
 pub const LANES: usize = 4;
 
 /// Folds the ragged tail (the `len % LANES` elements past the last full

@@ -1,5 +1,6 @@
-//! x86_64 backends: AVX2 (4×f64 / 4×u64 per register) and SSE2 (two
-//! 2-wide registers emulating the same 4 lanes).
+//! The x86_64 backend: AVX2 (4×f64 / 4×u64 per register). It is the
+//! one hand-written tier; an x86_64 CPU without AVX2 runs the portable
+//! [`crate::scalar`] kernels.
 //!
 //! Bit-identity with [`crate::scalar`] holds because every kernel keeps
 //! the scalar layout's 4 accumulator lanes, performs the identical
@@ -576,276 +577,4 @@ pub mod avx2 {
     pub unsafe fn and_popcount(a: &[u64], b: &[u64]) -> u64 {
         popcount_mac(a, b, false)
     }
-}
-
-/// SSE2 kernels: two xmm registers carry lanes `{0,1}` and `{2,3}` of the
-/// canonical 4-lane layout. SSE2 is baseline on x86_64, so this tier
-/// always exists; it mainly serves as the forced mid-tier for the bench
-/// trajectory and as the fallback on pre-AVX2 silicon.
-pub mod sse2 {
-    use super::*;
-    use core::arch::x86_64::*;
-
-    /// Dot product over lanes `{0,1}` + `{2,3}` in two xmm accumulators.
-    ///
-    /// # Safety
-    /// Requires SSE2 (always present on x86_64).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn dot(a: &[f64], b: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), b.len());
-        let blocks = a.len() / 4;
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut acc01 = _mm_setzero_pd();
-        let mut acc23 = _mm_setzero_pd();
-        for i in 0..blocks {
-            acc01 = _mm_add_pd(
-                acc01,
-                _mm_mul_pd(_mm_loadu_pd(pa.add(4 * i)), _mm_loadu_pd(pb.add(4 * i))),
-            );
-            acc23 = _mm_add_pd(
-                acc23,
-                _mm_mul_pd(
-                    _mm_loadu_pd(pa.add(4 * i + 2)),
-                    _mm_loadu_pd(pb.add(4 * i + 2)),
-                ),
-            );
-        }
-        fold2x2(acc01, acc23, &a[4 * blocks..], &b[4 * blocks..], |x, y| {
-            x * y
-        })
-    }
-
-    /// Squared L2 norm: [`dot`] with both operands the same slice.
-    ///
-    /// # Safety
-    /// Requires SSE2 (always present on x86_64).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn norm_sq(xs: &[f64]) -> f64 {
-        dot(xs, xs)
-    }
-
-    /// Squared Euclidean distance: per-lane `sub`, `mul`, `add`.
-    ///
-    /// # Safety
-    /// Requires SSE2 (always present on x86_64).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn euclidean_sq(p: &[f64], q: &[f64]) -> f64 {
-        debug_assert_eq!(p.len(), q.len());
-        let blocks = p.len() / 4;
-        let (pp, pq) = (p.as_ptr(), q.as_ptr());
-        let mut acc01 = _mm_setzero_pd();
-        let mut acc23 = _mm_setzero_pd();
-        for i in 0..blocks {
-            let d01 = _mm_sub_pd(_mm_loadu_pd(pp.add(4 * i)), _mm_loadu_pd(pq.add(4 * i)));
-            let d23 = _mm_sub_pd(
-                _mm_loadu_pd(pp.add(4 * i + 2)),
-                _mm_loadu_pd(pq.add(4 * i + 2)),
-            );
-            acc01 = _mm_add_pd(acc01, _mm_mul_pd(d01, d01));
-            acc23 = _mm_add_pd(acc23, _mm_mul_pd(d23, d23));
-        }
-        fold2x2(acc01, acc23, &p[4 * blocks..], &q[4 * blocks..], |x, y| {
-            let d = x - y;
-            d * d
-        })
-    }
-
-    /// Fused `(dot(a, b), norm_sq(a))` in four xmm accumulators.
-    ///
-    /// # Safety
-    /// Requires SSE2 (always present on x86_64).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn dot_norm_sq(a: &[f64], b: &[f64]) -> (f64, f64) {
-        debug_assert_eq!(a.len(), b.len());
-        let blocks = a.len() / 4;
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut d01 = _mm_setzero_pd();
-        let mut d23 = _mm_setzero_pd();
-        let mut n01 = _mm_setzero_pd();
-        let mut n23 = _mm_setzero_pd();
-        for i in 0..blocks {
-            let va01 = _mm_loadu_pd(pa.add(4 * i));
-            let va23 = _mm_loadu_pd(pa.add(4 * i + 2));
-            let vb01 = _mm_loadu_pd(pb.add(4 * i));
-            let vb23 = _mm_loadu_pd(pb.add(4 * i + 2));
-            d01 = _mm_add_pd(d01, _mm_mul_pd(va01, vb01));
-            d23 = _mm_add_pd(d23, _mm_mul_pd(va23, vb23));
-            n01 = _mm_add_pd(n01, _mm_mul_pd(va01, va01));
-            n23 = _mm_add_pd(n23, _mm_mul_pd(va23, va23));
-        }
-        let ta = &a[4 * blocks..];
-        let tb = &b[4 * blocks..];
-        (
-            fold2x2(d01, d23, ta, tb, |x, y| x * y),
-            fold2x2(n01, n23, ta, ta, |x, y| x * y),
-        )
-    }
-
-    /// Exact `u32` MAC `Σ aᵢ·bᵢ` modulo 2⁶⁴ with `pmuludq`: the even
-    /// operands of each xmm directly, the odd ones after a 32-bit shift.
-    ///
-    /// # Safety
-    /// Requires SSE2 (always present on x86_64).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn dot_u32(a: &[u32], b: &[u32]) -> u64 {
-        debug_assert_eq!(a.len(), b.len());
-        let len = a.len().min(b.len());
-        let blocks = len / 4;
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut even = _mm_setzero_si128();
-        let mut odd = _mm_setzero_si128();
-        for i in 0..blocks {
-            // SAFETY: `4 * i + 3 < len`, so the 4-element load of either
-            // slice stays in bounds; `loadu` has no alignment need.
-            let va = _mm_loadu_si128(pa.add(4 * i).cast());
-            let vb = _mm_loadu_si128(pb.add(4 * i).cast());
-            even = _mm_add_epi64(even, _mm_mul_epu32(va, vb));
-            odd = _mm_add_epi64(
-                odd,
-                _mm_mul_epu32(_mm_srli_epi64::<32>(va), _mm_srli_epi64::<32>(vb)),
-            );
-        }
-        let mut lanes = [0u64; 2];
-        _mm_storeu_si128(lanes.as_mut_ptr().cast(), _mm_add_epi64(even, odd));
-        scalar::dot_u32(&a[4 * blocks..len], &b[4 * blocks..len])
-            .wrapping_add(lanes[0])
-            .wrapping_add(lanes[1])
-    }
-
-    /// [`scalar::dot_multi_u8`] on 16 cells a step: the queries are
-    /// widened to 16 bits once for the block, the row step is unpacked to
-    /// two registers of 16-bit cells, and two `pmaddwd` add product pairs
-    /// into four `i32` lanes per query. A segment's last step is the 16
-    /// cells ending at its end, those before it masked to zero. The lanes
-    /// are added into the segment's `u64` sums at its end and every 4 096
-    /// steps (4 097 · 4 · 255² < 2³¹ per lane). Rows under 16 cells go
-    /// through the portable kernel.
-    ///
-    /// # Safety
-    /// Requires SSE2 (always present on x86_64).
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn dot_multi_u8(rows: &[u8], s: usize, qs: &[&[u8]], seg: usize, out: &mut [u64]) {
-        let q = scalar::check_multi_u8(rows, s, qs, seg, out);
-        if q == 0 || s < 16 {
-            return scalar::dot_multi_u8(rows, s, qs, seg, out);
-        }
-        let wide: Vec<i16> = qs
-            .iter()
-            .flat_map(|x| x.iter().map(|&v| i16::from(v)))
-            .collect();
-        let lane = _mm_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-        let zero = _mm_setzero_si128();
-        // One step: the row's 16 cells at `at` (masked by `keep`) against
-        // every query's, into `acc`.
-        let step = |acc: &mut [__m128i; MULTI_QUERIES], row: &[u8], at: usize, keep: __m128i| {
-            // SAFETY: `at + 15 < s`, inside the row and every widened query.
-            let r = _mm_and_si128(_mm_loadu_si128(row.as_ptr().add(at).cast()), keep);
-            let (lo, hi) = (_mm_unpacklo_epi8(r, zero), _mm_unpackhi_epi8(r, zero));
-            for (j, a) in acc[..q].iter_mut().enumerate() {
-                let x = wide[j * s + at..].as_ptr();
-                let lo = _mm_madd_epi16(lo, _mm_loadu_si128(x.cast()));
-                let hi = _mm_madd_epi16(hi, _mm_loadu_si128(x.add(8).cast()));
-                *a = _mm_add_epi32(*a, _mm_add_epi32(lo, hi));
-            }
-        };
-        let n = rows.len() / s;
-        for (r, row) in rows.chunks_exact(s).enumerate() {
-            let (mut total, mut top) = ([0u64; MULTI_QUERIES], [0u64; MULTI_QUERIES]);
-            for start in (0..s).step_by(seg) {
-                let end = (start + seg).min(s);
-                let mut sums = [0u64; MULTI_QUERIES];
-                let mut i = start;
-                while i < end {
-                    let stop = end.min(i + 16 * 4096);
-                    let mut acc = [zero; MULTI_QUERIES];
-                    while i + 16 <= stop {
-                        step(&mut acc, row, i, _mm_set1_epi8(-1));
-                        i += 16;
-                    }
-                    if i < stop {
-                        let at = i.min(s - 16);
-                        let keep = _mm_and_si128(
-                            _mm_cmpgt_epi8(lane, _mm_set1_epi8((i - at) as i8 - 1)),
-                            _mm_cmplt_epi8(lane, _mm_set1_epi8((stop - at) as i8)),
-                        );
-                        step(&mut acc, row, at, keep);
-                        i = stop;
-                    }
-                    for (sum, a) in sums.iter_mut().zip(&acc[..q]) {
-                        let mut lanes = [0u32; 4];
-                        _mm_storeu_si128(lanes.as_mut_ptr().cast(), *a);
-                        *sum += lanes.iter().map(|&l| u64::from(l)).sum::<u64>();
-                    }
-                }
-                for j in 0..q {
-                    total[j] += sums[j];
-                    top[j] = top[j].max(sums[j]);
-                }
-            }
-            for j in 0..q {
-                (out[n * j + r], out[n * (q + j) + r]) = (total[j], top[j]);
-            }
-        }
-    }
-
-    /// Spills lane pairs `{0,1}` / `{2,3}` and finishes with the
-    /// canonical `(l0 + l1) + (l2 + l3)` fold plus the shared tail.
-    #[inline(always)]
-    unsafe fn fold2x2(
-        acc01: __m128d,
-        acc23: __m128d,
-        ta: &[f64],
-        tb: &[f64],
-        f: impl Fn(f64, f64) -> f64,
-    ) -> f64 {
-        let mut l01 = [0.0f64; 2];
-        let mut l23 = [0.0f64; 2];
-        _mm_storeu_pd(l01.as_mut_ptr(), acc01);
-        _mm_storeu_pd(l23.as_mut_ptr(), acc23);
-        fold_tail((l01[0] + l01[1]) + (l23[0] + l23[1]), ta, tb, f)
-    }
-}
-
-/// Hamming MAC using the hardware `popcnt` instruction, unrolled 4-wide.
-/// Exact integer counting — bit-identical to the scalar reference.
-///
-/// # Safety
-/// Requires POPCNT (detected independently of SSE2/AVX2 at dispatch
-/// time; the SSE2 tier falls back to [`scalar::xor_popcount`] without it).
-#[target_feature(enable = "popcnt")]
-pub unsafe fn xor_popcount_popcnt(a: &[u64], b: &[u64]) -> u64 {
-    debug_assert_eq!(a.len(), b.len());
-    let blocks = a.len() / 4;
-    let mut t0 = 0u64;
-    let mut t1 = 0u64;
-    let mut t2 = 0u64;
-    let mut t3 = 0u64;
-    for i in 0..blocks {
-        t0 += u64::from((a[4 * i] ^ b[4 * i]).count_ones());
-        t1 += u64::from((a[4 * i + 1] ^ b[4 * i + 1]).count_ones());
-        t2 += u64::from((a[4 * i + 2] ^ b[4 * i + 2]).count_ones());
-        t3 += u64::from((a[4 * i + 3] ^ b[4 * i + 3]).count_ones());
-    }
-    t0 + t1 + t2 + t3 + scalar::xor_popcount(&a[4 * blocks..], &b[4 * blocks..])
-}
-
-/// Bit-serial MAC using the hardware `popcnt` instruction.
-///
-/// # Safety
-/// Requires POPCNT (see [`xor_popcount_popcnt`]).
-#[target_feature(enable = "popcnt")]
-pub unsafe fn and_popcount_popcnt(a: &[u64], b: &[u64]) -> u64 {
-    debug_assert_eq!(a.len(), b.len());
-    let blocks = a.len() / 4;
-    let mut t0 = 0u64;
-    let mut t1 = 0u64;
-    let mut t2 = 0u64;
-    let mut t3 = 0u64;
-    for i in 0..blocks {
-        t0 += u64::from((a[4 * i] & b[4 * i]).count_ones());
-        t1 += u64::from((a[4 * i + 1] & b[4 * i + 1]).count_ones());
-        t2 += u64::from((a[4 * i + 2] & b[4 * i + 2]).count_ones());
-        t3 += u64::from((a[4 * i + 3] & b[4 * i + 3]).count_ones());
-    }
-    t0 + t1 + t2 + t3 + scalar::and_popcount(&a[4 * blocks..], &b[4 * blocks..])
 }

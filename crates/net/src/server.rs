@@ -2,7 +2,7 @@
 //!
 //! ## Threading model
 //!
-//! One non-blocking accept loop, two threads per connection:
+//! One blocking accept loop, two threads per connection:
 //!
 //! * the **reader** decodes frames and *admits* requests — it never
 //!   blocks on the engine. Admission is two-layered: the per-connection
@@ -36,7 +36,7 @@
 //! that caused it.
 
 use std::io::Write;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{mpsc, Arc};
@@ -138,7 +138,6 @@ impl NetServer {
         engine: ServeEngine,
     ) -> Result<Self, NetError> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let engine = Arc::new(engine);
         let stop = Arc::new(AtomicBool::new(false));
@@ -186,6 +185,16 @@ impl NetServer {
     fn stop_and_join(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept.take() {
+            // The loop blocks in `accept`: one connect of our own wakes it
+            // to see `stop`. A connect fails only once the listener is gone.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
             let _ = h.join();
         }
     }
@@ -205,8 +214,11 @@ fn accept_loop(
     counters: Arc<Counters>,
 ) {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
+    loop {
         match listener.accept() {
+            // The wake connect of `stop_and_join`, or a client racing the
+            // shutdown: dropped, neither counted nor served.
+            Ok(_) if stop.load(Ordering::SeqCst) => break,
             Ok((stream, _peer)) => {
                 counters
                     .connections_accepted
@@ -227,10 +239,9 @@ fn accept_loop(
                 conns.push(h);
                 conns.retain(|h| !h.is_finished());
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(10)),
+            // A real `accept` error (out of descriptors, say): back off.
+            Err(_) if !stop.load(Ordering::SeqCst) => thread::sleep(Duration::from_millis(10)),
+            Err(_) => break,
         }
     }
     for h in conns {
@@ -565,6 +576,34 @@ fn writer_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn server() -> NetServer {
+        let rows: Vec<Vec<f64>> = (0..16).map(|i| vec![f64::from(i) / 16.0, 0.5]).collect();
+        let data = simpim_similarity::Dataset::from_rows(&rows).unwrap();
+        let engine = ServeEngine::open(simpim_serve::ServeConfig::default(), &data).unwrap();
+        NetServer::bind("127.0.0.1:0", NetConfig::default(), engine).unwrap()
+    }
+
+    #[test]
+    fn a_server_no_client_reached_shuts_down() {
+        server().shutdown();
+    }
+
+    #[test]
+    fn the_wake_connect_is_not_counted() {
+        let mut server = server();
+        let clients: Vec<TcpStream> = (0..3)
+            .map(|_| TcpStream::connect(server.local_addr()).unwrap())
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.stats().connections_accepted < 3 {
+            assert!(Instant::now() < deadline, "3 connects never accepted");
+            thread::sleep(Duration::from_millis(1));
+        }
+        server.stop_and_join();
+        assert_eq!(server.stats().connections_accepted, 3);
+        drop(clients);
+    }
 
     #[test]
     fn net_config_defaults_are_sane() {

@@ -170,7 +170,7 @@ impl<'a> BinaryVecRef<'a> {
 
     /// Hamming distance `Σ Δ(pᵢ − qᵢ)` (Table 2, row HD): XOR + popcount,
     /// dispatched through the active `simpim-kern` popcount-MAC backend
-    /// (AVX2 `pshufb` nibble LUT / hardware `popcnt` / NEON `cnt`).
+    /// (AVX2 `pshufb` nibble LUT, or the portable `count_ones` sum).
     /// Integer counting is exact, so every backend returns the same bits.
     ///
     /// # Panics

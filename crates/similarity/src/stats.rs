@@ -24,8 +24,8 @@ pub fn std_dev(xs: &[f64]) -> f64 {
 
 /// Dot product of two equal-length slices — dispatched chunked kernel.
 ///
-/// Delegates to the active `simpim-kern` backend (AVX2/SSE2/NEON or the
-/// portable chunked reference). Every backend accumulates into
+/// Delegates to the active `simpim-kern` backend (AVX2 or the portable
+/// chunked reference). Every backend accumulates into
 /// [`simpim_kern::LANES`] (4) independent lanes over 4-element blocks and
 /// folds the lanes (then the ragged tail) in a fixed order, so the result
 /// is a pure function of the inputs: identical bits on every call, every

@@ -23,8 +23,8 @@
 //!   datasets and its LSH binary codes.
 //! * [`obs`] — span tracing, the metrics registry and schema-versioned run
 //!   artifacts (see DESIGN.md §8).
-//! * [`kern`] — runtime-dispatched SIMD distance kernels (AVX2/SSE2/NEON
-//!   with a bit-identical portable fallback), selected once at startup
+//! * [`kern`] — runtime-dispatched SIMD distance kernels (AVX2 with a
+//!   bit-identical portable fallback), selected once at startup
 //!   and overridable with `SIMPIM_KERNEL` (see DESIGN.md §14).
 //! * [`par`] — the deterministic data-parallel execution layer: a
 //!   dependency-free persistent thread pool with fixed chunk boundaries and

@@ -1,5 +1,5 @@
 //! Bit-identity tests for the `simpim-kern` runtime-dispatched SIMD
-//! backends (DESIGN.md §14): every supported tier (SSE2/AVX2) must
+//! backends (DESIGN.md §14): every supported tier (AVX2) must
 //! reproduce the portable scalar reference down to the float bit
 //! pattern (and, for the integer MACs, the exact integer) — across
 //! every remainder length `0..=4*LANES`, through
@@ -178,8 +178,8 @@ proptest! {
     }
 
     /// The popcount-MAC kernels agree with the scalar `count_ones` sum
-    /// on every backend, across lengths covering the AVX2 4-word blocks,
-    /// the popcnt 4-way unroll, and all their tails.
+    /// on every backend, across lengths covering the AVX2 4-word blocks
+    /// and all their tails.
     #[test]
     fn popcount_kernels_bit_identical_across_backends(
         words in prop::collection::vec((any::<u64>(), any::<u64>()), 0..=17)
