@@ -396,6 +396,7 @@ fn sweep_backend(
                     query,
                     k: K,
                     bounds: &zeros,
+                    rows: None,
                 })
                 .collect();
             let (ns_per_query, _) = par::with_threads(1, || {

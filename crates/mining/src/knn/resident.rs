@@ -157,8 +157,8 @@ fn live_order<'a>(
 /// exactly into a pool, and those rows, ascending.
 ///
 /// The `k` are kept in one pass over the candidates, best first — the
-/// first chunk [`LazyOrder`] would cut, by the same order — and the
-/// order's `n·log₂n` comparisons are charged as it charges them.
+/// first chunk [`LazyOrder`] would cut, by the same order. The order's
+/// comparisons are the caller's to charge.
 fn seed(
     view: &ShardView<'_>,
     candidates: impl Iterator<Item = usize>,
@@ -175,16 +175,13 @@ fn seed(
         let by_bound = if closer { by_bound } else { by_bound.reverse() };
         by_bound.then_with(|| ids[a].cmp(&ids[b])).is_lt()
     };
-    let (mut best, mut n) = (Vec::with_capacity(k + 1), 0usize);
+    let mut best = Vec::with_capacity(k + 1);
     for i in candidates.filter(|&i| live[i]) {
-        n += 1;
         if best.len() < k || before(i, best[k - 1]) {
             best.insert(best.partition_point(|&b| before(b, i)), i);
             best.truncate(k);
         }
     }
-    let n = n as f64;
-    counters.cmp += (n * n.log2().max(1.0)) as u64;
     let mut top = TopK::new(k, closer);
     for &i in &best {
         counters.random_fetches += 1;
@@ -255,13 +252,17 @@ pub fn refine_resident(
     })
 }
 
-/// Rows per worker task of the batch sweep: a fixed block, so what a
-/// block refines never depends on the worker count, and (at 960
-/// dimensions and 8 queries) some tens of microseconds of work a task.
+/// Rows per worker task of the batch sweep: a fixed block of the rows it
+/// sweeps, so what a block refines never depends on the worker count, and
+/// (at 960 dimensions and 8 queries) some tens of microseconds of work a task.
 const SWEEP_ROWS: usize = 64;
 
-/// One query of a coalesced batch: its vector, its `k`, and its own bound
-/// column over the shard's rows (see [`ShardView::bounds`]).
+// The sweep keeps one bit per query in a byte per group of queries.
+const _: () = assert!(MULTI_QUERIES == u8::BITS as usize);
+
+/// One query of a coalesced batch: its vector, its `k`, its own bound
+/// column over the shard's rows (see [`ShardView::bounds`]), and the rows
+/// it can still rank on.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchQuery<'a> {
     /// The query vector.
@@ -270,6 +271,30 @@ pub struct BatchQuery<'a> {
     pub k: usize,
     /// PIM bound value per row, for this query.
     pub bounds: &'a [f64],
+    /// The rows to seed and sweep, in any order, each once: outside them
+    /// every live row's bound is pruned by the τ the batch freezes for
+    /// this query, so none of them seeds either. `None` is every row.
+    pub rows: Option<&'a [usize]>,
+}
+
+impl BatchQuery<'_> {
+    /// The rows this query seeds and sweeps over an `n`-row shard.
+    fn candidates(&self, n: usize) -> impl Iterator<Item = usize> + '_ {
+        let (listed, all) = match self.rows {
+            Some(rows) => (rows, 0..0),
+            None => (&[][..], 0..n),
+        };
+        listed.iter().copied().chain(all)
+    }
+}
+
+/// Whether `list` names each row once and leaves out only live rows whose
+/// bound `top` prunes, or tombstones: the contract of [`BatchQuery::rows`].
+fn covers(list: &[usize], live: &[bool], bounds: &[f64], top: &TopK) -> bool {
+    let mut listed = vec![false; live.len()];
+    list.iter()
+        .all(|&i| !std::mem::replace(&mut listed[i], true))
+        && (0..live.len()).all(|i| listed[i] || !live[i] || top.prunable(bounds[i]))
 }
 
 /// Refines a coalesced batch against one shard, reading every row once
@@ -277,13 +302,14 @@ pub struct BatchQuery<'a> {
 /// most of the shard per query, in bound order. Two steps:
 ///
 /// * **seed** — per query, the walk's own first chunk (its `k`
-///   best-bounded live candidates, ties by id) is evaluated exactly into
-///   the query's pool, whose threshold τ is then frozen;
-/// * **sweep** — the rows in storage order, in fixed `SWEEP_ROWS`
-///   blocks on the pool: a live row is compared with every query whose
-///   bound for it τ does not prune and that did not seed on it — given
-///   the shard's cell plane (`cells`, see [`push_cells`]), only once the
-///   row's cell bounds for those queries (one
+///   best-bounded live candidates among its [`BatchQuery::rows`], ties by
+///   id) is evaluated exactly into the query's pool, whose threshold τ is
+///   then frozen; one byte per row and group of eight queries then marks
+///   the live rows whose bound τ does not prune and that did not seed;
+/// * **sweep** — the marked rows, ascending, in fixed `SWEEP_ROWS`
+///   blocks on the pool: a row is compared with every query its byte
+///   marks — given the shard's cell plane (`cells`, see [`push_cells`]),
+///   only once the row's cell bounds for those queries (one
 ///   [`simpim_kern::cell_bound_multi`] call per eight) do not prune it
 ///   either — the Euclidean distance abandoned once it is above τ; hits
 ///   merge block by block.
@@ -293,10 +319,13 @@ pub struct BatchQuery<'a> {
 /// matter is evaluated; a cell bound above τ is below the row's computed
 /// distance ([`push_cells`]); an abandoned distance is above τ and could
 /// not have entered the pool; and [`TopK`] (ties by id) does not depend
-/// on offer order. `refined` / `pruned` depend on τ and the blocks, never
-/// on the worker count. Counters charge an abandoned distance in full, as
-/// the modeled host (Eq. 1) would pay it, and a cell test as `d` bytes
-/// and `d` integer MACs.
+/// on offer order. A query's rows leave out only rows it would neither
+/// seed on nor sweep, so answers, `refined` / `pruned` and the counters
+/// are those of every row: the seed order's `n·log₂n` comparisons and one
+/// prune test per (live row, query) are charged in bulk. `refined` /
+/// `pruned` depend on τ alone, never on the worker count. Counters charge
+/// an abandoned distance in full, as the modeled host (Eq. 1) would pay
+/// it, and a cell test as `d` bytes and `d` integer MACs.
 ///
 /// # Errors
 /// Per query, what [`refine_resident`] would refuse
@@ -313,13 +342,14 @@ pub fn refine_resident_batch(
     measure: Measure,
     counters: &mut OpCounters,
 ) -> Result<Vec<Result<ShardRefine, MiningError>>, MiningError> {
-    let d = rows.dim();
-    if cells.is_some_and(|c| measure != Measure::EuclideanSq || c.len() != rows.len() * d) {
+    let (n, d) = (rows.len(), rows.dim());
+    if cells.is_some_and(|c| measure != Measure::EuclideanSq || c.len() != n * d) {
         let what = "a cell plane bounds squared ED, d cells a row".into();
         return Err(MiningError::InvalidArgument { what });
     }
     // Per query its pool — only read while the sweep runs, which is what
     // freezes τ — and the rows it was seeded on, ascending.
+    let live_rows = live.iter().filter(|&&l| l).count() as u64;
     let mut seeded = Vec::with_capacity(batch.len());
     for b in batch {
         let view = ShardView {
@@ -332,9 +362,14 @@ pub fn refine_resident_batch(
             seeded.push(Err(e));
             continue;
         }
+        // The walk's order over every live row, as `LazyOrder` charges it,
+        // and a prune test per live row, as a sweep of them all tests it.
+        let sorted = live_rows as f64;
+        counters.cmp += (sorted * sorted.log2().max(1.0)) as u64;
+        counters.prune_tests(live_rows);
         seeded.push(Ok(seed(
             &view,
-            0..rows.len(),
+            b.candidates(n),
             b.query,
             b.k,
             measure,
@@ -342,35 +377,49 @@ pub fn refine_resident_batch(
         )?));
     }
 
+    // Per row a byte per group of eight queries; bit `j % 8` of byte
+    // `j / 8` marks the row for query `j`.
+    let groups = batch.len().div_ceil(MULTI_QUERIES);
+    let mut marks = vec![0u8; n * groups];
     // `d` cells a query that passed its check (the others are never read).
     let mut query_cells = Vec::new();
-    if cells.is_some() {
-        for (j, (b, s)) in batch.iter().zip(&seeded).enumerate() {
+    for (j, (b, s)) in batch.iter().zip(&seeded).enumerate() {
+        if cells.is_some() {
             push_cells(if s.is_ok() { b.query } else { &[] }, &mut query_cells);
             query_cells.resize((j + 1) * d, 0);
         }
+        let Ok((top, seeds)) = s else { continue };
+        debug_assert!(
+            b.rows.is_none_or(|r| covers(r, live, b.bounds, top)),
+            "query {j}'s rows repeat one or leave one out"
+        );
+        let (group, bit) = (j / MULTI_QUERIES, 1 << (j % MULTI_QUERIES));
+        for i in b
+            .candidates(n)
+            .filter(|&i| live[i] && !top.prunable(b.bounds[i]))
+        {
+            marks[i * groups + group] |= bit;
+        }
+        for &i in seeds {
+            marks[i * groups + group] &= !bit;
+        }
     }
+    let marked: Vec<usize> = (0..n)
+        .filter(|&i| marks[i * groups..][..groups].iter().any(|&m| m != 0))
+        .collect();
 
-    // A column that does not parallel the rows has failed every query by
-    // now, and then there is nothing to sweep.
-    let any_ok = seeded.iter().any(Result::is_ok);
-    let n = if any_ok { rows.len() } else { 0 };
-    let blocks = simpim_par::map_chunks(n, SWEEP_ROWS, |block| {
+    let blocks = simpim_par::map_chunks(marked.len(), SWEEP_ROWS, |block| {
         let mut hits = Vec::new();
         // Per query: rows evaluated exactly, rows the plane pruned.
         let mut swept = vec![[0u64; 2]; batch.len()];
         let mut cost = OpCounters::new();
         let mut sums = [0u64; MULTI_QUERIES];
-        for i in block.filter(|&i| live[i]) {
-            for first in (0..batch.len()).step_by(MULTI_QUERIES) {
+        for &i in &marked[block] {
+            for (group, &bits) in marks[i * groups..][..groups].iter().enumerate() {
                 // The queries of this group that still need row `i`.
                 let (mut need, mut m) = ([0usize; MULTI_QUERIES], 0);
-                for (j, s) in seeded.iter().enumerate().skip(first).take(MULTI_QUERIES) {
-                    let Ok((top, seeds)) = s else { continue };
-                    cost.prune_test();
-                    if !top.prunable(batch[j].bounds[i]) && seeds.binary_search(&i).is_err() {
-                        (need[m], m) = (j, m + 1);
-                    }
+                for t in (0..MULTI_QUERIES).filter(|t| bits >> t & 1 != 0) {
+                    (need[m], m) = (group * MULTI_QUERIES + t, m + 1);
                 }
                 if let Some(cells) = cells {
                     let qs: [&[u8]; MULTI_QUERIES] =
@@ -413,7 +462,6 @@ pub fn refine_resident_batch(
             }
         }
     }
-    let live_rows = live.iter().filter(|&&l| l).count() as u64;
     let refine = |(top, seeds): (TopK, Vec<usize>), [swept, plane_pruned]: [u64; 2]| {
         let refined = seeds.len() as u64 + swept;
         ShardRefine {
@@ -560,7 +608,12 @@ mod tests {
         let ds = rows();
         let (ids, live, zeros) = ([0, 1, 2, 3], [true; 4], [0.0; 4]);
         let q = [0.45, 0.55];
-        let of = |query, k, bounds| BatchQuery { query, k, bounds };
+        let of = |query, k, bounds| BatchQuery {
+            query,
+            k,
+            bounds,
+            rows: None,
+        };
         let batch = [
             of(&q[..], 2, &zeros[..]),
             of(&q[..], 0, &zeros[..]),
@@ -640,9 +693,12 @@ mod tests {
         /// distance can be abandoned mid-row. Per query `refined + pruned`
         /// is the live rows, and both counts are the same at 1, 2 and 8
         /// workers — with the cell plane and without, where the plane
-        /// prunes exactly the rows it takes from `refined`. Sweeping a
-        /// seed a second time, abandoning at `≥`, pruning on a cell bound
-        /// at `≥`, or sweeping a tombstone breaks it.
+        /// prunes exactly the rows it takes from `refined`. Handed rows —
+        /// every live row whose bound is at most the seeds' τ over all
+        /// rows, and a random sample of others, unsorted — give the same
+        /// bits, counts and counters as every row. Sweeping a seed a
+        /// second time, abandoning at `≥`, pruning on a cell bound or a
+        /// bound at `≥`, or sweeping a tombstone breaks it.
         #[test]
         fn batch_refine_matches_single_refines(
             cells in proptest::prop::collection::vec(
@@ -654,6 +710,7 @@ mod tests {
                 (0u32..9, 0u32..9, 0usize..5, 0u32..4),
                 9,
             ),
+            sample in proptest::prop::collection::vec(0usize..160, 0..24),
         ) {
             let n = cells.len();
             let wide = |x: f64, y: f64| -> Vec<f64> {
@@ -696,41 +753,68 @@ mod tests {
                 })
                 .collect();
             let batch: Vec<BatchQuery<'_>> = (0..q_count)
-                .map(|j| BatchQuery { query: &qs[j], k: ks[j], bounds: &columns[j] })
+                .map(|j| BatchQuery { query: &qs[j], k: ks[j], bounds: &columns[j], rows: None })
+                .collect();
+            // Per query the rows a caller may hand over: the sample first,
+            // then every live row that τ over all rows does not prune.
+            let every: Vec<usize> = (0..n).collect();
+            let lists: Vec<Vec<usize>> = (0..q_count)
+                .map(|j| {
+                    let view = ShardView { rows: &rows, ids: &ids, live: &live, bounds: &columns[j] };
+                    let tau = seed_threshold(&view, &every, &qs[j], ks[j], Measure::EuclideanSq).unwrap();
+                    let needed = |i: usize| live[i] && columns[j][i] <= tau;
+                    let mut list: Vec<usize> = Vec::new();
+                    for i in sample.iter().map(|&s| (s + 7 * j) % n) {
+                        if !needed(i) && !list.contains(&i) {
+                            list.push(i);
+                        }
+                    }
+                    list.extend((0..n).rev().filter(|&i| needed(i)));
+                    list
+                })
+                .collect();
+            let handed: Vec<BatchQuery<'_>> = batch
+                .iter()
+                .zip(&lists)
+                .map(|(b, list)| BatchQuery { rows: Some(list), ..*b })
                 .collect();
 
             let mut cells = Vec::new();
             push_cells(rows.as_flat(), &mut cells);
             let mut unplaned: Vec<u64> = Vec::new();
             for plane in [None, Some(&cells[..])] {
-                let mut counts: Option<Vec<(u64, u64, u64)>> = None;
-                for threads in [1usize, 2, 8] {
+                let mut counts = None;
+                for (threads, batch) in [1usize, 2, 8].into_iter().flat_map(|t| [(t, &batch), (t, &handed)]) {
                     simpim_par::with_threads(threads, || {
                         let mut c = OpCounters::new();
                         let got = refine_resident_batch(
-                            &rows, &ids, &live, plane, &batch, Measure::EuclideanSq, &mut c,
+                            &rows, &ids, &live, plane, batch, Measure::EuclideanSq, &mut c,
                         )
                         .unwrap();
                         assert_eq!(got.len(), q_count);
                         for (j, got) in got.iter().enumerate() {
                             let got = got.as_ref().unwrap();
                             let view = ShardView { rows: &rows, ids: &ids, live: &live, bounds: &columns[j] };
+                            let mut solo = OpCounters::new();
                             let alone =
-                                refine_resident(&view, &qs[j], ks[j], Measure::EuclideanSq, &mut c).unwrap();
+                                refine_resident(&view, &qs[j], ks[j], Measure::EuclideanSq, &mut solo).unwrap();
                             let bits = |r: &ShardRefine| -> Vec<(usize, u64)> {
                                 r.neighbors.iter().map(|&(id, v)| (id, v.to_bits())).collect()
                             };
-                            let what = format!("query {j} of {q_count}, {threads} threads, plane {}", plane.is_some());
+                            let listed = batch[j].rows.is_some();
+                            let what = format!("query {j} of {q_count}, {threads} threads, plane {}, rows handed {listed}", plane.is_some());
                             assert_eq!(bits(got), bits(&alone), "{what}");
                             assert_eq!(got.refined + got.pruned, live_rows, "{what}: every live row counted once");
                         }
                         let these: Vec<(u64, u64, u64)> =
                             got.iter().flatten().map(|r| (r.refined, r.pruned, r.plane_pruned)).collect();
-                        assert_eq!(counts.get_or_insert_with(|| these.clone()), &these, "{threads} threads");
+                        let these = (these, c);
+                        let listed = batch[0].rows.is_some();
+                        assert_eq!(counts.get_or_insert_with(|| these.clone()), &these, "{threads} threads, rows handed {listed}");
                     });
                 }
                 // The plane takes from `refined` exactly the rows it prunes.
-                let counts = counts.unwrap();
+                let counts = counts.unwrap().0;
                 if plane.is_none() {
                     assert!(counts.iter().all(|c| c.2 == 0));
                     unplaned = counts.iter().map(|c| c.0).collect();
@@ -761,6 +845,7 @@ mod tests {
                 query: &query,
                 k: 1,
                 bounds: &bounds,
+                rows: None,
             }];
             let mut c = OpCounters::new();
             let got = refine_resident_batch(

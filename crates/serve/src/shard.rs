@@ -319,6 +319,7 @@ impl ShardMirror {
                 query,
                 k,
                 bounds: &zeros,
+                rows: None,
             })
             .collect();
         self.refine_batch(&batch)
@@ -384,6 +385,10 @@ struct Sharpen<'a> {
     live_objs: usize,
     delta: &'a [usize],
 }
+
+/// Per query of a batch, the rows [`Residency::sharpen`] handed over, or
+/// `None` for every row ([`BatchQuery::rows`]).
+type Handed = Vec<Option<Vec<usize>>>;
 
 /// The largest of the bounds `values[objs]`, and its place in `objs`.
 fn largest(objs: &[usize], values: &[f64]) -> (f64, usize) {
@@ -527,13 +532,14 @@ impl Residency {
         // Runs on a pool worker: fail this batch, never the thread.
         check_ks(queries, ks)?;
         match self.bound_columns(mirror, queries, ks, parent) {
-            Ok(columns) => {
+            Ok((columns, handed)) => {
                 let n = mirror.len();
                 let batch: Vec<BatchQuery<'_>> = (queries.iter().zip(ks).enumerate())
                     .map(|(j, (query, &k))| BatchQuery {
                         query,
                         k,
                         bounds: &columns[j * n..][..n],
+                        rows: handed[j].as_deref(),
                     })
                     .collect();
                 Ok(mirror.refine_batch(&batch))
@@ -562,14 +568,15 @@ impl Residency {
     /// order. Delta rows read `0.0`. A query whose pass read coarse has
     /// its column sharpened ([`Residency::sharpen`]) so that the
     /// refinement seeds, prunes and counts exactly as over the fine
-    /// column.
+    /// column, and is handed the rows sharpening left open
+    /// ([`BatchQuery::rows`]); every other query is handed `None`.
     fn bound_columns(
         &mut self,
         mirror: &ShardMirror,
         queries: &[Vec<f64>],
         ks: &[usize],
         parent: simpim_obs::TraceCtx,
-    ) -> Result<Vec<f64>, ServeError> {
+    ) -> Result<(Vec<f64>, Handed), ServeError> {
         let mut pass = self.exec.lb_ed_batch_coarse(queries, parent)?;
         let n = mirror.len();
         let pass_ns: f64 = pass.batches.iter().map(|b| b.timing.total_ns()).sum();
@@ -577,6 +584,7 @@ impl Residency {
         // Zero-filled: a scatter overwrites exactly the `order` slots, and
         // the rest — the delta rows — must read `0.0` (refine exactly).
         let mut columns = vec![0.0; n * queries.len()];
+        let mut handed = vec![None; queries.len()];
         for (j, batch) in pass.batches.iter().enumerate() {
             debug_assert_eq!(batch.values.len(), self.order.len());
             let column = &mut columns[j * n..][..n];
@@ -611,19 +619,24 @@ impl Residency {
             for (j, (query, &k)) in queries.iter().zip(ks).enumerate() {
                 if coarse[j] && k > 0 {
                     let column = &mut columns[j * n..][..n];
-                    coarse_pruned += self.sharpen(mirror, &batch, j, (query, k), column)?;
+                    let rows = self.sharpen(mirror, &batch, j, (query, k), column)?;
+                    // Every live resident row it did not hand over kept
+                    // its coarse bound.
+                    coarse_pruned += (live_objs + delta.len() - rows.len()) as u64;
+                    handed[j] = Some(rows);
                 }
             }
             simpim_obs::metrics::counter_add("simpim.serve.coarse_pruned", coarse_pruned);
         }
-        Ok(columns)
+        Ok((columns, handed))
     }
 
     /// Turns query `j`'s coarse column into the column the refinement
-    /// needs, with a fine bound only where it can decide, and returns how
-    /// many live rows kept their coarse bound (pruned before any fine
-    /// dot). Three steps (DESIGN.md §9), each reading the pass's coarse
-    /// values in object order:
+    /// needs, with a fine bound only where it can decide, and returns the
+    /// rows the refinement needs ([`BatchQuery::rows`]): the delta and
+    /// every row now fine, each once. The live rows left out kept their
+    /// coarse bound (pruned before any fine dot). Three steps (DESIGN.md
+    /// §9), each reading the pass's coarse values in object order:
     ///
     /// * **κ** — the largest fine bound of the `k` live rows with the
     ///   smallest coarse bounds (delta rows first: their `0.0` is exact);
@@ -639,7 +652,8 @@ impl Residency {
     /// Every row left coarse then has a coarse bound above τ, itself at
     /// least the `k`-th fine bound, and a fine bound no smaller: the
     /// refinement seeds on the same rows, freezes the same τ, and prunes
-    /// (strictly above τ) exactly the rows the fine column would.
+    /// (strictly above τ) exactly the rows the fine column would; every
+    /// row not handed over is one of those it prunes.
     fn sharpen(
         &self,
         mirror: &ShardMirror,
@@ -647,7 +661,7 @@ impl Residency {
         j: usize,
         (query, k): (&[f64], usize),
         column: &mut [f64],
-    ) -> Result<u64, ServeError> {
+    ) -> Result<Vec<usize>, ServeError> {
         let Sharpen {
             pass,
             live_objs,
@@ -695,23 +709,23 @@ impl Residency {
         let mut rest = within(f64::NEG_INFINITY, kappa);
         rest.retain(|obj| !first.contains(obj));
         refine(&rest, column)?;
-        let mut candidates = delta.to_vec();
-        let fine = first.iter().chain(&rest).map(|&obj| self.order[obj]);
-        candidates.extend(fine.filter(|&i| column[i] <= kappa));
+        let mut rows = delta.to_vec();
+        rows.extend(first.iter().chain(&rest).map(|&obj| self.order[obj]));
         let view = ShardView {
             rows: &mirror.rows,
             ids: &mirror.ids,
             live: &mirror.live,
             bounds: column,
         };
-        let tau = seed_threshold(&view, &candidates, query, k, Measure::EuclideanSq)?;
+        let tau = seed_threshold(&view, &rows, query, k, Measure::EuclideanSq)?;
         let last = if tau > kappa {
             within(kappa, tau)
         } else {
             Vec::new()
         };
         refine(&last, column)?;
-        Ok((live_objs - first.len() - rest.len() - last.len()) as u64)
+        rows.extend(last.iter().map(|&obj| self.order[obj]));
+        Ok(rows)
     }
 
     /// Tombstoned slots still programmed on this bank.
@@ -1178,7 +1192,8 @@ mod tests {
     }
 
     /// Refines `queries` over the bound columns `res` builds (coarse
-    /// first, sharpened) and over the fine pass's columns, at 1, 2 and 8
+    /// first, sharpened, over the rows it hands each query) and over the
+    /// fine pass's columns (over every row), at 1, 2 and 8
     /// workers: the same neighbours to the bit, the same refined, pruned
     /// and plane-pruned counts and the same counters, query by query.
     /// Returns whether some row kept a coarse bound.
@@ -1190,12 +1205,13 @@ mod tests {
     ) -> bool {
         let mut kept = false;
         let n = mirror.len();
-        let refine = |columns: &[f64]| {
+        let refine = |columns: &[f64], handed: &[Option<Vec<usize>>]| {
             let batch: Vec<BatchQuery<'_>> = (queries.iter().zip(ks).enumerate())
                 .map(|(j, (query, &k))| BatchQuery {
                     query,
                     k,
                     bounds: &columns[j * n..][..n],
+                    rows: handed[j].as_deref(),
                 })
                 .collect();
             let (rows, cells) = (&mirror.rows, mirror.cells.as_deref());
@@ -1239,8 +1255,13 @@ mod tests {
                         fine[j * n + idx] = bound;
                     }
                 }
-                let coarse = coarse.unwrap();
-                assert_eq!(refine(&coarse), refine(&fine), "{workers} workers");
+                let (coarse, handed) = coarse.unwrap();
+                let every = vec![None; queries.len()];
+                assert_eq!(
+                    refine(&coarse, &handed),
+                    refine(&fine, &every),
+                    "{workers} workers"
+                );
                 kept |= coarse != fine;
             });
         }

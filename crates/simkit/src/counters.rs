@@ -108,8 +108,14 @@ impl OpCounters {
     /// Records one compare-and-branch (pruning test).
     #[inline]
     pub fn prune_test(&mut self) {
-        self.cmp += 1;
-        self.branch += 1;
+        self.prune_tests(1);
+    }
+
+    /// Records `n` compare-and-branches at once.
+    #[inline]
+    pub fn prune_tests(&mut self, n: u64) {
+        self.cmp += n;
+        self.branch += n;
     }
 
     /// Total operation count (all classes).
