@@ -39,7 +39,8 @@
 //!   row is abandoned about 1/8 and 1/2 of the way in and when none is
 //!   (its outcomes hashed into `euclidean_sq_until_hash`, equal on all
 //!   backends), and `refine_resident_batch` of `Q` ∈ {1, 4, 8} queries on
-//!   one 5 000 × 960 shard with all-zero bounds and the shard's cell
+//!   one 5 000 × 960 shard with all-zero bounds (a dense column, no
+//!   `tighten`: every live row is a candidate) and the shard's cell
 //!   plane at one worker, as milliseconds of refinement per query;
 //! * **the cell-plane bound**: `cell_bound_multi` over that shard's cells
 //!   at eight queries, in ns per cell and query, its sums hashed into
@@ -396,7 +397,7 @@ fn sweep_backend(
                     query,
                     k: K,
                     bounds: &zeros,
-                    rows: None,
+                    tighten: None,
                 })
                 .collect();
             let (ns_per_query, _) = par::with_threads(1, || {

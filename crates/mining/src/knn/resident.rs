@@ -23,7 +23,12 @@
 //! shard's rows. The serving path uses the first for a batch of one and
 //! the second otherwise (DESIGN.md §16 says why both exist). The batch
 //! refinement can also take the shard's host cell plane ([`push_cells`]): an exact
-//! 8-bit lower bound tested between the PIM bound and the distance.
+//! 8-bit lower bound tested between the PIM bound and the distance; and a
+//! query may bring a cheap bound column with a [`Tighten`] that gives the
+//! tight bound of the rows it is asked about. The refinement then owns the
+//! whole seed — κ → seed → τ → tighten — asks only about the rows that
+//! can seed or survive τ, and answers, counts and charges as over the
+//! tight column.
 
 use simpim_similarity::{Dataset, Measure};
 use simpim_simkit::OpCounters;
@@ -63,6 +68,9 @@ pub struct ShardRefine {
     /// Of `pruned`, the candidates the cell plane eliminated after their
     /// PIM bound let them through.
     pub plane_pruned: u64,
+    /// Of `pruned`, the live candidates left at their cheap bound, never
+    /// tightened ([`BatchQuery::tighten`]).
+    pub cheap_pruned: u64,
 }
 
 /// Cells per unit value: a cell is `⌊256 v⌋`, 8 bits.
@@ -151,75 +159,132 @@ fn live_order<'a>(
     )
 }
 
-/// The seed step of [`refine_resident_batch`] for one query over the
-/// rows `candidates` of a checked view: the walk's first chunk among
-/// them — their `k` best-bounded live rows, ties by id — evaluated
-/// exactly into a pool, and those rows, ascending.
-///
-/// The `k` are kept in one pass over the candidates, best first — the
-/// first chunk [`LazyOrder`] would cut, by the same order. The order's
+/// Whether bound `a` ranks strictly after bound `b`, by value alone.
+fn worse(a: f64, b: f64, closer: bool) -> bool {
+    (closer && a > b) || (!closer && a < b)
+}
+
+/// The rows of the `k` best live `(row, bound)` pairs (best bound first,
+/// ties by the rows' `ids`: the first chunk [`LazyOrder`] would cut),
+/// kept in one pass and returned in no particular order. The order's
 /// comparisons are the caller's to charge.
+fn k_best(
+    view: &ShardView<'_>,
+    pairs: impl Iterator<Item = (usize, f64)>,
+    k: usize,
+    closer: bool,
+) -> Vec<usize> {
+    let (ids, live) = (view.ids, view.live);
+    // Whether pair `a` ranks before pair `b`.
+    let before = |a: &(usize, f64), b: &(usize, f64)| {
+        let by_bound = a.1.total_cmp(&b.1);
+        let by_bound = if closer { by_bound } else { by_bound.reverse() };
+        by_bound.then_with(|| ids[a.0].cmp(&ids[b.0])).is_lt()
+    };
+    let mut best: Vec<(usize, f64)> = Vec::with_capacity(k);
+    // The place in `best` of the pair that ranks last, and its bound once
+    // there are `k` (NaN before: no bound is worse). Most pairs stop at one
+    // comparison with that bound, as a worse one cannot rank before it.
+    let (mut last, mut cut) = (0, f64::NAN);
+    for p in pairs {
+        let full = best.len() == k;
+        if worse(p.1, cut, closer) || !live[p.0] || (full && !before(&p, &best[last])) {
+            continue;
+        }
+        // Past `k`, `p` takes the last-ranked pair's place.
+        best.push(p);
+        if full {
+            best.swap_remove(last);
+        }
+        if best.len() == k {
+            last = (0..k).fold(0, |w, i| if before(&best[w], &best[i]) { i } else { w });
+            cut = best[last].1;
+        }
+    }
+    best.into_iter().map(|(i, _)| i).collect()
+}
+
+/// One query's seed step in [`refine_resident_batch`]: its pool, its
+/// seeds (ascending), and — given a [`Tighten`] — the `(row, bound)`
+/// pairs it tightened, each row once.
+type Seeded = (TopK, Vec<usize>, Option<Vec<(usize, f64)>>);
+
+/// The seed step for one query over `(row, bound)` pairs of a checked
+/// view's live rows: the walk's first chunk among them ([`k_best`])
+/// evaluated exactly into a pool.
 fn seed(
     view: &ShardView<'_>,
-    candidates: impl Iterator<Item = usize>,
+    pairs: impl Iterator<Item = (usize, f64)>,
     query: &[f64],
     k: usize,
     measure: Measure,
     counters: &mut OpCounters,
-) -> Result<(TopK, Vec<usize>), MiningError> {
-    let (rows, ids, live, bounds) = (view.rows, view.ids, view.live, view.bounds);
-    let closer = measure.smaller_is_closer();
-    // Whether row `a` ranks before row `b`: best bound first, ties by id.
-    let before = |a: usize, b: usize| {
-        let by_bound = bounds[a].total_cmp(&bounds[b]);
-        let by_bound = if closer { by_bound } else { by_bound.reverse() };
-        by_bound.then_with(|| ids[a].cmp(&ids[b])).is_lt()
-    };
-    let mut best = Vec::with_capacity(k + 1);
-    for i in candidates.filter(|&i| live[i]) {
-        if best.len() < k || before(i, best[k - 1]) {
-            best.insert(best.partition_point(|&b| before(b, i)), i);
-            best.truncate(k);
-        }
-    }
-    let mut top = TopK::new(k, closer);
-    for &i in &best {
+) -> Result<Seeded, MiningError> {
+    let (rows, ids) = (view.rows, view.ids);
+    let mut top = TopK::new(k, measure.smaller_is_closer());
+    let mut seeds = Vec::with_capacity(k);
+    for i in k_best(view, pairs, k, measure.smaller_is_closer()) {
         counters.random_fetches += 1;
         counters.prune_test();
         top.offer(ids[i], exact_eval(measure, rows.row(i), query, counters)?);
+        seeds.push(i);
     }
-    best.sort_unstable();
-    Ok((top, best))
+    seeds.sort_unstable();
+    Ok((top, seeds, None))
 }
 
-/// The threshold τ [`refine_resident_batch`] freezes for `query` once
-/// it has seeded, over `view` — found among the rows `candidates` alone.
-/// It is the batch refinement's τ whenever the view's `k` best-bounded
-/// live rows (ties by id) are all among the candidates: a caller that
-/// knows a bound above `k` candidates' for every other row gets τ without
-/// ordering the whole column. Nothing is charged.
+/// The seed step over a cheap column (`view.bounds`) that `tighten`
+/// sharpens, tightening only the rows the refinement can need (DESIGN.md
+/// §9):
 ///
-/// # Errors
-/// What [`refine_resident`] would refuse ([`MiningError::InvalidArgument`]),
-/// and [`MiningError::UnsupportedMeasure`].
-pub fn seed_threshold(
+/// 1. **κ** — the `k` live rows with the best cheap bounds ([`k_best`])
+///    are tightened; κ is the worst of their tightened bounds;
+/// 2. every other live row whose cheap bound is not worse than κ is
+///    tightened. At least `k` rows have a tightened bound no worse than
+///    κ, and every row left has a cheap (so also a tight) bound worse
+///    than κ: the `k` best tight bounds, ties by id, are among the rows
+///    tightened;
+/// 3. **τ** — [`seed`] over the tightened rows alone seeds on the rows
+///    the tight column would and freezes its τ;
+/// 4. every live row left whose cheap bound τ does not prune is
+///    tightened. Every row left then has a cheap bound, so a tight one,
+///    that τ prunes, as the sweep over the tight column would.
+fn seed_tightened(
     view: &ShardView<'_>,
-    candidates: &[usize],
+    tighten: Tighten<'_>,
     query: &[f64],
     k: usize,
     measure: Measure,
-) -> Result<f64, MiningError> {
-    check(view, query, k)?;
-    let mut counters = OpCounters::new();
-    let (top, _) = seed(
-        view,
-        candidates.iter().copied(),
-        query,
-        k,
-        measure,
-        &mut counters,
-    )?;
-    Ok(top.threshold())
+    counters: &mut OpCounters,
+) -> Result<Seeded, MiningError> {
+    let (bounds, live) = (view.bounds, view.live);
+    let closer = measure.smaller_is_closer();
+    let rows = || bounds.iter().copied().enumerate();
+    // Appends `pairs`, rows beside their cheap bounds, and tightens them.
+    let ask = |tightened: &mut Vec<_>, pairs: &mut dyn Iterator<Item = (usize, f64)>| {
+        let start = tightened.len();
+        tightened.extend(pairs);
+        tighten(&mut tightened[start..])
+    };
+    let mut first = k_best(view, rows(), k, closer);
+    let mut tightened = Vec::new();
+    ask(&mut tightened, &mut first.iter().map(|&i| (i, bounds[i])))?;
+    // κ, the worst of them (with no live row, nothing is left to tighten).
+    let kappa = (tightened.iter().map(|&(_, v)| v))
+        .reduce(|a, b| if worse(b, a, closer) { b } else { a })
+        .unwrap_or_default();
+    first.sort_unstable();
+    let fresh = |i: usize| first.binary_search(&i).is_err();
+    let rest = &mut rows().filter(|&(i, v)| !worse(v, kappa, closer) && live[i] && fresh(i));
+    ask(&mut tightened, rest)?;
+    let (top, seeds, _) = seed(view, tightened.iter().copied(), query, k, measure, counters)?;
+    // A row left can only be within τ when τ is worse than κ.
+    if worse(top.threshold(), kappa, closer) {
+        let last = &mut rows()
+            .filter(|&(i, v)| !top.prunable(v) && worse(v, kappa, closer) && live[i] && fresh(i));
+        ask(&mut tightened, last)?;
+    }
+    Ok((top, seeds, Some(tightened)))
 }
 
 /// Refines one shard's PIM bound batch into its exact partial top-k.
@@ -249,6 +314,7 @@ pub fn refine_resident(
         refined: walked.refined,
         pruned: walked.first_pruned,
         plane_pruned: 0,
+        cheap_pruned: 0,
     })
 }
 
@@ -260,10 +326,15 @@ const SWEEP_ROWS: usize = 64;
 // The sweep keeps one bit per query in a byte per group of queries.
 const _: () = assert!(MULTI_QUERIES == u8::BITS as usize);
 
+/// Tightens a cheap bound column ([`BatchQuery::tighten`]): given
+/// `(row, cheap bound)` pairs, overwrites each bound with one no looser
+/// that is still a valid bound for its row.
+pub type Tighten<'a> = &'a (dyn Fn(&mut [(usize, f64)]) -> Result<(), MiningError> + Sync);
+
 /// One query of a coalesced batch: its vector, its `k`, its own bound
-/// column over the shard's rows (see [`ShardView::bounds`]), and the rows
-/// it can still rank on.
-#[derive(Debug, Clone, Copy)]
+/// column over the shard's rows (see [`ShardView::bounds`]), and what
+/// tightens that column when it is cheap.
+#[derive(Clone, Copy)]
 pub struct BatchQuery<'a> {
     /// The query vector.
     pub query: &'a [f64],
@@ -271,30 +342,11 @@ pub struct BatchQuery<'a> {
     pub k: usize,
     /// PIM bound value per row, for this query.
     pub bounds: &'a [f64],
-    /// The rows to seed and sweep, in any order, each once: outside them
-    /// every live row's bound is pruned by the τ the batch freezes for
-    /// this query, so none of them seeds either. `None` is every row.
-    pub rows: Option<&'a [usize]>,
-}
-
-impl BatchQuery<'_> {
-    /// The rows this query seeds and sweeps over an `n`-row shard.
-    fn candidates(&self, n: usize) -> impl Iterator<Item = usize> + '_ {
-        let (listed, all) = match self.rows {
-            Some(rows) => (rows, 0..0),
-            None => (&[][..], 0..n),
-        };
-        listed.iter().copied().chain(all)
-    }
-}
-
-/// Whether `list` names each row once and leaves out only live rows whose
-/// bound `top` prunes, or tombstones: the contract of [`BatchQuery::rows`].
-fn covers(list: &[usize], live: &[bool], bounds: &[f64], top: &TopK) -> bool {
-    let mut listed = vec![false; live.len()];
-    list.iter()
-        .all(|&i| !std::mem::replace(&mut listed[i], true))
-        && (0..live.len()).all(|i| listed[i] || !live[i] || top.prunable(bounds[i]))
+    /// With `Some`, `bounds` is a cheap column and this gives the tight
+    /// one of the rows it is asked about — never a tombstone, nor a row
+    /// twice. The refinement answers, counts and charges as over the
+    /// tight column.
+    pub tighten: Option<Tighten<'a>>,
 }
 
 /// Refines a coalesced batch against one shard, reading every row once
@@ -302,10 +354,12 @@ fn covers(list: &[usize], live: &[bool], bounds: &[f64], top: &TopK) -> bool {
 /// most of the shard per query, in bound order. Two steps:
 ///
 /// * **seed** — per query, the walk's own first chunk (its `k`
-///   best-bounded live candidates among its [`BatchQuery::rows`], ties by
-///   id) is evaluated exactly into the query's pool, whose threshold τ is
-///   then frozen; one byte per row and group of eight queries then marks
-///   the live rows whose bound τ does not prune and that did not seed;
+///   best-bounded live rows, ties by id) is evaluated exactly into the
+///   query's pool, whose threshold τ is then frozen — over a cheap column
+///   with a [`BatchQuery::tighten`], after tightening only the rows that
+///   can seed (see `seed_tightened`); one byte per row and group of eight
+///   queries then marks the live rows whose bound τ does not prune and
+///   that did not seed (of a cheap column, only rows tightened);
 /// * **sweep** — the marked rows, ascending, in fixed `SWEEP_ROWS`
 ///   blocks on the pool: a row is compared with every query its byte
 ///   marks — given the shard's cell plane (`cells`, see [`push_cells`]),
@@ -319,10 +373,11 @@ fn covers(list: &[usize], live: &[bool], bounds: &[f64], top: &TopK) -> bool {
 /// matter is evaluated; a cell bound above τ is below the row's computed
 /// distance ([`push_cells`]); an abandoned distance is above τ and could
 /// not have entered the pool; and [`TopK`] (ties by id) does not depend
-/// on offer order. A query's rows leave out only rows it would neither
-/// seed on nor sweep, so answers, `refined` / `pruned` and the counters
-/// are those of every row: the seed order's `n·log₂n` comparisons and one
-/// prune test per (live row, query) are charged in bulk. `refined` /
+/// on offer order. A cheap column leaves at its bound only rows the tight
+/// one would neither seed on nor sweep, so answers, `refined` / `pruned`
+/// and the counters are the tight column's: the seed order's `n·log₂n`
+/// comparisons and one prune test per (live row, query) are charged in
+/// bulk. `refined` /
 /// `pruned` depend on τ alone, never on the worker count. Counters charge
 /// an abandoned distance in full, as the modeled host (Eq. 1) would pay
 /// it, and a cell test as `d` bytes and `d` integer MACs.
@@ -330,7 +385,8 @@ fn covers(list: &[usize], live: &[bool], bounds: &[f64], top: &TopK) -> bool {
 /// # Errors
 /// Per query, what [`refine_resident`] would refuse
 /// ([`MiningError::InvalidArgument`]) — the rest of the batch is still
-/// answered; for the batch, [`MiningError::UnsupportedMeasure`], and
+/// answered; for the batch, [`MiningError::UnsupportedMeasure`], what a
+/// [`BatchQuery::tighten`] returns, and
 /// [`MiningError::InvalidArgument`] for `cells` that are not `d` a row, or
 /// that come with a measure other than [`Measure::EuclideanSq`].
 pub fn refine_resident_batch(
@@ -347,8 +403,8 @@ pub fn refine_resident_batch(
         let what = "a cell plane bounds squared ED, d cells a row".into();
         return Err(MiningError::InvalidArgument { what });
     }
-    // Per query its pool — only read while the sweep runs, which is what
-    // freezes τ — and the rows it was seeded on, ascending.
+    // Per query its seed step; its pool is only read while the sweep runs,
+    // which is what freezes τ.
     let live_rows = live.iter().filter(|&&l| l).count() as u64;
     let mut seeded = Vec::with_capacity(batch.len());
     for b in batch {
@@ -367,14 +423,13 @@ pub fn refine_resident_batch(
         let sorted = live_rows as f64;
         counters.cmp += (sorted * sorted.log2().max(1.0)) as u64;
         counters.prune_tests(live_rows);
-        seeded.push(Ok(seed(
-            &view,
-            b.candidates(n),
-            b.query,
-            b.k,
-            measure,
-            counters,
-        )?));
+        seeded.push(Ok(match b.tighten {
+            Some(tighten) => seed_tightened(&view, tighten, b.query, b.k, measure, counters)?,
+            None => {
+                let pairs = b.bounds.iter().copied().enumerate();
+                seed(&view, pairs, b.query, b.k, measure, counters)?
+            }
+        }));
     }
 
     // Per row a byte per group of eight queries; bit `j % 8` of byte
@@ -388,17 +443,16 @@ pub fn refine_resident_batch(
             push_cells(if s.is_ok() { b.query } else { &[] }, &mut query_cells);
             query_cells.resize((j + 1) * d, 0);
         }
-        let Ok((top, seeds)) = s else { continue };
-        debug_assert!(
-            b.rows.is_none_or(|r| covers(r, live, b.bounds, top)),
-            "query {j}'s rows repeat one or leave one out"
-        );
+        let Ok((top, seeds, pairs)) = s else { continue };
         let (group, bit) = (j / MULTI_QUERIES, 1 << (j % MULTI_QUERIES));
-        for i in b
-            .candidates(n)
-            .filter(|&i| live[i] && !top.prunable(b.bounds[i]))
-        {
-            marks[i * groups + group] |= bit;
+        let mark = |(i, bound): (usize, f64)| {
+            if !top.prunable(bound) && live[i] {
+                marks[i * groups + group] |= bit;
+            }
+        };
+        match pairs {
+            Some(pairs) => pairs.iter().copied().for_each(mark),
+            None => b.bounds.iter().copied().enumerate().for_each(mark),
         }
         for &i in seeds {
             marks[i * groups + group] &= !bit;
@@ -427,7 +481,7 @@ pub fn refine_resident_batch(
                     simpim_kern::cell_bound_multi(&cells[i * d..][..d], &qs[..m], &mut sums);
                 }
                 for (&j, &sum) in need[..m].iter().zip(&sums) {
-                    let Ok((top, _)) = &seeded[j] else { continue };
+                    let Ok((top, ..)) = &seeded[j] else { continue };
                     if cells.is_some() {
                         cost.dot_kernel(d as u64, d as u64);
                         cost.prune_test();
@@ -457,18 +511,19 @@ pub fn refine_resident_batch(
         }
         for (j, id, v) in hits {
             counters.prune_test();
-            if let Ok((top, _)) = &mut seeded[j] {
+            if let Ok((top, ..)) = &mut seeded[j] {
                 top.offer(id, v);
             }
         }
     }
-    let refine = |(top, seeds): (TopK, Vec<usize>), [swept, plane_pruned]: [u64; 2]| {
+    let refine = |(top, seeds, tightened): Seeded, [swept, plane_pruned]: [u64; 2]| {
         let refined = seeds.len() as u64 + swept;
         ShardRefine {
             neighbors: top.into_sorted(),
             refined,
             pruned: live_rows - refined,
             plane_pruned,
+            cheap_pruned: tightened.map_or(0, |t| live_rows - t.len() as u64),
         }
     };
     Ok(seeded
@@ -612,7 +667,7 @@ mod tests {
             query,
             k,
             bounds,
-            rows: None,
+            tighten: None,
         };
         let batch = [
             of(&q[..], 2, &zeros[..]),
@@ -693,12 +748,13 @@ mod tests {
         /// distance can be abandoned mid-row. Per query `refined + pruned`
         /// is the live rows, and both counts are the same at 1, 2 and 8
         /// workers — with the cell plane and without, where the plane
-        /// prunes exactly the rows it takes from `refined`. Handed rows —
-        /// every live row whose bound is at most the seeds' τ over all
-        /// rows, and a random sample of others, unsorted — give the same
-        /// bits, counts and counters as every row. Sweeping a seed a
-        /// second time, abandoning at `≥`, pruning on a cell bound or a
-        /// bound at `≥`, or sweeping a tombstone breaks it.
+        /// prunes exactly the rows it takes from `refined`. A cheap column
+        /// (each bound scaled by 0, ½ or 1) with a `tighten` back to these
+        /// bounds gives the same bits, counts and counters, and asks about
+        /// no tombstone and no row twice. Sweeping a seed a second time,
+        /// abandoning at `≥`, pruning on a cell bound or a bound at `≥`,
+        /// sweeping a tombstone, or leaving cheap a row the seeds or τ
+        /// need breaks it.
         #[test]
         fn batch_refine_matches_single_refines(
             cells in proptest::prop::collection::vec(
@@ -710,7 +766,6 @@ mod tests {
                 (0u32..9, 0u32..9, 0usize..5, 0u32..4),
                 9,
             ),
-            sample in proptest::prop::collection::vec(0usize..160, 0..24),
         ) {
             let n = cells.len();
             let wide = |x: f64, y: f64| -> Vec<f64> {
@@ -753,30 +808,37 @@ mod tests {
                 })
                 .collect();
             let batch: Vec<BatchQuery<'_>> = (0..q_count)
-                .map(|j| BatchQuery { query: &qs[j], k: ks[j], bounds: &columns[j], rows: None })
+                .map(|j| BatchQuery { query: &qs[j], k: ks[j], bounds: &columns[j], tighten: None })
                 .collect();
-            // Per query the rows a caller may hand over: the sample first,
-            // then every live row that τ over all rows does not prune.
-            let every: Vec<usize> = (0..n).collect();
-            let lists: Vec<Vec<usize>> = (0..q_count)
-                .map(|j| {
-                    let view = ShardView { rows: &rows, ids: &ids, live: &live, bounds: &columns[j] };
-                    let tau = seed_threshold(&view, &every, &qs[j], ks[j], Measure::EuclideanSq).unwrap();
-                    let needed = |i: usize| live[i] && columns[j][i] <= tau;
-                    let mut list: Vec<usize> = Vec::new();
-                    for i in sample.iter().map(|&s| (s + 7 * j) % n) {
-                        if !needed(i) && !list.contains(&i) {
-                            list.push(i);
-                        }
-                    }
-                    list.extend((0..n).rev().filter(|&i| needed(i)));
-                    list
+            // The same bounds read cheap first: each scaled by 0, ½ or 1 (so
+            // cheap bounds tie at κ and at τ), tightened back on request,
+            // every row asked about recorded.
+            let cheap: Vec<Vec<f64>> = columns
+                .iter()
+                .enumerate()
+                .map(|(j, column)| {
+                    column.iter().enumerate().map(|(i, &v)| v * [0.0, 0.5, 1.0][(i + j) % 3]).collect()
                 })
                 .collect();
-            let handed: Vec<BatchQuery<'_>> = batch
-                .iter()
-                .zip(&lists)
-                .map(|(b, list)| BatchQuery { rows: Some(list), ..*b })
+            let asked: Vec<std::sync::Mutex<Vec<usize>>> = (0..q_count).map(|_| Default::default()).collect();
+            let tightens: Vec<_> = (0..q_count)
+                .map(|j| {
+                    let (asked, column) = (&asked[j], &columns[j]);
+                    move |pairs: &mut [(usize, f64)]| {
+                        asked.lock().unwrap().extend(pairs.iter().map(|&(i, _)| i));
+                        for (i, v) in pairs.iter_mut() {
+                            *v = column[*i];
+                        }
+                        Ok(())
+                    }
+                })
+                .collect();
+            let tightened: Vec<BatchQuery<'_>> = (0..q_count)
+                .map(|j| BatchQuery {
+                    bounds: &cheap[j],
+                    tighten: Some(&tightens[j] as Tighten<'_>),
+                    ..batch[j]
+                })
                 .collect();
 
             let mut cells = Vec::new();
@@ -784,7 +846,7 @@ mod tests {
             let mut unplaned: Vec<u64> = Vec::new();
             for plane in [None, Some(&cells[..])] {
                 let mut counts = None;
-                for (threads, batch) in [1usize, 2, 8].into_iter().flat_map(|t| [(t, &batch), (t, &handed)]) {
+                for (threads, batch) in [1usize, 2, 8].into_iter().flat_map(|t| [(t, &batch), (t, &tightened)]) {
                     simpim_par::with_threads(threads, || {
                         let mut c = OpCounters::new();
                         let got = refine_resident_batch(
@@ -801,16 +863,24 @@ mod tests {
                             let bits = |r: &ShardRefine| -> Vec<(usize, u64)> {
                                 r.neighbors.iter().map(|&(id, v)| (id, v.to_bits())).collect()
                             };
-                            let listed = batch[j].rows.is_some();
-                            let what = format!("query {j} of {q_count}, {threads} threads, plane {}, rows handed {listed}", plane.is_some());
+                            let cheap = batch[j].tighten.is_some();
+                            let what = format!("query {j} of {q_count}, {threads} threads, plane {}, cheap {cheap}", plane.is_some());
                             assert_eq!(bits(got), bits(&alone), "{what}");
                             assert_eq!(got.refined + got.pruned, live_rows, "{what}: every live row counted once");
+                            // Asked about live rows only, each once; the rest
+                            // kept their cheap bound.
+                            let mut asked = std::mem::take(&mut *asked[j].lock().unwrap());
+                            assert!(asked.iter().all(|&i| live[i]), "{what}: a tombstone asked about");
+                            asked.sort_unstable();
+                            asked.dedup();
+                            let kept = if cheap { live_rows - asked.len() as u64 } else { 0 };
+                            assert_eq!(got.cheap_pruned, kept, "{what}: a row asked about twice");
                         }
                         let these: Vec<(u64, u64, u64)> =
                             got.iter().flatten().map(|r| (r.refined, r.pruned, r.plane_pruned)).collect();
                         let these = (these, c);
-                        let listed = batch[0].rows.is_some();
-                        assert_eq!(counts.get_or_insert_with(|| these.clone()), &these, "{threads} threads, rows handed {listed}");
+                        let cheap = batch[0].tighten.is_some();
+                        assert_eq!(counts.get_or_insert_with(|| these.clone()), &these, "{threads} threads, cheap {cheap}");
                     });
                 }
                 // The plane takes from `refined` exactly the rows it prunes.
@@ -845,7 +915,7 @@ mod tests {
                 query: &query,
                 k: 1,
                 bounds: &bounds,
-                rows: None,
+                tighten: None,
             }];
             let mut c = OpCounters::new();
             let got = refine_resident_batch(

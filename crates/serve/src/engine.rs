@@ -443,8 +443,8 @@ impl ServeEngine {
 
     /// The materialization loop of [`ServeEngine::open_shards`]: the
     /// source appends [`simpim_datasets::DEFAULT_BLOCK_ROWS`]-sized blocks
-    /// straight into one shard mirror at a time (validated as it fills),
-    /// and each replica set opens as soon as its mirror completes — at
+    /// straight into one shard mirror at a time, and each replica set
+    /// opens (validating its rows, [`ShardMirror::new`]) as soon as its mirror completes — at
     /// any instant only the finished mirrors are resident.
     fn stream_sets(
         source: &mut dyn simpim_datasets::DatasetSource,
@@ -470,11 +470,6 @@ impl ServeEngine {
                         start + have / d,
                         shard_rows.iter().sum::<usize>()
                     )));
-                }
-                if flat[have..].iter().any(|v| !(0.0..=1.0).contains(v)) {
-                    return Err(ServeError::invalid(
-                        "dataset values must be normalized into [0, 1]",
-                    ));
                 }
             }
             let rows = Dataset::from_flat(flat, d)?;

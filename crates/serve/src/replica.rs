@@ -156,7 +156,7 @@ impl ReplicaSet {
                 "a replica set needs at least one replica",
             ));
         }
-        let mut mirror = ShardMirror::new(rows, ids);
+        let mut mirror = ShardMirror::new(rows, ids)?;
         let replicas = mirror.open_residencies(r, |i| replica_config(cfg, i, 0))?;
         let mut set = Self {
             cfg,

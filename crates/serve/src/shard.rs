@@ -59,11 +59,12 @@
 //! materialized — open, repair, and re-layout all share it.
 
 use simpim_core::executor::{ExecutorConfig, PimExecutor};
-use simpim_core::{CoarseBatch, CoreError, ResidentBuilder};
+use simpim_core::{CoreError, ResidentBuilder};
 use simpim_datasets::DEFAULT_BLOCK_ROWS;
 use simpim_mining::knn::resident::{
-    push_cells, refine_resident, refine_resident_batch, seed_threshold, BatchQuery, ShardView,
+    push_cells, refine_resident, refine_resident_batch, BatchQuery, ShardView, Tighten,
 };
+use simpim_mining::MiningError;
 use simpim_similarity::{Dataset, Measure};
 use simpim_simkit::OpCounters;
 
@@ -134,8 +135,8 @@ pub struct ShardStats {
 /// every replica of the shard — mutations apply here once, residencies
 /// only track what their bank holds.
 ///
-/// Its rows are normalized into `[0, 1]`, which the engine validates at
-/// open and every insert validates; the crossbars'
+/// Its rows are normalized into `[0, 1]`, which opening it and every
+/// insert validate; the crossbars'
 /// floors need it (the cell plane's bound holds for any finite values).
 #[derive(Debug)]
 pub struct ShardMirror {
@@ -149,20 +150,27 @@ pub struct ShardMirror {
 }
 
 impl ShardMirror {
-    /// Wraps `rows` (values normalized into `[0, 1]`) with their stable
-    /// global `ids`. Takes ownership — no copy is made, and none is made
-    /// per replica either.
-    pub fn new(rows: Dataset, ids: Vec<usize>) -> Self {
-        assert_eq!(rows.len(), ids.len(), "ids must parallel rows");
-        debug_assert!(rows.as_flat().iter().all(|v| (0.0..=1.0).contains(v)));
-        let live = vec![true; rows.len()];
-        Self {
+    /// Wraps `rows` with their stable global `ids`. Takes ownership — no
+    /// copy is made, and none is made per replica either.
+    ///
+    /// # Errors
+    /// [`ServeError::InvalidArgument`] when `ids` does not parallel `rows`
+    /// or a value lies outside `[0, 1]`.
+    pub fn new(rows: Dataset, ids: Vec<usize>) -> Result<Self, ServeError> {
+        let invalid = |what| Err(ServeError::invalid(what));
+        if ids.len() != rows.len() {
+            return invalid("ids must parallel rows");
+        }
+        if rows.as_flat().iter().any(|v| !(0.0..=1.0).contains(v)) {
+            return invalid("dataset values must be normalized into [0, 1]");
+        }
+        Ok(Self {
+            live: vec![true; rows.len()],
             rows,
             cells: None,
             ids,
-            live,
             dead: 0,
-        }
+        })
     }
 
     /// Opens `r` residencies over this mirror, replica `i` under `cfg(i)`;
@@ -319,27 +327,32 @@ impl ShardMirror {
                 query,
                 k,
                 bounds: &zeros,
-                rows: None,
+                tighten: None,
             })
             .collect();
         self.refine_batch(&batch)
+            .unwrap_or_else(|e| vec![Err(e.into()); queries.len()])
     }
 
     /// Refines a batch, each query with its own column of per-mirror-row
     /// bound values (`0.0` = no bound, refine exactly). Tombstones never
     /// surface. A batch goes down in one call, its rows read once for all
-    /// of it; a query that is invalid on its own fails alone.
+    /// of it; a query that is invalid on its own fails alone, a failed
+    /// [`BatchQuery::tighten`] fails the batch.
     ///
     /// A batch of one keeps the single-query walk — a fork, on purpose
     /// (DESIGN.md §16): the benchmark's traced replay times exactly that
     /// walk against a plain distance over the rows it refined. A larger
     /// batch is tested against the cell plane, when the shard has one.
-    fn refine_batch(&self, batch: &[BatchQuery<'_>]) -> Vec<Result<Vec<Neighbor>, ServeError>> {
+    fn refine_batch(
+        &self,
+        batch: &[BatchQuery<'_>],
+    ) -> Result<Vec<Result<Vec<Neighbor>, ServeError>>, MiningError> {
         let started = std::time::Instant::now();
         let mut counters = OpCounters::new();
         let (rows, ids, live) = (&self.rows, &self.ids[..], &self.live[..]);
         let measure = Measure::EuclideanSq;
-        let refined = if let [one] = batch {
+        let refined = if let [one @ BatchQuery { tighten: None, .. }] = batch {
             let view = ShardView {
                 rows,
                 ids,
@@ -355,50 +368,25 @@ impl ShardMirror {
             )]
         } else {
             let cells = self.cells.as_deref();
-            refine_resident_batch(rows, ids, live, cells, batch, measure, &mut counters)
-                .unwrap_or_else(|e| vec![Err(e); batch.len()])
+            refine_resident_batch(rows, ids, live, cells, batch, measure, &mut counters)?
         };
-        let (mut evaluated, mut pruned, mut plane_pruned) = (0, 0, 0);
+        let (mut evaluated, mut pruned, mut plane_pruned, mut coarse_pruned) = (0, 0, 0, 0);
         for r in refined.iter().flatten() {
             evaluated += r.refined;
             pruned += r.pruned;
             plane_pruned += r.plane_pruned;
+            coarse_pruned += r.cheap_pruned;
         }
         simpim_obs::metrics::counter_add("simpim.serve.refined", evaluated);
         simpim_obs::metrics::counter_add("simpim.serve.pruned", pruned);
         simpim_obs::metrics::counter_add("simpim.serve.plane_pruned", plane_pruned);
+        simpim_obs::metrics::counter_add("simpim.serve.coarse_pruned", coarse_pruned);
         simpim_obs::metrics::histogram_record(
             "simpim.serve.shard.refine_ns",
             started.elapsed().as_nanos() as u64,
         );
-        refined.into_iter().map(|r| Ok(r?.neighbors)).collect()
+        Ok(refined.into_iter().map(|r| Ok(r?.neighbors)).collect())
     }
-}
-
-/// What [`Residency::sharpen`] reads of a batch beside one query's
-/// column: the pass (a tombstone's coarse bounds set to +∞), how many
-/// programmed objects are live, and the live rows that are not resident
-/// (the delta, whose bound `0.0` is exact).
-#[derive(Clone, Copy)]
-struct Sharpen<'a> {
-    pass: &'a CoarseBatch,
-    live_objs: usize,
-    delta: &'a [usize],
-}
-
-/// Per query of a batch, the rows [`Residency::sharpen`] handed over, or
-/// `None` for every row ([`BatchQuery::rows`]).
-type Handed = Vec<Option<Vec<usize>>>;
-
-/// The largest of the bounds `values[objs]`, and its place in `objs`.
-fn largest(objs: &[usize], values: &[f64]) -> (f64, usize) {
-    let mut worst = (f64::NEG_INFINITY, 0);
-    for (place, &obj) in objs.iter().enumerate() {
-        if values[obj] > worst.0 {
-            worst = (values[obj], place);
-        }
-    }
-    worst
 }
 
 /// A coalesced batch carries one `k` per query.
@@ -514,10 +502,10 @@ impl Residency {
     }
 
     /// Serves a coalesced batch through this bank: one PIM bound pass,
-    /// a bound column per query in mirror order (read coarse first and
-    /// sharpened where the pass allows, DESIGN.md §9; rows without a bound
-    /// — the delta — get `0.0` and are refined exactly), then one exact
-    /// host refinement of the whole batch.
+    /// a bound column per query in mirror order (read coarse first where
+    /// the pass allows, and tightened by the refinement, DESIGN.md §9;
+    /// rows without a bound — the delta — get `0.0` and are refined
+    /// exactly), then one exact host refinement of the whole batch.
     /// Whole-bank loss surfaces as the outer `Err` for failover, a `ks`
     /// that does not parallel `queries` as an outer
     /// [`ServeError::InvalidArgument`]; every *recoverable* PIM failure
@@ -531,30 +519,20 @@ impl Residency {
     ) -> Result<Vec<Result<Vec<Neighbor>, ServeError>>, ServeError> {
         // Runs on a pool worker: fail this batch, never the thread.
         check_ks(queries, ks)?;
-        match self.bound_columns(mirror, queries, ks, parent) {
-            Ok((columns, handed)) => {
-                let n = mirror.len();
-                let batch: Vec<BatchQuery<'_>> = (queries.iter().zip(ks).enumerate())
-                    .map(|(j, (query, &k))| BatchQuery {
-                        query,
-                        k,
-                        bounds: &columns[j * n..][..n],
-                        rows: handed[j].as_deref(),
-                    })
-                    .collect();
-                Ok(mirror.refine_batch(&batch))
+        let refine = |batch: &[BatchQuery<'_>]| mirror.refine_batch(batch);
+        match self.bound_columns(mirror, queries, ks, parent, refine) {
+            Ok(answers) => Ok(answers),
+            Err(e) if e.is_bank_loss() => {
+                // The bank fail-stopped: this replica cannot serve
+                // from its crossbars at all. Let the caller route the
+                // batch elsewhere (or degrade to the host mirror).
+                Err(e)
             }
-            Err(e) => {
-                if e.is_bank_loss() {
-                    // The bank fail-stopped: this replica cannot serve
-                    // from its crossbars at all. Let the caller route the
-                    // batch elsewhere (or degrade to the host mirror).
-                    return Err(e);
-                }
+            _ => {
                 // Recoverable bank-level failure (e.g. ADC retries
-                // exhausted under an aggressive fault model): shed the
-                // whole batch to the host scan. Exactness is preserved;
-                // only the PIM filter is lost.
+                // exhausted under an aggressive fault model, or a failed
+                // fine read): shed the whole batch to the host scan.
+                // Exactness is preserved; only the PIM filter is lost.
                 self.sheds += queries.len() as u64;
                 simpim_obs::metrics::counter_add("simpim.serve.sheds", queries.len() as u64);
                 Ok(mirror.host_batch(queries, ks))
@@ -562,29 +540,28 @@ impl Residency {
         }
     }
 
-    /// The batch's bound columns, one per query over the mirror's rows
-    /// (`queries.len()` columns of `mirror.len()`), from one coarse-first
-    /// pass ([`PimExecutor::lb_ed_batch_coarse`]) scattered into mirror
-    /// order. Delta rows read `0.0`. A query whose pass read coarse has
-    /// its column sharpened ([`Residency::sharpen`]) so that the
-    /// refinement seeds, prunes and counts exactly as over the fine
-    /// column, and is handed the rows sharpening left open
-    /// ([`BatchQuery::rows`]); every other query is handed `None`.
-    fn bound_columns(
+    /// Runs one coarse-first pass ([`PimExecutor::lb_ed_batch_coarse`]),
+    /// scatters it into one bound column per query in mirror order (delta
+    /// rows keep `0.0`), and hands the batch to `refine`. A query whose
+    /// pass read coarse carries a [`BatchQuery::tighten`] that reads the
+    /// fine bounds of the rows it is asked about
+    /// ([`PimExecutor::lb_ed_fine`], through one row → object table);
+    /// a delta row's `0.0` is already exact and stays.
+    fn bound_columns<T>(
         &mut self,
         mirror: &ShardMirror,
         queries: &[Vec<f64>],
         ks: &[usize],
         parent: simpim_obs::TraceCtx,
-    ) -> Result<(Vec<f64>, Handed), ServeError> {
-        let mut pass = self.exec.lb_ed_batch_coarse(queries, parent)?;
+        refine: impl FnOnce(&[BatchQuery<'_>]) -> Result<T, MiningError>,
+    ) -> Result<T, ServeError> {
+        let pass = self.exec.lb_ed_batch_coarse(queries, parent)?;
         let n = mirror.len();
         let pass_ns: f64 = pass.batches.iter().map(|b| b.timing.total_ns()).sum();
         simpim_obs::metrics::histogram_record("simpim.serve.shard.pim_pass_ns", pass_ns as u64);
         // Zero-filled: a scatter overwrites exactly the `order` slots, and
         // the rest — the delta rows — must read `0.0` (refine exactly).
         let mut columns = vec![0.0; n * queries.len()];
-        let mut handed = vec![None; queries.len()];
         for (j, batch) in pass.batches.iter().enumerate() {
             debug_assert_eq!(batch.values.len(), self.order.len());
             let column = &mut columns[j * n..][..n];
@@ -592,140 +569,36 @@ impl Residency {
                 column[idx] = bound;
             }
         }
-        let coarse: Vec<bool> = (0..queries.len()).map(|j| pass.is_coarse(j)).collect();
-        if coarse.contains(&true) {
-            let live: Vec<bool> = self.order.iter().map(|&i| mirror.live[i]).collect();
-            let live_objs = live.iter().filter(|&&l| l).count();
-            // A tombstone never surfaces: its coarse bound may as well be
-            // +∞, which keeps it out of every step of `sharpen`.
-            if live_objs < live.len() {
-                for (batch, _) in pass.batches.iter_mut().zip(&coarse).filter(|(_, &c)| c) {
-                    for (v, _) in batch.values.iter_mut().zip(&live).filter(|(_, &l)| !l) {
-                        *v = f64::INFINITY;
-                    }
-                }
-            }
-            let mut resident = vec![false; n];
-            for &i in &self.order {
-                resident[i] = true;
-            }
-            let delta: Vec<usize> = mirror.live_indices().filter(|&i| !resident[i]).collect();
-            let batch = Sharpen {
-                pass: &pass,
-                live_objs,
-                delta: &delta,
-            };
-            let mut coarse_pruned = 0;
-            for (j, (query, &k)) in queries.iter().zip(ks).enumerate() {
-                if coarse[j] && k > 0 {
-                    let column = &mut columns[j * n..][..n];
-                    let rows = self.sharpen(mirror, &batch, j, (query, k), column)?;
-                    // Every live resident row it did not hand over kept
-                    // its coarse bound.
-                    coarse_pruned += (live_objs + delta.len() - rows.len()) as u64;
-                    handed[j] = Some(rows);
-                }
-            }
-            simpim_obs::metrics::counter_add("simpim.serve.coarse_pruned", coarse_pruned);
+        // `objs[i]`: the bank object of mirror row `i`, if it has one —
+        // built only for a batch that read coarse (a batch of one never
+        // does, and on small shards the table is a visible share of it).
+        let mut objs = Vec::new();
+        if (0..queries.len()).any(|j| pass.is_coarse(j)) {
+            objs = vec![None; n];
+            (self.order.iter().enumerate()).for_each(|(obj, &i)| objs[i] = Some(obj));
         }
-        Ok((columns, handed))
-    }
-
-    /// Turns query `j`'s coarse column into the column the refinement
-    /// needs, with a fine bound only where it can decide, and returns the
-    /// rows the refinement needs ([`BatchQuery::rows`]): the delta and
-    /// every row now fine, each once. The live rows left out kept their
-    /// coarse bound (pruned before any fine dot). Three steps (DESIGN.md
-    /// §9), each reading the pass's coarse values in object order:
-    ///
-    /// * **κ** — the largest fine bound of the `k` live rows with the
-    ///   smallest coarse bounds (delta rows first: their `0.0` is exact);
-    ///   every row with a coarse bound ≤ κ gets its fine one. At least `k`
-    ///   rows have a fine bound ≤ κ, so the `k` best fine bounds, ties by
-    ///   id — the refinement's seeds — are among the rows now fine (or
-    ///   delta) and at most κ, and every row left coarse ranks after them.
-    /// * **τ** — the threshold those seeds freeze
-    ///   ([`simpim_mining::knn::resident::seed_threshold`], the refinement's
-    ///   own seed step, over those rows alone).
-    /// * **fine** — every row whose coarse bound is ≤ τ gets its fine one.
-    ///
-    /// Every row left coarse then has a coarse bound above τ, itself at
-    /// least the `k`-th fine bound, and a fine bound no smaller: the
-    /// refinement seeds on the same rows, freezes the same τ, and prunes
-    /// (strictly above τ) exactly the rows the fine column would; every
-    /// row not handed over is one of those it prunes.
-    fn sharpen(
-        &self,
-        mirror: &ShardMirror,
-        batch: &Sharpen<'_>,
-        j: usize,
-        (query, k): (&[f64], usize),
-        column: &mut [f64],
-    ) -> Result<Vec<usize>, ServeError> {
-        let Sharpen {
-            pass,
-            live_objs,
-            delta,
-        } = *batch;
-        // Coarse bounds in object order, a tombstone's +∞.
-        let coarse = &pass.batches[j].values;
-        // Reads objects `objs` fine into the column.
-        let refine = |objs: &[usize], column: &mut [f64]| -> Result<(), ServeError> {
-            let mut values = vec![0.0; objs.len()];
-            self.exec.lb_ed_fine(pass, j, objs, &mut values)?;
-            for (&obj, v) in objs.iter().zip(values) {
-                column[self.order[obj]] = v;
-            }
-            Ok(())
-        };
-        // The objects whose coarse bound is above `low`, at most `high`
-        // (and finite: never a tombstone).
-        let within = |low: f64, high: f64| -> Vec<usize> {
-            let high = high.min(f64::MAX);
-            let hit = |&obj: &usize| coarse[obj] > low && coarse[obj] <= high;
-            (0..coarse.len()).filter(hit).collect()
-        };
-        // κ: the k − |delta| live objects with the smallest coarse bounds,
-        // or every live one when there are no more.
-        let take = k.saturating_sub(delta.len());
-        let (first, kappa) = if live_objs <= take {
-            (within(f64::NEG_INFINITY, f64::MAX), f64::MAX)
-        } else {
-            let mut first: Vec<usize> = (0..take).collect();
-            let mut worst = largest(&first, coarse);
-            for (obj, &bound) in coarse.iter().enumerate().skip(take) {
-                if bound < worst.0 {
-                    first[worst.1] = obj;
-                    worst = largest(&first, coarse);
+        let (exec, pass, objs) = (&self.exec, &pass, &objs);
+        let tighten: Vec<_> = (0..queries.len())
+            .map(|j| {
+                move |pairs: &mut [(usize, f64)]| -> Result<(), MiningError> {
+                    let asked: Vec<usize> = pairs.iter().filter_map(|&(i, _)| objs[i]).collect();
+                    let mut values = vec![0.0; asked.len()];
+                    exec.lb_ed_fine(pass, j, &asked, &mut values)?;
+                    let resident = pairs.iter_mut().filter(|(i, _)| objs[*i].is_some());
+                    resident.zip(values).for_each(|((_, v), fine)| *v = fine);
+                    Ok(())
                 }
-            }
-            (first, 0.0)
-        };
-        refine(&first, column)?;
-        let kappa = first
-            .iter()
-            .map(|&obj| column[self.order[obj]])
-            .fold(kappa, f64::max);
-        let mut rest = within(f64::NEG_INFINITY, kappa);
-        rest.retain(|obj| !first.contains(obj));
-        refine(&rest, column)?;
-        let mut rows = delta.to_vec();
-        rows.extend(first.iter().chain(&rest).map(|&obj| self.order[obj]));
-        let view = ShardView {
-            rows: &mirror.rows,
-            ids: &mirror.ids,
-            live: &mirror.live,
-            bounds: column,
-        };
-        let tau = seed_threshold(&view, &rows, query, k, Measure::EuclideanSq)?;
-        let last = if tau > kappa {
-            within(kappa, tau)
-        } else {
-            Vec::new()
-        };
-        refine(&last, column)?;
-        rows.extend(last.iter().map(|&obj| self.order[obj]));
-        Ok(rows)
+            })
+            .collect();
+        let batch: Vec<BatchQuery<'_>> = (queries.iter().zip(ks).enumerate())
+            .map(|(j, (query, &k))| BatchQuery {
+                query,
+                k,
+                bounds: &columns[j * n..][..n],
+                tighten: pass.is_coarse(j).then_some(&tighten[j] as Tighten<'_>),
+            })
+            .collect();
+        Ok(refine(&batch)?)
     }
 
     /// Tombstoned slots still programmed on this bank.
@@ -1122,6 +995,19 @@ mod tests {
 
     #[test]
     fn invalid_rows_are_rejected() {
+        // At open: ids that do not parallel the rows, a value off [0, 1].
+        let invalid = |rows: &[Vec<f64>], ids: Vec<usize>| {
+            let rows = Dataset::from_rows(rows).unwrap();
+            let open = Shard::open(cfg(), rows, ids);
+            matches!(open, Err(ServeError::InvalidArgument { .. }))
+        };
+        let good = vec![vec![0.5; 4]; 3];
+        assert!(invalid(&good, vec![0, 1]));
+        for bad in [1.5, -0.25] {
+            let mut rows = good.clone();
+            rows[1][2] = bad;
+            assert!(invalid(&rows, vec![0, 1, 2]), "{bad}");
+        }
         let mut shard = Shard::open(cfg(), rows(), vec![0, 1, 2, 3]).unwrap();
         assert!(matches!(
             shard.insert(9, &[0.5; 3]),
@@ -1135,7 +1021,7 @@ mod tests {
 
     #[test]
     fn mismatched_ks_fail_the_batch_with_a_typed_error() {
-        let mirror = ShardMirror::new(rows(), vec![0, 1, 2, 3]);
+        let mirror = ShardMirror::new(rows(), vec![0, 1, 2, 3]).unwrap();
         let mut res = Residency::open(cfg(), &mirror).unwrap();
         let q = vec![0.45, 0.55, 0.4, 0.6];
         let err = res
@@ -1192,11 +1078,10 @@ mod tests {
     }
 
     /// Refines `queries` over the bound columns `res` builds (coarse
-    /// first, sharpened, over the rows it hands each query) and over the
-    /// fine pass's columns (over every row), at 1, 2 and 8
-    /// workers: the same neighbours to the bit, the same refined, pruned
-    /// and plane-pruned counts and the same counters, query by query.
-    /// Returns whether some row kept a coarse bound.
+    /// first, tightened by the refinement) and over the fine pass's
+    /// columns, at 1, 2 and 8 workers: the same neighbours to the bit, the
+    /// same refined, pruned and plane-pruned counts and the same counters,
+    /// query by query. Returns whether some row kept a coarse bound.
     fn assert_coarse_refines_as_fine(
         res: &mut Residency,
         mirror: &ShardMirror,
@@ -1205,32 +1090,24 @@ mod tests {
     ) -> bool {
         let mut kept = false;
         let n = mirror.len();
-        let refine = |columns: &[f64], handed: &[Option<Vec<usize>>]| {
-            let batch: Vec<BatchQuery<'_>> = (queries.iter().zip(ks).enumerate())
-                .map(|(j, (query, &k))| BatchQuery {
-                    query,
-                    k,
-                    bounds: &columns[j * n..][..n],
-                    rows: handed[j].as_deref(),
-                })
-                .collect();
+        let refine = |batch: &[BatchQuery<'_>]| {
             let (rows, cells) = (&mirror.rows, mirror.cells.as_deref());
             let mut counters = OpCounters::new();
             let measure = Measure::EuclideanSq;
-            let out = refine_resident_batch(
+            let refined = refine_resident_batch(
                 rows,
                 &mirror.ids,
                 &mirror.live,
                 cells,
-                &batch,
+                batch,
                 measure,
                 &mut counters,
             );
-            let out: Vec<_> = out
-                .unwrap()
-                .into_iter()
-                .map(|r| match r {
+            let (mut out, mut coarse_pruned) = (Vec::new(), 0);
+            for r in refined.unwrap() {
+                out.push(match r {
                     Ok(r) => {
+                        coarse_pruned += r.cheap_pruned;
                         let bits: Vec<_> = r
                             .neighbors
                             .iter()
@@ -1239,30 +1116,33 @@ mod tests {
                         Ok((bits, r.refined, r.pruned, r.plane_pruned))
                     }
                     Err(e) => Err(e.to_string()),
-                })
-                .collect();
-            (out, counters)
+                });
+            }
+            Ok(((out, counters), coarse_pruned))
         };
         for workers in [1, 2, 8] {
             simpim_par::with_threads(workers, || {
-                let coarse = res.bound_columns(mirror, queries, ks, simpim_obs::TraceCtx::NONE);
-                let batches = res
-                    .exec
-                    .lb_ed_batch_multi(queries, simpim_obs::TraceCtx::NONE);
+                let parent = simpim_obs::TraceCtx::NONE;
+                let (coarse, coarse_pruned) = res
+                    .bound_columns(mirror, queries, ks, parent, refine)
+                    .unwrap();
+                let batches = res.exec.lb_ed_batch_multi(queries, parent);
                 let mut fine = vec![0.0; n * queries.len()];
                 for (j, batch) in batches.unwrap().iter().enumerate() {
                     for (&idx, &bound) in res.order.iter().zip(&batch.values) {
                         fine[j * n + idx] = bound;
                     }
                 }
-                let (coarse, handed) = coarse.unwrap();
-                let every = vec![None; queries.len()];
-                assert_eq!(
-                    refine(&coarse, &handed),
-                    refine(&fine, &every),
-                    "{workers} workers"
-                );
-                kept |= coarse != fine;
+                let batch: Vec<BatchQuery<'_>> = (queries.iter().zip(ks).enumerate())
+                    .map(|(j, (query, &k))| BatchQuery {
+                        query,
+                        k,
+                        bounds: &fine[j * n..][..n],
+                        tighten: None,
+                    })
+                    .collect();
+                assert_eq!(coarse, refine(&batch).unwrap().0, "{workers} workers");
+                kept |= coarse_pruned > 0;
             });
         }
         kept
@@ -1293,7 +1173,8 @@ mod tests {
         };
         let open = |c: ShardConfig, rows: &[Vec<f64>]| {
             let mirror =
-                ShardMirror::new(Dataset::from_rows(rows).unwrap(), (0..rows.len()).collect());
+                ShardMirror::new(Dataset::from_rows(rows).unwrap(), (0..rows.len()).collect())
+                    .unwrap();
             let res = Residency::open(c, &mirror).unwrap();
             (mirror, res)
         };
@@ -1377,7 +1258,7 @@ mod tests {
         assert!(shard.bank_lost());
         assert!(shard.stats().lost);
         // The residency surfaces the loss for failover...
-        let mirror = ShardMirror::new(ds.clone(), vec![0, 1, 2, 3]);
+        let mirror = ShardMirror::new(ds.clone(), vec![0, 1, 2, 3]).unwrap();
         let mut res = Residency::open(cfg(), &mirror).unwrap();
         res.kill_bank();
         let err = res
