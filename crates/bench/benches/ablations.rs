@@ -76,7 +76,8 @@ fn ablation_tables() {
             crossbar: CrossbarConfig {
                 size: m,
                 cell_bits: h,
-                adc_bits: (2 + 2 + (m as f64).log2().ceil() as u32).max(5),
+                // Covers the worst-case column sum m·(2^h − 1)·(2^2 − 1).
+                adc_bits: h + 2 + (m as f64).log2().ceil() as u32,
                 ..Default::default()
             },
             num_crossbars: 1311,

@@ -1,32 +1,10 @@
-//! Criterion micro-benches for the ReRAM simulator's hot kernels: the
-//! unit-level bit-sliced pipeline, the array-level batch path, and
-//! bit-slicing itself. These measure *simulator* throughput (how fast we
+//! Criterion micro-bench for the ReRAM simulator's one dot-product path,
+//! the array-level batch. It measures *simulator* throughput (how fast we
 //! can simulate), not modeled hardware latency.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use simpim_reram::bitslice::{slice_input, slice_operand};
-use simpim_reram::{AccWidth, Crossbar, CrossbarConfig, PimArray, PimConfig};
+use simpim_reram::{AccWidth, PimArray, PimConfig};
 use std::hint::black_box;
-
-fn unit_level_pipeline(c: &mut Criterion) {
-    let mut group = c.benchmark_group("crossbar/unit_level_dot");
-    for &m in &[64usize, 256] {
-        let cfg = CrossbarConfig {
-            size: m,
-            adc_bits: 14,
-            ..Default::default()
-        };
-        let mut xb = Crossbar::new(cfg).unwrap();
-        let col: Vec<u64> = (0..m as u64).map(|i| i % 1024).collect();
-        xb.program_operand_column(0, 0, &col, 10).unwrap();
-        let query: Vec<u64> = (0..m as u64).map(|i| (i * 7) % 1024).collect();
-        group.throughput(Throughput::Elements(m as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(m), &m, |b, _| {
-            b.iter(|| xb.dot_products(0, black_box(&query), 10, 10).unwrap())
-        });
-    }
-    group.finish();
-}
 
 fn array_level_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("crossbar/array_batch");
@@ -48,14 +26,5 @@ fn array_level_batch(c: &mut Criterion) {
     group.finish();
 }
 
-fn bit_slicing(c: &mut Criterion) {
-    c.bench_function("crossbar/slice_operand_32b_on_2b", |b| {
-        b.iter(|| slice_operand(black_box(987_654), 32, 2).unwrap())
-    });
-    c.bench_function("crossbar/slice_input_20b_dac2", |b| {
-        b.iter(|| slice_input(black_box(987_654), 20, 2).unwrap())
-    });
-}
-
-criterion_group!(benches, unit_level_pipeline, array_level_batch, bit_slicing);
+criterion_group!(benches, array_level_batch);
 criterion_main!(benches);

@@ -294,8 +294,7 @@ pub fn backend_name() -> &'static str {
 /// auto-detection). Unsupported tiers degrade to `scalar` with a
 /// warning. Used by the bit-identity proptests and `kernel_sweep` to
 /// compare tiers within one process without racing on the environment —
-/// callers serialize exactly as they do for
-/// `simpim_par::set_thread_override`.
+/// callers serialize exactly as they do for `simpim_par::with_threads`.
 pub fn set_backend_override(b: Option<Backend>) {
     let code = match b {
         None => 0,

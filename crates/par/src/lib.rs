@@ -28,9 +28,8 @@
 //! exported through `simpim-obs` as `simpim.par.*` metrics.
 //!
 //! The worker count comes from, in priority order: the programmatic
-//! [`set_thread_override`] (used by tests and benches), the
-//! `SIMPIM_THREADS` environment variable, then
-//! [`std::thread::available_parallelism`].
+//! [`with_threads`] (used by tests and benches), the `SIMPIM_THREADS`
+//! environment variable, then [`std::thread::available_parallelism`].
 
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -57,7 +56,7 @@ fn env_threads() -> usize {
 
 /// Number of workers a parallel call may use right now.
 ///
-/// Priority: [`set_thread_override`] > `SIMPIM_THREADS` > detected cores.
+/// Priority: [`with_threads`] > `SIMPIM_THREADS` > detected cores.
 /// Always at least 1, at most 256. This value never changes chunk
 /// boundaries — only how many threads (the caller plus pool helpers) pull
 /// from the chunk queue.
@@ -76,16 +75,10 @@ pub fn thread_count() -> usize {
         .min(MAX_THREADS)
 }
 
-/// Programmatically pins the worker count (`None` restores the
-/// `SIMPIM_THREADS` / auto-detect behavior). Used by the determinism
-/// proptests and the `parallel_smoke` bench to compare thread counts
-/// within one process without racing on the environment.
-pub fn set_thread_override(n: Option<usize>) {
-    THREAD_OVERRIDE.store(n.unwrap_or(0), Ordering::Relaxed);
-}
-
 /// Runs `f` with the worker count pinned to `n`, restoring the previous
-/// override afterwards (even on panic, via a drop guard).
+/// override afterwards (even on panic, via a drop guard). Used by the
+/// determinism proptests and the `parallel_smoke` bench to compare thread
+/// counts within one process without racing on the environment.
 pub fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
     struct Restore(usize);
     impl Drop for Restore {
@@ -415,7 +408,7 @@ pub mod model {
     /// dispatches that ran inline (worker count 1) are captured — wrap
     /// `f` in [`with_threads`]`(1, …)` for a complete log. The capture
     /// buffer is process-global; callers serialize as they do for
-    /// [`set_thread_override`].
+    /// [`with_threads`].
     pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Vec<Vec<u64>>) {
         let was = CAPTURING.swap(true, Ordering::Relaxed);
         lock(log()).clear();

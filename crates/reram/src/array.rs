@@ -1002,8 +1002,8 @@ impl PimArray {
     /// partial. Functionally each value is the exact integer dot product
     /// wrapped at the accumulator width — bit-identical to the streamed
     /// bit-sliced pipeline, whose shift-and-add reassembles these same
-    /// integers (proven against `Crossbar::dot_products` and
-    /// `dot_batch_strict` in tests).
+    /// integers (proven against the test oracle, `dot_batch_strict` on
+    /// materialized crossbars, in tests).
     ///
     /// Objects are independent, so the read fans out across the pool in
     /// fixed `DOT_BATCH_CHUNK`-object chunks — the per-crossbar
@@ -1129,144 +1129,6 @@ impl PimArray {
             }
         }
         values.into_iter().zip(max_partial).collect()
-    }
-
-    /// Strict-fidelity execution of one batch: materializes the region's
-    /// layout on real [`Crossbar`](crate::crossbar::Crossbar)s — operand packing, vertical slot
-    /// stacking, chunking across data crossbars, and all-ones gather
-    /// trees — and runs the full bit-sliced analog pipeline end to end.
-    ///
-    /// This is the validation path behind [`PimArray::dot_batch`]'s fast
-    /// path (the two are asserted bit-identical in tests and property
-    /// tests); it is bounded to small geometries because it allocates
-    /// `m²` cells per crossbar.
-    pub fn dot_batch_strict(
-        &self,
-        region: RegionId,
-        query: &[u32],
-        acc: AccWidth,
-    ) -> Result<Vec<u64>, ReRamError> {
-        use crate::crossbar::Crossbar;
-
-        let reg = self
-            .regions
-            .get(region.0)
-            .ok_or(ReRamError::NotProgrammed)?;
-        if query.len() != reg.s {
-            return Err(ReRamError::GeometryViolation {
-                what: "query dimensionality",
-                got: query.len(),
-                limit: reg.s,
-            });
-        }
-        let xb_cfg = self.cfg.crossbar;
-        let m = xb_cfg.size;
-        const STRICT_CELL_CAP: usize = 1 << 22;
-        if reg.cost.total().saturating_mul(m * m) > STRICT_CELL_CAP {
-            return Err(ReRamError::InvalidConfig {
-                what: "strict mode is for small geometries (cell cap exceeded)",
-            });
-        }
-
-        let b = reg.operand_bits;
-        let w = xb_cfg.cells_per_operand(b);
-        let g = reg.cost.group_size;
-        let input_bits = bits_needed_slice(query);
-        let q64: Vec<u64> = query.iter().map(|&v| u64::from(v)).collect();
-        // Slice the query once per dispatch; every crossbar it streams to
-        // (stacked slots, per-chunk data crossbars across all groups)
-        // reuses the cached DAC slices.
-        let sliced_q = crate::bitslice::SlicedQuery::new(&q64, input_bits, xb_cfg.dac_bits)?;
-        let mut values = Vec::with_capacity(reg.n);
-
-        if reg.s <= m {
-            // Vertical slot stacking: each group occupies one slot of a
-            // shared crossbar; one pass per slot drives only its rows.
-            let slots = reg.cost.slots_per_crossbar;
-            let n_groups = reg.n.div_ceil(g);
-            let mut crossbars: Vec<Crossbar> = (0..reg.cost.data)
-                .map(|_| Crossbar::new(xb_cfg))
-                .collect::<Result<_, _>>()?;
-            for gi in 0..n_groups {
-                let xb = &mut crossbars[gi / slots];
-                let start_row = (gi % slots) * reg.s;
-                for j in 0..g {
-                    let obj = gi * g + j;
-                    if obj >= reg.n {
-                        break;
-                    }
-                    let col: Vec<u64> = reg.data[obj * reg.s..(obj + 1) * reg.s]
-                        .iter()
-                        .map(|&v| u64::from(v))
-                        .collect();
-                    xb.program_operand_column(start_row, j * w, &col, b)?;
-                }
-            }
-            for obj in 0..reg.n {
-                let gi = obj / g;
-                let xb = &crossbars[gi / slots];
-                let start_row = (gi % slots) * reg.s;
-                let outs = xb.dot_products_sliced(start_row, &sliced_q, b)?;
-                values.push(acc.wrap(outs[obj % g]));
-            }
-        } else {
-            // Chunked layout: per group, one data crossbar per chunk plus
-            // a materialized all-ones gather tree reducing m partials per
-            // level.
-            let chunks = reg.cost.chunks_per_object;
-            let n_groups = reg.n.div_ceil(g);
-            // Per-chunk sub-queries sliced once, reused by every group.
-            let sliced_chunks: Vec<crate::bitslice::SlicedQuery> = (0..q64.len())
-                .step_by(m)
-                .map(|start| sliced_q.slice_range(start..(start + m).min(q64.len())))
-                .collect();
-            let mut gather = Crossbar::new(xb_cfg)?;
-            gather.program_all_ones()?;
-            for gi in 0..n_groups {
-                // Program this group's data crossbars.
-                let mut data_xbs: Vec<Crossbar> = (0..chunks)
-                    .map(|_| Crossbar::new(xb_cfg))
-                    .collect::<Result<_, _>>()?;
-                for j in 0..g {
-                    let obj = gi * g + j;
-                    if obj >= reg.n {
-                        break;
-                    }
-                    let row = &reg.data[obj * reg.s..(obj + 1) * reg.s];
-                    for (c, chunk) in row.chunks(m).enumerate() {
-                        let col: Vec<u64> = chunk.iter().map(|&v| u64::from(v)).collect();
-                        data_xbs[c].program_operand_column(0, j * w, &col, b)?;
-                    }
-                }
-                // One streamed pass per chunk, then tree reduction per
-                // object through the all-ones gather crossbar.
-                let per_chunk: Vec<Vec<u128>> = sliced_chunks
-                    .iter()
-                    .zip(&data_xbs)
-                    .map(|(cq, xb)| xb.dot_products_sliced(0, cq, b))
-                    .collect::<Result<_, _>>()?;
-                for j in 0..g {
-                    let obj = gi * g + j;
-                    if obj >= reg.n {
-                        break;
-                    }
-                    // Operand column j·w carries operand index j.
-                    let mut layer: Vec<u128> = per_chunk.iter().map(|outs| outs[j]).collect();
-                    while layer.len() > 1 {
-                        let mut next = Vec::with_capacity(layer.len().div_ceil(m));
-                        for grp in layer.chunks(m) {
-                            let partials: Vec<u64> = grp.iter().map(|&p| acc.wrap(p)).collect();
-                            let pbits = partials.iter().map(|&p| bits_needed(p)).max().unwrap_or(1);
-                            let out = gather.dot_products(0, &partials, pbits, 1)?;
-                            next.push(out[0]);
-                        }
-                        layer = next;
-                    }
-                    values.push(acc.wrap(layer[0]));
-                }
-            }
-        }
-        Ok(values)
     }
 
     /// Clears all regions (re-programming an array is allowed but wears the
@@ -1765,6 +1627,148 @@ impl MemoryArray {
 }
 
 #[cfg(test)]
+impl PimArray {
+    /// Strict-fidelity execution of one batch: materializes the region's
+    /// layout on real [`Crossbar`](crate::crossbar::Crossbar)s — operand
+    /// packing, vertical slot stacking, chunking across data crossbars, and
+    /// all-ones gather trees — and runs the full bit-sliced analog pipeline
+    /// end to end.
+    ///
+    /// This is the test oracle of [`PimArray::dot_batch`] (the two are
+    /// asserted bit-identical in the unit and property tests below); it is
+    /// bounded to small geometries because it allocates `m²` cells per
+    /// crossbar.
+    pub(crate) fn dot_batch_strict(
+        &self,
+        region: RegionId,
+        query: &[u32],
+        acc: AccWidth,
+    ) -> Result<Vec<u64>, ReRamError> {
+        use crate::crossbar::Crossbar;
+
+        let reg = self
+            .regions
+            .get(region.0)
+            .ok_or(ReRamError::NotProgrammed)?;
+        if query.len() != reg.s {
+            return Err(ReRamError::GeometryViolation {
+                what: "query dimensionality",
+                got: query.len(),
+                limit: reg.s,
+            });
+        }
+        let xb_cfg = self.cfg.crossbar;
+        let m = xb_cfg.size;
+        const STRICT_CELL_CAP: usize = 1 << 22;
+        if reg.cost.total().saturating_mul(m * m) > STRICT_CELL_CAP {
+            return Err(ReRamError::InvalidConfig {
+                what: "strict mode is for small geometries (cell cap exceeded)",
+            });
+        }
+
+        let b = reg.operand_bits;
+        let w = xb_cfg.cells_per_operand(b);
+        let g = reg.cost.group_size;
+        let input_bits = bits_needed_slice(query);
+        let q64: Vec<u64> = query.iter().map(|&v| u64::from(v)).collect();
+        // Slice the query once per dispatch; every crossbar it streams to
+        // (stacked slots, per-chunk data crossbars across all groups)
+        // reuses the cached DAC slices.
+        let sliced_q = crate::bitslice::SlicedQuery::new(&q64, input_bits, xb_cfg.dac_bits)?;
+        let mut values = Vec::with_capacity(reg.n);
+
+        if reg.s <= m {
+            // Vertical slot stacking: each group occupies one slot of a
+            // shared crossbar; one pass per slot drives only its rows.
+            let slots = reg.cost.slots_per_crossbar;
+            let n_groups = reg.n.div_ceil(g);
+            let mut crossbars: Vec<Crossbar> = (0..reg.cost.data)
+                .map(|_| Crossbar::new(xb_cfg))
+                .collect::<Result<_, _>>()?;
+            for gi in 0..n_groups {
+                let xb = &mut crossbars[gi / slots];
+                let start_row = (gi % slots) * reg.s;
+                for j in 0..g {
+                    let obj = gi * g + j;
+                    if obj >= reg.n {
+                        break;
+                    }
+                    let col: Vec<u64> = reg.data[obj * reg.s..(obj + 1) * reg.s]
+                        .iter()
+                        .map(|&v| u64::from(v))
+                        .collect();
+                    xb.program_operand_column(start_row, j * w, &col, b)?;
+                }
+            }
+            for obj in 0..reg.n {
+                let gi = obj / g;
+                let xb = &crossbars[gi / slots];
+                let start_row = (gi % slots) * reg.s;
+                let outs = xb.dot_products_sliced(start_row, &sliced_q, b)?;
+                values.push(acc.wrap(outs[obj % g]));
+            }
+        } else {
+            // Chunked layout: per group, one data crossbar per chunk plus
+            // a materialized all-ones gather tree reducing m partials per
+            // level.
+            let chunks = reg.cost.chunks_per_object;
+            let n_groups = reg.n.div_ceil(g);
+            // Per-chunk sub-queries sliced once, reused by every group.
+            let sliced_chunks: Vec<crate::bitslice::SlicedQuery> = (0..q64.len())
+                .step_by(m)
+                .map(|start| sliced_q.slice_range(start..(start + m).min(q64.len())))
+                .collect();
+            let mut gather = Crossbar::new(xb_cfg)?;
+            gather.program_all_ones()?;
+            for gi in 0..n_groups {
+                // Program this group's data crossbars.
+                let mut data_xbs: Vec<Crossbar> = (0..chunks)
+                    .map(|_| Crossbar::new(xb_cfg))
+                    .collect::<Result<_, _>>()?;
+                for j in 0..g {
+                    let obj = gi * g + j;
+                    if obj >= reg.n {
+                        break;
+                    }
+                    let row = &reg.data[obj * reg.s..(obj + 1) * reg.s];
+                    for (c, chunk) in row.chunks(m).enumerate() {
+                        let col: Vec<u64> = chunk.iter().map(|&v| u64::from(v)).collect();
+                        data_xbs[c].program_operand_column(0, j * w, &col, b)?;
+                    }
+                }
+                // One streamed pass per chunk, then tree reduction per
+                // object through the all-ones gather crossbar.
+                let per_chunk: Vec<Vec<u128>> = sliced_chunks
+                    .iter()
+                    .zip(&data_xbs)
+                    .map(|(cq, xb)| xb.dot_products_sliced(0, cq, b))
+                    .collect::<Result<_, _>>()?;
+                for j in 0..g {
+                    let obj = gi * g + j;
+                    if obj >= reg.n {
+                        break;
+                    }
+                    // Operand column j·w carries operand index j.
+                    let mut layer: Vec<u128> = per_chunk.iter().map(|outs| outs[j]).collect();
+                    while layer.len() > 1 {
+                        let mut next = Vec::with_capacity(layer.len().div_ceil(m));
+                        for grp in layer.chunks(m) {
+                            let partials: Vec<u64> = grp.iter().map(|&p| acc.wrap(p)).collect();
+                            let pbits = partials.iter().map(|&p| bits_needed(p)).max().unwrap_or(1);
+                            let out = gather.dot_products(0, &partials, pbits, 1)?;
+                            next.push(out[0]);
+                        }
+                        layer = next;
+                    }
+                    values.push(acc.wrap(layer[0]));
+                }
+            }
+        }
+        Ok(values)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::CrossbarConfig;
@@ -2234,6 +2238,35 @@ mod tests {
             pim.dot_batch_strict(rep.region, &[1u32; 256], AccWidth::U64),
             Err(ReRamError::InvalidConfig { .. })
         ));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        /// DESIGN.md §6 invariant 4, closing the loop: the strict-fidelity
+        /// path — real materialized crossbars, slot stacking, chunking,
+        /// all-ones gather trees — is bit-identical to the fast array path
+        /// on random layouts. The integration suite holds the fast path to
+        /// a `u128` reference at 1, 2 and 8 workers on these same layouts.
+        #[test]
+        fn strict_and_fast_paths_agree(
+            n in 1usize..6,
+            s in proptest::prop::sample::select(vec![3usize, 4, 8, 12, 24]),
+            seed in 0u64..1000,
+        ) {
+            let cfg = PimConfig {
+                crossbar: CrossbarConfig { size: 8, cell_bits: 2, dac_bits: 2, adc_bits: 12, ..Default::default() },
+                num_crossbars: 4096,
+                ..Default::default()
+            };
+            let mut pim = PimArray::new(cfg).unwrap();
+            let data: Vec<u32> = (0..n * s).map(|i| ((i as u64 * 31 + seed * 7) % 16) as u32).collect();
+            let query: Vec<u32> = (0..s).map(|i| ((i as u64 * 13 + seed * 3) % 16) as u32).collect();
+            let rep = pim.program_region(&data, n, s, 4).unwrap();
+            let (fast, _) = pim.dot_batch(rep.region, &query, AccWidth::U64).unwrap();
+            let strict = pim.dot_batch_strict(rep.region, &query, AccWidth::U64).unwrap();
+            proptest::prop_assert_eq!(fast, strict);
+        }
     }
 
     #[test]

@@ -12,12 +12,34 @@
 //! ```
 //!
 //! Slices are indexed least-significant-first throughout the simulator.
+//!
+//! The array-level model computes these dot products directly and ships
+//! only the width helpers [`bits_needed`] and [`bits_needed_slice`]. The
+//! slicing itself is part of the unit-level test oracle (the `crossbar`
+//! module) and is compiled only under test.
 
+/// Minimum bit-width needed to represent `value` (at least 1).
+#[inline]
+pub fn bits_needed(value: u64) -> u32 {
+    (64 - value.leading_zeros()).max(1)
+}
+
+/// Minimum bit-width needed for the largest value in `values` (at least 1).
+pub fn bits_needed_slice(values: &[u32]) -> u32 {
+    bits_needed(values.iter().copied().max().unwrap_or(0).into())
+}
+
+#[cfg(test)]
 use crate::error::ReRamError;
 
 /// Splits a `b`-bit stored operand into `⌈b/h⌉` cell levels,
 /// least-significant slice first.
-pub fn slice_operand(value: u64, operand_bits: u32, cell_bits: u32) -> Result<Vec<u8>, ReRamError> {
+#[cfg(test)]
+pub(crate) fn slice_operand(
+    value: u64,
+    operand_bits: u32,
+    cell_bits: u32,
+) -> Result<Vec<u8>, ReRamError> {
     if operand_bits == 0 || operand_bits > 64 {
         return Err(ReRamError::InvalidConfig {
             what: "operand_bits must be in 1..=64",
@@ -37,7 +59,8 @@ pub fn slice_operand(value: u64, operand_bits: u32, cell_bits: u32) -> Result<Ve
 }
 
 /// Inverse of [`slice_operand`].
-pub fn unslice_operand(slices: &[u8], cell_bits: u32) -> u64 {
+#[cfg(test)]
+fn unslice_operand(slices: &[u8], cell_bits: u32) -> u64 {
     slices.iter().enumerate().fold(0u64, |acc, (j, &s)| {
         acc | (u64::from(s) << (j as u32 * cell_bits))
     })
@@ -45,7 +68,8 @@ pub fn unslice_operand(slices: &[u8], cell_bits: u32) -> u64 {
 
 /// Splits a multiplicand into DAC-width input levels, least-significant
 /// first — one level per streaming cycle.
-pub fn slice_input(value: u64, input_bits: u32, dac_bits: u32) -> Result<Vec<u16>, ReRamError> {
+#[cfg(test)]
+fn slice_input(value: u64, input_bits: u32, dac_bits: u32) -> Result<Vec<u16>, ReRamError> {
     if input_bits == 0 || input_bits > 64 {
         return Err(ReRamError::InvalidConfig {
             what: "input_bits must be in 1..=64",
@@ -67,7 +91,8 @@ pub fn slice_input(value: u64, input_bits: u32, dac_bits: u32) -> Result<Vec<u16
 /// Shift-and-add recombination: `partials[k][j]` is the analog sum produced
 /// at input cycle `k` on the bitline holding operand slice `j`. Returns the
 /// full-precision product-sum.
-pub fn shift_add(partials: &[Vec<u64>], cell_bits: u32, dac_bits: u32) -> u128 {
+#[cfg(test)]
+fn shift_add(partials: &[Vec<u64>], cell_bits: u32, dac_bits: u32) -> u128 {
     let mut acc: u128 = 0;
     for (k, row) in partials.iter().enumerate() {
         for (j, &p) in row.iter().enumerate() {
@@ -80,23 +105,24 @@ pub fn shift_add(partials: &[Vec<u64>], cell_bits: u32, dac_bits: u32) -> u128 {
 
 /// A query whose elements have been DAC-sliced once, up front.
 ///
-/// Streaming the same query to several crossbars (stacked slots, chunked
-/// dimensions, parallel region groups) used to re-run [`slice_input`] per
-/// destination; slicing is a pure function of `(query, input_bits,
-/// dac_bits)`, so the executor now slices once per dispatch and hands the
-/// cached slices to every crossbar it streams to.
+/// Slicing is a pure function of `(query, input_bits, dac_bits)`, so
+/// `PimArray::dot_batch_strict` slices once per dispatch and hands the
+/// cached slices to every crossbar it streams to (stacked slots, chunked
+/// dimensions, every group).
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct SlicedQuery {
+pub(crate) struct SlicedQuery {
     /// `slices[i][k]` — DAC level of element `i` at streaming cycle `k`.
     slices: Vec<Vec<u16>>,
     input_bits: u32,
     dac_bits: u32,
 }
 
+#[cfg(test)]
 impl SlicedQuery {
     /// Slices every element of `query` into `⌈input_bits/dac_bits⌉` DAC
     /// levels (least-significant first).
-    pub fn new(query: &[u64], input_bits: u32, dac_bits: u32) -> Result<Self, ReRamError> {
+    pub(crate) fn new(query: &[u64], input_bits: u32, dac_bits: u32) -> Result<Self, ReRamError> {
         let mut slices = Vec::with_capacity(query.len());
         for &qv in query {
             slices.push(slice_input(qv, input_bits, dac_bits)?);
@@ -110,19 +136,13 @@ impl SlicedQuery {
 
     /// Number of query elements.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slices.len()
-    }
-
-    /// `true` when the query has no elements.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.slices.is_empty()
     }
 
     /// A sub-query over elements `range` (used when a query is split
     /// across row-chunked crossbars). Cheap clone of the cached slices.
-    pub fn slice_range(&self, range: std::ops::Range<usize>) -> SlicedQuery {
+    pub(crate) fn slice_range(&self, range: std::ops::Range<usize>) -> SlicedQuery {
         SlicedQuery {
             slices: self.slices[range].to_vec(),
             input_bits: self.input_bits,
@@ -132,38 +152,21 @@ impl SlicedQuery {
 
     /// Streaming cycle count `⌈input_bits/dac_bits⌉`.
     #[inline]
-    pub fn cycles(&self) -> usize {
+    pub(crate) fn cycles(&self) -> usize {
         self.input_bits.div_ceil(self.dac_bits) as usize
-    }
-
-    /// The bit width the query was sliced at.
-    #[inline]
-    pub fn input_bits(&self) -> u32 {
-        self.input_bits
     }
 
     /// The DAC resolution the query was sliced for.
     #[inline]
-    pub fn dac_bits(&self) -> u32 {
+    pub(crate) fn dac_bits(&self) -> u32 {
         self.dac_bits
     }
 
     /// DAC level of element `i` at cycle `k` (0 past the last slice).
     #[inline]
-    pub fn level(&self, i: usize, k: usize) -> u16 {
+    pub(crate) fn level(&self, i: usize, k: usize) -> u16 {
         self.slices[i].get(k).copied().unwrap_or(0)
     }
-}
-
-/// Minimum bit-width needed to represent `value` (at least 1).
-#[inline]
-pub fn bits_needed(value: u64) -> u32 {
-    (64 - value.leading_zeros()).max(1)
-}
-
-/// Minimum bit-width needed for the largest value in `values` (at least 1).
-pub fn bits_needed_slice(values: &[u32]) -> u32 {
-    bits_needed(values.iter().copied().max().unwrap_or(0).into())
 }
 
 #[cfg(test)]

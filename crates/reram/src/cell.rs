@@ -4,26 +4,30 @@
 //! non-negative integer (Section II-A). Programming (writing) a cell wears
 //! it out; Table 1 bounds ReRAM endurance at 10⁸–10¹¹ writes, which is why
 //! Section V-C compresses datasets instead of re-programming crossbars.
+//!
+//! Part of the unit-level test oracle ([`crate::crossbar`]), compiled only
+//! under test.
+#![cfg(test)]
 
 use crate::error::ReRamError;
 
 /// One ReRAM cell: an `h`-bit conductance level plus its write counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Cell {
+pub(crate) struct Cell {
     level: u8,
     writes: u32,
 }
 
 impl Cell {
     /// A fresh cell at level 0 with zero wear.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Programs the cell to `level`. Fails when the level does not fit the
     /// cell's `h`-bit precision. Always counts as one write, even when the
     /// level is unchanged (the device still receives a programming pulse).
-    pub fn program(&mut self, level: u8, cell_bits: u32) -> Result<(), ReRamError> {
+    pub(crate) fn program(&mut self, level: u8, cell_bits: u32) -> Result<(), ReRamError> {
         if u32::from(level) >= (1u32 << cell_bits) {
             return Err(ReRamError::OperandOverflow {
                 value: u64::from(level),
@@ -37,13 +41,13 @@ impl Cell {
 
     /// The stored conductance level. Reading does not wear the cell.
     #[inline]
-    pub fn read(&self) -> u8 {
+    pub(crate) fn read(&self) -> u8 {
         self.level
     }
 
     /// Number of programming pulses this cell has received.
     #[inline]
-    pub fn writes(&self) -> u32 {
+    pub(crate) fn writes(&self) -> u32 {
         self.writes
     }
 }

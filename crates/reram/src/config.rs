@@ -13,8 +13,9 @@ pub struct CrossbarConfig {
     /// Input DAC resolution in bits per cycle (2 in the running examples of
     /// Fig. 2: inputs stream through the DAC two bits at a time).
     pub dac_bits: u32,
-    /// ADC resolution in bits. Per-cycle analog sums must fit; the default
-    /// covers `m · (2^h − 1) · (2^dac − 1)`.
+    /// ADC resolution in bits. It must resolve the worst-case per-cycle
+    /// analog sum `m · (2^h − 1) · (2^dac − 1)` ([`CrossbarConfig::validate`]
+    /// refuses less).
     pub adc_bits: u32,
     /// Crossbar read latency in nanoseconds (Table 5: 29.31 ns).
     pub read_ns: f64,
@@ -53,14 +54,11 @@ impl CrossbarConfig {
                 what: "dac_bits must be in 1..=16",
             });
         }
-        // The ADC must at least resolve one cell × one DAC level; covering
-        // the worst-case full-column sum is recommended (see
-        // [`CrossbarConfig::adc_covers_worst_case`]) but not required —
-        // undersized ADCs surface as `AdcOverflow` at runtime instead of
-        // clipping silently.
-        if self.adc_bits >= 64 || self.adc_bits < self.cell_bits + self.dac_bits {
+        // The array computes exact dot products, so an ADC that could clip
+        // a full column's sum would be answered exactly instead; refuse it.
+        if !self.adc_covers_worst_case() {
             return Err(ReRamError::InvalidConfig {
-                what: "adc_bits must be in (cell_bits + dac_bits)..64",
+                what: "adc_bits must resolve the worst-case column sum m·(2^h − 1)·(2^dac − 1)",
             });
         }
         Ok(())
@@ -339,14 +337,19 @@ mod tests {
             ..Default::default()
         };
         assert!(xb.validate().is_err());
-        // Valid but undersized for full columns.
+        // Undersized for full columns: 256 · 3 · 3 = 2304 ≥ 2^8.
         let xb = CrossbarConfig {
             adc_bits: 8,
             ..Default::default()
         };
-        assert!(xb.validate().is_ok());
         assert!(!xb.adc_covers_worst_case());
+        assert!(xb.validate().is_err());
         assert!(CrossbarConfig::default().adc_covers_worst_case());
+        let xb = CrossbarConfig {
+            adc_bits: 64,
+            ..Default::default()
+        };
+        assert!(xb.validate().is_err());
         let cfg = PimConfig {
             num_crossbars: 0,
             ..Default::default()

@@ -6,6 +6,13 @@
 //! (Fig. 1). Multi-bit operands span `⌈b/h⌉` adjacent bitlines (Fig. 2);
 //! [`Crossbar::dot_products`] runs the full streamed pipeline and
 //! recombines partials with shift-and-add.
+//!
+//! This is the test oracle of the array-level model: it is compiled only
+//! under test, where `PimArray::dot_batch_strict` lays a region out on
+//! these crossbars and the tests assert that `PimArray::dot_batch` returns
+//! the same bits. [`CrossbarConfig::validate`] refuses an ADC that could
+//! clip a column sum, so no cycle here checks the ADC range.
+#![cfg(test)]
 
 use crate::bitslice::{slice_operand, SlicedQuery};
 use crate::cell::Cell;
@@ -22,7 +29,7 @@ use crate::error::ReRamError;
 /// rows of a bit-plane) instead of cell-by-cell — see
 /// [`Crossbar::packed_cycle`].
 #[derive(Debug, Clone)]
-pub struct Crossbar {
+pub(crate) struct Crossbar {
     cfg: CrossbarConfig,
     cells: Vec<Cell>, // row-major m×m
     /// `planes[(col·h + s)·words + w]` — bit `r` of word `w` set iff bit
@@ -34,7 +41,7 @@ pub struct Crossbar {
 
 impl Crossbar {
     /// A blank crossbar with all cells at level 0.
-    pub fn new(cfg: CrossbarConfig) -> Result<Self, ReRamError> {
+    pub(crate) fn new(cfg: CrossbarConfig) -> Result<Self, ReRamError> {
         cfg.validate()?;
         let words = cfg.size.div_ceil(64);
         Ok(Self {
@@ -45,19 +52,18 @@ impl Crossbar {
         })
     }
 
-    /// Geometry of this crossbar.
-    #[inline]
-    pub fn config(&self) -> &CrossbarConfig {
-        &self.cfg
-    }
-
     #[inline]
     fn idx(&self, row: usize, col: usize) -> usize {
         row * self.cfg.size + col
     }
 
     /// Programs one cell to `level`.
-    pub fn program_cell(&mut self, row: usize, col: usize, level: u8) -> Result<(), ReRamError> {
+    pub(crate) fn program_cell(
+        &mut self,
+        row: usize,
+        col: usize,
+        level: u8,
+    ) -> Result<(), ReRamError> {
         let m = self.cfg.size;
         if row >= m {
             return Err(ReRamError::GeometryViolation {
@@ -91,7 +97,7 @@ impl Crossbar {
     }
 
     /// Reads one cell's level.
-    pub fn read_cell(&self, row: usize, col: usize) -> u8 {
+    pub(crate) fn read_cell(&self, row: usize, col: usize) -> u8 {
         self.cells[self.idx(row, col)].read()
     }
 
@@ -99,7 +105,7 @@ impl Crossbar {
     /// operand for dimension (row) `start_row + i`, occupying the
     /// `⌈b/h⌉` bitlines starting at `start_col`. Returns the number of cell
     /// writes performed.
-    pub fn program_operand_column(
+    pub(crate) fn program_operand_column(
         &mut self,
         start_row: usize,
         start_col: usize,
@@ -135,7 +141,7 @@ impl Crossbar {
 
     /// Programs every cell to level 1 — the all-ones *gather crossbar* used
     /// to sum partial results (Fig. 3). Returns cell writes performed.
-    pub fn program_all_ones(&mut self) -> Result<u64, ReRamError> {
+    pub(crate) fn program_all_ones(&mut self) -> Result<u64, ReRamError> {
         let m = self.cfg.size;
         for row in 0..m {
             for col in 0..m {
@@ -147,9 +153,8 @@ impl Crossbar {
 
     /// One analog cycle: `inputs[row]` is the DAC level driven on wordline
     /// `row` (must fit `dac_bits`); missing trailing rows are not driven.
-    /// Returns the per-bitline current sums, checked against the ADC
-    /// resolution.
-    pub fn analog_cycle(&self, inputs: &[u16]) -> Result<Vec<u64>, ReRamError> {
+    /// Returns the per-bitline current sums.
+    pub(crate) fn analog_cycle(&self, inputs: &[u16]) -> Result<Vec<u64>, ReRamError> {
         let m = self.cfg.size;
         if inputs.len() > m {
             return Err(ReRamError::GeometryViolation {
@@ -175,15 +180,6 @@ impl Crossbar {
                 *sum += u64::from(u) * u64::from(self.cells[base + col].read());
             }
         }
-        let adc_limit = 1u64 << self.cfg.adc_bits;
-        for &s in &sums {
-            if s >= adc_limit {
-                return Err(ReRamError::AdcOverflow {
-                    value: s,
-                    adc_bits: self.cfg.adc_bits,
-                });
-            }
-        }
         Ok(sums)
     }
 
@@ -201,7 +197,7 @@ impl Crossbar {
     /// AND+popcount per 64 rows replaces 64 multiply-accumulates. All
     /// arithmetic is exact integer counting, so the result equals the
     /// scalar cycle bit for bit (asserted exhaustively in the tests).
-    pub fn packed_cycle(&self, inputs: &[u16]) -> Result<Vec<u64>, ReRamError> {
+    pub(crate) fn packed_cycle(&self, inputs: &[u16]) -> Result<Vec<u64>, ReRamError> {
         let m = self.cfg.size;
         if inputs.len() > m {
             return Err(ReRamError::GeometryViolation {
@@ -252,15 +248,6 @@ impl Crossbar {
                     }
                 }
                 *sum = acc;
-            }
-        }
-        let adc_limit = 1u64 << self.cfg.adc_bits;
-        for &s in &sums {
-            if s >= adc_limit {
-                return Err(ReRamError::AdcOverflow {
-                    value: s,
-                    adc_bits: self.cfg.adc_bits,
-                });
             }
         }
         Ok(sums)
@@ -327,7 +314,7 @@ impl Crossbar {
     ///
     /// The cycle count equals `⌈input_bits/dac⌉` — the quantity the timing
     /// model charges for.
-    pub fn dot_products(
+    pub(crate) fn dot_products(
         &self,
         start_row: usize,
         query: &[u64],
@@ -341,7 +328,7 @@ impl Crossbar {
     /// [`Crossbar::dot_products`] over a pre-sliced query — the hot entry
     /// point when the same query streams to many crossbars (the caller
     /// slices once per dispatch). Runs the word-wide packed cycle.
-    pub fn dot_products_sliced(
+    pub(crate) fn dot_products_sliced(
         &self,
         start_row: usize,
         sliced: &SlicedQuery,
@@ -355,7 +342,7 @@ impl Crossbar {
     /// One analog cycle under bounded conductance variation: each cell
     /// contributes `input · level · (1 + δ)`; the ADC rounds to the
     /// nearest integer. Deterministic given the model's seed.
-    pub fn analog_cycle_noisy(
+    pub(crate) fn analog_cycle_noisy(
         &self,
         inputs: &[u16],
         variation: &crate::variation::VariationModel,
@@ -386,19 +373,7 @@ impl Crossbar {
                 *sum += f64::from(u) * level * (1.0 + variation.delta(row, col));
             }
         }
-        let adc_limit = 1u64 << self.cfg.adc_bits;
-        let mut out = Vec::with_capacity(m);
-        for s in sums {
-            let q = s.round().max(0.0) as u64;
-            if q >= adc_limit {
-                return Err(ReRamError::AdcOverflow {
-                    value: q,
-                    adc_bits: self.cfg.adc_bits,
-                });
-            }
-            out.push(q);
-        }
-        Ok(out)
+        Ok(sums.iter().map(|s| s.round().max(0.0) as u64).collect())
     }
 
     /// The streamed dot-product pipeline under bounded conductance
@@ -408,7 +383,7 @@ impl Crossbar {
     /// ADC rounding across shifts (see
     /// [`crate::variation::VariationModel::dot_error_bound`] and the
     /// guard-banded bounds in `simpim-core`).
-    pub fn dot_products_noisy(
+    pub(crate) fn dot_products_noisy(
         &self,
         start_row: usize,
         query: &[u64],
@@ -426,7 +401,7 @@ impl Crossbar {
     /// the deterministic fault map): stuck cells read their fault level,
     /// dead wordlines never see their input, dead bitlines read 0. Wear-out
     /// is derived from this crossbar's own write counters.
-    pub fn analog_cycle_faulty(
+    pub(crate) fn analog_cycle_faulty(
         &self,
         inputs: &[u16],
         faults: &crate::faults::FaultConfig,
@@ -466,17 +441,9 @@ impl Crossbar {
                 *sum += u64::from(u) * u64::from(level);
             }
         }
-        let adc_limit = 1u64 << self.cfg.adc_bits;
         for (col, s) in sums.iter_mut().enumerate() {
             if faults.dead_bitline(crossbar_id, col) {
                 *s = 0;
-                continue;
-            }
-            if *s >= adc_limit {
-                return Err(ReRamError::AdcOverflow {
-                    value: *s,
-                    adc_bits: self.cfg.adc_bits,
-                });
             }
         }
         Ok(sums)
@@ -487,7 +454,7 @@ impl Crossbar {
     /// ADC's bounded glitch-retry chain once per call and returns the
     /// retries spent alongside the (possibly corrupted) results. Fails with
     /// [`ReRamError::AdcRetryExhausted`] when the ADC never reads clean.
-    pub fn dot_products_faulty(
+    pub(crate) fn dot_products_faulty(
         &self,
         start_row: usize,
         query: &[u64],
@@ -514,7 +481,7 @@ impl Crossbar {
 
     /// Upper bound on the ADC-rounding contribution of one noisy pipeline
     /// run: ½ LSB per bitline per cycle, scaled by each partial's shift.
-    pub fn rounding_error_bound(&self, input_bits: u32, operand_bits: u32) -> f64 {
+    pub(crate) fn rounding_error_bound(&self, input_bits: u32, operand_bits: u32) -> f64 {
         let w = self.cfg.cells_per_operand(operand_bits) as u32;
         let cycles = input_bits.div_ceil(self.cfg.dac_bits);
         let mut total = 0.0;
@@ -528,18 +495,18 @@ impl Crossbar {
     }
 
     /// Total programming pulses received by all cells (endurance metric).
-    pub fn total_writes(&self) -> u64 {
+    pub(crate) fn total_writes(&self) -> u64 {
         self.cells.iter().map(|c| u64::from(c.writes())).sum()
     }
 
     /// The highest write count of any single cell (worst-case wear).
-    pub fn max_cell_writes(&self) -> u32 {
+    pub(crate) fn max_cell_writes(&self) -> u32 {
         self.cells.iter().map(Cell::writes).max().unwrap_or(0)
     }
 }
 
 /// Reference check used in tests and docs: exact integer dot product.
-pub fn exact_dot(a: &[u64], b: &[u64]) -> u128 {
+pub(crate) fn exact_dot(a: &[u64], b: &[u64]) -> u128 {
     a.iter()
         .zip(b)
         .map(|(&x, &y)| u128::from(x) * u128::from(y))
@@ -622,7 +589,8 @@ mod tests {
     }
 
     #[test]
-    fn adc_overflow_detected() {
+    fn an_adc_that_could_clip_is_refused() {
+        // 4 rows · 3 · 3 = 36 ≥ 2^4: a full column would clip.
         let cfg = CrossbarConfig {
             size: 4,
             cell_bits: 2,
@@ -630,17 +598,9 @@ mod tests {
             adc_bits: 4,
             ..Default::default()
         };
-        let mut xb = Crossbar::new(cfg).unwrap();
-        for r in 0..4 {
-            xb.program_operand_column(r, 0, &[3], 2).unwrap();
-            xb.program_operand_column(r, 1, &[3], 2).unwrap();
-            xb.program_operand_column(r, 2, &[3], 2).unwrap();
-            xb.program_operand_column(r, 3, &[3], 2).unwrap();
-        }
-        // 4 rows · 3 · 3 = 36 ≥ 2^4 → overflow.
         assert!(matches!(
-            xb.analog_cycle(&[3, 3, 3, 3]),
-            Err(ReRamError::AdcOverflow { .. })
+            Crossbar::new(cfg),
+            Err(ReRamError::InvalidConfig { .. })
         ));
     }
 
@@ -974,5 +934,34 @@ mod tests {
         xb.program_operand_column(0, 0, &[63, 63], 6).unwrap();
         let out = xb.dot_products(0, &[0, 0], 6, 6).unwrap();
         assert_eq!(out[0], 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// DESIGN.md §6 invariant 4 (unit level): the bit-sliced crossbar
+        /// pipeline equals the exact integer dot product, for arbitrary
+        /// geometry.
+        #[test]
+        fn crossbar_pipeline_is_exact(
+            values in proptest::prop::collection::vec(0u64..64, 1..=8),
+            query in proptest::prop::collection::vec(0u64..64, 1..=8),
+            cell_bits in 1u32..=3,
+        ) {
+            let d = values.len().min(query.len());
+            let (values, query) = (&values[..d], &query[..d]);
+            let cfg = CrossbarConfig {
+                size: 8,
+                cell_bits,
+                dac_bits: 2,
+                adc_bits: 16,
+                ..Default::default()
+            };
+            let mut xb = Crossbar::new(cfg).unwrap();
+            xb.program_operand_column(0, 0, values, 6).unwrap();
+            let out = xb.dot_products(0, query, 6, 6).unwrap();
+            let exact: u128 = values.iter().zip(query).map(|(&a, &b)| u128::from(a * b)).sum();
+            proptest::prop_assert_eq!(out[0], exact);
+        }
     }
 }

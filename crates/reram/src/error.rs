@@ -35,15 +35,6 @@ pub enum ReRamError {
         /// Which parameter and why.
         what: &'static str,
     },
-    /// Analog accumulation exceeded the configured ADC resolution — the
-    /// hardware would clip; the simulator refuses instead of silently
-    /// producing wrong currents.
-    AdcOverflow {
-        /// The analog sum that clipped.
-        value: u64,
-        /// The configured ADC resolution.
-        adc_bits: u32,
-    },
     /// A crossbar's ADC glitched on every sampling attempt within the
     /// bounded retry budget — the controller cannot obtain a trustworthy
     /// read.
@@ -87,12 +78,6 @@ impl fmt::Display for ReRamError {
             }
             Self::NotProgrammed => write!(f, "PIM array has not been programmed with a dataset"),
             Self::InvalidConfig { what } => write!(f, "invalid configuration: {what}"),
-            Self::AdcOverflow { value, adc_bits } => {
-                write!(
-                    f,
-                    "analog sum {value} exceeds {adc_bits}-bit ADC resolution"
-                )
-            }
             Self::AdcRetryExhausted { crossbar, attempts } => {
                 write!(
                     f,

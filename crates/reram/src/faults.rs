@@ -1,5 +1,6 @@
 //! Deterministic, seedable crossbar fault injection (a beyond-the-paper
-//! robustness study, companion to [`crate::variation`]).
+//! robustness study, companion to the test oracle's bounded analog
+//! variation model).
 //!
 //! The paper assumes pristine crossbars; deployed ReRAM parts develop
 //! **hard faults**: cells stuck at their lowest or highest conductance,
@@ -7,11 +8,12 @@
 //! glitches, and wear-out once a crossbar exceeds its write endurance
 //! (Table 1 lists 10⁸–10¹¹ writes for ReRAM). This module models all of
 //! them as *deterministic functions of a seed and the fault site*, the
-//! same idiom [`crate::variation::VariationModel::delta`] uses, so every
-//! run is exactly reproducible and property tests can sweep seeds.
+//! same idiom the variation model's per-cell deviation uses, so every run
+//! is exactly reproducible and property tests can sweep seeds.
 //!
-//! Fault semantics (applied by [`crate::crossbar::Crossbar`]'s `_faulty`
-//! pipeline and by [`crate::array::PimArray`]'s array-level emulation):
+//! Fault semantics (applied by [`crate::array::PimArray`]'s array-level
+//! emulation, and by the unit-level crossbar's `_faulty` pipeline that
+//! checks it in tests):
 //!
 //! * **Stuck-at-low** — the cell reads level 0 regardless of programming.
 //! * **Stuck-at-high** — the cell reads the maximum level `2^h − 1`.
@@ -176,8 +178,8 @@ impl FaultConfig {
     }
 
     /// Deterministic unit sample in `[0, 1)` for a fault site
-    /// (splitmix64 of the coordinates, mirroring
-    /// [`crate::variation::VariationModel::delta`]).
+    /// (splitmix64 of the coordinates, mirroring the variation model's
+    /// per-cell deviation).
     fn unit(&self, stream: u64, a: u64, b: u64, c: u64) -> f64 {
         let mut z = self
             .seed

@@ -7,10 +7,12 @@
 //! of the tree holds `⌈s/mⁱ⌉` crossbars, each summing up to `m` partials,
 //! until one value remains.
 //!
-//! [`crossbar_cost_per_pair`] reproduces Eq. 11 (cost of one vector pair)
-//! and [`dataset_crossbar_cost`] reproduces Eq. 12 (cost of a whole dataset,
-//! with `m·h/b` objects packed per data-crossbar group) — the quantities
-//! Theorem 4's memory manager optimizes over in `simpim-core`.
+//! [`dataset_crossbar_cost`] reproduces Eq. 12 (cost of a whole dataset,
+//! with `m·h/b` objects packed per data-crossbar group) — the quantity
+//! Theorem 4's memory manager optimizes over in `simpim-core`. Eq. 11 (the
+//! cost of one vector pair), the paper's closed form of `n_data` and the
+//! functional tree reduction serve only the tests, where they check the
+//! layout and the unit-level oracle.
 
 use crate::config::CrossbarConfig;
 use crate::error::ReRamError;
@@ -54,19 +56,6 @@ pub fn gather_levels(partials: usize, m: usize) -> Vec<usize> {
         levels.push(p);
     }
     levels
-}
-
-/// Eq. 11 — crossbars consumed by the dot product of **one** vector pair of
-/// dimensionality `s` on `m×m` crossbars, in fractional crossbar units for
-/// `s ≤ m` (a vector occupies `s/m` of one crossbar).
-pub fn crossbar_cost_per_pair(s: usize, m: usize) -> f64 {
-    assert!(s > 0 && m > 0);
-    if s <= m {
-        return s as f64 / m as f64;
-    }
-    let data = s.div_ceil(m);
-    let gather: usize = gather_levels(data, m).iter().sum();
-    (data + gather) as f64
 }
 
 /// Eq. 12 — integer-exact crossbar budget for programming `n` vectors of
@@ -129,10 +118,25 @@ pub fn dataset_crossbar_cost(
     }
 }
 
+/// Eq. 11 — crossbars consumed by the dot product of **one** vector pair of
+/// dimensionality `s` on `m×m` crossbars, in fractional crossbar units for
+/// `s ≤ m` (a vector occupies `s/m` of one crossbar).
+#[cfg(test)]
+fn crossbar_cost_per_pair(s: usize, m: usize) -> f64 {
+    assert!(s > 0 && m > 0);
+    if s <= m {
+        return s as f64 / m as f64;
+    }
+    let data = s.div_ceil(m);
+    let gather: usize = gather_levels(data, m).iter().sum();
+    (data + gather) as f64
+}
+
 /// The paper's closed-form `n_data = N·b·s / (m²·h)` (Theorem 4), kept for
 /// documentation and cross-checked against the integer-exact layout in
 /// tests. Returns a fractional crossbar count.
-pub fn paper_ndata_closed_form(n: usize, s: usize, operand_bits: u32, cfg: &CrossbarConfig) -> f64 {
+#[cfg(test)]
+fn paper_ndata_closed_form(n: usize, s: usize, operand_bits: u32, cfg: &CrossbarConfig) -> f64 {
     (n as f64) * f64::from(operand_bits) * (s as f64)
         / ((cfg.size * cfg.size) as f64 * f64::from(cfg.cell_bits))
 }
@@ -141,7 +145,8 @@ pub fn paper_ndata_closed_form(n: usize, s: usize, operand_bits: u32, cfg: &Cros
 /// tests: reduces `partials` through simulated all-ones crossbars, `m`
 /// values per crossbar per level, returning the final sum. Accumulation is
 /// full-precision; callers wrap to the accumulator width.
-pub fn reduce_through_tree(partials: &[u128], m: usize) -> u128 {
+#[cfg(test)]
+pub(crate) fn reduce_through_tree(partials: &[u128], m: usize) -> u128 {
     assert!(m >= 2);
     let mut layer: Vec<u128> = partials.to_vec();
     while layer.len() > 1 {

@@ -13,20 +13,24 @@
 //! stays provably correct: inflate the measured dot product by the
 //! envelope before applying Theorem 1 (`lb_pim_ed_guarded` in
 //! `simpim-core`). Accuracy is preserved; only pruning power is lost.
+//!
+//! Part of the unit-level test oracle ([`crate::crossbar`]), compiled only
+//! under test: the noisy pipeline is checked against this envelope there.
+#![cfg(test)]
 
 /// Bounded multiplicative cell variation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VariationModel {
+pub(crate) struct VariationModel {
     /// Maximum relative deviation of a cell's conductance (e.g. 0.05 for
     /// ±5%).
-    pub max_relative: f64,
+    max_relative: f64,
     /// Seed of the deterministic per-cell noise.
-    pub seed: u64,
+    seed: u64,
 }
 
 impl VariationModel {
     /// A new bounded-variation model.
-    pub fn new(max_relative: f64, seed: u64) -> Self {
+    pub(crate) fn new(max_relative: f64, seed: u64) -> Self {
         assert!(
             (0.0..1.0).contains(&max_relative),
             "relative variation must be in [0,1)"
@@ -36,7 +40,7 @@ impl VariationModel {
 
     /// Deterministic per-cell deviation `δ ∈ [−max_relative, +max_relative]`
     /// (splitmix64 of the cell coordinates).
-    pub fn delta(&self, row: usize, col: usize) -> f64 {
+    pub(crate) fn delta(&self, row: usize, col: usize) -> f64 {
         let mut z = self
             .seed
             .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(1 + row as u64))
@@ -53,7 +57,7 @@ impl VariationModel {
     /// per-bitline sums rounds by ≤ ½ and is shifted by `2^shift`, which
     /// telescopes to at most `2^(total_bits)` — callers pass the
     /// precomputed `rounding` term from the pipeline geometry.
-    pub fn dot_error_bound(&self, dot_true: u128, rounding: f64) -> f64 {
+    pub(crate) fn dot_error_bound(&self, dot_true: u128, rounding: f64) -> f64 {
         self.max_relative * dot_true as f64 + rounding
     }
 }

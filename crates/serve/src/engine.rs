@@ -940,9 +940,8 @@ impl Scheduler {
     /// lost replica per set, keeping each tick's latency bite bounded.
     /// A failed repair leaves the replica quarantined; the next tick
     /// retries. (An idle engine with a dead bank therefore stays
-    /// un-repaired until traffic returns — like real scrubbing, the
-    /// loop needs either queries or an explicit sweep to notice a
-    /// loss; [`ReplicaSet::quarantine_lost`] is that sweep.)
+    /// un-repaired until traffic returns: nothing sweeps for a loss
+    /// that no query has routed to.)
     fn repair_tick(&mut self) {
         for set in &mut self.sets {
             if set.needs_repair() && set.repair_one().is_err() {

@@ -382,24 +382,6 @@ impl ReplicaSet {
         self.state.contains(&ReplicaState::Lost)
     }
 
-    /// Proactive detection sweep: quarantines any replica whose bank has
-    /// fail-stopped but which no batch has routed to yet (query-path
-    /// detection only fires on routed traffic). Returns the number of
-    /// replicas newly quarantined. Nothing in the engine calls it — an
-    /// idle set keeps a dead bank until traffic finds it — so it is the
-    /// explicit sweep for embedders and tests that want losses surfaced
-    /// to the repair loop without a query.
-    pub fn quarantine_lost(&mut self) -> usize {
-        let mut newly = 0;
-        for i in 0..self.replicas.len() {
-            if self.state[i] == ReplicaState::Healthy && self.replicas[i].bank_lost() {
-                self.state[i] = ReplicaState::Lost;
-                newly += 1;
-            }
-        }
-        newly
-    }
-
     /// Re-replicates one lost replica onto a spare bank: the shared
     /// mirror's live rows are streamed onto a fresh bank with a fresh
     /// fault map (block-by-block — no snapshot copy is materialized),

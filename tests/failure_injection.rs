@@ -4,7 +4,7 @@
 
 use simpim::core::executor::{ExecutorConfig, PimExecutor, SimTarget};
 use simpim::core::CoreError;
-use simpim::reram::{AccWidth, Crossbar, CrossbarConfig, PimArray, PimConfig, ReRamError};
+use simpim::reram::{AccWidth, CrossbarConfig, PimArray, PimConfig, ReRamError};
 use simpim::similarity::{Dataset, NormalizedDataset, Quantizer, SimilarityError};
 
 fn tiny_data(n: usize, d: usize) -> NormalizedDataset {
@@ -21,8 +21,9 @@ fn tiny_data(n: usize, d: usize) -> NormalizedDataset {
 #[test]
 fn undersized_adc_clips_loudly_not_silently() {
     // An 8-wide crossbar with a 5-bit ADC: a full column of maxed cells
-    // driven at max DAC overflows the per-cycle sum — the simulator must
-    // refuse, not wrap.
+    // driven at max DAC (8 · 3 · 3 = 72 ≥ 2^5) would clip. The array
+    // computes exact dot products, so it would answer such a read exactly
+    // instead of clipping; the simulator must refuse the config up front.
     let cfg = CrossbarConfig {
         size: 8,
         cell_bits: 2,
@@ -31,14 +32,14 @@ fn undersized_adc_clips_loudly_not_silently() {
         ..Default::default()
     };
     assert!(!cfg.adc_covers_worst_case());
-    let mut xb = Crossbar::new(cfg).unwrap();
-    for row in 0..8 {
-        xb.program_operand_column(row, 0, &[3], 2).unwrap();
-    }
-    let out = xb.analog_cycle(&[3; 8]);
+    let out = PimArray::new(PimConfig {
+        crossbar: cfg,
+        ..Default::default()
+    });
     assert!(
-        matches!(out, Err(ReRamError::AdcOverflow { .. })),
-        "{out:?}"
+        matches!(out, Err(ReRamError::InvalidConfig { .. })),
+        "{:?}",
+        out.err()
     );
 }
 

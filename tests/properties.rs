@@ -6,7 +6,7 @@ use simpim::core::pim_bounds::{
     error_bound_ed, host_floor_dot, lb_pim_ed, lb_pim_fnn, quantize_for_dot, quantize_for_ed,
     ub_pim_cs, ub_pim_pcc, FnnQuant,
 };
-use simpim::reram::{AccWidth, Crossbar, CrossbarConfig, PimArray, PimConfig};
+use simpim::reram::{AccWidth, CrossbarConfig, PimArray, PimConfig};
 use simpim::similarity::measures::{cosine, euclidean_sq, pearson};
 use simpim::similarity::{Quantizer, SegmentStats};
 
@@ -92,32 +92,11 @@ proptest! {
         }
     }
 
-    // Invariant 4 (unit level): the bit-sliced crossbar pipeline equals
-    // the exact integer dot product, for arbitrary geometry.
-    #[test]
-    fn crossbar_pipeline_is_exact(
-        values in prop::collection::vec(0u64..64, 1..=8),
-        query in prop::collection::vec(0u64..64, 1..=8),
-        cell_bits in 1u32..=3,
-    ) {
-        let d = values.len().min(query.len());
-        let (values, query) = (&values[..d], &query[..d]);
-        let cfg = CrossbarConfig {
-            size: 8,
-            cell_bits,
-            dac_bits: 2,
-            adc_bits: 16,
-            ..Default::default()
-        };
-        let mut xb = Crossbar::new(cfg).unwrap();
-        xb.program_operand_column(0, 0, values, 6).unwrap();
-        let out = xb.dot_products(0, query, 6, 6).unwrap();
-        let exact: u128 = values.iter().zip(query).map(|(&a, &b)| u128::from(a * b)).sum();
-        prop_assert_eq!(out[0], exact);
-    }
-
     // Invariant 4 (array level): PimArray matches the exact dot product
-    // including gather trees and accumulator wrapping.
+    // including gather trees and accumulator wrapping. Its unit-level half
+    // and the strict-vs-fast agreement run in simpim-reram's unit tests
+    // (`crossbar_pipeline_is_exact`, `strict_and_fast_paths_agree`), where
+    // the bit-sliced oracle is compiled.
     #[test]
     fn pim_array_matches_exact_dot(
         rows in prop::collection::vec(prop::collection::vec(0u32..1024, 12), 1..=6),
@@ -173,34 +152,6 @@ fn check_pim_array_dot(rows: &[Vec<u32>], query: &[u32]) {
 #[test]
 fn pim_array_matches_exact_dot_on_an_all_zero_region() {
     check_pim_array_dot(&[vec![0; 12]], &[0; 12]);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    // Invariant 4 (closing the loop): the strict-fidelity path — real
-    // materialized crossbars, slot stacking, chunking, all-ones gather
-    // trees — is bit-identical to the fast array path on random layouts.
-    #[test]
-    fn strict_and_fast_paths_agree(
-        n in 1usize..6,
-        s in prop::sample::select(vec![3usize, 4, 8, 12, 24]),
-        seed in 0u64..1000,
-    ) {
-        use simpim::reram::{AccWidth, CrossbarConfig, PimArray, PimConfig};
-        let cfg = PimConfig {
-            crossbar: CrossbarConfig { size: 8, cell_bits: 2, dac_bits: 2, adc_bits: 12, ..Default::default() },
-            num_crossbars: 4096,
-            ..Default::default()
-        };
-        let mut pim = PimArray::new(cfg).unwrap();
-        let data: Vec<u32> = (0..n * s).map(|i| ((i as u64 * 31 + seed * 7) % 16) as u32).collect();
-        let query: Vec<u32> = (0..s).map(|i| ((i as u64 * 13 + seed * 3) % 16) as u32).collect();
-        let rep = pim.program_region(&data, n, s, 4).unwrap();
-        let (fast, _) = pim.dot_batch(rep.region, &query, AccWidth::U64).unwrap();
-        let strict = pim.dot_batch_strict(rep.region, &query, AccWidth::U64).unwrap();
-        prop_assert_eq!(fast, strict);
-    }
 }
 
 proptest! {
