@@ -61,20 +61,18 @@ fn run_queries(exec: &mut PimExecutor, w: &Workload) -> (u64, RunReport) {
     (h, total)
 }
 
-/// What a dispatch costs when its jobs cost nothing: the median wall time
-/// of `join_all` over two empty jobs at 2 workers, in microseconds.
-fn dispatch_us() -> f64 {
+/// The median wall time of `join_all` over `jobs` empty jobs, in
+/// microseconds, at the worker count in force.
+fn median_call_us(jobs: usize) -> f64 {
     const CALLS: usize = 10_000;
-    let mut ns: Vec<u64> = par::with_threads(2, || {
-        (0..CALLS)
-            .map(|_| {
-                let jobs: Vec<par::Job<'_, ()>> = vec![Box::new(|| ()), Box::new(|| ())];
-                let t0 = Instant::now();
-                par::join_all(std::hint::black_box(jobs));
-                t0.elapsed().as_nanos() as u64
-            })
-            .collect()
-    });
+    let mut ns: Vec<u64> = (0..CALLS)
+        .map(|_| {
+            let jobs: Vec<par::Job<'_, ()>> = (0..jobs).map(|_| Box::new(|| ()) as _).collect();
+            let t0 = Instant::now();
+            par::join_all(std::hint::black_box(jobs));
+            t0.elapsed().as_nanos() as u64
+        })
+        .collect();
     ns.sort_unstable();
     ns[CALLS / 2] as f64 / 1e3
 }
@@ -153,7 +151,12 @@ fn main() {
     let measured_speedup = wall1 as f64 / wall8.max(1) as f64;
     let modeled_speedup = wall1 as f64 / modeled8.max(1) as f64;
     let parallel_fraction = busy as f64 / wall1.max(1) as f64;
-    let dispatch_us = dispatch_us();
+    // What a dispatch costs when its jobs cost nothing: two empty jobs at
+    // 2 workers.
+    let dispatch_us = par::with_threads(2, || median_call_us(2));
+    // What a call that runs inline costs with no override set: the
+    // ambient worker count (`SIMPIM_THREADS` or detected cores) included.
+    let call_us = median_call_us(1);
 
     print_table(
         &format!(
@@ -185,7 +188,8 @@ fn main() {
     println!(
         "result hash {hash:016x} identical at 1, 8 and ambient workers; \
          {} dispatches / {jobs} jobs, parallel fraction {:.1}%; \
-         an empty 2-job dispatch at 2 workers takes {dispatch_us:.2} us",
+         an empty 2-job dispatch at 2 workers takes {dispatch_us:.2} us, \
+         an empty 1-job call with no override {call_us:.2} us",
         dispatches.len(),
         parallel_fraction * 100.0
     );
@@ -209,6 +213,7 @@ fn main() {
             ("dispatch_jobs", Json::Num(jobs as f64)),
             ("parallel_fraction", Json::Num(parallel_fraction)),
             ("dispatch_us", Json::Num(dispatch_us)),
+            ("call_us", Json::Num(call_us)),
         ]),
     );
     run.finish();

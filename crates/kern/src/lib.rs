@@ -7,8 +7,9 @@
 //! early-abandoning form [`euclidean_sq_until`]), the packed
 //! u64 popcount MACs behind Hamming distance and the bit-sliced crossbar
 //! model, and the exact integer MACs the array-level crossbar pass runs
-//! on ([`dot_u32`] for one query, [`dot_multi_f64`] for up to eight
-//! queries per row load, [`dot_multi_u8`] for the coarse 8-bit plane read
+//! on ([`dot_multi_f64`] for one to eight queries per row load where
+//! its sums stay below 2⁵³, [`dot_u32`] elsewhere, one query at a time,
+//! [`dot_multi_u8`] for the coarse 8-bit plane read
 //! before it), and the integer cell-plane bound a serving
 //! shard tests before an exact distance ([`cell_bound_multi`]) — as a
 //! [`KernelBackend`] vtable selected

@@ -29,8 +29,10 @@
 //!
 //! The worker count comes from, in priority order: the programmatic
 //! [`with_threads`] (used by tests and benches), the `SIMPIM_THREADS`
-//! environment variable, then [`std::thread::available_parallelism`].
+//! environment variable, then [`std::thread::available_parallelism`];
+//! the last two are read once, on the first call that needs them.
 
+use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -43,36 +45,39 @@ const MAX_THREADS: usize = 256;
 /// 0 = no override; otherwise the override value itself.
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-fn env_threads() -> usize {
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("SIMPIM_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(0)
+/// The worker count when no [`with_threads`] is in force, resolved on
+/// first use and kept for the life of the process: detecting the cores
+/// reads the CPU quota (about 15 µs), and every `join_all` asks.
+fn default_threads() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        resolve(
+            std::env::var("SIMPIM_THREADS").ok().as_deref(),
+            std::thread::available_parallelism,
+        )
     })
+}
+
+/// `SIMPIM_THREADS` if it reads as 1 or more, else the detected cores
+/// (1 if detection fails); at most 256.
+fn resolve(env: Option<&str>, detect: impl FnOnce() -> std::io::Result<NonZeroUsize>) -> usize {
+    env.and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n >= 1)
+        .unwrap_or_else(|| detect().map_or(1, NonZeroUsize::get))
+        .min(MAX_THREADS)
 }
 
 /// Number of workers a parallel call may use right now.
 ///
-/// Priority: [`with_threads`] > `SIMPIM_THREADS` > detected cores.
-/// Always at least 1, at most 256. This value never changes chunk
-/// boundaries — only how many threads (the caller plus pool helpers) pull
-/// from the chunk queue.
+/// Priority: [`with_threads`] > `SIMPIM_THREADS` > detected cores, the
+/// last two resolved once per process. Always at least 1, at most 256.
+/// This value never changes chunk boundaries — only how many threads
+/// (the caller plus pool helpers) pull from the chunk queue.
 pub fn thread_count() -> usize {
-    let ovr = THREAD_OVERRIDE.load(Ordering::Relaxed);
-    if ovr >= 1 {
-        return ovr.min(MAX_THREADS);
+    match THREAD_OVERRIDE.load(Ordering::Relaxed) {
+        0 => default_threads(),
+        ovr => ovr.min(MAX_THREADS),
     }
-    let env = env_threads();
-    if env >= 1 {
-        return env.min(MAX_THREADS);
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(MAX_THREADS)
 }
 
 /// Runs `f` with the worker count pinned to `n`, restoring the previous
@@ -135,8 +140,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// lowest-indexed such job is re-raised here; the pool is unaffected.
 pub fn join_all<'s, T: Send + 's>(jobs: Vec<Job<'s, T>>) -> Vec<T> {
     let n_jobs = jobs.len();
-    let workers = thread_count().min(n_jobs);
-    stats::record_call(n_jobs);
+    let threads = thread_count();
+    let workers = threads.min(n_jobs);
+    stats::record_call(n_jobs, threads);
     if workers <= 1 {
         if model::capture_enabled() {
             return model::run_inline_timed(jobs);
@@ -455,10 +461,10 @@ pub mod model {
 mod stats {
     use std::ops::Range;
 
-    pub(crate) fn record_call(tasks: usize) {
+    pub(crate) fn record_call(tasks: usize, threads: usize) {
         simpim_obs::metrics::counter_add("simpim.par.calls", 1);
         simpim_obs::metrics::counter_add("simpim.par.tasks", tasks as u64);
-        simpim_obs::metrics::gauge_set("simpim.par.threads", super::thread_count() as f64);
+        simpim_obs::metrics::gauge_set("simpim.par.threads", threads as f64);
     }
 
     pub(crate) fn record_chunks(ranges: &[Range<usize>]) {
@@ -576,6 +582,38 @@ mod tests {
         let inside = with_threads(3, thread_count);
         assert_eq!(inside, 3);
         assert_eq!(thread_count(), before);
+    }
+
+    /// With no override in force the worker count is `SIMPIM_THREADS`,
+    /// else the detected cores, and it is resolved once: 100 000 calls
+    /// take far less than one detection each (about 15 µs, so 1.5 s for
+    /// all of them). An override still wins on every call.
+    #[test]
+    fn the_default_worker_count_is_resolved_once_below_an_override() {
+        let _g = test_lock();
+        let want = resolve(
+            std::env::var("SIMPIM_THREADS").ok().as_deref(),
+            std::thread::available_parallelism,
+        );
+        let t0 = Instant::now();
+        for _ in 0..100_000 {
+            assert_eq!(std::hint::black_box(thread_count()), want);
+        }
+        let took = t0.elapsed();
+        assert!(took.as_millis() < 250, "100 000 calls took {took:?}");
+        assert_eq!(with_threads(3, thread_count), 3);
+        assert_eq!(with_threads(1000, thread_count), MAX_THREADS);
+        assert_eq!(thread_count(), want);
+
+        let five = || Ok(NonZeroUsize::new(5).unwrap());
+        let unreached = || -> std::io::Result<NonZeroUsize> { panic!("the variable is set") };
+        assert_eq!(resolve(Some("3"), unreached), 3);
+        assert_eq!(resolve(Some(" 7\n"), five), 7);
+        assert_eq!(resolve(Some("999"), five), MAX_THREADS);
+        for unset in [None, Some(""), Some("0"), Some("-2"), Some("four")] {
+            assert_eq!(resolve(unset, five), 5, "{unset:?}");
+        }
+        assert_eq!(resolve(None, || Err(std::io::Error::other("no quota"))), 1);
     }
 
     #[test]

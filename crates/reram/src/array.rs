@@ -1012,12 +1012,11 @@ impl PimArray {
     /// `max_partial` is an order-independent max, so the output is
     /// bit-identical to the serial loop at any thread count. Inside a
     /// task each row is multiplied with all the queries before the next
-    /// is touched: with two or more queries, where the tier has the
-    /// multi-query kernel and `Region::f64_exact` holds for the widest
-    /// query, up to eight queries per row load through
-    /// `dot_multi_f64` (the queries converted to `f64` once per read);
-    /// otherwise one [`row_dot`] per query. A single query is a
-    /// memory-bound read and stays on `row_dot`.
+    /// is touched: where the tier has the multi-query kernel and
+    /// `Region::f64_exact` holds for the widest query, one to eight
+    /// queries per row load through `dot_multi_f64` (the queries
+    /// converted to `f64` once per read); otherwise one [`row_dot`] per
+    /// query.
     fn read_region(&self, ri: usize, queries: &[&[u32]], acc: AccWidth) -> Vec<(Vec<u64>, u64)> {
         let reg = &self.regions[ri];
         let xb = &self.cfg.crossbar;
@@ -1034,7 +1033,7 @@ impl PimArray {
         let block = exact_block_len(stored_bits, widest);
         let multi = kern
             .dot_multi_f64
-            .filter(|_| queries.len() >= 2 && reg.f64_exact(widest));
+            .filter(|_| !queries.is_empty() && reg.f64_exact(widest));
         let as_f64: Vec<Vec<f64>> = match multi {
             Some(_) => queries
                 .iter()
@@ -1050,14 +1049,13 @@ impl PimArray {
             let mut sums = [0.0f64; 2 * simpim_kern::MULTI_QUERIES];
             for (i, row) in rows.chunks_exact(s).enumerate() {
                 let Some(mac) = multi else {
-                    // While queries 2..Q read the row from cache nothing
-                    // misses and the hardware stream falls idle, so a
-                    // shared read asks for a row further on. Q = 1 stays
-                    // exactly the single pass it was (the traced replay
-                    // holds `lb_ed_batch` against the public `dot_batch`);
-                    // a hint there is a claim of its own. The multi-query
-                    // kernel takes no hint: its `f64` queries fill most of
-                    // the L1 cache, and rows fetched into it evict them.
+                    // A region past the `f64` gate, or a tier without the
+                    // kernel. While queries 2..Q read the row from cache
+                    // nothing misses and the hardware stream falls idle,
+                    // so a shared read asks for a row further on; Q = 1
+                    // streams and needs no hint. The multi-query kernel
+                    // takes no hint: its `f64` queries fill most of the
+                    // L1 cache, and rows fetched into it evict them.
                     if queries.len() >= 2 {
                         let ahead = ((i + PREFETCH_ROWS) * s).min(rows.len());
                         simpim_kern::prefetch(&rows[ahead..(ahead + s).min(rows.len())]);
@@ -3013,6 +3011,108 @@ mod tests {
                         let largest = s as u128 * ((1u128 << b) - 1) * ((1u128 << i) - 1);
                         assert!(!gate || largest < 1 << 53, "b={b} i={i} s={s}");
                     }
+                }
+            }
+        }
+    }
+
+    /// A single query whose region passes the `f64` gate reads through
+    /// `dot_multi_f64` where the tier has it, and returns what `row_dot`
+    /// returns, bit for bit: the values and the largest partial against
+    /// `row_dot` and the `u128` reference, `PimTiming` derived from that
+    /// partial, and the energy by bits against the scalar tier, whose
+    /// reads all take `row_dot`. Both accumulator widths (`U32` is the
+    /// Hamming wrap), on an `LB_PIM-FNN` pair (the µ and the σ floors of
+    /// 24 segments at α = 10⁶, three pool tasks of rows) and on a region
+    /// past the gate (31-bit operands on rows of 40), which stays on
+    /// `row_dot`: there the `f64` kernel would round.
+    #[test]
+    fn the_f64_gate_reads_a_single_query_as_row_dot_does() {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = |len: usize, max: u32| -> Vec<u32> {
+            (0..len)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    if x & 3 == 0 {
+                        max
+                    } else {
+                        (x >> 32) as u32 % (max + 1)
+                    }
+                })
+                .collect()
+        };
+        let cfg = PimConfig {
+            crossbar: CrossbarConfig {
+                size: 16,
+                ..Default::default()
+            },
+            num_crossbars: 1 << 16,
+            ..Default::default()
+        };
+        let (m, n, alpha) = (cfg.crossbar.size, 600usize, 1_000_000u32);
+        // (stored maximum, row length, query maximum, inside the gate)
+        let regions = [
+            (alpha, 24, alpha, true),
+            (alpha / 2, 24, alpha / 2, true),
+            ((1 << 31) - 1, 40, alpha, false),
+        ];
+        let mut pim = PimArray::new(cfg).unwrap();
+        let programmed: Vec<_> = regions
+            .iter()
+            .map(|&(max, s, qmax, inside)| {
+                let data = draw(n * s, max);
+                let rep = pim.program_region(&data, n, s, 32).unwrap();
+                (data, rep, draw(s, qmax), inside)
+            })
+            .collect();
+        let tiers = simpim_kern::Backend::ALL
+            .into_iter()
+            .filter(|b| b.is_supported());
+        for (data, rep, query, inside) in &programmed {
+            let (s, input_bits) = (query.len(), bits_needed_slice(query));
+            let reg = &pim.regions[rep.region.0];
+            assert_eq!(reg.f64_exact(input_bits), *inside);
+            let block = exact_block_len(reg.stored_bits(&cfg.crossbar), input_bits);
+            let as_f64: Vec<f64> = query.iter().map(|&v| f64::from(v)).collect();
+            let rounds = data.chunks_exact(s).any(|row| {
+                let mut sums = [0.0; 2];
+                simpim_kern::dot_multi_f64(row, &[&as_f64], m, &mut sums);
+                sums[0] as u128 != row_dot(simpim_kern::dot_u32, query, row, m, block).0
+            });
+            assert_eq!(rounds, !inside, "the f64 kernel rounds only past the gate");
+            for acc in [AccWidth::U64, AccWidth::U32] {
+                let (want, max_partial) = u128_reference(data.chunks_exact(s), query, m, acc);
+                let mut by_row_dot = (Vec::new(), 0u64);
+                for row in data.chunks_exact(s) {
+                    let (total, top) = row_dot(simpim_kern::dot_u32, query, row, m, block);
+                    by_row_dot.0.push(acc.wrap(total));
+                    by_row_dot.1 = by_row_dot.1.max(top);
+                }
+                assert_eq!(by_row_dot, (want.clone(), max_partial));
+                let timing = dot_batch_timing(
+                    &cfg,
+                    &rep.cost,
+                    input_bits,
+                    bits_needed(max_partial).min(acc.bits()),
+                    n,
+                    acc,
+                );
+                let read = |tier| {
+                    let mut on = pim.clone();
+                    let (values, timing) = simpim_kern::with_backend(tier, || {
+                        on.dot_batch(rep.region, query, acc).unwrap()
+                    });
+                    (values, timing, energy_bits(&on))
+                };
+                let (.., on_row_dot) = read(simpim_kern::Backend::Scalar);
+                for tier in tiers.clone() {
+                    let (values, got, energy) = read(tier);
+                    let at = format!("{}, {acc:?}, inside the gate {inside}", tier.name());
+                    assert!(values == want, "values, {at}");
+                    assert_eq!(got, timing, "{at}");
+                    assert_eq!(energy, on_row_dot, "{at}");
                 }
             }
         }
