@@ -5,12 +5,15 @@
 //! `avx2` on an x86_64 CPU with AVX2), pinned via
 //! `simpim_kern::with_backend`, the sweep measures:
 //!
-//! * **per-kernel ns/element** for the seven dispatched kernels (f64
-//!   dot / norm_sq / fused dot+norm / squared Euclidean over the MSD
-//!   workload's rows, u64 XOR- and AND-popcount MACs over packed words,
-//!   and the exact u32 MAC of the array-level crossbar pass over a
-//!   20-bit operand matrix of the workload's shape), best-of-several
-//!   passes so a preempted pass doesn't pollute the trajectory;
+//! * **per-kernel ns/element** for all eleven dispatched kernels (f64
+//!   dot / norm_sq / fused dot+norm / squared Euclidean and its
+//!   abandoning form over the MSD workload's rows, u64 XOR- and
+//!   AND-popcount MACs over packed words, the exact u32 MAC of the
+//!   array-level crossbar pass over a 20-bit operand matrix of the
+//!   workload's shape, and the multi-query `dot_multi_f64`,
+//!   `dot_multi_u8` and `cell_bound_multi`, each described below),
+//!   best-of-several passes so a preempted pass doesn't pollute the
+//!   trajectory;
 //! * **end-to-end kNN throughput**: Standard-PIM kNN (`knn_pim_ed`)
 //!   over the workload's queries — the path that exercises both the f64
 //!   refinement kernels and the crossbar's AND-popcount MAC;
@@ -31,9 +34,18 @@
 //!   its speedup over eight `dot_u32` calls of the same tier;
 //! * **the coarse-first pass**: `PimArray::dot_batch_coarse` of `Q` in
 //!   2..=8 queries on the same region, in ns per operand and query, and
-//!   its kernel `dot_multi_u8` over the region's 8-bit cells at eight
-//!   queries, its sums hashed into `dot_multi_u8_hash` — equal on all
-//!   backends, and to one call per query;
+//!   its kernel `dot_multi_u8` over the workload's 8-bit cells at eight
+//!   queries prepared once, its sums hashed into `dot_multi_u8_hash` —
+//!   equal on all backends, and to one call per query. The eight-query
+//!   read is then taken apart on the region's own cells
+//!   (`coarse_split_q8_ns_per_operand`): the whole read beside its
+//!   kernel in the read's 256-row calls, the rest being the bounds, the
+//!   gather bracket and the fan-out; the kernel in one call over the
+//!   region and with its queries prepared again for every call; the
+//!   kernel on 16 rows that stay in L1 (its compute peak); and the
+//!   kernel on each of two threads that run it at once, which reads
+//!   twice the one-thread figure where the host's two workers share a
+//!   core;
 //! * **the abandoning distance and the batch refinement built on it**:
 //!   `euclidean_sq_until` in ns per element of the whole row when every
 //!   row is abandoned about 1/8 and 1/2 of the way in and when none is
@@ -129,6 +141,46 @@ fn triple(names: [&str; 3], values: [f64; 3]) -> Json {
     Json::obj(names.into_iter().zip(values.map(Json::Num)))
 }
 
+/// The coarse read at eight queries over the pass region, taken apart:
+/// ns per operand (cell) and query.
+struct CoarseSplit {
+    /// `dot_batch_coarse` as a whole.
+    total: f64,
+    /// `dot_multi_u8` over the region's cells in the read's 256-row calls.
+    kernel: f64,
+    /// The same in one call over the whole region.
+    one_call: f64,
+    /// The 256-row calls, each preparing its queries again.
+    prepared_per_call: f64,
+    /// One 16-row block of one segment a row, in L1, called over and over.
+    l1_peak: f64,
+    /// The 256-row calls on each of two threads running them at once.
+    two_workers: f64,
+}
+
+impl CoarseSplit {
+    /// What the read spends beside its kernel: the bounds, the gather
+    /// bracket and the fan-out.
+    fn rest(&self) -> f64 {
+        self.total - self.kernel
+    }
+
+    fn json(&self) -> Json {
+        Json::obj([
+            ("total", Json::Num(self.total)),
+            ("kernel", Json::Num(self.kernel)),
+            ("bound_bracket", Json::Num(self.rest())),
+            ("kernel_one_call", Json::Num(self.one_call)),
+            (
+                "kernel_prepared_per_call",
+                Json::Num(self.prepared_per_call),
+            ),
+            ("kernel_l1_peak", Json::Num(self.l1_peak)),
+            ("kernel_two_workers", Json::Num(self.two_workers)),
+        ])
+    }
+}
+
 /// Per-backend measurements, in `BACKENDS` order.
 struct Row {
     name: &'static str,
@@ -148,6 +200,7 @@ struct Row {
     pass_ms_per_query: [f64; 8],
     /// `dot_batch_coarse` ns per operand and query, at 2..=8 queries.
     coarse_ns: [f64; 7],
+    coarse_split: CoarseSplit,
     /// `refine_resident_batch` milliseconds per query, in
     /// `REFINE_QUERIES` order.
     refine_ms_per_query: [f64; 3],
@@ -182,7 +235,7 @@ fn sweep_backend(
     w: &Workload,
     (wa, wb): (&[u64], &[u64]),
     (operands, operand_queries): (&[u32], &[Vec<u32>]),
-    (pim, region): (&mut PimArray, RegionId),
+    (pim, region, pass_operands): (&mut PimArray, RegionId, &[u32]),
     (shard, shard_queries, cells): (&Dataset, &[Vec<f64>], &[u8]),
 ) -> Row {
     kern::with_backend(b, || {
@@ -319,28 +372,33 @@ fn sweep_backend(
         // The coarse pass's kernel over the operands' 8-bit cells (the
         // 20-bit operands shifted by 12), at eight queries a block of
         // rows, against one call per query.
-        let [plane, query_cells]: [Vec<u8>; 2] = [operands, &operand_queries.concat()]
-            .map(|v| v.iter().map(|&x| (x >> 12) as u8).collect());
+        let to_cells = |v: &[u32]| -> Vec<u8> { v.iter().map(|&x| (x >> 12) as u8).collect() };
+        let (plane, query_cells) = (to_cells(operands), to_cells(&operand_queries.concat()));
         let u8_queries: Vec<&[u8]> = query_cells.chunks_exact(d).collect();
-        // Per block of rows the kernel's outputs folded by `fold` (timed
-        // with a plain sum, hashed in a pass of its own).
-        let u8_pass = |qs: &[&[u8]], fold: &dyn Fn(u64, &[u64]) -> u64| {
-            let mut out = vec![0u64; 2 * qs.len() * 256];
-            plane
-                .chunks(256 * d)
-                .fold(0xcbf2_9ce4_8422_2325u64, |h, rows| {
-                    let out = &mut out[..2 * qs.len() * rows.len() / d];
-                    kern::dot_multi_u8(rows, d, qs, seg, out);
-                    fold(h, out)
-                })
-        };
+        let eight_u8 = kern::U8Queries::new(d, &u8_queries);
+        // Per call of `rows` rows of `plane` the kernel's outputs folded by
+        // `fold` (timed with a plain sum, hashed in a pass of its own).
+        let u8_pass =
+            |plane: &[u8], rows: usize, qs: &kern::U8Queries, fold: &dyn Fn(u64, &[u64]) -> u64| {
+                let mut out = vec![0u64; 2 * qs.len() * rows];
+                plane
+                    .chunks(rows * d)
+                    .fold(0xcbf2_9ce4_8422_2325u64, |h, rows| {
+                        let out = &mut out[..2 * qs.len() * rows.len() / d];
+                        kern::dot_multi_u8(rows, qs, seg, out);
+                        fold(h, out)
+                    })
+            };
+        let summed = |t: u64, out: &[u64]| t.wrapping_add(out[0]);
         let hashed = |h, out: &[u64]| out.iter().fold(h, |h: u64, v| fnv1a(h, &v.to_le_bytes()));
-        let u8_hash = |qs: &[&[u8]]| u8_pass(qs, &hashed);
-        let (dot_multi_u8_ns, _) = measure(8 * plane.len(), || {
-            u8_pass(&u8_queries, &|t, out| t.wrapping_add(out[0]))
-        });
-        let dot_multi_u8_hash = u8_hash(&u8_queries);
-        let one_by_one: Vec<u64> = u8_queries.iter().map(|q| u8_hash(&[q])).collect();
+        let u8_hash = |qs: &kern::U8Queries| u8_pass(&plane, 256, qs, &hashed);
+        let (dot_multi_u8_ns, _) =
+            measure(8 * plane.len(), || u8_pass(&plane, 256, &eight_u8, &summed));
+        let dot_multi_u8_hash = u8_hash(&eight_u8);
+        let one_by_one: Vec<u64> = u8_queries
+            .iter()
+            .map(|q| u8_hash(&kern::U8Queries::new(d, &[q])))
+            .collect();
         let multi_by_one: Vec<u64> = (0..8)
             .map(|j| {
                 let mut out = vec![0u64; 2 * 8 * 256];
@@ -348,7 +406,7 @@ fn sweep_backend(
                     .chunks(256 * d)
                     .fold(0xcbf2_9ce4_8422_2325u64, |h, rows| {
                         let n = rows.len() / d;
-                        kern::dot_multi_u8(rows, d, &u8_queries, seg, &mut out[..16 * n]);
+                        kern::dot_multi_u8(rows, &eight_u8, seg, &mut out[..16 * n]);
                         let (total, top) = (&out[j * n..][..n], &out[(8 + j) * n..][..n]);
                         total
                             .iter()
@@ -363,6 +421,68 @@ fn sweep_backend(
             "{}: dot_multi_u8 differs from one query a call",
             b.name()
         );
+        // The coarse read at eight queries taken apart on its own region's
+        // cells. The read, its kernel in the read's 256-row calls, and
+        // those calls on two threads at once run in alternating rounds,
+        // the best of each, so that a busy spell of the host slows none
+        // of them alone; then the kernel in one call, with its queries
+        // prepared again for every call, and on 16 rows of one segment
+        // that stay in L1.
+        let pass_plane = to_cells(pass_operands);
+        let cell_macs = 8 * pass_plane.len();
+        let per_task = || u8_pass(&pass_plane, 256, &eight_u8, &summed);
+        let eight: Vec<(RegionId, &[u32])> =
+            operand_queries.iter().map(|q| (region, &q[..])).collect();
+        let start = std::sync::Barrier::new(2);
+        let on_two = || {
+            start.wait();
+            measure(cell_macs, per_task).0
+        };
+        let (mut total, mut kernel, mut two_workers) =
+            (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+        for _ in 0..3 {
+            let (read, _) = par::with_threads(1, || {
+                measure(cell_macs, || {
+                    let out = pim.dot_batch_coarse(&eight, AccWidth::U64);
+                    out.expect("programmed region").len() as u64
+                })
+            });
+            total = total.min(read);
+            kernel = kernel.min(measure(cell_macs, per_task).0);
+            let both = std::thread::scope(|scope| {
+                let other = scope.spawn(on_two);
+                (on_two() + other.join().expect("a kernel thread")) / 2.0
+            });
+            two_workers = two_workers.min(both);
+        }
+        let (one_call, _) = measure(cell_macs, || {
+            u8_pass(&pass_plane, PASS_ROWS, &eight_u8, &summed)
+        });
+        let (prepared_per_call, _) = measure(cell_macs, || {
+            let mut out = vec![0u64; 2 * 8 * 256];
+            pass_plane.chunks(256 * d).fold(0u64, |t, rows| {
+                let qs = kern::U8Queries::new(d, &u8_queries);
+                let out = &mut out[..16 * rows.len() / d];
+                kern::dot_multi_u8(rows, &qs, seg, out);
+                t.wrapping_add(out[0])
+            })
+        });
+        let l1_rows = &pass_plane[..16 * d];
+        let (l1_peak, _) = measure(cell_macs, || {
+            let mut out = [0u64; 2 * 8 * 16];
+            (0..PASS_ROWS / 16).fold(0u64, |t, _| {
+                kern::dot_multi_u8(std::hint::black_box(l1_rows), &eight_u8, d, &mut out);
+                t.wrapping_add(out[0])
+            })
+        });
+        let coarse_split = CoarseSplit {
+            total,
+            kernel,
+            one_call,
+            prepared_per_call,
+            l1_peak,
+            two_workers,
+        };
 
         // The cell plane's bound at eight queries a row (hashed while
         // timed: eight folds a row are noise beside 7 680 cell tests),
@@ -451,6 +571,7 @@ fn sweep_backend(
             until_ns,
             pass_ms_per_query,
             coarse_ns,
+            coarse_split,
             refine_ms_per_query,
             knn_wall_ms: knn_ns as f64 / 1e6,
             knn_qps: w.queries.len() as f64 / knn_s.max(1e-12),
@@ -486,13 +607,9 @@ fn main() {
         .map(|j| narrow(words(d, 0xe703_7ed1_a0b4_28db + j)))
         .collect();
     let mut pim = PimArray::new(PimConfig::default()).expect("default platform");
+    let pass_operands = narrow(words(PASS_ROWS * d, 0x8ebc_6af0_9c88_c6e3));
     let pass_region = pim
-        .program_region(
-            &narrow(words(PASS_ROWS * d, 0x8ebc_6af0_9c88_c6e3)),
-            PASS_ROWS,
-            d,
-            32,
-        )
+        .program_region(&pass_operands, PASS_ROWS, d, 32)
         .expect("the default array holds one shard")
         .region;
 
@@ -525,7 +642,7 @@ fn main() {
                 &w,
                 (&wa, &wb),
                 (&operands, &operand_queries),
-                (&mut pim, pass_region),
+                (&mut pim, pass_region, &pass_operands),
                 (&shard, &shard_queries, &cells),
             )
         })
@@ -613,6 +730,24 @@ fn main() {
         REFINE_SHAPE.1
     );
 
+    for r in &rows {
+        let c = &r.coarse_split;
+        println!(
+            "{}: coarse read at Q=8 {:.4} ns per operand and query = kernel {:.4} + bounds and \
+             bracket {:.4}; kernel in one call {:.4}, with queries prepared per call {:.4}, in L1 \
+             {:.4}; on each of two threads at once {:.4} (one thread {:.4})",
+            r.name,
+            c.total,
+            c.kernel,
+            c.rest(),
+            c.one_call,
+            c.prepared_per_call,
+            c.l1_peak,
+            c.two_workers,
+            c.kernel
+        );
+    }
+
     let backends_json: Vec<Json> = rows
         .iter()
         .map(|r| {
@@ -639,6 +774,7 @@ fn main() {
                             .zip(r.coarse_ns.map(Json::Num)),
                     ),
                 ),
+                ("coarse_split_q8_ns_per_operand", r.coarse_split.json()),
                 ("cell_bound_ns_per_elem", Json::Num(r.cell_bound_ns)),
                 (
                     "pass_ms_per_query",

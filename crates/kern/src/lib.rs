@@ -56,7 +56,7 @@ pub mod scalar;
 mod x86;
 
 /// Re-export of the canonical lane count (4) of the chunked layout.
-pub use scalar::{LANES, MULTI_QUERIES};
+pub use scalar::{U8Queries, LANES, MULTI_QUERIES};
 
 /// Identifies one kernel backend tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -113,9 +113,9 @@ impl Backend {
 /// length, the output.
 pub type MultiF64 = fn(&[u32], &[&[f64]], usize, &mut [f64]);
 
-/// The signature of [`dot_multi_u8`]: a block of rows, the row length,
-/// its queries, the segment length, the output.
-pub type MultiU8 = fn(&[u8], usize, &[&[u8]], usize, &mut [u64]);
+/// The signature of [`dot_multi_u8`]: a block of rows, the queries
+/// prepared for it, the segment length, the output.
+pub type MultiU8 = fn(&[u8], &U8Queries, usize, &mut [u64]);
 
 /// The dispatched kernel table: plain function pointers, one indirect
 /// call per kernel invocation, resolved once per backend.
@@ -177,7 +177,7 @@ const SCALAR_TABLE: KernelBackend = KernelBackend {
 // `unsafe` target-feature functions document.
 #[cfg(target_arch = "x86_64")]
 mod x86_dispatch {
-    use super::x86;
+    use super::{x86, U8Queries};
 
     macro_rules! trampoline {
         ($name:ident, $path:path, ($($arg:ident: $ty:ty),+) -> $ret:ty) => {
@@ -197,7 +197,7 @@ mod x86_dispatch {
     trampoline!(and_popcount_avx2, x86::avx2::and_popcount, (a: &[u64], b: &[u64]) -> u64);
     trampoline!(dot_u32_avx2, x86::avx2::dot_u32, (a: &[u32], b: &[u32]) -> u64);
     trampoline!(dot_multi_f64_fma, x86::avx2::dot_multi_f64, (row: &[u32], qs: &[&[f64]], seg: usize, out: &mut [f64]) -> ());
-    trampoline!(dot_multi_u8_avx2, x86::avx2::dot_multi_u8, (rows: &[u8], s: usize, qs: &[&[u8]], seg: usize, out: &mut [u64]) -> ());
+    trampoline!(dot_multi_u8_avx2, x86::avx2::dot_multi_u8, (rows: &[u8], qs: &U8Queries, seg: usize, out: &mut [u64]) -> ());
     trampoline!(cell_bound_multi_avx2, x86::avx2::cell_bound_multi, (row: &[u8], qs: &[&[u8]], out: &mut [u64]) -> ());
 }
 
@@ -427,17 +427,16 @@ pub fn dot_multi_f64(row: &[u32], qs: &[&[f64]], seg: usize, out: &mut [f64]) {
 }
 
 /// Dispatched [`scalar::dot_multi_u8`]: a block of rows of `u8` plane
-/// cells against up to eight queries' cells, per row and query the dot
-/// product and its largest `seg`-cell segment sum — the same integers on
-/// every backend.
+/// cells against up to eight queries' cells, prepared once by the caller
+/// as a [`U8Queries`], per row and query the dot product and its largest
+/// `seg`-cell segment sum — the same integers on every backend.
 ///
 /// # Panics
-/// Panics when `s` or `seg` is 0, when `rows` is not whole rows, when `qs`
-/// holds more than [`MULTI_QUERIES`] queries or one that is not `s` cells,
-/// or when `out` is shorter than two values a row and query.
+/// Panics when `seg` is 0, when `rows` is not whole rows of `qs.dim()`
+/// cells, or when `out` is shorter than two values a row and query.
 #[inline]
-pub fn dot_multi_u8(rows: &[u8], s: usize, qs: &[&[u8]], seg: usize, out: &mut [u64]) {
-    (kernels().dot_multi_u8)(rows, s, qs, seg, out)
+pub fn dot_multi_u8(rows: &[u8], qs: &U8Queries, seg: usize, out: &mut [u64]) {
+    (kernels().dot_multi_u8)(rows, qs, seg, out)
 }
 
 /// Dispatched [`scalar::cell_bound_multi`]: one row of `u8` cells against
@@ -544,10 +543,11 @@ mod tests {
                     if len > 0 {
                         let (mut got, mut want) = ([0u64; 12], [0u64; 12]);
                         let (half, seg) = (len / 2 * 2, len / 2 + 1);
-                        let qs = [&c[..len / 2], &r[..len / 2], &c[len / 2..half]];
                         if half > 0 {
-                            dot_multi_u8(&r[..half], len / 2, &qs, seg, &mut got);
-                            scalar::dot_multi_u8(&r[..half], len / 2, &qs, seg, &mut want);
+                            let qs = [&c[..len / 2], &r[..len / 2], &c[len / 2..half]];
+                            let qs = U8Queries::new(len / 2, &qs);
+                            dot_multi_u8(&r[..half], &qs, seg, &mut got);
+                            scalar::dot_multi_u8(&r[..half], &qs, seg, &mut want);
                             assert_eq!(got, want);
                         }
                     }

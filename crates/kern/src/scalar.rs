@@ -260,33 +260,108 @@ pub fn dot_multi_f64(row: &[u32], qs: &[&[f64]], seg: usize, out: &mut [f64]) {
     }
 }
 
+/// The queries of a coarse read, prepared once for every block of rows
+/// [`dot_multi_u8`] multiplies them with: up to [`MULTI_QUERIES`] queries
+/// of `dim` cells each, every cell widened to the `i16` a `vpmaddwd`
+/// takes, query by query, each query starting on a 32-byte boundary so
+/// that a step's load never straddles two cache lines. It is built from
+/// `u8` cells only, so every value lies in `0..=255`, the range each
+/// tier's sums are exact for.
+#[derive(Debug, Clone)]
+pub struct U8Queries {
+    steps: Vec<Step>,
+    dim: usize,
+    len: usize,
+}
+
+/// Sixteen widened cells: one aligned 32-byte load.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(C, align(32))]
+struct Step([i16; 16]);
+
+impl U8Queries {
+    /// The block of the queries `qs`, `dim` cells each.
+    ///
+    /// # Panics
+    /// Panics when `dim` is 0, or when `qs` holds more than
+    /// [`MULTI_QUERIES`] queries or one that is not `dim` cells.
+    pub fn new(dim: usize, qs: &[&[u8]]) -> Self {
+        assert!(
+            dim > 0 && qs.len() <= MULTI_QUERIES,
+            "queries of 1+ cells, 8 queries at most"
+        );
+        assert!(qs.iter().all(|x| x.len() == dim), "queries of dim cells");
+        let stride = dim.div_ceil(16);
+        let mut steps = vec![Step::default(); qs.len() * stride];
+        for (x, steps) in qs.iter().zip(steps.chunks_mut(stride)) {
+            for (cells, step) in x.chunks(16).zip(steps) {
+                for (wide, &v) in step.0.iter_mut().zip(cells) {
+                    *wide = i16::from(v);
+                }
+            }
+        }
+        Self {
+            steps,
+            dim,
+            len: qs.len(),
+        }
+    }
+
+    /// Queries in the block.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the block holds no query.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Cells a query.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Query `j`'s cells, widened; they start 32-byte aligned.
+    ///
+    /// # Panics
+    /// Panics when the block holds no query `j`.
+    pub(crate) fn query(&self, j: usize) -> &[i16] {
+        let stride = self.dim.div_ceil(16);
+        let steps = &self.steps[j * stride..][..stride];
+        // SAFETY: a `Step` is sixteen `i16`s with no padding (`repr(C)`,
+        // 32 bytes at an alignment of 32), so the `stride` steps are a run
+        // of at least `dim` initialised `i16`s, borrowed as long as `self`.
+        unsafe { std::slice::from_raw_parts(steps.as_ptr().cast::<i16>(), self.dim) }
+    }
+}
+
 /// The coarse crossbar pass's MACs: [`dot_multi_f64`]'s outputs for a
-/// block of `n` stored rows of `u8` plane cells, `s` cells a row, against
-/// up to [`MULTI_QUERIES`] queries of `s` cells, in integers, query by
-/// query: for row `r` and query `j` of `Q = qs.len()`, `out[n·j + r]`
-/// receives `Σ rowᵢ · qs[j]ᵢ` and `out[n·(Q + j) + r]` the largest of its
-/// `seg`-cell segments' sums. A block, not a row, per call: a tier widens
-/// the queries once for all of its rows, and each query's values come
-/// out side by side. Exact for any row a `u64` can address, and so the
-/// same integers on every tier.
+/// block of `n` stored rows of `u8` plane cells, `s = qs.dim()` cells a
+/// row, against the prepared queries `qs`, in integers, query by query:
+/// for row `r` and query `j` of `Q = qs.len()`, `out[n·j + r]` receives
+/// `Σ rowᵢ · qs[j]ᵢ` and `out[n·(Q + j)+ r]` the largest of its
+/// `seg`-cell segments' sums. A block of rows a call, and queries that
+/// the caller widened once for all of its blocks: a call pays for its
+/// MACs, and each query's values come out side by side. Exact for any
+/// row a `u64` can address, and so the same integers on every tier.
 ///
 /// # Panics
-/// Panics when `s` or `seg` is 0, when `rows` is not whole rows, when `qs`
-/// holds more than [`MULTI_QUERIES`] queries or one that is not `s` cells,
-/// or when `out` is shorter than `2Q` values a row.
-pub fn dot_multi_u8(rows: &[u8], s: usize, qs: &[&[u8]], seg: usize, out: &mut [u64]) {
-    let q = check_multi_u8(rows, s, qs, seg, out);
+/// Panics when `seg` is 0, when `rows` is not whole rows, or when `out`
+/// is shorter than `2Q` values a row.
+pub fn dot_multi_u8(rows: &[u8], qs: &U8Queries, seg: usize, out: &mut [u64]) {
+    let (q, s) = check_multi_u8(rows, qs, seg, out);
     let n = rows.len() / s;
     for (r, row) in rows.chunks_exact(s).enumerate() {
-        for (j, x) in qs.iter().enumerate() {
+        for j in 0..q {
             let (mut total, mut top) = (0, 0);
-            for (r, x) in row.chunks(seg).zip(x.chunks(seg)) {
+            for (r, x) in row.chunks(seg).zip(qs.query(j).chunks(seg)) {
                 // 2¹⁶ products of at most 255² stay below 2³²: a `u32`
                 // sum a chunk, which vectorises, added up in `u64`.
                 let chunks = r.chunks(1 << 16).zip(x.chunks(1 << 16));
                 let sum: u64 = chunks
                     .map(|(r, x)| {
-                        let products = r.iter().zip(x).map(|(&a, &b)| u32::from(a) * u32::from(b));
+                        let products = r.iter().zip(x).map(|(&a, &b)| u32::from(a) * b as u32);
                         u64::from(products.sum::<u32>())
                     })
                     .sum();
@@ -299,24 +374,23 @@ pub fn dot_multi_u8(rows: &[u8], s: usize, qs: &[&[u8]], seg: usize, out: &mut [
 }
 
 /// The argument check every tier's [`dot_multi_u8`] runs first; returns
-/// the query count.
+/// the query count and the cells a row.
 pub(crate) fn check_multi_u8(
     rows: &[u8],
-    s: usize,
-    qs: &[&[u8]],
+    qs: &U8Queries,
     seg: usize,
     out: &[u64],
-) -> usize {
+) -> (usize, usize) {
+    let s = qs.dim();
     assert!(
-        s > 0 && seg > 0 && rows.len().is_multiple_of(s) && qs.len() <= MULTI_QUERIES,
-        "whole rows of 1+ cells, segments of 1+ cells, 8 queries at most"
+        seg > 0 && rows.len().is_multiple_of(s),
+        "whole rows, segments of 1+ cells"
     );
-    assert!(qs.iter().all(|x| x.len() == s), "queries of s cells");
     assert!(
         out.len() >= rows.len() / s * 2 * qs.len(),
         "two outputs a row and query"
     );
-    qs.len()
+    (qs.len(), s)
 }
 
 /// The cell-plane bound sums of one stored `row` of `u8` cells with up

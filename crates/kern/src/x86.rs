@@ -30,7 +30,7 @@
 
 #![cfg(target_arch = "x86_64")]
 
-use crate::scalar::{self, fold_tail, MULTI_QUERIES};
+use crate::scalar::{self, fold_tail, U8Queries, MULTI_QUERIES};
 
 /// AVX2 kernels: one ymm register holds all four accumulator lanes.
 pub mod avx2 {
@@ -392,8 +392,8 @@ pub mod avx2 {
         }
     }
 
-    /// [`scalar::dot_multi_u8`] on 16 cells a step: the queries are
-    /// widened to 16 bits once for the block; a row step is widened once
+    /// [`scalar::dot_multi_u8`] on 16 cells a step: the queries come
+    /// widened to 16 bits by their caller; a row step is widened once
     /// (`vpmovzxbw`) and then costs one `vpmaddwd` (its load folded in)
     /// and one add per query, product pairs of at most 2 · 255² into
     /// `i32` lanes. A segment's last step is the 16 cells ending at its
@@ -405,18 +405,18 @@ pub mod avx2 {
     /// # Safety
     /// Requires AVX2 (detected at dispatch time).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_multi_u8(rows: &[u8], s: usize, qs: &[&[u8]], seg: usize, out: &mut [u64]) {
-        match scalar::check_multi_u8(rows, s, qs, seg, out) {
-            0 => {}
-            _ if s < 16 => scalar::dot_multi_u8(rows, s, qs, seg, out),
-            1 => multi_u8::<1>(rows, s, qs, seg, out),
-            2 => multi_u8::<2>(rows, s, qs, seg, out),
-            3 => multi_u8::<3>(rows, s, qs, seg, out),
-            4 => multi_u8::<4>(rows, s, qs, seg, out),
-            5 => multi_u8::<5>(rows, s, qs, seg, out),
-            6 => multi_u8::<6>(rows, s, qs, seg, out),
-            7 => multi_u8::<7>(rows, s, qs, seg, out),
-            _ => multi_u8::<8>(rows, s, qs, seg, out),
+    pub unsafe fn dot_multi_u8(rows: &[u8], qs: &U8Queries, seg: usize, out: &mut [u64]) {
+        match scalar::check_multi_u8(rows, qs, seg, out) {
+            (0, _) => {}
+            (_, s) if s < 16 => scalar::dot_multi_u8(rows, qs, seg, out),
+            (1, _) => multi_u8::<1>(rows, qs, seg, out),
+            (2, _) => multi_u8::<2>(rows, qs, seg, out),
+            (3, _) => multi_u8::<3>(rows, qs, seg, out),
+            (4, _) => multi_u8::<4>(rows, qs, seg, out),
+            (5, _) => multi_u8::<5>(rows, qs, seg, out),
+            (6, _) => multi_u8::<6>(rows, qs, seg, out),
+            (7, _) => multi_u8::<7>(rows, qs, seg, out),
+            _ => multi_u8::<8>(rows, qs, seg, out),
         }
     }
 
@@ -443,19 +443,10 @@ pub mod avx2 {
     /// The body of [`dot_multi_u8`] for `Q` queries and rows of 16+ cells.
     #[target_feature(enable = "avx2")]
     #[allow(clippy::needless_range_loop)] // a register block, indexed
-    unsafe fn multi_u8<const Q: usize>(
-        rows: &[u8],
-        s: usize,
-        qs: &[&[u8]],
-        seg: usize,
-        out: &mut [u64],
-    ) {
+    unsafe fn multi_u8<const Q: usize>(rows: &[u8], qs: &U8Queries, seg: usize, out: &mut [u64]) {
         const G: usize = MULTI_QUERIES / 4;
-        let wide: Vec<i16> = qs
-            .iter()
-            .flat_map(|x| x.iter().map(|&v| i16::from(v)))
-            .collect();
-        let pq: [*const i16; Q] = core::array::from_fn(|j| wide[j * s..].as_ptr());
+        let s = qs.dim();
+        let pq: [*const i16; Q] = core::array::from_fn(|j| qs.query(j).as_ptr());
         let lane = _mm_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
         let zero = _mm256_setzero_si256();
         let n = rows.len() / s;

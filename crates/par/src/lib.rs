@@ -110,13 +110,14 @@ pub fn chunk_ranges(len: usize, chunk: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// A unit of work handed to [`join_all`]: an owned closure over borrowed
-/// state (disjoint `&mut` chunks, shard handles, …).
+/// A boxed unit of work for [`join_all`]: an owned closure over borrowed
+/// state (disjoint `&mut` chunks, shard handles, …), boxed so that jobs
+/// of different closure types can share one list.
 pub type Job<'s, T> = Box<dyn FnOnce() -> T + Send + 's>;
 
 /// One job's cell: the job until somebody claims it, its outcome after.
-enum Slot<'s, T> {
-    Todo(Job<'s, T>),
+enum Slot<J, T> {
+    Todo(J),
     Running,
     Done(std::thread::Result<T>),
 }
@@ -138,7 +139,11 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// job order — the exact serial loop. Otherwise a job that panics is
 /// caught where it ran, the other jobs still run, and the panic of the
 /// lowest-indexed such job is re-raised here; the pool is unaffected.
-pub fn join_all<'s, T: Send + 's>(jobs: Vec<Job<'s, T>>) -> Vec<T> {
+///
+/// Jobs of one closure type need no box: a call allocates its job list,
+/// its slots and its results, however many jobs it runs. [`Job`] mixes
+/// closures of different types.
+pub fn join_all<T: Send, J: FnOnce() -> T + Send>(jobs: Vec<J>) -> Vec<T> {
     let n_jobs = jobs.len();
     let threads = thread_count();
     let workers = threads.min(n_jobs);
@@ -151,7 +156,7 @@ pub fn join_all<'s, T: Send + 's>(jobs: Vec<Job<'s, T>>) -> Vec<T> {
     }
 
     let start = Instant::now();
-    let slots: Vec<Mutex<Slot<'s, T>>> = jobs
+    let slots: Vec<Mutex<Slot<J, T>>> = jobs
         .into_iter()
         .map(|j| Mutex::new(Slot::Todo(j)))
         .collect();
@@ -340,12 +345,7 @@ where
     let ranges = chunk_ranges(len, chunk);
     stats::record_chunks(&ranges);
     let f = &f;
-    join_all(
-        ranges
-            .into_iter()
-            .map(|r| Box::new(move || f(r)) as Job<'_, T>)
-            .collect(),
-    )
+    join_all(ranges.into_iter().map(|r| move || f(r)).collect())
 }
 
 /// Schedule capture + replay: measure what the chunking *admits* on `w`
@@ -386,7 +386,7 @@ pub mod model {
         CAPTURING.load(Ordering::Relaxed)
     }
 
-    pub(crate) fn run_inline_timed<'s, T: Send + 's>(jobs: Vec<Job<'s, T>>) -> Vec<T> {
+    pub(crate) fn run_inline_timed<T, J: FnOnce() -> T>(jobs: Vec<J>) -> Vec<T> {
         let top = DEPTH.with(|d| {
             let v = d.get();
             d.set(v + 1);

@@ -9,7 +9,11 @@
 //! e.g. `⌊p̄⌋` for `LB_PIM-ED`, or the `⌊µ(p̂)⌋` / `⌊σ(p̂)⌋` pair for
 //! `LB_PIM-FNN`, or the code/complement pair for Hamming distance.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use simpim_kern::U8Queries;
 
 use crate::bitslice::{bits_needed, bits_needed_slice};
 use crate::coarse::{self, Plane};
@@ -171,6 +175,49 @@ fn row_dot(
         total += partial;
     }
     (total, max_partial)
+}
+
+thread_local! {
+    /// A coarse task's kernel outputs, kept by each thread from one task
+    /// to the next: the kernel overwrites what a task reads of it.
+    static COARSE_OUT: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Fans a read of the rows `data` (`s` elements a row) out over the pool
+/// in fixed [`DOT_BATCH_CHUNK`]-row tasks: `task(first, rows, outs)` gets
+/// its first row's index, its rows, and the `q` queries' output slices
+/// for them, query by query. Returns every query's outputs and the tasks'
+/// results in task order. It allocates per read, not per task.
+fn fan_out<E: Sync, T: Send>(
+    data: &[E],
+    s: usize,
+    q: usize,
+    task: impl Fn(usize, &[E], &mut [&mut [u64]]) -> T + Sync,
+) -> (Vec<Vec<u64>>, Vec<T>) {
+    let n = data.len() / s;
+    let mut values = vec![vec![0u64; n]; q];
+    let mut chunks: Vec<_> = values
+        .iter_mut()
+        .map(|v| v.chunks_mut(DOT_BATCH_CHUNK))
+        .collect();
+    let tasks = n.div_ceil(DOT_BATCH_CHUNK);
+    let mut outs = Vec::with_capacity(tasks * q);
+    for _ in 0..tasks {
+        outs.extend(
+            chunks
+                .iter_mut()
+                .map(|c| c.next().expect("an output chunk per row chunk")),
+        );
+    }
+    let task = &task;
+    let jobs = data
+        .chunks(DOT_BATCH_CHUNK * s)
+        .zip(outs.chunks_mut(q.max(1)))
+        .enumerate()
+        .map(|(c, (rows, outs))| move || task(c * DOT_BATCH_CHUNK, rows, outs))
+        .collect();
+    let results = simpim_par::join_all(jobs);
+    (values, results)
 }
 
 /// Per-region fault survey: which crossbars are corrupted, by how much
@@ -875,15 +922,20 @@ impl PimArray {
     /// The coarse read of every pass on region `ri`, whose plane
     /// [`PimArray::reads_coarse`] built: per query the [`coarse::dot_bound`]
     /// of every stored row, and a largest crossbar partial that gives the
-    /// gather clock the fine read's cycle count. One
-    /// [`simpim_kern::dot_multi_u8`] per task and eight queries gives each
-    /// row's coarse totals and largest coarse chunks; a chunk's bracket
-    /// bounds the row's fine partials. The largest lower end `L` is a fine
-    /// partial's floor, so the fine largest partial `M ≥ L`; a row whose
-    /// upper end needs more gather cycles than `L` does is read fine, and
-    /// every other row needs no more than `L`'s. So `M` and the largest of
-    /// `L` and those rows' fine partials take the same cycles. Tasks fan
-    /// out like [`PimArray::read_region`]'s.
+    /// gather clock the fine read's cycle count. The queries' cells are
+    /// widened once per read, eight to a block; one
+    /// [`simpim_kern::dot_multi_u8`] per task and block gives each row's
+    /// coarse totals and largest coarse chunks, into a buffer each thread
+    /// keeps across reads. A chunk's bracket bounds the row's fine
+    /// partials. The largest lower end `L` is a fine partial's floor, so
+    /// the fine largest partial `M ≥ L`; a row whose upper end needs more
+    /// gather cycles than `L` does is read fine, and every other row needs
+    /// no more than `L`'s. So `M` and the largest of `L` and those rows'
+    /// fine partials take the same cycles. Both ends grow with the coarse
+    /// partial and with the row's cells, so a task brackets its largest
+    /// coarse partial with its largest chunk first, and brackets its rows
+    /// one by one only where even that upper end needs more cycles than
+    /// `L`. Tasks fan out like [`PimArray::read_region`]'s.
     fn read_region_coarse(
         &self,
         ri: usize,
@@ -900,6 +952,7 @@ impl PimArray {
             .map(|q| q.iter().map(|&v| (v >> t) as u8).collect())
             .collect();
         let cells: Vec<&[u8]> = cells.iter().map(Vec::as_slice).collect();
+        let blocks: Vec<U8Queries> = cells.chunks(MULTI).map(|g| U8Queries::new(s, g)).collect();
         let sums: Vec<coarse::RowSums> =
             queries.iter().map(|q| coarse::row_sums(q, t, m)).collect();
         // Without a gather tree the partials time nothing.
@@ -914,82 +967,72 @@ impl PimArray {
                 u64::MAX
             }
         };
-        // Per query: the task's largest lower end, and — where its upper
-        // ends reach more gather cycles — the rows whose upper end does.
-        type Open = (Vec<u64>, Vec<Vec<(usize, u64)>>);
-        let task = &|first: usize, rows: &[u8], outs: &mut [&mut [u64]]| -> Open {
+        // Per query the largest lower end of every task.
+        let low: Vec<AtomicU64> = queries.iter().map(|_| AtomicU64::new(0)).collect();
+        // Per task, (query, row, upper end) of each row whose upper end
+        // reaches more gather cycles than the task's largest lower end.
+        let task = |first: usize, rows: &[u8], outs: &mut [&mut [u64]]| {
             let n = rows.len() / s;
-            let (mut low, mut open) = (vec![0u64; queries.len()], vec![Vec::new(); queries.len()]);
-            let mut out = vec![0u64; n * 2 * MULTI];
-            let [row_cells, row_operands, row_chunks] = plane.sums.each_ref().map(|v| &v[first..]);
-            for (g, group) in cells.chunks(MULTI).enumerate() {
-                let (q, base) = (group.len(), g * MULTI);
-                let out = &mut out[..n * 2 * q];
-                simpim_kern::dot_multi_u8(rows, s, group, m, out);
-                let (totals, tops) = out.split_at(n * q);
-                for (k, j) in (base..base + q).enumerate() {
-                    let (x, total, top) = (sums[j], &totals[k * n..][..n], &tops[k * n..][..n]);
-                    let sides = row_cells.iter().zip(row_operands);
-                    for ((value, &dot), (&cells, &operands)) in
-                        outs[j].iter_mut().zip(total).zip(sides)
-                    {
-                        *value =
-                            coarse::dot_bound(t, dot, [cells, operands], [x.cells, x.operands], s);
-                    }
-                    if !gathers {
-                        continue;
-                    }
-                    let bracket = |i: usize| {
-                        coarse::chunk_bracket(t, top[i], [row_chunks[i], x.chunk_cells], m.min(s))
-                    };
-                    let (mut lows, mut high) = (low[j], 0);
-                    for i in 0..n {
-                        let (lo, hi) = bracket(i);
-                        (lows, high) = (lows.max(lo), high.max(hi));
-                    }
-                    low[j] = lows;
-                    if cycles(high) > cycles(lows) {
-                        let bar = above(lows);
-                        let reach = (0..n).map(|i| (first + i, bracket(i).1));
-                        open[j].extend(reach.filter(|&(_, hi)| hi >= bar));
+            let [row_cells, row_operands, row_chunks] =
+                plane.sums.each_ref().map(|v| &v[first..first + n]);
+            let widest_chunk = row_chunks.iter().copied().max().unwrap_or(0);
+            let mut open = Vec::new();
+            COARSE_OUT.with_borrow_mut(|out| {
+                if out.len() < n * 2 * MULTI {
+                    out.resize(n * 2 * MULTI, 0);
+                }
+                for (g, block) in blocks.iter().enumerate() {
+                    let q = block.len();
+                    let out = &mut out[..n * 2 * q];
+                    simpim_kern::dot_multi_u8(rows, block, m, out);
+                    let (totals, tops) = out.split_at(n * q);
+                    for k in 0..q {
+                        let j = g * MULTI + k;
+                        let (x, total, top) = (sums[j], &totals[k * n..][..n], &tops[k * n..][..n]);
+                        let sides = row_cells.iter().zip(row_operands).zip(top);
+                        let mut top_max = 0;
+                        for ((value, &dot), ((&cells, &operands), &top)) in
+                            outs[j].iter_mut().zip(total).zip(sides)
+                        {
+                            *value = coarse::dot_bound(
+                                t,
+                                dot,
+                                [cells, operands],
+                                [x.cells, x.operands],
+                                s,
+                            );
+                            top_max = top_max.max(top);
+                        }
+                        if !gathers {
+                            continue;
+                        }
+                        let bracket = |top: u64, chunk: u64| {
+                            coarse::chunk_bracket(t, top, [chunk, x.chunk_cells], m.min(s))
+                        };
+                        let (lo, hi) = bracket(top_max, widest_chunk);
+                        low[j].fetch_max(lo, Ordering::Relaxed);
+                        if cycles(hi) > cycles(lo) {
+                            let bar = above(lo);
+                            let reach =
+                                (0..n).map(|i| (j, first + i, bracket(top[i], row_chunks[i]).1));
+                            open.extend(reach.filter(|&(.., hi)| hi >= bar));
+                        }
                     }
                 }
-            }
-            (low, open)
+            });
+            open
         };
-
-        let mut values = vec![vec![0u64; reg.n]; queries.len()];
-        let mut out_chunks: Vec<_> = values
-            .iter_mut()
-            .map(|v| v.chunks_mut(DOT_BATCH_CHUNK))
-            .collect();
-        let jobs = plane.cells[..reg.n * s]
-            .chunks(DOT_BATCH_CHUNK * s)
-            .enumerate()
-            .map(|(c, rows)| {
-                let mut outs: Vec<&mut [u64]> = out_chunks
-                    .iter_mut()
-                    .map(|chunks| chunks.next().expect("an output chunk per row chunk"))
-                    .collect();
-                let first = c * DOT_BATCH_CHUNK;
-                Box::new(move || task(first, rows, &mut outs)) as simpim_par::Job<'_, Open>
-            })
-            .collect();
-        let (mut low, mut open) = (vec![0u64; queries.len()], vec![Vec::new(); queries.len()]);
-        for (task_low, task_open) in simpim_par::join_all(jobs) {
-            for j in 0..queries.len() {
-                low[j] = low[j].max(task_low[j]);
-                open[j].extend_from_slice(&task_open[j]);
-            }
-        }
+        let (values, open) = fan_out(&plane.cells[..reg.n * s], s, queries.len(), task);
+        let low: Vec<u64> = low.into_iter().map(AtomicU64::into_inner).collect();
         let widest = queries.iter().map(|q| bits_needed_slice(q)).max();
         let block = exact_block_len(reg.stored_bits(xb), widest.unwrap_or(0));
         let mac = simpim_kern::kernels().dot_u32;
+        let open = open.iter().flatten();
         let max_partial = (0..queries.len()).map(|j| {
-            let rows = open[j]
-                .iter()
-                .filter(|&&(_, hi)| cycles(hi) > cycles(low[j]));
-            rows.fold(low[j], |top, &(obj, _)| {
+            let rows = open
+                .clone()
+                .filter(|&&(q, _, hi)| q == j && cycles(hi) > cycles(low[j]));
+            rows.fold(low[j], |top, &(_, obj, _)| {
                 let row = &reg.data[obj * s..][..s];
                 top.max(row_dot(mac, queries[j], row, m, block).1)
             })
@@ -1042,7 +1085,7 @@ impl PimArray {
             None => Vec::new(),
         };
         let as_f64: Vec<&[f64]> = as_f64.iter().map(Vec::as_slice).collect();
-        let task = &|rows: &[u32], outs: &mut [&mut [u64]]| -> Vec<u64> {
+        let task = |_: usize, rows: &[u32], outs: &mut [&mut [u64]]| {
             let mut max_partial = vec![0u64; queries.len()];
             // The multi-query path's largest chunk sums, integers in `f64`.
             let mut tops = vec![0.0f64; queries.len()];
@@ -1084,23 +1127,9 @@ impl PimArray {
             max_partial
         };
 
-        let mut values = vec![vec![0u64; reg.n]; queries.len()];
-        let mut out_chunks: Vec<_> = values
-            .iter_mut()
-            .map(|v| v.chunks_mut(DOT_BATCH_CHUNK))
-            .collect();
-        let jobs = reg.data[..reg.n * s]
-            .chunks(DOT_BATCH_CHUNK * s)
-            .map(|rows| {
-                let mut outs: Vec<&mut [u64]> = out_chunks
-                    .iter_mut()
-                    .map(|chunks| chunks.next().expect("an output chunk per row chunk"))
-                    .collect();
-                Box::new(move || task(rows, &mut outs)) as simpim_par::Job<'_, Vec<u64>>
-            })
-            .collect();
+        let (mut values, task_maxima) = fan_out(&reg.data[..reg.n * s], s, queries.len(), task);
         let mut max_partial = vec![0u64; queries.len()];
-        for task_max in simpim_par::join_all(jobs) {
+        for task_max in task_maxima {
             for (all, one) in max_partial.iter_mut().zip(task_max) {
                 *all = (*all).max(one);
             }
@@ -3251,12 +3280,44 @@ mod tests {
         }
     }
 
+    /// FNV-1a of what a coarse read of `passes` on a copy of `pim` returns
+    /// and charges: per pass its values, its flag and its `PimTiming`
+    /// bits, then the array's energy bits.
+    fn coarse_read_hash(pim: &PimArray, passes: &[(RegionId, &[u32])]) -> u64 {
+        let mut pim = pim.clone();
+        let reads = pim.dot_batch_coarse(passes, AccWidth::U64).unwrap();
+        let mut words = Vec::new();
+        for (values, timing, coarse) in reads {
+            words.extend(values);
+            words.push(u64::from(coarse));
+            let ns = [
+                timing.data_pass_ns,
+                timing.gather_ns,
+                timing.bus_ns,
+                timing.buffer_ns,
+            ];
+            words.extend(ns.map(f64::to_bits));
+            words.push(timing.buffer_waves);
+        }
+        words.extend(energy_bits(&pim));
+        let bytes = words.iter().flat_map(|w| w.to_le_bytes());
+        bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
     /// A row whose coarse bracket straddles a gather-cycle boundary: its
     /// chunk's coarse partial puts the lower end at 2²⁹ (15 two-bit
     /// cycles), the fine partial is 16 · 8 191 · 12 287 > 2³⁰ (16). The
     /// coarse read resolves the row fine and charges the plain read's
     /// gather pass; the bracket's lower end alone would charge one cycle
-    /// less a stage.
+    /// less a stage. Then a task whose own bracket straddles a boundary
+    /// while no row's does: the largest coarse partial (row A's, of 40
+    /// bits: 20 cycles) bracketed with the largest chunk (row B's, whose
+    /// coarse partial is 0) reaches 21 cycles, so the task brackets its
+    /// rows one by one, and none of them reaches past A's lower end,
+    /// which is A's fine partial. Values, flags, timing and energy are
+    /// pinned to the per-row bracket's.
     #[test]
     fn the_coarse_read_resolves_a_row_that_straddles_a_gather_cycle() {
         let cfg = PimConfig {
@@ -3272,7 +3333,7 @@ mod tests {
         let widening = [vec![0u32; 16], vec![(1 << 20) - 1]].concat();
         let mut pim = PimArray::new(cfg).unwrap();
         let rep = pim
-            .program_region(&[straddling, widening].concat(), 2, s, 32)
+            .program_region(&[straddling, widening.clone()].concat(), 2, s, 32)
             .unwrap();
         let query = [vec![12_287u32; 16], vec![0]].concat();
         let passes = [(rep.region, &query[..]), (rep.region, &[0; 17][..])];
@@ -3291,6 +3352,73 @@ mod tests {
             timing(1 << 29),
             "the lower end alone is a cycle short"
         );
+        assert_eq!(coarse_read_hash(&pim, &passes), 11146239374469794071);
+
+        let at = |cell: u32, from: usize, to: usize| -> Vec<u32> {
+            (0..s)
+                .map(|i| {
+                    if (from..to).contains(&i) {
+                        cell << 12
+                    } else {
+                        0
+                    }
+                })
+                .collect()
+        };
+        let (a, b) = (at(42, 0, 7), at(134, 7, 16));
+        let rep = pim
+            .program_region(&[a, b, widening].concat(), 3, s, 32)
+            .unwrap();
+        let query = at(216, 0, 7);
+        let passes = [(rep.region, &query[..]), (rep.region, &[0; 17][..])];
+        assert_eq!(
+            assert_coarse_read(&pim, &passes, AccWidth::U64),
+            [true, true]
+        );
+        let (_, got) = both_reads(&pim, &passes, AccWidth::U64).1;
+        let fine = 7 * (42 << 12) * (216u64 << 12);
+        assert_eq!(fine >> 39, 1, "40 bits: 20 cycles");
+        let timing = dot_batch_timing(&cfg, &rep.cost, 20, 40, 3, AccWidth::U64);
+        assert_eq!(got[0].1, timing);
+        assert_eq!(coarse_read_hash(&pim, &passes), 9616177664127601072);
+    }
+
+    /// A read of three tasks (600 rows of 40 operands, crossbars of 16)
+    /// whose brackets stay inside one gather cycle: every cell is in
+    /// 100..=200 at shift 12, so each task's largest lower end lies in
+    /// [2⁴², 2⁴⁴) (22 two-bit cycles) and no upper end reaches 2⁴⁴, and
+    /// no task brackets its rows one by one. Values, flags, timing and
+    /// energy are pinned to the per-row bracket's, and the timing is the
+    /// plain read's.
+    #[test]
+    fn a_coarse_read_whose_brackets_stay_in_one_gather_cycle_charges_the_plain_pass() {
+        let cfg = PimConfig {
+            crossbar: CrossbarConfig {
+                size: 16,
+                ..Default::default()
+            },
+            num_crossbars: 4096,
+            ..Default::default()
+        };
+        let (n, s) = (600, 40);
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = |len: usize| -> Vec<u32> {
+            (0..len)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let cell = 100 + (x >> 40) as u32 % 101;
+                    cell << 12 | (x as u32 & 0xfff)
+                })
+                .collect()
+        };
+        let mut pim = PimArray::new(cfg).unwrap();
+        let region = pim.program_region(&draw(n * s), n, s, 20).unwrap().region;
+        let queries = [draw(s), draw(s), draw(s)];
+        let passes: Vec<(RegionId, &[u32])> = queries.iter().map(|q| (region, &q[..])).collect();
+        assert_eq!(assert_coarse_read(&pim, &passes, AccWidth::U64), [true; 3]);
+        assert_eq!(coarse_read_hash(&pim, &passes), 6007714597866744420);
     }
 
     /// A region's plane across its life: built by the first coarse read,

@@ -402,18 +402,19 @@ fn check_multi_u8(rows: &[u8], s: usize, qs: &[&[u8]], seg: usize) {
         .flat_map(|v| per_row.iter().map(move |row| row[v]))
         .map(|v| u64::try_from(v).expect("u8 sums fit a u64"))
         .collect();
+    let prepared = kern::U8Queries::new(s, qs);
     let mut out = vec![u64::MAX; want.len()];
-    scalar::dot_multi_u8(rows, s, qs, seg, &mut out);
+    scalar::dot_multi_u8(rows, &prepared, seg, &mut out);
     assert_eq!(out, want, "scalar vs u128 reference");
     for backend in supported_backends() {
         kern::with_backend(backend, || {
             let mut out = vec![u64::MAX; want.len()];
-            kern::dot_multi_u8(rows, s, qs, seg, &mut out);
+            kern::dot_multi_u8(rows, &prepared, seg, &mut out);
             assert_eq!(out, want, "dot_multi_u8/{}", backend.name());
             for (r, row) in rows.chunks_exact(s).enumerate() {
                 for (j, x) in qs.iter().enumerate() {
                     let mut one = [u64::MAX; 2];
-                    kern::dot_multi_u8(row, s, &[x], seg, &mut one);
+                    kern::dot_multi_u8(row, &kern::U8Queries::new(s, &[x]), seg, &mut one);
                     let (total, top) = (want[n * j + r], want[n * (q + j) + r]);
                     assert_eq!(one, [total, top], "one query/{}", backend.name());
                 }
@@ -441,6 +442,53 @@ proptest! {
         let view = |k: usize, len: usize| &raw[k * 241 + skips[k]..][..len];
         let qs: Vec<&[u8]> = (1..=q).map(|k| view(k, s)).collect();
         check_multi_u8(view(0, n * s), s, &qs, seg);
+    }
+}
+
+/// The prepared-query kernel on every small shape, every tier against
+/// the `u128` reference: rows of every length `s` in 1..=48 (the portable
+/// body under 16 cells, and every ragged last step above it), segments of
+/// 1, 5, 15, 16, 17, `s` and `2s` cells, 1..=8 queries, blocks of 1..=3
+/// rows, with cells drawn at random, drawn from {0, 255}, and all 255;
+/// then one segment of 65 569 cells, past the AVX2 tier's `i32` fold
+/// interval, for every query count. The vendored proptest cannot shrink a
+/// failure, so the small domain is walked whole instead.
+#[test]
+fn dot_multi_u8_is_exact_on_every_small_shape() {
+    let _g = lock();
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x >> 32) as u8
+    };
+    // Random cells, cells of 0 or 255, all 255.
+    for pattern in 0..3 {
+        for s in 1..=48 {
+            let cells: Vec<u8> = (0..11 * s)
+                .map(|_| match (pattern, next()) {
+                    (0, v) => v,
+                    (1, v) => (v & 1) * 255,
+                    _ => 255,
+                })
+                .collect();
+            let qs: Vec<&[u8]> = cells[3 * s..].chunks_exact(s).collect();
+            for seg in [1, 5, 15, 16, 17, s, 2 * s] {
+                for q in 1..=8 {
+                    for n in 1..=3 {
+                        check_multi_u8(&cells[..n * s], s, &qs[..q], seg);
+                    }
+                }
+            }
+        }
+    }
+    let s = 16 * 4096 + 33;
+    let cells: Vec<u8> = (0..2 * s)
+        .map(|i| if i % 7 == 0 { 254 } else { 255 })
+        .collect();
+    for q in 1..=8 {
+        check_multi_u8(&cells[..s], s, &vec![&cells[s..]; q], s);
     }
 }
 
