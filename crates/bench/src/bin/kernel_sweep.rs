@@ -46,6 +46,14 @@
 //!   kernel on each of two threads that run it at once, which reads
 //!   twice the one-thread figure where the host's two workers share a
 //!   core;
+//! * **the host half of a coarse shard batch** (`host_split_q8_us`):
+//!   one eight-query `Shard::query_batch` over a 10 000 × 420
+//!   serve-pruned-shaped shard, in µs, beside its kernel and what each
+//!   layer spends around it — the bank's bounds and gather bracket, the
+//!   executor's `G`, the shard's columns, the refinement's seed step per
+//!   query, its marking and its sweep — each stage timed alone through
+//!   its public entry on the same rows (the seed step and the marking
+//!   through `refine_resident_batch_timed`'s clock);
 //! * **the abandoning distance and the batch refinement built on it**:
 //!   `euclidean_sq_until` in ns per element of the whole row when every
 //!   row is abandoned about 1/8 and 1/2 of the way in and when none is
@@ -70,15 +78,21 @@ use std::time::Instant;
 
 use simpim_bench::{fmt_x, load, prepare_executor, print_table, BenchRun, Workload, QUERIES};
 use simpim_bounds::BoundCascade;
-use simpim_core::executor::PimExecutor;
+use simpim_core::executor::{Columns, PimExecutor};
+use simpim_core::PreparedFunction;
 use simpim_datasets::PaperDataset;
 use simpim_kern::{self as kern, Backend};
-use simpim_mining::knn::resident::{push_cells, refine_resident_batch, BatchQuery};
+use simpim_mining::knn::resident::{
+    push_cells, refine_resident_batch, refine_resident_batch_timed, BatchQuery, RefineClock,
+    Tighten,
+};
+use simpim_mining::MiningError;
 use simpim_obs::Json;
 use simpim_par as par;
 use simpim_reram::array::RegionId;
 use simpim_reram::{AccWidth, PimArray, PimConfig};
-use simpim_similarity::{Dataset, Measure};
+use simpim_serve::{Shard, ShardConfig};
+use simpim_similarity::{Dataset, Measure, Quantizer};
 use simpim_simkit::OpCounters;
 
 const K: usize = 10;
@@ -181,6 +195,240 @@ impl CoarseSplit {
     }
 }
 
+/// One eight-query coarse batch of a serve-pruned-shaped shard
+/// (`PASS_ROWS` × 420, `LB_PIM-ED`) taken apart, in µs per batch: what
+/// [`HostKit`] times, best of [`HOST_ROUNDS`] alternating rounds.
+struct HostSplit {
+    /// `Shard::query_batch` as a whole.
+    batch: f64,
+    /// `dot_multi_u8` over the region's cells in the read's 256-row calls.
+    kernel: f64,
+    /// The rest of the bank's coarse read (`dot_batch_coarse`).
+    bound_bracket: f64,
+    /// The rest of the executor's pass (`lb_ed_batch_coarse` into
+    /// columns): quantising the queries and `G`.
+    combine: f64,
+    /// The rest of the shard batch: its columns and what hands them on.
+    columns: f64,
+    /// The refinement's seed step (κ → seed → τ → tighten), per query.
+    seed_per_query: f64,
+    /// The refinement's marking of the rows left to sweep.
+    mark: f64,
+    /// The rest of the refinement: the sweep and its merge.
+    sweep: f64,
+}
+
+impl HostSplit {
+    /// Everything beside the kernel.
+    fn host(&self) -> f64 {
+        self.batch - self.kernel
+    }
+
+    fn json(&self) -> Json {
+        Json::obj([
+            ("batch", Json::Num(self.batch)),
+            ("kernel", Json::Num(self.kernel)),
+            ("host", Json::Num(self.host())),
+            ("bound_bracket", Json::Num(self.bound_bracket)),
+            ("combine", Json::Num(self.combine)),
+            ("columns", Json::Num(self.columns)),
+            ("seed_per_query", Json::Num(self.seed_per_query)),
+            ("mark", Json::Num(self.mark)),
+            ("sweep", Json::Num(self.sweep)),
+        ])
+    }
+}
+
+/// Rounds of the host split; each stage keeps its best.
+const HOST_ROUNDS: usize = 15;
+
+/// The host split's shard, and beside it an executor programmed as the
+/// shard's own is (the same rows and configuration), whose stages are
+/// timed alone: its bank's read, its region's cells, and its pass into
+/// columns, which the refinement then reads with the serving layer's
+/// `tighten`.
+struct HostKit {
+    rows: Dataset,
+    queries: Vec<Vec<f64>>,
+    shard: Shard,
+    exec: PimExecutor,
+}
+
+impl HostKit {
+    fn new() -> Self {
+        let rows = simpim_datasets::generate(&simpim_datasets::SyntheticConfig {
+            n: PASS_ROWS,
+            d: 420,
+            clusters: 24,
+            cluster_std: 0.05,
+            stat_uniformity: 0.05,
+            seed: 12,
+        });
+        let queries = simpim_datasets::sample_queries(&rows, 8, 0.02, 12);
+        let cfg = ShardConfig::default();
+        let ids = (0..rows.len()).collect();
+        let shard = Shard::open(cfg, rows.clone(), ids).expect("a serve-pruned shard");
+        let mut builder = PimExecutor::begin_euclidean_resident(
+            cfg.executor,
+            rows.len(),
+            rows.dim(),
+            cfg.spare_rows,
+        )
+        .expect("the default array holds one shard");
+        builder.push_rows(rows.as_flat()).expect("normalized rows");
+        let exec = builder.finish().expect("a resident executor");
+        assert_eq!(exec.bound_name(), "LB_PIM-ED");
+        Self {
+            rows,
+            queries,
+            shard,
+            exec,
+        }
+    }
+
+    /// The split, on the calling thread's kernel tier at one worker.
+    fn split(&mut self) -> HostSplit {
+        let Self {
+            rows,
+            queries,
+            shard,
+            exec,
+        } = self;
+        let (n, d) = (rows.len(), rows.dim());
+        let PreparedFunction::Ed { region, .. } = *exec.prepared() else {
+            unreachable!("an LB_PIM-ED executor");
+        };
+        let quantizer = Quantizer::identity(exec.config().alpha).expect("valid alpha");
+        let floors: Vec<Vec<u32>> = queries
+            .iter()
+            .map(|q| quantizer.quantize_vec(q).expect("finite query").floors)
+            .collect();
+        let passes: Vec<(RegionId, &[u32])> = floors.iter().map(|f| (region, &f[..])).collect();
+        // The region's cells as its coarse plane holds them.
+        let pim = exec.bank().pim();
+        let stored: Vec<u32> = (0..n)
+            .flat_map(|i| pim.region_row(region, i).expect("a stored row").to_vec())
+            .collect();
+        let widest = stored.iter().fold(0, |a, &b| a | b);
+        let t = (u32::BITS - widest.leading_zeros()).saturating_sub(8);
+        let cells: Vec<u8> = stored.iter().map(|&v| (v >> t) as u8).collect();
+        let query_cells: Vec<Vec<u8>> = floors
+            .iter()
+            .map(|f| f.iter().map(|&v| (v >> t) as u8).collect())
+            .collect();
+        let query_cells: Vec<&[u8]> = query_cells.iter().map(Vec::as_slice).collect();
+        let block = kern::U8Queries::new(d, &query_cells);
+        let m = exec.config().pim.crossbar.size;
+        let ids: Vec<usize> = (0..n).collect();
+        let (live, order) = (vec![true; n], ids.clone());
+        let mut columns = vec![0.0; n * queries.len()];
+
+        let mut best = [f64::INFINITY; 7];
+        let mut keep = |stage: usize, ns: f64| best[stage] = best[stage].min(ns / 1e3);
+        let timed = |f: &mut dyn FnMut()| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_nanos() as f64
+        };
+        let ks = vec![K; queries.len()];
+        par::with_threads(1, || {
+            for _ in 0..HOST_ROUNDS {
+                keep(
+                    0,
+                    timed(&mut || drop(std::hint::black_box(shard.query_batch(queries, &ks)))),
+                );
+                let mut out = vec![0u64; 2 * 8 * 256];
+                keep(
+                    1,
+                    timed(&mut || {
+                        for rows in cells.chunks(256 * d) {
+                            let out = &mut out[..16 * rows.len() / d];
+                            kern::dot_multi_u8(rows, &block, m, out);
+                        }
+                        std::hint::black_box(&out);
+                    }),
+                );
+                let bank = exec.bank_mut().pim_mut();
+                keep(
+                    2,
+                    timed(&mut || drop(bank.dot_batch_coarse(&passes, AccWidth::U64))),
+                );
+                let mut pass = None;
+                keep(
+                    3,
+                    timed(&mut || {
+                        let out = Columns {
+                            rows: &order,
+                            values: &mut columns,
+                        };
+                        let parent = simpim_obs::TraceCtx::NONE;
+                        pass = Some(
+                            exec.lb_ed_batch_coarse(queries, parent, out)
+                                .expect("a pass"),
+                        );
+                    }),
+                );
+                let pass = pass.expect("timed");
+                let exec = &*exec;
+                let tighten: Vec<_> = (0..queries.len())
+                    .map(|j| {
+                        let pass = &pass;
+                        move |pairs: &mut [(usize, f64)]| -> Result<(), MiningError> {
+                            let asked: Vec<usize> = pairs.iter().map(|&(i, _)| i).collect();
+                            let mut values = vec![0.0; asked.len()];
+                            exec.lb_ed_fine(pass, j, &asked, &mut values)?;
+                            pairs
+                                .iter_mut()
+                                .zip(values)
+                                .for_each(|((_, v), fine)| *v = fine);
+                            Ok(())
+                        }
+                    })
+                    .collect();
+                let batch: Vec<BatchQuery<'_>> = (queries.iter().enumerate())
+                    .map(|(j, query)| BatchQuery {
+                        query,
+                        k: K,
+                        bounds: &columns[j * n..][..n],
+                        tighten: Some(&tighten[j] as Tighten<'_>),
+                    })
+                    .collect();
+                let mut clock = RefineClock::default();
+                keep(
+                    4,
+                    timed(&mut || {
+                        let mut counters = OpCounters::new();
+                        let out = refine_resident_batch_timed(
+                            rows,
+                            &ids,
+                            &live,
+                            None,
+                            &batch,
+                            Measure::EuclideanSq,
+                            &mut counters,
+                            &mut clock,
+                        );
+                        drop(std::hint::black_box(out.expect("Euclidean rows")));
+                    }),
+                );
+                keep(5, clock.seed_ns as f64);
+                keep(6, clock.mark_ns as f64);
+            }
+        });
+        let [batch, kernel, read, pass, refine, seed, mark] = best;
+        HostSplit {
+            batch,
+            kernel,
+            bound_bracket: read - kernel,
+            combine: pass - read,
+            columns: batch - pass - refine,
+            seed_per_query: seed / queries.len() as f64,
+            mark,
+            sweep: refine - seed - mark,
+        }
+    }
+}
+
 /// Per-backend measurements, in `BACKENDS` order.
 struct Row {
     name: &'static str,
@@ -201,6 +449,7 @@ struct Row {
     /// `dot_batch_coarse` ns per operand and query, at 2..=8 queries.
     coarse_ns: [f64; 7],
     coarse_split: CoarseSplit,
+    host_split: HostSplit,
     /// `refine_resident_batch` milliseconds per query, in
     /// `REFINE_QUERIES` order.
     refine_ms_per_query: [f64; 3],
@@ -235,7 +484,7 @@ fn sweep_backend(
     w: &Workload,
     (wa, wb): (&[u64], &[u64]),
     (operands, operand_queries): (&[u32], &[Vec<u32>]),
-    (pim, region, pass_operands): (&mut PimArray, RegionId, &[u32]),
+    (pim, region, pass_operands, host): (&mut PimArray, RegionId, &[u32], &mut HostKit),
     (shard, shard_queries, cells): (&Dataset, &[Vec<f64>], &[u8]),
 ) -> Row {
     kern::with_backend(b, || {
@@ -572,6 +821,7 @@ fn sweep_backend(
             pass_ms_per_query,
             coarse_ns,
             coarse_split,
+            host_split: host.split(),
             refine_ms_per_query,
             knn_wall_ms: knn_ns as f64 / 1e6,
             knn_qps: w.queries.len() as f64 / knn_s.max(1e-12),
@@ -628,6 +878,7 @@ fn main() {
     // One dataset, one programmed executor, shared by every
     // (backend, workers) measurement cell.
     let mut exec = prepare_executor(&w.data).expect("fits");
+    let mut host = HostKit::new();
 
     let tiers: Vec<Backend> = Backend::ALL
         .into_iter()
@@ -642,7 +893,7 @@ fn main() {
                 &w,
                 (&wa, &wb),
                 (&operands, &operand_queries),
-                (&mut pim, pass_region, &pass_operands),
+                (&mut pim, pass_region, &pass_operands, &mut host),
                 (&shard, &shard_queries, &cells),
             )
         })
@@ -748,6 +999,25 @@ fn main() {
         );
     }
 
+    for r in &rows {
+        let h = &r.host_split;
+        println!(
+            "{}: coarse shard batch at Q=8 {:.0} µs = kernel {:.0} + host {:.0}: bounds and \
+             bracket {:.0}, combine {:.0}, columns {:.0}, seed {:.1} per query, mark {:.1}, \
+             sweep {:.0}",
+            r.name,
+            h.batch,
+            h.kernel,
+            h.host(),
+            h.bound_bracket,
+            h.combine,
+            h.columns,
+            h.seed_per_query,
+            h.mark,
+            h.sweep
+        );
+    }
+
     let backends_json: Vec<Json> = rows
         .iter()
         .map(|r| {
@@ -775,6 +1045,7 @@ fn main() {
                     ),
                 ),
                 ("coarse_split_q8_ns_per_operand", r.coarse_split.json()),
+                ("host_split_q8_us", r.host_split.json()),
                 ("cell_bound_ns_per_elem", Json::Num(r.cell_bound_ns)),
                 (
                     "pass_ms_per_query",

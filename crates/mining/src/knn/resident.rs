@@ -30,6 +30,8 @@
 //! can seed or survive τ, and answers, counts and charges as over the
 //! tight column.
 
+use std::time::Instant;
+
 use simpim_similarity::{Dataset, Measure};
 use simpim_simkit::OpCounters;
 
@@ -159,18 +161,29 @@ fn live_order<'a>(
     )
 }
 
-/// Whether bound `a` ranks strictly after bound `b`, by value alone.
+/// Whether bound `a` ranks strictly after bound `b`, by value alone
+/// (never for a NaN). Without a branch, so that scans of a column
+/// vectorise.
 fn worse(a: f64, b: f64, closer: bool) -> bool {
-    (closer && a > b) || (!closer && a < b)
+    (closer & (a > b)) | (!closer & (a < b))
 }
 
-/// The rows of the `k` best live `(row, bound)` pairs (best bound first,
-/// ties by the rows' `ids`: the first chunk [`LazyOrder`] would cut),
-/// kept in one pass and returned in no particular order. The order's
-/// comparisons are the caller's to charge.
-fn k_best(
+/// Bounds a [`k_best`] chunk holds: a chunk whose bounds are all worse
+/// than the cut is passed over in one test.
+const CHUNK: usize = 8;
+
+/// The rows of the `k` best live pairs of `items` (best bound first, ties
+/// by the rows' `ids`: the first chunk [`LazyOrder`] would cut), `pair`
+/// giving the `(row, bound)` of the item at each position, kept in one
+/// pass and returned in no particular order. Once `k` pairs are kept, a
+/// chunk of [`CHUNK`] items whose bounds are all worse than the last-ranked
+/// one's is passed over in one branch-free test: the cut only gets better
+/// as pairs are kept, so each of them would be refused alone too. The
+/// order's comparisons are the caller's to charge.
+fn k_best<T>(
     view: &ShardView<'_>,
-    pairs: impl Iterator<Item = (usize, f64)>,
+    items: &[T],
+    pair: impl Fn(usize, &T) -> (usize, f64),
     k: usize,
     closer: bool,
 ) -> Vec<usize> {
@@ -186,22 +199,57 @@ fn k_best(
     // there are `k` (NaN before: no bound is worse). Most pairs stop at one
     // comparison with that bound, as a worse one cannot rank before it.
     let (mut last, mut cut) = (0, f64::NAN);
-    for p in pairs {
-        let full = best.len() == k;
-        if worse(p.1, cut, closer) || !live[p.0] || (full && !before(&p, &best[last])) {
+    for (c, chunk) in items.chunks(CHUNK).enumerate() {
+        let all_worse = match <&[T; CHUNK]>::try_from(chunk) {
+            Ok(chunk) => (chunk.iter()).fold(true, |all, t| all & worse(pair(0, t).1, cut, closer)),
+            Err(_) => false,
+        };
+        if all_worse {
             continue;
         }
-        // Past `k`, `p` takes the last-ranked pair's place.
-        best.push(p);
-        if full {
-            best.swap_remove(last);
-        }
-        if best.len() == k {
-            last = (0..k).fold(0, |w, i| if before(&best[w], &best[i]) { i } else { w });
-            cut = best[last].1;
+        for (at, t) in (c * CHUNK..).zip(chunk) {
+            let p = pair(at, t);
+            let full = best.len() == k;
+            if worse(p.1, cut, closer) || !live[p.0] || (full && !before(&p, &best[last])) {
+                continue;
+            }
+            // Past `k`, `p` takes the last-ranked pair's place.
+            best.push(p);
+            if full {
+                best.swap_remove(last);
+            }
+            if best.len() == k {
+                last = (0..k).fold(0, |w, i| if before(&best[w], &best[i]) { i } else { w });
+                cut = best[last].1;
+            }
         }
     }
     best.into_iter().map(|(i, _)| i).collect()
+}
+
+/// The rows of a column, ascending, whose bounds `keep` holds, read 64
+/// at a time: one mask a block built without a branch, then its set bits.
+fn kept<'a>(
+    bounds: &'a [f64],
+    keep: impl Fn(f64) -> bool + 'a,
+) -> impl Iterator<Item = usize> + 'a {
+    let mask = move |block: &[f64]| {
+        (block.iter().enumerate()).fold(0u64, |m, (b, &v)| m | u64::from(keep(v)) << b)
+    };
+    // A whole block of 64 is a loop of known length, which vectorises.
+    let masks = bounds
+        .chunks(64)
+        .map(move |block| match <&[f64; 64]>::try_from(block) {
+            Ok(block) => mask(block),
+            Err(_) => mask(block),
+        });
+    masks.enumerate().flat_map(|(c, mut mask)| {
+        std::iter::from_fn(move || {
+            let b = mask.trailing_zeros() as usize;
+            mask &= mask.wrapping_sub(1);
+            (b < 64).then_some(c * 64 + b)
+        })
+    })
 }
 
 /// One query's seed step in [`refine_resident_batch`]: its pool, its
@@ -209,12 +257,13 @@ fn k_best(
 /// pairs it tightened, each row once.
 type Seeded = (TopK, Vec<usize>, Option<Vec<(usize, f64)>>);
 
-/// The seed step for one query over `(row, bound)` pairs of a checked
-/// view's live rows: the walk's first chunk among them ([`k_best`])
-/// evaluated exactly into a pool.
-fn seed(
+/// The seed step for one query over the `(row, bound)` pairs of `items`
+/// (see [`k_best`]) of a checked view's live rows: the walk's first chunk
+/// among them evaluated exactly into a pool.
+fn seed<T>(
     view: &ShardView<'_>,
-    pairs: impl Iterator<Item = (usize, f64)>,
+    items: &[T],
+    pair: impl Fn(usize, &T) -> (usize, f64),
     query: &[f64],
     k: usize,
     measure: Measure,
@@ -223,7 +272,7 @@ fn seed(
     let (rows, ids) = (view.rows, view.ids);
     let mut top = TopK::new(k, measure.smaller_is_closer());
     let mut seeds = Vec::with_capacity(k);
-    for i in k_best(view, pairs, k, measure.smaller_is_closer()) {
+    for i in k_best(view, items, pair, k, measure.smaller_is_closer()) {
         counters.random_fetches += 1;
         counters.prune_test();
         top.offer(ids[i], exact_eval(measure, rows.row(i), query, counters)?);
@@ -259,30 +308,31 @@ fn seed_tightened(
 ) -> Result<Seeded, MiningError> {
     let (bounds, live) = (view.bounds, view.live);
     let closer = measure.smaller_is_closer();
-    let rows = || bounds.iter().copied().enumerate();
-    // Appends `pairs`, rows beside their cheap bounds, and tightens them.
-    let ask = |tightened: &mut Vec<_>, pairs: &mut dyn Iterator<Item = (usize, f64)>| {
+    // Appends the rows `rows`, beside their cheap bounds, and tightens them.
+    let ask = |tightened: &mut Vec<_>, rows: &mut dyn Iterator<Item = usize>| {
         let start = tightened.len();
-        tightened.extend(pairs);
+        tightened.extend(rows.map(|i| (i, bounds[i])));
         tighten(&mut tightened[start..])
     };
-    let mut first = k_best(view, rows(), k, closer);
+    let mut first = k_best(view, bounds, |i, &v| (i, v), k, closer);
     let mut tightened = Vec::new();
-    ask(&mut tightened, &mut first.iter().map(|&i| (i, bounds[i])))?;
+    ask(&mut tightened, &mut first.iter().copied())?;
     // κ, the worst of them (with no live row, nothing is left to tighten).
     let kappa = (tightened.iter().map(|&(_, v)| v))
         .reduce(|a, b| if worse(b, a, closer) { b } else { a })
         .unwrap_or_default();
     first.sort_unstable();
-    let fresh = |i: usize| first.binary_search(&i).is_err();
-    let rest = &mut rows().filter(|&(i, v)| !worse(v, kappa, closer) && live[i] && fresh(i));
+    let fresh = |i: usize| live[i] && first.binary_search(&i).is_err();
+    let rest = &mut kept(bounds, |v| !worse(v, kappa, closer)).filter(|&i| fresh(i));
     ask(&mut tightened, rest)?;
-    let (top, seeds, _) = seed(view, tightened.iter().copied(), query, k, measure, counters)?;
+    let (top, seeds, _) = seed(view, &tightened, |_, &p| p, query, k, measure, counters)?;
     // A row left can only be within τ when τ is worse than κ.
     if worse(top.threshold(), kappa, closer) {
-        let last = &mut rows()
-            .filter(|&(i, v)| !top.prunable(v) && worse(v, kappa, closer) && live[i] && fresh(i));
-        ask(&mut tightened, last)?;
+        let near = |v| !top.prunable(v) && worse(v, kappa, closer);
+        ask(
+            &mut tightened,
+            &mut kept(bounds, near).filter(|&i| fresh(i)),
+        )?;
     }
     Ok((top, seeds, Some(tightened)))
 }
@@ -398,6 +448,54 @@ pub fn refine_resident_batch(
     measure: Measure,
     counters: &mut OpCounters,
 ) -> Result<Vec<Result<ShardRefine, MiningError>>, MiningError> {
+    refine_batch((rows, ids, live, cells), batch, measure, counters, None)
+}
+
+/// The wall clock, in ns, of the first two steps of a
+/// [`refine_resident_batch_timed`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct RefineClock {
+    /// The seed step of every query.
+    pub seed_ns: u64,
+    /// The marking of the rows left to sweep.
+    pub mark_ns: u64,
+}
+
+/// [`refine_resident_batch`], which also reads the wall clock of its seed
+/// step and of its marking into `clock`: the split a profile of a batch's
+/// host half takes. The serving path does not read the clock.
+///
+/// # Errors
+/// As [`refine_resident_batch`].
+#[allow(clippy::too_many_arguments)] // `refine_resident_batch`'s and the clock
+pub fn refine_resident_batch_timed(
+    rows: &Dataset,
+    ids: &[usize],
+    live: &[bool],
+    cells: Option<&[u8]>,
+    batch: &[BatchQuery<'_>],
+    measure: Measure,
+    counters: &mut OpCounters,
+    clock: &mut RefineClock,
+) -> Result<Vec<Result<ShardRefine, MiningError>>, MiningError> {
+    refine_batch(
+        (rows, ids, live, cells),
+        batch,
+        measure,
+        counters,
+        Some(clock),
+    )
+}
+
+/// [`refine_resident_batch`] over a shard's rows, ids, live flags and
+/// cell plane, timed into `clock` when given one.
+fn refine_batch(
+    (rows, ids, live, cells): (&Dataset, &[usize], &[bool], Option<&[u8]>),
+    batch: &[BatchQuery<'_>],
+    measure: Measure,
+    counters: &mut OpCounters,
+    clock: Option<&mut RefineClock>,
+) -> Result<Vec<Result<ShardRefine, MiningError>>, MiningError> {
     let (n, d) = (rows.len(), rows.dim());
     if cells.is_some_and(|c| measure != Measure::EuclideanSq || c.len() != n * d) {
         let what = "a cell plane bounds squared ED, d cells a row".into();
@@ -405,6 +503,7 @@ pub fn refine_resident_batch(
     }
     // Per query its seed step; its pool is only read while the sweep runs,
     // which is what freezes τ.
+    let started = clock.is_some().then(Instant::now);
     let live_rows = live.iter().filter(|&&l| l).count() as u64;
     let mut seeded = Vec::with_capacity(batch.len());
     for b in batch {
@@ -425,12 +524,19 @@ pub fn refine_resident_batch(
         counters.prune_tests(live_rows);
         seeded.push(Ok(match b.tighten {
             Some(tighten) => seed_tightened(&view, tighten, b.query, b.k, measure, counters)?,
-            None => {
-                let pairs = b.bounds.iter().copied().enumerate();
-                seed(&view, pairs, b.query, b.k, measure, counters)?
-            }
+            None => seed(
+                &view,
+                b.bounds,
+                |i, &v| (i, v),
+                b.query,
+                b.k,
+                measure,
+                counters,
+            )?,
         }));
     }
+
+    let seeded_at = clock.is_some().then(Instant::now);
 
     // Per row a byte per group of eight queries; bit `j % 8` of byte
     // `j / 8` marks the row for query `j`.
@@ -461,6 +567,10 @@ pub fn refine_resident_batch(
     let marked: Vec<usize> = (0..n)
         .filter(|&i| marks[i * groups..][..groups].iter().any(|&m| m != 0))
         .collect();
+    if let (Some(clock), Some(started), Some(seeded_at)) = (clock, started, seeded_at) {
+        clock.seed_ns = (seeded_at - started).as_nanos() as u64;
+        clock.mark_ns = seeded_at.elapsed().as_nanos() as u64;
+    }
 
     let blocks = simpim_par::map_chunks(marked.len(), SWEEP_ROWS, |block| {
         let mut hits = Vec::new();
@@ -732,6 +842,86 @@ mod tests {
         .unwrap();
         assert_eq!(out[0].as_ref().unwrap().neighbors, truth.neighbors);
         assert!(out[1..].iter().all(Result::is_err));
+    }
+
+    /// `k_best` as it was before it passed over chunks: every pair tested
+    /// alone. The oracle of `k_best_keeps_the_rows_of_the_pair_by_pair_scan`.
+    fn k_best_oracle(
+        view: &ShardView<'_>,
+        pairs: impl Iterator<Item = (usize, f64)>,
+        k: usize,
+        closer: bool,
+    ) -> Vec<usize> {
+        let (ids, live) = (view.ids, view.live);
+        // Whether pair `a` ranks before pair `b`.
+        let before = |a: &(usize, f64), b: &(usize, f64)| {
+            let by_bound = a.1.total_cmp(&b.1);
+            let by_bound = if closer { by_bound } else { by_bound.reverse() };
+            by_bound.then_with(|| ids[a.0].cmp(&ids[b.0])).is_lt()
+        };
+        let mut best: Vec<(usize, f64)> = Vec::with_capacity(k);
+        // The place in `best` of the pair that ranks last, and its bound once
+        // there are `k` (NaN before: no bound is worse). Most pairs stop at one
+        // comparison with that bound, as a worse one cannot rank before it.
+        let (mut last, mut cut) = (0, f64::NAN);
+        for p in pairs {
+            let full = best.len() == k;
+            if worse(p.1, cut, closer) || !live[p.0] || (full && !before(&p, &best[last])) {
+                continue;
+            }
+            // Past `k`, `p` takes the last-ranked pair's place.
+            best.push(p);
+            if full {
+                best.swap_remove(last);
+            }
+            if best.len() == k {
+                last = (0..k).fold(0, |w, i| if before(&best[w], &best[i]) { i } else { w });
+                cut = best[last].1;
+            }
+        }
+        best.into_iter().map(|(i, _)| i).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// `k_best` keeps the rows the pair-by-pair scan keeps, in the same
+        /// order, over a whole column and over pairs of chosen rows: bounds
+        /// drawn from five values and NaN (heavy ties, so the ids decide),
+        /// one row in four dead, ids against the row order, both bound
+        /// directions, and `k` from 1 to past the live rows. Passing over
+        /// a chunk that holds a bound not worse than the cut breaks it.
+        #[test]
+        fn k_best_keeps_the_rows_of_the_pair_by_pair_scan(
+            rows in proptest::prop::collection::vec((0u32..6, 0u32..4, 0u32..3), 0..=90),
+            k_choice in 0usize..4,
+            closer in proptest::prelude::any::<bool>(),
+        ) {
+            let n = rows.len();
+            let bounds: Vec<f64> = rows
+                .iter()
+                .map(|r| if r.0 == 5 { f64::NAN } else { f64::from(r.0) * 0.5 })
+                .collect();
+            let ids: Vec<usize> = (0..n).map(|i| (i * 7919) % 1009 + 1009 * (n - i)).collect();
+            let live: Vec<bool> = rows.iter().map(|r| r.1 != 0).collect();
+            let data = Dataset::from_rows(&vec![vec![0.0]; n.max(1)]).unwrap();
+            let view = ShardView { rows: &data, ids: &ids, live: &live, bounds: &bounds };
+            let live_rows = live.iter().filter(|&&l| l).count();
+            let k = [1, 3, live_rows.max(1), live_rows + 4][k_choice];
+            let column = k_best(&view, &bounds, |i, &v| (i, v), k, closer);
+            let oracle = k_best_oracle(&view, bounds.iter().copied().enumerate(), k, closer);
+            proptest::prop_assert_eq!(&column, &oracle);
+            proptest::prop_assert_eq!(column.len(), k.min(live_rows));
+            // Pairs of every other row chosen, last first.
+            let pairs: Vec<(usize, f64)> = (0..n)
+                .rev()
+                .filter(|&i| rows[i].2 != 0)
+                .map(|i| (i, bounds[i]))
+                .collect();
+            let picked = k_best(&view, &pairs, |_, &p| p, k, closer);
+            let oracle = k_best_oracle(&view, pairs.iter().copied(), k, closer);
+            proptest::prop_assert_eq!(picked, oracle);
+        }
     }
 
     proptest::proptest! {

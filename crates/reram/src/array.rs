@@ -183,6 +183,22 @@ thread_local! {
     static COARSE_OUT: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
+/// The largest of `values` (0 for none), each below 2⁶³ as every sum of a
+/// coarse read is (`coarse::fits`): compared as `i64`, eight running
+/// maxima at a time, which baseline x86-64 compares in far fewer steps
+/// than one `u64` maximum after the other.
+fn largest(values: &[u64]) -> u64 {
+    let mut lanes = [0i64; 8];
+    let mut chunks = values.chunks_exact(8);
+    for chunk in &mut chunks {
+        for (lane, &v) in lanes.iter_mut().zip(chunk) {
+            *lane = (*lane).max(v as i64);
+        }
+    }
+    let rest = chunks.remainder().iter().map(|&v| v as i64);
+    lanes.into_iter().chain(rest).fold(0, i64::max) as u64
+}
+
 /// Fans a read of the rows `data` (`s` elements a row) out over the pool
 /// in fixed [`DOT_BATCH_CHUNK`]-row tasks: `task(first, rows, outs)` gets
 /// its first row's index, its rows, and the `q` queries' output slices
@@ -926,16 +942,22 @@ impl PimArray {
     /// widened once per read, eight to a block; one
     /// [`simpim_kern::dot_multi_u8`] per task and block gives each row's
     /// coarse totals and largest coarse chunks, into a buffer each thread
-    /// keeps across reads. A chunk's bracket bounds the row's fine
-    /// partials. The largest lower end `L` is a fine partial's floor, so
-    /// the fine largest partial `M ≥ L`; a row whose upper end needs more
-    /// gather cycles than `L` does is read fine, and every other row needs
-    /// no more than `L`'s. So `M` and the largest of `L` and those rows'
-    /// fine partials take the same cycles. Both ends grow with the coarse
-    /// partial and with the row's cells, so a task brackets its largest
-    /// coarse partial with its largest chunk first, and brackets its rows
-    /// one by one only where even that upper end needs more cycles than
-    /// `L`. Tasks fan out like [`PimArray::read_region`]'s.
+    /// keeps across reads; a task then derives the bounds and its largest
+    /// coarse partial in plain slice loops. A chunk's bracket bounds the
+    /// row's fine partials. The largest lower end `L` is a fine partial's
+    /// floor, so the fine largest partial `M ≥ L`; a row whose upper end
+    /// needs more gather cycles than `L` does is read fine, and every
+    /// other row needs no more than `L`'s. So `M` and the largest of `L`
+    /// and those rows' fine partials take the same cycles — and so does
+    /// that largest with any more rows read fine, each no more than its
+    /// upper end. A task therefore reads fine, at once, the rows whose
+    /// upper ends need more cycles than the largest lower end of the tasks
+    /// so far, its own included (never above `L`). Both ends grow with the
+    /// coarse partial and with the row's cells, so a task brackets its
+    /// largest coarse partial with its largest chunk first, and brackets
+    /// its rows one by one only where even that upper end needs more
+    /// cycles. Tasks fan out like [`PimArray::read_region`]'s; none
+    /// allocates.
     fn read_region_coarse(
         &self,
         ri: usize,
@@ -967,16 +989,18 @@ impl PimArray {
                 u64::MAX
             }
         };
-        // Per query the largest lower end of every task.
+        let widest = queries.iter().map(|q| bits_needed_slice(q)).max();
+        let exact = exact_block_len(reg.stored_bits(xb), widest.unwrap_or(0));
+        let mac = simpim_kern::kernels().dot_u32;
+        // Per query the largest lower end of the tasks so far, and the
+        // largest fine partial of the rows read fine.
         let low: Vec<AtomicU64> = queries.iter().map(|_| AtomicU64::new(0)).collect();
-        // Per task, (query, row, upper end) of each row whose upper end
-        // reaches more gather cycles than the task's largest lower end.
+        let fine: Vec<AtomicU64> = queries.iter().map(|_| AtomicU64::new(0)).collect();
         let task = |first: usize, rows: &[u8], outs: &mut [&mut [u64]]| {
             let n = rows.len() / s;
             let [row_cells, row_operands, row_chunks] =
                 plane.sums.each_ref().map(|v| &v[first..first + n]);
-            let widest_chunk = row_chunks.iter().copied().max().unwrap_or(0);
-            let mut open = Vec::new();
+            let widest_chunk = largest(row_chunks);
             COARSE_OUT.with_borrow_mut(|out| {
                 if out.len() < n * 2 * MULTI {
                     out.resize(n * 2 * MULTI, 0);
@@ -989,54 +1013,38 @@ impl PimArray {
                     for k in 0..q {
                         let j = g * MULTI + k;
                         let (x, total, top) = (sums[j], &totals[k * n..][..n], &tops[k * n..][..n]);
-                        let sides = row_cells.iter().zip(row_operands).zip(top);
-                        let mut top_max = 0;
-                        for ((value, &dot), ((&cells, &operands), &top)) in
-                            outs[j].iter_mut().zip(total).zip(sides)
-                        {
-                            *value = coarse::dot_bound(
-                                t,
-                                dot,
-                                [cells, operands],
-                                [x.cells, x.operands],
-                                s,
-                            );
-                            top_max = top_max.max(top);
+                        let (value, query) = (&mut outs[j][..n], [x.cells, x.operands]);
+                        for i in 0..n {
+                            let row = [row_cells[i], row_operands[i]];
+                            value[i] = coarse::dot_bound(t, total[i], row, query, s);
                         }
                         if !gathers {
                             continue;
                         }
+                        let top_max = largest(top);
                         let bracket = |top: u64, chunk: u64| {
                             coarse::chunk_bracket(t, top, [chunk, x.chunk_cells], m.min(s))
                         };
                         let (lo, hi) = bracket(top_max, widest_chunk);
-                        low[j].fetch_max(lo, Ordering::Relaxed);
-                        if cycles(hi) > cycles(lo) {
-                            let bar = above(lo);
-                            let reach =
-                                (0..n).map(|i| (j, first + i, bracket(top[i], row_chunks[i]).1));
-                            open.extend(reach.filter(|&(.., hi)| hi >= bar));
+                        let low = low[j].fetch_max(lo, Ordering::Relaxed).max(lo);
+                        if cycles(hi) <= cycles(low) {
+                            continue;
+                        }
+                        let bar = above(low);
+                        for i in (0..n).filter(|&i| bracket(top[i], row_chunks[i]).1 >= bar) {
+                            let row = &reg.data[(first + i) * s..][..s];
+                            let partial = row_dot(mac, queries[j], row, m, exact).1;
+                            fine[j].fetch_max(partial, Ordering::Relaxed);
                         }
                     }
                 }
             });
-            open
         };
-        let (values, open) = fan_out(&plane.cells[..reg.n * s], s, queries.len(), task);
-        let low: Vec<u64> = low.into_iter().map(AtomicU64::into_inner).collect();
-        let widest = queries.iter().map(|q| bits_needed_slice(q)).max();
-        let block = exact_block_len(reg.stored_bits(xb), widest.unwrap_or(0));
-        let mac = simpim_kern::kernels().dot_u32;
-        let open = open.iter().flatten();
-        let max_partial = (0..queries.len()).map(|j| {
-            let rows = open
-                .clone()
-                .filter(|&&(q, _, hi)| q == j && cycles(hi) > cycles(low[j]));
-            rows.fold(low[j], |top, &(_, obj, _)| {
-                let row = &reg.data[obj * s..][..s];
-                top.max(row_dot(mac, queries[j], row, m, block).1)
-            })
-        });
+        let (values, _) = fan_out(&plane.cells[..reg.n * s], s, queries.len(), task);
+        let max_partial = low
+            .into_iter()
+            .zip(fine)
+            .map(|(low, fine)| low.into_inner().max(fine.into_inner()));
         values.into_iter().zip(max_partial).collect()
     }
 
@@ -3196,7 +3204,8 @@ mod tests {
     }
 
     proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+        // 96: the half that straddles rides on the other half's 48.
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
 
         /// `dot_batch_coarse` ≡ `dot_batch_multi` on the modeled device
         /// (timing per pass, energy by bits) and bounds every dot from
@@ -3208,18 +3217,33 @@ mod tests {
         /// gather-tree layouts; clean, then with a fault model. A region
         /// reads coarse exactly when two or more of its passes fit, the
         /// array is clean, the accumulator is 64 bits wide and its sums
-        /// cannot wrap (28..=32-bit operands leave that last gate).
+        /// cannot wrap (28..=32-bit operands leave that last gate). In
+        /// half the cases the first region's rows straddle a gather cycle:
+        /// at a shift `t ≥ 1`, each row's cells `P` and every query's cell
+        /// `Q = 3` put its chunk's coarse partial `16PQ` just under a
+        /// power of 4 (one of 4³..4⁶, per row), and the low bits of its
+        /// operands and the query's, all ones, lift the fine partial past
+        /// it: the row with the largest power needs one gather cycle more
+        /// than its bracket's lower end, so the read must bracket rows one
+        /// by one to charge the plain pass.
         #[test]
         fn a_coarse_read_charges_the_full_pass_and_bounds_every_dot(
             operand_bits in proptest::prop_oneof![1u32..=8, 9u32..=20, 28u32..=32],
             over in proptest::prop::collection::vec(proptest::prop_oneof![0u32..=8, 9u32..=9], 18),
             q in 1usize..=9,
-            shape in (1usize..=5, 1usize..=40),
+            shape in (
+                1usize..=5,
+                1usize..=40,
+                proptest::any::<bool>(),
+                proptest::prop::collection::vec(3u32..=6, 5),
+            ),
             acc in proptest::prop::sample::select(vec![AccWidth::U32, AccWidth::U64]),
             seed in proptest::any::<u64>(),
         ) {
             use rand::{Rng, SeedableRng};
-            let (n, s) = shape;
+            let (n, s, straddle, powers) = shape;
+            // Straddling rows need a shift: operands of 9..=20 bits.
+            let operand_bits = if straddle { 9 + operand_bits % 12 } else { operand_bits };
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let mut draw = |bits: u32, len: usize| -> Vec<u32> {
                 let max = u32::MAX >> (32 - bits.min(32));
@@ -3243,12 +3267,24 @@ mod tests {
                 .into_iter()
                 .map(|t| [t, t])
                 .collect();
-            let queries: Vec<(RegionId, Vec<u32>)> = (0..q)
+            let mut queries: Vec<(RegionId, Vec<u32>)> = (0..q)
                 .flat_map(|i| {
                     let bits = |r: usize, k: usize| (widths[r][0] + over[k]).clamp(1, 32);
                     [(a.region, draw(bits(0, 2 * i), s)), (b.region, draw(bits(1, 2 * i + 1), s2))]
                 })
                 .collect();
+            let t = widths[0][0];
+            if straddle && t >= 1 {
+                let low = (1u32 << t) - 1;
+                let chunk = s.min(16) as u32;
+                for (row, &power) in powers[..n].iter().enumerate() {
+                    let cell = ((4u32.pow(power) - 1) / (3 * chunk)).clamp(1, 255);
+                    pim.rewrite_rows(a.region, row, &vec![cell << t | low; s]).unwrap();
+                }
+                for (_, query) in queries.iter_mut().filter(|(r, _)| *r == a.region) {
+                    *query = vec![3 << t | low; s];
+                }
+            }
             let passes: Vec<(RegionId, &[u32])> =
                 queries.iter().map(|(r, v)| (*r, v.as_slice())).collect();
             let tiers: Vec<_> =

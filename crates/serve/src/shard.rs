@@ -58,7 +58,7 @@
 //! not depend on the block size, so no second copy of the shard is ever
 //! materialized — open, repair, and re-layout all share it.
 
-use simpim_core::executor::{ExecutorConfig, PimExecutor};
+use simpim_core::executor::{Columns, ExecutorConfig, PimExecutor};
 use simpim_core::{CoreError, ResidentBuilder};
 use simpim_datasets::DEFAULT_BLOCK_ROWS;
 use simpim_mining::knn::resident::{
@@ -410,6 +410,12 @@ pub struct Residency {
     exec: PimExecutor,
     /// `order[j]` = mirror index of the bank's `j`-th programmed object.
     order: Vec<usize>,
+    /// Buffers a batch refills, kept so that it allocates nothing:
+    /// `objs[i]`, the bank object of mirror row `i`, if it has one;
+    /// `delta_rows`, the rows without one; and the bound columns.
+    objs: Vec<Option<usize>>,
+    delta_rows: Vec<usize>,
+    columns: Vec<f64>,
     reprograms: u64,
     sheds: u64,
 }
@@ -450,6 +456,9 @@ impl Residency {
             cfg,
             exec: builder.finish()?,
             order,
+            objs: Vec::new(),
+            delta_rows: Vec::new(),
+            columns: Vec::new(),
             reprograms: 0,
             sheds: 0,
         };
@@ -540,9 +549,11 @@ impl Residency {
         }
     }
 
-    /// Runs one coarse-first pass ([`PimExecutor::lb_ed_batch_coarse`]),
-    /// scatters it into one bound column per query in mirror order (delta
-    /// rows keep `0.0`), and hands the batch to `refine`. A query whose
+    /// Runs one coarse-first pass ([`PimExecutor::lb_ed_batch_coarse`])
+    /// into one bound column per query in mirror order, kept across
+    /// batches: the pass writes the rows `order` names, and the rest —
+    /// the delta rows — get `0.0` (refine exactly). Then it hands the
+    /// batch to `refine`. A query whose
     /// pass read coarse carries a [`BatchQuery::tighten`] that reads the
     /// fine bounds of the rows it is asked about
     /// ([`PimExecutor::lb_ed_fine`], through one row → object table);
@@ -555,29 +566,29 @@ impl Residency {
         parent: simpim_obs::TraceCtx,
         refine: impl FnOnce(&[BatchQuery<'_>]) -> Result<T, MiningError>,
     ) -> Result<T, ServeError> {
-        let pass = self.exec.lb_ed_batch_coarse(queries, parent)?;
         let n = mirror.len();
+        self.objs.clear();
+        self.objs.resize(n, None);
+        (self.order.iter().enumerate()).for_each(|(obj, &i)| self.objs[i] = Some(obj));
+        self.delta_rows.clear();
+        let delta_rows = (0..n).filter(|&i| self.objs[i].is_none());
+        self.delta_rows.extend(delta_rows);
+        // Every entry is written below: the old values need no clearing.
+        self.columns
+            .resize(self.columns.len().max(n * queries.len()), 0.0);
+        let columns = &mut self.columns[..n * queries.len()];
+        let out = Columns {
+            rows: &self.order,
+            values: columns,
+        };
+        let pass = self.exec.lb_ed_batch_coarse(queries, parent, out)?;
+        for j in 0..queries.len() {
+            let column = &mut self.columns[j * n..][..n];
+            self.delta_rows.iter().for_each(|&i| column[i] = 0.0);
+        }
         let pass_ns: f64 = pass.batches.iter().map(|b| b.timing.total_ns()).sum();
         simpim_obs::metrics::histogram_record("simpim.serve.shard.pim_pass_ns", pass_ns as u64);
-        // Zero-filled: a scatter overwrites exactly the `order` slots, and
-        // the rest — the delta rows — must read `0.0` (refine exactly).
-        let mut columns = vec![0.0; n * queries.len()];
-        for (j, batch) in pass.batches.iter().enumerate() {
-            debug_assert_eq!(batch.values.len(), self.order.len());
-            let column = &mut columns[j * n..][..n];
-            for (&idx, &bound) in self.order.iter().zip(&batch.values) {
-                column[idx] = bound;
-            }
-        }
-        // `objs[i]`: the bank object of mirror row `i`, if it has one —
-        // built only for a batch that read coarse (a batch of one never
-        // does, and on small shards the table is a visible share of it).
-        let mut objs = Vec::new();
-        if (0..queries.len()).any(|j| pass.is_coarse(j)) {
-            objs = vec![None; n];
-            (self.order.iter().enumerate()).for_each(|(obj, &i)| objs[i] = Some(obj));
-        }
-        let (exec, pass, objs) = (&self.exec, &pass, &objs);
+        let (exec, pass, objs, columns) = (&self.exec, &pass, &self.objs, &self.columns);
         let tighten: Vec<_> = (0..queries.len())
             .map(|j| {
                 move |pairs: &mut [(usize, f64)]| -> Result<(), MiningError> {
@@ -1075,6 +1086,63 @@ mod tests {
             });
         }
         assert!(shard.stats().coarse_plane, "the batches read coarse");
+    }
+
+    /// The bound columns a residency keeps from one batch to the next
+    /// follow every change of its rows: batches of 3, 2 and 5 queries,
+    /// refined over them as over the fine pass's columns (the same bits,
+    /// counts and counters), after inserts into the spare rows and past
+    /// them (delta rows), tombstones, an in-place compaction that moves
+    /// the delta into their slots, a compaction of the mirror and an
+    /// insert after it. Leaving a delta row its entry from the batch
+    /// before breaks it.
+    #[test]
+    fn the_kept_columns_follow_every_change_of_the_rows() {
+        let mut mirror = ShardMirror::new(rows(), vec![0, 1, 2, 3]).unwrap();
+        let mut res = Residency::open(cfg(), &mirror).unwrap();
+        let qs = [
+            vec![0.45, 0.55, 0.4, 0.6],
+            vec![0.2, 0.3, 0.4, 0.5],
+            vec![0.9, 0.1, 0.1, 0.9],
+            vec![0.15, 0.25, 0.35, 0.45],
+            vec![0.6, 0.7, 0.8, 0.9],
+        ];
+        let ks = [1, 3, 2, 5, 1];
+        let check = |res: &mut Residency, mirror: &ShardMirror| {
+            for q in [3, 2, 5] {
+                assert_coarse_refines_as_fine(res, mirror, &qs[..q], &ks[..q]);
+            }
+        };
+        check(&mut res, &mirror);
+        let insert = |res: &mut Residency, mirror: &mut ShardMirror, id: usize| {
+            let row: Vec<f64> = (0..4)
+                .map(|j| ((id * 7 + j * 3) % 10) as f64 / 10.0)
+                .collect();
+            let idx = mirror.append(id, &row).unwrap();
+            res.absorb_insert(idx, &row).unwrap()
+        };
+        let absorbed: Vec<bool> = (4..8)
+            .map(|id| {
+                let absorbed = insert(&mut res, &mut mirror, id);
+                check(&mut res, &mirror);
+                absorbed
+            })
+            .collect();
+        assert_eq!(absorbed, [true, true, false, false]);
+        for id in [1, 4] {
+            mirror.tombstone(id).unwrap();
+        }
+        check(&mut res, &mirror);
+        res.reprogram(&mirror).unwrap();
+        assert_eq!((res.delta(&mirror), res.tombstoned(&mirror)), (0, 0));
+        check(&mut res, &mirror);
+        mirror.tombstone(0).unwrap();
+        res.reprogram(&mirror).unwrap();
+        let table = mirror.compact();
+        res.remap(&table);
+        check(&mut res, &mirror);
+        insert(&mut res, &mut mirror, 9);
+        check(&mut res, &mirror);
     }
 
     /// Refines `queries` over the bound columns `res` builds (coarse
