@@ -26,13 +26,13 @@
 //!   all-backends-equal rule, and the second also to the hash of the
 //!   same crossbar-chunk sums made by one `dot_u32` per query), so
 //!   `result_hash` stays comparable with artifacts that predate them;
-//! * **the coalesced crossbar pass**: `PimArray::dot_batch_multi` of
+//! * **the coalesced crossbar pass**: a fine `PimArray::read` of
 //!   every `Q` in 1..=8 queries on one 10 000 × 420 region at one worker,
 //!   as milliseconds of pass per query — what a batch saves over `Q`
 //!   single passes, which the repo benchmark's `Q = 1` replay cannot
 //!   show — beside `dot_multi_f64`'s ns per operand at eight queries and
 //!   its speedup over eight `dot_u32` calls of the same tier;
-//! * **the coarse-first pass**: `PimArray::dot_batch_coarse` of `Q` in
+//! * **the coarse-first pass**: a coarse `PimArray::read` of `Q` in
 //!   2..=8 queries on the same region, in ns per operand and query, and
 //!   its kernel `dot_multi_u8` over the workload's 8-bit cells at eight
 //!   queries prepared once, its sums hashed into `dot_multi_u8_hash` —
@@ -90,7 +90,7 @@ use simpim_mining::MiningError;
 use simpim_obs::Json;
 use simpim_par as par;
 use simpim_reram::array::RegionId;
-use simpim_reram::{AccWidth, PimArray, PimConfig};
+use simpim_reram::{AccWidth, PimArray, PimConfig, Read};
 use simpim_serve::{Shard, ShardConfig};
 use simpim_similarity::{Dataset, Measure, Quantizer};
 use simpim_simkit::OpCounters;
@@ -158,7 +158,7 @@ fn triple(names: [&str; 3], values: [f64; 3]) -> Json {
 /// The coarse read at eight queries over the pass region, taken apart:
 /// ns per operand (cell) and query.
 struct CoarseSplit {
-    /// `dot_batch_coarse` as a whole.
+    /// The coarse `read` as a whole.
     total: f64,
     /// `dot_multi_u8` over the region's cells in the read's 256-row calls.
     kernel: f64,
@@ -203,10 +203,10 @@ struct HostSplit {
     batch: f64,
     /// `dot_multi_u8` over the region's cells in the read's 256-row calls.
     kernel: f64,
-    /// The rest of the bank's coarse read (`dot_batch_coarse`).
+    /// The rest of the array's coarse read (`PimArray::read`).
     bound_bracket: f64,
-    /// The rest of the executor's pass (`lb_ed_batch_coarse` into
-    /// columns): quantising the queries and `G`.
+    /// The rest of the executor's pass (a coarse `PimExecutor::bounds`
+    /// into columns): quantising the queries and `G`.
     combine: f64,
     /// The rest of the shard batch: its columns and what hands them on.
     columns: f64,
@@ -351,7 +351,7 @@ impl HostKit {
                 let bank = exec.bank_mut().pim_mut();
                 keep(
                     2,
-                    timed(&mut || drop(bank.dot_batch_coarse(&passes, AccWidth::U64))),
+                    timed(&mut || drop(bank.read(&passes, AccWidth::U64, Read::Coarse))),
                 );
                 let mut pass = None;
                 keep(
@@ -363,7 +363,7 @@ impl HostKit {
                         };
                         let parent = simpim_obs::TraceCtx::NONE;
                         pass = Some(
-                            exec.lb_ed_batch_coarse(queries, parent, out)
+                            exec.bounds(queries, Read::Coarse, parent, Some(out))
                                 .expect("a pass"),
                         );
                     }),
@@ -444,9 +444,9 @@ struct Row {
     cell_bound_ns: f64,
     /// `euclidean_sq_until` abandoning at 1/8, at 1/2, never.
     until_ns: [f64; 3],
-    /// `dot_batch_multi` milliseconds per query, in `PASS_QUERIES` order.
+    /// Fine `read` milliseconds per query, in `PASS_QUERIES` order.
     pass_ms_per_query: [f64; 8],
-    /// `dot_batch_coarse` ns per operand and query, at 2..=8 queries.
+    /// Coarse `read` ns per operand and query, at 2..=8 queries.
     coarse_ns: [f64; 7],
     coarse_split: CoarseSplit,
     host_split: HostSplit,
@@ -599,7 +599,7 @@ fn sweep_backend(
                 .collect();
             let (ns_per_query, _) = par::with_threads(1, || {
                 measure(q, || {
-                    let out = pim.dot_batch_multi(&passes, AccWidth::U64);
+                    let out = pim.read(&passes, AccWidth::U64, Read::Fine);
                     out.expect("programmed region").len() as u64
                 })
             });
@@ -612,7 +612,7 @@ fn sweep_backend(
                 .collect();
             let (ns, _) = par::with_threads(1, || {
                 measure(PASS_ROWS * d * passes.len(), || {
-                    let out = pim.dot_batch_coarse(&passes, AccWidth::U64);
+                    let out = pim.read(&passes, AccWidth::U64, Read::Coarse);
                     out.expect("programmed region").len() as u64
                 })
             });
@@ -692,7 +692,7 @@ fn sweep_backend(
         for _ in 0..3 {
             let (read, _) = par::with_threads(1, || {
                 measure(cell_macs, || {
-                    let out = pim.dot_batch_coarse(&eight, AccWidth::U64);
+                    let out = pim.read(&eight, AccWidth::U64, Read::Coarse);
                     out.expect("programmed region").len() as u64
                 })
             });
@@ -972,8 +972,8 @@ fn main() {
         "result hash {hash:016x} identical across {} backends and 1|4|ambient workers \
          (ns/element columns, until per element of the whole row; popcount per u64 word; \
          u8 per cell and query, cell per cell and query, at eight queries; pass columns: ms \
-         per query of one dot_batch_multi over {PASS_ROWS} x {d} at one worker; coarse \
-         columns: ns per operand and query of dot_batch_coarse on it; refine columns: ms per query \
+         per query of one fine PimArray::read over {PASS_ROWS} x {d} at one worker; coarse \
+         columns: ns per operand and query of a coarse read on it; refine columns: ms per query \
          of one refine_resident_batch over {} x {} with zero bounds and the cell plane at \
          one worker)",
         rows.len(),

@@ -32,7 +32,7 @@ use crate::pim_bounds::{
     ub_pim_pcc, DotQuant, EdQuant, FnnQuant, SmQuant,
 };
 use simpim_reram::array::RegionId;
-use simpim_reram::{AccWidth, CrossbarHealth, FaultConfig, PimConfig, PimTiming, ReRamBank};
+use simpim_reram::{AccWidth, CrossbarHealth, FaultConfig, PimConfig, PimTiming, ReRamBank, Read};
 use simpim_similarity::{BinaryDataset, BinaryVecRef, NormalizedDataset, Quantizer};
 use simpim_simkit::{FaultCounters, OpCounters};
 
@@ -484,7 +484,7 @@ impl BoundBatch {
     }
 }
 
-/// Where [`PimExecutor::lb_ed_batch_coarse`] writes its bounds: one
+/// Where [`PimExecutor::bounds`] can write its bounds: one
 /// column of `values.len() / Q` entries per query of `Q`, object `obj`'s
 /// bound at entry `rows[obj]` of it. `rows` names an entry for every
 /// object, each entry once; the entries it does not name are left as
@@ -497,21 +497,20 @@ pub struct Columns<'a> {
     pub values: &'a mut [f64],
 }
 
-/// A coalesced batch's `LB_PIM-ED` bounds read coarse first
-/// ([`PimExecutor::lb_ed_batch_coarse`]).
+/// A coalesced batch's bounds ([`PimExecutor::bounds`]).
 #[derive(Debug)]
-pub struct CoarseBatch {
-    /// Per query its batch: the modeled pass, counters and metrics of
-    /// [`PimExecutor::lb_ed_batch_multi`]'s, bit for bit; its values are
-    /// empty, as the bounds went to the [`Columns`]: the fine bounds, or,
-    /// where [`CoarseBatch::is_coarse`], coarse bounds no larger than them.
+pub struct Bounds {
+    /// Per query its batch: the modeled pass, counters and metrics of a
+    /// [`PimExecutor::lb_ed_batch`] call, bit for bit. Its values are the
+    /// fine bounds or, where [`Bounds::is_coarse`], coarse bounds no
+    /// larger than them — or empty, where the bounds went to [`Columns`].
     pub batches: Vec<BoundBatch>,
     /// Per query that read coarse, its quantised form, for
     /// [`PimExecutor::lb_ed_fine`].
     fine: Vec<Option<Quantised>>,
 }
 
-impl CoarseBatch {
+impl Bounds {
     /// Whether query `j`'s values are coarse bounds.
     pub fn is_coarse(&self, j: usize) -> bool {
         self.fine.get(j).is_some_and(Option::is_some)
@@ -1006,7 +1005,7 @@ impl PimExecutor {
         }
         let operands = [query.to_unsigned(), query.complement_to_unsigned()];
         let (batch, _) =
-            one_batch(self.bound_pass(&[Quantised::new(operands, 0.0)], false, None)?);
+            one_batch(self.bound_pass(&[Quantised::new(operands, 0.0)], Read::Fine, None)?);
         Ok(batch)
     }
 
@@ -1018,7 +1017,7 @@ impl PimExecutor {
         queries: &[Q],
     ) -> Result<Vec<BoundBatch>, CoreError> {
         let quantised = self.quantise_all(queries)?;
-        let batches = self.bound_pass(&quantised, false, None)?;
+        let batches = self.bound_pass(&quantised, Read::Fine, None)?;
         Ok(batches.into_iter().map(|(batch, _)| batch).collect())
     }
 
@@ -1045,7 +1044,7 @@ impl PimExecutor {
     /// passes are handed to the bank query by query, region by region,
     /// and timing, dispatches, energy, counters and metrics are those of
     /// as many single calls — while the host simulation reads each region
-    /// once for all of them ([`ReRamBank::dot_batch_multi`]). A scrub
+    /// once for all of them ([`ReRamBank::read`]). A scrub
     /// changes what the crossbars read, so the batch is cut into runs
     /// wherever the cadence scrubs and only a run shares its reads.
     ///
@@ -1058,24 +1057,24 @@ impl PimExecutor {
     /// recompute too. A healthy object keeps its measured dots. Without
     /// an active fault model no status is looked up at all.
     ///
-    /// With `coarse`, the host reads coarse first where the bank can
-    /// ([`ReRamBank::dot_batch_coarse`]): the device is charged the same,
-    /// and a query whose pass came back coarse has coarse bounds for
-    /// values — `G` of an integer no smaller than each dot, hence no
-    /// larger than each fine bound — and a `true` beside its batch. With
+    /// With [`Read::Coarse`], the host reads coarse first where the bank
+    /// can: the device is charged the same, and a query whose pass came
+    /// back coarse has coarse bounds for values — `G` of an integer no
+    /// smaller than each dot, hence no larger than each fine bound — and
+    /// [`Read::Coarse`] beside its batch. With
     /// `out`, each query's bounds go to its column there, and its batch's
     /// values are empty. The metrics are recorded once, for the queries
     /// served, also when a run fails.
     fn bound_pass(
         &mut self,
         queries: &[Quantised],
-        coarse: bool,
+        read: Read,
         mut out: Option<Columns<'_>>,
-    ) -> Result<Vec<(BoundBatch, bool)>, CoreError> {
+    ) -> Result<Vec<(BoundBatch, Read)>, CoreError> {
         // Batches served, guarded bounds and fallbacks, recorded once.
         let mut tally = [0u64; 3];
         let mut batches = Vec::with_capacity(queries.len());
-        let served = self.bound_runs(queries, coarse, &mut out, &mut batches, &mut tally);
+        let served = self.bound_runs(queries, read, &mut out, &mut batches, &mut tally);
         self.record_batch_metrics(tally);
         served.map(|()| batches)
     }
@@ -1085,9 +1084,9 @@ impl PimExecutor {
     fn bound_runs(
         &mut self,
         queries: &[Quantised],
-        coarse: bool,
+        read: Read,
         out: &mut Option<Columns<'_>>,
-        batches: &mut Vec<(BoundBatch, bool)>,
+        batches: &mut Vec<(BoundBatch, Read)>,
         tally: &mut [u64; 3],
     ) -> Result<(), CoreError> {
         let regions = self.prepared.regions();
@@ -1109,11 +1108,7 @@ impl PimExecutor {
                 .flat_map(|q| regions.iter().zip(&q.floors).map(|(&r, f)| (r, &f[..])))
                 .collect();
             let acc = self.prepared.acc_width();
-            let (reads, lost) = if coarse {
-                self.bank.dot_batch_coarse(&passes, acc)
-            } else {
-                self.bank.dot_batch_multi(&passes, acc)
-            };
+            let (reads, lost) = self.bank.read(&passes, acc, read);
             // A bank lost mid-run has served the passes before the loss:
             // the queries they complete are accounted before the error.
             let served = reads.len() / regions.len();
@@ -1121,9 +1116,11 @@ impl PimExecutor {
             for q in &now[..served] {
                 let mut dots: [Vec<u64>; 2] = Default::default();
                 let mut timing = PimTiming::default();
-                let mut read_coarse = false;
+                let mut how = Read::Fine;
                 for (r, out) in reads.by_ref().take(regions.len()).enumerate() {
-                    read_coarse |= out.coarse;
+                    if out.read == Read::Coarse {
+                        how = Read::Coarse;
+                    }
                     if r == 0 {
                         timing = out.timing;
                     } else if self.cfg.parallel_regions {
@@ -1137,7 +1134,7 @@ impl PimExecutor {
                 let column =
                     (out.as_mut()).map(|c| (c.rows, &mut c.values[j * stride..][..stride]));
                 let batch = self.combine_batch(q, &regions, dots, timing, column, tally)?;
-                batches.push((batch, read_coarse));
+                batches.push((batch, how));
             }
             lost?;
         }
@@ -1161,12 +1158,6 @@ impl PimExecutor {
         tally: &mut [u64; 3],
     ) -> Result<BoundBatch, CoreError> {
         let n = dots[0].len();
-        if column.as_ref().is_some_and(|(rows, _)| rows.len() != n) {
-            return Err(CoreError::Mismatch {
-                what: "a column row per object",
-            });
-        }
-
         let (mut guarded, mut fallbacks) = (0u64, 0u64);
         let mut slack: Vec<[u64; 2]> = Vec::new();
         if self.faults_active() {
@@ -1242,65 +1233,93 @@ impl PimExecutor {
 
     /// Runs [`PimExecutor::lb_ed_batch`] for a coalesced batch of queries
     /// against the resident regions — the offline tasks' chunk of anchor
-    /// rows (the serving layer reads coarse first:
-    /// [`PimExecutor::lb_ed_batch_coarse`]). The
-    /// dataset stays programmed across the whole batch, so
-    /// the per-query cost is a crossbar read pass only; the offline path's
-    /// program cost is amortized across every query the residency serves.
-    /// Every [`BoundBatch`] is the one the single call would return, while
-    /// the host simulation reads each region once for the whole batch; a
-    /// query that fails its check fails the batch before any dispatch.
-    /// Its span parents on `parent` as
-    /// [`PimExecutor::lb_ed_batch_coarse`]'s does.
-    pub fn lb_ed_batch_multi<Q: AsRef<[f64]>>(
-        &mut self,
-        queries: &[Q],
-        parent: simpim_obs::TraceCtx,
-    ) -> Result<Vec<BoundBatch>, CoreError> {
-        let name = "core.executor.lb_ed_batch_multi";
-        let out = self.coalesced(name, queries, parent, false, None)?;
-        Ok(out.batches)
-    }
-
-    /// [`PimExecutor::lb_ed_batch_multi`] read coarse first — the serving
-    /// layer's pass. The modeled device runs and is charged the same
-    /// passes, so every timing, counter and metric is bit for bit the
-    /// fine batch's; but on the `Ed` shape, where the bank reads a
-    /// region's passes from its coarse plane ([`ReRamBank::dot_batch_coarse`]),
-    /// a query's values are coarse bounds: `G` of an integer no smaller
-    /// than each dot, so each is at most the fine bound as computed
-    /// (Theorem 1's bound decreases in its dot, and rounding is monotone).
-    /// [`CoarseBatch::is_coarse`] says which queries; for them
-    /// [`PimExecutor::lb_ed_fine`] computes the fine bound of chosen rows.
-    /// The other shapes, a batch of one and an array with a fault model
-    /// read fine, and then the batch is [`PimExecutor::lb_ed_batch_multi`]'s.
-    /// Each query's bounds are written to its column of `out` — the
-    /// serving layer's, in its own row order — as they are computed, and
-    /// not kept in the batch.
+    /// rows with [`Read::Fine`], the serving layer's batch with
+    /// [`Read::Coarse`]. The dataset stays programmed across the whole
+    /// batch, so the per-query cost is a crossbar read pass only; the
+    /// offline path's program cost is amortized across every query the
+    /// residency serves. The modeled device runs and is charged the
+    /// single calls' passes, so every timing, counter and metric of a
+    /// [`BoundBatch`] is the single call's, bit for bit, while the host
+    /// simulation reads each region once for the whole batch
+    /// ([`ReRamBank::read`]). Every query, and `out`, is checked before
+    /// the first dispatch: a bad one fails the batch with nothing
+    /// dispatched, scrubbed or charged.
     ///
-    /// The executor's span parents on `parent` (the serving layer's batch
-    /// span) instead of this thread's stack, so the crossbar pass stays
-    /// attributable to its request even though the dispatch crossed onto a
-    /// pool worker thread; [`simpim_obs::TraceCtx::NONE`] parents on the
-    /// thread's own stack.
-    pub fn lb_ed_batch_coarse<Q: AsRef<[f64]>>(
+    /// With [`Read::Coarse`] on the `Ed` shape, where the bank reads a
+    /// region's passes from its coarse plane, a query's values are coarse
+    /// bounds: `G` of an integer no smaller than each dot, so each is at
+    /// most the fine bound as computed (Theorem 1's bound decreases in
+    /// its dot, and rounding is monotone). [`Bounds::is_coarse`] says
+    /// which queries; for them [`PimExecutor::lb_ed_fine`] computes the
+    /// fine bound of chosen rows. The other shapes, a batch of one and an
+    /// array with a fault model read fine.
+    ///
+    /// Given `out`, each query's bounds are written to its column there —
+    /// the serving layer's, in its own row order — as they are computed,
+    /// and not kept in the batch.
+    ///
+    /// The executor's span (`core.executor.lb_ed_batch_multi` for a fine
+    /// read, `core.executor.lb_ed_batch_coarse` for a coarse one) parents
+    /// on `parent` (the serving layer's batch span) instead of this
+    /// thread's stack, so the crossbar pass stays attributable to its
+    /// request even though the dispatch crossed onto a pool worker
+    /// thread; [`simpim_obs::TraceCtx::NONE`] parents on the thread's own
+    /// stack.
+    pub fn bounds<Q: AsRef<[f64]>>(
         &mut self,
         queries: &[Q],
+        read: Read,
         parent: simpim_obs::TraceCtx,
-        out: Columns<'_>,
-    ) -> Result<CoarseBatch, CoreError> {
-        if !out.values.len().is_multiple_of(queries.len().max(1)) {
-            return Err(CoreError::Mismatch {
-                what: "a column per query",
-            });
+        out: Option<Columns<'_>>,
+    ) -> Result<Bounds, CoreError> {
+        let name = match read {
+            Read::Fine => "core.executor.lb_ed_batch_multi",
+            Read::Coarse => "core.executor.lb_ed_batch_coarse",
+        };
+        let attrs = [("queries", queries.len() as f64)];
+        let mut span = if parent.is_none() {
+            simpim_obs::trace::open_span(name, &attrs)
+        } else {
+            simpim_obs::trace::open_span_ctx(name, parent, &attrs).0
+        };
+        let objects = self
+            .prepared
+            .phi_table("executor not prepared for ED bounds")?
+            .len();
+        if let Some(out) = &out {
+            if !out.values.len().is_multiple_of(queries.len().max(1)) {
+                return Err(CoreError::Mismatch {
+                    what: "a column per query",
+                });
+            }
+            if out.rows.len() != objects {
+                return Err(CoreError::Mismatch {
+                    what: "a column row per object",
+                });
+            }
         }
-        let coarse = matches!(self.prepared, PreparedFunction::Ed { .. });
-        let name = "core.executor.lb_ed_batch_coarse";
-        self.coalesced(name, queries, parent, coarse, Some(out))
+        let quantised = self.quantise_all(queries)?;
+        // Only `LB_PIM-ED` has a coarse bound.
+        let read = match self.prepared {
+            PreparedFunction::Ed { .. } => read,
+            _ => Read::Fine,
+        };
+        let served = self.bound_pass(&quantised, read, out)?;
+        simpim_obs::metrics::histogram_record(
+            "simpim.core.executor.coalesced_queries",
+            queries.len() as u64,
+        );
+        span.record_all([("batches", served.len() as f64)]);
+        let (batches, fine) = served
+            .into_iter()
+            .zip(quantised)
+            .map(|((batch, how), q)| (batch, (how == Read::Coarse).then_some(q)))
+            .unzip();
+        Ok(Bounds { batches, fine })
     }
 
     /// The fine `LB_PIM-ED` bounds of query `j` of `batch` for the objects
-    /// `objs`, into `out` — the values [`PimExecutor::lb_ed_batch_multi`]
+    /// `objs`, into `out` — the values a fine [`PimExecutor::bounds`]
     /// returns for them, bit for bit: the same dot products
     /// ([`simpim_reram::PimArray::dot_rows`]) through the same `G`. The
     /// device was charged for them with the batch, so nothing is charged
@@ -1308,7 +1327,7 @@ impl PimExecutor {
     /// batch already and is refused, like a shape other than `Ed`.
     pub fn lb_ed_fine(
         &self,
-        batch: &CoarseBatch,
+        batch: &Bounds,
         j: usize,
         objs: &[usize],
         out: &mut [f64],
@@ -1332,39 +1351,6 @@ impl PimExecutor {
                 .combine(q, [0, 0], alpha, obj..obj + 1, value, operands);
         }
         Ok(())
-    }
-
-    /// The one body of [`PimExecutor::lb_ed_batch_multi`] and
-    /// [`PimExecutor::lb_ed_batch_coarse`], under the span `name`.
-    fn coalesced<Q: AsRef<[f64]>>(
-        &mut self,
-        name: &'static str,
-        queries: &[Q],
-        parent: simpim_obs::TraceCtx,
-        coarse: bool,
-        out: Option<Columns<'_>>,
-    ) -> Result<CoarseBatch, CoreError> {
-        let attrs = [("queries", queries.len() as f64)];
-        let mut span = if parent.is_none() {
-            simpim_obs::trace::open_span(name, &attrs)
-        } else {
-            simpim_obs::trace::open_span_ctx(name, parent, &attrs).0
-        };
-        self.prepared
-            .phi_table("executor not prepared for ED bounds")?;
-        let quantised = self.quantise_all(queries)?;
-        let read = self.bound_pass(&quantised, coarse, out)?;
-        simpim_obs::metrics::histogram_record(
-            "simpim.core.executor.coalesced_queries",
-            queries.len() as u64,
-        );
-        span.record_all([("batches", read.len() as f64)]);
-        let (batches, fine) = read
-            .into_iter()
-            .zip(quantised)
-            .map(|((batch, read_coarse), q)| (batch, read_coarse.then_some(q)))
-            .unzip();
-        Ok(CoarseBatch { batches, fine })
     }
 
     /// Appends one normalized row into the resident regions' spare slots
@@ -2330,7 +2316,16 @@ mod tests {
         assert_eq!(exec.lb_ed_batch(&q).unwrap().values.len(), 4);
     }
 
-    /// `lb_ed_batch_multi` as it was before the pass took a batch: one
+    /// A fine coalesced pass ([`PimExecutor::bounds`]) of `queries`.
+    fn fine_batches<Q: AsRef<[f64]>>(
+        exec: &mut PimExecutor,
+        queries: &[Q],
+    ) -> Result<Vec<BoundBatch>, CoreError> {
+        let parent = simpim_obs::TraceCtx::NONE;
+        Ok(exec.bounds(queries, Read::Fine, parent, None)?.batches)
+    }
+
+    /// A fine coalesced pass as it was before the pass took a batch: one
     /// single-query pass after the other, stopping at the first error.
     fn sequential(
         exec: &mut PimExecutor,
@@ -2367,12 +2362,7 @@ mod tests {
     /// A coarse-first batch against the fine one: the same batches but
     /// for the values of a query that read coarse, each at most the fine
     /// value, whose fine values `lb_ed_fine` gives back bit for bit.
-    fn assert_coarse_batch(
-        exec: &PimExecutor,
-        read: &CoarseBatch,
-        fine: &[BoundBatch],
-        what: &str,
-    ) {
+    fn assert_coarse_batch(exec: &PimExecutor, read: &Bounds, fine: &[BoundBatch], what: &str) {
         let mut same = read.batches.clone();
         for (j, (batch, want)) in same.iter_mut().zip(fine).enumerate() {
             if !read.is_coarse(j) {
@@ -2389,18 +2379,19 @@ mod tests {
         assert_same_batches(&same, fine, what);
     }
 
-    /// `lb_ed_batch_coarse` into columns whose rows run against the
+    /// A coarse coalesced pass into columns whose rows run against the
     /// objects, every entry NaN before; each batch then takes its values
     /// back from its column, object by object.
-    fn read_columns(exec: &mut PimExecutor, queries: &[Vec<f64>], n: usize) -> CoarseBatch {
+    fn read_columns(exec: &mut PimExecutor, queries: &[Vec<f64>], n: usize) -> Bounds {
         let rows: Vec<usize> = (0..n).rev().collect();
         let mut values = vec![f64::NAN; n * queries.len()];
         let out = Columns {
             rows: &rows,
             values: &mut values,
         };
+        let parent = simpim_obs::TraceCtx::NONE;
         let mut read = exec
-            .lb_ed_batch_coarse(queries, simpim_obs::TraceCtx::NONE, out)
+            .bounds(queries, Read::Coarse, parent, Some(out))
             .unwrap();
         for (batch, column) in read.batches.iter_mut().zip(values.chunks_exact(n)) {
             assert!(batch.values.is_empty());
@@ -2423,7 +2414,7 @@ mod tests {
     /// ([`assert_coarse_batch`]), coarse only on `LB_PIM-ED` without an
     /// active fault model, and there for every query without one.
     #[test]
-    fn multi_batch_matches_the_sequential_loop() {
+    fn a_coalesced_pass_matches_the_sequential_loop() {
         let rows_of = |data: &NormalizedDataset| -> Vec<Vec<f64>> {
             data.dataset().rows().map(<[f64]>::to_vec).collect()
         };
@@ -2493,9 +2484,7 @@ mod tests {
                                 e.bank_mut().pim_mut().age_crossbars(8);
                             }
                         }
-                        let got = exec
-                            .lb_ed_batch_multi(&queries, simpim_obs::TraceCtx::NONE)
-                            .unwrap();
+                        let got = fine_batches(&mut exec, &queries).unwrap();
                         let want = sequential(&mut twin, &queries).unwrap();
                         assert_same_batches(&got, &want, &format!("{what}, round {round}"));
                         assert_eq!(ledger(&exec), ledger(&twin), "{what}, round {round}");
@@ -2534,7 +2523,7 @@ mod tests {
     /// query of the wrong width or with a NaN fails the whole batch
     /// before anything was dispatched, scrubbed or charged.
     #[test]
-    fn multi_batch_fails_like_the_loop_and_checks_before_dispatch() {
+    fn a_coalesced_pass_fails_like_the_loop_and_checks_before_dispatch() {
         let queries: Vec<Vec<f64>> = (0..5)
             .map(|i| (0..8).map(|j| ((i * 3 + j) % 10) as f64 / 10.0).collect())
             .collect();
@@ -2558,7 +2547,7 @@ mod tests {
                 };
                 let (mut exec, mut twin) = (build(), build());
                 assert_eq!(exec.bound_name(), name);
-                let got = exec.lb_ed_batch_multi(&queries, simpim_obs::TraceCtx::NONE);
+                let got = fine_batches(&mut exec, &queries);
                 let want = sequential(&mut twin, &queries);
                 assert!(matches!(
                     got,
@@ -2590,7 +2579,7 @@ mod tests {
         let mut narrow = queries.clone();
         narrow[3].pop();
         assert_eq!(
-            exec.lb_ed_batch_multi(&narrow, simpim_obs::TraceCtx::NONE),
+            fine_batches(&mut exec, &narrow),
             Err(CoreError::Mismatch {
                 what: "query dimensionality"
             })
@@ -2598,7 +2587,7 @@ mod tests {
         let mut poisoned = queries.clone();
         poisoned[4][2] = f64::NAN;
         assert!(matches!(
-            exec.lb_ed_batch_multi(&poisoned, simpim_obs::TraceCtx::NONE),
+            fine_batches(&mut exec, &poisoned),
             Err(CoreError::Similarity(_))
         ));
         assert_eq!(
@@ -2607,10 +2596,74 @@ mod tests {
             "nothing dispatched, scrubbed or charged"
         );
         let mut twin = PimExecutor::prepare_euclidean(c, &sample_data()).unwrap();
-        let got = exec
-            .lb_ed_batch_multi(&queries, simpim_obs::TraceCtx::NONE)
-            .unwrap();
+        let got = fine_batches(&mut exec, &queries).unwrap();
         assert_same_batches(&got, &sequential(&mut twin, &queries).unwrap(), "after");
+    }
+
+    /// The three refusals of the coarse-first pass, each a
+    /// `CoreError::Mismatch` with nothing dispatched, scrubbed or charged:
+    /// columns whose length is not a multiple of the queries and rows
+    /// that are not one per object, both checked before the first
+    /// dispatch on an executor that scrubs before every query; and
+    /// `lb_ed_fine` asked about a query that read fine — the one query of
+    /// a batch of one, and every query on the `LB_PIM-FNN` shape.
+    #[test]
+    fn a_bad_column_or_a_fine_query_is_refused_before_dispatch() {
+        let queries: Vec<Vec<f64>> = (0..3)
+            .map(|i| (0..8).map(|j| ((i * 3 + j) % 10) as f64 / 10.0).collect())
+            .collect();
+        let parent = simpim_obs::TraceCtx::NONE;
+        let c = ExecutorConfig {
+            faults: Some(FaultConfig {
+                stuck_low_rate: 0.03,
+                seed: 1,
+                ..Default::default()
+            }),
+            scrub_interval: 1,
+            ..cfg(4096)
+        };
+        let mut exec = PimExecutor::prepare_euclidean(c, &sample_data()).unwrap();
+        let before = ledger(&exec);
+        let (n, q) = (3, queries.len());
+        for (rows, len, what) in [
+            (n, n * q - 1, "a column per query"),
+            (n - 1, n * q, "a column row per object"),
+            (n + 1, (n + 1) * q, "a column row per object"),
+        ] {
+            let rows: Vec<usize> = (0..rows).collect();
+            let mut values = vec![0.0; len];
+            let out = Columns {
+                rows: &rows,
+                values: &mut values,
+            };
+            let got = exec.bounds(&queries, Read::Coarse, parent, Some(out));
+            assert_eq!(got.err(), Some(CoreError::Mismatch { what }));
+            assert_eq!(
+                ledger(&exec),
+                before,
+                "{what}: nothing dispatched or charged"
+            );
+        }
+
+        let refused = Err(CoreError::Mismatch {
+            what: "fine bounds of a query that read coarse",
+        });
+        let mut fine = [0.0];
+        let mut clean = PimExecutor::prepare_euclidean(cfg(4096), &sample_data()).unwrap();
+        let read = clean.bounds(&queries, Read::Coarse, parent, None).unwrap();
+        assert!(read.is_coarse(2), "three queries read coarse");
+        clean.lb_ed_fine(&read, 2, &[0], &mut fine).unwrap();
+        let mut fnn = PimExecutor::prepare_euclidean(cfg(8), &fnn_data()).unwrap();
+        assert_eq!(fnn.bound_name(), "LB_PIM-FNN^2");
+        for (exec, queries) in [(&mut clean, &queries[..1]), (&mut fnn, &queries[..])] {
+            let read = exec.bounds(queries, Read::Coarse, parent, None).unwrap();
+            let before = ledger(exec);
+            for j in 0..queries.len() {
+                assert!(!read.is_coarse(j));
+                assert_eq!(exec.lb_ed_fine(&read, j, &[0], &mut fine), refused);
+            }
+            assert_eq!(ledger(exec), before);
+        }
     }
 
     #[test]
@@ -2737,7 +2790,11 @@ mod tests {
         let outs: Vec<_> = regions
             .iter()
             .zip(&floors)
-            .map(|(&r, f)| twin.bank_mut().dot_batch(r, f, acc).unwrap())
+            .map(|(&r, f)| {
+                let (mut out, lost) = twin.bank_mut().read(&[(r, f)], acc, Read::Fine);
+                lost.unwrap();
+                out.pop().expect("one result per pass")
+            })
             .collect();
         let mut timing = outs[0].timing;
         if let Some(second) = outs.get(1) {

@@ -232,7 +232,7 @@ pub const MULTI_QUERIES: usize = 8;
 /// sum is an integer below 2⁵³, which an `f64` holds exactly, so nothing
 /// rounds, in any summation order, with or without a fused multiply-add.
 /// The caller keeps that bound (see `simpim-reram`'s
-/// `PimArray::dot_batch_multi`); under it every tier returns the values
+/// `PimArray::read`); under it every tier returns the values
 /// of one `dot_u32` per query and segment.
 ///
 /// # Panics

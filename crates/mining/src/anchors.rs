@@ -5,14 +5,15 @@
 //!
 //! The driver owns what the tasks share: the [`Architecture`] and the
 //! [`RunReport`], the `ED`, `G(<bound>)` and `other` counters, and the
-//! bound batches. Those are fetched `CHUNK` anchors per
-//! `lb_ed_batch_multi` call — one host read of the region per chunk —
+//! bound batches. Those are fetched `CHUNK` anchors per fine
+//! [`PimExecutor::bounds`] call — one host read of the region per chunk —
 //! while the modeled device still serves the anchors one after the
 //! other, so the report equals that of one `lb_ed_batch` per anchor.
 
 use std::ops::Range;
 
 use simpim_core::PimExecutor;
+use simpim_reram::Read;
 use simpim_similarity::{measures, Dataset};
 use simpim_simkit::OpCounters;
 
@@ -91,7 +92,7 @@ impl<'a> Anchors<'a> {
         }
     }
 
-    /// The bounds of `anchors` from one `lb_ed_batch_multi` (`None` on
+    /// The bounds of `anchors` from one fine `bounds` pass (`None` on
     /// the baseline), each batch's timing added and `G` charged in
     /// anchor order.
     fn fetch(&mut self, anchors: Range<usize>) -> Result<Option<Vec<Vec<f64>>>, MiningError> {
@@ -100,9 +101,9 @@ impl<'a> Anchors<'a> {
             return Ok(None);
         };
         let rows: Vec<&[f64]> = anchors.map(|i| data.row(i)).collect();
-        let batches = exec.lb_ed_batch_multi(&rows, simpim_obs::TraceCtx::NONE)?;
+        let bounds = exec.bounds(&rows, Read::Fine, simpim_obs::TraceCtx::NONE, None)?;
         let g = self.g.get_or_insert_with(OpCounters::new);
-        let values = batches.into_iter().map(|b| {
+        let values = bounds.batches.into_iter().map(|b| {
             self.report.pim.add(&b.timing);
             b.charge_g(g);
             b.values

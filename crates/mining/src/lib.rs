@@ -31,7 +31,7 @@
 //! **Further similarity-based tasks** (Section II-C's wider list). Each
 //! task is one body under its baseline and PIM fronts, over one private
 //! anchor driver that owns the report, the counters and the anchors' PIM
-//! bounds — fetched 64 anchors per `lb_ed_batch_multi` pass, and one
+//! bounds — fetched 64 anchors per fine coalesced pass, and one
 //! anchor per pass for DBSCAN, whose expansion picks its next anchor from
 //! the last answer.
 //! * [`outlier`] — distance-based outlier detection (top-m by k-NN

@@ -54,6 +54,46 @@ pub struct ProgramReport {
     pub energy_j: f64,
 }
 
+/// How the host simulation of a coalesced read ([`PimArray::read`])
+/// computes a region's passes. The modeled device runs and is charged the
+/// same passes either way — timing, energy and every count bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Read {
+    /// The dot products.
+    Fine,
+    /// Coarse first where that is proven to change nothing: a region
+    /// whose passes take the coarse plane ([`crate::coarse`]) multiplies
+    /// only its 8-bit cells, and those passes' values are
+    /// [`coarse::dot_bound`]s, integers no smaller than the dot products;
+    /// [`PimArray::dot_rows`] computes the dot products of chosen rows
+    /// afterwards.
+    ///
+    /// A region's passes read coarse when there are two or more of them
+    /// (a single pass stays the plain read the traced replay times), no
+    /// fault model is active (a read through faults is not the stored
+    /// matrix), the accumulator is 64 bits wide and every query's
+    /// operands fit a cell at the region's shift. The modeled gather
+    /// clock needs each pass's largest crossbar partial only to its
+    /// `⌈bits / dac_bits⌉`: the coarse partials bracket every fine one
+    /// (the module docs of [`crate::coarse`]), and the rows whose bracket
+    /// could still change that count are read fine.
+    Coarse,
+}
+
+/// One pass of a coalesced read ([`PimArray::read`],
+/// [`crate::ReRamBank::read`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct PassResult {
+    /// Per-object dot products, wrapped at the accumulator width — or,
+    /// where `read` is [`Read::Coarse`], upper bounds of them.
+    pub values: Vec<u64>,
+    /// PIM-side latency (crossbar passes + gather + bus + buffer).
+    pub timing: PimTiming,
+    /// How the host read this pass: [`Read::Coarse`] only where that was
+    /// asked for and the region's passes qualify.
+    pub read: Read,
+}
+
 #[derive(Debug, Clone)]
 struct Region {
     data: Vec<u32>,
@@ -82,7 +122,7 @@ struct Region {
     /// [`PimArray::remap_dead`].
     remap: HashMap<usize, usize>,
     /// The coarse plane, once a coarse read asked for it
-    /// ([`PimArray::dot_batch_coarse`]); kept in step with every write at
+    /// ([`Read::Coarse`]); kept in step with every write at
     /// its shift, dropped by a write that changes the shift.
     plane: Option<Plane>,
 }
@@ -708,7 +748,7 @@ impl PimArray {
     /// `region` with `query`, wrapping results at the accumulator width
     /// (the paper keeps the least-significant 64 bits — 32 for binary
     /// codes). Returns the per-object results and the PIM-side timing.
-    /// The one-pass call of [`PimArray::dot_batch_multi`].
+    /// The one-pass fine call of [`PimArray::read`].
     ///
     /// Reading never wears cells; endurance counters are untouched.
     pub fn dot_batch(
@@ -717,66 +757,26 @@ impl PimArray {
         query: &[u32],
         acc: AccWidth,
     ) -> Result<(Vec<u64>, PimTiming), ReRamError> {
-        let mut out = self.dot_batch_multi(&[(region, query)], acc)?;
-        Ok(out.pop().expect("one result per pass"))
+        let pass = self.read(&[(region, query)], acc, Read::Fine)?.pop();
+        let pass = pass.expect("one result per pass");
+        Ok((pass.values, pass.timing))
     }
 
     /// Executes the passes of a coalesced batch, each a query streamed
-    /// through one region, and returns one [`PimArray::dot_batch`] result
-    /// per pass, in order. The modeled device runs them one after the
-    /// other in the order given, so timing, energy and every value are
-    /// those of as many single calls; the host simulation reads each
+    /// through one region, and returns one [`PassResult`] per pass, in
+    /// order. The modeled device runs them one after the other in the
+    /// order given, so timing, energy and every value are those of as many
+    /// [`PimArray::dot_batch`] calls; the host simulation reads each
     /// region once and multiplies its rows with all the queries streamed
-    /// through it. Every pass is checked before the first one runs.
-    pub fn dot_batch_multi(
+    /// through it — coarse first where `read` asks and the region's passes
+    /// qualify ([`Read::Coarse`]). Every pass is checked before the first
+    /// one runs.
+    pub fn read(
         &mut self,
         passes: &[(RegionId, &[u32])],
         acc: AccWidth,
-    ) -> Result<Vec<(Vec<u64>, PimTiming)>, ReRamError> {
-        let reads = self.dot_batch_read(passes, acc, false)?;
-        Ok(reads
-            .into_iter()
-            .map(|(values, timing, _)| (values, timing))
-            .collect())
-    }
-
-    /// [`PimArray::dot_batch_multi`], read coarse first where that is
-    /// proven to change nothing: the modeled device runs and is charged
-    /// the same passes — timing, energy and every count bit for bit —
-    /// but the host simulation of a region whose passes take the coarse
-    /// plane ([`crate::coarse`]) multiplies only its 8-bit cells, and
-    /// those passes' values are [`coarse::dot_bound`]s, integers no
-    /// smaller than the dot products. Each result says whether its values
-    /// are such bounds (`true`) or the dot products; [`PimArray::dot_rows`]
-    /// computes the dot products of chosen rows afterwards.
-    ///
-    /// A region's passes read coarse when there are two or more of them
-    /// (a single pass stays the plain read the traced replay times), no
-    /// fault model is active (a read through faults is not the stored
-    /// matrix), the accumulator is 64 bits wide and every query's
-    /// operands fit a cell at the region's shift. The modeled gather
-    /// clock needs each pass's largest crossbar partial only to its
-    /// `⌈bits / dac_bits⌉`: the coarse partials bracket every fine one
-    /// (the module docs of [`crate::coarse`]), and the rows whose bracket could
-    /// still change that count are read fine.
-    pub fn dot_batch_coarse(
-        &mut self,
-        passes: &[(RegionId, &[u32])],
-        acc: AccWidth,
-    ) -> Result<Vec<(Vec<u64>, PimTiming, bool)>, ReRamError> {
-        self.dot_batch_read(passes, acc, true)
-    }
-
-    /// The one body of [`PimArray::dot_batch_multi`] and
-    /// [`PimArray::dot_batch_coarse`]: the checks, the host reads region
-    /// by region (coarse where `coarse` asks and the region's passes
-    /// qualify), then the device half pass by pass.
-    pub(crate) fn dot_batch_read(
-        &mut self,
-        passes: &[(RegionId, &[u32])],
-        acc: AccWidth,
-        coarse: bool,
-    ) -> Result<Vec<(Vec<u64>, PimTiming, bool)>, ReRamError> {
+        read: Read,
+    ) -> Result<Vec<PassResult>, ReRamError> {
         let faults_active = self.faults_active();
         for &(region, query) in passes {
             if self
@@ -803,27 +803,27 @@ impl PimArray {
 
         // Host side: the passes grouped by region (a stable sort, so the
         // queries of one region keep their order), one read per region.
-        let mut reads = vec![(Vec::new(), 0u64, false); passes.len()];
+        let mut reads = vec![(Vec::new(), 0u64, Read::Fine); passes.len()];
         let mut by_region: Vec<usize> = (0..passes.len()).collect();
         by_region.sort_by_key(|&i| passes[i].0 .0);
         for group in by_region.chunk_by(|&a, &b| passes[a].0 == passes[b].0) {
             let ri = passes[group[0]].0 .0;
             let queries: Vec<&[u32]> = group.iter().map(|&i| passes[i].1).collect();
-            let coarse = coarse && self.reads_coarse(ri, &queries, acc);
-            let read = if coarse {
-                self.read_region_coarse(ri, &queries, acc)
+            let coarse = read == Read::Coarse && self.reads_coarse(ri, &queries, acc);
+            let (values, how) = if coarse {
+                (self.read_region_coarse(ri, &queries, acc), Read::Coarse)
             } else {
-                self.read_region(ri, &queries, acc)
+                (self.read_region(ri, &queries, acc), Read::Fine)
             };
-            for (&i, (values, max_partial)) in group.iter().zip(read) {
-                reads[i] = (values, max_partial, coarse);
+            for (&i, (values, max_partial)) in group.iter().zip(values) {
+                reads[i] = (values, max_partial, how);
             }
         }
 
         // Device side, pass by pass in the order given.
         let charged = passes.iter().zip(reads);
         Ok(charged
-            .map(|(&(region, query), (values, max_partial, coarse))| {
+            .map(|(&(region, query), (values, max_partial, read))| {
                 let reg = &self.regions[region.0];
                 let input_bits = bits_needed_slice(query);
                 let partial_bits = bits_needed(max_partial).min(acc.bits());
@@ -848,13 +848,17 @@ impl PimArray {
                     .charge_compute(&self.energy_model, cycles, reg.cost.total());
                 self.energy
                     .charge_bus(&self.energy_model, reg.n as u64 * acc.bytes());
-                (values, timing, coarse)
+                PassResult {
+                    values,
+                    timing,
+                    read,
+                }
             })
             .collect())
     }
 
     /// Whether the passes of `queries` through region `ri` read its coarse
-    /// plane (see [`PimArray::dot_batch_coarse`]); builds the plane when
+    /// plane (see [`Read::Coarse`]); builds the plane when
     /// they do and it has none yet.
     fn reads_coarse(&mut self, ri: usize, queries: &[&[u32]], acc: AccWidth) -> bool {
         let faults_active = self.faults_active();
@@ -874,8 +878,8 @@ impl PimArray {
 
     /// The dot products a full pass of `query` through `region` returns
     /// for the objects `objs`, in order: the host re-reading stored rows
-    /// whose pass the device was already charged for
-    /// ([`PimArray::dot_batch_coarse`]), so nothing is timed, charged or
+    /// whose pass the device was already charged for (a
+    /// [`Read::Coarse`] read), so nothing is timed, charged or
     /// counted. It reads the rows as programmed, which a pass under an
     /// active fault model does not.
     pub fn dot_rows(
@@ -2737,10 +2741,22 @@ mod tests {
         [e.write_j, e.compute_j, e.bus_j].map(f64::to_bits)
     }
 
+    /// A fine [`PimArray::read`] of `passes`, as single calls return it:
+    /// per pass its values and its `PimTiming`.
+    fn read_fine(
+        pim: &mut PimArray,
+        passes: &[(RegionId, &[u32])],
+        acc: AccWidth,
+    ) -> Vec<(Vec<u64>, PimTiming)> {
+        let reads = pim.read(passes, acc, Read::Fine).unwrap();
+        assert!(reads.iter().all(|pass| pass.read == Read::Fine));
+        reads.into_iter().map(|p| (p.values, p.timing)).collect()
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(48))]
 
-        /// `dot_batch_multi` over `Q` queries interleaved on two regions
+        /// A fine `read` over `Q` queries interleaved on two regions
         /// (query-major, the executor's order for a two-region row) ≡
         /// the same passes as single `dot_batch` calls in that order ≡
         /// `dot_batch_strict`, on every kernel tier: values, `PimTiming`
@@ -2754,7 +2770,7 @@ mod tests {
         /// widths, slot-stacked and gather-tree layouts; clean, then read
         /// through stuck cells and dead lines.
         #[test]
-        fn dot_batch_multi_matches_single_passes_and_strict(
+        fn a_fine_read_matches_single_passes_and_strict(
             operand_bits in proptest::prop_oneof![1u32..=32, 28u32..=32, 8u32..=20],
             query_bits in proptest::prop::collection::vec(
                 proptest::prop_oneof![1u32..=32, 28u32..=32, 8u32..=20],
@@ -2819,7 +2835,7 @@ mod tests {
                             .iter()
                             .map(|&(region, query)| single.dot_batch(region, query, acc).unwrap())
                             .collect();
-                        (multi.dot_batch_multi(&passes, acc).unwrap(), want)
+                        (read_fine(&mut multi, &passes, acc), want)
                     });
                     proptest::prop_assert_eq!(got, want, "faulty {}, {}", faulty, tier.name());
                     proptest::prop_assert_eq!(energy_bits(&multi), energy_bits(&single));
@@ -2857,7 +2873,7 @@ mod tests {
         let queries = [[u32::MAX, 1 << 16], [1, 1], [1, 0], [0, 1]].map(padded);
         let passes: Vec<(RegionId, &[u32])> =
             queries.iter().map(|q| (rep.region, &q[..])).collect();
-        let got = pim.dot_batch_multi(&passes, AccWidth::U64).unwrap();
+        let got = read_fine(&mut pim, &passes, AccWidth::U64);
         assert_eq!(got[0].0, [1], "2^64 + 1 wrapped at the accumulator");
         let timing =
             |partial_bits| dot_batch_timing(&cfg, &rep.cost, 32, partial_bits, 1, AccWidth::U64);
@@ -2874,7 +2890,7 @@ mod tests {
         /// for good — truncating the wide row away keeps the widest width
         /// programmed. Before the flip, after it and after the truncation,
         /// on every tier, clean and with a fault model that leaves faulty
-        /// rows: `dot_batch_multi` ≡ single passes (values, `PimTiming`,
+        /// rows: a fine `read` ≡ single passes (values, `PimTiming`,
         /// energy by bits) ≡ `dot_batch_strict` on the clean array.
         #[test]
         fn a_region_widened_mid_life_flips_off_the_f64_path_and_stays_exact(
@@ -2931,7 +2947,7 @@ mod tests {
                             .iter()
                             .map(|&(region, query)| single.dot_batch(region, query, AccWidth::U64).unwrap())
                             .collect();
-                        (multi.dot_batch_multi(&passes, AccWidth::U64).unwrap(), want)
+                        (read_fine(&mut multi, &passes, AccWidth::U64), want)
                     });
                     proptest::prop_assert_eq!(got, want, "f64 path {}, {}", f64_path, tier.name());
                     proptest::prop_assert_eq!(energy_bits(&multi), energy_bits(&single));
@@ -2974,7 +2990,7 @@ mod tests {
         assert!(!pim.regions[r.0].f64_exact(1));
         let queries = [[1u32, 0, 1, 1], [0, 1, 1, 1]];
         let passes: Vec<(RegionId, &[u32])> = queries.iter().map(|q| (r, &q[..])).collect();
-        let got = pim.dot_batch_multi(&passes, AccWidth::U64).unwrap();
+        let got = read_fine(&mut pim, &passes, AccWidth::U64);
         for ((values, _), q) in got.iter().zip(&queries) {
             let (want, _) = u128_reference(rows.iter().map(|r| &r[..]), q, 256, AccWidth::U64);
             assert_eq!(values, &want);
@@ -2985,7 +3001,7 @@ mod tests {
     /// and 88 rows), the lookahead running off the end of each — at one
     /// worker and at three, against the `u128` reference.
     #[test]
-    fn dot_batch_multi_crosses_tasks() {
+    fn a_fine_read_crosses_tasks() {
         let (n, s, q) = (600usize, 420usize, 9usize);
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
         let mut draw = |len: usize, bits: u32| -> Vec<u32> {
@@ -3010,9 +3026,8 @@ mod tests {
         let passes: Vec<(RegionId, &[u32])> =
             queries.iter().map(|v| (rep.region, v.as_slice())).collect();
         for workers in [1, 3] {
-            let got = simpim_par::with_threads(workers, || {
-                pim.dot_batch_multi(&passes, AccWidth::U64).unwrap()
-            });
+            let got =
+                simpim_par::with_threads(workers, || read_fine(&mut pim, &passes, AccWidth::U64));
             for ((values, timing), query) in got.iter().zip(&queries) {
                 let (want, max_partial) =
                     u128_reference(data.chunks_exact(s), query, m, AccWidth::U64);
@@ -3164,11 +3179,11 @@ mod tests {
         acc: AccWidth,
     ) -> (
         (PimArray, Vec<(Vec<u64>, PimTiming)>),
-        (PimArray, Vec<(Vec<u64>, PimTiming, bool)>),
+        (PimArray, Vec<PassResult>),
     ) {
         let (mut fine, mut coarse) = (pim.clone(), pim.clone());
-        let want = fine.dot_batch_multi(passes, acc).unwrap();
-        let got = coarse.dot_batch_coarse(passes, acc).unwrap();
+        let want = read_fine(&mut fine, passes, acc);
+        let got = coarse.read(passes, acc, Read::Coarse).unwrap();
         ((fine, want), (coarse, got))
     }
 
@@ -3184,10 +3199,11 @@ mod tests {
         let ((fine, want), (coarse, got)) = both_reads(pim, passes, acc);
         assert_eq!(energy_bits(&coarse), energy_bits(&fine), "energy");
         let mut flags = Vec::new();
-        for (&(region, query), ((values, timing, read_coarse), (dots, fine_timing))) in
+        for (&(region, query), (pass, (dots, fine_timing))) in
             passes.iter().zip(got.into_iter().zip(want))
         {
-            assert_eq!(timing, fine_timing, "the modeled pass");
+            let (values, read_coarse) = (pass.values, pass.read == Read::Coarse);
+            assert_eq!(pass.timing, fine_timing, "the modeled pass");
             if read_coarse {
                 assert!(
                     values.iter().zip(&dots).all(|(v, d)| v >= d),
@@ -3207,7 +3223,7 @@ mod tests {
         // 96: the half that straddles rides on the other half's 48.
         #![proptest_config(proptest::ProptestConfig::with_cases(96))]
 
-        /// `dot_batch_coarse` ≡ `dot_batch_multi` on the modeled device
+        /// A coarse `read` ≡ a fine one on the modeled device
         /// (timing per pass, energy by bits) and bounds every dot from
         /// above where it read coarse, on every kernel tier, over `Q`
         /// queries interleaved on two regions: stored operands at or below
@@ -3321,11 +3337,16 @@ mod tests {
     /// bits, then the array's energy bits.
     fn coarse_read_hash(pim: &PimArray, passes: &[(RegionId, &[u32])]) -> u64 {
         let mut pim = pim.clone();
-        let reads = pim.dot_batch_coarse(passes, AccWidth::U64).unwrap();
+        let reads = pim.read(passes, AccWidth::U64, Read::Coarse).unwrap();
         let mut words = Vec::new();
-        for (values, timing, coarse) in reads {
+        for PassResult {
+            values,
+            timing,
+            read,
+        } in reads
+        {
             words.extend(values);
-            words.push(u64::from(coarse));
+            words.push(u64::from(read == Read::Coarse));
             let ns = [
                 timing.data_pass_ns,
                 timing.gather_ns,
@@ -3381,10 +3402,10 @@ mod tests {
         let timing = |partial: u64| {
             dot_batch_timing(&cfg, &rep.cost, 14, bits_needed(partial), 2, AccWidth::U64)
         };
-        assert_eq!(got[0].1, timing(16 * 8191 * 12_287));
-        assert_eq!(want[0].1, got[0].1);
+        assert_eq!(got[0].timing, timing(16 * 8191 * 12_287));
+        assert_eq!(want[0].1, got[0].timing);
         assert_ne!(
-            got[0].1,
+            got[0].timing,
             timing(1 << 29),
             "the lower end alone is a cycle short"
         );
@@ -3415,7 +3436,7 @@ mod tests {
         let fine = 7 * (42 << 12) * (216u64 << 12);
         assert_eq!(fine >> 39, 1, "40 bits: 20 cycles");
         let timing = dot_batch_timing(&cfg, &rep.cost, 20, 40, 3, AccWidth::U64);
-        assert_eq!(got[0].1, timing);
+        assert_eq!(got[0].timing, timing);
         assert_eq!(coarse_read_hash(&pim, &passes), 9616177664127601072);
     }
 
@@ -3495,7 +3516,7 @@ mod tests {
         let check = |pim: &mut PimArray, shift: u32| {
             let passes: Vec<(RegionId, &[u32])> = queries.iter().map(|q| (r, &q[..])).collect();
             assert_eq!(assert_coarse_read(pim, &passes, AccWidth::U64), [true; 3]);
-            let got = pim.dot_batch_coarse(&passes, AccWidth::U64).unwrap();
+            let got = pim.read(&passes, AccWidth::U64, Read::Coarse).unwrap();
             let plane = pim.regions[r.0].plane.as_ref().expect("built by the read");
             assert_eq!(plane.shift, shift);
             let (n, _, _) = pim.region_shape(r).unwrap();
@@ -3505,7 +3526,10 @@ mod tests {
             let mut fresh = PimArray::new(cfg).unwrap();
             let f = fresh.program_region(&data, n, s, 32).unwrap().region;
             let passes: Vec<(RegionId, &[u32])> = queries.iter().map(|q| (f, &q[..])).collect();
-            assert_eq!(fresh.dot_batch_coarse(&passes, AccWidth::U64).unwrap(), got);
+            assert_eq!(
+                fresh.read(&passes, AccWidth::U64, Read::Coarse).unwrap(),
+                got
+            );
         };
         assert_eq!(
             pim.coarse_plane_bytes(r).unwrap(),

@@ -8,26 +8,12 @@
 //! interface.
 
 use crate::array::{
-    BufferArray, MemoryArray, PimArray, ProgramReport, RegionId, RemapReport, ScrubReport,
+    BufferArray, MemoryArray, PassResult, PimArray, ProgramReport, Read, RegionId, RemapReport,
+    ScrubReport,
 };
 use crate::config::{AccWidth, PimConfig};
 use crate::error::ReRamError;
 use crate::faults::{BankLoss, CrossbarHealth, FaultConfig};
-use crate::timing::PimTiming;
-
-/// Result of one dot-product batch issued through the bank controller.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DotBatchResult {
-    /// Per-object dot products, wrapped at the accumulator width.
-    pub values: Vec<u64>,
-    /// PIM-side latency (crossbar passes + gather + bus + buffer).
-    pub timing: PimTiming,
-    /// Bytes staged in the buffer array for the CPU to collect.
-    pub result_bytes: u64,
-    /// Whether `values` are coarse upper bounds of the dot products
-    /// ([`ReRamBank::dot_batch_coarse`]) rather than the dot products.
-    pub coarse: bool,
-}
 
 /// A ReRAM-based memory bank with in-situ processing.
 #[derive(Debug, Clone)]
@@ -229,53 +215,23 @@ impl ReRamBank {
         Ok(self.pim.region_capacity(region)? - n)
     }
 
-    /// Issues one dot-product batch and stages the results in the buffer
-    /// array. The one-pass call of [`ReRamBank::dot_batch_multi`].
-    pub fn dot_batch(
-        &mut self,
-        region: RegionId,
-        query: &[u32],
-        acc: AccWidth,
-    ) -> Result<DotBatchResult, ReRamError> {
-        let (mut out, lost) = self.dot_batch_multi(&[(region, query)], acc);
-        lost.map(|()| out.pop().expect("one result per pass"))
-    }
-
-    /// Issues the passes of a coalesced batch (see
-    /// [`PimArray::dot_batch_multi`]) and stages each result in the buffer
-    /// array. The controller dispatches them one by one in the order
-    /// given: a bank that fail-stops at pass `i` has served, counted and
-    /// charged the passes before it, and their results come back beside
+    /// Issues the passes of a coalesced batch (see [`PimArray::read`])
+    /// and stages each result in the buffer array. The controller
+    /// dispatches them one by one in the order given: a bank that
+    /// fail-stops at pass `i` has served, counted and charged the passes
+    /// before it, and their results come back beside
     /// [`ReRamError::BankLost`]. A pass the array itself refuses (an
     /// unknown or mid-fill region, a query of the wrong length) fails the
     /// batch with every live dispatch counted and nothing run or charged.
-    pub fn dot_batch_multi(
+    /// A [`Read::Coarse`] read is dispatched, staged, metered and charged
+    /// as the fine one; a result whose pass read coarse holds upper bounds
+    /// of its dot products and says so.
+    pub fn read(
         &mut self,
         passes: &[(RegionId, &[u32])],
         acc: AccWidth,
-    ) -> (Vec<DotBatchResult>, Result<(), ReRamError>) {
-        self.dispatch(passes, acc, false)
-    }
-
-    /// [`ReRamBank::dot_batch_multi`] with the host simulation reading
-    /// coarse first ([`PimArray::dot_batch_coarse`]): the same dispatches,
-    /// staging, metrics and charges; a result whose pass read coarse holds
-    /// upper bounds of its dot products and says so.
-    pub fn dot_batch_coarse(
-        &mut self,
-        passes: &[(RegionId, &[u32])],
-        acc: AccWidth,
-    ) -> (Vec<DotBatchResult>, Result<(), ReRamError>) {
-        self.dispatch(passes, acc, true)
-    }
-
-    /// The controller half of both batch calls.
-    fn dispatch(
-        &mut self,
-        passes: &[(RegionId, &[u32])],
-        acc: AccWidth,
-        coarse: bool,
-    ) -> (Vec<DotBatchResult>, Result<(), ReRamError>) {
+        read: Read,
+    ) -> (Vec<PassResult>, Result<(), ReRamError>) {
         let mut served = passes;
         let mut lost = Ok(());
         for i in 0..passes.len() {
@@ -290,12 +246,12 @@ impl ReRamBank {
         // The first pass's span opens before the array runs: it covers the
         // host's shared read, and all of a single call as it always did.
         let mut first = served.first().map(|pass| open(pass.0));
-        let reads = match self.pim.dot_batch_read(served, acc, coarse) {
+        let reads = match self.pim.read(served, acc, read) {
             Ok(reads) => reads,
             Err(refused) => return (Vec::new(), Err(refused)),
         };
-        let mut out = Vec::with_capacity(served.len());
-        for (&(region, _), (values, timing, coarse)) in served.iter().zip(reads) {
+        for (&(region, _), pass) in served.iter().zip(&reads) {
+            let (values, timing) = (&pass.values, pass.timing);
             let mut span = first.take().unwrap_or_else(|| open(region));
             let result_bytes = values.len() as u64 * acc.bytes();
             self.buffer.stage(result_bytes);
@@ -316,14 +272,8 @@ impl ReRamBank {
                 ("gather_ns", timing.gather_ns),
                 ("total_ns", timing.total_ns()),
             ]);
-            out.push(DotBatchResult {
-                values,
-                timing,
-                result_bytes,
-                coarse,
-            });
         }
-        (out, lost)
+        (reads, lost)
     }
 }
 
@@ -331,6 +281,16 @@ impl ReRamBank {
 mod tests {
     use super::*;
     use crate::config::CrossbarConfig;
+
+    /// One fine pass of `query` through `region`.
+    fn dot(
+        bank: &mut ReRamBank,
+        region: RegionId,
+        query: &[u32],
+    ) -> Result<PassResult, ReRamError> {
+        let (mut out, lost) = bank.read(&[(region, query)], AccWidth::U64, Read::Fine);
+        lost.map(|()| out.pop().expect("one result per pass"))
+    }
 
     fn cfg() -> PimConfig {
         PimConfig {
@@ -350,11 +310,8 @@ mod tests {
     fn end_to_end_program_and_query() {
         let mut bank = ReRamBank::new(cfg()).unwrap();
         let rep = bank.program_region(&[1, 2, 3, 4, 5, 6], 2, 3, 4).unwrap();
-        let out = bank
-            .dot_batch(rep.region, &[1, 1, 1], AccWidth::U64)
-            .unwrap();
+        let out = dot(&mut bank, rep.region, &[1, 1, 1]).unwrap();
         assert_eq!(out.values, vec![6, 15]);
-        assert_eq!(out.result_bytes, 16);
         assert!(out.timing.total_ns() > 0.0);
         assert_eq!(bank.buffer().high_water(), 16);
     }
@@ -375,9 +332,7 @@ mod tests {
         assert_eq!(bank.region_spare(rep.region).unwrap(), 2);
         bank.append_rows(rep.region, &[7, 8, 9]).unwrap();
         assert_eq!(bank.region_spare(rep.region).unwrap(), 1);
-        let out = bank
-            .dot_batch(rep.region, &[1, 1, 1], AccWidth::U64)
-            .unwrap();
+        let out = dot(&mut bank, rep.region, &[1, 1, 1]).unwrap();
         assert_eq!(out.values, vec![6, 15, 24]);
     }
 
@@ -389,7 +344,7 @@ mod tests {
         bank.kill();
         assert!(bank.is_lost());
         assert_eq!(
-            bank.dot_batch(rep.region, &[1, 1, 1], AccWidth::U64),
+            dot(&mut bank, rep.region, &[1, 1, 1]),
             Err(ReRamError::BankLost)
         );
         assert_eq!(
@@ -401,9 +356,7 @@ mod tests {
             Err(ReRamError::BankLost)
         );
         bank.heal();
-        let out = bank
-            .dot_batch(rep.region, &[1, 1, 1], AccWidth::U64)
-            .unwrap();
+        let out = dot(&mut bank, rep.region, &[1, 1, 1]).unwrap();
         assert_eq!(out.values, vec![6, 15]);
     }
 
@@ -418,12 +371,11 @@ mod tests {
             })
             .unwrap();
         for _ in 0..2 {
-            bank.dot_batch(rep.region, &[1, 1, 1], AccWidth::U64)
-                .unwrap();
+            dot(&mut bank, rep.region, &[1, 1, 1]).unwrap();
         }
         assert_eq!(bank.dispatches(), 2);
         assert_eq!(
-            bank.dot_batch(rep.region, &[1, 1, 1], AccWidth::U64),
+            dot(&mut bank, rep.region, &[1, 1, 1]),
             Err(ReRamError::BankLost)
         );
         assert!(bank.is_lost());
@@ -432,6 +384,6 @@ mod tests {
     #[test]
     fn queries_require_programming() {
         let mut bank = ReRamBank::new(cfg()).unwrap();
-        assert!(bank.dot_batch(RegionId(0), &[1], AccWidth::U64).is_err());
+        assert!(dot(&mut bank, RegionId(0), &[1]).is_err());
     }
 }

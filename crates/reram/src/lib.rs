@@ -18,8 +18,8 @@
 //!   (a budget of `C` crossbars), the buffer array (eDRAM cache for PIM
 //!   results) and the memory array (plain storage).
 //! * [`bank`] — the bank controller tying the arrays together and exposing
-//!   the offline *program* / online *dot-product batch* operations used by
-//!   `simpim-core`'s executor.
+//!   the offline *program* and the online *read* used by `simpim-core`'s
+//!   executor.
 //! * [`coarse`] — a region's coarse plane: its operands shifted to 8-bit
 //!   cells, read first by a coalesced pass to bound every dot product
 //!   from above, so the host simulation computes the fine dot only where
@@ -39,7 +39,12 @@
 //! ([`array::PimArray`]) keeps the programmed integer matrix plus layout
 //! metadata, computes dot products directly, and charges the cycle-accurate
 //! timing the bit-sliced pipeline would incur. It is the only dot-product
-//! path the library ships.
+//! path the library ships, and a coalesced read is its one front at each
+//! layer: [`PimArray::read`] and [`ReRamBank::read`] take the passes of a
+//! batch (one query streamed through one region each) and a [`Read`] —
+//! [`Read::Fine`] computes the dot products, [`Read::Coarse`] lets a
+//! region's passes read its coarse plane — and return one [`PassResult`]
+//! per pass. The device is charged the same either way.
 //!
 //! The **unit-level model** is its test oracle and is compiled only under
 //! test: materialized ReRAM cells with write-endurance counters, an `m×m`
@@ -72,8 +77,10 @@ mod variation;
 /// pass itself runs on.
 pub use simpim_kern::dot_u32;
 
-pub use array::{BufferArray, MemoryArray, PimArray, ProgramReport, RemapReport, ScrubReport};
-pub use bank::{DotBatchResult, ReRamBank};
+pub use array::{
+    BufferArray, MemoryArray, PassResult, PimArray, ProgramReport, Read, RemapReport, ScrubReport,
+};
+pub use bank::ReRamBank;
 pub use config::{AccWidth, CrossbarConfig, PimConfig};
 pub use error::ReRamError;
 pub use faults::{BankLoss, CellFault, CrossbarHealth, FaultConfig};

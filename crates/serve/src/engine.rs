@@ -978,7 +978,8 @@ impl Scheduler {
 
     fn process_queries(&mut self, batch: Vec<QueryReq>) {
         let now = Instant::now();
-        let (live, expired): (Vec<_>, Vec<_>) = batch.into_iter().partition(|q| q.deadline >= now);
+        let (mut live, expired): (Vec<_>, Vec<_>) =
+            batch.into_iter().partition(|q| q.deadline >= now);
         for q in expired {
             self.timeouts += 1;
             simpim_obs::metrics::counter_add("simpim.serve.timeouts", 1);
@@ -1017,7 +1018,11 @@ impl Scheduler {
             &[("queries", live.len() as f64), ("batch", batch_seq as f64)],
         );
 
-        let queries: Vec<Vec<f64>> = live.iter().map(|q| q.query.clone()).collect();
+        // Nothing reads a query's vector past this point: move it out.
+        let queries: Vec<Vec<f64>> = live
+            .iter_mut()
+            .map(|q| std::mem::take(&mut q.query))
+            .collect();
         let ks: Vec<usize> = live.iter().map(|q| q.k).collect();
         let queries_ref = &queries;
         let ks_ref = &ks;

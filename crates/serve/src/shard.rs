@@ -65,6 +65,7 @@ use simpim_mining::knn::resident::{
     push_cells, refine_resident, refine_resident_batch, BatchQuery, ShardView, Tighten,
 };
 use simpim_mining::MiningError;
+use simpim_reram::Read;
 use simpim_similarity::{Dataset, Measure};
 use simpim_simkit::OpCounters;
 
@@ -549,7 +550,7 @@ impl Residency {
         }
     }
 
-    /// Runs one coarse-first pass ([`PimExecutor::lb_ed_batch_coarse`])
+    /// Runs one coarse-first pass ([`PimExecutor::bounds`], [`Read::Coarse`])
     /// into one bound column per query in mirror order, kept across
     /// batches: the pass writes the rows `order` names, and the rest —
     /// the delta rows — get `0.0` (refine exactly). Then it hands the
@@ -581,7 +582,7 @@ impl Residency {
             rows: &self.order,
             values: columns,
         };
-        let pass = self.exec.lb_ed_batch_coarse(queries, parent, out)?;
+        let pass = self.exec.bounds(queries, Read::Coarse, parent, Some(out))?;
         for j in 0..queries.len() {
             let column = &mut self.columns[j * n..][..n];
             self.delta_rows.iter().for_each(|&i| column[i] = 0.0);
@@ -1194,9 +1195,9 @@ mod tests {
                 let (coarse, coarse_pruned) = res
                     .bound_columns(mirror, queries, ks, parent, refine)
                     .unwrap();
-                let batches = res.exec.lb_ed_batch_multi(queries, parent);
+                let batches = res.exec.bounds(queries, Read::Fine, parent, None);
                 let mut fine = vec![0.0; n * queries.len()];
-                for (j, batch) in batches.unwrap().iter().enumerate() {
+                for (j, batch) in batches.unwrap().batches.iter().enumerate() {
                     for (&idx, &bound) in res.order.iter().zip(&batch.values) {
                         fine[j * n + idx] = bound;
                     }

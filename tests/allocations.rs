@@ -12,7 +12,7 @@ use std::cell::Cell;
 
 use simpim::par;
 use simpim::reram::array::RegionId;
-use simpim::reram::{AccWidth, PimArray, PimConfig};
+use simpim::reram::{AccWidth, PimArray, PimConfig, Read};
 use simpim::serve::{Shard, ShardConfig};
 use simpim::similarity::Dataset;
 
@@ -65,7 +65,7 @@ fn one_at_a_time() -> std::sync::MutexGuard<'static, ()> {
     ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Allocations of one eight-query `dot_batch_coarse` over `n` rows of
+/// Allocations of one eight-query coarse `PimArray::read` over `n` rows of
 /// serve-pruned's shard shape (420 operands of 20 bits, the default
 /// 256-operand crossbars, so a gather tree), on one worker, after a first
 /// read has built the plane and the thread's kernel buffer.
@@ -87,10 +87,13 @@ fn coarse_read_allocations(n: usize) -> usize {
     let queries: Vec<Vec<u32>> = (0..8).map(|_| draw(d)).collect();
     let passes: Vec<(RegionId, &[u32])> = queries.iter().map(|q| (region, &q[..])).collect();
     par::with_threads(1, || {
-        let first = pim.dot_batch_coarse(&passes, AccWidth::U64).unwrap();
-        assert!(first.iter().all(|&(.., coarse)| coarse), "a coarse read");
+        let first = pim.read(&passes, AccWidth::U64, Read::Coarse).unwrap();
+        assert!(
+            first.iter().all(|p| p.read == Read::Coarse),
+            "a coarse read"
+        );
         let before = allocations();
-        let read = pim.dot_batch_coarse(&passes, AccWidth::U64).unwrap();
+        let read = pim.read(&passes, AccWidth::U64, Read::Coarse).unwrap();
         let made = allocations() - before;
         assert_eq!(read, first);
         made

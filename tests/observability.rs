@@ -287,7 +287,7 @@ fn offline_tasks_fetch_their_bounds_in_batched_passes() {
 /// `simpim.reram.*` metric, while the coarse values bound the dots.
 #[test]
 fn a_coarse_read_charges_the_bank_as_the_full_pass() {
-    use simpim::reram::{AccWidth, CrossbarConfig, PimConfig, ReRamBank};
+    use simpim::reram::{AccWidth, CrossbarConfig, PimConfig, ReRamBank, Read};
     let _gate = OBS_GATE.lock().unwrap();
     let cfg = PimConfig {
         crossbar: CrossbarConfig {
@@ -300,18 +300,14 @@ fn a_coarse_read_charges_the_bank_as_the_full_pass() {
     let straddling = [vec![8191u32; 16], vec![0]].concat();
     let widening = [vec![0u32; 16], vec![(1 << 20) - 1]].concat();
     let query = [vec![12_287u32; 16], vec![0]].concat();
-    let run = |coarse: bool| {
+    let run = |read: Read| {
         let mut bank = ReRamBank::new(cfg).unwrap();
         let rep = bank
             .program_region(&[straddling.clone(), widening.clone()].concat(), 2, 17, 32)
             .unwrap();
         let passes = [(rep.region, &query[..]), (rep.region, &[0; 17][..])];
         simpim::obs::metrics::reset();
-        let (out, lost) = if coarse {
-            bank.dot_batch_coarse(&passes, AccWidth::U64)
-        } else {
-            bank.dot_batch_multi(&passes, AccWidth::U64)
-        };
+        let (out, lost) = bank.read(&passes, AccWidth::U64, read);
         lost.unwrap();
         let mut reram = simpim::obs::metrics::snapshot();
         reram
@@ -321,17 +317,90 @@ fn a_coarse_read_charges_the_bank_as_the_full_pass() {
         let energy = [energy.write_j, energy.compute_j, energy.bus_j].map(f64::to_bits);
         (out, reram, energy, bank.dispatches())
     };
-    let (fine, fine_metrics, fine_energy, fine_dispatches) = run(false);
-    let (coarse, metrics, energy, dispatches) = run(true);
+    let (fine, fine_metrics, fine_energy, fine_dispatches) = run(Read::Fine);
+    let (coarse, metrics, energy, dispatches) = run(Read::Coarse);
     assert!(!metrics.metrics.is_empty());
     assert_eq!(
         (metrics, energy, dispatches),
         (fine_metrics, fine_energy, fine_dispatches)
     );
     for (c, f) in coarse.iter().zip(&fine) {
-        assert!(c.coarse && !f.coarse);
-        assert_eq!((c.timing, c.result_bytes), (f.timing, f.result_bytes));
+        assert_eq!((c.read, f.read), (Read::Coarse, Read::Fine));
+        assert_eq!(c.timing, f.timing);
         assert!(c.values.iter().zip(&f.values).all(|(c, f)| c >= f));
+    }
+}
+
+/// The span tree of a coalesced serving batch over two shards: under a
+/// `serve.engine.batch` root of two or more queries, one
+/// `serve.replica.pass` span per shard, each the parent of exactly one
+/// `core.executor.lb_ed_batch_coarse` span inside its interval, whose
+/// `reram.bank.dot_batch` spans are its children and inside its
+/// interval. The engine's scheduler takes what is queued when it wakes,
+/// so a burst is sent again until the engine counts more queries than
+/// batches.
+#[test]
+fn a_coalesced_engine_batch_nests_one_coarse_pass_per_shard() {
+    use simpim::obs::trace::{self, SpanRecord};
+    use simpim::serve::{ServeConfig, ServeEngine};
+    let _gate = OBS_GATE.lock().unwrap();
+    let value = |i: usize, j: usize, m: usize| ((i * 13 + j * 29) % m) as f64 / (m - 1) as f64;
+    let rows: Vec<Vec<f64>> = (0..64)
+        .map(|i| (0..8).map(|j| value(i, j, 101)).collect())
+        .collect();
+    let queries: Vec<Vec<f64>> = (0..8)
+        .map(|q| (0..8).map(|j| value(q + 64, j, 19)).collect())
+        .collect();
+    let cfg = ServeConfig {
+        shards: 2,
+        max_batch: 8,
+        ..ServeConfig::default()
+    };
+    trace::enable(1 << 16);
+    trace::drain_all();
+    let engine = ServeEngine::open(cfg, &Dataset::from_rows(&rows).unwrap()).unwrap();
+    for _ in 0..100 {
+        engine.knn_batch(&queries, 3).unwrap();
+        let stats = engine.stats().unwrap();
+        if stats.queries > stats.batches {
+            break;
+        }
+    }
+    // Joins the scheduler thread, whose journal goes to the orphan sink.
+    drop(engine);
+    let spans = trace::drain_all();
+    trace::disable();
+
+    let attr = |s: &SpanRecord, key: &str| {
+        let found = s.attrs.iter().find(|(k, _)| k == key);
+        found.map_or(f64::NAN, |&(_, v)| v)
+    };
+    let children = |name: &'static str, parent: &SpanRecord| -> Vec<&SpanRecord> {
+        let id = Some(parent.id);
+        let named = spans.iter().filter(|s| s.name == name);
+        named.filter(|s| s.parent == id).collect()
+    };
+    let within = |outer: &SpanRecord, inner: &SpanRecord| {
+        outer.start_ns <= inner.start_ns && inner.end_ns <= outer.end_ns
+    };
+    let coalesced: Vec<&SpanRecord> = spans
+        .iter()
+        .filter(|s| s.name == "serve.engine.batch" && attr(s, "queries") >= 2.0)
+        .collect();
+    assert!(!coalesced.is_empty(), "no batch of two or more queries");
+    for batch in coalesced {
+        let passes = children("serve.replica.pass", batch);
+        let mut shards: Vec<f64> = passes.iter().map(|p| attr(p, "shard")).collect();
+        shards.sort_by(f64::total_cmp);
+        assert_eq!(shards, [0.0, 1.0], "one replica pass per shard");
+        for pass in passes {
+            let exec = children("core.executor.lb_ed_batch_coarse", pass);
+            assert_eq!(exec.len(), 1, "one executor pass per shard pass");
+            assert!(within(pass, exec[0]));
+            let dots = children("reram.bank.dot_batch", exec[0]);
+            assert!(!dots.is_empty(), "the bank's dispatches");
+            assert!(dots.iter().all(|dot| within(exec[0], dot)));
+        }
     }
 }
 

@@ -6,7 +6,7 @@ use simpim::core::pim_bounds::{
     error_bound_ed, host_floor_dot, lb_pim_ed, lb_pim_fnn, quantize_for_dot, quantize_for_ed,
     ub_pim_cs, ub_pim_pcc, FnnQuant,
 };
-use simpim::reram::{AccWidth, CrossbarConfig, PimArray, PimConfig};
+use simpim::reram::{AccWidth, CrossbarConfig, PimArray, PimConfig, Read};
 use simpim::similarity::measures::{cosine, euclidean_sq, pearson};
 use simpim::similarity::{Quantizer, SegmentStats};
 
@@ -141,9 +141,9 @@ fn check_pim_array_dot(rows: &[Vec<u32>], query: &[u32]) {
     assert_eq!(vals, exact(query));
     let reversed: Vec<u32> = query.iter().rev().copied().collect();
     let passes = [(rep.region, query), (rep.region, &reversed[..])];
-    let shared = pim.dot_batch_multi(&passes, AccWidth::U64).unwrap();
-    assert_eq!(shared[0].0, exact(query));
-    assert_eq!(shared[1].0, exact(&reversed));
+    let shared = pim.read(&passes, AccWidth::U64, Read::Fine).unwrap();
+    assert_eq!(shared[0].values, exact(query));
+    assert_eq!(shared[1].values, exact(&reversed));
 }
 
 /// The one case the property above ever failed on, kept as a plain test:
