@@ -11,7 +11,7 @@
 //!   AND-popcount MACs over packed words, the exact u32 MAC of the
 //!   array-level crossbar pass over a 20-bit operand matrix of the
 //!   workload's shape, and the multi-query `dot_multi_f64`,
-//!   `dot_multi_u8` and `cell_bound_multi`, each described below),
+//!   `dot_multi_u12` and `cell_bound_multi`, each described below),
 //!   best-of-several passes so a preempted pass doesn't pollute the
 //!   trajectory;
 //! * **end-to-end kNN throughput**: Standard-PIM kNN (`knn_pim_ed`)
@@ -34,8 +34,8 @@
 //!   its speedup over eight `dot_u32` calls of the same tier;
 //! * **the coarse-first pass**: a coarse `PimArray::read` of `Q` in
 //!   2..=8 queries on the same region, in ns per operand and query, and
-//!   its kernel `dot_multi_u8` over the workload's 8-bit cells at eight
-//!   queries prepared once, its sums hashed into `dot_multi_u8_hash` —
+//!   its kernel `dot_multi_u12` over the workload's 12-bit cells at eight
+//!   queries prepared once, its sums hashed into `dot_multi_u12_hash` —
 //!   equal on all backends, and to one call per query. The eight-query
 //!   read is then taken apart on the region's own cells
 //!   (`coarse_split_q8_ns_per_operand`): the whole read beside its
@@ -53,7 +53,9 @@
 //!   executor's `G`, the shard's columns, the refinement's seed step per
 //!   query, its marking and its sweep — each stage timed alone through
 //!   its public entry on the same rows (the seed step and the marking
-//!   through `refine_resident_batch_timed`'s clock);
+//!   through `refine_resident_batch_timed`'s clock) — and the rows a
+//!   query tightens there (`tightened_per_query`: the live rows less
+//!   `ShardRefine::cheap_pruned`), which the seed step reads fine;
 //! * **the abandoning distance and the batch refinement built on it**:
 //!   `euclidean_sq_until` in ns per element of the whole row when every
 //!   row is abandoned about 1/8 and 1/2 of the way in and when none is
@@ -81,7 +83,7 @@ use simpim_bounds::BoundCascade;
 use simpim_core::executor::{Columns, PimExecutor};
 use simpim_core::PreparedFunction;
 use simpim_datasets::PaperDataset;
-use simpim_kern::{self as kern, Backend};
+use simpim_kern::{self as kern, Backend, U12Queries};
 use simpim_mining::knn::resident::{
     push_cells, refine_resident_batch, refine_resident_batch_timed, BatchQuery, RefineClock,
     Tighten,
@@ -160,7 +162,7 @@ fn triple(names: [&str; 3], values: [f64; 3]) -> Json {
 struct CoarseSplit {
     /// The coarse `read` as a whole.
     total: f64,
-    /// `dot_multi_u8` over the region's cells in the read's 256-row calls.
+    /// `dot_multi_u12` over the region's cells in the read's 256-row calls.
     kernel: f64,
     /// The same in one call over the whole region.
     one_call: f64,
@@ -201,7 +203,7 @@ impl CoarseSplit {
 struct HostSplit {
     /// `Shard::query_batch` as a whole.
     batch: f64,
-    /// `dot_multi_u8` over the region's cells in the read's 256-row calls.
+    /// `dot_multi_u12` over the region's cells in the read's 256-row calls.
     kernel: f64,
     /// The rest of the array's coarse read (`PimArray::read`).
     bound_bracket: f64,
@@ -216,6 +218,9 @@ struct HostSplit {
     mark: f64,
     /// The rest of the refinement: the sweep and its merge.
     sweep: f64,
+    /// Rows a query tightens: the live rows less those left at their
+    /// coarse bound (`ShardRefine::cheap_pruned`), a count, not µs.
+    tightened_per_query: f64,
 }
 
 impl HostSplit {
@@ -235,6 +240,7 @@ impl HostSplit {
             ("seed_per_query", Json::Num(self.seed_per_query)),
             ("mark", Json::Num(self.mark)),
             ("sweep", Json::Num(self.sweep)),
+            ("tightened_per_query", Json::Num(self.tightened_per_query)),
         ])
     }
 }
@@ -259,7 +265,7 @@ impl HostKit {
         let rows = simpim_datasets::generate(&simpim_datasets::SyntheticConfig {
             n: PASS_ROWS,
             d: 420,
-            clusters: 24,
+            clusters: 48,
             cluster_std: 0.05,
             stat_uniformity: 0.05,
             seed: 12,
@@ -310,20 +316,21 @@ impl HostKit {
             .flat_map(|i| pim.region_row(region, i).expect("a stored row").to_vec())
             .collect();
         let widest = stored.iter().fold(0, |a, &b| a | b);
-        let t = (u32::BITS - widest.leading_zeros()).saturating_sub(8);
-        let cells: Vec<u8> = stored.iter().map(|&v| (v >> t) as u8).collect();
-        let query_cells: Vec<Vec<u8>> = floors
+        let t = (u32::BITS - widest.leading_zeros()).saturating_sub(12);
+        let cells: Vec<u16> = stored.iter().map(|&v| (v >> t) as u16).collect();
+        let query_cells: Vec<Vec<u16>> = floors
             .iter()
-            .map(|f| f.iter().map(|&v| (v >> t) as u8).collect())
+            .map(|f| f.iter().map(|&v| (v >> t) as u16).collect())
             .collect();
-        let query_cells: Vec<&[u8]> = query_cells.iter().map(Vec::as_slice).collect();
-        let block = kern::U8Queries::new(d, &query_cells);
+        let query_cells: Vec<&[u16]> = query_cells.iter().map(Vec::as_slice).collect();
+        let block = U12Queries::new(d, &query_cells);
         let m = exec.config().pim.crossbar.size;
         let ids: Vec<usize> = (0..n).collect();
         let (live, order) = (vec![true; n], ids.clone());
         let mut columns = vec![0.0; n * queries.len()];
 
         let mut best = [f64::INFINITY; 7];
+        let mut tightened = 0;
         let mut keep = |stage: usize, ns: f64| best[stage] = best[stage].min(ns / 1e3);
         let timed = |f: &mut dyn FnMut()| {
             let t0 = Instant::now();
@@ -343,7 +350,7 @@ impl HostKit {
                     timed(&mut || {
                         for rows in cells.chunks(256 * d) {
                             let out = &mut out[..16 * rows.len() / d];
-                            kern::dot_multi_u8(rows, &block, m, out);
+                            kern::dot_multi_u12(rows, &block, m, out);
                         }
                         std::hint::black_box(&out);
                     }),
@@ -408,7 +415,12 @@ impl HostKit {
                             &mut counters,
                             &mut clock,
                         );
-                        drop(std::hint::black_box(out.expect("Euclidean rows")));
+                        let out = std::hint::black_box(out.expect("Euclidean rows"));
+                        let kept: u64 = out
+                            .iter()
+                            .map(|r| r.as_ref().expect("a query").cheap_pruned)
+                            .sum();
+                        tightened = (n * queries.len()) as u64 - kept;
                     }),
                 );
                 keep(5, clock.seed_ns as f64);
@@ -425,6 +437,7 @@ impl HostKit {
             seed_per_query: seed / queries.len() as f64,
             mark,
             sweep: refine - seed - mark,
+            tightened_per_query: tightened as f64 / queries.len() as f64,
         }
     }
 }
@@ -440,7 +453,7 @@ struct Row {
     andpop_ns: f64,
     dot_u32_ns: f64,
     dot_multi_f64_ns: f64,
-    dot_multi_u8_ns: f64,
+    dot_multi_u12_ns: f64,
     cell_bound_ns: f64,
     /// `euclidean_sq_until` abandoning at 1/8, at 1/2, never.
     until_ns: [f64; 3],
@@ -458,7 +471,7 @@ struct Row {
     hash: u64,
     dot_u32_hash: u64,
     dot_multi_f64_hash: u64,
-    dot_multi_u8_hash: u64,
+    dot_multi_u12_hash: u64,
     until_hash: u64,
     cell_bound_hash: u64,
 }
@@ -618,35 +631,36 @@ fn sweep_backend(
             });
             ns
         });
-        // The coarse pass's kernel over the operands' 8-bit cells (the
-        // 20-bit operands shifted by 12), at eight queries a block of
+        // The coarse pass's kernel over the operands' 12-bit cells (the
+        // 20-bit operands shifted by 8), at eight queries a block of
         // rows, against one call per query.
-        let to_cells = |v: &[u32]| -> Vec<u8> { v.iter().map(|&x| (x >> 12) as u8).collect() };
+        let to_cells = |v: &[u32]| -> Vec<u16> { v.iter().map(|&x| (x >> 8) as u16).collect() };
         let (plane, query_cells) = (to_cells(operands), to_cells(&operand_queries.concat()));
-        let u8_queries: Vec<&[u8]> = query_cells.chunks_exact(d).collect();
-        let eight_u8 = kern::U8Queries::new(d, &u8_queries);
+        let u12_queries: Vec<&[u16]> = query_cells.chunks_exact(d).collect();
+        let eight_u12 = U12Queries::new(d, &u12_queries);
         // Per call of `rows` rows of `plane` the kernel's outputs folded by
         // `fold` (timed with a plain sum, hashed in a pass of its own).
-        let u8_pass =
-            |plane: &[u8], rows: usize, qs: &kern::U8Queries, fold: &dyn Fn(u64, &[u64]) -> u64| {
+        let u12_pass =
+            |plane: &[u16], rows: usize, qs: &U12Queries, fold: &dyn Fn(u64, &[u64]) -> u64| {
                 let mut out = vec![0u64; 2 * qs.len() * rows];
                 plane
                     .chunks(rows * d)
                     .fold(0xcbf2_9ce4_8422_2325u64, |h, rows| {
                         let out = &mut out[..2 * qs.len() * rows.len() / d];
-                        kern::dot_multi_u8(rows, qs, seg, out);
+                        kern::dot_multi_u12(rows, qs, seg, out);
                         fold(h, out)
                     })
             };
         let summed = |t: u64, out: &[u64]| t.wrapping_add(out[0]);
         let hashed = |h, out: &[u64]| out.iter().fold(h, |h: u64, v| fnv1a(h, &v.to_le_bytes()));
-        let u8_hash = |qs: &kern::U8Queries| u8_pass(&plane, 256, qs, &hashed);
-        let (dot_multi_u8_ns, _) =
-            measure(8 * plane.len(), || u8_pass(&plane, 256, &eight_u8, &summed));
-        let dot_multi_u8_hash = u8_hash(&eight_u8);
-        let one_by_one: Vec<u64> = u8_queries
+        let u12_hash = |qs: &U12Queries| u12_pass(&plane, 256, qs, &hashed);
+        let (dot_multi_u12_ns, _) = measure(8 * plane.len(), || {
+            u12_pass(&plane, 256, &eight_u12, &summed)
+        });
+        let dot_multi_u12_hash = u12_hash(&eight_u12);
+        let one_by_one: Vec<u64> = u12_queries
             .iter()
-            .map(|q| u8_hash(&kern::U8Queries::new(d, &[q])))
+            .map(|q| u12_hash(&U12Queries::new(d, &[q])))
             .collect();
         let multi_by_one: Vec<u64> = (0..8)
             .map(|j| {
@@ -655,7 +669,7 @@ fn sweep_backend(
                     .chunks(256 * d)
                     .fold(0xcbf2_9ce4_8422_2325u64, |h, rows| {
                         let n = rows.len() / d;
-                        kern::dot_multi_u8(rows, &eight_u8, seg, &mut out[..16 * n]);
+                        kern::dot_multi_u12(rows, &eight_u12, seg, &mut out[..16 * n]);
                         let (total, top) = (&out[j * n..][..n], &out[(8 + j) * n..][..n]);
                         total
                             .iter()
@@ -667,7 +681,7 @@ fn sweep_backend(
         assert_eq!(
             one_by_one,
             multi_by_one,
-            "{}: dot_multi_u8 differs from one query a call",
+            "{}: dot_multi_u12 differs from one query a call",
             b.name()
         );
         // The coarse read at eight queries taken apart on its own region's
@@ -679,7 +693,7 @@ fn sweep_backend(
         // that stay in L1.
         let pass_plane = to_cells(pass_operands);
         let cell_macs = 8 * pass_plane.len();
-        let per_task = || u8_pass(&pass_plane, 256, &eight_u8, &summed);
+        let per_task = || u12_pass(&pass_plane, 256, &eight_u12, &summed);
         let eight: Vec<(RegionId, &[u32])> =
             operand_queries.iter().map(|q| (region, &q[..])).collect();
         let start = std::sync::Barrier::new(2);
@@ -705,14 +719,14 @@ fn sweep_backend(
             two_workers = two_workers.min(both);
         }
         let (one_call, _) = measure(cell_macs, || {
-            u8_pass(&pass_plane, PASS_ROWS, &eight_u8, &summed)
+            u12_pass(&pass_plane, PASS_ROWS, &eight_u12, &summed)
         });
         let (prepared_per_call, _) = measure(cell_macs, || {
             let mut out = vec![0u64; 2 * 8 * 256];
             pass_plane.chunks(256 * d).fold(0u64, |t, rows| {
-                let qs = kern::U8Queries::new(d, &u8_queries);
+                let qs = U12Queries::new(d, &u12_queries);
                 let out = &mut out[..16 * rows.len() / d];
-                kern::dot_multi_u8(rows, &qs, seg, out);
+                kern::dot_multi_u12(rows, &qs, seg, out);
                 t.wrapping_add(out[0])
             })
         });
@@ -720,7 +734,7 @@ fn sweep_backend(
         let (l1_peak, _) = measure(cell_macs, || {
             let mut out = [0u64; 2 * 8 * 16];
             (0..PASS_ROWS / 16).fold(0u64, |t, _| {
-                kern::dot_multi_u8(std::hint::black_box(l1_rows), &eight_u8, d, &mut out);
+                kern::dot_multi_u12(std::hint::black_box(l1_rows), &eight_u12, d, &mut out);
                 t.wrapping_add(out[0])
             })
         });
@@ -815,7 +829,7 @@ fn sweep_backend(
             andpop_ns,
             dot_u32_ns,
             dot_multi_f64_ns,
-            dot_multi_u8_ns,
+            dot_multi_u12_ns,
             cell_bound_ns,
             until_ns,
             pass_ms_per_query,
@@ -828,7 +842,7 @@ fn sweep_backend(
             hash,
             dot_u32_hash,
             dot_multi_f64_hash,
-            dot_multi_u8_hash,
+            dot_multi_u12_hash,
             until_hash,
             cell_bound_hash,
         }
@@ -915,9 +929,9 @@ fn main() {
                 scalar.dot_multi_f64_hash,
             ),
             (
-                "dot_multi_u8",
-                r.dot_multi_u8_hash,
-                scalar.dot_multi_u8_hash,
+                "dot_multi_u12",
+                r.dot_multi_u12_hash,
+                scalar.dot_multi_u12_hash,
             ),
             ("euclidean_sq_until", r.until_hash, scalar.until_hash),
             (
@@ -942,7 +956,7 @@ fn main() {
         ),
         &[
             "backend", "dot", "norm", "fused", "euclid", "until 1/8", "1/2", "never", "xorpop",
-            "andpop", "dot_u32", "multi", "u8", "cell", "pass Q=1", "Q=2", "Q=3", "Q=4", "Q=5", "Q=6",
+            "andpop", "dot_u32", "multi", "u12", "cell", "pass Q=1", "Q=2", "Q=3", "Q=4", "Q=5", "Q=6",
             "Q=7", "Q=8", "coarse Q=2", "Q=3", "Q=4", "Q=5", "Q=6", "Q=7", "Q=8", "refine Q=1", "Q=4",
             "Q=8",
             "knn qps", "vs scalar",
@@ -954,7 +968,7 @@ fn main() {
                     .into_iter()
                     .chain(r.until_ns)
                     .chain([r.xorpop_ns, r.andpop_ns, r.dot_u32_ns, r.dot_multi_f64_ns])
-                    .chain([r.dot_multi_u8_ns, r.cell_bound_ns]);
+                    .chain([r.dot_multi_u12_ns, r.cell_bound_ns]);
                 std::iter::once(r.name.to_string())
                     .chain(ns.map(|v| format!("{v:.3}")))
                     .chain(r.pass_ms_per_query.map(|v| format!("{v:.2}")))
@@ -971,7 +985,7 @@ fn main() {
     println!(
         "result hash {hash:016x} identical across {} backends and 1|4|ambient workers \
          (ns/element columns, until per element of the whole row; popcount per u64 word; \
-         u8 per cell and query, cell per cell and query, at eight queries; pass columns: ms \
+         u12 per cell and query, cell per cell and query, at eight queries; pass columns: ms \
          per query of one fine PimArray::read over {PASS_ROWS} x {d} at one worker; coarse \
          columns: ns per operand and query of a coarse read on it; refine columns: ms per query \
          of one refine_resident_batch over {} x {} with zero bounds and the cell plane at \
@@ -1004,7 +1018,7 @@ fn main() {
         println!(
             "{}: coarse shard batch at Q=8 {:.0} µs = kernel {:.0} + host {:.0}: bounds and \
              bracket {:.0}, combine {:.0}, columns {:.0}, seed {:.1} per query, mark {:.1}, \
-             sweep {:.0}",
+             sweep {:.0}; {:.1} rows tightened per query",
             r.name,
             h.batch,
             h.kernel,
@@ -1014,7 +1028,8 @@ fn main() {
             h.columns,
             h.seed_per_query,
             h.mark,
-            h.sweep
+            h.sweep,
+            h.tightened_per_query
         );
     }
 
@@ -1035,7 +1050,7 @@ fn main() {
                 ("and_popcount_ns_per_word", Json::Num(r.andpop_ns)),
                 ("dot_u32_ns_per_elem", Json::Num(r.dot_u32_ns)),
                 ("dot_multi_f64_ns_per_elem", Json::Num(r.dot_multi_f64_ns)),
-                ("dot_multi_u8_ns_per_elem", Json::Num(r.dot_multi_u8_ns)),
+                ("dot_multi_u12_ns_per_elem", Json::Num(r.dot_multi_u12_ns)),
                 (
                     "coarse_ns_per_operand",
                     Json::obj(
@@ -1111,8 +1126,8 @@ fn main() {
                 Json::Str(format!("{:016x}", scalar.dot_multi_f64_hash)),
             ),
             (
-                "dot_multi_u8_hash",
-                Json::Str(format!("{:016x}", scalar.dot_multi_u8_hash)),
+                "dot_multi_u12_hash",
+                Json::Str(format!("{:016x}", scalar.dot_multi_u12_hash)),
             ),
             (
                 "euclidean_sq_until_hash",

@@ -9,7 +9,7 @@
 //! model, and the exact integer MACs the array-level crossbar pass runs
 //! on ([`dot_multi_f64`] for one to eight queries per row load where
 //! its sums stay below 2⁵³, [`dot_u32`] elsewhere, one query at a time,
-//! [`dot_multi_u8`] for the coarse 8-bit plane read
+//! [`dot_multi_u12`] for the coarse 12-bit plane read
 //! before it), and the integer cell-plane bound a serving
 //! shard tests before an exact distance ([`cell_bound_multi`]) — as a
 //! [`KernelBackend`] vtable selected
@@ -56,7 +56,7 @@ pub mod scalar;
 mod x86;
 
 /// Re-export of the canonical lane count (4) of the chunked layout.
-pub use scalar::{U8Queries, LANES, MULTI_QUERIES};
+pub use scalar::{U12Queries, LANES, MULTI_QUERIES, U12_MAX};
 
 /// Identifies one kernel backend tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -113,9 +113,9 @@ impl Backend {
 /// length, the output.
 pub type MultiF64 = fn(&[u32], &[&[f64]], usize, &mut [f64]);
 
-/// The signature of [`dot_multi_u8`]: a block of rows, the queries
+/// The signature of [`dot_multi_u12`]: a block of rows, the queries
 /// prepared for it, the segment length, the output.
-pub type MultiU8 = fn(&[u8], &U8Queries, usize, &mut [u64]);
+pub type MultiU12 = fn(&[u16], &U12Queries, usize, &mut [u64]);
 
 /// The dispatched kernel table: plain function pointers, one indirect
 /// call per kernel invocation, resolved once per backend.
@@ -143,8 +143,8 @@ pub struct KernelBackend {
     /// has one that beats a [`dot_u32`] per query (AVX2 with FMA); `None`
     /// elsewhere, and the crossbar pass then makes those calls.
     pub dot_multi_f64: Option<MultiF64>,
-    /// The coarse crossbar pass's MACs of [`scalar::dot_multi_u8`].
-    pub dot_multi_u8: MultiU8,
+    /// The coarse crossbar pass's MACs of [`scalar::dot_multi_u12`].
+    pub dot_multi_u12: MultiU12,
     /// The cell-plane bound sums of [`scalar::cell_bound_multi`].
     pub cell_bound_multi: fn(&[u8], &[&[u8]], &mut [u64]),
 }
@@ -168,7 +168,7 @@ const SCALAR_TABLE: KernelBackend = KernelBackend {
     and_popcount: scalar::and_popcount,
     dot_u32: scalar::dot_u32,
     dot_multi_f64: None,
-    dot_multi_u8: scalar::dot_multi_u8,
+    dot_multi_u12: scalar::dot_multi_u12,
     cell_bound_multi: scalar::cell_bound_multi,
 };
 
@@ -177,7 +177,7 @@ const SCALAR_TABLE: KernelBackend = KernelBackend {
 // `unsafe` target-feature functions document.
 #[cfg(target_arch = "x86_64")]
 mod x86_dispatch {
-    use super::{x86, U8Queries};
+    use super::{x86, U12Queries};
 
     macro_rules! trampoline {
         ($name:ident, $path:path, ($($arg:ident: $ty:ty),+) -> $ret:ty) => {
@@ -197,7 +197,7 @@ mod x86_dispatch {
     trampoline!(and_popcount_avx2, x86::avx2::and_popcount, (a: &[u64], b: &[u64]) -> u64);
     trampoline!(dot_u32_avx2, x86::avx2::dot_u32, (a: &[u32], b: &[u32]) -> u64);
     trampoline!(dot_multi_f64_fma, x86::avx2::dot_multi_f64, (row: &[u32], qs: &[&[f64]], seg: usize, out: &mut [f64]) -> ());
-    trampoline!(dot_multi_u8_avx2, x86::avx2::dot_multi_u8, (rows: &[u8], qs: &U8Queries, seg: usize, out: &mut [u64]) -> ());
+    trampoline!(dot_multi_u12_avx2, x86::avx2::dot_multi_u12, (rows: &[u16], qs: &U12Queries, seg: usize, out: &mut [u64]) -> ());
     trampoline!(cell_bound_multi_avx2, x86::avx2::cell_bound_multi, (row: &[u8], qs: &[&[u8]], out: &mut [u64]) -> ());
 }
 
@@ -219,7 +219,7 @@ fn table(b: Backend) -> KernelBackend {
             // An AVX2 CPU without FMA keeps the per-query `dot_u32`.
             dot_multi_f64: is_x86_feature_detected!("fma")
                 .then_some(x86_dispatch::dot_multi_f64_fma as _),
-            dot_multi_u8: x86_dispatch::dot_multi_u8_avx2,
+            dot_multi_u12: x86_dispatch::dot_multi_u12_avx2,
             cell_bound_multi: x86_dispatch::cell_bound_multi_avx2,
         },
         _ => SCALAR_TABLE,
@@ -426,17 +426,17 @@ pub fn dot_multi_f64(row: &[u32], qs: &[&[f64]], seg: usize, out: &mut [f64]) {
     kernels().dot_multi_f64.unwrap_or(scalar::dot_multi_f64)(row, qs, seg, out)
 }
 
-/// Dispatched [`scalar::dot_multi_u8`]: a block of rows of `u8` plane
+/// Dispatched [`scalar::dot_multi_u12`]: a block of rows of 12-bit plane
 /// cells against up to eight queries' cells, prepared once by the caller
-/// as a [`U8Queries`], per row and query the dot product and its largest
+/// as a [`U12Queries`], per row and query the dot product and its largest
 /// `seg`-cell segment sum — the same integers on every backend.
 ///
 /// # Panics
 /// Panics when `seg` is 0, when `rows` is not whole rows of `qs.dim()`
 /// cells, or when `out` is shorter than two values a row and query.
 #[inline]
-pub fn dot_multi_u8(rows: &[u8], qs: &U8Queries, seg: usize, out: &mut [u64]) {
-    (kernels().dot_multi_u8)(rows, qs, seg, out)
+pub fn dot_multi_u12(rows: &[u16], qs: &U12Queries, seg: usize, out: &mut [u64]) {
+    (kernels().dot_multi_u12)(rows, qs, seg, out)
 }
 
 /// Dispatched [`scalar::cell_bound_multi`]: one row of `u8` cells against
@@ -540,16 +540,16 @@ mod tests {
                     dot_multi_f64(&p, &[&qf, &pf, &qf], len.max(1), &mut out);
                     assert_eq!(out.map(|v| v as u64), [pq, pp, pq, pq, pp, pq]);
                     let [r, c] = [&w, &v].map(|x| x.iter().map(|&x| x as u8).collect::<Vec<_>>());
-                    if len > 0 {
+                    let [r12, c12] =
+                        [&w, &v].map(|x| x.iter().map(|&x| x as u16 & U12_MAX).collect::<Vec<_>>());
+                    let (half, seg) = (len / 2 * 2, len / 2 + 1);
+                    if half > 0 {
                         let (mut got, mut want) = ([0u64; 12], [0u64; 12]);
-                        let (half, seg) = (len / 2 * 2, len / 2 + 1);
-                        if half > 0 {
-                            let qs = [&c[..len / 2], &r[..len / 2], &c[len / 2..half]];
-                            let qs = U8Queries::new(len / 2, &qs);
-                            dot_multi_u8(&r[..half], &qs, seg, &mut got);
-                            scalar::dot_multi_u8(&r[..half], &qs, seg, &mut want);
-                            assert_eq!(got, want);
-                        }
+                        let qs = [&c12[..len / 2], &r12[..len / 2], &c12[len / 2..half]];
+                        let qs = U12Queries::new(len / 2, &qs);
+                        dot_multi_u12(&r12[..half], &qs, seg, &mut got);
+                        scalar::dot_multi_u12(&r12[..half], &qs, seg, &mut want);
+                        assert_eq!(got, want);
                     }
                     let (mut got, mut want) = ([0u64; 3], [0u64; 3]);
                     cell_bound_multi(&r, &[&c, &r, &c[..len / 2]], &mut got);

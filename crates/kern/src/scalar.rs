@@ -13,7 +13,7 @@
 //! patterns as non-deterministic, so a reduction over several distinct
 //! NaNs guarantees NaN ⇔ NaN, not which payload wins.) The integer
 //! kernels — the popcount MACs, [`dot_u32`], [`dot_multi_f64`],
-//! [`dot_multi_u8`] and [`cell_bound_multi`] — need
+//! [`dot_multi_u12`] and [`cell_bound_multi`] — need
 //! no such layout: wrapping integer sums, and integer `f64` sums that
 //! never round, are the same in any order.
 
@@ -260,32 +260,35 @@ pub fn dot_multi_f64(row: &[u32], qs: &[&[f64]], seg: usize, out: &mut [f64]) {
     }
 }
 
+/// The largest cell [`dot_multi_u12`] multiplies: 12 bits.
+pub const U12_MAX: u16 = (1 << 12) - 1;
+
 /// The queries of a coarse read, prepared once for every block of rows
-/// [`dot_multi_u8`] multiplies them with: up to [`MULTI_QUERIES`] queries
-/// of `dim` cells each, every cell widened to the `i16` a `vpmaddwd`
-/// takes, query by query, each query starting on a 32-byte boundary so
-/// that a step's load never straddles two cache lines. It is built from
-/// `u8` cells only, so every value lies in `0..=255`, the range each
-/// tier's sums are exact for.
+/// [`dot_multi_u12`] multiplies them with: up to [`MULTI_QUERIES`] queries
+/// of `dim` cells each, every cell the `i16` a `vpmaddwd` takes, query by
+/// query, each query starting on a 32-byte boundary so that a step's load
+/// never straddles two cache lines. Every cell is at most [`U12_MAX`],
+/// the range each tier's sums are exact for.
 #[derive(Debug, Clone)]
-pub struct U8Queries {
+pub struct U12Queries {
     steps: Vec<Step>,
     dim: usize,
     len: usize,
 }
 
-/// Sixteen widened cells: one aligned 32-byte load.
+/// Sixteen cells: one aligned 32-byte load.
 #[derive(Debug, Clone, Copy, Default)]
 #[repr(C, align(32))]
 struct Step([i16; 16]);
 
-impl U8Queries {
+impl U12Queries {
     /// The block of the queries `qs`, `dim` cells each.
     ///
     /// # Panics
-    /// Panics when `dim` is 0, or when `qs` holds more than
-    /// [`MULTI_QUERIES`] queries or one that is not `dim` cells.
-    pub fn new(dim: usize, qs: &[&[u8]]) -> Self {
+    /// Panics when `dim` is 0, when `qs` holds more than
+    /// [`MULTI_QUERIES`] queries or one that is not `dim` cells, or when
+    /// a cell is above [`U12_MAX`].
+    pub fn new(dim: usize, qs: &[&[u16]]) -> Self {
         assert!(
             dim > 0 && qs.len() <= MULTI_QUERIES,
             "queries of 1+ cells, 8 queries at most"
@@ -296,7 +299,8 @@ impl U8Queries {
         for (x, steps) in qs.iter().zip(steps.chunks_mut(stride)) {
             for (cells, step) in x.chunks(16).zip(steps) {
                 for (wide, &v) in step.0.iter_mut().zip(cells) {
-                    *wide = i16::from(v);
+                    assert!(v <= U12_MAX, "12-bit cells");
+                    *wide = v as i16;
                 }
             }
         }
@@ -322,7 +326,7 @@ impl U8Queries {
         self.dim
     }
 
-    /// Query `j`'s cells, widened; they start 32-byte aligned.
+    /// Query `j`'s cells; they start 32-byte aligned.
     ///
     /// # Panics
     /// Panics when the block holds no query `j`.
@@ -336,33 +340,42 @@ impl U8Queries {
     }
 }
 
+/// Products a `u32` sums exactly: 256 · 4 095² < 2³².
+const U12_CHUNK: usize = 256;
+const _: () = assert!(U12_CHUNK as u64 * (U12_MAX as u64).pow(2) < 1 << 32);
+
 /// The coarse crossbar pass's MACs: [`dot_multi_f64`]'s outputs for a
-/// block of `n` stored rows of `u8` plane cells, `s = qs.dim()` cells a
-/// row, against the prepared queries `qs`, in integers, query by query:
-/// for row `r` and query `j` of `Q = qs.len()`, `out[n·j + r]` receives
-/// `Σ rowᵢ · qs[j]ᵢ` and `out[n·(Q + j)+ r]` the largest of its
-/// `seg`-cell segments' sums. A block of rows a call, and queries that
-/// the caller widened once for all of its blocks: a call pays for its
-/// MACs, and each query's values come out side by side. Exact for any
-/// row a `u64` can address, and so the same integers on every tier.
+/// block of `n` stored rows of 12-bit plane cells (each at most
+/// [`U12_MAX`]), `s = qs.dim()` cells a row, against the prepared queries
+/// `qs`, in integers, query by query: for row `r` and query `j` of
+/// `Q = qs.len()`, `out[n·j + r]` receives `Σ rowᵢ · qs[j]ᵢ` and
+/// `out[n·(Q + j)+ r]` the largest of its `seg`-cell segments' sums. A
+/// block of rows a call, and queries that the caller prepared once for
+/// all of its blocks: a call pays for its MACs, and each query's values
+/// come out side by side. Exact for any row a `u64` can address, and so
+/// the same integers on every tier. A row cell above [`U12_MAX`] is
+/// outside the contract: the sums are then unspecified (and a debug
+/// build panics).
 ///
 /// # Panics
 /// Panics when `seg` is 0, when `rows` is not whole rows, or when `out`
 /// is shorter than `2Q` values a row.
-pub fn dot_multi_u8(rows: &[u8], qs: &U8Queries, seg: usize, out: &mut [u64]) {
-    let (q, s) = check_multi_u8(rows, qs, seg, out);
+pub fn dot_multi_u12(rows: &[u16], qs: &U12Queries, seg: usize, out: &mut [u64]) {
+    let (q, s) = check_multi_u12(rows, qs, seg, out);
     let n = rows.len() / s;
     for (r, row) in rows.chunks_exact(s).enumerate() {
         for j in 0..q {
             let (mut total, mut top) = (0, 0);
             for (r, x) in row.chunks(seg).zip(qs.query(j).chunks(seg)) {
-                // 2¹⁶ products of at most 255² stay below 2³²: a `u32`
-                // sum a chunk, which vectorises, added up in `u64`.
-                let chunks = r.chunks(1 << 16).zip(x.chunks(1 << 16));
+                // A `u32` sum a chunk, added up in `u64`. Cells of 12 bits
+                // multiply as `i16`s into `i32` products, summed modulo
+                // 2³² below 2³²: the pattern of `pmaddwd`, which the loop
+                // vectorises to.
+                let chunks = r.chunks(U12_CHUNK).zip(x.chunks(U12_CHUNK));
                 let sum: u64 = chunks
                     .map(|(r, x)| {
-                        let products = r.iter().zip(x).map(|(&a, &b)| u32::from(a) * b as u32);
-                        u64::from(products.sum::<u32>())
+                        let products = r.iter().zip(x).map(|(&a, &b)| a as i16 as i32 * b as i32);
+                        u64::from(products.fold(0u32, |sum, p| sum.wrapping_add(p as u32)))
                     })
                     .sum();
                 total += sum;
@@ -373,11 +386,11 @@ pub fn dot_multi_u8(rows: &[u8], qs: &U8Queries, seg: usize, out: &mut [u64]) {
     }
 }
 
-/// The argument check every tier's [`dot_multi_u8`] runs first; returns
+/// The argument check every tier's [`dot_multi_u12`] runs first; returns
 /// the query count and the cells a row.
-pub(crate) fn check_multi_u8(
-    rows: &[u8],
-    qs: &U8Queries,
+pub(crate) fn check_multi_u12(
+    rows: &[u16],
+    qs: &U12Queries,
     seg: usize,
     out: &[u64],
 ) -> (usize, usize) {
@@ -390,6 +403,7 @@ pub(crate) fn check_multi_u8(
         out.len() >= rows.len() / s * 2 * qs.len(),
         "two outputs a row and query"
     );
+    debug_assert!(rows.iter().all(|&v| v <= U12_MAX), "12-bit row cells");
     (qs.len(), s)
 }
 

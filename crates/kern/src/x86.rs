@@ -30,7 +30,7 @@
 
 #![cfg(target_arch = "x86_64")]
 
-use crate::scalar::{self, fold_tail, U8Queries, MULTI_QUERIES};
+use crate::scalar::{self, fold_tail, U12Queries, MULTI_QUERIES};
 
 /// AVX2 kernels: one ymm register holds all four accumulator lanes.
 pub mod avx2 {
@@ -392,39 +392,40 @@ pub mod avx2 {
         }
     }
 
-    /// [`scalar::dot_multi_u8`] on 16 cells a step: the queries come
-    /// widened to 16 bits by their caller; a row step is widened once
-    /// (`vpmovzxbw`) and then costs one `vpmaddwd` (its load folded in)
-    /// and one add per query, product pairs of at most 2 · 255² into
-    /// `i32` lanes. A segment's last step is the 16 cells ending at its
-    /// end, those before it masked to zero. At the end of a segment, and
-    /// every [`U8_STEPS`] steps inside a long one, the lanes are folded
-    /// four queries to a register (`vphaddd`) into the segment's `u64`
-    /// sums. Rows under 16 cells go through the portable kernel.
+    /// [`scalar::dot_multi_u12`] on 16 cells a step: a row step is one
+    /// 32-byte load of 16 cells, and costs one `vpmaddwd` (the query's
+    /// load folded in) and one add per query, product pairs of at most
+    /// 2 · 4 095² into `i32` lanes. A segment's last step is the 16 cells
+    /// ending at its end, those before it masked to zero. At the end of a
+    /// segment, and every [`U12_STEPS`] steps inside a long one, the lanes
+    /// are folded four queries to a register (`vphaddd`) into the
+    /// segment's `u64` sums. Rows under 16 cells go through the portable
+    /// kernel.
     ///
     /// # Safety
     /// Requires AVX2 (detected at dispatch time).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_multi_u8(rows: &[u8], qs: &U8Queries, seg: usize, out: &mut [u64]) {
-        match scalar::check_multi_u8(rows, qs, seg, out) {
+    pub unsafe fn dot_multi_u12(rows: &[u16], qs: &U12Queries, seg: usize, out: &mut [u64]) {
+        match scalar::check_multi_u12(rows, qs, seg, out) {
             (0, _) => {}
-            (_, s) if s < 16 => scalar::dot_multi_u8(rows, qs, seg, out),
-            (1, _) => multi_u8::<1>(rows, qs, seg, out),
-            (2, _) => multi_u8::<2>(rows, qs, seg, out),
-            (3, _) => multi_u8::<3>(rows, qs, seg, out),
-            (4, _) => multi_u8::<4>(rows, qs, seg, out),
-            (5, _) => multi_u8::<5>(rows, qs, seg, out),
-            (6, _) => multi_u8::<6>(rows, qs, seg, out),
-            (7, _) => multi_u8::<7>(rows, qs, seg, out),
-            _ => multi_u8::<8>(rows, qs, seg, out),
+            (_, s) if s < 16 => scalar::dot_multi_u12(rows, qs, seg, out),
+            (1, _) => multi_u12::<1>(rows, qs, seg, out),
+            (2, _) => multi_u12::<2>(rows, qs, seg, out),
+            (3, _) => multi_u12::<3>(rows, qs, seg, out),
+            (4, _) => multi_u12::<4>(rows, qs, seg, out),
+            (5, _) => multi_u12::<5>(rows, qs, seg, out),
+            (6, _) => multi_u12::<6>(rows, qs, seg, out),
+            (7, _) => multi_u12::<7>(rows, qs, seg, out),
+            _ => multi_u12::<8>(rows, qs, seg, out),
         }
     }
 
-    /// 16-cell steps between two folds of [`dot_multi_u8`]'s `i32` lanes:
-    /// 4 097 · 16 · 255² < 2³² (the last step of a segment may add one), so
-    /// the sum of a query's eight lanes is exact when `vphaddd` adds them
-    /// modulo 2³².
-    const U8_STEPS: usize = 4096;
+    /// 16-cell steps between two folds of [`dot_multi_u12`]'s `i32` lanes,
+    /// a segment's masked last step included: a query's eight lanes then
+    /// hold at most 16 · 8 · 2 · 4 095² = 4 292 870 400 < 2³², so their
+    /// sum is exact when `vphaddd` adds them modulo 2³².
+    const U12_STEPS: usize = 16;
+    const _: () = assert!(U12_STEPS as u64 * 8 * 2 * (scalar::U12_MAX as u64).pow(2) < 1 << 32);
 
     /// Four queries' `i32` lane sets → their four sums as `u64` lanes.
     #[target_feature(enable = "avx2")]
@@ -440,14 +441,19 @@ pub mod avx2 {
         _mm256_cvtepu32_epi64(four)
     }
 
-    /// The body of [`dot_multi_u8`] for `Q` queries and rows of 16+ cells.
+    /// The body of [`dot_multi_u12`] for `Q` queries and rows of 16+ cells.
     #[target_feature(enable = "avx2")]
     #[allow(clippy::needless_range_loop)] // a register block, indexed
-    unsafe fn multi_u8<const Q: usize>(rows: &[u8], qs: &U8Queries, seg: usize, out: &mut [u64]) {
+    unsafe fn multi_u12<const Q: usize>(
+        rows: &[u16],
+        qs: &U12Queries,
+        seg: usize,
+        out: &mut [u64],
+    ) {
         const G: usize = MULTI_QUERIES / 4;
         let s = qs.dim();
         let pq: [*const i16; Q] = core::array::from_fn(|j| qs.query(j).as_ptr());
-        let lane = _mm_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+        let lane = _mm256_setr_epi16(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
         let zero = _mm256_setzero_si256();
         let n = rows.len() / s;
         for (r, row) in rows.chunks_exact(s).enumerate() {
@@ -458,12 +464,12 @@ pub mod avx2 {
                 let mut sums = [zero; G];
                 let mut i = start;
                 while i < end {
-                    let stop = end.min(i + 16 * U8_STEPS);
+                    let stop = end.min(i + 16 * U12_STEPS);
                     let mut acc = [zero; MULTI_QUERIES];
                     while i + 16 <= stop {
                         // SAFETY: `i + 15 < stop <= s`, inside the row and
-                        // every widened query; `loadu` has no alignment need.
-                        let r = _mm256_cvtepu8_epi16(_mm_loadu_si128(pr.add(i).cast()));
+                        // every query; `loadu` has no alignment need.
+                        let r = _mm256_loadu_si256(pr.add(i).cast());
                         for j in 0..Q {
                             let x = _mm256_loadu_si256(pq[j].add(i).cast());
                             acc[j] = _mm256_add_epi32(acc[j], _mm256_madd_epi16(r, x));
@@ -474,13 +480,12 @@ pub mod avx2 {
                         // The 16 cells from `at` hold `i..stop`; the lanes
                         // outside it are masked off the row.
                         let at = i.min(s - 16);
-                        let keep = _mm_and_si128(
-                            _mm_cmpgt_epi8(lane, _mm_set1_epi8((i - at) as i8 - 1)),
-                            _mm_cmplt_epi8(lane, _mm_set1_epi8((stop - at) as i8)),
+                        let keep = _mm256_and_si256(
+                            _mm256_cmpgt_epi16(lane, _mm256_set1_epi16((i - at) as i16 - 1)),
+                            _mm256_cmpgt_epi16(_mm256_set1_epi16((stop - at) as i16), lane),
                         );
                         // SAFETY: `at + 15 < s` since `s >= 16`.
-                        let r = _mm_and_si128(_mm_loadu_si128(pr.add(at).cast()), keep);
-                        let r = _mm256_cvtepu8_epi16(r);
+                        let r = _mm256_and_si256(_mm256_loadu_si256(pr.add(at).cast()), keep);
                         for j in 0..Q {
                             let x = _mm256_loadu_si256(pq[j].add(at).cast());
                             acc[j] = _mm256_add_epi32(acc[j], _mm256_madd_epi16(r, x));

@@ -327,8 +327,11 @@ fn seed_tightened(
     ask(&mut tightened, rest)?;
     let (top, seeds, _) = seed(view, &tightened, |_, &p| p, query, k, measure, counters)?;
     // A row left can only be within τ when τ is worse than κ.
-    if worse(top.threshold(), kappa, closer) {
-        let near = |v| !top.prunable(v) && worse(v, kappa, closer);
+    let tau = top.threshold();
+    if worse(tau, kappa, closer) {
+        // Rows τ does not prune (`TopK::prunable` with τ read once) and
+        // worse than κ, tested without a branch: the scan vectorises.
+        let near = |v| !worse(v, tau, closer) & worse(v, kappa, closer);
         ask(
             &mut tightened,
             &mut kept(bounds, near).filter(|&i| fresh(i)),

@@ -13,7 +13,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use simpim_kern::U8Queries;
+use simpim_kern::U12Queries;
 
 use crate::bitslice::{bits_needed, bits_needed_slice};
 use crate::coarse::{self, Plane};
@@ -63,7 +63,7 @@ pub enum Read {
     Fine,
     /// Coarse first where that is proven to change nothing: a region
     /// whose passes take the coarse plane ([`crate::coarse`]) multiplies
-    /// only its 8-bit cells, and those passes' values are
+    /// only its 12-bit cells, and those passes' values are
     /// [`coarse::dot_bound`]s, integers no smaller than the dot products;
     /// [`PimArray::dot_rows`] computes the dot products of chosen rows
     /// afterwards.
@@ -498,8 +498,12 @@ impl PimArray {
         for p in &mut self.xb_programs[base_crossbar..self.used_crossbars] {
             *p += 1;
         }
+        // Room for every row up front: a streamed fill or an append never
+        // moves the rows.
+        let mut data = Vec::with_capacity(capacity * s);
+        data.extend_from_slice(flat);
         self.regions.push(Region {
-            data: flat.to_vec(),
+            data,
             n: flat.len() / s,
             capacity,
             s,
@@ -871,7 +875,7 @@ impl PimArray {
             return false;
         }
         if reg.plane.is_none() {
-            reg.plane = Some(Plane::new(shift, &reg.data, reg.s, m));
+            reg.plane = Some(Plane::new(shift, &reg.data, reg.s, m, reg.capacity));
         }
         true
     }
@@ -944,7 +948,7 @@ impl PimArray {
     /// of every stored row, and a largest crossbar partial that gives the
     /// gather clock the fine read's cycle count. The queries' cells are
     /// widened once per read, eight to a block; one
-    /// [`simpim_kern::dot_multi_u8`] per task and block gives each row's
+    /// [`simpim_kern::dot_multi_u12`] per task and block gives each row's
     /// coarse totals and largest coarse chunks, into a buffer each thread
     /// keeps across reads; a task then derives the bounds and its largest
     /// coarse partial in plain slice loops. A chunk's bracket bounds the
@@ -973,12 +977,12 @@ impl PimArray {
         let plane = reg.plane.as_ref().expect("built by reads_coarse");
         let xb = &self.cfg.crossbar;
         let (m, s, t) = (xb.size, reg.s, plane.shift);
-        let cells: Vec<Vec<u8>> = queries
+        let cells: Vec<Vec<u16>> = queries
             .iter()
-            .map(|q| q.iter().map(|&v| (v >> t) as u8).collect())
+            .map(|q| q.iter().map(|&v| (v >> t) as u16).collect())
             .collect();
-        let cells: Vec<&[u8]> = cells.iter().map(Vec::as_slice).collect();
-        let blocks: Vec<U8Queries> = cells.chunks(MULTI).map(|g| U8Queries::new(s, g)).collect();
+        let cells: Vec<&[u16]> = cells.iter().map(Vec::as_slice).collect();
+        let blocks: Vec<U12Queries> = cells.chunks(MULTI).map(|g| U12Queries::new(s, g)).collect();
         let sums: Vec<coarse::RowSums> =
             queries.iter().map(|q| coarse::row_sums(q, t, m)).collect();
         // Without a gather tree the partials time nothing.
@@ -1000,7 +1004,7 @@ impl PimArray {
         // largest fine partial of the rows read fine.
         let low: Vec<AtomicU64> = queries.iter().map(|_| AtomicU64::new(0)).collect();
         let fine: Vec<AtomicU64> = queries.iter().map(|_| AtomicU64::new(0)).collect();
-        let task = |first: usize, rows: &[u8], outs: &mut [&mut [u64]]| {
+        let task = |first: usize, rows: &[u16], outs: &mut [&mut [u64]]| {
             let n = rows.len() / s;
             let [row_cells, row_operands, row_chunks] =
                 plane.sums.each_ref().map(|v| &v[first..first + n]);
@@ -1012,7 +1016,7 @@ impl PimArray {
                 for (g, block) in blocks.iter().enumerate() {
                     let q = block.len();
                     let out = &mut out[..n * 2 * q];
-                    simpim_kern::dot_multi_u8(rows, block, m, out);
+                    simpim_kern::dot_multi_u12(rows, block, m, out);
                     let (totals, tops) = out.split_at(n * q);
                     for k in 0..q {
                         let j = g * MULTI + k;
@@ -2796,7 +2800,7 @@ mod tests {
                 ..Default::default()
             };
             // The second region is narrower and one row longer.
-            let (s2, bits2) = (s.div_ceil(2), operand_bits.min(12));
+            let (s2, bits2) = (s.div_ceil(2), operand_bits.min(16));
             let mut pim = PimArray::new(cfg).unwrap();
             let a = pim.program_region(&draw(operand_bits, n * s), n, s, operand_bits).unwrap();
             let b = pim.program_region(&draw(bits2, (n + 1) * s2), n + 1, s2, bits2).unwrap();
@@ -3227,8 +3231,8 @@ mod tests {
         /// (timing per pass, energy by bits) and bounds every dot from
         /// above where it read coarse, on every kernel tier, over `Q`
         /// queries interleaved on two regions: stored operands at or below
-        /// a cell (shift 0: the bound is the dot), past it (shift 1..=12)
-        /// and at 28..=32 bits; queries that fit a cell at the shift and
+        /// a 12-bit cell (shift 0: the bound is the dot), past it (shift
+        /// 1..=12) and at 28..=32 bits; queries that fit a cell at the shift and
         /// queries that do not; both accumulators; slot-stacked and
         /// gather-tree layouts; clean, then with a fault model. A region
         /// reads coarse exactly when two or more of its passes fit, the
@@ -3244,8 +3248,8 @@ mod tests {
         /// by one to charge the plain pass.
         #[test]
         fn a_coarse_read_charges_the_full_pass_and_bounds_every_dot(
-            operand_bits in proptest::prop_oneof![1u32..=8, 9u32..=20, 28u32..=32],
-            over in proptest::prop::collection::vec(proptest::prop_oneof![0u32..=8, 9u32..=9], 18),
+            operand_bits in proptest::prop_oneof![1u32..=12, 13u32..=24, 28u32..=32],
+            over in proptest::prop::collection::vec(proptest::prop_oneof![0u32..=12, 13u32..=13], 18),
             q in 1usize..=9,
             shape in (
                 1usize..=5,
@@ -3258,8 +3262,8 @@ mod tests {
         ) {
             use rand::{Rng, SeedableRng};
             let (n, s, straddle, powers) = shape;
-            // Straddling rows need a shift: operands of 9..=20 bits.
-            let operand_bits = if straddle { 9 + operand_bits % 12 } else { operand_bits };
+            // Straddling rows need a shift: operands of 13..=24 bits.
+            let operand_bits = if straddle { 13 + operand_bits % 12 } else { operand_bits };
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let mut draw = |bits: u32, len: usize| -> Vec<u32> {
                 let max = u32::MAX >> (32 - bits.min(32));
@@ -3272,12 +3276,12 @@ mod tests {
                 num_crossbars: 8192,
                 ..Default::default()
             };
-            let (s2, bits2) = (s.div_ceil(2), operand_bits.min(12));
+            let (s2, bits2) = (s.div_ceil(2), operand_bits.min(16));
             let mut pim = PimArray::new(cfg).unwrap();
             let a = pim.program_region(&draw(operand_bits, n * s), n, s, operand_bits).unwrap();
             let b = pim.program_region(&draw(bits2, (n + 1) * s2), n + 1, s2, bits2).unwrap();
-            // A query `over` bits past the region's shift: 8 and less fit
-            // a cell, 9 does not (unless the region is that narrow).
+            // A query `over` bits past the region's shift: 12 and less fit
+            // a cell, 13 does not (unless the region is that narrow).
             let widths: Vec<[u32; 2]> = [a.region, b.region]
                 .map(|r| coarse::shift(pim.regions[r.0].widest_bits))
                 .into_iter()
@@ -3294,7 +3298,7 @@ mod tests {
                 let low = (1u32 << t) - 1;
                 let chunk = s.min(16) as u32;
                 for (row, &power) in powers[..n].iter().enumerate() {
-                    let cell = ((4u32.pow(power) - 1) / (3 * chunk)).clamp(1, 255);
+                    let cell = ((4u32.pow(power) - 1) / (3 * chunk)).clamp(1, 4095);
                     pim.rewrite_rows(a.region, row, &vec![cell << t | low; s]).unwrap();
                 }
                 for (_, query) in queries.iter_mut().filter(|(r, _)| *r == a.region) {
@@ -3363,18 +3367,21 @@ mod tests {
         })
     }
 
-    /// A row whose coarse bracket straddles a gather-cycle boundary: its
-    /// chunk's coarse partial puts the lower end at 2²⁹ (15 two-bit
-    /// cycles), the fine partial is 16 · 8 191 · 12 287 > 2³⁰ (16). The
-    /// coarse read resolves the row fine and charges the plain read's
+    /// A row whose coarse bracket straddles a gather-cycle boundary: at
+    /// shift 8 its 16 operands of 511 (cell 1) against the query's of
+    /// 262 143 (cell 1 023) put the lower end at 1 023 · 2²⁰ < 2³⁰ (15
+    /// two-bit cycles), the fine partial is 16 · 511 · 262 143 > 2³⁰ (16).
+    /// The coarse read resolves the row fine and charges the plain read's
     /// gather pass; the bracket's lower end alone would charge one cycle
     /// less a stage. Then a task whose own bracket straddles a boundary
-    /// while no row's does: the largest coarse partial (row A's, of 40
-    /// bits: 20 cycles) bracketed with the largest chunk (row B's, whose
-    /// coarse partial is 0) reaches 21 cycles, so the task brackets its
-    /// rows one by one, and none of them reaches past A's lower end,
-    /// which is A's fine partial. Values, flags, timing and energy are
-    /// pinned to the per-row bracket's.
+    /// while no row's does: the largest coarse partial (row A's, one
+    /// operand of cell 4 095 against the query's: 4 095² · 2¹⁶, 40 bits,
+    /// 20 cycles, within 2¹⁶ · (2 · 4 095 · 255) + 255² · 16 of 2⁴⁰ but not
+    /// that close) bracketed with the largest chunk (row B's, 15 cells of
+    /// 4 095 whose coarse partial is 0) reaches 21 cycles, so the task
+    /// brackets its rows one by one, and none of them reaches past A's
+    /// lower end, which is A's fine partial. Values, flags, timing and
+    /// energy are pinned to the per-row bracket's.
     #[test]
     fn the_coarse_read_resolves_a_row_that_straddles_a_gather_cycle() {
         let cfg = PimConfig {
@@ -3385,14 +3392,14 @@ mod tests {
             ..Default::default()
         };
         let s = 17; // one operand past a crossbar: a gather tree
-        let straddling = [vec![8191u32; 16], vec![0]].concat();
-        // A 20-bit operand the query never meets sets the shift to 12.
+        let straddling = [vec![511u32; 16], vec![0]].concat();
+        // A 20-bit operand the query never meets sets the shift to 8.
         let widening = [vec![0u32; 16], vec![(1 << 20) - 1]].concat();
         let mut pim = PimArray::new(cfg).unwrap();
         let rep = pim
             .program_region(&[straddling, widening.clone()].concat(), 2, s, 32)
             .unwrap();
-        let query = [vec![12_287u32; 16], vec![0]].concat();
+        let query = [vec![262_143u32; 16], vec![0]].concat();
         let passes = [(rep.region, &query[..]), (rep.region, &[0; 17][..])];
         assert_eq!(
             assert_coarse_read(&pim, &passes, AccWidth::U64),
@@ -3400,53 +3407,60 @@ mod tests {
         );
         let ((_, want), (_, got)) = both_reads(&pim, &passes, AccWidth::U64);
         let timing = |partial: u64| {
-            dot_batch_timing(&cfg, &rep.cost, 14, bits_needed(partial), 2, AccWidth::U64)
+            dot_batch_timing(&cfg, &rep.cost, 18, bits_needed(partial), 2, AccWidth::U64)
         };
-        assert_eq!(got[0].timing, timing(16 * 8191 * 12_287));
+        assert_eq!(got[0].timing, timing(16 * 511 * 262_143));
         assert_eq!(want[0].1, got[0].timing);
         assert_ne!(
             got[0].timing,
             timing(1 << 29),
             "the lower end alone is a cycle short"
         );
-        assert_eq!(coarse_read_hash(&pim, &passes), 11146239374469794071);
+        assert_eq!(coarse_read_hash(&pim, &passes), 11891564054466079133);
 
         let at = |cell: u32, from: usize, to: usize| -> Vec<u32> {
             (0..s)
                 .map(|i| {
                     if (from..to).contains(&i) {
-                        cell << 12
+                        cell << 8
                     } else {
                         0
                     }
                 })
                 .collect()
         };
-        let (a, b) = (at(42, 0, 7), at(134, 7, 16));
+        let (a, b) = (at(4095, 0, 1), at(4095, 1, 16));
         let rep = pim
             .program_region(&[a, b, widening].concat(), 3, s, 32)
             .unwrap();
-        let query = at(216, 0, 7);
+        let query = at(4095, 0, 1);
         let passes = [(rep.region, &query[..]), (rep.region, &[0; 17][..])];
         assert_eq!(
             assert_coarse_read(&pim, &passes, AccWidth::U64),
             [true, true]
         );
         let (_, got) = both_reads(&pim, &passes, AccWidth::U64).1;
-        let fine = 7 * (42 << 12) * (216u64 << 12);
+        let fine = (4095u64 << 8).pow(2);
         assert_eq!(fine >> 39, 1, "40 bits: 20 cycles");
+        let slack = |cells: u64| (cells << 8) * 255 + 255 * 255 * 16;
+        assert!(fine + slack(2 * 4095) < 1 << 40, "A's own bracket stays");
+        assert!(
+            fine + slack(16 * 4095) >= 1 << 40,
+            "the task's reaches past"
+        );
         let timing = dot_batch_timing(&cfg, &rep.cost, 20, 40, 3, AccWidth::U64);
         assert_eq!(got[0].timing, timing);
-        assert_eq!(coarse_read_hash(&pim, &passes), 9616177664127601072);
+        assert_eq!(coarse_read_hash(&pim, &passes), 13039959365813125885);
     }
 
     /// A read of three tasks (600 rows of 40 operands, crossbars of 16)
-    /// whose brackets stay inside one gather cycle: every cell is in
-    /// 100..=200 at shift 12, so each task's largest lower end lies in
-    /// [2⁴², 2⁴⁴) (22 two-bit cycles) and no upper end reaches 2⁴⁴, and
-    /// no task brackets its rows one by one. Values, flags, timing and
-    /// energy are pinned to the per-row bracket's, and the timing is the
-    /// plain read's.
+    /// whose brackets stay inside one gather cycle: every operand's top 8
+    /// of 20 bits are in 100..=200, so its cell at shift 8 is in
+    /// 1 600..=3 215, each task's largest lower end lies in [2⁴², 2⁴⁴)
+    /// (22 two-bit cycles), no upper end reaches 2⁴⁴, and no task
+    /// brackets its rows one by one. Values, flags, timing and energy are
+    /// pinned to the per-row bracket's, and the timing is the plain
+    /// read's.
     #[test]
     fn a_coarse_read_whose_brackets_stay_in_one_gather_cycle_charges_the_plain_pass() {
         let cfg = PimConfig {
@@ -3475,7 +3489,7 @@ mod tests {
         let queries = [draw(s), draw(s), draw(s)];
         let passes: Vec<(RegionId, &[u32])> = queries.iter().map(|q| (region, &q[..])).collect();
         assert_eq!(assert_coarse_read(&pim, &passes, AccWidth::U64), [true; 3]);
-        assert_eq!(coarse_read_hash(&pim, &passes), 6007714597866744420);
+        assert_eq!(coarse_read_hash(&pim, &passes), 14154941280975903802);
     }
 
     /// A region's plane across its life: built by the first coarse read,
@@ -3506,8 +3520,8 @@ mod tests {
                 })
                 .collect()
         };
-        let rows = draw(6 * s, 12);
-        let queries = [draw(s, 12), draw(s, 10), draw(s, 4)];
+        let rows = draw(6 * s, 16);
+        let queries = [draw(s, 16), draw(s, 14), draw(s, 8)];
         let mut pim = PimArray::new(cfg).unwrap();
         let r = pim
             .program_region_with_capacity(&rows, 6, 9, s, 32)
@@ -3537,12 +3551,12 @@ mod tests {
             "no plane before a coarse read"
         );
         check(&mut pim, 4);
-        pim.rewrite_rows(r, 2, &draw(2 * s, 12)).unwrap();
-        pim.append_rows(r, &draw(s, 11)).unwrap();
+        pim.rewrite_rows(r, 2, &draw(2 * s, 16)).unwrap();
+        pim.append_rows(r, &draw(s, 15)).unwrap();
         check(&mut pim, 4);
         pim.truncate_rows(r, 5).unwrap();
         check(&mut pim, 4);
-        pim.append_rows(r, &draw(s, 20)).unwrap();
+        pim.append_rows(r, &draw(s, 24)).unwrap();
         assert!(
             pim.regions[r.0].plane.is_none(),
             "a wider row drops the plane"

@@ -1,5 +1,5 @@
 //! The coarse plane of a region: its stored operands shifted right to
-//! 8-bit cells, the host simulation's first, cheap read of a coalesced
+//! 12-bit cells, the host simulation's first, cheap read of a coalesced
 //! pass.
 //!
 //! Floors nest under a shift: a stored operand `p̄ = ⌊αp⌋` read as
@@ -23,14 +23,25 @@
 //! is what keeps the modeled gather clock exact without a fine read of
 //! every row.
 //!
-//! The shift is the region's: `t = widest_bits − 8` (saturating), so the
-//! widest operand ever programmed fits a cell. A plane is kept only for
-//! regions that are read coarse, built at their first such read and kept
-//! in step by every write after; a write that widens the region drops it,
+//! The shift is the region's: `t = widest_bits − 12` (saturating), so
+//! the widest operand ever programmed fits a cell — `t = 8` for the
+//! 20-bit floors of α = 10⁶. The bound's slack over the dot product,
+//! `Σ (2^t(P + 1) · 2^t(Q + 1) − (p̄ + 1)(q̄ + 1))`, is below
+//! `2^t Σ (2^t(P + 1) + q̄ + 1)`, about `2^t (Σ p̄ + Σ q̄)`: every bit a
+//! cell keeps halves it, so 12-bit cells leave a sixteenth of the slack
+//! of 8-bit ones, and far fewer rows whose coarse bound fails to rule
+//! them out. A cell is held in a `u16`: the kernel
+//! ([`simpim_kern::dot_multi_u12`]) multiplies 16-bit lanes either way,
+//! so the wider cell costs no multiply, only the plane's bytes.
+//!
+//! A plane is kept only for regions that are read coarse, built at their
+//! first such read (with room for the region's capacity) and kept in
+//! step by every write after; a write that widens the region drops it,
 //! and the next coarse read derives it again at the new shift.
 
 /// Bits of a coarse cell.
-pub(crate) const CELL_BITS: u32 = 8;
+pub(crate) const CELL_BITS: u32 = 12;
+const _: () = assert!((1 << CELL_BITS) - 1 == simpim_kern::U12_MAX as u32);
 
 /// The shift of a region whose widest stored operand is `widest_bits`
 /// wide: the smallest that brings every operand into a cell.
@@ -40,14 +51,14 @@ pub(crate) fn shift(widest_bits: u32) -> u32 {
 
 /// Whether every sum of a coarse read of rows of `s` operands at shift
 /// `t` stays below 2⁶³: a chunk or a row sums at most `s` products of
-/// `(P + 1)(Q + 1) ≤ 2¹⁶`, scaled by `4^t`. The domain of
+/// `(P + 1)(Q + 1) ≤ 2²⁴`, scaled by `4^t`. The domain of
 /// [`dot_bound`] and [`chunk_bracket`], whose sums then cannot wrap.
 pub(crate) fn fits(t: u32, s: usize) -> bool {
     let log_s = (s as u64)
         .saturating_add(1)
         .next_power_of_two()
         .trailing_zeros();
-    2 * t + 16 + log_s <= 63
+    2 * t + 2 * CELL_BITS + log_s <= 63
 }
 
 /// An integer no smaller than the dot product `Σ p̄ᵢ q̄ᵢ` of a row and a
@@ -56,7 +67,7 @@ pub(crate) fn fits(t: u32, s: usize) -> bool {
 /// operands: `4^t (Σ PQ + Σ P + Σ Q + s) − Σ p̄ − Σ q̄ − s` (see the
 /// module docs). At `t = 0` it is the dot product itself. Plain integer
 /// arithmetic, so a read vectorises it: the caller keeps
-/// `2t + 16 + ⌈log₂(s + 1)⌉ ≤ 63`, where no sum can wrap (a region reads
+/// `2t + 24 + ⌈log₂(s + 1)⌉ ≤ 63`, where no sum can wrap (a region reads
 /// coarse only then).
 #[inline]
 pub fn dot_bound(t: u32, coarse_dot: u64, row: [u64; 2], query: [u64; 2], s: usize) -> u64 {
@@ -102,19 +113,20 @@ pub(crate) fn row_sums(row: &[u32], t: u32, m: usize) -> RowSums {
 #[derive(Debug, Clone)]
 pub(crate) struct Plane {
     pub(crate) shift: u32,
-    pub(crate) cells: Vec<u8>,
+    pub(crate) cells: Vec<u16>,
     /// `Σ P`, `Σ p̄` and the largest chunk's `Σ P` of every row.
     pub(crate) sums: [Vec<u64>; 3],
 }
 
 impl Plane {
     /// The plane of the rows `data` (row-major, `s` operands each, every
-    /// one below `2^(shift + 8)`), chunked by `m`.
-    pub(crate) fn new(shift: u32, data: &[u32], s: usize, m: usize) -> Self {
+    /// one below `2^(shift + 12)`), chunked by `m`, with room for
+    /// `capacity` rows.
+    pub(crate) fn new(shift: u32, data: &[u32], s: usize, m: usize, capacity: usize) -> Self {
         let mut plane = Self {
             shift,
-            cells: Vec::with_capacity(data.len()),
-            sums: Default::default(),
+            cells: Vec::with_capacity(capacity * s),
+            sums: std::array::from_fn(|_| Vec::with_capacity(capacity)),
         };
         plane.write(0, data, s, m);
         plane
@@ -131,7 +143,7 @@ impl Plane {
         let t = self.shift;
         for (i, row) in flat.chunks_exact(s).enumerate() {
             for (cell, &v) in self.cells[(at + i) * s..][..s].iter_mut().zip(row) {
-                *cell = (v >> t) as u8;
+                *cell = (v >> t) as u16;
             }
             let sums = row_sums(row, t, m);
             let [cells, operands, chunk_cells] = &mut self.sums;
@@ -150,7 +162,7 @@ impl Plane {
 
     /// Host bytes the plane holds.
     pub(crate) fn bytes(&self) -> usize {
-        self.cells.len() + self.sums.iter().map(|v| v.len() * 8).sum::<usize>()
+        self.cells.len() * 2 + self.sums.iter().map(|v| v.len() * 8).sum::<usize>()
     }
 }
 
@@ -200,15 +212,34 @@ mod tests {
     #[test]
     fn a_plane_tracks_writes_and_truncation() {
         let data: Vec<u32> = (0..12).map(|v| v * 1000).collect();
-        let mut plane = Plane::new(4, &data, 3, 2);
+        let mut plane = Plane::new(4, &data, 3, 2, 6);
         assert_eq!(plane.cells.len(), 12);
-        assert_eq!(plane.cells[5], (5000u32 >> 4) as u8);
+        assert!(plane.cells.capacity() >= 18 && plane.sums[0].capacity() >= 6);
+        assert_eq!(plane.cells[5], (5000u32 >> 4) as u16);
         plane.write(1, &[16, 32, 48], 3, 2);
         assert_eq!(&plane.cells[3..6], &[1, 2, 3]);
         assert_eq!(plane.sums.each_ref().map(|v| v[1]), [6, 96, 3]);
         plane.write(4, &[0, 0, 4095], 3, 2);
         assert_eq!((plane.cells.len(), plane.sums[2].len()), (15, 5));
         plane.truncate(2, 3);
-        assert_eq!(plane.bytes(), 6 + 2 * 3 * 8);
+        assert_eq!(plane.bytes(), 6 * 2 + 2 * 3 * 8);
+    }
+
+    /// `fits` at its boundary for 12-bit cells: at every shift the
+    /// largest `s` it admits has `⌈log₂(s + 1)⌉ = 39 − 2t`, so
+    /// `2t + 24 + ⌈log₂(s + 1)⌉` is exactly 63, one row operand or one
+    /// step of shift more is refused, and the largest sum a read of
+    /// those rows makes (`s` products of `(P + 1)(Q + 1) ≤ 2²⁴`, scaled
+    /// by `4^t`) stays below 2⁶³.
+    #[test]
+    fn fits_holds_up_to_its_boundary() {
+        for t in 0..=19u32 {
+            let s = (1usize << (39 - 2 * t)) - 1;
+            assert!(fits(t, s) && !fits(t, s + 1) && !fits(t + 1, s), "t={t}");
+            assert!((s as u128) << (2 * CELL_BITS + 2 * t) < 1 << 63, "t={t}");
+        }
+        assert!(fits(19, 0) && !fits(20, 0));
+        // The serving shape: 20-bit floors (t = 8) of 420 operands.
+        assert!(fits(8, 420) && fits(15, 420) && !fits(16, 420));
     }
 }

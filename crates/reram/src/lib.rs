@@ -20,7 +20,7 @@
 //! * [`bank`] — the bank controller tying the arrays together and exposing
 //!   the offline *program* and the online *read* used by `simpim-core`'s
 //!   executor.
-//! * [`coarse`] — a region's coarse plane: its operands shifted to 8-bit
+//! * [`coarse`] — a region's coarse plane: its operands shifted to 12-bit
 //!   cells, read first by a coalesced pass to bound every dot product
 //!   from above, so the host simulation computes the fine dot only where
 //!   the bound cannot decide.

@@ -126,8 +126,8 @@ pub struct ShardStats {
     /// Whether this residency's bank keeps a coarse plane (its plan is
     /// `LB_PIM-ED` and a coalesced batch has read it coarse).
     pub coarse_plane: bool,
-    /// Host bytes of that plane: a cell per stored operand and three
-    /// sums a row.
+    /// Host bytes of that plane: a two-byte cell per stored operand and
+    /// three eight-byte sums a row.
     pub coarse_plane_bytes: usize,
 }
 
@@ -1293,10 +1293,10 @@ mod tests {
             assert!(!res.stats(&mirror).coarse_plane, "{what}");
         }
 
-        // Rows under 0.06 (16-bit floors, shift 8): queries in their range
+        // Rows under 0.06 (16-bit floors, shift 4): queries in their range
         // read coarse; with one value above 1 in the batch (clamped to 1,
-        // a 20-bit floor, a cell above 255) it reads fine; a row near 1
-        // widens the region (shift 12) and its plane is derived again.
+        // a 20-bit floor, a cell above 4 095) it reads fine; a row near 1
+        // widens the region (shift 8) and its plane is derived again.
         let small = draw(60, 0.06);
         let (mut mirror, mut res) = open(cfg(), &small);
         let mut near = draw(8, 0.06);

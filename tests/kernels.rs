@@ -384,12 +384,12 @@ fn cell_bound_multi_is_exact_past_its_fold_interval() {
     }
 }
 
-/// `dot_multi_u8` on the block `rows` (`s` cells a row) against `qs`, on
+/// `dot_multi_u12` on the block `rows` (`s` cells a row) against `qs`, on
 /// every backend and the portable body, against the `u128` reference of
 /// `dot_multi_f64` (the totals, then the largest segment sums, each query
 /// by query over the rows), and against one call per row and query.
-fn check_multi_u8(rows: &[u8], s: usize, qs: &[&[u8]], seg: usize) {
-    let wide = |x: &[u8]| -> Vec<u32> { x.iter().map(|&v| u32::from(v)).collect() };
+fn check_multi_u12(rows: &[u16], s: usize, qs: &[&[u16]], seg: usize) {
+    let wide = |x: &[u16]| -> Vec<u32> { x.iter().map(|&v| u32::from(v)).collect() };
     let wide_qs: Vec<Vec<u32>> = qs.iter().map(|q| wide(q)).collect();
     let refs: Vec<&[u32]> = wide_qs.iter().map(Vec::as_slice).collect();
     // Per row the reference's totals then tops, laid out query by query.
@@ -400,21 +400,21 @@ fn check_multi_u8(rows: &[u8], s: usize, qs: &[&[u8]], seg: usize) {
         .collect();
     let want: Vec<u64> = (0..2 * q)
         .flat_map(|v| per_row.iter().map(move |row| row[v]))
-        .map(|v| u64::try_from(v).expect("u8 sums fit a u64"))
+        .map(|v| u64::try_from(v).expect("12-bit sums fit a u64"))
         .collect();
-    let prepared = kern::U8Queries::new(s, qs);
+    let prepared = kern::U12Queries::new(s, qs);
     let mut out = vec![u64::MAX; want.len()];
-    scalar::dot_multi_u8(rows, &prepared, seg, &mut out);
+    scalar::dot_multi_u12(rows, &prepared, seg, &mut out);
     assert_eq!(out, want, "scalar vs u128 reference");
     for backend in supported_backends() {
         kern::with_backend(backend, || {
             let mut out = vec![u64::MAX; want.len()];
-            kern::dot_multi_u8(rows, &prepared, seg, &mut out);
-            assert_eq!(out, want, "dot_multi_u8/{}", backend.name());
+            kern::dot_multi_u12(rows, &prepared, seg, &mut out);
+            assert_eq!(out, want, "dot_multi_u12/{}", backend.name());
             for (r, row) in rows.chunks_exact(s).enumerate() {
                 for (j, x) in qs.iter().enumerate() {
                     let mut one = [u64::MAX; 2];
-                    kern::dot_multi_u8(row, &kern::U8Queries::new(s, &[x]), seg, &mut one);
+                    kern::dot_multi_u12(row, &kern::U12Queries::new(s, &[x]), seg, &mut one);
                     let (total, top) = (want[n * j + r], want[n * (q + j) + r]);
                     assert_eq!(one, [total, top], "one query/{}", backend.name());
                 }
@@ -426,22 +426,35 @@ fn check_multi_u8(rows: &[u8], s: usize, qs: &[&[u8]], seg: usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// `dot_multi_u8` returns the exact totals and largest segment sums on
-    /// every backend, for 0..=8 queries, blocks of 0..=3 rows of 1..=70
-    /// cells and segments of 1..=40 — every 16-cell step, masked last
-    /// step, segment seam and the portable body under 16 cells — with
-    /// cells leaning to 0 and 255, each slice starting 0–31 cells into its
-    /// buffer.
+    /// `dot_multi_u12` returns the exact totals and largest segment sums
+    /// on every backend, for 0..=8 queries, blocks of 0..=3 rows of
+    /// 1..=70 cells and segments of 1..=40 — every 16-cell step, masked
+    /// last step, segment seam and the portable body under 16 cells —
+    /// with cells leaning to 0 and 4 095, each slice starting 0–31 cells
+    /// into its buffer.
     #[test]
-    fn dot_multi_u8_is_exact_across_backends(
+    fn dot_multi_u12_is_exact_across_backends(
         (q, n, s, seg) in (0usize..=8, 0usize..=3, 1usize..=70, 1usize..=40),
-        raw in prop::collection::vec(prop_oneof![any::<u8>(), 0u8..2, 254u8..=255], 9 * (210 + 31)),
+        raw in prop::collection::vec(
+            prop_oneof![0u16..=kern::U12_MAX, 0u16..2, kern::U12_MAX - 1..=kern::U12_MAX],
+            9 * (210 + 31),
+        ),
         skips in prop::collection::vec(0usize..32, 9),
     ) {
         let _g = lock();
         let view = |k: usize, len: usize| &raw[k * 241 + skips[k]..][..len];
-        let qs: Vec<&[u8]> = (1..=q).map(|k| view(k, s)).collect();
-        check_multi_u8(view(0, n * s), s, &qs, seg);
+        let qs: Vec<&[u16]> = (1..=q).map(|k| view(k, s)).collect();
+        check_multi_u12(view(0, n * s), s, &qs, seg);
+    }
+}
+
+/// A xorshift stream of 12-bit cells.
+fn u12_cells(mut x: u64) -> impl FnMut() -> u16 {
+    move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x >> 52) as u16
     }
 }
 
@@ -449,59 +462,97 @@ proptest! {
 /// the `u128` reference: rows of every length `s` in 1..=48 (the portable
 /// body under 16 cells, and every ragged last step above it), segments of
 /// 1, 5, 15, 16, 17, `s` and `2s` cells, 1..=8 queries, blocks of 1..=3
-/// rows, with cells drawn at random, drawn from {0, 255}, and all 255;
-/// then one segment of 65 569 cells, past the AVX2 tier's `i32` fold
-/// interval, for every query count. The vendored proptest cannot shrink a
-/// failure, so the small domain is walked whole instead.
+/// rows, with cells drawn at random, drawn from {0, 4 095}, and all
+/// 4 095. The vendored proptest cannot shrink a failure, so the small
+/// domain is walked whole instead.
 #[test]
-fn dot_multi_u8_is_exact_on_every_small_shape() {
+fn dot_multi_u12_is_exact_on_every_small_shape() {
     let _g = lock();
-    let mut x = 0x9e37_79b9_7f4a_7c15u64;
-    let mut next = move || {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        (x >> 32) as u8
-    };
-    // Random cells, cells of 0 or 255, all 255.
+    let mut next = u12_cells(0x9e37_79b9_7f4a_7c15);
+    // Random cells, cells of 0 or 4 095, all 4 095.
     for pattern in 0..3 {
         for s in 1..=48 {
-            let cells: Vec<u8> = (0..11 * s)
+            let cells: Vec<u16> = (0..11 * s)
                 .map(|_| match (pattern, next()) {
                     (0, v) => v,
-                    (1, v) => (v & 1) * 255,
-                    _ => 255,
+                    (1, v) => (v & 1) * kern::U12_MAX,
+                    _ => kern::U12_MAX,
                 })
                 .collect();
-            let qs: Vec<&[u8]> = cells[3 * s..].chunks_exact(s).collect();
+            let qs: Vec<&[u16]> = cells[3 * s..].chunks_exact(s).collect();
             for seg in [1, 5, 15, 16, 17, s, 2 * s] {
                 for q in 1..=8 {
                     for n in 1..=3 {
-                        check_multi_u8(&cells[..n * s], s, &qs[..q], seg);
+                        check_multi_u12(&cells[..n * s], s, &qs[..q], seg);
                     }
                 }
             }
         }
     }
-    let s = 16 * 4096 + 33;
-    let cells: Vec<u8> = (0..2 * s)
-        .map(|i| if i % 7 == 0 { 254 } else { 255 })
-        .collect();
-    for q in 1..=8 {
-        check_multi_u8(&cells[..s], s, &vec![&cells[s..]; q], s);
+}
+
+/// At the AVX2 tier's fold bound, walked whole: every segment length
+/// 1..=512 (up to two folds of 16 steps of 16 cells, and the masked
+/// step on either side of each), rows of one segment and of three
+/// segments and 15 cells, every cell 4 095, every cell 0, and a seeded
+/// mix, for 1..=8 queries, two rows a call. Every tier equals a plain
+/// `u64` reference bit for bit.
+#[test]
+fn dot_multi_u12_is_exact_at_its_fold_bound() {
+    let _g = lock();
+    let reference = |rows: &[u16], s: usize, qs: &[&[u16]], seg: usize| -> Vec<u64> {
+        let (n, q) = (rows.len() / s, qs.len());
+        let mut want = vec![0u64; 2 * q * n];
+        for (r, row) in rows.chunks_exact(s).enumerate() {
+            for (j, x) in qs.iter().enumerate() {
+                let (mut total, mut top) = (0u64, 0u64);
+                for (r, x) in row.chunks(seg).zip(x.chunks(seg)) {
+                    let products = r.iter().zip(x).map(|(&a, &b)| u64::from(a) * u64::from(b));
+                    let sum: u64 = products.sum();
+                    total += sum;
+                    top = top.max(sum);
+                }
+                (want[n * j + r], want[n * (q + j) + r]) = (total, top);
+            }
+        }
+        want
+    };
+    let mut next = u12_cells(0xd1b5_4a32_d192_ed03);
+    let longest = 3 * 512 + 15;
+    let mixed: Vec<u16> = (0..10 * longest).map(|_| next()).collect();
+    let (full, empty) = (vec![kern::U12_MAX; 10 * longest], vec![0u16; 10 * longest]);
+    let tiers = supported_backends();
+    for seg in 1..=512 {
+        for s in [seg, 3 * seg + 15] {
+            for cells in [&full, &empty, &mixed] {
+                let qs: Vec<&[u16]> = cells[2 * s..].chunks_exact(s).take(8).collect();
+                for q in 1..=8 {
+                    let (rows, qs) = (&cells[..2 * s], &qs[..q]);
+                    let want = reference(rows, s, qs, seg);
+                    let prepared = kern::U12Queries::new(s, qs);
+                    for &tier in &tiers {
+                        let mut out = vec![u64::MAX; want.len()];
+                        kern::with_backend(tier, || {
+                            kern::dot_multi_u12(rows, &prepared, seg, &mut out)
+                        });
+                        assert_eq!(out, want, "{} seg={seg} s={s} q={q}", tier.name());
+                    }
+                }
+            }
+        }
     }
 }
 
-/// Every cell at 255 over rows and segments past the SIMD bodies' `i32`
-/// fold interval (4 096 steps of 16 cells), for one to eight queries, and
-/// two 420-cell rows on 256-cell segments, the serving shape.
+/// Every cell at 4 095 over rows and segments far past the SIMD bodies'
+/// `i32` fold interval (16 steps of 16 cells), for one to eight queries,
+/// and two 420-cell rows on 256-cell segments, the serving shape.
 #[test]
-fn dot_multi_u8_is_exact_past_its_fold_interval() {
+fn dot_multi_u12_is_exact_past_its_fold_interval() {
     let _g = lock();
-    let full = vec![255u8; 140_001];
+    let full = vec![kern::U12_MAX; 140_001];
     for q in 1..=8 {
-        check_multi_u8(&full, full.len(), &vec![&full[..]; q], 70_000);
-        check_multi_u8(&full[..840], 420, &vec![&full[..420]; q], 256);
+        check_multi_u12(&full, full.len(), &vec![&full[..]; q], 70_000);
+        check_multi_u12(&full[..840], 420, &vec![&full[..420]; q], 256);
     }
 }
 
