@@ -3,17 +3,22 @@
 //!
 //! Batch lifecycle: clients enqueue commands onto a bounded
 //! `sync_channel` (a full queue rejects with
-//! [`ServeError::Overloaded`] — admission control). The scheduler
-//! dequeues one command; if it is a query it greedily drains up to
-//! `max_batch − 1` further *consecutive* queries without blocking,
-//! forming one coalesced batch. Mutations act as batch barriers:
-//! commands are always applied in arrival order, so a query sees
-//! exactly the inserts and deletes that preceded it. The batch then
-//! fans out across the shards — one `simpim_par` job per shard, each
-//! routing the coalesced PIM pass to its least-worn healthy replica —
-//! and the per-shard partial top-k pools merge into each query's exact
-//! global answer (see `mining::knn::resident` for the exactness
-//! argument).
+//! [`ServeError::Overloaded`] — admission control). A query command
+//! carries every query of one client call (one for `knn` and
+//! `knn_submit`, all of them for `knn_batch`), so `queue_depth` bounds
+//! commands, not queries. The scheduler dequeues one command; if it is a
+//! query command it greedily takes the *consecutive* query commands
+//! behind it without blocking, whole while they fit in `max_batch`,
+//! forming one coalesced batch. Only the command that crosses
+//! `max_batch` is cut: its remainder waits in the one-slot stash, which
+//! drains before the channel, and leads the next batch. Mutations act as
+//! batch barriers: commands are always applied in arrival order, so a
+//! query sees exactly the inserts and deletes that preceded it. The
+//! batch then fans out across the shards — one `simpim_par` job per
+//! shard, each routing the coalesced PIM pass to its least-worn healthy
+//! replica — and the per-shard partial top-k pools merge into each
+//! query's exact global answer (see `mining::knn::resident` for the
+//! exactness argument).
 //!
 //! Robustness plumbing (see [`crate::replica`] for the invariants):
 //!
@@ -57,7 +62,8 @@ pub struct ServeConfig {
     pub replicas: usize,
     /// Maximum queries coalesced into one scheduling batch (`Q`).
     pub max_batch: usize,
-    /// Bounded submission-queue depth; a full queue sheds with
+    /// Bounded submission-queue depth, in commands (a whole
+    /// [`ServeEngine::knn_batch`] call is one); a full queue sheds with
     /// [`ServeError::Overloaded`].
     pub queue_depth: usize,
     /// Spare object slots per shard for online appends.
@@ -208,7 +214,8 @@ struct QueryReq {
 }
 
 enum Cmd {
-    Query(QueryReq),
+    /// The queries of one client call, in order (never empty).
+    Query(Vec<QueryReq>),
     Insert {
         row: Vec<f64>,
         enqueued: Instant,
@@ -531,51 +538,72 @@ impl ServeEngine {
         Ok(())
     }
 
-    /// The one command path: builds the reply channel, hands the command
-    /// `make` wraps around it to the scheduler's bounded queue under
-    /// `admission`, and returns the reply handle.
+    /// The one command path: hands `cmd` to the scheduler's bounded
+    /// queue under `admission`.
+    fn send(&self, admission: Admission, cmd: Cmd) -> Result<(), ServeError> {
+        let tx = self.tx.as_ref().expect("engine open");
+        match admission {
+            Admission::Block => tx.send(cmd).map_err(|_| ServeError::Closed),
+            Admission::Shed => match tx.try_send(cmd) {
+                Ok(()) => Ok(()),
+                Err(TrySendError::Full(_)) => {
+                    self.overloaded.fetch_add(1, Ordering::Relaxed);
+                    simpim_obs::metrics::counter_add("simpim.serve.overloaded", 1);
+                    Err(ServeError::Overloaded)
+                }
+                Err(TrySendError::Disconnected(_)) => Err(ServeError::Closed),
+            },
+        }
+    }
+
+    /// Builds the reply channel, sends the command `make` wraps around
+    /// it, and returns the reply handle.
     fn enqueue<T>(
         &self,
         admission: Admission,
         make: impl FnOnce(mpsc::Sender<Result<T, ServeError>>) -> Cmd,
     ) -> Result<Pending<T>, ServeError> {
         let (reply, rx) = mpsc::channel();
-        let tx = self.tx.as_ref().expect("engine open");
-        match admission {
-            Admission::Block => tx.send(make(reply)).map_err(|_| ServeError::Closed)?,
-            Admission::Shed => match tx.try_send(make(reply)) {
-                Ok(()) => {}
-                Err(TrySendError::Full(_)) => {
-                    self.overloaded.fetch_add(1, Ordering::Relaxed);
-                    simpim_obs::metrics::counter_add("simpim.serve.overloaded", 1);
-                    return Err(ServeError::Overloaded);
-                }
-                Err(TrySendError::Disconnected(_)) => return Err(ServeError::Closed),
-            },
-        }
+        self.send(admission, make(reply))?;
         Ok(Pending { rx })
     }
 
-    fn enqueue_query(
+    /// Validates every query of one client call, then sends them all as
+    /// one command, so the scheduler coalesces the call whole. A bad
+    /// query refuses the call before any of it is queued; an empty call
+    /// sends nothing.
+    fn enqueue_queries<Q: AsRef<[f64]>>(
         &self,
         admission: Admission,
-        query: &[f64],
+        queries: &[Q],
         k: usize,
         timeout: Duration,
         ctx: TraceCtx,
-    ) -> Result<Pending<Vec<Neighbor>>, ServeError> {
-        self.validate_query(query, k)?;
+    ) -> Result<Vec<Pending<Vec<Neighbor>>>, ServeError> {
+        for q in queries {
+            self.validate_query(q.as_ref(), k)?;
+        }
+        if queries.is_empty() {
+            return Ok(Vec::new());
+        }
         let now = Instant::now();
-        self.enqueue(admission, |reply| {
-            Cmd::Query(QueryReq {
-                query: query.to_vec(),
-                k,
-                deadline: now + timeout,
-                enqueued: now,
-                ctx: root_if_none(ctx),
-                reply,
+        let (reqs, pending) = queries
+            .iter()
+            .map(|q| {
+                let (reply, rx) = mpsc::channel();
+                let req = QueryReq {
+                    query: q.as_ref().to_vec(),
+                    k,
+                    deadline: now + timeout,
+                    enqueued: now,
+                    ctx: root_if_none(ctx),
+                    reply,
+                };
+                (req, Pending { rx })
             })
-        })
+            .unzip();
+        self.send(admission, Cmd::Query(reqs))?;
+        Ok(pending)
     }
 
     fn enqueue_insert(
@@ -651,7 +679,8 @@ impl ServeEngine {
         timeout: Duration,
         ctx: TraceCtx,
     ) -> Result<Pending<Vec<Neighbor>>, ServeError> {
-        self.enqueue_query(Admission::Shed, query, k, timeout, ctx)
+        let mut pending = self.enqueue_queries(Admission::Shed, &[query], k, timeout, ctx)?;
+        Ok(pending.pop().expect("one query, one reply"))
     }
 
     /// Non-blocking admission of one insert (see [`ServeEngine::knn_submit`]
@@ -673,26 +702,28 @@ impl ServeEngine {
         self.enqueue_flush(Admission::Shed, ctx)
     }
 
-    /// Submits a whole batch of queries and waits for every answer.
-    /// Unlike [`ServeEngine::knn`] this blocks for queue space instead of
-    /// shedding — it is the closed-loop client's entry point, so results
-    /// come back for every query, in order.
+    /// Submits a whole batch of queries as one command and waits for
+    /// every answer. The scheduler coalesces it whole: up to `max_batch`
+    /// queries take one crossbar pass of each shard, a longer call one
+    /// pass per `max_batch` of its queries. Unlike [`ServeEngine::knn`]
+    /// this blocks for queue space instead of shedding — it is the
+    /// closed-loop client's entry point, so results come back for every
+    /// query, in order. A bad query refuses the whole batch.
     pub fn knn_batch(
         &self,
         queries: &[Vec<f64>],
         k: usize,
     ) -> Result<Vec<Vec<Neighbor>>, ServeError> {
-        // Reject the whole batch before any of it is queued.
-        for q in queries {
-            self.validate_query(q, k)?;
-        }
-        let pending = queries
-            .iter()
-            .map(|q| {
-                self.enqueue_query(Admission::Block, q, k, self.default_timeout, TraceCtx::NONE)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        pending.into_iter().map(Pending::wait).collect()
+        self.enqueue_queries(
+            Admission::Block,
+            queries,
+            k,
+            self.default_timeout,
+            TraceCtx::NONE,
+        )?
+        .into_iter()
+        .map(Pending::wait)
+        .collect()
     }
 
     /// Inserts a normalized row, returning its assigned global id.
@@ -849,8 +880,9 @@ struct Scheduler {
     cfg: ServeConfig,
     next_id: usize,
     /// The command pulled off the channel while coalescing but not
-    /// executed yet (the barrier that ended a batch); replayed before
-    /// anything new is dequeued.
+    /// executed yet (the barrier that ended a batch, or the rest of a
+    /// query command cut at `max_batch`); replayed before anything new
+    /// is dequeued.
     stashed: Option<Cmd>,
     /// Timestamp origin for every stage span (set before spawn, shared
     /// with clients through their `enqueued` instants).
@@ -914,21 +946,29 @@ impl Scheduler {
         self.stashed.take().or_else(|| rx.try_recv().ok())
     }
 
-    /// Greedy, non-blocking coalesce of the queries that directly follow
-    /// `first`, up to `max_batch`. The first non-query command is stashed
-    /// and ends the batch — mutations are batch barriers, whatever they
-    /// are.
-    fn coalesce(&mut self, first: QueryReq, rx: &Receiver<Cmd>) -> Vec<QueryReq> {
-        let mut batch = vec![first];
-        while batch.len() < self.cfg.max_batch {
+    /// Greedy, non-blocking coalesce of the query commands that directly
+    /// follow `first`, whole, while the batch holds fewer than
+    /// `max_batch` queries. The command that crosses `max_batch` is cut:
+    /// its remainder is stashed and leads the next batch. The first
+    /// non-query command is stashed and ends the batch — mutations are
+    /// batch barriers, whatever they are.
+    fn coalesce(&mut self, mut batch: Vec<QueryReq>, rx: &Receiver<Cmd>) -> Vec<QueryReq> {
+        let max = self.cfg.max_batch;
+        while batch.len() < max {
             match self.next_ready(rx) {
-                Some(Cmd::Query(q)) => batch.push(q),
+                Some(Cmd::Query(more)) => batch.extend(more),
                 Some(other) => {
                     self.stashed = Some(other);
                     break;
                 }
                 None => break,
             }
+        }
+        if batch.len() > max {
+            // Only the last command taken can cross, and taking it
+            // emptied the stash (or it came from there).
+            debug_assert!(self.stashed.is_none());
+            self.stashed = Some(Cmd::Query(batch.split_off(max)));
         }
         batch
     }
@@ -1623,6 +1663,20 @@ mod tests {
         }
     }
 
+    /// One queued query of `k` = 1 with a long deadline, and its reply.
+    fn query_req(q: &[f64], now: Instant) -> (QueryReq, Pending<Vec<Neighbor>>) {
+        let (reply, rx) = mpsc::channel();
+        let req = QueryReq {
+            query: q.to_vec(),
+            k: 1,
+            deadline: now + Duration::from_secs(60),
+            enqueued: now,
+            ctx: TraceCtx::root(),
+            reply,
+        };
+        (req, Pending { rx })
+    }
+
     /// The interleaving that used to kill the scheduler: a `Flush`
     /// dequeued while queries are being coalesced. The whole arrival
     /// sequence is queued before the scheduler runs (on this thread), so
@@ -1642,16 +1696,8 @@ mod tests {
         let q = vec![0.4, 0.3, 0.9, 0.1];
         let now = Instant::now();
         let query = || {
-            let (reply, rx) = mpsc::channel();
-            let cmd = Cmd::Query(QueryReq {
-                query: q.clone(),
-                k: 1,
-                deadline: now + Duration::from_secs(60),
-                enqueued: now,
-                ctx: TraceCtx::root(),
-                reply,
-            });
-            (cmd, Pending { rx })
+            let (req, pending) = query_req(&q, now);
+            (Cmd::Query(vec![req]), pending)
         };
         let (q1, p1) = query();
         let (q2, p2) = query();
@@ -1684,6 +1730,59 @@ mod tests {
         assert_eq!(id, ds.len());
         // ...and the one behind it finds the inserted copy of itself.
         assert_eq!(p3.try_wait().unwrap().unwrap(), vec![(id, 0.0)]);
+    }
+
+    /// Query commands coalesce whole while they fit in `max_batch` (4
+    /// here); the one that crosses it is cut, and its rest leads the next
+    /// batch ahead of the insert queued behind it. Queued before the
+    /// scheduler runs, so the cut is forced, not raced.
+    #[test]
+    fn a_command_that_crosses_max_batch_is_cut_and_its_rest_leads_the_next_batch() {
+        let ds = data();
+        let cfg = small_cfg();
+        let sets = ServeEngine::stream_sets(
+            &mut simpim_datasets::InMemorySource::new(&ds),
+            &[6, 6],
+            &[cfg.shard_config(); 2],
+            1,
+        )
+        .unwrap();
+        let (tx, rx) = mpsc::sync_channel(8);
+        let q = vec![0.4, 0.3, 0.9, 0.1];
+        let now = Instant::now();
+        let call = |n: usize| -> (Cmd, Vec<Pending<Vec<Neighbor>>>) {
+            let (reqs, pending) = (0..n).map(|_| query_req(&q, now)).unzip();
+            (Cmd::Query(reqs), pending)
+        };
+        let (a, pa) = call(3);
+        let (b, pb) = call(3);
+        let (c, pc) = call(1);
+        let (insert_reply, insert_rx) = mpsc::channel();
+        let insert = Cmd::Insert {
+            row: q.clone(),
+            enqueued: now,
+            ctx: TraceCtx::root(),
+            reply: insert_reply,
+        };
+        let (stats_reply, stats_rx) = mpsc::channel();
+        let stats = Cmd::Stats { reply: stats_reply };
+        for cmd in [a, b, insert, c, stats] {
+            tx.try_send(cmd).expect("queue holds the sequence");
+        }
+        drop(tx);
+        Scheduler::new(sets, cfg, ds.len(), now).run(rx);
+
+        // Batches: a + b's first query, b's other two, then c.
+        let stats = Pending { rx: stats_rx }.try_wait().unwrap().unwrap();
+        assert_eq!((stats.batches, stats.queries), (3, 7));
+        let truth = knn_standard(&ds, &q, 1, Measure::EuclideanSq).unwrap();
+        for p in pa.into_iter().chain(pb) {
+            assert_eq!(p.try_wait().unwrap().unwrap(), truth.neighbors);
+        }
+        let id = Pending { rx: insert_rx }.try_wait().unwrap().unwrap();
+        for p in pc {
+            assert_eq!(p.try_wait().unwrap().unwrap(), vec![(id, 0.0)]);
+        }
     }
 
     #[test]

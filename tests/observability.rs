@@ -336,9 +336,7 @@ fn a_coarse_read_charges_the_bank_as_the_full_pass() {
 /// `serve.replica.pass` span per shard, each the parent of exactly one
 /// `core.executor.lb_ed_batch_coarse` span inside its interval, whose
 /// `reram.bank.dot_batch` spans are its children and inside its
-/// interval. The engine's scheduler takes what is queued when it wakes,
-/// so a burst is sent again until the engine counts more queries than
-/// batches.
+/// interval. One `knn_batch` of eight queries is one batch.
 #[test]
 fn a_coalesced_engine_batch_nests_one_coarse_pass_per_shard() {
     use simpim::obs::trace::{self, SpanRecord};
@@ -359,13 +357,9 @@ fn a_coalesced_engine_batch_nests_one_coarse_pass_per_shard() {
     trace::enable(1 << 16);
     trace::drain_all();
     let engine = ServeEngine::open(cfg, &Dataset::from_rows(&rows).unwrap()).unwrap();
-    for _ in 0..100 {
-        engine.knn_batch(&queries, 3).unwrap();
-        let stats = engine.stats().unwrap();
-        if stats.queries > stats.batches {
-            break;
-        }
-    }
+    engine.knn_batch(&queries, 3).unwrap();
+    let stats = engine.stats().unwrap();
+    assert_eq!((stats.queries, stats.batches), (8, 1));
     // Joins the scheduler thread, whose journal goes to the orphan sink.
     drop(engine);
     let spans = trace::drain_all();

@@ -385,7 +385,8 @@ fn queries_around_a_queued_flush_are_answered_in_submission_order() {
 }
 
 // A coalesced batch refines together — one sweep of a shard's rows for
-// all of its queries. Eight different queries in one `knn_batch`, over an
+// all of its queries — and one `knn_batch` of at most `max_batch` queries
+// is one batch. Eight different queries in one `knn_batch`, over an
 // engine whose shards hold delta rows (inserts past the spare rows) and
 // tombstones and one of which has lost its only bank (so it answers from
 // the host mirror, the batch refinement's other caller), must each equal
@@ -423,7 +424,9 @@ fn a_batch_of_eight_over_delta_tombstones_and_a_dead_bank_matches_offline_scan()
     for (q, got) in queries.iter().zip(&got) {
         assert_eq!(got, &offline_truth(&live, q, k));
     }
+    let before = stats.batches;
     let stats = engine.stats().unwrap();
+    assert_eq!(stats.batches - before, 1, "one knn_batch, one batch");
     assert!(
         stats.failovers >= 1 && stats.degraded_queries >= 1,
         "shard 1 must have answered from the host mirror: {stats:?}"
@@ -628,6 +631,67 @@ fn flush_submitted_behind_queries_never_kills_the_scheduler() {
     }
     assert_eq!(engine.knn(&q, 3).unwrap(), truth);
     assert_eq!(engine.stats().unwrap().queries, 401);
+}
+
+// A `knn_batch` is one command, so the scheduler coalesces it whole: back
+// to back with no pause, each call of `max_batch` queries is exactly one
+// batch (sent query by query, the scheduler could wake after the first
+// and split the call); a longer call is cut every `max_batch` queries; and
+// a call still sees exactly the mutations queued before it. Every answer
+// equals the per-query `knn`.
+#[test]
+fn a_knn_batch_is_coalesced_whole_and_cut_only_at_max_batch() {
+    use simpim::obs::TraceCtx;
+    use std::time::Duration;
+
+    let rows: Vec<Vec<f64>> = (0..24)
+        .map(|i| {
+            (0..4)
+                .map(|j| ((i * 19 + j * 23) % 83) as f64 / 82.0)
+                .collect()
+        })
+        .collect();
+    let data = Dataset::from_rows(&rows).unwrap();
+    let cfg = serve_cfg(2, None);
+    let max = cfg.max_batch;
+    let engine = ServeEngine::open(cfg, &data).unwrap();
+    let queries: Vec<Vec<f64>> = (0..2 * max + 3)
+        .map(|q| {
+            (0..4)
+                .map(|j| ((q * 31 + j * 7) % 61) as f64 / 60.0)
+                .collect()
+        })
+        .collect();
+    let knn_each =
+        |qs: &[Vec<f64>]| -> Vec<_> { qs.iter().map(|q| engine.knn(q, 3).unwrap()).collect() };
+    let batches = || engine.stats().unwrap().batches;
+
+    let truth = knn_each(&queries);
+    let before = batches();
+    for _ in 0..200 {
+        assert_eq!(engine.knn_batch(&queries[..max], 3).unwrap(), truth[..max]);
+    }
+    assert_eq!(batches() - before, 200, "one batch per call of max_batch");
+
+    let before = batches();
+    assert_eq!(engine.knn_batch(&queries, 3).unwrap(), truth);
+    assert_eq!(
+        batches() - before,
+        3,
+        "2·max_batch + 3 queries, three batches"
+    );
+
+    // A single, an insert of a copy of it, then a batch that holds it:
+    // the single misses the insert, every query of the batch sees it.
+    let single = engine
+        .knn_submit(&queries[0], 3, Duration::from_secs(60), TraceCtx::NONE)
+        .unwrap();
+    let insert = engine.insert_submit(&queries[0], TraceCtx::NONE).unwrap();
+    let got = engine.knn_batch(&queries[..max], 3).unwrap();
+    assert_eq!(single.wait().unwrap(), truth[0]);
+    let id = insert.wait().unwrap();
+    assert_eq!(got[0][0], (id, 0.0));
+    assert_eq!(got, knn_each(&queries[..max]));
 }
 
 // A query holding a NaN or an infinity is refused at admission by every

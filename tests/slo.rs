@@ -119,11 +119,9 @@ fn engine_stats_and_metrics_never_drift() {
     // One bank lost: detection, failover, repair.
     engine.kill_bank(0, 0).unwrap();
     drive_until_recovered(&engine, &qs[0], 2);
-    // Every replica of shard 0 lost: degraded host-mirror answers. One
-    // query per round: the queries of a `knn_batch` race the scheduler
-    // (if it dequeues the first alone, the repair tick behind it
-    // re-replicates a bank before the second is served and only one
-    // degrades); a single query degrades deterministically.
+    // Every replica of shard 0 lost: degraded host-mirror answers, one
+    // query per round (the repair tick after each batch re-replicates a
+    // bank, so each round degrades exactly the one batch it sends).
     for _ in 0..2 {
         engine.kill_bank(0, 0).unwrap();
         engine.kill_bank(0, 1).unwrap();
