@@ -5,15 +5,15 @@
 //! `avx2` on an x86_64 CPU with AVX2), pinned via
 //! `simpim_kern::with_backend`, the sweep measures:
 //!
-//! * **per-kernel ns/element** for all eleven dispatched kernels (f64
-//!   dot / norm_sq / fused dot+norm / squared Euclidean and its
-//!   abandoning form over the MSD workload's rows, u64 XOR- and
-//!   AND-popcount MACs over packed words, the exact u32 MAC of the
-//!   array-level crossbar pass over a 20-bit operand matrix of the
-//!   workload's shape, and the multi-query `dot_multi_f64`,
-//!   `dot_multi_u12` and `cell_bound_multi`, each described below),
-//!   best-of-several passes so a preempted pass doesn't pollute the
-//!   trajectory;
+//! * **per-kernel ns/element** for every dispatched kernel but
+//!   `first_not_worse`, which is only hashed (f64 dot / norm_sq / fused
+//!   dot+norm / squared Euclidean and its abandoning form over the MSD
+//!   workload's rows, u64 XOR- and AND-popcount MACs over packed words,
+//!   the exact u32 MAC of the array-level crossbar pass over a 20-bit
+//!   operand matrix of the workload's shape, the multi-query
+//!   `dot_multi_f64`, `dot_multi_u12` and `cell_bound_multi`, and the
+//!   threshold masks `mask_kept`, each described below), best-of-several
+//!   passes so a preempted pass doesn't pollute the trajectory;
 //! * **end-to-end kNN throughput**: Standard-PIM kNN (`knn_pim_ed`)
 //!   over the workload's queries — the path that exercises both the f64
 //!   refinement kernels and the crossbar's AND-popcount MAC;
@@ -67,7 +67,13 @@
 //! * **the cell-plane bound**: `cell_bound_multi` over that shard's cells
 //!   at eight queries, in ns per cell and query, its sums hashed into
 //!   `cell_bound_hash` — equal on all backends, and to one portable call
-//!   per query.
+//!   per query;
+//! * **the seed step's threshold scans**: `mask_kept` over a column of
+//!   `PASS_ROWS` bounds as the batch refinement's seed step makes its two
+//!   scans (κ's with no floor, τ's with κ as its floor), in ns per bound
+//!   and scan, and its masks in both directions, with a NaN cut and a NaN
+//!   floor too, hashed with `first_not_worse` from every chunk into
+//!   `mask_hash` — equal on all backends.
 //!
 //! The artifact (`BENCH_kernels.json`) stamps each backend's numbers and
 //! its speedup over forced-scalar, seeding the per-PR BENCH trajectory
@@ -455,6 +461,8 @@ struct Row {
     dot_multi_f64_ns: f64,
     dot_multi_u12_ns: f64,
     cell_bound_ns: f64,
+    /// `mask_kept` ns per bound and scan.
+    mask_ns: f64,
     /// `euclidean_sq_until` abandoning at 1/8, at 1/2, never.
     until_ns: [f64; 3],
     /// Fine `read` milliseconds per query, in `PASS_QUERIES` order.
@@ -474,6 +482,7 @@ struct Row {
     dot_multi_u12_hash: u64,
     until_hash: u64,
     cell_bound_hash: u64,
+    mask_hash: u64,
 }
 
 /// One timed kNN pass over the workload; returns (hash, wall ns).
@@ -771,6 +780,44 @@ fn sweep_backend(
         });
         assert_eq!(cell_bound_hash, one_by_one, "cells/{}", b.name());
 
+        // The seed step's two scans of a bound column, about 1 % of it
+        // within κ and as much again within τ (one bound in 997 a NaN).
+        let column: Vec<f64> = words(PASS_ROWS, 0x2f1c_9a47_5b3e_d861)
+            .into_iter()
+            .enumerate()
+            .map(|(i, w)| match i % 997 {
+                0 => f64::NAN,
+                _ => (w >> 11) as f64 / (1u64 << 53) as f64,
+            })
+            .collect();
+        let mut masks = vec![0u64; PASS_ROWS.div_ceil(64)];
+        let (kappa, tau) = (0.01, 0.02);
+        let (mask_ns, _) = measure(2 * PASS_ROWS, || {
+            kern::mask_kept(&column, kappa, None, true, &mut masks);
+            let kept = masks[0];
+            kern::mask_kept(&column, tau, Some(kappa), true, &mut masks);
+            kept ^ masks[0]
+        });
+        let mut mask_hash = 0xcbf2_9ce4_8422_2325u64;
+        let scans = [
+            (kappa, None),
+            (tau, Some(kappa)),
+            (f64::NAN, None),
+            (0.5, Some(f64::NAN)),
+        ];
+        for closer in [true, false] {
+            for (cut, floor) in scans {
+                kern::mask_kept(&column, cut, floor, closer, &mut masks);
+                mask_hash = masks
+                    .iter()
+                    .fold(mask_hash, |h, m| fnv1a(h, &m.to_le_bytes()));
+                for from in 0..PASS_ROWS.div_ceil(kern::SKIP_CHUNK) {
+                    let next = kern::first_not_worse(&column, from, cut, closer);
+                    mask_hash = fnv1a(mask_hash, &(next as u64).to_le_bytes());
+                }
+            }
+        }
+
         let ids: Vec<usize> = (0..shard.len()).collect();
         let (live, zeros) = (vec![true; shard.len()], vec![0.0; shard.len()]);
         let refine_ms_per_query = REFINE_QUERIES.map(|q| {
@@ -831,6 +878,7 @@ fn sweep_backend(
             dot_multi_f64_ns,
             dot_multi_u12_ns,
             cell_bound_ns,
+            mask_ns,
             until_ns,
             pass_ms_per_query,
             coarse_ns,
@@ -845,6 +893,7 @@ fn sweep_backend(
             dot_multi_u12_hash,
             until_hash,
             cell_bound_hash,
+            mask_hash,
         }
     })
 }
@@ -939,6 +988,11 @@ fn main() {
                 r.cell_bound_hash,
                 scalar.cell_bound_hash,
             ),
+            (
+                "mask_kept and first_not_worse",
+                r.mask_hash,
+                scalar.mask_hash,
+            ),
         ] {
             assert_eq!(got, want, "backend '{}': {what} differ from scalar", r.name);
         }
@@ -956,7 +1010,7 @@ fn main() {
         ),
         &[
             "backend", "dot", "norm", "fused", "euclid", "until 1/8", "1/2", "never", "xorpop",
-            "andpop", "dot_u32", "multi", "u12", "cell", "pass Q=1", "Q=2", "Q=3", "Q=4", "Q=5", "Q=6",
+            "andpop", "dot_u32", "multi", "u12", "cell", "mask", "pass Q=1", "Q=2", "Q=3", "Q=4", "Q=5", "Q=6",
             "Q=7", "Q=8", "coarse Q=2", "Q=3", "Q=4", "Q=5", "Q=6", "Q=7", "Q=8", "refine Q=1", "Q=4",
             "Q=8",
             "knn qps", "vs scalar",
@@ -968,7 +1022,7 @@ fn main() {
                     .into_iter()
                     .chain(r.until_ns)
                     .chain([r.xorpop_ns, r.andpop_ns, r.dot_u32_ns, r.dot_multi_f64_ns])
-                    .chain([r.dot_multi_u12_ns, r.cell_bound_ns]);
+                    .chain([r.dot_multi_u12_ns, r.cell_bound_ns, r.mask_ns]);
                 std::iter::once(r.name.to_string())
                     .chain(ns.map(|v| format!("{v:.3}")))
                     .chain(r.pass_ms_per_query.map(|v| format!("{v:.2}")))
@@ -985,7 +1039,8 @@ fn main() {
     println!(
         "result hash {hash:016x} identical across {} backends and 1|4|ambient workers \
          (ns/element columns, until per element of the whole row; popcount per u64 word; \
-         u12 per cell and query, cell per cell and query, at eight queries; pass columns: ms \
+         u12 per cell and query, cell per cell and query, at eight queries; mask per bound \
+         and scan; pass columns: ms \
          per query of one fine PimArray::read over {PASS_ROWS} x {d} at one worker; coarse \
          columns: ns per operand and query of a coarse read on it; refine columns: ms per query \
          of one refine_resident_batch over {} x {} with zero bounds and the cell plane at \
@@ -1062,6 +1117,7 @@ fn main() {
                 ("coarse_split_q8_ns_per_operand", r.coarse_split.json()),
                 ("host_split_q8_us", r.host_split.json()),
                 ("cell_bound_ns_per_elem", Json::Num(r.cell_bound_ns)),
+                ("mask_kept_ns_per_bound", Json::Num(r.mask_ns)),
                 (
                     "pass_ms_per_query",
                     Json::obj(
@@ -1137,6 +1193,7 @@ fn main() {
                 "cell_bound_hash",
                 Json::Str(format!("{:016x}", scalar.cell_bound_hash)),
             ),
+            ("mask_hash", Json::Str(format!("{:016x}", scalar.mask_hash))),
             ("threads_invariant", Json::Bool(true)),
             ("knn_qps", Json::Num(active_row.knn_qps)),
             (

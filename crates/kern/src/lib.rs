@@ -10,8 +10,11 @@
 //! on ([`dot_multi_f64`] for one to eight queries per row load where
 //! its sums stay below 2⁵³, [`dot_u32`] elsewhere, one query at a time,
 //! [`dot_multi_u12`] for the coarse 12-bit plane read
-//! before it), and the integer cell-plane bound a serving
-//! shard tests before an exact distance ([`cell_bound_multi`]) — as a
+//! before it), the integer cell-plane bound a serving
+//! shard tests before an exact distance ([`cell_bound_multi`]), and the
+//! threshold scans of a bound column that the batch refinement's seed step
+//! and marking make ([`mask_kept`], and [`first_not_worse`] for its
+//! k-best selection) — as a
 //! [`KernelBackend`] vtable selected
 //! **once** at startup:
 //!
@@ -37,7 +40,9 @@
 //! 2⁶⁴, which is associative, so lane layout and fold order are free.
 //! [`dot_multi_f64`] sums integers in `f64` below 2⁵³, where nothing
 //! rounds — the one place a fused multiply-add is the same as `mul` then
-//! `add`. The proptest suite in `tests/kernels.rs` enforces all three.
+//! `add`. The threshold scans only compare, and a packed IEEE compare is
+//! the scalar one per lane, so they set the same bits by construction.
+//! `tests/kernels.rs` enforces all four.
 //!
 //! Selection order: [`set_backend_override`] / [`with_backend`] (tests,
 //! benches) > the `SIMPIM_KERNEL` environment variable
@@ -56,7 +61,7 @@ pub mod scalar;
 mod x86;
 
 /// Re-export of the canonical lane count (4) of the chunked layout.
-pub use scalar::{U12Queries, LANES, MULTI_QUERIES, U12_MAX};
+pub use scalar::{U12Queries, LANES, MULTI_QUERIES, SKIP_CHUNK, U12_MAX};
 
 /// Identifies one kernel backend tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -147,6 +152,10 @@ pub struct KernelBackend {
     pub dot_multi_u12: MultiU12,
     /// The cell-plane bound sums of [`scalar::cell_bound_multi`].
     pub cell_bound_multi: fn(&[u8], &[&[u8]], &mut [u64]),
+    /// The threshold masks of [`scalar::mask_kept`].
+    pub mask_kept: fn(&[f64], f64, Option<f64>, bool, &mut [u64]),
+    /// The chunk skip of [`scalar::first_not_worse`].
+    pub first_not_worse: fn(&[f64], usize, f64, bool) -> usize,
 }
 
 impl std::fmt::Debug for KernelBackend {
@@ -170,6 +179,8 @@ const SCALAR_TABLE: KernelBackend = KernelBackend {
     dot_multi_f64: None,
     dot_multi_u12: scalar::dot_multi_u12,
     cell_bound_multi: scalar::cell_bound_multi,
+    mask_kept: scalar::mask_kept,
+    first_not_worse: scalar::first_not_worse,
 };
 
 // Safe trampolines: each is installed in a table only after the matching
@@ -199,6 +210,8 @@ mod x86_dispatch {
     trampoline!(dot_multi_f64_fma, x86::avx2::dot_multi_f64, (row: &[u32], qs: &[&[f64]], seg: usize, out: &mut [f64]) -> ());
     trampoline!(dot_multi_u12_avx2, x86::avx2::dot_multi_u12, (rows: &[u16], qs: &U12Queries, seg: usize, out: &mut [u64]) -> ());
     trampoline!(cell_bound_multi_avx2, x86::avx2::cell_bound_multi, (row: &[u8], qs: &[&[u8]], out: &mut [u64]) -> ());
+    trampoline!(mask_kept_avx2, x86::avx2::mask_kept, (col: &[f64], cut: f64, floor: Option<f64>, closer: bool, out: &mut [u64]) -> ());
+    trampoline!(first_not_worse_avx2, x86::avx2::first_not_worse, (col: &[f64], from: usize, cut: f64, closer: bool) -> usize);
 }
 
 /// Builds the vtable for a tier the running CPU supports.
@@ -221,6 +234,8 @@ fn table(b: Backend) -> KernelBackend {
                 .then_some(x86_dispatch::dot_multi_f64_fma as _),
             dot_multi_u12: x86_dispatch::dot_multi_u12_avx2,
             cell_bound_multi: x86_dispatch::cell_bound_multi_avx2,
+            mask_kept: x86_dispatch::mask_kept_avx2,
+            first_not_worse: x86_dispatch::first_not_worse_avx2,
         },
         _ => SCALAR_TABLE,
     }
@@ -449,6 +464,27 @@ pub fn dot_multi_u12(rows: &[u16], qs: &U12Queries, seg: usize, out: &mut [u64])
 #[inline]
 pub fn cell_bound_multi(row: &[u8], qs: &[&[u8]], out: &mut [u64]) {
     (kernels().cell_bound_multi)(row, qs, out)
+}
+
+/// Dispatched [`scalar::mask_kept`]: the threshold masks of a bound
+/// column, 64 bounds a word — bit `b` of `out[c]` set iff `col[64c + b]`
+/// is not [`scalar::worse`] than `cut` and, given a `floor`, worse than it.
+/// The same bits on every backend.
+///
+/// # Panics
+/// Panics when `out` holds fewer than `col.len().div_ceil(64)` words.
+#[inline]
+pub fn mask_kept(col: &[f64], cut: f64, floor: Option<f64>, closer: bool, out: &mut [u64]) {
+    (kernels().mask_kept)(col, cut, floor, closer, out)
+}
+
+/// Dispatched [`scalar::first_not_worse`]: the first chunk of
+/// [`SKIP_CHUNK`] bounds at or after `from` that holds a bound not
+/// [`scalar::worse`] than `cut` (the chunk count when none does). The same
+/// chunk on every backend.
+#[inline]
+pub fn first_not_worse(col: &[f64], from: usize, cut: f64, closer: bool) -> usize {
+    (kernels().first_not_worse)(col, from, cut, closer)
 }
 
 /// Asks the CPU to start loading `data` into its nearest cache, one

@@ -15,7 +15,9 @@
 //! kernels — the popcount MACs, [`dot_u32`], [`dot_multi_f64`],
 //! [`dot_multi_u12`] and [`cell_bound_multi`] — need
 //! no such layout: wrapping integer sums, and integer `f64` sums that
-//! never round, are the same in any order.
+//! never round, are the same in any order. Nor do the threshold scans of
+//! a bound column, [`mask_kept`] and [`first_not_worse`]: they only
+//! compare, by the one rule [`worse`].
 
 /// Independent accumulator lanes of the chunked kernels. Four lanes break
 /// the loop-carried add dependency and map one-to-one onto a 4×f64 AVX2
@@ -431,6 +433,67 @@ pub fn cell_bound_multi(row: &[u8], qs: &[&[u8]], out: &mut [u64]) {
             .map(|(r, q)| u64::from(r.iter().zip(q).map(gap_sq).sum::<u32>()))
             .sum();
     }
+}
+
+/// Whether bound `a` ranks strictly after bound `b` — above it when
+/// smaller is `closer`, below it otherwise — by value alone. A NaN on
+/// either side is never worse, and neither is a tie. Without a branch, so
+/// that a scan of a column vectorises.
+#[inline]
+pub fn worse(a: f64, b: f64, closer: bool) -> bool {
+    (closer & (a > b)) | (!closer & (a < b))
+}
+
+/// The threshold masks of a bound column, 64 bounds a word: bit `b` of
+/// `out[c]` is set iff `col[64c + b]` is not [`worse`] than `cut` and, given
+/// a `floor`, is worse than it. So a NaN bound is kept unless a floor asks
+/// it to be worse, and a NaN `cut` keeps every bound. The bits of a last,
+/// partial word past the column are clear. Exact compares only, so every
+/// tier sets the same bits.
+///
+/// # Panics
+/// Panics when `out` holds fewer than `col.len().div_ceil(64)` words.
+pub fn mask_kept(col: &[f64], cut: f64, floor: Option<f64>, closer: bool, out: &mut [u64]) {
+    let out = &mut out[..col.len().div_ceil(64)];
+    match floor {
+        None => masks(col, out, |v| !worse(v, cut, closer)),
+        Some(floor) => masks(col, out, |v| {
+            !worse(v, cut, closer) & worse(v, floor, closer)
+        }),
+    }
+}
+
+/// One word of `keep`'s bits per 64 bounds, built without a branch.
+#[inline]
+fn masks(col: &[f64], out: &mut [u64], keep: impl Fn(f64) -> bool) {
+    let mask = |block: &[f64]| {
+        (block.iter().enumerate()).fold(0u64, |m, (b, &v)| m | u64::from(keep(v)) << b)
+    };
+    for (word, block) in out.iter_mut().zip(col.chunks(64)) {
+        // A whole block of 64 is a loop of known length, which vectorises.
+        *word = match <&[f64; 64]>::try_from(block) {
+            Ok(block) => mask(block),
+            Err(_) => mask(block),
+        };
+    }
+}
+
+/// Bounds a chunk of [`first_not_worse`] holds.
+pub const SKIP_CHUNK: usize = 8;
+
+/// The first chunk `c ≥ from` of [`SKIP_CHUNK`] bounds of `col` (the last
+/// one may be shorter) that holds a bound not [`worse`] than `cut`, or the
+/// chunk count when no chunk from `from` on does (`from` itself when it is
+/// past them). A chunk that holds a NaN or a tie with `cut` is never passed
+/// over, and a NaN `cut` passes over nothing.
+pub fn first_not_worse(col: &[f64], from: usize, cut: f64, closer: bool) -> usize {
+    let all_worse =
+        |chunk: &[f64]| (chunk.iter()).fold(true, |all, &v| all & worse(v, cut, closer));
+    from + col
+        .chunks(SKIP_CHUNK)
+        .skip(from)
+        .take_while(|c| all_worse(c))
+        .count()
 }
 
 #[cfg(test)]

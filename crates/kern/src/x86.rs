@@ -514,6 +514,120 @@ pub mod avx2 {
         }
     }
 
+    /// [`scalar::mask_kept`], four bounds a `vcmppd` and their bits from
+    /// one `vmovmskpd`. Each predicate is the scalar one's IEEE compare:
+    /// `!(v > cut)` is `NGT_UQ` (true for a NaN), `v > floor` is `GT_OQ`
+    /// (false for a NaN), and `NLT_UQ` / `LT_OQ` when larger is closer.
+    /// The last `len % 4` bounds go through the scalar body.
+    ///
+    /// # Safety
+    /// Requires AVX2 (detected at dispatch time).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn mask_kept(
+        col: &[f64],
+        cut: f64,
+        floor: Option<f64>,
+        closer: bool,
+        out: &mut [u64],
+    ) {
+        let out = &mut out[..col.len().div_ceil(64)];
+        // No floor: a compare that is always true, which folds away.
+        let (whole, any) = (col.len() / 4 * 4, f64::NAN);
+        match (closer, floor) {
+            (true, None) => masks::<_CMP_NGT_UQ, _CMP_TRUE_UQ>(&col[..whole], cut, any, out),
+            (true, Some(f)) => masks::<_CMP_NGT_UQ, _CMP_GT_OQ>(&col[..whole], cut, f, out),
+            (false, None) => masks::<_CMP_NLT_UQ, _CMP_TRUE_UQ>(&col[..whole], cut, any, out),
+            (false, Some(f)) => masks::<_CMP_NLT_UQ, _CMP_LT_OQ>(&col[..whole], cut, f, out),
+        }
+        if whole < col.len() {
+            // At most three bounds, inside the last word, whose bits from
+            // `whole % 64` on `masks` left clear.
+            let mut tail = [0u64];
+            scalar::mask_kept(&col[whole..], cut, floor, closer, &mut tail);
+            out[whole / 64] |= tail[0] << (whole % 64);
+        }
+    }
+
+    /// Every word of `out` for a column of whole groups of four: the bits
+    /// of the bounds that pass both compares, `KEEP` with `cut` and `FLOOR`
+    /// with `floor`, and clear bits past the column.
+    #[target_feature(enable = "avx2")]
+    unsafe fn masks<const KEEP: i32, const FLOOR: i32>(
+        col: &[f64],
+        cut: f64,
+        floor: f64,
+        out: &mut [u64],
+    ) {
+        debug_assert_eq!(col.len() % 4, 0);
+        let (cut, floor, p) = (_mm256_set1_pd(cut), _mm256_set1_pd(floor), col.as_ptr());
+        // The bits of the `n` groups of four from bound `at`.
+        let word = |at: usize, n: usize| {
+            let mut m = 0u64;
+            for g in 0..n {
+                // SAFETY: the caller's `at + 4n <= col.len()`.
+                let v = _mm256_loadu_pd(p.add(at + 4 * g));
+                let keep = _mm256_and_pd(
+                    _mm256_cmp_pd::<KEEP>(v, cut),
+                    _mm256_cmp_pd::<FLOOR>(v, floor),
+                );
+                m |= (_mm256_movemask_pd(keep) as u64) << (4 * g);
+            }
+            m
+        };
+        for (w, out) in out.iter_mut().enumerate() {
+            *out = match col.len().saturating_sub(64 * w) {
+                // A whole word: a loop of known length, unrolled.
+                64.. => word(64 * w, 16),
+                left => word(64 * w, left / 4),
+            };
+        }
+    }
+
+    /// [`scalar::first_not_worse`], a chunk of eight bounds tested in two
+    /// `vcmppd`s (`NGT_UQ`, or `NLT_UQ` when larger is closer: true for a
+    /// NaN) and one `vmovmskpd`; a last, partial chunk goes through the
+    /// scalar body.
+    ///
+    /// # Safety
+    /// Requires AVX2 (detected at dispatch time).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn first_not_worse(col: &[f64], from: usize, cut: f64, closer: bool) -> usize {
+        let whole = col.len() / scalar::SKIP_CHUNK;
+        let at = if closer {
+            skip::<_CMP_NGT_UQ>(col, from, whole, cut)
+        } else {
+            skip::<_CMP_NLT_UQ>(col, from, whole, cut)
+        };
+        if at < whole {
+            at
+        } else {
+            scalar::first_not_worse(col, at, cut, closer)
+        }
+    }
+
+    /// The first whole chunk from `from` with a bound that passes `KEEP`
+    /// against `cut`, or `whole` (or `from`, past it) when none does.
+    #[target_feature(enable = "avx2")]
+    unsafe fn skip<const KEEP: i32>(col: &[f64], from: usize, whole: usize, cut: f64) -> usize {
+        debug_assert!(whole * scalar::SKIP_CHUNK <= col.len());
+        let (cut, p) = (_mm256_set1_pd(cut), col.as_ptr());
+        for c in from..whole {
+            // SAFETY: chunk `c < whole` is whole: `8c + 7 < col.len()`.
+            let (lo, hi) = (
+                _mm256_loadu_pd(p.add(8 * c)),
+                _mm256_loadu_pd(p.add(8 * c + 4)),
+            );
+            let keep = _mm256_or_pd(
+                _mm256_cmp_pd::<KEEP>(lo, cut),
+                _mm256_cmp_pd::<KEEP>(hi, cut),
+            );
+            if _mm256_movemask_pd(keep) != 0 {
+                return c;
+            }
+        }
+        from.max(whole)
+    }
+
     /// Per-64-bit-element popcount of a ymm register via the Mula nibble
     /// LUT: `pshufb` looks up each nibble's population count, `psadbw`
     /// horizontally sums the byte counts into the four u64 lanes.

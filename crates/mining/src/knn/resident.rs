@@ -36,7 +36,8 @@ use simpim_similarity::{Dataset, Measure};
 use simpim_simkit::OpCounters;
 
 use crate::error::MiningError;
-use simpim_kern::MULTI_QUERIES;
+use simpim_kern::scalar::worse;
+use simpim_kern::{MULTI_QUERIES, SKIP_CHUNK};
 
 use crate::knn::{exact_eval, exact_eval_until, walk, LazyOrder, TopK};
 
@@ -161,26 +162,37 @@ fn live_order<'a>(
     )
 }
 
-/// Whether bound `a` ranks strictly after bound `b`, by value alone
-/// (never for a NaN). Without a branch, so that scans of a column
-/// vectorise.
-fn worse(a: f64, b: f64, closer: bool) -> bool {
-    (closer & (a > b)) | (!closer & (a < b))
+/// What [`k_best`] selects from: a whole bound column, whose chunks of
+/// [`SKIP_CHUNK`] bounds it can pass over, or `(row, bound)` pairs.
+trait Ranked: Sized {
+    /// The first chunk of `items` from `from` on that may hold an item
+    /// whose bound is not [`worse`] than `cut` (the chunk count if none).
+    fn next_chunk(items: &[Self], from: usize, cut: f64, closer: bool) -> usize;
 }
 
-/// Bounds a [`k_best`] chunk holds: a chunk whose bounds are all worse
-/// than the cut is passed over in one test.
-const CHUNK: usize = 8;
+/// A column's `pair` gives each bound as it is.
+impl Ranked for f64 {
+    fn next_chunk(items: &[f64], from: usize, cut: f64, closer: bool) -> usize {
+        simpim_kern::first_not_worse(items, from, cut, closer)
+    }
+}
+
+/// The few pairs a seed step tightened: each chunk is read pair by pair.
+impl Ranked for (usize, f64) {
+    fn next_chunk(_: &[Self], from: usize, _: f64, _: bool) -> usize {
+        from
+    }
+}
 
 /// The rows of the `k` best live pairs of `items` (best bound first, ties
 /// by the rows' `ids`: the first chunk [`LazyOrder`] would cut), `pair`
 /// giving the `(row, bound)` of the item at each position, kept in one
-/// pass and returned in no particular order. Once `k` pairs are kept, a
-/// chunk of [`CHUNK`] items whose bounds are all worse than the last-ranked
-/// one's is passed over in one branch-free test: the cut only gets better
-/// as pairs are kept, so each of them would be refused alone too. The
-/// order's comparisons are the caller's to charge.
-fn k_best<T>(
+/// pass and returned in no particular order. Once `k` pairs are kept, the
+/// chunks of a column whose bounds are all worse than the last-ranked
+/// pair's are passed over ([`simpim_kern::first_not_worse`]): the cut only
+/// gets better as pairs are kept, so each of them would be refused alone
+/// too. The order's comparisons are the caller's to charge.
+fn k_best<T: Ranked>(
     view: &ShardView<'_>,
     items: &[T],
     pair: impl Fn(usize, &T) -> (usize, f64),
@@ -199,15 +211,13 @@ fn k_best<T>(
     // there are `k` (NaN before: no bound is worse). Most pairs stop at one
     // comparison with that bound, as a worse one cannot rank before it.
     let (mut last, mut cut) = (0, f64::NAN);
-    for (c, chunk) in items.chunks(CHUNK).enumerate() {
-        let all_worse = match <&[T; CHUNK]>::try_from(chunk) {
-            Ok(chunk) => (chunk.iter()).fold(true, |all, t| all & worse(pair(0, t).1, cut, closer)),
-            Err(_) => false,
+    let mut c = 0;
+    loop {
+        c = T::next_chunk(items, c, cut, closer);
+        let Some(chunk) = items.chunks(SKIP_CHUNK).nth(c) else {
+            break;
         };
-        if all_worse {
-            continue;
-        }
-        for (at, t) in (c * CHUNK..).zip(chunk) {
+        for (at, t) in (c * SKIP_CHUNK..).zip(chunk) {
             let p = pair(at, t);
             let full = best.len() == k;
             if worse(p.1, cut, closer) || !live[p.0] || (full && !before(&p, &best[last])) {
@@ -223,27 +233,15 @@ fn k_best<T>(
                 cut = best[last].1;
             }
         }
+        c += 1;
     }
     best.into_iter().map(|(i, _)| i).collect()
 }
 
-/// The rows of a column, ascending, whose bounds `keep` holds, read 64
-/// at a time: one mask a block built without a branch, then its set bits.
-fn kept<'a>(
-    bounds: &'a [f64],
-    keep: impl Fn(f64) -> bool + 'a,
-) -> impl Iterator<Item = usize> + 'a {
-    let mask = move |block: &[f64]| {
-        (block.iter().enumerate()).fold(0u64, |m, (b, &v)| m | u64::from(keep(v)) << b)
-    };
-    // A whole block of 64 is a loop of known length, which vectorises.
-    let masks = bounds
-        .chunks(64)
-        .map(move |block| match <&[f64; 64]>::try_from(block) {
-            Ok(block) => mask(block),
-            Err(_) => mask(block),
-        });
-    masks.enumerate().flat_map(|(c, mut mask)| {
+/// The rows, ascending, whose bits the masks of
+/// [`simpim_kern::mask_kept`] set.
+fn kept(masks: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    masks.iter().copied().enumerate().flat_map(|(c, mut mask)| {
         std::iter::from_fn(move || {
             let b = mask.trailing_zeros() as usize;
             mask &= mask.wrapping_sub(1);
@@ -260,7 +258,7 @@ type Seeded = (TopK, Vec<usize>, Option<Vec<(usize, f64)>>);
 /// The seed step for one query over the `(row, bound)` pairs of `items`
 /// (see [`k_best`]) of a checked view's live rows: the walk's first chunk
 /// among them evaluated exactly into a pool.
-fn seed<T>(
+fn seed<T: Ranked>(
     view: &ShardView<'_>,
     items: &[T],
     pair: impl Fn(usize, &T) -> (usize, f64),
@@ -316,6 +314,7 @@ fn seed_tightened(
     };
     let mut first = k_best(view, bounds, |i, &v| (i, v), k, closer);
     let mut tightened = Vec::new();
+    let mut masks = vec![0u64; bounds.len().div_ceil(64)];
     ask(&mut tightened, &mut first.iter().copied())?;
     // κ, the worst of them (with no live row, nothing is left to tighten).
     let kappa = (tightened.iter().map(|&(_, v)| v))
@@ -323,19 +322,16 @@ fn seed_tightened(
         .unwrap_or_default();
     first.sort_unstable();
     let fresh = |i: usize| live[i] && first.binary_search(&i).is_err();
-    let rest = &mut kept(bounds, |v| !worse(v, kappa, closer)).filter(|&i| fresh(i));
-    ask(&mut tightened, rest)?;
+    simpim_kern::mask_kept(bounds, kappa, None, closer, &mut masks);
+    ask(&mut tightened, &mut kept(&masks).filter(|&i| fresh(i)))?;
     let (top, seeds, _) = seed(view, &tightened, |_, &p| p, query, k, measure, counters)?;
     // A row left can only be within τ when τ is worse than κ.
     let tau = top.threshold();
     if worse(tau, kappa, closer) {
         // Rows τ does not prune (`TopK::prunable` with τ read once) and
-        // worse than κ, tested without a branch: the scan vectorises.
-        let near = |v| !worse(v, tau, closer) & worse(v, kappa, closer);
-        ask(
-            &mut tightened,
-            &mut kept(bounds, near).filter(|&i| fresh(i)),
-        )?;
+        // worse than κ.
+        simpim_kern::mask_kept(bounds, tau, Some(kappa), closer, &mut masks);
+        ask(&mut tightened, &mut kept(&masks).filter(|&i| fresh(i)))?;
     }
     Ok((top, seeds, Some(tightened)))
 }
@@ -547,6 +543,7 @@ fn refine_batch(
     let mut marks = vec![0u8; n * groups];
     // `d` cells a query that passed its check (the others are never read).
     let mut query_cells = Vec::new();
+    let mut masks = Vec::new();
     for (j, (b, s)) in batch.iter().zip(&seeded).enumerate() {
         if cells.is_some() {
             push_cells(if s.is_ok() { b.query } else { &[] }, &mut query_cells);
@@ -554,14 +551,22 @@ fn refine_batch(
         }
         let Ok((top, seeds, pairs)) = s else { continue };
         let (group, bit) = (j / MULTI_QUERIES, 1 << (j % MULTI_QUERIES));
-        let mark = |(i, bound): (usize, f64)| {
-            if !top.prunable(bound) && live[i] {
+        let mut mark = |i: usize| {
+            if live[i] {
                 marks[i * groups + group] |= bit;
             }
         };
         match pairs {
-            Some(pairs) => pairs.iter().copied().for_each(mark),
-            None => b.bounds.iter().copied().enumerate().for_each(mark),
+            Some(pairs) => (pairs.iter())
+                .filter(|&&(_, bound)| !top.prunable(bound))
+                .for_each(|&(i, _)| mark(i)),
+            // The rows τ does not prune (`TopK::prunable` with τ read once).
+            None => {
+                let closer = measure.smaller_is_closer();
+                masks.resize(n.div_ceil(64), 0);
+                simpim_kern::mask_kept(b.bounds, top.threshold(), None, closer, &mut masks);
+                kept(&masks).for_each(mark);
+            }
         }
         for &i in seeds {
             marks[i * groups + group] &= !bit;
@@ -1087,6 +1092,114 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A NaN bound is never worse than a cut: over a column with NaN
+    /// bounds of both signs on the query's nearest rows, on rows far from
+    /// it and on a tombstone, the marking marks the NaN rows, so the batch
+    /// still answers as the single-query refinement over the valid column
+    /// does; and read as a cheap column, κ's scan keeps them, so each live
+    /// one is tightened, and answers, counts and counters are those of the
+    /// valid column. Over 150 rows: past two mask words and many chunks of
+    /// the k-best skip.
+    #[test]
+    fn a_nan_bound_is_never_worse() {
+        let n = 150;
+        let rows: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64 / n as f64, 0.5]).collect();
+        let rows = Dataset::from_rows(&rows).unwrap();
+        let query = [0.62, 0.5];
+        let ids: Vec<usize> = (0..n).map(|i| 1000 - i).collect();
+        let live: Vec<bool> = (0..n).map(|i| i % 11 != 7).collect();
+        let exact = |i| simpim_similarity::measures::euclidean_sq(rows.row(i), &query);
+        let valid: Vec<f64> = (0..n).map(|i| 0.5 * exact(i)).collect();
+        // Rows 91, 93 and 94 are among the nearest, 3 and 140 far; 95 is a
+        // tombstone. A NaN of either sign, which `total_cmp` ranks first
+        // or last.
+        let negative_nan = f64::from_bits(0xFFF8_0000_0000_0000);
+        let nan_rows = [91, 93, 94, 3, 140];
+        let mut nans = valid.clone();
+        for (&i, nan) in nan_rows
+            .iter()
+            .chain(&[95])
+            .zip([f64::NAN, negative_nan].repeat(3))
+        {
+            nans[i] = nan;
+        }
+        assert!(!live[95] && nan_rows.iter().all(|&i| live[i]));
+        let live_rows = live.iter().filter(|&&l| l).count() as u64;
+        let ks = [1, 2, 5, 20];
+        let asked: Vec<std::sync::Mutex<Vec<usize>>> =
+            ks.iter().map(|_| Default::default()).collect();
+        let tightens: Vec<_> = (asked.iter())
+            .map(|asked| {
+                let valid = &valid;
+                move |pairs: &mut [(usize, f64)]| {
+                    asked.lock().unwrap().extend(pairs.iter().map(|&(i, _)| i));
+                    pairs.iter_mut().for_each(|(i, v)| *v = valid[*i]);
+                    Ok(())
+                }
+            })
+            .collect();
+        let of = |bounds, cheap: bool| -> Vec<BatchQuery<'_>> {
+            let query = &query[..];
+            let tighten = |j: usize| cheap.then_some(&tightens[j] as Tighten<'_>);
+            (ks.iter().enumerate())
+                .map(|(j, &k)| BatchQuery {
+                    query,
+                    k,
+                    bounds,
+                    tighten: tighten(j),
+                })
+                .collect()
+        };
+        let refine = |batch: &[BatchQuery<'_>]| {
+            let mut c = OpCounters::new();
+            let out = refine_resident_batch(
+                &rows,
+                &ids,
+                &live,
+                None,
+                batch,
+                Measure::EuclideanSq,
+                &mut c,
+            );
+            let out: Vec<ShardRefine> = out.unwrap().into_iter().map(Result::unwrap).collect();
+            (out, c)
+        };
+        let (over_valid, valid_counters) = refine(&of(&valid, false));
+        let (marked, _) = refine(&of(&nans, false));
+        let (tightened, tightened_counters) = refine(&of(&nans, true));
+        for (j, &k) in ks.iter().enumerate() {
+            let view = ShardView {
+                rows: &rows,
+                ids: &ids,
+                live: &live,
+                bounds: &valid,
+            };
+            let mut c = OpCounters::new();
+            let alone = refine_resident(&view, &query, k, Measure::EuclideanSq, &mut c).unwrap();
+            // Rows 91 and 94 rank last by their NaN and can only be swept.
+            let answers = |i: usize| alone.neighbors.iter().any(|&(id, _)| id == ids[i]);
+            assert!(k < 5 || (answers(91) && answers(94)), "k = {k}");
+            for (what, got) in [("marked", &marked[j]), ("tightened", &tightened[j])] {
+                assert_eq!(got.neighbors, alone.neighbors, "{what} k = {k}");
+                assert_eq!(got.refined + got.pruned, live_rows, "{what} k = {k}");
+            }
+            let (got, want) = (&tightened[j], &over_valid[j]);
+            assert_eq!(
+                (got.refined, got.pruned),
+                (want.refined, want.pruned),
+                "k = {k}"
+            );
+            let asked = std::mem::take(&mut *asked[j].lock().unwrap());
+            assert!(
+                nan_rows.iter().all(|i| asked.contains(i)),
+                "k = {k}: {asked:?}"
+            );
+            assert!(!asked.contains(&95), "k = {k}: a tombstone asked about");
+            assert_eq!(got.cheap_pruned, live_rows - asked.len() as u64, "k = {k}");
+        }
+        assert_eq!(tightened_counters, valid_counters);
     }
 
     /// The plane prunes only above τ, as `TopK::prunable` does: a row at

@@ -727,6 +727,166 @@ fn euclidean_sq_until_is_exact_or_above_limit_on_every_backend() {
     }
 }
 
+/// The bounds the threshold-scan tests build columns of: both
+/// infinities, both zeros, finite values and two NaNs.
+fn scan_values() -> [f64; 9] {
+    let negative_nan = f64::from_bits(0xFFF8_0000_0000_0000);
+    [
+        f64::NEG_INFINITY,
+        -1.0,
+        -0.0,
+        0.0,
+        0.5,
+        1.0,
+        f64::INFINITY,
+        f64::NAN,
+        negative_nan,
+    ]
+}
+
+/// The rule the threshold scans keep, written out: strictly after, by
+/// value; false for a NaN on either side and for a tie.
+fn worse_by_definition(a: f64, b: f64, closer: bool) -> bool {
+    if closer {
+        a > b
+    } else {
+        a < b
+    }
+}
+
+/// `mask_kept` on every tier against the `!worse` definition, bit for
+/// bit, walked whole: every column length 0..=130 (whole words, ragged
+/// words, and the ragged groups of four inside them), each of the nine
+/// values at every position (nine shifts of one column), cuts and floors
+/// at every one of those values (ties with the column's copies, ±0.0, ±∞,
+/// NaN) and at one between them, no floor, and both directions. No bit
+/// past the masks' words is written. `scalar::worse` is the definition
+/// on every pair of the values.
+#[test]
+fn mask_kept_sets_the_bits_of_the_worse_rule_on_every_tier() {
+    let _g = lock();
+    let values = scan_values();
+    for closer in [true, false] {
+        for a in values {
+            for b in values {
+                let want = worse_by_definition(a, b, closer);
+                assert_eq!(scalar::worse(a, b, closer), want, "{a} {b} closer {closer}");
+            }
+        }
+    }
+    let tiers = supported_backends();
+    let cuts: Vec<f64> = values.into_iter().chain([0.75]).collect();
+    let floors: Vec<Option<f64>> = std::iter::once(None)
+        .chain(cuts.iter().copied().map(Some))
+        .collect();
+    for shift in 0..values.len() {
+        let col: Vec<f64> = (0..130)
+            .map(|i| values[(5 * i + shift) % values.len()])
+            .collect();
+        for closer in [true, false] {
+            let worse = |a, b| worse_by_definition(a, b, closer);
+            for &cut in &cuts {
+                for &floor in &floors {
+                    let keep = |v| !worse(v, cut) && floor.is_none_or(|f| worse(v, f));
+                    let mut want = [0u64; 3];
+                    for (i, &v) in col.iter().enumerate() {
+                        want[i / 64] |= u64::from(keep(v)) << (i % 64);
+                    }
+                    for len in 0..=col.len() {
+                        // The bits of the first `len` bounds.
+                        let words = len.div_ceil(64);
+                        let mut want = want;
+                        if len % 64 != 0 {
+                            want[words - 1] &= (1 << (len % 64)) - 1;
+                        }
+                        for &tier in &tiers {
+                            let mut out = [u64::MAX; 4];
+                            kern::with_backend(tier, || {
+                                kern::mask_kept(&col[..len], cut, floor, closer, &mut out)
+                            });
+                            let what = format!(
+                                "{} len {len} shift {shift} cut {cut} floor {floor:?} closer {closer}",
+                                tier.name()
+                            );
+                            assert_eq!(out[..words], want[..words], "{what}");
+                            assert!(
+                                out[words..].iter().all(|&w| w == u64::MAX),
+                                "{what}: past the masks"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `first_not_worse` on every tier against its definition, walked whole:
+/// every column length 0..=130 (whole chunks of eight and a ragged last
+/// one), each position holding the one bound that is not worse than the
+/// cut — a tie, the other signed zero of a zero cut, or a NaN — among
+/// bounds that all are (each worse value in turn), or none; cuts at 0.5,
+/// ±0.0, ±∞ and NaN (which nothing is worse than, so nothing is passed
+/// over), both directions, and a start at 0, at the chunk of that bound,
+/// past it and past the column. No chunk holding a tie or a NaN is ever
+/// passed over.
+#[test]
+fn first_not_worse_never_passes_over_a_tie_or_a_nan() {
+    let _g = lock();
+    let tiers = supported_backends();
+    let values = scan_values();
+    for closer in [true, false] {
+        let worse = |a, b| worse_by_definition(a, b, closer);
+        for cut in [0.5, -0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let fillers: Vec<f64> = values.into_iter().filter(|&v| worse(v, cut)).collect();
+            let mut kept = vec![cut, f64::NAN];
+            if cut == 0.0 {
+                kept.push(-cut);
+            }
+            assert!(kept.iter().all(|&v| !worse(v, cut)));
+            for len in 0..=130usize {
+                let chunks = len.div_ceil(kern::SKIP_CHUNK);
+                for at in std::iter::once(None).chain((0..len).map(Some)) {
+                    for &one in &kept[..if at.is_some() { kept.len() } else { 1 }] {
+                        let col: Vec<f64> = (0..len)
+                            .map(|i| match fillers.len() {
+                                _ if Some(i) == at => one,
+                                0 => one,
+                                n => fillers[i % n],
+                            })
+                            .collect();
+                        let holds = |c: usize| {
+                            let chunk = col.chunks(kern::SKIP_CHUNK).nth(c);
+                            chunk.is_some_and(|chunk| chunk.iter().any(|&v| !worse(v, cut)))
+                        };
+                        let near = at.map_or(0, |at| at / kern::SKIP_CHUNK);
+                        for from in [0, near, near + 1, chunks + 1] {
+                            let want = (from..chunks)
+                                .find(|&c| holds(c))
+                                .unwrap_or(from.max(chunks));
+                            if let Some(at) = at {
+                                let c = at / kern::SKIP_CHUNK;
+                                assert!(from > c || want <= c, "the chunk of {at} is passed over");
+                            }
+                            for &tier in &tiers {
+                                let got = kern::with_backend(tier, || {
+                                    kern::first_not_worse(&col, from, cut, closer)
+                                });
+                                assert_eq!(
+                                    got,
+                                    want,
+                                    "{} len {len} at {at:?} = {one} cut {cut} from {from} closer {closer}",
+                                    tier.name()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// `SIMPIM_KERNEL` accepts exactly auto|scalar|sse2|avx2|neon (any
 /// case), maps `auto`/empty to detection, and rejects everything else —
 /// the contract the CI determinism job leans on when it runs the sweep
